@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint lint-fix fuzz ci bench benchdiff exp quick litmus-quick
+.PHONY: all build test race vet fmt lint lint-fix fuzz ci bench-module bench benchdiff exp quick litmus-quick
 
 all: build
 
@@ -21,13 +21,14 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# lint runs awglint, the repo's domain analyzer suite: simdeterminism,
-# hotpathalloc, hotpathmap, snapcover, fpcover, replaypure, waiterhome,
-# ctorerr, schedpast, plus reduced nilness and shadow checks. Suppress a
-# justified finding with `//lint:allow <analyzer> <reason>` on (or above)
-# the offending line. The wall-clock cost of the suite is recorded into
-# the newest BENCH_results.json trajectory entry (tooling.lint_secs) so
-# analyzer-cost regressions show up alongside the perf trajectory.
+# lint runs awglint, the repo's domain analyzer suite (the eleven analyzers
+# registered in cmd/awglint): simdeterminism, hotpathalloc, hotpathmap,
+# snapcover, fpcover, replaypure, waiterhome, ctorerr, schedpast, plus
+# reduced nilness and shadow checks. Suppress a justified finding with
+# `//lint:allow <analyzer> <reason>` on (or above) the offending line. The
+# wall-clock cost of the suite is recorded into the newest
+# BENCH_results.json trajectory entry (tooling.lint_secs) so analyzer-cost
+# regressions show up alongside the perf trajectory.
 lint:
 	$(GO) run ./cmd/awglint -bench-json BENCH_results.json ./...
 
@@ -44,8 +45,9 @@ lint-fix:
 # streams diffed against a map-based oracle of the slab condition store,
 # fuzzed snapshot/restore cuts that must replay bit-identically, the
 # litmus shrinker driven against abstract progress-model oracles, and
-# random IR programs run through both exec modes (inline interpreter vs
-# goroutine oracle) with results and final memory diffed.
+# random IR programs (shared words only see commuting adds, so the result
+# is interleaving-independent) run on the machine with every addressable
+# word checked against an untimed sequential reference interpreter.
 fuzz:
 	$(GO) test ./internal/fault -fuzz FuzzSchedule -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/event -fuzz FuzzCalendar -fuzztime 5s -run '^$$'
@@ -55,21 +57,17 @@ fuzz:
 	$(GO) test ./internal/litmus -fuzz FuzzLitmusShrink -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/gpu -fuzz FuzzProgIR -fuzztime 5s -run '^$$'
 
-# golden runs the quick experiment suite four ways — the fork planner vs
-# -no-fork, and the inline IR interpreter (the default) vs the goroutine
-# runtime — checks each against the committed golden record, and diffs the
-# runs' records byte-for-byte: a forked sweep must be indistinguishable
-# from a cold one, and the two exec modes from each other. After an
-# intentional model change: `go run ./cmd/awgexp -quick -golden
-# GOLDEN_quick.json -update-golden`. The intermediate records are kept on
-# failure for diffing.
+# golden runs the quick experiment suite twice — with the fork planner and
+# with -no-fork — checks each against the committed golden record, and
+# diffs the two runs' records byte-for-byte: a forked sweep must be
+# indistinguishable from a cold one. After an intentional model change:
+# `go run ./cmd/awgexp -quick -golden GOLDEN_quick.json -update-golden`.
+# The intermediate records are kept on failure for diffing.
 golden:
 	$(GO) run ./cmd/awgexp -quick -golden GOLDEN_quick.json -golden-out .golden_forked.json > /dev/null
 	$(GO) run ./cmd/awgexp -quick -no-fork -golden GOLDEN_quick.json -golden-out .golden_unforked.json > /dev/null
-	$(GO) run ./cmd/awgexp -quick -exec goroutine -golden GOLDEN_quick.json -golden-out .golden_goroutine.json > /dev/null
 	cmp .golden_forked.json .golden_unforked.json
-	cmp .golden_forked.json .golden_goroutine.json
-	@rm -f .golden_forked.json .golden_unforked.json .golden_goroutine.json
+	@rm -f .golden_forked.json .golden_unforked.json
 
 # litmus-quick regenerates the quick litmus conformance sweep and checks
 # it against its own golden record (the sweep also runs inside the main
@@ -82,12 +80,19 @@ litmus-quick:
 
 # ci is the full gate: formatting, static checks (go vet plus the awglint
 # domain analyzers), the race-instrumented test suite (which exercises the
-# parallel experiment pool), the fuzz smokes, and the golden-record drift
-# checks (suite-wide and the standalone litmus conformance gate).
-# benchdiff is advisory (leading -): the trajectory spans machines, so a
-# wall-clock delta is a prompt to look, not a gate.
-ci: fmt vet lint race fuzz golden litmus-quick
+# parallel experiment pool), the fuzz smokes, the golden-record drift
+# checks (suite-wide and the standalone litmus conformance gate), and the
+# benchmark module's own vet and tests. benchdiff is advisory (leading -):
+# the trajectory spans machines, so a wall-clock delta is a prompt to
+# look, not a gate.
+ci: fmt vet lint race fuzz golden litmus-quick bench-module
 	-$(GO) run ./cmd/benchdiff
+
+# bench-module vets and tests cmd/awgbench. It is a separate Go module, so
+# `go test ./...` at the root never builds it; this catches a change to a
+# public API it calls (gpu.ExecStats, sim.*, litmus.*).
+bench-module:
+	cd cmd/awgbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench appends a perf-trajectory entry to BENCH_results.json and runs the
 # hot-path benchmarks: the event-engine calendar microbenchmarks and the

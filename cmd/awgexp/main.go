@@ -14,7 +14,6 @@
 //	awgexp -nodedupe             # simulate every run, even repeated configs
 //	awgexp -no-fork              # simulate every sweep member from cycle zero
 //	awgexp -snapshot-every 50000 # time-travel traces for diagnosed deadlocks
-//	awgexp -exec=goroutine       # force the goroutine WG runtime (default: inline IR)
 //	awgexp -golden-out out.json  # also write this run's golden record
 //	awgexp -list
 //
@@ -82,12 +81,8 @@ type benchReport struct {
 	Forks             uint64 `json:"forks"`
 	PrefixCyclesSaved uint64 `json:"prefix_cycles_saved"`
 	SnapshotBytes     uint64 `json:"snapshot_bytes"`
-	// WG execution-path split (gpu.ExecStats deltas): device ops the inline
-	// IR interpreter executed, and WG program goroutines spawned (closure
-	// kernels plus any -exec=goroutine runs). The IR trajectory goal is the
-	// first number high and the second at zero.
-	OpsInterpreted    uint64 `json:"ops_interpreted"`
-	GoroutinesSpawned uint64 `json:"goroutines_spawned"`
+	// IR ops the WG interpreter executed (gpu.ExecStats delta).
+	OpsInterpreted uint64 `json:"ops_interpreted"`
 }
 
 // goldenEntry pins one experiment's deterministic outputs: the simulated
@@ -120,18 +115,8 @@ func main() {
 		nofork     = flag.Bool("no-fork", false, "disable prefix-forked sweeps: simulate every fault-sweep member from cycle zero instead of forking a shared-prefix snapshot")
 		snapEvery  = flag.Uint64("snapshot-every", 0, "keep a ring of machine snapshots every N cycles; a diagnosed deadlock then attaches a time-travel trace replayed from the last pre-stall snapshot (0 = off; implies unforked runs)")
 		goldenOut  = flag.String("golden-out", "", "also write this run's golden record (deterministic outputs) to this file; CI diffs forked vs unforked records byte-for-byte")
-		execMode   = flag.String("exec", "ir", "WG execution mode: 'ir' runs kernels carrying a program IR on the machine's inline interpreter; 'goroutine' forces the closure runtime for every kernel (outputs are bit-identical either way; CI diffs the two golden records)")
 	)
 	flag.Parse()
-	switch *execMode {
-	case "ir":
-		sim.SetExecMode(gpu.ExecIR)
-	case "goroutine":
-		sim.SetExecMode(gpu.ExecGoroutine)
-	default:
-		fmt.Fprintf(os.Stderr, "awgexp: -exec must be 'ir' or 'goroutine', got %q\n", *execMode)
-		os.Exit(2)
-	}
 	if *nodedupe {
 		sim.SetDedupe(false)
 	}
@@ -157,7 +142,7 @@ func main() {
 	}
 	if *workers > 0 {
 		// The pool sizes itself from GOMAXPROCS; narrowing it also keeps
-		// the engine goroutines' scheduling pressure down.
+		// the worker goroutines' scheduling pressure down.
 		runtime.GOMAXPROCS(*workers)
 	}
 
@@ -194,7 +179,7 @@ func main() {
 	record := goldenFile{Quick: *quick}
 	var failures []string
 	suiteStart := time.Now() //lint:allow simdeterminism wall time for the bench trajectory only
-	ops0, spawns0 := gpu.ExecStats()
+	ops0, _ := gpu.ExecStats()
 	var ms0, ms1 runtime.MemStats
 	for _, e := range run {
 		start := time.Now() //lint:allow simdeterminism wall time for the bench trajectory only
@@ -271,8 +256,8 @@ func main() {
 	report.TotalCycles, report.TotalRuns = sim.Totals()
 	report.CacheHits = sim.CacheHits()
 	report.Forks, report.PrefixCyclesSaved, report.SnapshotBytes = sim.ForkStats()
-	ops1, spawns1 := gpu.ExecStats()
-	report.OpsInterpreted, report.GoroutinesSpawned = ops1-ops0, spawns1-spawns0
+	ops1, _ := gpu.ExecStats()
+	report.OpsInterpreted = ops1 - ops0
 	if report.CacheHits > 0 {
 		fmt.Fprintf(os.Stderr, "awgexp: run cache replayed %d of %d runs\n",
 			report.CacheHits, report.TotalRuns)

@@ -19,13 +19,11 @@
 package main
 
 import (
-	"awgsim/internal/lint/analyzers/chansend"
 	"awgsim/internal/lint/analyzers/ctorerr"
 	"awgsim/internal/lint/analyzers/fpcover"
 	"awgsim/internal/lint/analyzers/hotpathalloc"
 	"awgsim/internal/lint/analyzers/hotpathmap"
 	"awgsim/internal/lint/analyzers/nilness"
-	"awgsim/internal/lint/analyzers/progclosure"
 	"awgsim/internal/lint/analyzers/replaypure"
 	"awgsim/internal/lint/analyzers/schedpast"
 	"awgsim/internal/lint/analyzers/shadow"
@@ -43,8 +41,6 @@ func main() {
 		snapcover.Analyzer,
 		fpcover.Analyzer,
 		replaypure.Analyzer,
-		progclosure.Analyzer,
-		chansend.Analyzer,
 		waiterhome.Analyzer,
 		ctorerr.Analyzer,
 		schedpast.Analyzer,

@@ -45,10 +45,8 @@ type report struct {
 	Forks       uint64  `json:"forks"`
 	PrefixSaved uint64  `json:"prefix_cycles_saved"`
 	SnapBytes   uint64  `json:"snapshot_bytes"`
-	// Execution-path split: device ops run by the inline IR interpreter
-	// vs WG goroutines spawned for the closure fallback.
-	OpsInterpreted    uint64 `json:"ops_interpreted"`
-	GoroutinesSpawned uint64 `json:"goroutines_spawned"`
+	// IR ops run by the WG interpreter.
+	OpsInterpreted uint64 `json:"ops_interpreted"`
 }
 
 func main() {
@@ -120,11 +118,9 @@ func main() {
 			old.Forks, cur.Forks, human(old.PrefixSaved), human(cur.PrefixSaved),
 			human(old.SnapBytes), human(cur.SnapBytes))
 	}
-	if cur.OpsInterpreted > 0 || old.OpsInterpreted > 0 ||
-		cur.GoroutinesSpawned > 0 || old.GoroutinesSpawned > 0 {
-		fmt.Printf("  exec paths: %s -> %s IR ops interpreted, %s -> %s WG goroutines spawned\n",
-			human(old.OpsInterpreted), human(cur.OpsInterpreted),
-			human(old.GoroutinesSpawned), human(cur.GoroutinesSpawned))
+	if cur.OpsInterpreted > 0 || old.OpsInterpreted > 0 {
+		fmt.Printf("  interpreter: %s -> %s IR ops interpreted\n",
+			human(old.OpsInterpreted), human(cur.OpsInterpreted))
 	}
 	if total > *threshold {
 		fmt.Fprintf(os.Stderr, "benchdiff: total wall clock regressed %.1f%% (> %.0f%% gate)\n", total, *threshold)

@@ -10,6 +10,7 @@ import (
 
 	"awgsim/awg"
 	"awgsim/internal/gpu"
+	"awgsim/internal/kernels"
 	"awgsim/internal/mem"
 	"awgsim/internal/trace"
 )
@@ -37,15 +38,7 @@ func run(policy string, rec *trace.Recorder) {
 	spec := gpu.KernelSpec{
 		Name: "episode", NumWGs: 8, WIsPerWG: 64,
 		VGPRsPerWI: 8, SGPRsPerWF: 128,
-		Program: func(d gpu.Device) {
-			v := gpu.GlobalVar(flag)
-			if d.ID() == 0 {
-				d.Compute(4000)
-				d.AtomicStore(v, 1)
-				return
-			}
-			d.AwaitEq(v, 1)
-		},
+		IR: kernels.HandoffIR(flag, 4000),
 	}
 	pol, err := awg.NewPolicy(policy)
 	if err != nil {

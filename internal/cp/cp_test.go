@@ -6,6 +6,7 @@ import (
 	"awgsim/internal/event"
 	"awgsim/internal/gpu"
 	"awgsim/internal/mem"
+	"awgsim/internal/prog"
 	"awgsim/internal/syncmon"
 )
 
@@ -33,7 +34,7 @@ type harness struct {
 
 func newHarness(t *testing.T, cfg Config) *harness {
 	t.Helper()
-	spec := &gpu.KernelSpec{Name: "noop", NumWGs: 1, WIsPerWG: 64, Program: func(gpu.Device) {}}
+	spec := &gpu.KernelSpec{Name: "noop", NumWGs: 1, WIsPerWG: 64, IR: prog.NewBuilder().MustBuild()}
 	m, err := gpu.NewMachine(gpu.DefaultConfig(), mem.DefaultConfig(), spec, nopPolicy{})
 	if err != nil {
 		t.Fatal(err)

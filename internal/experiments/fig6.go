@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"awgsim/internal/gpu"
+	"awgsim/internal/kernels"
 	"awgsim/internal/mem"
 	"awgsim/internal/metrics"
 	"awgsim/internal/sim"
@@ -74,15 +75,7 @@ func producerConsumerConfig(policy string, rec *trace.Recorder) sim.Config {
 		WIsPerWG:   64,
 		VGPRsPerWI: 8,
 		SGPRsPerWF: 128,
-		Program: func(d gpu.Device) {
-			v := gpu.GlobalVar(flag)
-			if d.ID() == 0 {
-				d.Compute(4000) // consumers wait roughly this long
-				d.AtomicStore(v, 1)
-				return
-			}
-			d.AwaitEq(v, 1)
-		},
+		IR:         kernels.HandoffIR(flag, 4000), // consumers wait roughly this long
 	}
 	return sim.Config{
 		Policy: policy,

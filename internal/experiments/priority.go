@@ -6,6 +6,7 @@ import (
 	"awgsim/internal/event"
 	"awgsim/internal/gpu"
 	"awgsim/internal/metrics"
+	"awgsim/internal/prog"
 	"awgsim/internal/sim"
 )
 
@@ -86,12 +87,14 @@ func (o Options) highPriorityKernel() *gpu.KernelSpec {
 	if o.Quick {
 		hpWork = 4_000
 	}
+	b := prog.NewBuilder()
+	b.Compute(prog.Imm(int64(hpWork)))
 	return &gpu.KernelSpec{
 		Name:       "HighPriority",
 		NumWGs:     cfg.MaxWGsPerCU, // one CU's worth
 		WIsPerWG:   64,
 		VGPRsPerWI: 8,
 		SGPRsPerWF: 128,
-		Program:    func(d gpu.Device) { d.Compute(hpWork) },
+		IR:         b.MustBuild(),
 	}
 }

@@ -241,7 +241,6 @@ func (f *Fleet) Initialize() error {
 			w.seqBases[d] = base
 			base += uint64(counts[d])
 		}
-		w.m.SetResponseLogging(true)
 		w.m.Prepare()
 		home := i % f.cfg.Devices
 		f.attach(f.devs[home], w)

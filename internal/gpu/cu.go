@@ -2,20 +2,6 @@ package gpu
 
 import "fmt"
 
-// ExecMode selects how kernels carrying a program IR execute (closure-only
-// kernels always run on the goroutine path).
-type ExecMode int
-
-const (
-	// ExecIR (the default) runs IR kernels through the machine's inline
-	// interpreter: no goroutine, no channel rendezvous per device op.
-	ExecIR ExecMode = iota
-	// ExecGoroutine forces the legacy path: every kernel runs as a Go
-	// closure on its own goroutine (IR kernels via the gpu.ExecIRProgram
-	// adapter). The compatibility fallback and differential-testing oracle.
-	ExecGoroutine
-)
-
 // Config describes the machine, defaulting to the paper's Table 1 baseline.
 type Config struct {
 	NumCUs            int // 8
@@ -37,36 +23,10 @@ type Config struct {
 	// neither MaxCycles nor the progress watchdog can terminate.
 	MaxEvents uint64
 	// SnapshotEvery, when non-zero, keeps a ring of periodic machine
-	// snapshots (and the response log that makes them restorable) so a
-	// diagnosed stall can be replayed from the last pre-stall snapshot with
-	// tracing enabled — time-travel debugging for DEADLOCK cells. Costs one
-	// logged word per WG response for the whole run; off by default.
+	// snapshots so a diagnosed stall can be replayed from the last pre-stall
+	// snapshot with tracing enabled — time-travel debugging for DEADLOCK
+	// cells. Costs one snapshot every SnapshotEvery cycles; off by default.
 	SnapshotEvery uint64
-
-	// Exec selects the execution path for IR kernels; see ExecMode. The two
-	// modes are bit-identical in results — pinned by the dual-mode golden
-	// comparison — so this only trades speed against the legacy runtime.
-	Exec ExecMode
-
-	// RespLogCap bounds each WG's replay-capture log (responses per WG; 0
-	// means the default cap). Only the closure path logs responses; once a
-	// WG's log fills, further responses are dropped and any later restore
-	// needing them fails loudly rather than replaying a truncated log.
-	RespLogCap int
-}
-
-// defaultRespLogCap bounds replay logs when Config.RespLogCap is zero: one
-// million responses per WG (8 MB) — far beyond any fork prefix in the
-// experiment suite, small enough that a pathological run can't grow a log
-// without bound.
-const defaultRespLogCap = 1 << 20
-
-// respLogCap resolves the configured replay-log bound.
-func (c Config) respLogCap() int {
-	if c.RespLogCap > 0 {
-		return c.RespLogCap
-	}
-	return defaultRespLogCap
 }
 
 // DefaultConfig returns the Table 1 machine: 8 CUs, 2 SIMD units of width
@@ -105,10 +65,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("gpu: zero cycle cap")
 	case c.ProgressWindow == 0:
 		return fmt.Errorf("gpu: zero progress window")
-	case c.Exec != ExecIR && c.Exec != ExecGoroutine:
-		return fmt.Errorf("gpu: unknown exec mode %d", c.Exec)
-	case c.RespLogCap < 0:
-		return fmt.Errorf("gpu: negative response-log cap %d", c.RespLogCap)
 	}
 	return nil
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"awgsim/internal/event"
-	"awgsim/internal/mem"
+	"awgsim/internal/prog"
 )
 
 // TestRepeatedPreemptRestoreAccounting flaps both CUs through six
@@ -13,20 +13,20 @@ import (
 // footprint, then checks every CU's resource pools (WG slots, wavefront
 // slots, LDS) drained back to exactly their configured capacity.
 func TestRepeatedPreemptRestoreAccounting(t *testing.T) {
-	const flag = mem.Addr(0x8000)
 	cfg := testConfig() // 2 CUs, 4 WGs/CU
-	spec := &KernelSpec{
-		Name: "flap-accounting", NumWGs: 16, WIsPerWG: 64, LDSBytes: 1024,
-		Program: func(d Device) {
-			if d.ID() == 0 {
-				d.Compute(120_000)
-				d.AtomicStore(GlobalVar(flag), 1)
-				return
-			}
-			d.Compute(1_000)
-			d.AwaitEq(GlobalVar(flag), 1)
-		},
-	}
+	spec := irKernel("flap-accounting", 16, func(b *prog.Builder) {
+		v := b.GVar(0x8000)
+		consumer, end := b.Label(), b.Label()
+		b.Br(prog.NE, b.Geom(prog.GeomID), prog.Imm(0), consumer)
+		b.Compute(prog.Imm(120_000))
+		b.AtomicStore(v, prog.Imm(1))
+		b.Jmp(end)
+		b.Bind(consumer)
+		b.Compute(prog.Imm(1_000))
+		b.AwaitEq(v, prog.Imm(1))
+		b.Bind(end)
+	})
+	spec.LDSBytes = 1024
 	m := newTestMachine(t, cfg, spec, &yieldPolicy{})
 	// Odd, co-prime strides so the outages drift across every phase of the
 	// atomic and context-switch pipelines over the rounds. The two CUs'

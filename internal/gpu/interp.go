@@ -9,19 +9,15 @@ import (
 	"awgsim/internal/prog"
 )
 
-// Inline program-IR execution: a WG whose kernel carries a prog.Program
-// (KernelSpec.IR) runs without a goroutine. Its position is a plain frame —
-// program counter plus register file — that the machine advances directly in
-// the response path: pure IR ops (register arithmetic, branches, geometry
-// reads) execute immediately at zero simulated cost, exactly like the Go
-// code between Device calls on the closure path, and each device op issues
-// the same request the closure path's wgDevice would build, through the same
-// Machine.handle. The two paths therefore produce identical event streams;
-// CI pins this with the dual-mode golden run and the differential fuzzer.
-//
-// The frame is what makes snapshots and migration cheap: where a closure WG
-// must be rebuilt by re-running its program against a logged response stream
-// (Machine.respawnWG), an IR WG's exact position is copied in O(registers).
+// Program-IR execution: every WG runs its kernel's prog.Program on a plain
+// frame — program counter plus register file — that the machine advances
+// directly in the response path. Pure IR ops (register arithmetic, branches,
+// geometry reads) execute immediately at zero simulated cost; each device op
+// is issued to the timing model, and the engine event that completes it
+// writes the result register and advances the frame to the next device op.
+// No WG owns a goroutine, so the simulation runs on the caller's goroutine
+// alone, and snapshots, forks and fleet migration copy a WG's exact
+// position in O(registers).
 
 // maxPureOps bounds the pure ops an interpreter slice may execute between
 // device operations — the backstop against a program whose register loop
@@ -41,14 +37,16 @@ type irFrame struct {
 	geom [6]int64
 }
 
-func newIRFrame(p *prog.Program, id, numWGs, wisPerWG, group, groupSize, indexInGroup int) *irFrame {
+// newIRFrame builds w's interpreter frame at program start.
+func newIRFrame(w *WG) *irFrame {
+	p := w.spec.IR
 	f := &irFrame{prog: p, dst: -1, regs: make([]int64, p.NumRegs)}
-	f.geom[prog.GeomID] = int64(id)
-	f.geom[prog.GeomNumWGs] = int64(numWGs)
-	f.geom[prog.GeomWIsPerWG] = int64(wisPerWG)
-	f.geom[prog.GeomGroup] = int64(group)
-	f.geom[prog.GeomGroupSize] = int64(groupSize)
-	f.geom[prog.GeomIndexInGroup] = int64(indexInGroup)
+	f.geom[prog.GeomID] = int64(w.id)
+	f.geom[prog.GeomNumWGs] = int64(w.spec.NumWGs)
+	f.geom[prog.GeomWIsPerWG] = int64(w.spec.WIsPerWG)
+	f.geom[prog.GeomGroup] = int64(w.home)
+	f.geom[prog.GeomGroupSize] = int64(w.grpSz)
+	f.geom[prog.GeomIndexInGroup] = int64(w.inGrp)
 	return f
 }
 
@@ -78,9 +76,8 @@ func (f *irFrame) varOf(op *prog.Op) Var {
 	return GlobalVar(f.addr(op.A))
 }
 
-// runPure executes pure ops (and skips zero-cycle computes, which the
-// closure path's Device.Compute never issues either) until the next device
-// op or the program's end. It returns the device op to issue — with pc
+// runPure executes pure ops (and skips zero-cycle computes, which cost no
+// simulated time) until the next device op or the program's end. It returns the device op to issue — with pc
 // already advanced past it, so resumption continues at the next op — or nil
 // at program end, plus the ops consumed.
 func (f *irFrame) runPure() (*prog.Op, uint64) {
@@ -133,135 +130,64 @@ func (f *irFrame) runPure() (*prog.Op, uint64) {
 	return nil, n
 }
 
-// useIR reports whether w executes through the inline interpreter.
-func (m *Machine) useIR(w *WG) bool {
-	return w.spec.IR != nil && m.cfg.Exec != ExecGoroutine
-}
-
-// startIRFrame builds w's interpreter frame at program start.
-func (m *Machine) startIRFrame(w *WG) {
-	w.frame = newIRFrame(w.spec.IR, int(w.id), w.spec.NumWGs, w.spec.WIsPerWG, w.home, w.grpSz, w.inGrp)
-}
-
 // advanceIR drives w's frame forward: pure ops execute inline at zero
-// simulated cost, the next device op (or program end) is handed to the
-// machine as the request the closure path's wgDevice would have sent. Runs
-// inside the engine event that delivered the previous response — the inline
-// replacement for the channel rendezvous of Machine.step/receive.
+// simulated cost, and the next device op is issued to the timing model (or,
+// at program end, the WG finishes). Runs inside the engine event that
+// delivered the previous op's result.
 func (m *Machine) advanceIR(w *WG) {
 	f := w.frame
 	op, n := f.runPure()
 	//lint:allow replaypure interpreter work meter, not simulation state; IR frames restore by copy, never by replay
 	m.irOps += n
 	if op == nil {
-		m.handle(w, request{kind: reqDone})
+		m.finish(w)
 		return
 	}
 	f.dst = op.Dst
 	switch op.Kind {
 	case prog.OpCompute:
-		m.handle(w, request{kind: reqCompute, cycles: event.Cycle(f.val(op.A))})
+		m.runCompute(w, event.Cycle(f.val(op.A)))
 	case prog.OpLoad:
-		m.handle(w, request{kind: reqLoad, addr: f.addr(op.A)})
+		m.issueLoad(w, f.addr(op.A))
 	case prog.OpStore:
-		m.handle(w, request{kind: reqStore, addr: f.addr(op.A), a: f.val(op.B)})
+		m.issueStore(w, f.addr(op.A), f.val(op.B))
 	case prog.OpAtomicAdd:
-		m.handle(w, request{kind: reqAtomic, v: f.varOf(op), op: OpAdd, a: f.val(op.B)})
+		m.issueAtomic(w, f.varOf(op), OpAdd, f.val(op.B), 0)
 	case prog.OpAtomicExch:
-		m.handle(w, request{kind: reqAtomic, v: f.varOf(op), op: OpExch, a: f.val(op.B)})
+		m.issueAtomic(w, f.varOf(op), OpExch, f.val(op.B), 0)
 	case prog.OpAtomicCAS:
-		m.handle(w, request{kind: reqAtomic, v: f.varOf(op), op: OpCAS, a: f.val(op.B), b: f.val(op.C)})
+		m.issueAtomic(w, f.varOf(op), OpCAS, f.val(op.B), f.val(op.C))
 	case prog.OpAtomicLoad:
-		m.handle(w, request{kind: reqAtomic, v: f.varOf(op), op: OpLoad})
+		m.issueAtomic(w, f.varOf(op), OpLoad, 0, 0)
 	case prog.OpAtomicStore:
-		m.handle(w, request{kind: reqAtomic, v: f.varOf(op), op: OpStore, a: f.val(op.B)})
+		m.issueAtomic(w, f.varOf(op), OpStore, f.val(op.B), 0)
 	case prog.OpSyncThreads:
-		m.handle(w, request{kind: reqSyncThreads})
+		m.syncThreads(w)
 	case prog.OpAwaitEq:
-		m.handle(w, request{kind: reqAwait, v: f.varOf(op), want: f.val(op.B), hint: WaitHint{Backoff: op.Hint}})
+		m.beginWait(w, f.varOf(op), OpLoad, 0, 0, f.val(op.B), CmpEQ, WaitHint{Backoff: op.Hint})
 	case prog.OpAwaitGE:
-		m.handle(w, request{kind: reqAwait, v: f.varOf(op), want: f.val(op.B), cmp: CmpGE})
+		m.beginWait(w, f.varOf(op), OpLoad, 0, 0, f.val(op.B), CmpGE, WaitHint{})
 	case prog.OpAcquireExch:
-		m.handle(w, request{kind: reqAcquire, v: f.varOf(op), op: OpExch, a: f.val(op.B), want: f.val(op.C), hint: WaitHint{Backoff: op.Hint}})
+		// Test-and-set: exchange B in until the old value equals C.
+		m.beginWait(w, f.varOf(op), OpExch, f.val(op.B), 0, f.val(op.C), CmpEQ, WaitHint{Backoff: op.Hint})
 	case prog.OpAcquireCAS:
-		m.handle(w, request{kind: reqAcquire, v: f.varOf(op), op: OpCAS, a: f.val(op.B), b: f.val(op.C), want: f.val(op.B)})
+		// CAS(B -> C) until it succeeds, i.e. returns the expected B.
+		m.beginWait(w, f.varOf(op), OpCAS, f.val(op.B), f.val(op.C), f.val(op.B), CmpEQ, WaitHint{})
 	default:
 		panic(fmt.Sprintf("gpu: IR device op %s not dispatched", op.Kind))
 	}
 }
 
-// ExecIRProgram interprets p against d, one Device call per device op —
-// the compatibility path that runs an IR-only kernel on the goroutine
-// runtime, and the oracle the differential fuzzer diffs the inline
-// interpreter against. Pure-op semantics are shared with the inline path
-// (irFrame.runPure), so the two executions issue identical device-operation
-// sequences.
-func ExecIRProgram(p *prog.Program, d Device) {
-	f := newIRFrame(p, int(d.ID()), d.NumWGs(), d.WIsPerWG(), d.Group(), d.GroupSize(), d.IndexInGroup())
-	hd, hinted := d.(HintedDevice)
-	for {
-		op, _ := f.runPure()
-		if op == nil {
-			return
-		}
-		var ret int64
-		switch op.Kind {
-		case prog.OpCompute:
-			d.Compute(event.Cycle(f.val(op.A)))
-		case prog.OpLoad:
-			ret = d.Load(f.addr(op.A))
-		case prog.OpStore:
-			d.Store(f.addr(op.A), f.val(op.B))
-		case prog.OpAtomicAdd:
-			ret = d.AtomicAdd(f.varOf(op), f.val(op.B))
-		case prog.OpAtomicExch:
-			ret = d.AtomicExch(f.varOf(op), f.val(op.B))
-		case prog.OpAtomicCAS:
-			ret = d.AtomicCAS(f.varOf(op), f.val(op.B), f.val(op.C))
-		case prog.OpAtomicLoad:
-			ret = d.AtomicLoad(f.varOf(op))
-		case prog.OpAtomicStore:
-			d.AtomicStore(f.varOf(op), f.val(op.B))
-		case prog.OpSyncThreads:
-			d.SyncThreads()
-		case prog.OpAwaitEq:
-			if op.Hint && hinted {
-				ret = hd.AwaitEqHint(f.varOf(op), f.val(op.B), WaitHint{Backoff: true})
-			} else {
-				ret = d.AwaitEq(f.varOf(op), f.val(op.B))
-			}
-		case prog.OpAwaitGE:
-			ret = d.AwaitGE(f.varOf(op), f.val(op.B))
-		case prog.OpAcquireExch:
-			if op.Hint && hinted {
-				hd.AcquireExchHint(f.varOf(op), f.val(op.B), f.val(op.C), WaitHint{Backoff: true})
-			} else {
-				d.AcquireExch(f.varOf(op), f.val(op.B), f.val(op.C))
-			}
-		case prog.OpAcquireCAS:
-			d.AcquireCAS(f.varOf(op), f.val(op.B), f.val(op.C))
-		default:
-			panic(fmt.Sprintf("gpu: IR device op %s not dispatched", op.Kind))
-		}
-		if op.Dst >= 0 {
-			f.regs[op.Dst] = ret
-		}
-	}
-}
+// irOpsInterpreted is process-wide execution telemetry: how many IR ops the
+// interpreter executed. Pure telemetry for the bench trajectory — never part
+// of metrics.Result — and, like sim.Totals, never rewound by snapshot
+// restores.
+var irOpsInterpreted atomic.Uint64
 
-// Process-wide execution telemetry: how much work ran through the inline
-// interpreter and how many program goroutines the closure fallback spawned.
-// Pure telemetry for the bench trajectory — never part of metrics.Result,
-// so results stay bit-identical across exec modes — and, like sim.Totals,
-// never rewound by snapshot restores.
-var (
-	irOpsInterpreted atomic.Uint64
-	goroutineSpawns  atomic.Uint64
-)
-
-// ExecStats reports the cumulative process-wide execution-path counters:
-// IR ops interpreted inline and WG program goroutines spawned (initial
-// starts plus replay respawns).
+// ExecStats reports the cumulative count of IR ops interpreted since process
+// start. The second result is always 0: it counted WG program goroutines,
+// which the machine no longer spawns, and stays only so existing two-value
+// callers keep compiling until they drop it.
 func ExecStats() (opsInterpreted, goroutinesSpawned uint64) {
-	return irOpsInterpreted.Load(), goroutineSpawns.Load()
+	return irOpsInterpreted.Load(), 0
 }

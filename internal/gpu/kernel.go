@@ -4,23 +4,14 @@ import (
 	"fmt"
 
 	"awgsim/internal/event"
-	"awgsim/internal/mem"
 	"awgsim/internal/prog"
 )
 
-// Program is the body one work-group executes. It runs on its own goroutine
-// in strict lock-step with the simulation engine: every Device call hands
-// control back until the simulated operation completes, so programs are
-// ordinary sequential Go code, exactly like the CUDA kernels of Figure 10.
-type Program func(d Device)
-
 // KernelSpec describes a kernel launch: grid shape, per-WG resource
 // demands (which determine the context size of Figure 5 and the occupancy
-// limits of Section II.D) and the program body — a Go closure (Program), a
-// register-machine program (IR), or both. When IR is set, the machine
-// executes it inline under the default exec mode; Program, if also set, is
-// ignored except under Config.Exec == ExecGoroutine, where it is preferred
-// over interpreting the IR through the Device adapter.
+// limits of Section II.D) and the program body: a register-machine program
+// (see internal/prog) that every WG of the launch executes, inline, on its
+// own interpreter frame.
 type KernelSpec struct {
 	Name     string
 	NumWGs   int // G in Table 2
@@ -30,8 +21,7 @@ type KernelSpec struct {
 	SGPRsPerWF int // 32-bit scalar registers per wavefront
 	LDSBytes   int // local data share per WG
 
-	Program Program
-	IR      *prog.Program
+	IR *prog.Program
 }
 
 // Wavefronts reports how many wavefronts the WG occupies given the
@@ -56,25 +46,13 @@ func (k KernelSpec) validate() error {
 		return fmt.Errorf("gpu: kernel %s launches %d WGs", k.Name, k.NumWGs)
 	case k.WIsPerWG <= 0:
 		return fmt.Errorf("gpu: kernel %s has %d WIs per WG", k.Name, k.WIsPerWG)
-	case k.Program == nil && k.IR == nil:
+	case k.IR == nil:
 		return fmt.Errorf("gpu: kernel %s has no program", k.Name)
 	}
-	if k.IR != nil {
-		if err := k.IR.Validate(); err != nil {
-			return fmt.Errorf("gpu: kernel %s: %w", k.Name, err)
-		}
+	if err := k.IR.Validate(); err != nil {
+		return fmt.Errorf("gpu: kernel %s: %w", k.Name, err)
 	}
 	return nil
-}
-
-// body returns the closure the goroutine path runs: the explicit Program
-// when present, otherwise the IR interpreted against the device.
-func (k *KernelSpec) body() Program {
-	if k.Program != nil {
-		return k.Program
-	}
-	ir := k.IR
-	return func(d Device) { ExecIRProgram(ir, d) }
 }
 
 // kernelRun tracks one kernel's execution on the machine. The primary
@@ -105,65 +83,9 @@ func (h KernelHandle) Latency() uint64 {
 	return uint64(h.kr.doneAt - h.kr.launched)
 }
 
-// Device is the programming interface a WG's program sees. Methods block
-// (in simulated time) until the operation completes. All atomic methods
-// return the value observed at the moment the operation was serviced at
-// the synchronization point (the L2 bank or the CU-local unit).
-type Device interface {
-	// Identity and launch geometry.
-	ID() WGID
-	NumWGs() int
-	WIsPerWG() int
-	// Group reports the WG's scheduling group (its home CU), the sharer
-	// set for locally scoped synchronization.
-	Group() int
-	// GroupSize reports how many WGs share the group (L in Table 2).
-	GroupSize() int
-	// IndexInGroup reports this WG's rank within its group.
-	IndexInGroup() int
-
-	// Compute advances the WG by the given amount of pure computation.
-	Compute(cycles event.Cycle)
-
-	// Plain memory operations through the L1.
-	Load(a mem.Addr) int64
-	Store(a mem.Addr, v int64)
-
-	// Atomics, serviced at the variable's synchronization point.
-	AtomicAdd(v Var, delta int64) int64
-	AtomicExch(v Var, val int64) int64
-	AtomicCAS(v Var, cmp, val int64) int64
-	AtomicLoad(v Var) int64
-	AtomicStore(v Var, val int64)
-
-	// SyncThreads is the intra-WG barrier (Figure 3c); with all wavefronts
-	// of a WG on one CU it is a fixed-latency local operation.
-	SyncThreads()
-
-	// AwaitEq blocks until the variable has been observed equal to want,
-	// returning the observed value. How the wait happens — busy polling,
-	// backoff, timeouts, monitor arming or waiting atomics — is decided by
-	// the active scheduling policy.
-	AwaitEq(v Var, want int64) int64
-
-	// AwaitGE blocks until the variable has been observed >= want. The
-	// monotonic-counter form every barrier and ticket spin needs: a value
-	// that sweeps past the target still satisfies a late poller.
-	AwaitGE(v Var, want int64) int64
-
-	// AcquireExch implements a test-and-set acquire: atomically exchange
-	// lockedVal into v until the old value it returns equals unlockedVal.
-	// The policy decides how to wait between failed attempts.
-	AcquireExch(v Var, lockedVal, unlockedVal int64)
-
-	// AcquireCAS acquires by compare-and-swap: repeat CAS(v, expect,
-	// newVal) until it succeeds.
-	AcquireCAS(v Var, expect, newVal int64)
-}
-
-// WaitHint carries per-callsite information from the primitive library to
-// the policy, such as whether the benchmark variant was written with
-// software exponential backoff (the SPMBO_* benchmarks).
+// WaitHint carries per-callsite information from the kernel to the policy,
+// such as whether the benchmark variant was written with software
+// exponential backoff (the SPMBO_* benchmarks; prog.Op.Hint).
 type WaitHint struct {
 	Backoff bool
 }

@@ -3,7 +3,6 @@ package gpu
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"awgsim/internal/event"
 	"awgsim/internal/mem"
@@ -33,10 +32,10 @@ type Policy interface {
 }
 
 // Machine is the whole simulated GPU. It owns the event engine, the memory
-// hierarchy, the WG runtimes and the device request loop, and wires three
-// collaborators (see subsystems.go) that do everything else: the dispatcher
-// places WGs onto CUs, the atomic pipeline services atomics at the L2, and
-// the context engine saves and restores WG contexts.
+// hierarchy, the WG interpreter frames and their device-op issue, and wires
+// three collaborators (see subsystems.go) that do everything else: the
+// dispatcher places WGs onto CUs, the atomic pipeline services atomics at
+// the L2, and the context engine saves and restores WG contexts.
 type Machine struct {
 	cfg  Config
 	eng  *event.Engine
@@ -66,8 +65,6 @@ type Machine struct {
 	diag      *metrics.Diagnosis
 	diagSinks []func(*metrics.Diagnosis) //lint:allow snapcover host-side diagnosis callbacks; function values are re-wired, not snapshotted
 
-	wgWait sync.WaitGroup
-
 	// irOps accumulates inline-interpreted IR ops for ExecStats, flushed to
 	// the package counter at FinishRun.
 	irOps uint64 //lint:allow snapcover host-side telemetry like sim.Totals; restores must not rewind it
@@ -75,14 +72,12 @@ type Machine struct {
 	jitterState uint64
 
 	// Snapshot machinery (snapshot.go). snapHooks carries policy-side state
-	// in and out of machine snapshots; respLogging records WG responses for
-	// goroutine replay; snapRing is the watchdog's periodic pre-stall
-	// snapshots; replaying suppresses watchdog/ring side effects while a
-	// diagnosis replay re-executes a window of the run.
-	snapHooks   []snapHook
-	respLogging bool        //lint:allow snapcover replay-capture switch; toggled by the replay driver around a restore, never inside it
-	replaying   bool        //lint:allow snapcover the replay flag itself gates restore side effects; carrying it through a snapshot would wedge replays on
-	snapRing    []*Snapshot //lint:allow snapcover the watchdog ring holds snapshots; capturing it inside one would recurse
+	// in and out of machine snapshots; snapRing is the watchdog's periodic
+	// pre-stall snapshots; replaying suppresses watchdog/ring side effects
+	// while a diagnosis replay re-executes a window of the run.
+	snapHooks []snapHook
+	replaying bool        //lint:allow snapcover the replay flag itself gates restore side effects; carrying it through a snapshot would wedge replays on
+	snapRing  []*Snapshot //lint:allow snapcover the watchdog ring holds snapshots; capturing it inside one would recurse
 }
 
 // NewMachine builds a machine for one kernel launch under one policy.
@@ -160,14 +155,21 @@ func (m *Machine) InjectKernel(spec *KernelSpec, at event.Cycle, priority int) (
 	}
 	kr := &kernelRun{spec: spec, priority: priority}
 	base := len(m.allWGs)
+	// Injected WGs take round-robin homes, so the first NumWGs%NumCUs groups
+	// hold one WG more than the rest.
+	ncu := m.cfg.NumCUs
 	for i := 0; i < spec.NumWGs; i++ {
+		grpSz := spec.NumWGs / ncu
+		if i%ncu < spec.NumWGs%ncu {
+			grpSz++
+		}
 		w := &WG{
 			id:    WGID(base + i),
 			spec:  spec,
 			kr:    kr,
-			home:  i % m.cfg.NumCUs,
-			grpSz: spec.NumWGs / max(m.cfg.NumCUs, 1),
-			inGrp: i / m.cfg.NumCUs,
+			home:  i % ncu,
+			grpSz: grpSz,
+			inGrp: i / ncu,
 			state: StatePending,
 			cu:    NoCU,
 		}
@@ -311,7 +313,7 @@ func (m *Machine) Halt(reason string) {
 	m.eng.Stop()
 }
 
-// --- the WG request loop ---
+// --- WG execution ---
 
 // start launches a pending WG on cu for the first time.
 func (m *Machine) start(w *WG, cu *computeUnit) {
@@ -324,50 +326,17 @@ func (m *Machine) start(w *WG, cu *computeUnit) {
 	m.eng.AtTask(at, t)
 }
 
-// runStartBody fires at a WG's dispatch slot: an IR kernel gets its inline
-// interpreter frame and advances immediately; a closure kernel launches its
-// program goroutine and the machine enters the WG's request loop.
+// runStartBody fires at a WG's dispatch slot: the WG gets its interpreter
+// frame and advances to its first device op.
 func runStartBody(t *event.Task) {
 	m := t.Env[0].(*Machine)
 	w := t.Env[1].(*WG)
 	w.started = true
-	w.live = true
 	w.phaseStart = m.eng.Now()
 	m.progress()
 	m.Trace(w, trace.Start)
-	if m.useIR(w) {
-		m.startIRFrame(w)
-		m.advanceIR(w)
-		return
-	}
-	m.spawnBody(w)
-	m.receive(w)
-}
-
-// spawnBody launches w's program goroutine (creating the rendezvous
-// channels on first use — IR WGs never allocate them) and leaves its first
-// request pending for the caller to receive.
-func (m *Machine) spawnBody(w *WG) {
-	if w.req == nil {
-		w.req = make(chan request)
-		w.resp = make(chan response)
-	}
-	dev := &wgDevice{w: w, numWGs: w.spec.NumWGs}
-	body := w.spec.body()
-	goroutineSpawns.Add(1)
-	m.wgWait.Add(1)
-	go func() {
-		defer m.wgWait.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(abortSentinel); !ok {
-					panic(r)
-				}
-			}
-		}()
-		body(dev)
-		w.req <- request{kind: reqDone}
-	}()
+	w.frame = newIRFrame(w)
+	m.advanceIR(w)
 }
 
 // runCompute advances w through cycles of computation, re-sampling the
@@ -392,7 +361,7 @@ func (m *Machine) computeStep(w *WG, remaining, chunk event.Cycle) {
 	// atomics, not Compute, so spinning never counts.)
 	m.progress()
 	if remaining == 0 {
-		m.step(w, response{})
+		m.step(w, 0)
 		return
 	}
 	c := chunk
@@ -411,21 +380,20 @@ func runComputeChunk(t *event.Task) {
 	t.Env[0].(*Machine).computeStep(t.Env[1].(*WG), event.Cycle(t.I[0]), event.Cycle(t.I[1]))
 }
 
-// runLoadResp completes a load: the value is read at response time, as the
-// closure-based path did.
+// runLoadResp completes a load: the value is read at response time.
 func runLoadResp(t *event.Task) {
 	m := t.Env[0].(*Machine)
-	m.step(t.Env[1].(*WG), response{val: m.mem.Read(mem.Addr(t.I[0]))})
+	m.step(t.Env[1].(*WG), m.mem.Read(mem.Addr(t.I[0])))
 }
 
-// runStepEmpty resumes a WG with an empty response (stores, barriers).
+// runStepEmpty resumes a WG whose op returns nothing (stores, barriers).
 func runStepEmpty(t *event.Task) {
-	t.Env[0].(*Machine).step(t.Env[1].(*WG), response{})
+	t.Env[0].(*Machine).step(t.Env[1].(*WG), 0)
 }
 
 // runAtomicStepResp resumes a WG with its atomic's returned value.
 func runAtomicStepResp(t *event.Task) {
-	t.Env[0].(*Machine).step(t.Env[1].(*WG), response{val: t.I[AtomicRet]})
+	t.Env[0].(*Machine).step(t.Env[1].(*WG), t.I[AtomicRet])
 }
 
 // runParked fires the continuations queued while the WG was away.
@@ -437,121 +405,94 @@ func (m *Machine) runParked(w *WG) {
 	}
 }
 
-// step resumes w's program with a response; if the WG lost residency, the
-// delivery parks until it returns. An IR WG's frame advances inline in this
-// event; a closure WG's goroutine is resumed over the channel rendezvous,
-// with the value logged (up to the cap) when replay capture is on.
-func (m *Machine) step(w *WG, r response) {
+// step completes w's in-flight device op with its result value and
+// advances the frame to the next one; if the WG lost residency, the
+// delivery parks until it returns.
+func (m *Machine) step(w *WG, val int64) {
 	if !w.Resident() {
-		w.Park(func() { m.step(w, r) })
+		w.Park(func() { m.step(w, val) })
 		return
 	}
-	w.respCount++
-	if f := w.frame; f != nil {
-		if f.dst >= 0 {
-			f.regs[f.dst] = r.val
-		}
-		m.advanceIR(w)
-		return
+	if f := w.frame; f.dst >= 0 {
+		f.regs[f.dst] = val
 	}
-	if m.respLogging {
-		if len(w.respLog) < m.cfg.respLogCap() {
-			w.respLog = append(w.respLog, r.val)
-		} else {
-			w.respLogCapped = true
-		}
-	}
-	//lint:allow chansend goroutine-fallback response delivery; IR WGs took the frame path above
-	w.resp <- r
-	m.receive(w)
+	m.advanceIR(w)
 }
 
-// receive synchronously accepts w's next request. The WG goroutine is the
-// only runnable activity at this point, so this is a deterministic
-// rendezvous, not a race.
-func (m *Machine) receive(w *WG) {
-	m.handle(w, <-w.req)
+// issueLoad sends a plain load through w's L1.
+func (m *Machine) issueLoad(w *WG, a mem.Addr) {
+	respAt := m.mem.LoadTiming(int(w.cu), a)
+	t := m.eng.NewTask(runLoadResp)
+	t.Env[0] = m
+	t.Env[1] = w
+	t.I[0] = int64(a)
+	m.eng.AtTask(respAt, t)
 }
 
-// handle processes one device request.
-func (m *Machine) handle(w *WG, r request) {
+// issueStore writes v through w's L1.
+func (m *Machine) issueStore(w *WG, a mem.Addr, v int64) {
+	respAt := m.mem.StoreTiming(int(w.cu), a)
+	m.mem.Write(a, v)
+	t := m.eng.NewTask(runStepEmpty)
+	t.Env[0] = m
+	t.Env[1] = w
+	m.eng.AtTask(respAt, t)
+}
+
+// issueAtomic sends one atomic to v's synchronization point.
+func (m *Machine) issueAtomic(w *WG, v Var, op AtomicOp, a, b int64) {
+	t := m.eng.NewTask(runAtomicStepResp)
+	t.Env[0] = m
+	t.Env[1] = w
+	m.atomics.issueTask(w, v, op, a, b, t)
+}
+
+// syncThreads runs the intra-WG barrier, whose cost grows with the
+// wavefronts it gathers.
+func (m *Machine) syncThreads(w *WG) {
+	wf := event.Cycle(w.spec.Wavefronts(m.cfg.SIMDWidth))
+	t := m.eng.NewTask(runStepEmpty)
+	t.Env[0] = m
+	t.Env[1] = w
+	m.eng.AfterTask(event.Cycle(m.cfg.SyncThreadsLatency)*wf, t)
+}
+
+// beginWait opens a wait episode: the policy retries op(a, b) on v until
+// the value it returns satisfies cmp against want (pure waits are OpLoad
+// polls; lock acquires are exchanges or CASes).
+func (m *Machine) beginWait(w *WG, v Var, op AtomicOp, a, b, want int64, cmp Cmp, hint WaitHint) {
 	now := m.eng.Now()
-	switch r.kind {
-	case reqCompute:
-		m.runCompute(w, r.cycles)
-
-	case reqLoad:
-		respAt := m.mem.LoadTiming(int(w.cu), r.addr)
-		t := m.eng.NewTask(runLoadResp)
-		t.Env[0] = m
-		t.Env[1] = w
-		t.I[0] = int64(r.addr)
-		m.eng.AtTask(respAt, t)
-
-	case reqStore:
-		respAt := m.mem.StoreTiming(int(w.cu), r.addr)
-		m.mem.Write(r.addr, r.a)
-		t := m.eng.NewTask(runStepEmpty)
-		t.Env[0] = m
-		t.Env[1] = w
-		m.eng.AtTask(respAt, t)
-
-	case reqAtomic:
-		t := m.eng.NewTask(runAtomicStepResp)
-		t.Env[0] = m
-		t.Env[1] = w
-		m.atomics.issueTask(w, r.v, r.op, r.a, r.b, t)
-
-	case reqSyncThreads:
-		// The intra-WG barrier's cost grows with the wavefronts it gathers.
-		wf := event.Cycle(w.spec.Wavefronts(m.cfg.SIMDWidth))
-		t := m.eng.NewTask(runStepEmpty)
-		t.Env[0] = m
-		t.Env[1] = w
-		m.eng.AfterTask(event.Cycle(m.cfg.SyncThreadsLatency)*wf, t)
-
-	case reqAwait, reqAcquire:
-		op := OpLoad
-		a, b := int64(0), int64(0)
-		cmp := r.cmp
-		if r.kind == reqAcquire {
-			op, a, b = r.op, r.a, r.b
-			cmp = CmpEQ
+	w.setPhase(now, true)
+	w.waitVar, w.waitWant, w.waitCmp, w.waitBegan = v, want, cmp, now
+	m.atomics.charBegin(w, v, want)
+	m.pol.Wait(w, v, op, a, b, want, cmp, hint, func(observed int64) {
+		m.atomics.charMet(w, v, want)
+		if d := uint64(m.eng.Now() - now); d > m.maxWait {
+			m.maxWait = d
 		}
-		w.setPhase(now, true)
-		w.waitVar, w.waitWant, w.waitCmp, w.waitBegan = r.v, r.want, cmp, now
-		m.atomics.charBegin(w, r.v, r.want)
-		began := now
-		m.pol.Wait(w, r.v, op, a, b, r.want, cmp, r.hint, func(observed int64) {
-			m.atomics.charMet(w, r.v, r.want)
-			if d := uint64(m.eng.Now() - began); d > m.maxWait {
-				m.maxWait = d
-			}
-			w.setPhase(m.eng.Now(), false)
-			m.progress()
-			m.Trace(w, trace.Acquired)
-			m.step(w, response{val: observed})
-		})
-
-	case reqDone:
-		m.Trace(w, trace.Finish)
-		w.closePhase(now)
-		w.finished = true
-		w.live = false
-		w.state = StateDone
-		m.sched.cu(w.cu).release(w, m.cfg.SIMDWidth)
-		m.completed++
-		w.kr.completed++
-		if w.kr.completed == len(w.kr.wgs) {
-			w.kr.doneAt = now
-		}
-		m.lastDoneAt = now
+		w.setPhase(m.eng.Now(), false)
 		m.progress()
-		m.sched.kick()
+		m.Trace(w, trace.Acquired)
+		m.step(w, observed)
+	})
+}
 
-	default:
-		panic(fmt.Sprintf("gpu: unknown request kind %d", r.kind))
+// finish retires a WG that ran off the end of its program.
+func (m *Machine) finish(w *WG) {
+	now := m.eng.Now()
+	m.Trace(w, trace.Finish)
+	w.closePhase(now)
+	w.finished = true
+	w.state = StateDone
+	m.sched.cu(w.cu).release(w, m.cfg.SIMDWidth)
+	m.completed++
+	w.kr.completed++
+	if w.kr.completed == len(w.kr.wgs) {
+		w.kr.doneAt = now
 	}
+	m.lastDoneAt = now
+	m.progress()
+	m.sched.kick()
 }
 
 // diagnose captures the machine's synchronization state for a run that
@@ -631,7 +572,7 @@ func (m *Machine) Run() metrics.Result {
 
 // Prepare arms the run without driving the engine: the event budget, the
 // first dispatcher kick, the deadlock watchdog and — when SnapshotEvery is
-// set — response logging plus the periodic snapshot ring the time-travel
+// set — the periodic snapshot ring the time-travel
 // diagnosis replays from. The fork planner uses the Prepare/RunTo/FinishRun
 // decomposition to pause a run at a sweep group's divergence point, snapshot
 // it, and finish it once per forked member. It may be called once.
@@ -664,7 +605,6 @@ func (m *Machine) Prepare() {
 	}
 	m.eng.After(event.Cycle(m.cfg.ProgressWindow/4), watch)
 	if m.cfg.SnapshotEvery > 0 {
-		m.respLogging = true
 		var tick func()
 		tick = func() {
 			if m.Done() {
@@ -685,15 +625,8 @@ func (m *Machine) Prepare() {
 // exhaustion, or calendar drain, whichever comes first).
 func (m *Machine) RunTo(c event.Cycle) { m.eng.RunUntil(c) }
 
-// SetResponseLogging toggles per-WG response logging. The fork planner turns
-// it on for a sweep group's shared prefix (so member restores can rebuild
-// the program goroutines) and off after the group snapshot, bounding the log
-// at the prefix length.
-func (m *Machine) SetResponseLogging(on bool) { m.respLogging = on }
-
 // FinishRun classifies an unfinished run, renders the time-travel diagnosis
-// when a snapshot ring is armed, tears the WG goroutines down and assembles
-// the result. After a snapshot Restore, RunTo/FinishRun may run again —
+// when a snapshot ring is armed, and assembles the result. After a snapshot Restore, RunTo/FinishRun may run again —
 // that is the fork planner's member loop.
 func (m *Machine) FinishRun() metrics.Result {
 	if !m.Done() {
@@ -715,33 +648,7 @@ func (m *Machine) FinishRun() metrics.Result {
 	for _, w := range m.allWGs {
 		w.closePhase(end)
 	}
-	m.abortLiveWGs()
 	irOpsInterpreted.Add(m.irOps)
 	m.irOps = 0
 	return m.result(end)
-}
-
-// DropResponseLogs frees every WG's replay log. The fork planner calls it
-// once a sweep group's members have all finished and no further restore can
-// need the shared prefix's responses.
-func (m *Machine) DropResponseLogs() {
-	for _, w := range m.allWGs {
-		w.respLog = nil
-		w.respLogCapped = false
-	}
-}
-
-// abortLiveWGs unwinds the goroutines of unfinished WGs so the process
-// doesn't leak them after a deadlocked run. IR WGs have no goroutine to
-// unwind; their frames simply stop being advanced.
-func (m *Machine) abortLiveWGs() {
-	for _, w := range m.allWGs {
-		if w.live {
-			if w.frame == nil {
-				w.resp <- response{abort: true}
-			}
-			w.live = false
-		}
-	}
-	m.wgWait.Wait()
 }

@@ -1,10 +1,12 @@
 package gpu
 
 import (
+	"runtime"
 	"testing"
 
 	"awgsim/internal/event"
 	"awgsim/internal/mem"
+	"awgsim/internal/prog"
 )
 
 // spinPolicy is a minimal busy-wait policy for machine tests.
@@ -72,8 +74,89 @@ func newTestMachine(t *testing.T, cfg Config, spec *KernelSpec, pol Policy) *Mac
 	return m
 }
 
+// irKernel builds a 64-WI test kernel whose program emit assembles.
+func irKernel(name string, numWGs int, emit func(b *prog.Builder)) *KernelSpec {
+	b := prog.NewBuilder()
+	emit(b)
+	return &KernelSpec{Name: name, NumWGs: numWGs, WIsPerWG: 64, IR: b.MustBuild()}
+}
+
+// emptyKernel is a kernel whose WGs finish immediately.
+func emptyKernel(numWGs int) *KernelSpec {
+	return irKernel("k", numWGs, func(*prog.Builder) {})
+}
+
+// computeKernel is a kernel whose WGs each compute for cycles and finish.
+func computeKernel(name string, numWGs int, cycles int64) *KernelSpec {
+	return irKernel(name, numWGs, func(b *prog.Builder) { b.Compute(prog.Imm(cycles)) })
+}
+
+// slotAddr is the i-th word of a line-separated per-WG slot table at base.
+// Test kernels record what a WG observed there; the test reads the slots
+// back after the run.
+func slotAddr(base mem.Addr, i int) mem.Addr { return base + mem.Addr(64*i) }
+
+// wgSlot emits the memory operand for slot (GeomID - firstID) of an
+// n-entry slot table at base.
+func wgSlot(b *prog.Builder, base mem.Addr, n, firstID int) prog.Mem {
+	addrs := make([]uint64, n)
+	for i := range addrs {
+		addrs[i] = uint64(slotAddr(base, i))
+	}
+	idx := b.AddrRange(addrs) - int64(firstID)
+	return prog.At(b.Add(prog.Imm(idx), b.Geom(prog.GeomID)), prog.Global)
+}
+
+// readSlots reads back an n-entry slot table.
+func readSlots(m *Machine, base mem.Addr, n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = m.Mem().Read(slotAddr(base, i))
+	}
+	return out
+}
+
+// repeat emits body n times as a register-counted loop.
+func repeat(b *prog.Builder, n int64, body func()) {
+	i := b.Let(prog.Imm(0))
+	end := b.Label()
+	top := b.Here()
+	b.Br(prog.GE, i, prog.Imm(n), end)
+	body()
+	b.ArithTo(prog.OpAdd, i, i, prog.Imm(1))
+	b.Jmp(top)
+	b.Bind(end)
+}
+
+// handoffKernel is the flag handoff most machine tests use: WG 0 computes
+// for work cycles, then sets flag to 1; every other WG waits for it.
+func handoffKernel(name string, numWGs int, flag mem.Addr, work int64) *KernelSpec {
+	return irKernel(name, numWGs, func(b *prog.Builder) {
+		v := b.GVar(uint64(flag))
+		consumer, end := b.Label(), b.Label()
+		b.Br(prog.NE, b.Geom(prog.GeomID), prog.Imm(0), consumer)
+		b.Compute(prog.Imm(work))
+		b.AtomicStore(v, prog.Imm(1))
+		b.Jmp(end)
+		b.Bind(consumer)
+		b.AwaitEq(v, prog.Imm(1))
+		b.Bind(end)
+	})
+}
+
+// emitSpinLockLoop emits n critical sections on the test-and-set lock at
+// lock, each computing for work cycles.
+func emitSpinLockLoop(b *prog.Builder, lock mem.Addr, n, work int64) {
+	v := b.GVar(uint64(lock))
+	repeat(b, n, func() {
+		b.AcquireExch(v, prog.Imm(1), prog.Imm(0), false)
+		b.Compute(prog.Imm(work))
+		b.AtomicExchX(v, prog.Imm(0))
+	})
+}
+
 func TestMachineValidation(t *testing.T) {
-	spec := &KernelSpec{Name: "k", NumWGs: 1, WIsPerWG: 64, Program: func(Device) {}}
+	spec := emptyKernel(1)
 	if _, err := NewMachine(testConfig(), mem.DefaultConfig(), spec, nil); err == nil {
 		t.Error("nil policy accepted")
 	}
@@ -88,14 +171,11 @@ func TestMachineValidation(t *testing.T) {
 }
 
 func TestTrivialKernelCompletes(t *testing.T) {
-	ran := make([]bool, 8)
-	spec := &KernelSpec{
-		Name: "trivial", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d Device) {
-			d.Compute(100)
-			ran[d.ID()] = true
-		},
-	}
+	const ran = mem.Addr(0x10000)
+	spec := irKernel("trivial", 8, func(b *prog.Builder) {
+		b.Compute(prog.Imm(100))
+		b.Store(wgSlot(b, ran, 8, 0), prog.Imm(1))
+	})
 	m := newTestMachine(t, testConfig(), spec, nil)
 	res := m.Run()
 	if res.Deadlocked {
@@ -104,8 +184,8 @@ func TestTrivialKernelCompletes(t *testing.T) {
 	if res.Completed != 8 {
 		t.Fatalf("completed %d WGs, want 8", res.Completed)
 	}
-	for i, r := range ran {
-		if !r {
+	for i, r := range readSlots(m, ran, 8) {
+		if r != 1 {
 			t.Errorf("WG %d never ran", i)
 		}
 	}
@@ -115,8 +195,7 @@ func TestTrivialKernelCompletes(t *testing.T) {
 }
 
 func TestRunTwicePanics(t *testing.T) {
-	spec := &KernelSpec{Name: "k", NumWGs: 1, WIsPerWG: 64, Program: func(d Device) {}}
-	m := newTestMachine(t, testConfig(), spec, nil)
+	m := newTestMachine(t, testConfig(), emptyKernel(1), nil)
 	m.Run()
 	defer func() {
 		if recover() == nil {
@@ -128,14 +207,9 @@ func TestRunTwicePanics(t *testing.T) {
 
 func TestAtomicAddAccumulates(t *testing.T) {
 	const counter = mem.Addr(0x1000)
-	spec := &KernelSpec{
-		Name: "adders", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d Device) {
-			for i := 0; i < 10; i++ {
-				d.AtomicAdd(GlobalVar(counter), 1)
-			}
-		},
-	}
+	spec := irKernel("adders", 8, func(b *prog.Builder) {
+		repeat(b, 10, func() { b.AtomicAddX(b.GVar(uint64(counter)), prog.Imm(1)) })
+	})
 	m := newTestMachine(t, testConfig(), spec, nil)
 	res := m.Run()
 	if res.Deadlocked {
@@ -150,81 +224,76 @@ func TestAtomicAddAccumulates(t *testing.T) {
 }
 
 func TestAtomicOpsReturnOldValue(t *testing.T) {
-	const a = mem.Addr(0x2000)
-	var exchOld, casOld, loadVal int64
-	spec := &KernelSpec{
-		Name: "ops", NumWGs: 1, WIsPerWG: 64,
-		Program: func(d Device) {
-			v := GlobalVar(a)
-			d.AtomicStore(v, 5)
-			exchOld = d.AtomicExch(v, 9)
-			casOld = d.AtomicCAS(v, 9, 13)
-			loadVal = d.AtomicLoad(v)
-		},
-	}
+	const a, out = mem.Addr(0x2000), mem.Addr(0x10000)
+	spec := irKernel("ops", 1, func(b *prog.Builder) {
+		v := b.GVar(uint64(a))
+		b.AtomicStore(v, prog.Imm(5))
+		exchOld := b.AtomicExch(v, prog.Imm(9))
+		casOld := b.AtomicCAS(v, prog.Imm(9), prog.Imm(13))
+		loadVal := b.AtomicLoad(v)
+		for i, r := range []prog.Src{exchOld, casOld, loadVal} {
+			b.Store(b.GVar(uint64(slotAddr(out, i))), r)
+		}
+	})
 	m := newTestMachine(t, testConfig(), spec, nil)
 	if res := m.Run(); res.Deadlocked {
 		t.Fatal("deadlocked")
 	}
-	if exchOld != 5 || casOld != 9 || loadVal != 13 {
-		t.Fatalf("exch=%d cas=%d load=%d, want 5 9 13", exchOld, casOld, loadVal)
+	if got := readSlots(m, out, 3); got[0] != 5 || got[1] != 9 || got[2] != 13 {
+		t.Fatalf("exch=%d cas=%d load=%d, want 5 9 13", got[0], got[1], got[2])
 	}
 }
 
 func TestLoadStoreRoundTrip(t *testing.T) {
-	const a = mem.Addr(0x3000)
-	var got int64
-	spec := &KernelSpec{
-		Name: "ls", NumWGs: 1, WIsPerWG: 64,
-		Program: func(d Device) {
-			d.Store(a, 42)
-			got = d.Load(a)
-		},
-	}
+	const a, out = mem.Addr(0x3000), mem.Addr(0x10000)
+	spec := irKernel("ls", 1, func(b *prog.Builder) {
+		b.Store(b.GVar(uint64(a)), prog.Imm(42))
+		b.Store(b.GVar(uint64(out)), b.Load(b.GVar(uint64(a))))
+	})
 	m := newTestMachine(t, testConfig(), spec, nil)
 	if res := m.Run(); res.Deadlocked {
 		t.Fatal("deadlocked")
 	}
-	if got != 42 {
+	if got := m.Mem().Read(out); got != 42 {
 		t.Fatalf("loaded %d, want 42", got)
 	}
 }
 
 func TestProducerConsumerViaAwait(t *testing.T) {
-	const flag = mem.Addr(0x4000)
-	var observed int64
-	spec := &KernelSpec{
-		Name: "pc", NumWGs: 2, WIsPerWG: 64,
-		Program: func(d Device) {
-			v := GlobalVar(flag)
-			if d.ID() == 0 {
-				d.Compute(5000)
-				d.AtomicStore(v, 7)
-			} else {
-				observed = d.AwaitEq(v, 7)
-			}
+	// Assembled by hand: the builder's AwaitEq discards the observed value,
+	// and this test checks the interpreter delivers it into a register.
+	const flag, out = mem.Addr(0x4000), mem.Addr(0x10000)
+	p := &prog.Program{
+		NumRegs: 2,
+		Pool:    []uint64{uint64(flag), uint64(out)},
+		Code: []prog.Op{
+			{Kind: prog.OpGeom, Dst: 0, Geom: prog.GeomID},
+			{Kind: prog.OpBr, Dst: -1, Cmp: prog.NE, A: prog.R(0), B: prog.Imm(0), Target: 5},
+			{Kind: prog.OpCompute, Dst: -1, A: prog.Imm(5000)},
+			{Kind: prog.OpAtomicStore, Dst: -1, A: prog.Imm(0), B: prog.Imm(7)},
+			{Kind: prog.OpJmp, Dst: -1, Target: 7},
+			{Kind: prog.OpAwaitEq, Dst: 1, A: prog.Imm(0), B: prog.Imm(7)},
+			{Kind: prog.OpStore, Dst: -1, A: prog.Imm(1), B: prog.R(1)},
 		},
 	}
+	spec := &KernelSpec{Name: "pc", NumWGs: 2, WIsPerWG: 64, IR: p}
 	m := newTestMachine(t, testConfig(), spec, nil)
 	res := m.Run()
 	if res.Deadlocked {
 		t.Fatal("deadlocked")
 	}
-	if observed != 7 {
-		t.Fatalf("consumer observed %d, want 7", observed)
+	if got := m.Mem().Read(out); got != 7 {
+		t.Fatalf("consumer observed %d, want 7", got)
 	}
 }
 
 func TestAwaitGE(t *testing.T) {
 	const c = mem.Addr(0x5000)
-	spec := &KernelSpec{
-		Name: "ge", NumWGs: 4, WIsPerWG: 64,
-		Program: func(d Device) {
-			v := GlobalVar(c)
-			d.AtomicAdd(v, 1)
-			d.AwaitGE(v, 4) // everyone waits for all arrivals
-		},
-	}
+	spec := irKernel("ge", 4, func(b *prog.Builder) {
+		v := b.GVar(uint64(c))
+		b.AtomicAddX(v, prog.Imm(1))
+		b.AwaitGE(v, prog.Imm(4)) // everyone waits for all arrivals
+	})
 	m := newTestMachine(t, testConfig(), spec, nil)
 	if res := m.Run(); res.Deadlocked {
 		t.Fatal("GE barrier deadlocked")
@@ -233,18 +302,7 @@ func TestAwaitGE(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	build := func() *Machine {
-		const lock = mem.Addr(0x6000)
-		spec := &KernelSpec{
-			Name: "replay", NumWGs: 8, WIsPerWG: 64,
-			Program: func(d Device) {
-				v := GlobalVar(lock)
-				for i := 0; i < 5; i++ {
-					d.AcquireExch(v, 1, 0)
-					d.Compute(50)
-					d.AtomicExch(v, 0)
-				}
-			},
-		}
+		spec := irKernel("replay", 8, func(b *prog.Builder) { emitSpinLockLoop(b, 0x6000, 5, 50) })
 		return newTestMachine(t, testConfig(), spec, nil)
 	}
 	a := build().Run()
@@ -255,17 +313,15 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
+// stuckKernel waits on a word no WG ever writes.
+func stuckKernel(numWGs int, never mem.Addr) *KernelSpec {
+	return irKernel("stuck", numWGs, func(b *prog.Builder) { b.AwaitEq(b.GVar(uint64(never)), prog.Imm(1)) })
+}
+
 func TestDeadlockDetection(t *testing.T) {
-	const never = mem.Addr(0x7000)
 	cfg := testConfig()
 	cfg.ProgressWindow = 50_000
-	spec := &KernelSpec{
-		Name: "stuck", NumWGs: 2, WIsPerWG: 64,
-		Program: func(d Device) {
-			d.AwaitEq(GlobalVar(never), 1) // no one ever sets it
-		},
-	}
-	m := newTestMachine(t, cfg, spec, nil)
+	m := newTestMachine(t, cfg, stuckKernel(2, 0x7000), nil)
 	res := m.Run()
 	if !res.Deadlocked {
 		t.Fatal("watchdog missed an obvious deadlock")
@@ -278,59 +334,46 @@ func TestDeadlockDetection(t *testing.T) {
 func TestOccupancyLimitedDispatch(t *testing.T) {
 	// 16 WGs on a machine with 8 slots: the second half must start only
 	// after the first half finishes (no policy-driven context switching
-	// here).
+	// here). Each WG records its finishing rank.
+	const finishers, rank = mem.Addr(0x8000), mem.Addr(0x10000)
 	cfg := testConfig() // 2 CUs x 4 slots
-	order := make(chan WGID, 16)
-	spec := &KernelSpec{
-		Name: "waves", NumWGs: 16, WIsPerWG: 64,
-		Program: func(d Device) {
-			d.Compute(1000)
-			order <- d.ID()
-		},
-	}
+	spec := irKernel("waves", 16, func(b *prog.Builder) {
+		b.Compute(prog.Imm(1000))
+		b.Store(wgSlot(b, rank, 16, 0), b.AtomicAdd(b.GVar(uint64(finishers)), prog.Imm(1)))
+	})
 	m := newTestMachine(t, cfg, spec, nil)
 	res := m.Run()
 	if res.Deadlocked || res.Completed != 16 {
 		t.Fatalf("run failed: deadlocked=%v completed=%d", res.Deadlocked, res.Completed)
 	}
-	close(order)
-	var ids []WGID
-	for id := range order {
-		ids = append(ids, id)
-	}
 	// The first 8 finishers must be exactly WGs 0..7 (dispatch order).
-	seen := map[WGID]bool{}
-	for _, id := range ids[:8] {
-		seen[id] = true
-	}
-	for i := WGID(0); i < 8; i++ {
-		if !seen[i] {
-			t.Fatalf("WG %d not in first dispatch wave: %v", i, ids[:8])
+	ranks := readSlots(m, rank, 16)
+	for i, r := range ranks[:8] {
+		if r >= 8 {
+			t.Fatalf("WG %d not in first dispatch wave: finishing ranks %v", i, ranks)
 		}
 	}
 }
 
 func TestHomeGroupsAndPlacement(t *testing.T) {
+	const group, size = mem.Addr(0x10000), mem.Addr(0x20000)
 	cfg := testConfig() // 2 CUs x 4
-	spec := &KernelSpec{
-		Name: "groups", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d Device) {
-			if d.GroupSize() != 4 {
-				t.Errorf("WG %d group size %d, want 4", d.ID(), d.GroupSize())
-			}
-			want := int(d.ID()) / 4
-			if d.Group() != want {
-				t.Errorf("WG %d in group %d, want %d", d.ID(), d.Group(), want)
-			}
-			// Initial placement puts each WG on its home CU.
-			if int(d.ID())/4 != want {
-				t.Errorf("placement mismatch")
-			}
-		},
-	}
+	spec := irKernel("groups", 8, func(b *prog.Builder) {
+		b.Store(wgSlot(b, group, 8, 0), b.Geom(prog.GeomGroup))
+		b.Store(wgSlot(b, size, 8, 0), b.Geom(prog.GeomGroupSize))
+	})
 	m := newTestMachine(t, cfg, spec, nil)
 	if res := m.Run(); res.Deadlocked {
 		t.Fatal("deadlocked")
+	}
+	groups, sizes := readSlots(m, group, 8), readSlots(m, size, 8)
+	for i := range groups {
+		if sizes[i] != 4 {
+			t.Errorf("WG %d group size %d, want 4", i, sizes[i])
+		}
+		if want := int64(i / 4); groups[i] != want {
+			t.Errorf("WG %d in group %d, want %d", i, groups[i], want)
+		}
 	}
 	for _, w := range m.WGs() {
 		if w.Home() != int(w.ID())/4 {
@@ -342,20 +385,8 @@ func TestHomeGroupsAndPlacement(t *testing.T) {
 func TestPreemptCUForcesWGsOut(t *testing.T) {
 	// Long-running WGs on 2 CUs; preempt CU 1 mid-run. With the yield
 	// policy, everything still completes on CU 0.
-	const flag = mem.Addr(0x8000)
 	cfg := testConfig()
-	spec := &KernelSpec{
-		Name: "preempt", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d Device) {
-			if d.ID() == 0 {
-				d.Compute(60_000)
-				d.AtomicStore(GlobalVar(flag), 1)
-				return
-			}
-			d.AwaitEq(GlobalVar(flag), 1)
-		},
-	}
-	m := newTestMachine(t, cfg, spec, &yieldPolicy{})
+	m := newTestMachine(t, cfg, handoffKernel("preempt", 8, 0x8000, 60_000), &yieldPolicy{})
 	m.Engine().At(10_000, func() { m.PreemptCU(1) })
 	res := m.Run()
 	if res.Deadlocked {
@@ -379,7 +410,6 @@ func TestStalledWGsFreeIssueSlots(t *testing.T) {
 	// Two WGs on one CU with one SIMD: when the neighbour busy-spins,
 	// compute takes ~2x as long as when it is stalled.
 	run := func(stallNeighbour bool) uint64 {
-		const flag = mem.Addr(0x9000)
 		cfg := testConfig()
 		cfg.NumCUs = 1
 		cfg.SIMDsPerCU = 1
@@ -388,18 +418,7 @@ func TestStalledWGsFreeIssueSlots(t *testing.T) {
 		if stallNeighbour {
 			pol = &stallingPolicy{}
 		}
-		spec := &KernelSpec{
-			Name: "interfere", NumWGs: 2, WIsPerWG: 64,
-			Program: func(d Device) {
-				if d.ID() == 0 {
-					d.Compute(100_000)
-					d.AtomicStore(GlobalVar(flag), 1)
-					return
-				}
-				d.AwaitEq(GlobalVar(flag), 1)
-			},
-		}
-		m := newTestMachine(t, cfg, spec, pol)
+		m := newTestMachine(t, cfg, handoffKernel("interfere", 2, 0x9000, 100_000), pol)
 		res := m.Run()
 		if res.Deadlocked {
 			t.Fatal("deadlocked")
@@ -438,9 +457,8 @@ func (p *stallingPolicy) Wait(w *WG, v Var, op AtomicOp, a, b, want int64, cmp C
 }
 
 func TestJitterDeterministicAndBounded(t *testing.T) {
-	spec := &KernelSpec{Name: "k", NumWGs: 1, WIsPerWG: 64, Program: func(Device) {}}
-	m1 := newTestMachine(t, testConfig(), spec, nil)
-	m2 := newTestMachine(t, testConfig(), spec, nil)
+	m1 := newTestMachine(t, testConfig(), emptyKernel(1), nil)
+	m2 := newTestMachine(t, testConfig(), emptyKernel(1), nil)
 	for i := 0; i < 1000; i++ {
 		a, b := m1.Jitter(100), m2.Jitter(100)
 		if a != b {
@@ -456,19 +474,7 @@ func TestJitterDeterministicAndBounded(t *testing.T) {
 }
 
 func TestBreakdownAccounting(t *testing.T) {
-	const flag = mem.Addr(0xa000)
-	spec := &KernelSpec{
-		Name: "breakdown", NumWGs: 2, WIsPerWG: 64,
-		Program: func(d Device) {
-			if d.ID() == 0 {
-				d.Compute(20_000)
-				d.AtomicStore(GlobalVar(flag), 1)
-				return
-			}
-			d.AwaitEq(GlobalVar(flag), 1)
-		},
-	}
-	m := newTestMachine(t, testConfig(), spec, nil)
+	m := newTestMachine(t, testConfig(), handoffKernel("breakdown", 2, 0xa000, 20_000), nil)
 	res := m.Run()
 	if res.Deadlocked {
 		t.Fatal("deadlocked")
@@ -486,18 +492,7 @@ func TestBreakdownAccounting(t *testing.T) {
 }
 
 func TestCharacterizationStats(t *testing.T) {
-	const lock = mem.Addr(0xb000)
-	spec := &KernelSpec{
-		Name: "charz", NumWGs: 4, WIsPerWG: 64,
-		Program: func(d Device) {
-			v := GlobalVar(lock)
-			for i := 0; i < 3; i++ {
-				d.AcquireExch(v, 1, 0)
-				d.Compute(100)
-				d.AtomicExch(v, 0)
-			}
-		},
-	}
+	spec := irKernel("charz", 4, func(b *prog.Builder) { emitSpinLockLoop(b, 0xb000, 3, 100) })
 	m := newTestMachine(t, testConfig(), spec, nil)
 	res := m.Run()
 	if res.Deadlocked {
@@ -513,14 +508,7 @@ func TestCharacterizationStats(t *testing.T) {
 
 func TestSyncThreadsCost(t *testing.T) {
 	cfg := testConfig()
-	spec := &KernelSpec{
-		Name: "sync", NumWGs: 1, WIsPerWG: 64,
-		Program: func(d Device) {
-			for i := 0; i < 10; i++ {
-				d.SyncThreads()
-			}
-		},
-	}
+	spec := irKernel("sync", 1, func(b *prog.Builder) { repeat(b, 10, b.SyncThreads) })
 	m := newTestMachine(t, cfg, spec, nil)
 	res := m.Run()
 	minCost := uint64(10 * cfg.SyncThreadsLatency)
@@ -531,11 +519,7 @@ func TestSyncThreadsCost(t *testing.T) {
 
 func TestOversubscribedFlag(t *testing.T) {
 	cfg := testConfig() // capacity 8
-	spec := &KernelSpec{
-		Name: "k", NumWGs: 12, WIsPerWG: 64,
-		Program: func(d Device) { d.Compute(1000) },
-	}
-	m := newTestMachine(t, cfg, spec, nil)
+	m := newTestMachine(t, cfg, computeKernel("k", 12, 1000), nil)
 	if !m.Oversubscribed() {
 		t.Fatal("12 WGs on 8 slots not reported oversubscribed before dispatch")
 	}
@@ -549,27 +533,25 @@ func TestOversubscribedFlag(t *testing.T) {
 }
 
 func TestAbortCleansUpGoroutines(t *testing.T) {
-	// A deadlocked run must unwind all WG goroutines; run many times to
-	// shake out leaks (the race detector would flag misuse).
+	// A deadlocked run leaves nothing running behind it: WGs are interpreter
+	// frames, not goroutines, so abandoning the unfinished ones must not grow
+	// the process's goroutine count however often it happens.
 	cfg := testConfig()
 	cfg.ProgressWindow = 20_000
+	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		spec := &KernelSpec{
-			Name: "stuck", NumWGs: 8, WIsPerWG: 64,
-			Program: func(d Device) {
-				d.AwaitEq(GlobalVar(0xdead0), 1)
-			},
-		}
-		m := newTestMachine(t, cfg, spec, nil)
+		m := newTestMachine(t, cfg, stuckKernel(8, 0xdead0), nil)
 		if res := m.Run(); !res.Deadlocked {
 			t.Fatal("expected deadlock")
 		}
 	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines grew from %d to %d across deadlocked runs", before, after)
+	}
 }
 
 func TestEventEngineExposed(t *testing.T) {
-	spec := &KernelSpec{Name: "k", NumWGs: 1, WIsPerWG: 64, Program: func(Device) {}}
-	m := newTestMachine(t, testConfig(), spec, nil)
+	m := newTestMachine(t, testConfig(), emptyKernel(1), nil)
 	fired := false
 	m.Engine().At(event.Cycle(1), func() { fired = true })
 	m.Run()

@@ -4,23 +4,17 @@ import (
 	"testing"
 
 	"awgsim/internal/mem"
+	"awgsim/internal/prog"
 )
 
 func TestInjectKernelBothComplete(t *testing.T) {
 	cfg := testConfig()
-	primary := &KernelSpec{
-		Name: "lp", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d Device) { d.Compute(50_000) },
-	}
-	m := newTestMachine(t, cfg, primary, nil)
+	m := newTestMachine(t, cfg, computeKernel("lp", 8, 50_000), nil)
 	hpDone := mem.Addr(0x100)
-	hp := &KernelSpec{
-		Name: "hp", NumWGs: 2, WIsPerWG: 64,
-		Program: func(d Device) {
-			d.Compute(5_000)
-			d.AtomicAdd(GlobalVar(hpDone), 1)
-		},
-	}
+	hp := irKernel("hp", 2, func(b *prog.Builder) {
+		b.Compute(prog.Imm(5_000))
+		b.AtomicAddX(b.GVar(uint64(hpDone)), prog.Imm(1))
+	})
 	h, err := m.InjectKernel(hp, 10_000, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -49,16 +43,8 @@ func TestInjectKernelPreemptsLowerPriority(t *testing.T) {
 	// kernel arriving mid-run must evict LP WGs rather than queue behind
 	// them.
 	cfg := testConfig()
-	primary := &KernelSpec{
-		Name: "lp", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d Device) { d.Compute(500_000) },
-	}
-	m := newTestMachine(t, cfg, primary, &yieldPolicy{})
-	hp := &KernelSpec{
-		Name: "hp", NumWGs: 4, WIsPerWG: 64,
-		Program: func(d Device) { d.Compute(10_000) },
-	}
-	h, err := m.InjectKernel(hp, 20_000, 1)
+	m := newTestMachine(t, cfg, computeKernel("lp", 8, 500_000), &yieldPolicy{})
+	h, err := m.InjectKernel(computeKernel("hp", 4, 10_000), 20_000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,16 +66,8 @@ func TestInjectKernelPreemptsLowerPriority(t *testing.T) {
 func TestInjectKernelWithoutPriorityQueues(t *testing.T) {
 	// Priority-0 injection must NOT evict anyone: it waits for free slots.
 	cfg := testConfig()
-	primary := &KernelSpec{
-		Name: "lp", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d Device) { d.Compute(100_000) },
-	}
-	m := newTestMachine(t, cfg, primary, nil)
-	hp := &KernelSpec{
-		Name: "bg", NumWGs: 2, WIsPerWG: 64,
-		Program: func(d Device) { d.Compute(1_000) },
-	}
-	h, err := m.InjectKernel(hp, 10_000, 0)
+	m := newTestMachine(t, cfg, computeKernel("lp", 8, 100_000), nil)
+	h, err := m.InjectKernel(computeKernel("bg", 2, 1_000), 10_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +84,39 @@ func TestInjectKernelWithoutPriorityQueues(t *testing.T) {
 	}
 }
 
+func TestInjectKernelGroupGeometry(t *testing.T) {
+	// 10 WGs injected on 8 CUs take round-robin homes, so groups 0 and 1
+	// hold two WGs each and groups 2..7 one: every WG must see its own
+	// group's size and its rank within it.
+	cfg := testConfig()
+	cfg.NumCUs = 8
+	m := newTestMachine(t, cfg, emptyKernel(1), nil)
+	const n = 10
+	const size, rank = mem.Addr(0x10000), mem.Addr(0x20000)
+	hp := irKernel("geom", n, func(b *prog.Builder) {
+		b.Store(wgSlot(b, size, n, 1), b.Geom(prog.GeomGroupSize))
+		b.Store(wgSlot(b, rank, n, 1), b.Geom(prog.GeomIndexInGroup))
+	})
+	if _, err := m.InjectKernel(hp, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if res := m.Run(); res.Deadlocked {
+		t.Fatal("deadlocked")
+	}
+	sizes, ranks := readSlots(m, size, n), readSlots(m, rank, n)
+	for i := 0; i < n; i++ {
+		wantSize := int64(1)
+		if i%8 < 2 {
+			wantSize = 2
+		}
+		if sizes[i] != wantSize || ranks[i] != int64(i/8) {
+			t.Errorf("injected WG %d: group size %d rank %d, want %d and %d", i, sizes[i], ranks[i], wantSize, i/8)
+		}
+	}
+}
+
 func TestInjectKernelValidation(t *testing.T) {
-	spec := &KernelSpec{Name: "k", NumWGs: 1, WIsPerWG: 64, Program: func(Device) {}}
+	spec := emptyKernel(1)
 	m := newTestMachine(t, testConfig(), spec, nil)
 	if _, err := m.InjectKernel(&KernelSpec{}, 0, 1); err == nil {
 		t.Fatal("invalid spec accepted")
@@ -122,20 +131,13 @@ func TestInjectedKernelCanSynchronize(t *testing.T) {
 	// The injected kernel uses inter-WG synchronization itself (a small
 	// counter barrier) under the active policy.
 	cfg := testConfig()
-	primary := &KernelSpec{
-		Name: "lp", NumWGs: 4, WIsPerWG: 64,
-		Program: func(d Device) { d.Compute(200_000) },
-	}
-	m := newTestMachine(t, cfg, primary, &yieldPolicy{})
+	m := newTestMachine(t, cfg, computeKernel("lp", 4, 200_000), &yieldPolicy{})
 	const count = mem.Addr(0x2000)
-	hp := &KernelSpec{
-		Name: "hp-sync", NumWGs: 4, WIsPerWG: 64,
-		Program: func(d Device) {
-			v := GlobalVar(count)
-			d.AtomicAdd(v, 1)
-			d.AwaitGE(v, 4)
-		},
-	}
+	hp := irKernel("hp-sync", 4, func(b *prog.Builder) {
+		v := b.GVar(uint64(count))
+		b.AtomicAddX(v, prog.Imm(1))
+		b.AwaitGE(v, prog.Imm(4))
+	})
 	h, err := m.InjectKernel(hp, 5_000, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -154,25 +156,21 @@ func TestEvictionPrefersStalledVictims(t *testing.T) {
 	// computation continues unharmed.
 	cfg := testConfig() // 2 CUs x 4
 	const flag = mem.Addr(0x3000)
-	primary := &KernelSpec{
-		Name: "lp", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d Device) {
-			if d.ID() < 4 {
-				d.Compute(300_000)
-				if d.ID() == 0 {
-					d.AtomicStore(GlobalVar(flag), 1)
-				}
-				return
-			}
-			d.AwaitEq(GlobalVar(flag), 1)
-		},
-	}
+	primary := irKernel("lp", 8, func(b *prog.Builder) {
+		v := b.GVar(uint64(flag))
+		id := b.Geom(prog.GeomID)
+		waiter, end := b.Label(), b.Label()
+		b.Br(prog.GE, id, prog.Imm(4), waiter)
+		b.Compute(prog.Imm(300_000))
+		b.Br(prog.NE, id, prog.Imm(0), end)
+		b.AtomicStore(v, prog.Imm(1))
+		b.Jmp(end)
+		b.Bind(waiter)
+		b.AwaitEq(v, prog.Imm(1))
+		b.Bind(end)
+	})
 	m := newTestMachine(t, cfg, primary, &stallingPolicy{})
-	hp := &KernelSpec{
-		Name: "hp", NumWGs: 4, WIsPerWG: 64,
-		Program: func(d Device) { d.Compute(2_000) },
-	}
-	if _, err := m.InjectKernel(hp, 50_000, 1); err != nil {
+	if _, err := m.InjectKernel(computeKernel("hp", 4, 2_000), 50_000, 1); err != nil {
 		t.Fatal(err)
 	}
 	res := m.Run()
@@ -193,23 +191,24 @@ func TestMultiWavefrontWGsOccupyMore(t *testing.T) {
 	cfg.NumCUs = 1
 	cfg.WavefrontsPerSIMD = 4 // 2 SIMDs x 4 = 8 WF slots
 	cfg.MaxWGsPerCU = 4
-	// Track the maximum concurrency the dispatcher allows: program bodies
-	// run in lock-step with the engine, so these counters are race-free.
-	cur, peak := 0, 0
-	spec := &KernelSpec{
-		Name: "wide", NumWGs: 4, WIsPerWG: 256,
-		Program: func(d Device) {
-			cur++
-			if cur > peak {
-				peak = cur
-			}
-			d.Compute(10_000)
-			cur--
-		},
-	}
+	// Track the maximum concurrency the dispatcher allows: each WG counts
+	// itself in on a shared word, records the occupancy it saw, and counts
+	// out before finishing (which frees its slots).
+	const cur, seen = mem.Addr(0x1000), mem.Addr(0x10000)
+	spec := irKernel("wide", 4, func(b *prog.Builder) {
+		v := b.GVar(uint64(cur))
+		b.Store(wgSlot(b, seen, 4, 0), b.Add(b.AtomicAdd(v, prog.Imm(1)), prog.Imm(1)))
+		b.Compute(prog.Imm(10_000))
+		b.AtomicAddX(v, prog.Imm(-1))
+	})
+	spec.WIsPerWG = 256
 	m := newTestMachine(t, cfg, spec, nil)
 	if res := m.Run(); res.Deadlocked || res.Completed != 4 {
 		t.Fatalf("wide-WG run failed: %+v", res)
+	}
+	peak := int64(0)
+	for _, n := range readSlots(m, seen, 4) {
+		peak = max(peak, n)
 	}
 	if peak != 2 {
 		t.Fatalf("peak concurrency %d, want 2 (WF-slot limited)", peak)
@@ -222,10 +221,8 @@ func TestMultiWavefrontComputeInterference(t *testing.T) {
 		cfg := testConfig()
 		cfg.NumCUs = 1
 		cfg.MaxWGsPerCU = 2
-		spec := &KernelSpec{
-			Name: "k", NumWGs: 2, WIsPerWG: wis,
-			Program: func(d Device) { d.Compute(10_000) },
-		}
+		spec := computeKernel("k", 2, 10_000)
+		spec.WIsPerWG = wis
 		m := newTestMachine(t, cfg, spec, nil)
 		res := m.Run()
 		if res.Deadlocked {
@@ -242,14 +239,8 @@ func TestMultiWavefrontComputeInterference(t *testing.T) {
 func TestSyncThreadsScalesWithWavefronts(t *testing.T) {
 	run := func(wis int) uint64 {
 		cfg := testConfig()
-		spec := &KernelSpec{
-			Name: "k", NumWGs: 1, WIsPerWG: wis,
-			Program: func(d Device) {
-				for i := 0; i < 20; i++ {
-					d.SyncThreads()
-				}
-			},
-		}
+		spec := irKernel("k", 1, func(b *prog.Builder) { repeat(b, 20, b.SyncThreads) })
+		spec.WIsPerWG = wis
 		m := newTestMachine(t, cfg, spec, nil)
 		return m.Run().Cycles
 	}
@@ -259,19 +250,7 @@ func TestSyncThreadsScalesWithWavefronts(t *testing.T) {
 }
 
 func TestMaxWaitReported(t *testing.T) {
-	const flag = mem.Addr(0x5000)
-	spec := &KernelSpec{
-		Name: "wait", NumWGs: 2, WIsPerWG: 64,
-		Program: func(d Device) {
-			if d.ID() == 0 {
-				d.Compute(30_000)
-				d.AtomicStore(GlobalVar(flag), 1)
-				return
-			}
-			d.AwaitEq(GlobalVar(flag), 1)
-		},
-	}
-	m := newTestMachine(t, testConfig(), spec, nil)
+	m := newTestMachine(t, testConfig(), handoffKernel("wait", 2, 0x5000, 30_000), nil)
 	res := m.Run()
 	if res.MaxWait < 25_000 {
 		t.Fatalf("MaxWait = %d, want ~30k (the consumer's single wait)", res.MaxWait)
@@ -284,17 +263,10 @@ func TestTransientCULossRecovers(t *testing.T) {
 	// WGs re-dispatch onto the restored CU and satisfy the barrier.
 	cfg := testConfig()
 	cfg.ProgressWindow = 400_000
-	const count = mem.Addr(0x6000)
-	spec := &KernelSpec{
-		Name: "transient", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d Device) {
-			d.Compute(30_000)
-			v := GlobalVar(count)
-			if d.AtomicAdd(v, 1)+1 != 8 {
-				d.AwaitGE(v, 8)
-			}
-		},
-	}
+	spec := irKernel("transient", 8, func(b *prog.Builder) {
+		b.Compute(prog.Imm(30_000))
+		emitEpochBarrier(b, b.GVar(0x6000), prog.Imm(8))
+	})
 	m := newTestMachine(t, cfg, spec, nil) // busy-wait policy
 	m.Engine().At(5_000, func() { m.PreemptCU(1) })
 	m.Engine().At(120_000, func() { m.RestoreCU(1) })
@@ -314,17 +286,10 @@ func TestPermanentCULossDeadlocksBaseline(t *testing.T) {
 	// forever for the evicted WGs.
 	cfg := testConfig()
 	cfg.ProgressWindow = 150_000
-	const count = mem.Addr(0x7000)
-	spec := &KernelSpec{
-		Name: "permanent", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d Device) {
-			d.Compute(30_000)
-			v := GlobalVar(count)
-			if d.AtomicAdd(v, 1)+1 != 8 {
-				d.AwaitGE(v, 8)
-			}
-		},
-	}
+	spec := irKernel("permanent", 8, func(b *prog.Builder) {
+		b.Compute(prog.Imm(30_000))
+		emitEpochBarrier(b, b.GVar(0x7000), prog.Imm(8))
+	})
 	m := newTestMachine(t, cfg, spec, nil)
 	m.Engine().At(5_000, func() { m.PreemptCU(1) })
 	if res := m.Run(); !res.Deadlocked {

@@ -1,10 +1,6 @@
 package gpu
 
-import (
-	"testing"
-
-	"awgsim/internal/mem"
-)
+import "testing"
 
 // evictMidAtomicPolicy busy-waits like spinPolicy but force-evicts WG 1 one
 // cycle after its first atomic issues — while the operation is still in
@@ -39,21 +35,9 @@ func TestForceEvictMidAtomic(t *testing.T) {
 	// WG 1 is evicted between its atomic's issue and response. The response
 	// must survive the switch-out (the retry parks until the WG is resident
 	// again) and the run must still complete.
-	const flag = mem.Addr(0x8000)
 	cfg := testConfig()
 	cfg.NumCUs = 1
-	spec := &KernelSpec{
-		Name: "evict-mid-atomic", NumWGs: 2, WIsPerWG: 64,
-		Program: func(d Device) {
-			if d.ID() == 0 {
-				d.Compute(20_000)
-				d.AtomicStore(GlobalVar(flag), 1)
-				return
-			}
-			d.AwaitEq(GlobalVar(flag), 1)
-		},
-	}
-	m := newTestMachine(t, cfg, spec, &evictMidAtomicPolicy{})
+	m := newTestMachine(t, cfg, handoffKernel("evict-mid-atomic", 2, 0x8000, 20_000), &evictMidAtomicPolicy{})
 	res := m.Run()
 	if res.Deadlocked {
 		t.Fatal("deadlocked after mid-atomic eviction")
@@ -70,20 +54,8 @@ func TestPreemptThenImmediateRestore(t *testing.T) {
 	// RestoreCU in the same cycle as PreemptCU: the resident WGs are already
 	// committed to switching out, but the CU is eligible again, so the run
 	// completes at full width.
-	const flag = mem.Addr(0x8000)
 	cfg := testConfig()
-	spec := &KernelSpec{
-		Name: "preempt-restore", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d Device) {
-			if d.ID() == 0 {
-				d.Compute(60_000)
-				d.AtomicStore(GlobalVar(flag), 1)
-				return
-			}
-			d.AwaitEq(GlobalVar(flag), 1)
-		},
-	}
-	m := newTestMachine(t, cfg, spec, &yieldPolicy{})
+	m := newTestMachine(t, cfg, handoffKernel("preempt-restore", 8, 0x8000, 60_000), &yieldPolicy{})
 	m.Engine().At(10_000, func() {
 		m.PreemptCU(1)
 		m.RestoreCU(1)
@@ -108,11 +80,7 @@ func TestDispatchStarvationAllCUsDisabled(t *testing.T) {
 	// declare the run deadlocked rather than hang.
 	cfg := testConfig()
 	cfg.ProgressWindow = 50_000
-	spec := &KernelSpec{
-		Name: "starve", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d Device) { d.Compute(1000) },
-	}
-	m := newTestMachine(t, cfg, spec, &yieldPolicy{})
+	m := newTestMachine(t, cfg, computeKernel("starve", 8, 1000), &yieldPolicy{})
 	m.Engine().At(0, func() {
 		m.PreemptCU(0)
 		m.PreemptCU(1)
@@ -133,11 +101,7 @@ func TestDispatchResumesAfterRestore(t *testing.T) {
 	// Same full-disable, but the CUs come back before the watchdog fires;
 	// the pending launch must then drain normally.
 	cfg := testConfig()
-	spec := &KernelSpec{
-		Name: "starve-restore", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d Device) { d.Compute(1000) },
-	}
-	m := newTestMachine(t, cfg, spec, &yieldPolicy{})
+	m := newTestMachine(t, cfg, computeKernel("starve-restore", 8, 1000), &yieldPolicy{})
 	m.Engine().At(0, func() {
 		m.PreemptCU(0)
 		m.PreemptCU(1)

@@ -1,23 +1,32 @@
 package gpu
 
 import (
-	"encoding/json"
 	"testing"
 
 	"awgsim/internal/mem"
 	"awgsim/internal/prog"
 )
 
-// fuzzVarBase spaces the fuzz programs' shared variables a cache line
-// apart, like the kernel library's allocator.
-const fuzzVarBase = 0x1000
+// Word layout of the fuzz programs, every word a cache line apart like the
+// kernel library's allocator: shared global and local counters, and a
+// private table of fuzzPrivWords words per WG.
+const (
+	fuzzVarBase   = 0x1000
+	fuzzPrivBase  = 0x8000
+	fuzzPrivWords = 4
+	fuzzWGs       = 8
+)
 
-// fuzzProgram decodes data into a valid IR program: a bounded loop whose
-// body mixes pure arithmetic, geometry reads, plain and atomic memory
-// traffic on a small shared-variable table, and intra-WG barriers. The
-// wait/acquire ops are deliberately excluded — a random lock protocol
-// rarely terminates — so every generated program runs to completion and
-// the two exec modes can be compared end-state to end-state.
+// fuzzProgram decodes data into a valid IR program whose final memory does
+// not depend on how WGs interleave: a bounded loop whose body mixes pure
+// arithmetic, geometry reads, compute, intra-WG barriers, result-less
+// immediate adds to shared global and local counters (which commute), and
+// every other memory op on the executing WG's private word table — indexed
+// from GeomID through an AddrRange, by an immediate or a register-computed
+// offset. No register ever observes a shared word, so each WG's execution
+// is fully determined by its own geometry. The wait/acquire ops stay out:
+// a random lock protocol rarely terminates, and the litmus harness covers
+// waits against its own untimed oracle (kernels.FairFinal).
 func fuzzProgram(data []byte) *prog.Program {
 	pos := 0
 	next := func() byte {
@@ -29,8 +38,13 @@ func fuzzProgram(data []byte) *prog.Program {
 		return b
 	}
 	b := prog.NewBuilder()
-	gvar := func() prog.Mem { return b.GVar(fuzzVarBase + 64*uint64(next()%8)) }
-	lvar := func() prog.Mem { return b.LVar(64 * uint64(next()%4)) }
+	shared := func() prog.Mem { return b.GVar(fuzzVarBase + 64*uint64(next()%8)) }
+	local := func() prog.Mem { return b.LVar(64 * uint64(next()%4)) }
+	privAddrs := make([]uint64, fuzzWGs*fuzzPrivWords)
+	for i := range privAddrs {
+		privAddrs[i] = fuzzPrivBase + 64*uint64(i)
+	}
+	wgBase := b.Add(prog.Imm(b.AddrRange(privAddrs)), b.Mul(b.Geom(prog.GeomID), prog.Imm(fuzzPrivWords)))
 	regs := []prog.Src{b.Geom(prog.GeomID), b.Geom(prog.GeomIndexInGroup)}
 	val := func() prog.Src {
 		if n := next(); n%2 == 0 {
@@ -39,33 +53,38 @@ func fuzzProgram(data []byte) *prog.Program {
 			return prog.Imm(int64(n%7) - 3)
 		}
 	}
+	priv := func() prog.Mem {
+		if n := next(); n%2 == 0 {
+			return prog.At(b.Add(wgBase, prog.Imm(int64(n/2)%fuzzPrivWords)), prog.Global)
+		}
+		// A register-computed offset, folded into [0, fuzzPrivWords).
+		k := b.Mod(b.Add(b.Mod(val(), prog.Imm(fuzzPrivWords)), prog.Imm(fuzzPrivWords)), prog.Imm(fuzzPrivWords))
+		return prog.At(b.Add(wgBase, k), prog.Global)
+	}
 	iters := 1 + int64(next()%3)
 	i := b.Let(prog.Imm(0))
 	top := b.Here()
-	steps := len(data)
-	if steps > 48 {
-		steps = 48
-	}
+	steps := min(len(data), 48)
 	for s := 0; s < steps; s++ {
 		switch next() % 13 {
 		case 0:
 			b.Compute(prog.Imm(int64(1 + next()%16)))
 		case 1:
-			regs = append(regs, b.Load(gvar()))
+			regs = append(regs, b.Load(priv()))
 		case 2:
-			b.Store(gvar(), val())
+			b.Store(priv(), val())
 		case 3:
-			regs = append(regs, b.AtomicAdd(gvar(), val()))
+			regs = append(regs, b.AtomicAdd(priv(), val()))
 		case 4:
-			b.AtomicAddX(gvar(), prog.Imm(int64(next()%5)-2))
+			b.AtomicAddX(shared(), prog.Imm(int64(next()%5)-2))
 		case 5:
-			regs = append(regs, b.AtomicExch(gvar(), val()))
+			regs = append(regs, b.AtomicExch(priv(), val()))
 		case 6:
-			regs = append(regs, b.AtomicCAS(gvar(), prog.Imm(int64(next()%3)), val()))
+			regs = append(regs, b.AtomicCAS(priv(), prog.Imm(int64(next()%3)), val()))
 		case 7:
-			regs = append(regs, b.AtomicLoad(gvar()))
+			regs = append(regs, b.AtomicLoad(priv()))
 		case 8:
-			b.AtomicStore(gvar(), val())
+			b.AtomicStore(priv(), val())
 		case 9:
 			regs = append(regs, b.Add(val(), val()))
 		case 10:
@@ -73,7 +92,7 @@ func fuzzProgram(data []byte) *prog.Program {
 		case 11:
 			b.SyncThreads()
 		case 12:
-			b.AtomicAddX(lvar(), prog.Imm(1))
+			b.AtomicAddX(local(), prog.Imm(int64(next()%5)-2))
 		}
 	}
 	b.ArithTo(prog.OpAdd, i, i, prog.Imm(1))
@@ -81,11 +100,105 @@ func fuzzProgram(data []byte) *prog.Program {
 	return b.MustBuild()
 }
 
-// FuzzProgIR differentially tests the inline interpreter against the
-// goroutine runtime: the same random program runs once as an IR frame and
-// once as a closure through the ExecIRProgram oracle, and the two machines
-// must agree on the full metrics.Result and on every shared variable's
-// final value.
+// refEval is the fuzzer's untimed reference: it runs each WG's program to
+// the end, one WG after another, against a plain map memory, with WG i at
+// group i/groupSize and rank i%groupSize. It shares no code with the
+// machine's interpreter. fuzzProgram's discipline makes the final memory
+// independent of interleaving, so this one sequential order must agree
+// with whatever schedule the machine produces.
+func refEval(t *testing.T, p *prog.Program, numWGs, groupSize int) map[uint64]int64 {
+	memv := make(map[uint64]int64)
+	for id := 0; id < numWGs; id++ {
+		var geom [6]int64
+		geom[prog.GeomID] = int64(id)
+		geom[prog.GeomNumWGs] = int64(numWGs)
+		geom[prog.GeomWIsPerWG] = 64
+		geom[prog.GeomGroup] = int64(id / groupSize)
+		geom[prog.GeomGroupSize] = int64(groupSize)
+		geom[prog.GeomIndexInGroup] = int64(id % groupSize)
+		regs := make([]int64, p.NumRegs)
+		src := func(s prog.Src) int64 {
+			if s.Reg >= 0 {
+				return regs[s.Reg]
+			}
+			return s.Imm
+		}
+		word := func(s prog.Src) uint64 {
+			i := src(s)
+			if i < 0 || i >= int64(len(p.Pool)) {
+				t.Fatalf("refEval: WG %d addresses pool[%d] of %d", id, i, len(p.Pool))
+			}
+			return p.Pool[i]
+		}
+		ret := func(dst int16, v int64) {
+			if dst >= 0 {
+				regs[dst] = v
+			}
+		}
+		for pc := 0; pc < len(p.Code); {
+			op := p.Code[pc]
+			pc++
+			switch op.Kind {
+			case prog.OpMov:
+				regs[op.Dst] = src(op.A)
+			case prog.OpAdd:
+				regs[op.Dst] = src(op.A) + src(op.B)
+			case prog.OpSub:
+				regs[op.Dst] = src(op.A) - src(op.B)
+			case prog.OpMul:
+				regs[op.Dst] = src(op.A) * src(op.B)
+			case prog.OpDiv, prog.OpMod:
+				a, d := src(op.A), src(op.B)
+				switch {
+				case d == 0:
+					regs[op.Dst] = 0
+				case op.Kind == prog.OpDiv:
+					regs[op.Dst] = a / d
+				default:
+					regs[op.Dst] = a % d
+				}
+			case prog.OpGeom:
+				regs[op.Dst] = geom[op.Geom]
+			case prog.OpJmp:
+				pc = int(op.Target)
+			case prog.OpBr:
+				if op.Cmp.Test(src(op.A), src(op.B)) {
+					pc = int(op.Target)
+				}
+			case prog.OpCompute, prog.OpSyncThreads:
+				// Timing only.
+			case prog.OpLoad, prog.OpAtomicLoad:
+				ret(op.Dst, memv[word(op.A)])
+			case prog.OpStore, prog.OpAtomicStore:
+				memv[word(op.A)] = src(op.B)
+			case prog.OpAtomicAdd:
+				a, delta := word(op.A), src(op.B)
+				old := memv[a]
+				memv[a] = old + delta
+				ret(op.Dst, old)
+			case prog.OpAtomicExch:
+				a, v := word(op.A), src(op.B)
+				old := memv[a]
+				memv[a] = v
+				ret(op.Dst, old)
+			case prog.OpAtomicCAS:
+				a, cmp, v := word(op.A), src(op.B), src(op.C)
+				old := memv[a]
+				if old == cmp {
+					memv[a] = v
+				}
+				ret(op.Dst, old)
+			default:
+				t.Fatalf("refEval: fuzzProgram never emits %s", op.Kind)
+			}
+		}
+	}
+	return memv
+}
+
+// FuzzProgIR checks the machine's interpreter against refEval: a random
+// program runs to completion on the timed machine, and every word the
+// program can address must end with the reference's value.
 func FuzzProgIR(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23})
@@ -93,35 +206,17 @@ func FuzzProgIR(f *testing.F) {
 	f.Add([]byte{0xff, 0x00, 0x80, 0x40, 0x20, 0x10, 0x08, 0x04, 0x02, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := fuzzProgram(data)
-		run := func(mode ExecMode) (metricsJSON string, words [8]int64) {
-			cfg := testConfig()
-			cfg.Exec = mode
-			spec := &KernelSpec{
-				Name: "fuzz", NumWGs: 8, WIsPerWG: 64,
-				IR:      p,
-				Program: func(d Device) { ExecIRProgram(p, d) },
-			}
-			m := newTestMachine(t, cfg, spec, nil)
-			res := m.Run()
-			if res.Deadlocked {
-				t.Fatalf("fuzz program deadlocked under %v: %+v", mode, res.Diagnosis)
-			}
-			j, err := json.Marshal(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range words {
-				words[i] = m.Mem().Read(mem.Addr(fuzzVarBase + 64*uint64(i)))
-			}
-			return string(j), words
+		cfg := testConfig() // 2 CUs x 4: WG i in group i/4 at rank i%4
+		spec := &KernelSpec{Name: "fuzz", NumWGs: fuzzWGs, WIsPerWG: 64, IR: p}
+		m := newTestMachine(t, cfg, spec, nil)
+		if res := m.Run(); res.Deadlocked {
+			t.Fatalf("fuzz program deadlocked: %+v", res.Diagnosis)
 		}
-		irRes, irWords := run(ExecIR)
-		gorRes, gorWords := run(ExecGoroutine)
-		if irRes != gorRes {
-			t.Errorf("results diverged:\n  ir:        %s\n  goroutine: %s", irRes, gorRes)
-		}
-		if irWords != gorWords {
-			t.Errorf("final memory diverged:\n  ir:        %v\n  goroutine: %v", irWords, gorWords)
+		want := refEval(t, p, fuzzWGs, cfg.MaxWGsPerCU)
+		for _, a := range p.Pool {
+			if got := m.Mem().Read(mem.Addr(a)); got != want[a] {
+				t.Errorf("word %#x = %d, reference %d", a, got, want[a])
+			}
 		}
 	})
 }

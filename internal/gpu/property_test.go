@@ -5,9 +5,28 @@ import (
 	"testing"
 	"testing/quick"
 
-	"awgsim/internal/event"
 	"awgsim/internal/mem"
+	"awgsim/internal/prog"
 )
+
+// emitPerWG emits a dispatch chain on the WG ID: WG i runs the straight-
+// line segment seg(i) emits.
+func emitPerWG(b *prog.Builder, numWGs int, seg func(wg int)) {
+	id := b.Geom(prog.GeomID)
+	end := b.Label()
+	segs := make([]prog.Label, numWGs)
+	for i := range segs {
+		segs[i] = b.Label()
+		b.Br(prog.EQ, id, prog.Imm(int64(i)), segs[i])
+	}
+	b.Jmp(end)
+	for i := range segs {
+		b.Bind(segs[i])
+		seg(i)
+		b.Jmp(end)
+	}
+	b.Bind(end)
+}
 
 // TestAtomicFunctionalEquivalence: whatever the timing model does with
 // scheduling and bank queues, the *functional* outcome of commutative
@@ -33,14 +52,13 @@ func TestAtomicFunctionalEquivalence(t *testing.T) {
 				expected[o.addr] += o.delta
 			}
 		}
-		spec := &KernelSpec{
-			Name: "prop", NumWGs: nWGs, WIsPerWG: 64,
-			Program: func(d Device) {
-				for _, o := range plans[d.ID()] {
-					d.AtomicAdd(GlobalVar(o.addr), o.delta)
+		spec := irKernel("prop", nWGs, func(b *prog.Builder) {
+			emitPerWG(b, nWGs, func(wg int) {
+				for _, o := range plans[wg] {
+					b.AtomicAddX(b.GVar(uint64(o.addr)), prog.Imm(o.delta))
 				}
-			},
-		}
+			})
+		})
 		cfg := testConfig()
 		m, err := NewMachine(cfg, mem.DefaultConfig(), spec, &spinPolicy{})
 		if err != nil {
@@ -76,19 +94,18 @@ func TestMutualExclusionProperty(t *testing.T) {
 			}
 		}
 		const lock, counter = mem.Addr(0x2000), mem.Addr(0x2040)
-		spec := &KernelSpec{
-			Name: "mutex-prop", NumWGs: nWGs, WIsPerWG: 64,
-			Program: func(d Device) {
-				v := GlobalVar(lock)
+		spec := irKernel("mutex-prop", nWGs, func(b *prog.Builder) {
+			v, c := b.GVar(uint64(lock)), b.GVar(uint64(counter))
+			emitPerWG(b, nWGs, func(wg int) {
 				for j := 0; j < iters; j++ {
-					d.AcquireExch(v, 1, 0)
-					x := d.Load(counter)
-					d.Compute(event.Cycle(work[d.ID()][j]) + 1)
-					d.Store(counter, x+1)
-					d.AtomicExch(v, 0)
+					b.AcquireExch(v, prog.Imm(1), prog.Imm(0), false)
+					x := b.Load(c)
+					b.Compute(prog.Imm(int64(work[wg][j]) + 1))
+					b.Store(c, b.Add(x, prog.Imm(1)))
+					b.AtomicExchX(v, prog.Imm(0))
 				}
-			},
-		}
+			})
+		})
 		m, err := NewMachine(testConfig(), mem.DefaultConfig(), spec, &spinPolicy{})
 		if err != nil {
 			return false
@@ -104,34 +121,34 @@ func TestMutualExclusionProperty(t *testing.T) {
 }
 
 // TestBarrierEpochProperty: no WG may start epoch e+1 before every WG
-// finished epoch e. The kernel writes per-WG epoch stamps; inside each
-// epoch it verifies no stamp is more than one behind.
+// finished epoch e. The kernel writes per-WG epoch stamps; after each
+// barrier it counts every stamp still behind the epoch into a violation
+// word.
 func TestBarrierEpochProperty(t *testing.T) {
 	const nWGs, epochs = 8, 4
-	const count = mem.Addr(0x3000)
-	stampBase := mem.Addr(0x4000)
-	violated := false
-	spec := &KernelSpec{
-		Name: "barrier-prop", NumWGs: nWGs, WIsPerWG: 64,
-		Program: func(d Device) {
-			me := stampBase + mem.Addr(int(d.ID())*64)
-			for e := 1; e <= epochs; e++ {
-				d.Compute(event.Cycle(100 * (int(d.ID()) + 1)))
-				d.Store(me, int64(e))
-				v := GlobalVar(count)
-				target := int64(e * nWGs)
-				if d.AtomicAdd(v, 1)+1 != target {
-					d.AwaitGE(v, target)
-				}
-				// After the barrier, every stamp must be >= e.
-				for i := 0; i < nWGs; i++ {
-					if d.Load(stampBase+mem.Addr(i*64)) < int64(e) {
-						violated = true
-					}
-				}
-			}
-		},
-	}
+	const count, violations = mem.Addr(0x3000), mem.Addr(0x3040)
+	const stampBase = mem.Addr(0x4000)
+	spec := irKernel("barrier-prop", nWGs, func(b *prog.Builder) {
+		v := b.GVar(uint64(count))
+		me := wgSlot(b, stampBase, nWGs, 0)
+		work := b.Mul(b.Add(b.Geom(prog.GeomID), prog.Imm(1)), prog.Imm(100))
+		e := b.Let(prog.Imm(1))
+		epochTop, done := b.Here(), b.Label()
+		b.Br(prog.GT, e, prog.Imm(epochs), done)
+		b.Compute(work)
+		b.Store(me, e)
+		emitEpochBarrier(b, v, b.Mul(e, prog.Imm(nWGs)))
+		// After the barrier, every stamp must be >= e.
+		for i := 0; i < nWGs; i++ {
+			ok := b.Label()
+			b.Br(prog.GE, b.Load(b.GVar(uint64(slotAddr(stampBase, i)))), e, ok)
+			b.AtomicAddX(b.GVar(uint64(violations)), prog.Imm(1))
+			b.Bind(ok)
+		}
+		b.ArithTo(prog.OpAdd, e, e, prog.Imm(1))
+		b.Jmp(epochTop)
+		b.Bind(done)
+	})
 	m, err := NewMachine(testConfig(), mem.DefaultConfig(), spec, &spinPolicy{})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +156,17 @@ func TestBarrierEpochProperty(t *testing.T) {
 	if m.Run().Deadlocked {
 		t.Fatal("deadlocked")
 	}
-	if violated {
-		t.Fatal("a WG crossed the barrier before everyone arrived")
+	if n := m.Mem().Read(violations); n != 0 {
+		t.Fatalf("%d stamps seen behind their epoch: a WG crossed the barrier before everyone arrived", n)
 	}
+}
+
+// emitEpochBarrier counts in on v and, unless this WG completed the
+// target, waits for it.
+func emitEpochBarrier(b *prog.Builder, v prog.Mem, target prog.Src) {
+	old := b.AtomicAdd(v, prog.Imm(1))
+	arrived := b.Label()
+	b.Br(prog.EQ, b.Add(old, prog.Imm(1)), target, arrived)
+	b.AwaitGE(v, target)
+	b.Bind(arrived)
 }

@@ -16,21 +16,9 @@ import (
 // every WG's runtime state, the Table 2 characterization, and — via the
 // registered snapshot hooks — the attached policy's monitor hardware.
 //
-// An IR WG's program position is plain data — its interpreter frame (pc,
+// A WG's program position is plain data — its interpreter frame (pc,
 // pending destination register, register file) — so snapshots copy it and
 // restores copy it back, in O(registers).
-//
-// The closure fallback is the one case a copy cannot capture: programs are
-// ordinary Go code running on goroutines. Snapshots instead exploit the
-// machine's determinism. Between events every live program goroutine is
-// quiescent — blocked in <-w.resp having had its latest request consumed —
-// so a WG's position is fully determined by how many responses it has
-// received (respCount). Restore rebuilds a goroutine by re-running the
-// program from the top and answering its first respCount requests from the
-// response log; the program deterministically re-issues the same requests,
-// so the discarded requests and logged responses line up exactly. When the
-// live goroutine is already at the saved position (the first restore after
-// a snapshot — the fork planner's common case) no surgery happens at all.
 //
 // Host-side state is deliberately excluded: the tracer, diagnostic sinks,
 // the snapshot ring itself, and the engine's task free list are not
@@ -167,8 +155,6 @@ type wgSnap struct {
 	started        bool
 	finished       bool
 	forcePreempted bool
-	respCount      int
-	live           bool
 }
 
 type atomicsSnap struct {
@@ -190,8 +176,7 @@ func cloneVarChar(c *varChar) varChar {
 }
 
 // Snapshot captures the machine's simulated state. It must be called between
-// events (from the driving goroutine, or from within a single event), where
-// every live program goroutine is quiescent.
+// events (from the driving goroutine, or from within a single event).
 func (m *Machine) Snapshot() *Snapshot {
 	sched, ok := m.sched.(*scheduler)
 	if !ok {
@@ -249,8 +234,6 @@ func (m *Machine) Snapshot() *Snapshot {
 			started:        w.started,
 			finished:       w.finished,
 			forcePreempted: w.forcePreempted,
-			respCount:      w.respCount,
-			live:           w.live,
 		}
 		if f := w.frame; f != nil {
 			ws.frame = &frameSnap{pc: f.pc, dst: f.dst, regs: append([]int64(nil), f.regs...)}
@@ -275,8 +258,8 @@ func (m *Machine) Snapshot() *Snapshot {
 }
 
 // Restore rewinds the machine to the snapshot: engine calendar, memory,
-// machine bookkeeping, subsystems, WG runtime state (including program
-// goroutine surgery) and the hooked policy state. A restored machine
+// machine bookkeeping, subsystems, WG runtime state (including interpreter
+// frames) and the hooked policy state. A restored machine
 // continues with RunTo/FinishRun and is bit-identical to a run that was
 // never interrupted.
 func (m *Machine) Restore(s *Snapshot) {
@@ -323,44 +306,20 @@ func (m *Machine) Restore(s *Snapshot) {
 	}
 }
 
-// restoreWG rewinds one WG: an IR WG's interpreter frame is copied back
-// into place, a closure WG's program goroutine is rebuilt when the saved
-// position differs from the live one.
+// restoreWG rewinds one WG, copying its interpreter frame back into place.
+// A snapshot from before the WG started has no frame; runStartBody
+// recreates it.
 func (m *Machine) restoreWG(w *WG, ws *wgSnap) {
-	if ws.frame != nil || w.frame != nil {
-		// IR path: the program position is plain data. A snapshot from
-		// before the WG started has no frame; runStartBody recreates it.
-		if ws.frame == nil {
-			w.frame = nil
-		} else {
-			if w.frame == nil {
-				m.startIRFrame(w)
-			}
-			w.frame.pc = ws.frame.pc
-			w.frame.dst = ws.frame.dst
-			copy(w.frame.regs, ws.frame.regs)
+	if ws.frame == nil {
+		w.frame = nil
+	} else {
+		if w.frame == nil {
+			w.frame = newIRFrame(w)
 		}
-		w.live = ws.live
-		m.restoreWGFields(w, ws)
-		return
+		w.frame.pc = ws.frame.pc
+		w.frame.dst = ws.frame.dst
+		copy(w.frame.regs, ws.frame.regs)
 	}
-	// Goroutine surgery first: a live goroutine already at the saved
-	// position (first restore after a snapshot) is kept; anything else is
-	// aborted and, if the snapshot had a live goroutine, replayed back into
-	// position from the response log.
-	inPlace := w.live && ws.live && w.respCount == ws.respCount
-	if w.live && !inPlace {
-		w.resp <- response{abort: true}
-		w.live = false
-	}
-	m.restoreWGFields(w, ws)
-	if ws.live && !inPlace {
-		m.respawnWG(w, ws.respCount)
-	}
-}
-
-// restoreWGFields copies the path-independent WG fields from a snapshot.
-func (m *Machine) restoreWGFields(w *WG, ws *wgSnap) {
 	w.state = ws.state
 	w.cu = ws.cu
 	w.parked = append(w.parked[:0], ws.parked...)
@@ -379,35 +338,6 @@ func (m *Machine) restoreWGFields(w *WG, ws *wgSnap) {
 	w.started = ws.started
 	w.finished = ws.finished
 	w.forcePreempted = ws.forcePreempted
-	// The log is append-only and its content deterministic, so rewinding is
-	// a truncation; a later-state restore after a replay regenerated the
-	// same entries finds them already in place.
-	if len(w.respLog) > ws.respCount {
-		w.respLog = w.respLog[:ws.respCount]
-	}
-	w.respCount = ws.respCount
-}
-
-// respawnWG rebuilds w's program goroutine at position k: the deterministic
-// program re-runs from the top, each of its first k requests is discarded
-// and answered from the response log, and the (k+1)-th request — the one
-// that was in flight at the snapshot — is consumed, leaving the goroutine
-// blocked awaiting the response event already on the restored calendar.
-func (m *Machine) respawnWG(w *WG, k int) {
-	if len(w.respLog) < k {
-		capped := ""
-		if w.respLogCapped {
-			capped = fmt.Sprintf(" (log dropped entries at the %d-response RespLogCap)", m.cfg.respLogCap())
-		}
-		panic(fmt.Sprintf("gpu: restoring %v needs %d logged responses, have %d%s; enable response logging before the run", w, k, len(w.respLog), capped))
-	}
-	w.live = true
-	m.spawnBody(w)
-	for i := 0; i < k; i++ {
-		<-w.req
-		w.resp <- response{val: w.respLog[i]}
-	}
-	<-w.req
 }
 
 // snapRingSize bounds the time-travel ring: the newest few periodic

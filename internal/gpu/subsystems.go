@@ -3,8 +3,8 @@ package gpu
 import "awgsim/internal/event"
 
 // This file defines the seams between the Machine and its collaborators.
-// The Machine owns the event engine, the memory system, the WG runtimes and
-// the device request loop; everything else is delegated to three
+// The Machine owns the event engine, the memory system, the WG interpreter
+// frames and their device-op issue; everything else is delegated to three
 // narrowly-scoped subsystems, each behind an interface so tests can
 // substitute instrumented implementations:
 //
@@ -19,7 +19,7 @@ import "awgsim/internal/event"
 // The subsystems collaborate only through these interfaces (wired up by
 // NewMachine), so each one can be read, tested, and replaced on its own:
 // the dispatcher asks the context engine to restore ready WGs, the context
-// engine hands freed resources back to the dispatcher, and the request loop
+// engine hands freed resources back to the dispatcher, and device-op issue
 // feeds the atomic pipeline.
 
 // dispatcher places work-groups onto compute units. It owns the CU resource

@@ -1,8 +1,8 @@
 // Package gpu models the GPU execution hierarchy of the paper's baseline
 // (Table 1): compute units holding work-group (WG) contexts, a dispatcher
-// assigning globally unique WG IDs, and a coroutine-based WG runtime that
-// executes kernel programs written as ordinary Go functions against a
-// Device interface.
+// assigning globally unique WG IDs, and an inline interpreter that runs each
+// WG's kernel program (an internal/prog register-machine program) as a
+// resumable frame advanced by the event engine.
 //
 // The package deliberately knows nothing about *how* synchronization waits
 // are implemented: kernels express intent (wait until this variable equals

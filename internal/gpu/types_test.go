@@ -3,6 +3,8 @@ package gpu
 import (
 	"testing"
 	"testing/quick"
+
+	"awgsim/internal/prog"
 )
 
 func TestAtomicOpApply(t *testing.T) {
@@ -137,15 +139,17 @@ func TestKernelSpecContextBytes(t *testing.T) {
 }
 
 func TestKernelSpecValidate(t *testing.T) {
-	valid := KernelSpec{Name: "k", NumWGs: 1, WIsPerWG: 1, Program: func(Device) {}}
+	ir := emptyKernel(1).IR
+	valid := KernelSpec{Name: "k", NumWGs: 1, WIsPerWG: 1, IR: ir}
 	if err := valid.validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}
 	for _, bad := range []KernelSpec{
-		{NumWGs: 1, WIsPerWG: 1, Program: func(Device) {}},
-		{Name: "k", WIsPerWG: 1, Program: func(Device) {}},
-		{Name: "k", NumWGs: 1, Program: func(Device) {}},
+		{NumWGs: 1, WIsPerWG: 1, IR: ir},
+		{Name: "k", WIsPerWG: 1, IR: ir},
+		{Name: "k", NumWGs: 1, IR: ir},
 		{Name: "k", NumWGs: 1, WIsPerWG: 1},
+		{Name: "k", NumWGs: 1, WIsPerWG: 1, IR: &prog.Program{NumRegs: -1}},
 	} {
 		if err := bad.validate(); err == nil {
 			t.Errorf("invalid spec %+v accepted", bad)
@@ -177,7 +181,7 @@ func TestConfigValidate(t *testing.T) {
 func TestComputeUnitAccounting(t *testing.T) {
 	cfg := DefaultConfig()
 	cu := newComputeUnit(0, cfg)
-	spec := &KernelSpec{Name: "k", NumWGs: 1, WIsPerWG: 64, LDSBytes: 1024, Program: func(Device) {}}
+	spec := &KernelSpec{Name: "k", NumWGs: 1, WIsPerWG: 64, LDSBytes: 1024}
 	if !cu.canHost(spec, cfg.SIMDWidth) {
 		t.Fatal("fresh CU cannot host a 1-WF WG")
 	}
@@ -204,7 +208,7 @@ func TestComputeUnitAccounting(t *testing.T) {
 func TestComputeUnitLDSLimit(t *testing.T) {
 	cfg := DefaultConfig()
 	cu := newComputeUnit(0, cfg)
-	big := &KernelSpec{Name: "k", NumWGs: 1, WIsPerWG: 64, LDSBytes: cfg.LDSPerCU/2 + 1, Program: func(Device) {}}
+	big := &KernelSpec{Name: "k", NumWGs: 1, WIsPerWG: 64, LDSBytes: cfg.LDSPerCU/2 + 1}
 	cu.host(&WG{id: 0, spec: big}, cfg.SIMDWidth)
 	if cu.canHost(big, cfg.SIMDWidth) {
 		t.Fatal("two WGs using >half the LDS each both hosted")
@@ -214,7 +218,7 @@ func TestComputeUnitLDSLimit(t *testing.T) {
 func TestComputeUnitDoubleReleasePanics(t *testing.T) {
 	cfg := DefaultConfig()
 	cu := newComputeUnit(0, cfg)
-	spec := &KernelSpec{Name: "k", NumWGs: 1, WIsPerWG: 64, Program: func(Device) {}}
+	spec := &KernelSpec{Name: "k", NumWGs: 1, WIsPerWG: 64}
 	w := &WG{id: 0, spec: spec}
 	cu.host(w, cfg.SIMDWidth)
 	cu.release(w, cfg.SIMDWidth)

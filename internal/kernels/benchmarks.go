@@ -42,19 +42,6 @@ func (p Params) validate() error {
 	return nil
 }
 
-// groupMembers reproduces the machine's blocked WG-to-group placement.
-func (p Params) groupMembers(g int) []int {
-	l := p.WGsPerGroup()
-	var out []int
-	for i := 0; i < p.NumWGs; i++ {
-		if (i/l)%p.Groups == g {
-			out = append(out, i)
-		}
-	}
-	_ = l
-	return out
-}
-
 // Benchmark couples a kernel with its memory initialization and functional
 // validation — the validation is what catches a policy that "wins" by
 // corrupting synchronization.
@@ -134,7 +121,8 @@ var registry = map[string]Builder{
 // spread in [0.5x, 4x] of OutsideWork. Real rounds are imbalanced (memory
 // divergence, data-dependent work), and the skew is what makes busy
 // waiting expensive at barriers: early arrivals burn issue slots polling
-// while the laggards are still computing.
+// while the laggards are still computing. Kernels compute it in registers
+// (irSkewedWork); this is the reference tests hold that port to.
 func skewedWork(p Params, wg int, i int) event.Cycle {
 	spread := event.Cycle((wg*2654435761 + i*40503) % 8)
 	return p.OutsideWork/2 + p.OutsideWork*spread/2
@@ -166,27 +154,10 @@ func spinMutexBench(p Params, name string, scope gpu.Scope, backoff bool, vgprs,
 	}
 	locks := alloc.Words(nLocks)
 	counters := alloc.Words(nLocks)
-	bar := CentralBarrier{Count: alloc.Word()}
+	barCount := alloc.Word()
 
 	spec := baseSpec(p, name, vgprs, lds)
-	spec.IR = spinMutexIR(p, scope, backoff, locks, counters, bar.Count)
-	//lint:allow progclosure goroutine-mode oracle for the IR above; dual-mode golden pins their equivalence
-	spec.Program = func(d gpu.Device) {
-		idx := 0
-		if scope == gpu.Local {
-			idx = d.Group()
-		}
-		lock := SpinMutex{V: scopedVar(locks[idx], scope, idx), Backoff: backoff}
-		for i := 0; i < p.Iters; i++ {
-			d.Compute(skewedWork(p, int(d.ID()), i))
-			lock.Lock(d)
-			x := d.Load(counters[idx])
-			d.Compute(p.CSWork)
-			d.Store(counters[idx], x+1)
-			lock.Unlock(d)
-		}
-		bar.Wait(d, 1)
-	}
+	spec.IR = spinMutexIR(p, scope, backoff, locks, counters, barCount)
 	return &Benchmark{
 		Spec:   spec,
 		Params: p,
@@ -200,7 +171,7 @@ func spinMutexBench(p Params, name string, scope gpu.Scope, backoff bool, vgprs,
 					return fmt.Errorf("%s: counter %d = %d, want %d", name, i, got, per)
 				}
 			}
-			if got := read(bar.Count); got != int64(p.NumWGs) {
+			if got := read(barCount); got != int64(p.NumWGs) {
 				return fmt.Errorf("%s: exit barrier count %d, want %d", name, got, p.NumWGs)
 			}
 			return nil
@@ -222,30 +193,10 @@ func ticketMutexBench(p Params, name string, scope gpu.Scope, vgprs, lds int) (*
 	tails := alloc.Words(n)
 	servings := alloc.Words(n)
 	counters := alloc.Words(n)
-	bar := CentralBarrier{Count: alloc.Word()}
+	barCount := alloc.Word()
 
 	spec := baseSpec(p, name, vgprs, lds)
-	spec.IR = ticketMutexIR(p, scope, tails, servings, counters, bar.Count)
-	//lint:allow progclosure goroutine-mode oracle for the IR above; dual-mode golden pins their equivalence
-	spec.Program = func(d gpu.Device) {
-		idx := 0
-		if scope == gpu.Local {
-			idx = d.Group()
-		}
-		lock := TicketMutex{
-			Tail:    scopedVar(tails[idx], scope, idx),
-			Serving: scopedVar(servings[idx], scope, idx),
-		}
-		for i := 0; i < p.Iters; i++ {
-			d.Compute(p.OutsideWork)
-			lock.Lock(d)
-			x := d.Load(counters[idx])
-			d.Compute(p.CSWork)
-			d.Store(counters[idx], x+1)
-			lock.Unlock(d)
-		}
-		bar.Wait(d, 1)
-	}
+	spec.IR = ticketMutexIR(p, scope, tails, servings, counters, barCount)
 	return &Benchmark{
 		Spec:   spec,
 		Params: p,
@@ -262,7 +213,7 @@ func ticketMutexBench(p Params, name string, scope gpu.Scope, vgprs, lds int) (*
 					return fmt.Errorf("%s: serving %d = %d, want %d (unlock count)", name, i, got, per)
 				}
 			}
-			if got := read(bar.Count); got != int64(p.NumWGs) {
+			if got := read(barCount); got != int64(p.NumWGs) {
 				return fmt.Errorf("%s: exit barrier count %d, want %d", name, got, p.NumWGs)
 			}
 			return nil
@@ -297,27 +248,10 @@ func queueMutexBench(p Params, name string, scope gpu.Scope, vgprs, lds int) (*B
 		allSlots[i] = slotAddrs
 		locks[i] = QueueMutex{Tail: scopedVar(tailAddrs[i], scope, i), Slots: slots}
 	}
-	bar := CentralBarrier{Count: alloc.Word()}
+	barCount := alloc.Word()
 
 	spec := baseSpec(p, name, vgprs, lds)
-	spec.IR = queueMutexIR(p, scope, tailAddrs, allSlots, counters, bar.Count)
-	//lint:allow progclosure goroutine-mode oracle for the IR above; dual-mode golden pins their equivalence
-	spec.Program = func(d gpu.Device) {
-		idx := 0
-		if scope == gpu.Local {
-			idx = d.Group()
-		}
-		lock := locks[idx]
-		for i := 0; i < p.Iters; i++ {
-			d.Compute(skewedWork(p, int(d.ID()), i))
-			t := lock.Lock(d)
-			x := d.Load(counters[idx])
-			d.Compute(p.CSWork)
-			d.Store(counters[idx], x+1)
-			lock.Unlock(d, t)
-		}
-		bar.Wait(d, 1)
-	}
+	spec.IR = queueMutexIR(p, scope, tailAddrs, allSlots, counters, barCount)
 	return &Benchmark{
 		Spec:   spec,
 		Params: p,
@@ -336,7 +270,7 @@ func queueMutexBench(p Params, name string, scope gpu.Scope, vgprs, lds int) (*B
 					return fmt.Errorf("%s: counter %d = %d, want %d", name, i, got, per)
 				}
 			}
-			if got := read(bar.Count); got != int64(p.NumWGs) {
+			if got := read(barCount); got != int64(p.NumWGs) {
 				return fmt.Errorf("%s: exit barrier count %d, want %d", name, got, p.NumWGs)
 			}
 			return nil
@@ -362,15 +296,6 @@ func treeBarrierBench(p Params, name string, localScope gpu.Scope, vgprs, lds in
 
 	spec := baseSpec(p, name, vgprs, lds)
 	spec.IR = treeBarrierIR(p, localScope, bar.LocalCount, bar.GlobalCount, perWG)
-	//lint:allow progclosure goroutine-mode oracle for the IR above; dual-mode golden pins their equivalence
-	spec.Program = func(d gpu.Device) {
-		me := perWG[int(d.ID())]
-		for i := 1; i <= p.Iters; i++ {
-			d.Compute(skewedWork(p, int(d.ID()), i))
-			d.Store(me, int64(i))
-			bar.Wait(d, int64(i))
-		}
-	}
 	return &Benchmark{
 		Spec:   spec,
 		Params: p,
@@ -378,8 +303,8 @@ func treeBarrierBench(p Params, name string, localScope gpu.Scope, vgprs, lds in
 			if got := read(bar.GlobalCount); got != int64(p.Iters*p.Groups) {
 				return fmt.Errorf("%s: global count %d, want %d", name, got, p.Iters*p.Groups)
 			}
+			_, want := bar.LocalTargets(p.WGsPerGroup(), int64(p.Iters))
 			for g, lc := range bar.LocalCount {
-				want := int64(p.Iters * (p.WGsPerGroup() + 1))
 				if got := read(lc); got != want {
 					return fmt.Errorf("%s: group %d count %d, want %d", name, g, got, want)
 				}
@@ -401,26 +326,12 @@ func lfTreeBarrierBench(p Params, name string, localScope gpu.Scope, vgprs, lds 
 		return nil, err
 	}
 	alloc := NewAddrAlloc(0x50000)
-	bar := LFTreeBarrier{
-		WGFlag:     alloc.Words(p.NumWGs),
-		GroupFlag:  alloc.Words(p.Groups),
-		LocalScope: localScope,
-		Groups:     p.Groups,
-		WGsOfGroup: p.groupMembers,
-	}
+	wgFlag := alloc.Words(p.NumWGs)
+	groupFlag := alloc.Words(p.Groups)
 	perWG := alloc.Words(p.NumWGs)
 
 	spec := baseSpec(p, name, vgprs, lds)
-	spec.IR = lfTreeBarrierIR(p, localScope, bar.WGFlag, bar.GroupFlag, perWG)
-	//lint:allow progclosure goroutine-mode oracle for the IR above; dual-mode golden pins their equivalence
-	spec.Program = func(d gpu.Device) {
-		me := perWG[int(d.ID())]
-		for i := 1; i <= p.Iters; i++ {
-			d.Compute(skewedWork(p, int(d.ID()), i))
-			d.Store(me, int64(i))
-			bar.Wait(d, int64(i))
-		}
-	}
+	spec.IR = lfTreeBarrierIR(p, localScope, wgFlag, groupFlag, perWG)
 	return &Benchmark{
 		Spec:   spec,
 		Params: p,
@@ -445,24 +356,10 @@ func hashTableBench(p Params) (*Benchmark, error) {
 	const buckets = 16
 	locks := alloc.Words(buckets)
 	counts := alloc.Words(buckets)
-	bar := CentralBarrier{Count: alloc.Word()}
+	barCount := alloc.Word()
 
 	spec := baseSpec(p, "HashTable", 14, 1<<10)
-	spec.IR = hashTableIR(p, buckets, locks, counts, bar.Count)
-	//lint:allow progclosure goroutine-mode oracle for the IR above; dual-mode golden pins their equivalence
-	spec.Program = func(d gpu.Device) {
-		for i := 0; i < p.Iters; i++ {
-			d.Compute(skewedWork(p, int(d.ID()), i))
-			key := (int(d.ID())*31 + i*17) % buckets
-			lock := SpinMutex{V: gpu.GlobalVar(locks[key])}
-			lock.Lock(d)
-			n := d.Load(counts[key])
-			d.Compute(p.CSWork)
-			d.Store(counts[key], n+1)
-			lock.Unlock(d)
-		}
-		bar.Wait(d, 1)
-	}
+	spec.IR = hashTableIR(p, buckets, locks, counts, barCount)
 	return &Benchmark{
 		Spec:   spec,
 		Params: p,
@@ -491,41 +388,10 @@ func bankAccountBench(p Params) (*Benchmark, error) {
 	tails := alloc.Words(accounts)
 	servings := alloc.Words(accounts)
 	balances := alloc.Words(accounts)
-	bar := CentralBarrier{Count: alloc.Word()}
+	barCount := alloc.Word()
 
-	lockOf := func(i int) TicketMutex {
-		return TicketMutex{Tail: gpu.GlobalVar(tails[i]), Serving: gpu.GlobalVar(servings[i])}
-	}
 	spec := baseSpec(p, "BankAccount", 18, 1<<10)
-	spec.IR = bankAccountIR(p, accounts, tails, servings, balances, bar.Count)
-	//lint:allow progclosure goroutine-mode oracle for the IR above; dual-mode golden pins their equivalence
-	spec.Program = func(d gpu.Device) {
-		for i := 0; i < p.Iters; i++ {
-			d.Compute(skewedWork(p, int(d.ID()), i))
-			from := (int(d.ID()) + i) % accounts
-			to := (int(d.ID())*7 + i*3 + 1) % accounts
-			if from == to {
-				to = (to + 1) % accounts
-			}
-			// Lock in account order to avoid application-level deadlock.
-			lo, hi := from, to
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			tLo := lockOf(lo).Lock(d)
-			tHi := lockOf(hi).Lock(d)
-			_ = tLo
-			_ = tHi
-			bf := d.Load(balances[from])
-			bt := d.Load(balances[to])
-			d.Compute(p.CSWork)
-			d.Store(balances[from], bf-1)
-			d.Store(balances[to], bt+1)
-			lockOf(hi).Unlock(d)
-			lockOf(lo).Unlock(d)
-		}
-		bar.Wait(d, 1)
-	}
+	spec.IR = bankAccountIR(p, accounts, tails, servings, balances, barCount)
 	return &Benchmark{
 		Spec:   spec,
 		Params: p,

@@ -3,7 +3,6 @@ package kernels
 import (
 	"fmt"
 
-	"awgsim/internal/gpu"
 	"awgsim/internal/mem"
 )
 
@@ -13,63 +12,6 @@ import (
 // exercising condition shapes the twelve HeteroSync benchmarks do not:
 // greater-equal waits with multiple simultaneous winners (semaphore) and
 // mixed reader/writer conditions on one variable.
-
-// Semaphore is a counting semaphore on one word: the value holds the
-// number of free permits.
-type Semaphore struct {
-	V gpu.Var
-}
-
-// Acquire takes one permit, waiting while none are free. The wait is
-// policy-lowered (AwaitGE on permits >= 1); the decrement is a CAS race
-// among however many waiters were resumed, with losers re-waiting — Mesa
-// semantics in miniature.
-func (s Semaphore) Acquire(d gpu.Device) {
-	for {
-		v := d.AtomicLoad(s.V)
-		if v <= 0 {
-			d.AwaitGE(s.V, 1)
-			continue
-		}
-		if d.AtomicCAS(s.V, v, v-1) == v {
-			return
-		}
-	}
-}
-
-// Release returns one permit.
-func (s Semaphore) Release(d gpu.Device) { d.AtomicAdd(s.V, 1) }
-
-// RWLock is a single-word reader-writer lock: 0 free, -1 writer held,
-// n>0 n readers held.
-type RWLock struct {
-	V gpu.Var
-}
-
-// RLock acquires shared: wait while a writer holds (value < 0), then race
-// a CAS to increment the reader count.
-func (l RWLock) RLock(d gpu.Device) {
-	for {
-		v := d.AtomicLoad(l.V)
-		if v < 0 {
-			d.AwaitGE(l.V, 0)
-			continue
-		}
-		if d.AtomicCAS(l.V, v, v+1) == v {
-			return
-		}
-	}
-}
-
-// RUnlock releases shared.
-func (l RWLock) RUnlock(d gpu.Device) { d.AtomicAdd(l.V, -1) }
-
-// WLock acquires exclusive: CAS 0 -> -1, with the wait on (value == 0)
-// policy-lowered through the acquire path.
-func (l RWLock) WLock(d gpu.Device) { d.AcquireCAS(l.V, 0, -1) }
-
-// WUnlock releases exclusive.
-func (l RWLock) WUnlock(d gpu.Device) { d.AtomicExch(l.V, 0) }
 
 // Extensions lists the extension benchmarks.
 func Extensions() []string { return []string{"Semaphore", "RWLock"} }
@@ -90,35 +32,19 @@ func semaphoreBench(p Params) (*Benchmark, error) {
 	}
 	const permits = 4
 	alloc := NewAddrAlloc(0x80000)
-	sem := Semaphore{V: gpu.GlobalVar(alloc.Word())}
+	sem := alloc.Word()     // free permits
 	inside := alloc.Word()  // current holders
 	entered := alloc.Word() // total successful entries
 	maxSeen := alloc.Word() // per-WG-observed maximum holders (monotonic)
-	bar := CentralBarrier{Count: alloc.Word()}
+	barCount := alloc.Word()
 
 	spec := baseSpec(p, "Semaphore", 12, 1<<10)
-	spec.IR = semaphoreIR(p, sem.V.Addr, inside, entered, maxSeen, bar.Count)
-	//lint:allow progclosure goroutine-mode oracle for the IR above; dual-mode golden pins their equivalence
-	spec.Program = func(d gpu.Device) {
-		for i := 0; i < p.Iters; i++ {
-			d.Compute(skewedWork(p, int(d.ID()), i))
-			sem.Acquire(d)
-			n := d.AtomicAdd(gpu.GlobalVar(inside), 1) + 1
-			if m := d.AtomicLoad(gpu.GlobalVar(maxSeen)); n > m {
-				d.AtomicCAS(gpu.GlobalVar(maxSeen), m, n)
-			}
-			d.AtomicAdd(gpu.GlobalVar(entered), 1)
-			d.Compute(p.CSWork)
-			d.AtomicAdd(gpu.GlobalVar(inside), -1)
-			sem.Release(d)
-		}
-		bar.Wait(d, 1)
-	}
+	spec.IR = semaphoreIR(p, sem, inside, entered, maxSeen, barCount)
 	return &Benchmark{
 		Spec:   spec,
 		Params: p,
 		Init: func(write func(mem.Addr, int64)) {
-			write(sem.V.Addr, permits)
+			write(sem, permits)
 		},
 		Verify: func(read func(mem.Addr) int64) error {
 			if got := read(entered); got != int64(p.NumWGs*p.Iters) {
@@ -127,7 +53,7 @@ func semaphoreBench(p Params) (*Benchmark, error) {
 			if got := read(inside); got != 0 {
 				return fmt.Errorf("Semaphore: %d holders left inside", got)
 			}
-			if got := read(sem.V.Addr); got != permits {
+			if got := read(sem); got != permits {
 				return fmt.Errorf("Semaphore: %d permits at end, want %d", got, permits)
 			}
 			// maxSeen is sampled racily (load+CAS), so it can under-report;
@@ -147,39 +73,14 @@ func rwLockBench(p Params) (*Benchmark, error) {
 		return nil, err
 	}
 	alloc := NewAddrAlloc(0x90000)
-	lock := RWLock{V: gpu.GlobalVar(alloc.Word())}
+	lock := alloc.Word()               // 0 free, -1 writer held, n>0 n readers held
 	a, b := alloc.Word(), alloc.Word() // writer keeps a == b
 	writes := alloc.Word()
 	torn := alloc.Word()
-	bar := CentralBarrier{Count: alloc.Word()}
+	barCount := alloc.Word()
 
 	spec := baseSpec(p, "RWLock", 14, 1<<10)
-	spec.IR = rwLockIR(p, lock.V.Addr, a, b, writes, torn, bar.Count)
-	//lint:allow progclosure goroutine-mode oracle for the IR above; dual-mode golden pins their equivalence
-	spec.Program = func(d gpu.Device) {
-		for i := 0; i < p.Iters; i++ {
-			d.Compute(skewedWork(p, int(d.ID()), i))
-			if (int(d.ID())+i)%5 == 0 {
-				lock.WLock(d)
-				x := d.Load(a)
-				d.Compute(p.CSWork)
-				d.Store(a, x+1)
-				d.Store(b, x+1)
-				d.AtomicAdd(gpu.GlobalVar(writes), 1)
-				lock.WUnlock(d)
-			} else {
-				lock.RLock(d)
-				x := d.Load(a)
-				d.Compute(p.CSWork / 2)
-				y := d.Load(b)
-				if x != y {
-					d.AtomicAdd(gpu.GlobalVar(torn), 1)
-				}
-				lock.RUnlock(d)
-			}
-		}
-		bar.Wait(d, 1)
-	}
+	spec.IR = rwLockIR(p, lock, a, b, writes, torn, barCount)
 	return &Benchmark{
 		Spec:   spec,
 		Params: p,
@@ -190,7 +91,7 @@ func rwLockBench(p Params) (*Benchmark, error) {
 			if read(a) != read(b) {
 				return fmt.Errorf("RWLock: final pair %d != %d", read(a), read(b))
 			}
-			if got := read(lock.V.Addr); got != 0 {
+			if got := read(lock); got != 0 {
 				return fmt.Errorf("RWLock: lock word %d at end, want 0", got)
 			}
 			var want int64

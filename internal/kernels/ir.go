@@ -6,13 +6,12 @@ import (
 	"awgsim/internal/prog"
 )
 
-// IR ports of the benchmark programs. Every builder in this file mirrors its
-// Go-closure twin in benchmarks.go/extensions.go op for op: the device-
-// operation sequence each WG issues must be identical between the two, which
-// is what makes the exec modes bit-identical (and what the dual-mode
-// regression and FuzzProgIR pin). Pure address/target arithmetic moves into
-// registers; scoped variable tables become pool ranges indexed by geometry
-// registers. Porting guide: see README.md and DESIGN.md §11.
+// The benchmark programs. Each builder in this file assembles one kernel's
+// body as a prog.Program: address and target arithmetic lives in registers,
+// and scoped variable tables become pool ranges indexed by geometry
+// registers (the WG's ID or scheduling group). The device-operation
+// sequence every WG issues is pinned by the golden records. Writing guide:
+// see README.md and DESIGN.md §11.
 
 // addrWords converts an address slice for prog.Builder.AddrRange.
 func addrWords(addrs []mem.Addr) []uint64 {
@@ -51,7 +50,11 @@ func irSkewedWork(b *prog.Builder, p Params, wg, i prog.Src) prog.Src {
 	return b.Add(prog.Imm(int64(p.OutsideWork/2)), b.Div(b.Mul(prog.Imm(int64(p.OutsideWork)), spread), prog.Imm(2)))
 }
 
-// irCentralBarrier emits CentralBarrier.Wait(d, epoch) on the counter at m.
+// irCentralBarrier emits the epoch-th (from 1) rendezvous of a single-level
+// global barrier on the counter at m: count in, then poll for the
+// full-arrival target unless this WG completed it. It is the validation
+// epilogue of the mutex benchmarks (the reason every benchmark deadlocks
+// under the busy-waiting Baseline when WGs are lost mid-kernel).
 func irCentralBarrier(b *prog.Builder, m prog.Mem, epoch int64) {
 	target := b.Mul(prog.Imm(epoch), b.Geom(prog.GeomNumWGs))
 	old := b.AtomicAdd(m, prog.Imm(1))
@@ -77,7 +80,11 @@ func irGroupIdx(b *prog.Builder, scope gpu.Scope) prog.Src {
 	return b.Let(prog.Imm(0))
 }
 
-// spinMutexIR is the IR twin of spinMutexBench's program.
+// spinMutexIR is SPM/SPMBO: Iters critical sections on a shared counter
+// guarded by HeteroSync's test-and-set lock (exchange 1 in until the old
+// value was 0; unlock stores 0), one lock globally or one per scheduling
+// group in local scope. backoff selects the SPMBO wait hint (software
+// exponential backoff between failed attempts).
 func spinMutexIR(p Params, scope gpu.Scope, backoff bool, locks, counters []mem.Addr, barCount mem.Addr) *prog.Program {
 	b := prog.NewBuilder()
 	sc := irScope(scope)
@@ -97,15 +104,18 @@ func spinMutexIR(p Params, scope gpu.Scope, backoff bool, locks, counters []mem.
 	return b.MustBuild()
 }
 
-// irTicketLock emits TicketMutex.Lock (ticket fetch-add + serve wait),
-// returning the ticket register.
+// irTicketLock emits the lock half of HeteroSync's centralized ticket lock
+// (FAM): fetch-add a ticket from tail, then wait until serving reaches it,
+// returning the ticket register. The serving counter is monotonic, so the
+// >= wait keeps a sparse poller (Timeout, Sleep) from missing its turn.
+// Unlock is a fetch-add on serving.
 func irTicketLock(b *prog.Builder, tail, serving prog.Mem) prog.Src {
 	t := b.AtomicAdd(tail, prog.Imm(1))
 	b.AwaitGE(serving, t)
 	return t
 }
 
-// ticketMutexIR is the IR twin of ticketMutexBench's program.
+// ticketMutexIR is FAM: Iters critical sections under the ticket lock.
 func ticketMutexIR(p Params, scope gpu.Scope, tails, servings, counters []mem.Addr, barCount mem.Addr) *prog.Program {
 	b := prog.NewBuilder()
 	sc := irScope(scope)
@@ -125,7 +135,9 @@ func ticketMutexIR(p Params, scope gpu.Scope, tails, servings, counters []mem.Ad
 	return b.MustBuild()
 }
 
-// queueMutexIR is the IR twin of queueMutexBench's program. Each lock's
+// queueMutexIR is SLM: Iters critical sections under the queue mutexes
+// (one per group in local scope). Lock takes a ticket and waits for its slot
+// to read 1; unlock retires the slot (-1) and unlocks the next. Each lock's
 // slot ring occupies a contiguous pool range, so slot selection is
 // base + ticket%len — the pool addresses stay line-separated even though
 // their indices are dense.
@@ -159,7 +171,12 @@ func queueMutexIR(p Params, scope gpu.Scope, tails []mem.Addr, slots [][]mem.Add
 	return b.MustBuild()
 }
 
-// treeBarrierIR is the IR twin of treeBarrierBench's program.
+// treeBarrierIR is TB/TBEX: Iters rounds of per-round work, each WG
+// stamping its round token and then crossing the two-level tree barrier
+// (see TreeBarrier). A WG counts in on its group counter; the group's last
+// arriver counts in on the global counter, waits for every group, and
+// releases its group with one more bump; everyone else waits for that
+// release (TreeBarrier.LocalTargets).
 func treeBarrierIR(p Params, localScope gpu.Scope, localCount []mem.Addr, globalCount mem.Addr, perWG []mem.Addr) *prog.Program {
 	b := prog.NewBuilder()
 	sc := irScope(localScope)
@@ -172,7 +189,7 @@ func treeBarrierIR(p Params, localScope gpu.Scope, localCount []mem.Addr, global
 	irLoop(b, 1, int64(p.Iters), prog.GT, func(i prog.Src) {
 		b.Compute(irSkewedWork(b, p, wg, i))
 		b.Store(me, i)
-		// TreeBarrier.Wait(d, i)
+		// The tree barrier's i-th rendezvous.
 		arrive := b.Add(b.Mul(b.Sub(i, prog.Imm(1)), perEpoch), gs)
 		release := b.Mul(i, perEpoch)
 		old := b.AtomicAdd(lc, prog.Imm(1))
@@ -194,9 +211,15 @@ func treeBarrierIR(p Params, localScope gpu.Scope, localCount []mem.Addr, global
 	return b.MustBuild()
 }
 
-// lfTreeBarrierIR is the IR twin of lfTreeBarrierBench's program. Group
-// membership is the blocked placement groupMembers reproduces — group g owns
-// the contiguous WG range [g*L, (g+1)*L) with its master at g*L — so member
+// lfTreeBarrierIR is LFTB/LFTBEX: Iters rounds of per-round work and the
+// decentralized ("lock-free") two-level tree barrier, with one flag word per
+// WG (wgFlag, scoped localScope) written once per direction per epoch, so
+// every condition has exactly one waiter and one update (Table 2's LFTB
+// row). Arrival writes the epoch, release writes its negation. Group
+// masters gather member flags, rendezvous through per-group flags
+// (groupFlag) with the global master (group 0's), and release in reverse.
+// Group membership is the machine's blocked placement — group g owns the
+// contiguous WG range [g*L, (g+1)*L) with its master at g*L — so member
 // iteration is a register loop over flag-table indices.
 func lfTreeBarrierIR(p Params, localScope gpu.Scope, wgFlag, groupFlag, perWG []mem.Addr) *prog.Program {
 	b := prog.NewBuilder()
@@ -216,7 +239,7 @@ func lfTreeBarrierIR(p Params, localScope gpu.Scope, wgFlag, groupFlag, perWG []
 	irLoop(b, 1, int64(p.Iters), prog.GT, func(i prog.Src) {
 		b.Compute(irSkewedWork(b, p, wg, i))
 		b.Store(me, i)
-		// LFTreeBarrier.Wait(d, i); arrivals write i, releases write -i.
+		// The i-th rendezvous; arrivals write i, releases write -i.
 		neg := b.Sub(prog.Imm(0), i)
 		isMaster, out := b.Label(), b.Label()
 		b.Br(prog.EQ, self, master, isMaster)
@@ -272,7 +295,8 @@ func lfTreeBarrierIR(p Params, localScope gpu.Scope, wgFlag, groupFlag, perWG []
 	return b.MustBuild()
 }
 
-// hashTableIR is the IR twin of hashTableBench's program.
+// hashTableIR is the HashTable application: Iters insertions, each into a
+// WG- and round-dependent bucket guarded by its own test-and-set lock.
 func hashTableIR(p Params, buckets int, locks, counts []mem.Addr, barCount mem.Addr) *prog.Program {
 	b := prog.NewBuilder()
 	lockBase := b.AddrRange(addrWords(locks))
@@ -293,7 +317,8 @@ func hashTableIR(p Params, buckets int, locks, counts []mem.Addr, barCount mem.A
 	return b.MustBuild()
 }
 
-// bankAccountIR is the IR twin of bankAccountBench's program.
+// bankAccountIR is the BankAccount application: Iters transfers between
+// two distinct ticket-locked accounts, locks taken in account order.
 func bankAccountIR(p Params, accounts int, tails, servings, balances []mem.Addr, barCount mem.Addr) *prog.Program {
 	b := prog.NewBuilder()
 	n := prog.Imm(int64(accounts))
@@ -337,8 +362,11 @@ func bankAccountIR(p Params, accounts int, tails, servings, balances []mem.Addr,
 	return b.MustBuild()
 }
 
-// irSemaphoreAcquire emits Semaphore.Acquire on m: the policy-lowered wait
-// for a free permit with a CAS race among resumed waiters.
+// irSemaphoreAcquire takes one permit from the counting semaphore at m
+// (the word holds the free permits), waiting while none are free. The wait
+// is policy-lowered (AwaitGE on permits >= 1); the decrement is a CAS race
+// among however many waiters were resumed, with losers re-waiting — Mesa
+// semantics in miniature. Release is a fetch-add of one.
 func irSemaphoreAcquire(b *prog.Builder, m prog.Mem) {
 	again := b.Here()
 	v := b.AtomicLoad(m)
@@ -351,7 +379,9 @@ func irSemaphoreAcquire(b *prog.Builder, m prog.Mem) {
 	b.Br(prog.NE, old, v, again)
 }
 
-// semaphoreIR is the IR twin of semaphoreBench's program.
+// semaphoreIR is the Semaphore extension: Iters entries into a region the
+// semaphore admits a bounded number of holders to, tracking the occupancy
+// high-water mark inside the region.
 func semaphoreIR(p Params, semV, inside, entered, maxSeen, barCount mem.Addr) *prog.Program {
 	b := prog.NewBuilder()
 	sem := b.GVar(uint64(semV))
@@ -377,7 +407,12 @@ func semaphoreIR(p Params, semV, inside, entered, maxSeen, barCount mem.Addr) *p
 	return b.MustBuild()
 }
 
-// rwLockIR is the IR twin of rwLockBench's program.
+// rwLockIR is the RWLock extension over a single-word reader-writer lock
+// (0 free, -1 writer held, n>0 n readers held): one round in five writes
+// the word pair together under the exclusive lock (CAS 0 -> -1, released by
+// exchanging 0), the rest read the pair under the shared lock (wait while a
+// writer holds, CAS-race the reader count up, release by adding -1) and
+// count torn reads.
 func rwLockIR(p Params, lockV, wordA, wordB, writes, torn, barCount mem.Addr) *prog.Program {
 	b := prog.NewBuilder()
 	lock := b.GVar(uint64(lockV))
@@ -421,6 +456,22 @@ func rwLockIR(p Params, lockV, wordA, wordB, writes, torn, barCount mem.Addr) *p
 		b.Bind(out)
 	})
 	irCentralBarrier(b, b.GVar(uint64(barCount)), 1)
+	return b.MustBuild()
+}
+
+// HandoffIR is the producer/consumer episode of Figure 6: WG 0 computes
+// for work cycles and then sets the flag to 1; every other WG waits for it.
+func HandoffIR(flag mem.Addr, work int64) *prog.Program {
+	b := prog.NewBuilder()
+	v := b.GVar(uint64(flag))
+	consumer, end := b.Label(), b.Label()
+	b.Br(prog.NE, b.Geom(prog.GeomID), prog.Imm(0), consumer)
+	b.Compute(prog.Imm(work))
+	b.AtomicStore(v, prog.Imm(1))
+	b.Jmp(end)
+	b.Bind(consumer)
+	b.AwaitEq(v, prog.Imm(1))
+	b.Bind(end)
 	return b.MustBuild()
 }
 

@@ -5,6 +5,8 @@ import (
 
 	"awgsim/internal/gpu"
 	"awgsim/internal/mem"
+	"awgsim/internal/policy"
+	"awgsim/internal/prog"
 )
 
 func testParams() Params {
@@ -47,26 +49,15 @@ func TestWGsPerGroup(t *testing.T) {
 }
 
 func TestGroupMembersMatchMachinePlacement(t *testing.T) {
+	// lfTreeBarrierIR iterates a group's members as the contiguous ID range
+	// [g*L, (g+1)*L): for valid params that must be exactly the machine's
+	// blocked placement, group (id / L) % Groups.
 	p := testParams()
-	seen := map[int]bool{}
-	for g := 0; g < p.Groups; g++ {
-		members := p.groupMembers(g)
-		if len(members) != p.WGsPerGroup() {
-			t.Fatalf("group %d has %d members, want %d", g, len(members), p.WGsPerGroup())
+	l := p.WGsPerGroup()
+	for id := 0; id < p.NumWGs; id++ {
+		if g := (id / l) % p.Groups; id < g*l || id >= (g+1)*l {
+			t.Fatalf("WG %d placed in group %d, outside its contiguous range", id, g)
 		}
-		for _, id := range members {
-			if seen[id] {
-				t.Fatalf("WG %d in two groups", id)
-			}
-			seen[id] = true
-			// The machine's blocked placement: (id / L) % Groups.
-			if (id/p.WGsPerGroup())%p.Groups != g {
-				t.Fatalf("WG %d in group %d disagrees with machine placement", id, g)
-			}
-		}
-	}
-	if len(seen) != p.NumWGs {
-		t.Fatalf("groups cover %d WGs, want %d", len(seen), p.NumWGs)
 	}
 }
 
@@ -83,7 +74,7 @@ func TestRegistryComplete(t *testing.T) {
 		if b.Spec.Name != name {
 			t.Errorf("%s spec named %q", name, b.Spec.Name)
 		}
-		if b.Spec.Program == nil {
+		if b.Spec.IR == nil {
 			t.Errorf("%s has no program", name)
 		}
 		if b.Verify == nil {
@@ -194,6 +185,38 @@ func TestSkewedWorkDeterministicAndBounded(t *testing.T) {
 	}
 	if len(seen) < 3 {
 		t.Fatalf("skew produced only %d distinct values across %d WGs", len(seen), p.NumWGs)
+	}
+}
+
+// TestIRSkewedWorkMatchesReference runs irSkewedWork on the machine for
+// every (WG, round) of a small launch and checks each value against
+// skewedWork, the formula's Go reference.
+func TestIRSkewedWorkMatchesReference(t *testing.T) {
+	p := testParams()
+	out := NewAddrAlloc(0x1000).Words(p.NumWGs * p.Iters)
+	b := prog.NewBuilder()
+	base := b.AddrRange(addrWords(out))
+	wg := b.Geom(prog.GeomID)
+	row := b.Add(prog.Imm(base), b.Mul(wg, prog.Imm(int64(p.Iters))))
+	irLoop(b, 0, int64(p.Iters), prog.GE, func(i prog.Src) {
+		b.Store(prog.At(b.Add(row, i), prog.Global), irSkewedWork(b, p, wg, i))
+	})
+	spec := &gpu.KernelSpec{Name: "skew", NumWGs: p.NumWGs, WIsPerWG: p.WIsPerWG, IR: b.MustBuild()}
+	cfg := gpu.DefaultConfig()
+	cfg.NumCUs, cfg.MaxWGsPerCU = p.Groups, p.WGsPerGroup()
+	m, err := gpu.NewMachine(cfg, mem.DefaultConfig(), spec, policy.NewBaseline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := m.Run(); res.Deadlocked {
+		t.Fatal("deadlocked")
+	}
+	for wg := 0; wg < p.NumWGs; wg++ {
+		for i := 0; i < p.Iters; i++ {
+			if got, want := m.Mem().Read(out[wg*p.Iters+i]), int64(skewedWork(p, wg, i)); got != want {
+				t.Errorf("WG %d round %d: IR skew %d, reference %d", wg, i, got, want)
+			}
+		}
 	}
 }
 

@@ -28,8 +28,6 @@ import (
 	"strconv"
 	"strings"
 
-	"awgsim/internal/event"
-	"awgsim/internal/gpu"
 	"awgsim/internal/mem"
 )
 
@@ -365,23 +363,6 @@ func litmusBench(l Litmus, p Params) (*Benchmark, error) {
 
 	spec := baseSpec(p, l.Encode(), 8, 0)
 	spec.IR = litmusIR(l, vars)
-	//lint:allow progclosure goroutine-mode oracle for the IR above; dual-mode golden pins their equivalence
-	spec.Program = func(d gpu.Device) {
-		for _, op := range l.Progs[int(d.ID())] {
-			switch op.Kind {
-			case LitmusAdd:
-				d.AtomicAdd(gpu.GlobalVar(vars[op.Var]), 1)
-			case LitmusSet:
-				d.AtomicExch(gpu.GlobalVar(vars[op.Var]), op.Val)
-			case LitmusWaitGE:
-				d.AwaitGE(gpu.GlobalVar(vars[op.Var]), op.Val)
-			case LitmusWaitEq:
-				d.AwaitEq(gpu.GlobalVar(vars[op.Var]), op.Val)
-			case LitmusWork:
-				d.Compute(event.Cycle(op.Val))
-			}
-		}
-	}
 	return &Benchmark{
 		Spec:   spec,
 		Params: p,

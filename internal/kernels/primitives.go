@@ -6,10 +6,11 @@
 // plus the hash-table and bank-account applications the Table 2 caption
 // lists.
 //
-// Primitives are written exactly like the paper's device code (Figure 10):
-// straight-line loops over atomics, with every wait expressed through the
-// Device's policy-lowered synchronization operations. The same benchmark
-// source therefore runs unchanged under every scheduling architecture.
+// Every kernel is a register-machine program (internal/prog) assembled in
+// ir.go and written like the paper's device code (Figure 10): straight-line
+// loops over atomics, with every wait expressed through the IR's
+// policy-lowered wait and acquire ops. The same program therefore runs
+// unchanged under every scheduling architecture.
 package kernels
 
 import (
@@ -51,75 +52,14 @@ func scopedVar(addr mem.Addr, scope gpu.Scope, group int) gpu.Var {
 	return gpu.GlobalVar(addr)
 }
 
-// acquireExch issues a test-and-set acquire, with the software-backoff hint
-// when the benchmark variant calls for it.
-func acquireExch(d gpu.Device, v gpu.Var, backoff bool) {
-	if backoff {
-		if hd, ok := d.(gpu.HintedDevice); ok {
-			hd.AcquireExchHint(v, 1, 0, gpu.WaitHint{Backoff: true})
-			return
-		}
-	}
-	d.AcquireExch(v, 1, 0)
-}
-
-// SpinMutex is HeteroSync's test-and-set lock (SPM). Lock spins exchanging
-// 1 into the word until the previous value was 0; Unlock stores 0.
-// Backoff selects the SPMBO variant, which inserts software exponential
-// backoff between failed attempts.
-type SpinMutex struct {
-	V       gpu.Var
-	Backoff bool
-}
-
-// Lock acquires the mutex.
-func (l SpinMutex) Lock(d gpu.Device) { acquireExch(d, l.V, l.Backoff) }
-
-// Unlock releases the mutex.
-func (l SpinMutex) Unlock(d gpu.Device) { d.AtomicExch(l.V, 0) }
-
-// TicketMutex is HeteroSync's centralized ticket lock (FAM): a fetch-add
-// tail hands out tickets and a single now-serving word is polled by every
-// waiter (G conditions on one variable, one waiter each — Table 2).
-type TicketMutex struct {
-	Tail    gpu.Var
-	Serving gpu.Var
-}
-
-// Lock takes a ticket and waits until it is served, returning the ticket.
-func (l TicketMutex) Lock(d gpu.Device) int64 {
-	t := d.AtomicAdd(l.Tail, 1)
-	// The serving counter is monotonic; >= keeps a sparse poller (Timeout,
-	// Sleep) from missing its turn's value, and == would anyway never
-	// overshoot because only the served holder advances it.
-	d.AwaitGE(l.Serving, t)
-	return t
-}
-
-// Unlock serves the next ticket.
-func (l TicketMutex) Unlock(d gpu.Device) { d.AtomicAdd(l.Serving, 1) }
-
 // QueueMutex is the decentralized ticket ("sleep") mutex of Figure 10
-// (SLM): each acquirer takes a fresh queue slot and waits on its own word,
-// so each variable sees a single waiter and a single meaningful update.
-// Slot values: 0 untouched, 1 unlocked (holder may enter), -1 retired.
+// (SLM): each acquirer takes a ticket from Tail and waits on its own queue
+// slot, so each variable sees a single waiter and a single meaningful
+// update. Slot values: 0 untouched, 1 unlocked (holder may enter), -1
+// retired. queueMutexIR emits the lock and unlock sequences.
 type QueueMutex struct {
 	Tail  gpu.Var
 	Slots []gpu.Var // slot ring; must exceed the max outstanding acquires
-}
-
-// Lock enqueues and waits for its slot to be unlocked, returning the slot
-// index for Unlock.
-func (l QueueMutex) Lock(d gpu.Device) int64 {
-	t := d.AtomicAdd(l.Tail, 1)
-	d.AwaitEq(l.Slots[int(t)%len(l.Slots)], 1)
-	return t
-}
-
-// Unlock retires the held slot and unlocks the next one.
-func (l QueueMutex) Unlock(d gpu.Device, ticket int64) {
-	d.AtomicExch(l.Slots[int(ticket)%len(l.Slots)], -1)
-	d.AtomicExch(l.Slots[int(ticket+1)%len(l.Slots)], 1)
 }
 
 // InitUnlocked prepares the queue so the first ticket may proceed. Call on
@@ -128,12 +68,13 @@ func (l QueueMutex) InitUnlocked(write func(mem.Addr, int64)) {
 	write(l.Slots[0].Addr, 1)
 }
 
-// TreeBarrier is HeteroSync's two-level atomic tree barrier (TB/TBEX):
-// WGs of a group count in on a per-group arrival counter, group masters
-// count in on a global counter, and waiters poll the counters themselves —
-// monotonic targets epoch*size, so the counter's value stream is exactly
-// what AWG's Bloom predictor sees for barriers. The LocalExch variant
-// (TBEX) scopes the per-group counters locally, servicing them at the CU.
+// TreeBarrier is the layout of HeteroSync's two-level atomic tree barrier
+// (TB/TBEX): WGs of a group count in on a per-group arrival counter, group
+// masters count in on a global counter, and waiters poll the counters
+// themselves — monotonic targets epoch*size, so the counter's value stream
+// is exactly what AWG's Bloom predictor sees for barriers. The LocalExch
+// variant (TBEX) scopes the per-group counters locally, servicing them at
+// the CU. treeBarrierIR emits the rendezvous.
 type TreeBarrier struct {
 	LocalCount  []mem.Addr // one per group
 	GlobalCount mem.Addr
@@ -141,101 +82,11 @@ type TreeBarrier struct {
 	Groups      int
 }
 
-// Wait performs the barrier's epoch-th rendezvous (epoch counts from 1).
-// The group counter advances GroupSize+1 per epoch (arrivals plus the
-// master's release bump), so targets are monotonic across epochs — the
-// value stream AWG's Bloom predictor classifies as barrier-like.
-func (b TreeBarrier) Wait(d gpu.Device, epoch int64) {
-	g := d.Group()
-	lc := scopedVar(b.LocalCount[g], b.LocalScope, g)
-	arriveTarget, releaseTarget := b.LocalTargets(d.GroupSize(), epoch)
-	if d.AtomicAdd(lc, 1)+1 == arriveTarget {
-		// Last arriver of the group: join the global phase.
-		gc := gpu.GlobalVar(b.GlobalCount)
-		globalTarget := epoch * int64(b.Groups)
-		if d.AtomicAdd(gc, 1)+1 != globalTarget {
-			d.AwaitGE(gc, globalTarget)
-		}
-		// Release the group by pushing the local counter past the arrival
-		// target.
-		d.AtomicAdd(lc, 1)
-	} else {
-		// Wait for the group master's release bump.
-		d.AwaitGE(lc, releaseTarget)
-	}
-}
-
-// LocalTargets reports the per-epoch arrival and release values of a group
-// counter (exposed for tests).
+// LocalTargets reports the epoch-th (from 1) arrival and release values of
+// a group counter. The counter advances GroupSize+1 per epoch (arrivals
+// plus the master's release bump), so targets are monotonic across epochs —
+// the value stream AWG's Bloom predictor classifies as barrier-like.
 func (b TreeBarrier) LocalTargets(groupSize int, epoch int64) (arrive, release int64) {
 	perEpoch := int64(groupSize) + 1
 	return (epoch-1)*perEpoch + int64(groupSize), epoch * perEpoch
-}
-
-// LFTreeBarrier is the decentralized ("lock-free") two-level tree barrier
-// (LFTB/LFTBEX): one flag word per WG, written once per direction per
-// epoch, so every condition has exactly one waiter and one update
-// (Table 2's LFTB row). Group masters gather member flags, rendezvous
-// through per-group flags with a global master, and release in reverse.
-type LFTreeBarrier struct {
-	WGFlag     []mem.Addr // one per WG, indexed by WG ID
-	GroupFlag  []mem.Addr // one per group
-	LocalScope gpu.Scope  // scope of the member flags (Local for LFTBEX)
-	Groups     int
-	WGsOfGroup func(group int) []int // WG IDs belonging to a group
-}
-
-// Wait performs the epoch-th rendezvous. Arrival writes epoch; release
-// writes -epoch.
-func (b LFTreeBarrier) Wait(d gpu.Device, epoch int64) {
-	g := d.Group()
-	self := int(d.ID())
-	members := b.WGsOfGroup(g)
-	master := members[0]
-	if self != master {
-		f := scopedVar(b.WGFlag[self], b.LocalScope, g)
-		d.AtomicExch(f, epoch)
-		d.AwaitEq(f, -epoch)
-		return
-	}
-	// Group master: gather members.
-	for _, id := range members[1:] {
-		f := scopedVar(b.WGFlag[id], b.LocalScope, g)
-		d.AwaitEq(f, epoch)
-	}
-	// Rendezvous across groups through the global master (group 0's
-	// master), flag-per-group.
-	if g == 0 {
-		for gg := 1; gg < b.Groups; gg++ {
-			d.AwaitEq(gpu.GlobalVar(b.GroupFlag[gg]), epoch)
-		}
-		for gg := 1; gg < b.Groups; gg++ {
-			d.AtomicExch(gpu.GlobalVar(b.GroupFlag[gg]), -epoch)
-		}
-	} else {
-		f := gpu.GlobalVar(b.GroupFlag[g])
-		d.AtomicExch(f, epoch)
-		d.AwaitEq(f, -epoch)
-	}
-	// Release members.
-	for _, id := range members[1:] {
-		f := scopedVar(b.WGFlag[id], b.LocalScope, g)
-		d.AtomicExch(f, -epoch)
-	}
-}
-
-// CentralBarrier is a single-level global barrier used as the validation
-// epilogue of the mutex benchmarks (the reason every benchmark deadlocks
-// under the busy-waiting Baseline when WGs are lost mid-kernel).
-type CentralBarrier struct {
-	Count mem.Addr
-}
-
-// Wait counts in and polls the counter for the full-arrival target.
-func (b CentralBarrier) Wait(d gpu.Device, epoch int64) {
-	target := epoch * int64(d.NumWGs())
-	v := gpu.GlobalVar(b.Count)
-	if d.AtomicAdd(v, 1)+1 != target {
-		d.AwaitGE(v, target)
-	}
 }

@@ -9,6 +9,7 @@ import (
 	"awgsim/internal/mem"
 	"awgsim/internal/metrics"
 	"awgsim/internal/policy"
+	"awgsim/internal/prog"
 	"awgsim/internal/syncmon"
 )
 
@@ -24,36 +25,57 @@ func testConfig() gpu.Config {
 // producerConsumer builds a kernel where WG 0 stores `val` into flag after
 // `delay` cycles and every other WG waits for it.
 func producerConsumer(numWGs int, delay event.Cycle, flag mem.Addr, val int64) *gpu.KernelSpec {
-	return &gpu.KernelSpec{
-		Name: "pc", NumWGs: numWGs, WIsPerWG: 64,
-		Program: func(d gpu.Device) {
-			v := gpu.GlobalVar(flag)
-			if d.ID() == 0 {
-				d.Compute(delay)
-				d.AtomicStore(v, val)
-				return
-			}
-			d.AwaitEq(v, val)
-		},
-	}
+	return irKernel("pc", numWGs, func(b *prog.Builder) {
+		v := b.GVar(uint64(flag))
+		consumer, end := b.Label(), b.Label()
+		b.Br(prog.NE, b.Geom(prog.GeomID), prog.Imm(0), consumer)
+		b.Compute(prog.Imm(int64(delay)))
+		b.AtomicStore(v, prog.Imm(val))
+		b.Jmp(end)
+		b.Bind(consumer)
+		b.AwaitEq(v, prog.Imm(val))
+		b.Bind(end)
+	})
+}
+
+// irKernel builds a 64-WI test kernel whose program emit assembles.
+func irKernel(name string, numWGs int, emit func(b *prog.Builder)) *gpu.KernelSpec {
+	b := prog.NewBuilder()
+	emit(b)
+	return &gpu.KernelSpec{Name: name, NumWGs: numWGs, WIsPerWG: 64, IR: b.MustBuild()}
+}
+
+// repeat emits body n times as a register-counted loop, passing the
+// iteration register.
+func repeat(b *prog.Builder, n int64, body func(i prog.Src)) {
+	i := b.Let(prog.Imm(0))
+	end := b.Label()
+	top := b.Here()
+	b.Br(prog.GE, i, prog.Imm(n), end)
+	body(i)
+	b.ArithTo(prog.OpAdd, i, i, prog.Imm(1))
+	b.Jmp(top)
+	b.Bind(end)
+}
+
+// emitLockedIncrement emits one critical section: take the test-and-set
+// lock, read-modify-write counter through plain loads and stores around
+// work cycles of computation, release.
+func emitLockedIncrement(b *prog.Builder, lock, counter prog.Mem, work int64) {
+	b.AcquireExch(lock, prog.Imm(1), prog.Imm(0), false)
+	x := b.Load(counter)
+	b.Compute(prog.Imm(work))
+	b.Store(counter, b.Add(x, prog.Imm(1)))
+	b.AtomicExchX(lock, prog.Imm(0))
 }
 
 // lockContender builds a kernel where every WG takes a test-and-set lock a
 // few times around a shared counter.
 func lockContender(numWGs, iters int, lock, counter mem.Addr) *gpu.KernelSpec {
-	return &gpu.KernelSpec{
-		Name: "lock", NumWGs: numWGs, WIsPerWG: 64,
-		Program: func(d gpu.Device) {
-			v := gpu.GlobalVar(lock)
-			for i := 0; i < iters; i++ {
-				d.AcquireExch(v, 1, 0)
-				x := d.Load(counter)
-				d.Compute(100)
-				d.Store(counter, x+1)
-				d.AtomicExch(v, 0)
-			}
-		},
-	}
+	return irKernel("lock", numWGs, func(b *prog.Builder) {
+		l, c := b.GVar(uint64(lock)), b.GVar(uint64(counter))
+		repeat(b, int64(iters), func(prog.Src) { emitLockedIncrement(b, l, c, 100) })
+	})
 }
 
 func run(t *testing.T, spec *gpu.KernelSpec, pol gpu.Policy) (metrics.Result, *gpu.Machine) {
@@ -199,19 +221,24 @@ func TestFig12Walkthrough(t *testing.T) {
 	// Consumers wait on distinct flags so their conditions cannot share the
 	// single SyncMon entry.
 	const base = mem.Addr(0x5000)
-	spec := &gpu.KernelSpec{
-		Name: "walkthrough", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d gpu.Device) {
-			if d.ID() == 0 {
-				d.Compute(20_000)
-				for i := 1; i < 8; i++ {
-					d.AtomicStore(gpu.GlobalVar(base+mem.Addr(i*64)), 1)
-				}
-				return
-			}
-			d.AwaitEq(gpu.GlobalVar(base+mem.Addr(int(d.ID())*64)), 1)
-		},
-	}
+	spec := irKernel("walkthrough", 8, func(b *prog.Builder) {
+		flags := make([]uint64, 8)
+		for i := range flags {
+			flags[i] = uint64(base + mem.Addr(i*64))
+		}
+		flagBase := b.AddrRange(flags)
+		id := b.Geom(prog.GeomID)
+		consumer, end := b.Label(), b.Label()
+		b.Br(prog.NE, id, prog.Imm(0), consumer)
+		b.Compute(prog.Imm(20_000))
+		for i := 1; i < 8; i++ {
+			b.AtomicStore(b.GVar(flags[i]), prog.Imm(1))
+		}
+		b.Jmp(end)
+		b.Bind(consumer)
+		b.AwaitEq(prog.At(b.Add(prog.Imm(flagBase), id), prog.Global), prog.Imm(1))
+		b.Bind(end)
+	})
 	m, err := gpu.NewMachine(testConfig(), mem.DefaultConfig(), spec, pol)
 	if err != nil {
 		t.Fatal(err)
@@ -297,17 +324,17 @@ func TestBaselineDeadlocksWhenOversubscribed(t *testing.T) {
 	cfg := testConfig() // 8 slots
 	cfg.ProgressWindow = 150_000
 	const flag = mem.Addr(0x9000)
-	spec := &gpu.KernelSpec{
-		Name: "inverted-pc", NumWGs: 12, WIsPerWG: 64,
-		Program: func(d gpu.Device) {
-			v := gpu.GlobalVar(flag)
-			if int(d.ID()) == 11 { // producer is the last WG dispatched
-				d.AtomicStore(v, 1)
-				return
-			}
-			d.AwaitEq(v, 1)
-		},
-	}
+	spec := irKernel("inverted-pc", 12, func(b *prog.Builder) {
+		v := b.GVar(uint64(flag))
+		consumer, end := b.Label(), b.Label()
+		// The producer is the last WG dispatched.
+		b.Br(prog.NE, b.Geom(prog.GeomID), prog.Imm(11), consumer)
+		b.AtomicStore(v, prog.Imm(1))
+		b.Jmp(end)
+		b.Bind(consumer)
+		b.AwaitEq(v, prog.Imm(1))
+		b.Bind(end)
+	})
 	m, err := gpu.NewMachine(cfg, mem.DefaultConfig(), spec, policy.NewBaseline())
 	if err != nil {
 		t.Fatal(err)
@@ -345,17 +372,14 @@ func TestMonNROneAvoidsHerd(t *testing.T) {
 // waits on its own condition of one now-serving variable — the shape on
 // which sporadic notifications are maximally wasteful (Figure 9).
 func ticketContender(numWGs, iters int, tail, serving mem.Addr) *gpu.KernelSpec {
-	return &gpu.KernelSpec{
-		Name: "ticket", NumWGs: numWGs, WIsPerWG: 64,
-		Program: func(d gpu.Device) {
-			for i := 0; i < iters; i++ {
-				tkt := d.AtomicAdd(gpu.GlobalVar(tail), 1)
-				d.AwaitGE(gpu.GlobalVar(serving), tkt)
-				d.Compute(200)
-				d.AtomicAdd(gpu.GlobalVar(serving), 1)
-			}
-		},
-	}
+	return irKernel("ticket", numWGs, func(b *prog.Builder) {
+		t, s := b.GVar(uint64(tail)), b.GVar(uint64(serving))
+		repeat(b, int64(iters), func(prog.Src) {
+			b.AwaitGE(s, b.AtomicAdd(t, prog.Imm(1)))
+			b.Compute(prog.Imm(200))
+			b.AtomicAddX(s, prog.Imm(1))
+		})
+	})
 }
 
 // TestSporadicWakesAreWasteful: a checking monitor wakes exactly the served
@@ -426,24 +450,19 @@ func TestTimeoutWithdrawalDoesNotLoseCPWakeup(t *testing.T) {
 // mixed mutex+barrier kernel.
 func TestAWGPredictorActivity(t *testing.T) {
 	const lock, counter, bar = mem.Addr(0xe000), mem.Addr(0xe040), mem.Addr(0xe080)
-	spec := &gpu.KernelSpec{
-		Name: "mixed", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d gpu.Device) {
-			for i := 0; i < 4; i++ {
-				d.AcquireExch(gpu.GlobalVar(lock), 1, 0)
-				x := d.Load(counter)
-				d.Compute(200)
-				d.Store(counter, x+1)
-				d.AtomicExch(gpu.GlobalVar(lock), 0)
-				// Barrier: counter sweep.
-				v := gpu.GlobalVar(bar)
-				target := int64((i + 1) * 8)
-				if d.AtomicAdd(v, 1)+1 != target {
-					d.AwaitGE(v, target)
-				}
-			}
-		},
-	}
+	spec := irKernel("mixed", 8, func(b *prog.Builder) {
+		l, c, v := b.GVar(uint64(lock)), b.GVar(uint64(counter)), b.GVar(uint64(bar))
+		repeat(b, 4, func(i prog.Src) {
+			emitLockedIncrement(b, l, c, 200)
+			// Barrier: counter sweep.
+			target := b.Mul(b.Add(i, prog.Imm(1)), prog.Imm(8))
+			old := b.AtomicAdd(v, prog.Imm(1))
+			arrived := b.Label()
+			b.Br(prog.EQ, b.Add(old, prog.Imm(1)), target, arrived)
+			b.AwaitGE(v, target)
+			b.Bind(arrived)
+		})
+	})
 	res, m := run(t, spec, policy.NewAWG())
 	if res.Deadlocked {
 		t.Fatal("deadlocked")

@@ -6,7 +6,7 @@ import "fmt"
 // addresses, and patches forward branches through labels. The zero Builder
 // is not usable; start with NewBuilder.
 //
-// The emit helpers mirror the gpu.Device surface. Value-producing pure ops
+// The emit helpers cover every op kind. Value-producing pure ops
 // allocate a fresh register per call site — ops are emitted once at build
 // time, so a loop body reuses the same registers on every iteration and
 // register files stay small.
@@ -76,6 +76,10 @@ func (b *Builder) LVar(a uint64) Mem { return Mem{Idx: b.Addr(a), Scope: Local} 
 
 // At is a memory operand whose pool index is computed at run time.
 func At(idx Src, scope Scope) Mem { return Mem{Idx: idx, Scope: scope} }
+
+// none fills an operand slot the op kind does not read: the zero Src names
+// r0, which Validate rejects in a program that allocates no registers.
+var none = Imm(0)
 
 func (b *Builder) emit(op Op) int {
 	b.code = append(b.code, op)
@@ -166,43 +170,43 @@ func (b *Builder) Geom(g Geom) Src {
 
 // Compute advances the WG by cycles of pure computation.
 func (b *Builder) Compute(cycles Src) {
-	b.emit(Op{Kind: OpCompute, Dst: -1, A: cycles})
+	b.emit(Op{Kind: OpCompute, Dst: -1, A: cycles, B: none, C: none})
 }
 
 // Load reads the word at m into a fresh register.
 func (b *Builder) Load(m Mem) Src {
 	r := b.Reg()
-	b.emit(Op{Kind: OpLoad, Dst: r.Reg, A: m.Idx, Scope: m.Scope})
+	b.emit(Op{Kind: OpLoad, Dst: r.Reg, A: m.Idx, B: none, C: none, Scope: m.Scope})
 	return r
 }
 
 // Store writes v to the word at m.
 func (b *Builder) Store(m Mem, v Src) {
-	b.emit(Op{Kind: OpStore, Dst: -1, A: m.Idx, B: v, Scope: m.Scope})
+	b.emit(Op{Kind: OpStore, Dst: -1, A: m.Idx, B: v, C: none, Scope: m.Scope})
 }
 
 // AtomicAdd fetch-adds delta into m, returning the old value.
 func (b *Builder) AtomicAdd(m Mem, delta Src) Src {
 	r := b.Reg()
-	b.emit(Op{Kind: OpAtomicAdd, Dst: r.Reg, A: m.Idx, B: delta, Scope: m.Scope})
+	b.emit(Op{Kind: OpAtomicAdd, Dst: r.Reg, A: m.Idx, B: delta, C: none, Scope: m.Scope})
 	return r
 }
 
 // AtomicAddX fetch-adds delta into m, discarding the old value.
 func (b *Builder) AtomicAddX(m Mem, delta Src) {
-	b.emit(Op{Kind: OpAtomicAdd, Dst: -1, A: m.Idx, B: delta, Scope: m.Scope})
+	b.emit(Op{Kind: OpAtomicAdd, Dst: -1, A: m.Idx, B: delta, C: none, Scope: m.Scope})
 }
 
 // AtomicExch exchanges v into m, returning the old value.
 func (b *Builder) AtomicExch(m Mem, v Src) Src {
 	r := b.Reg()
-	b.emit(Op{Kind: OpAtomicExch, Dst: r.Reg, A: m.Idx, B: v, Scope: m.Scope})
+	b.emit(Op{Kind: OpAtomicExch, Dst: r.Reg, A: m.Idx, B: v, C: none, Scope: m.Scope})
 	return r
 }
 
 // AtomicExchX exchanges v into m, discarding the old value.
 func (b *Builder) AtomicExchX(m Mem, v Src) {
-	b.emit(Op{Kind: OpAtomicExch, Dst: -1, A: m.Idx, B: v, Scope: m.Scope})
+	b.emit(Op{Kind: OpAtomicExch, Dst: -1, A: m.Idx, B: v, C: none, Scope: m.Scope})
 }
 
 // AtomicCAS compare-and-swaps m from cmp to v, returning the old value.
@@ -215,13 +219,13 @@ func (b *Builder) AtomicCAS(m Mem, cmp, v Src) Src {
 // AtomicLoad reads m at its synchronization point.
 func (b *Builder) AtomicLoad(m Mem) Src {
 	r := b.Reg()
-	b.emit(Op{Kind: OpAtomicLoad, Dst: r.Reg, A: m.Idx, Scope: m.Scope})
+	b.emit(Op{Kind: OpAtomicLoad, Dst: r.Reg, A: m.Idx, B: none, C: none, Scope: m.Scope})
 	return r
 }
 
 // AtomicStore writes v to m at its synchronization point.
 func (b *Builder) AtomicStore(m Mem, v Src) {
-	b.emit(Op{Kind: OpAtomicStore, Dst: -1, A: m.Idx, B: v, Scope: m.Scope})
+	b.emit(Op{Kind: OpAtomicStore, Dst: -1, A: m.Idx, B: v, C: none, Scope: m.Scope})
 }
 
 // SyncThreads emits the intra-WG barrier.
@@ -231,12 +235,12 @@ func (b *Builder) SyncThreads() {
 
 // AwaitEq blocks until m has been observed equal to want.
 func (b *Builder) AwaitEq(m Mem, want Src) {
-	b.emit(Op{Kind: OpAwaitEq, Dst: -1, A: m.Idx, B: want, Scope: m.Scope})
+	b.emit(Op{Kind: OpAwaitEq, Dst: -1, A: m.Idx, B: want, C: none, Scope: m.Scope})
 }
 
 // AwaitGE blocks until m has been observed >= want.
 func (b *Builder) AwaitGE(m Mem, want Src) {
-	b.emit(Op{Kind: OpAwaitGE, Dst: -1, A: m.Idx, B: want, Scope: m.Scope})
+	b.emit(Op{Kind: OpAwaitGE, Dst: -1, A: m.Idx, B: want, C: none, Scope: m.Scope})
 }
 
 // AcquireExch test-and-set acquires m: exchange locked in until the old

@@ -1,19 +1,15 @@
-// Package prog defines the register-machine program IR that WG kernels can
-// be expressed in instead of Go closures. A Program is plain data — an
-// address pool, a register count, and a flat op list — covering the whole
-// gpu.Device surface (compute, loads/stores, the five atomics, SyncThreads,
-// the policy-lowered waits and acquires) plus the control flow the
-// HeteroSync-style kernels need: bounded loops and branches over registers,
-// and per-WG launch-geometry constants (ID, group, rank).
+// Package prog defines the register-machine program IR every WG kernel is
+// written in. A Program is plain data — an address pool, a register count,
+// and a flat op list — covering every device operation a WG can issue
+// (compute, loads/stores, the five atomics, SyncThreads, the policy-lowered
+// waits and acquires) plus the control flow the HeteroSync-style kernels
+// need: bounded loops and branches over registers, and per-WG
+// launch-geometry constants (ID, group, rank).
 //
 // Because a Program is declarative data with no captured host state, the
-// machine can execute it inline — a resumable frame (pc + register file)
-// advanced directly in the response path, with no goroutine and no channel
-// rendezvous per device operation — and snapshots copy the frame instead of
-// replaying a response log. The same Program also runs unchanged against any
-// gpu.Device through the interpreter adapter (gpu.ExecIRProgram), which is
-// both the compatibility path and the differential-testing oracle: the two
-// executions must issue an identical device-operation sequence.
+// machine executes it inline — a resumable frame (pc + register file)
+// advanced directly in the response path — and snapshots, forks and fleet
+// migration copy the frame.
 //
 // Operands are Src values: a register index or an int64 immediate. Memory
 // operands are *pool indices* — the operand's value selects an address from
@@ -95,8 +91,7 @@ const (
 
 // OpKind enumerates the IR's operations. Pure ops execute inside the
 // interpreter with no simulated cost (they model the ALU work a real kernel
-// interleaves between synchronization operations, which the closure path
-// likewise executes for free between Device calls); device ops issue one
+// interleaves between synchronization operations); device ops issue one
 // simulated device operation each.
 type OpKind uint8
 
@@ -114,6 +109,13 @@ const (
 
 	// Device ops. Memory operands (A of every op below except OpCompute)
 	// are pool indices; Scope gives the variable's synchronization scope.
+	// Atomics return the value observed when the op was serviced at the
+	// variable's synchronization point (the L2 bank or the CU-local unit).
+	// Waits block until the variable has been observed to satisfy the
+	// comparison, returning that value; acquires repeat their atomic until
+	// it returns the unlocked (exch) or expected (CAS) value. How a WG
+	// waits between attempts — busy polling, backoff, timeouts, monitor
+	// arming, waiting atomics — is the active scheduling policy's choice.
 	OpCompute     // Compute(A) cycles; A <= 0 is a no-op
 	OpLoad        // dst = Load(pool[A])
 	OpStore       // Store(pool[A], B)

@@ -6,7 +6,6 @@ import (
 
 	"awgsim/internal/event"
 	"awgsim/internal/fault"
-	"awgsim/internal/gpu"
 	"awgsim/internal/metrics"
 )
 
@@ -33,7 +32,6 @@ import (
 var (
 	forkOff              atomic.Bool
 	snapshotEveryDefault atomic.Uint64
-	execModeDefault      atomic.Int64
 
 	forkForks       atomic.Uint64
 	forkCyclesSaved atomic.Uint64
@@ -49,15 +47,6 @@ func SetForking(on bool) { forkOff.Store(!on) }
 // stall diagnosis. Non-zero values disable prefix forking implicitly (the
 // ring changes the event stream, so such runs are not fork-eligible).
 func SetSnapshotEvery(n uint64) { snapshotEveryDefault.Store(n) }
-
-// SetExecMode sets the process-wide default for gpu.Config.Exec: whether
-// kernels carrying a program IR run on the machine's inline interpreter
-// (gpu.ExecIR, the default) or fall back to the goroutine runtime
-// (gpu.ExecGoroutine; awgexp -exec=goroutine selects it). The mode flows
-// through the config into the run-cache fingerprint, so the two execution
-// paths never share cached results even though their outputs are pinned
-// identical by the dual-mode golden check.
-func SetExecMode(m gpu.ExecMode) { execModeDefault.Store(int64(m)) }
 
 // ForkStats reports the fork planner's cumulative counters since process
 // start (or the last ResetForkStats): members completed by forking, prefix
@@ -192,7 +181,6 @@ func (g *forkGroup) run(jobs []Job, out []Outcome) {
 		return
 	}
 	m := s.m
-	m.SetResponseLogging(true)
 	m.Prepare()
 	limit := event.Cycle(prefixCfg.GPU.MaxCycles)
 	stop := g.diverge - 1
@@ -201,18 +189,17 @@ func (g *forkGroup) run(jobs []Job, out []Outcome) {
 	}
 	m.RunTo(stop)
 	if m.Deadlocked() || m.Engine().BudgetExhausted() {
-		m.FinishRun() // discard; tears the prefix goroutines down
+		m.FinishRun() // discard the stalled prefix
 		m.ReleaseBuffers()
 		cold()
 		return
 	}
 	snap := m.Snapshot()
-	m.SetResponseLogging(false)
 	prefixCycles := uint64(m.Engine().Now())
 	forkSnapBytes.Add(uint64(snap.Bytes()))
 
 	ran := uint64(0)
-	needTeardown := true // the prefix (or an arm-failed restore) left live WGs
+	needFinish := true // the prefix (or an arm-failed restore) is unfinished
 	for i := range g.members {
 		mem := &g.members[i]
 		key := jobs[mem.idx].Key
@@ -222,7 +209,7 @@ func (g *forkGroup) run(jobs []Job, out []Outcome) {
 			continue
 		}
 		m.Restore(snap)
-		needTeardown = true
+		needFinish = true
 		var res metrics.Result
 		armed := true
 		err := fault.ArmReserved(m, *mem.cfg.Faults, s.seqBase)
@@ -232,7 +219,7 @@ func (g *forkGroup) run(jobs []Job, out []Outcome) {
 			ran++
 			m.RunTo(limit)
 			res = m.FinishRun()
-			needTeardown = false
+			needFinish = false
 			totalCycles.Add(res.Cycles)
 			totalRuns.Add(1)
 			if !res.Deadlocked && !mem.cfg.SkipVerify && s.verify != nil {
@@ -249,13 +236,9 @@ func (g *forkGroup) run(jobs []Job, out []Outcome) {
 		forkForks.Add(ran)
 		forkCyclesSaved.Add(prefixCycles * (ran - 1))
 	}
-	if needTeardown {
+	if needFinish {
 		m.FinishRun() // discard: every member replayed from the cache
 	}
-	// The prefix's response logs (goroutine-mode members only; IR frames
-	// never log) have served their respawn purpose — drop them so a pooled
-	// worker machine does not retain O(prefix) memory per group.
-	m.DropResponseLogs()
 	// The group is done with its machine (and with snap, which dies here),
 	// so its buffers can seed the next group's construction.
 	m.ReleaseBuffers()

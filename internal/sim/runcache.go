@@ -95,33 +95,40 @@ func ResetCache() {
 	cacheHits.Store(0)
 }
 
-// evictLocked trims the cache to cacheCap, oldest insertion first. Entries
-// still simulating are never evicted — waiters are parked on their done
-// channel and the singleflight contract needs the map entry stable — so
-// the cache can transiently exceed the cap while everything resident is
-// in flight. Caller holds cacheMu.
+// evictLocked trims the cache to cacheCap, oldest insertion first,
+// consuming the queue from its head in place. Stale slots are dropped on
+// the way. Entries still simulating are never evicted — waiters are parked
+// on their done channel and the singleflight contract needs the map entry
+// stable — so they stay queued, in order, and the cache can transiently
+// exceed the cap while everything resident is in flight. Caller holds
+// cacheMu.
 func evictLocked() {
 	if cacheCap <= 0 || len(runCache) <= cacheCap {
 		return
 	}
 	over := len(runCache) - cacheCap
-	kept := make([]cacheQueueEntry, 0, len(cacheQueue))
-	for i, qe := range cacheQueue {
-		if over <= 0 {
-			kept = append(kept, cacheQueue[i:]...)
-			break
+	i := 0
+	for ; i < len(cacheQueue) && over > 0; i++ {
+		if qe := cacheQueue[i]; runCache[qe.key] == qe.e && qe.e.completed {
+			delete(runCache, qe.key)
+			over--
 		}
-		if runCache[qe.key] != qe.e {
-			continue // stale slot: entry already gone or replaced
-		}
-		if !qe.e.completed {
-			kept = append(kept, qe)
-			continue
-		}
-		delete(runCache, qe.key)
-		over--
 	}
-	cacheQueue = kept
+	// Every resident entry left in the scanned prefix is in flight: slide
+	// those up against the unscanned rest, keeping their order, and clear
+	// each vacated slot so the backing array pins no evicted entry. The
+	// queue then starts at the first survivor; appends reuse the array's
+	// spare capacity, so steady-state inserts do not allocate.
+	w := i
+	for j := i - 1; j >= 0; j-- {
+		qe := cacheQueue[j]
+		cacheQueue[j] = cacheQueueEntry{}
+		if runCache[qe.key] == qe.e {
+			w--
+			cacheQueue[w] = qe
+		}
+	}
+	cacheQueue = cacheQueue[w:]
 }
 
 // fingerprint canonically encodes a declarative Config, reporting ok=false

@@ -163,6 +163,50 @@ func TestEvictionSkipsInFlight(t *testing.T) {
 	}
 }
 
+// TestEvictionSteadyStateDoesNotAllocate: once the cache is full, each
+// insert evicts the oldest entry by trimming the queue's head in place —
+// no per-insert queue rebuild — and the FIFO order survives.
+func TestEvictionSteadyStateDoesNotAllocate(t *testing.T) {
+	ResetCache()
+	defer ResetCache()
+	const capN = 64
+	SetRunCacheCap(capN)
+	defer SetRunCacheCap(defaultRunCacheCap)
+	keys := make([]string, 4*capN)
+	entries := make([]*cacheEntry, len(keys))
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+		entries[i] = &cacheEntry{completed: true}
+	}
+	next := 0
+	insert := func() {
+		k, e := keys[next%len(keys)], entries[next%len(keys)]
+		next++
+		cacheMu.Lock()
+		runCache[k] = e
+		cacheQueue = append(cacheQueue, cacheQueueEntry{k, e})
+		evictLocked()
+		cacheMu.Unlock()
+	}
+	for range 3 * capN {
+		insert()
+	}
+	if allocs := testing.AllocsPerRun(10*capN, insert); allocs >= 1 {
+		t.Fatalf("%.2f allocations per steady-state insert, want < 1", allocs)
+	}
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	if len(runCache) != capN || len(cacheQueue) != capN {
+		t.Fatalf("cache holds %d entries (queue %d), want %d", len(runCache), len(cacheQueue), capN)
+	}
+	// The survivors are exactly the newest capN insertions, oldest first.
+	for i, qe := range cacheQueue {
+		if want := keys[(next-capN+i)%len(keys)]; qe.key != want || runCache[want] != qe.e {
+			t.Fatalf("queue slot %d holds %q, want %q", i, qe.key, want)
+		}
+	}
+}
+
 // TestResetCacheRacesConstructionError pins the first-arrival error
 // cleanup against a mid-run ResetCache: the map is swapped while the
 // arrival is constructing, a fresh arrival claims the same fingerprint in

@@ -107,12 +107,6 @@ func (c *Config) fill() error {
 		// ring changes the engine's event stream.
 		c.GPU.SnapshotEvery = snapshotEveryDefault.Load()
 	}
-	if c.GPU.Exec == gpu.ExecIR {
-		// The process-wide default (awgexp -exec) flows through the config
-		// like SnapshotEvery above; ExecIR is the zero value, so an explicit
-		// ExecGoroutine in cfg.GPU always wins.
-		c.GPU.Exec = gpu.ExecMode(execModeDefault.Load())
-	}
 	if c.Mem.LineSize == 0 {
 		c.Mem = mem.DefaultConfig()
 	}

@@ -46,7 +46,6 @@ func FuzzSnapshotRestore(f *testing.F) {
 			t.Fatal(err)
 		}
 		m := s.Machine()
-		m.SetResponseLogging(true)
 		m.Prepare()
 		m.RunTo(1 + event.Cycle(cut))
 		snap := m.Snapshot()

@@ -5,6 +5,7 @@ import (
 
 	"awgsim/internal/gpu"
 	"awgsim/internal/mem"
+	"awgsim/internal/prog"
 )
 
 // fakeSelector records calls and returns a fixed count (0 = all).
@@ -39,7 +40,7 @@ type harness struct {
 
 func newHarness(t *testing.T, cfg Config) *harness {
 	t.Helper()
-	spec := &gpu.KernelSpec{Name: "noop", NumWGs: 1, WIsPerWG: 64, Program: func(gpu.Device) {}}
+	spec := &gpu.KernelSpec{Name: "noop", NumWGs: 1, WIsPerWG: 64, IR: prog.NewBuilder().MustBuild()}
 	m, err := gpu.NewMachine(gpu.DefaultConfig(), mem.DefaultConfig(), spec, nopPolicy{})
 	if err != nil {
 		t.Fatal(err)
