@@ -12,7 +12,6 @@
 //	awgexp -golden GOLDEN.json -update-golden   # rewrite the golden record
 //	awgexp -cpuprofile cpu.out   # profile the suite (see README, Profiling)
 //	awgexp -nodedupe             # simulate every run, even repeated configs
-//	awgexp -no-fork              # simulate every sweep member from cycle zero
 //	awgexp -snapshot-every 50000 # time-travel traces for diagnosed deadlocks
 //	awgexp -golden-out out.json  # also write this run's golden record
 //	awgexp -list
@@ -50,13 +49,6 @@ type benchEntry struct {
 	SimCycles uint64  `json:"sim_cycles"` // simulated cycles across the experiment's runs
 	SimRuns   uint64  `json:"sim_runs"`
 	CacheHits uint64  `json:"cache_hits"` // runs replayed from the dedupe cache (counted in sim_runs)
-	// Fork-planner activity (see internal/sim/forkplan.go): members
-	// completed from a shared-prefix snapshot, the prefix cycles they did
-	// not re-simulate (counted in sim_cycles — the ledger matches the cold
-	// path), and the snapshot bytes captured.
-	Forks             uint64 `json:"forks"`
-	PrefixCyclesSaved uint64 `json:"prefix_cycles_saved"`
-	SnapshotBytes     uint64 `json:"snapshot_bytes"`
 	// Host allocator pressure per accounted run (runtime.ReadMemStats
 	// deltas across the experiment): the hot-state trajectory metric.
 	AllocsPerRun float64 `json:"allocs_per_run"`
@@ -77,10 +69,6 @@ type benchReport struct {
 	TotalCycles uint64       `json:"total_cycles"`
 	TotalRuns   uint64       `json:"total_runs"`
 	CacheHits   uint64       `json:"cache_hits"`
-	// Suite-wide fork-planner totals (see benchEntry).
-	Forks             uint64 `json:"forks"`
-	PrefixCyclesSaved uint64 `json:"prefix_cycles_saved"`
-	SnapshotBytes     uint64 `json:"snapshot_bytes"`
 	// IR ops the WG interpreter executed (gpu.ExecStats delta).
 	OpsInterpreted uint64 `json:"ops_interpreted"`
 }
@@ -112,16 +100,12 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the suite to this file")
 		memprofile = flag.String("memprofile", "", "write a heap allocation profile to this file at exit")
 		nodedupe   = flag.Bool("nodedupe", false, "disable run deduplication: simulate every job even when an identical Config already ran this invocation")
-		nofork     = flag.Bool("no-fork", false, "disable prefix-forked sweeps: simulate every fault-sweep member from cycle zero instead of forking a shared-prefix snapshot")
-		snapEvery  = flag.Uint64("snapshot-every", 0, "keep a ring of machine snapshots every N cycles; a diagnosed deadlock then attaches a time-travel trace replayed from the last pre-stall snapshot (0 = off; implies unforked runs)")
-		goldenOut  = flag.String("golden-out", "", "also write this run's golden record (deterministic outputs) to this file; CI diffs forked vs unforked records byte-for-byte")
+		snapEvery  = flag.Uint64("snapshot-every", 0, "keep a ring of machine snapshots every N cycles; a diagnosed deadlock then attaches a time-travel trace replayed from the last pre-stall snapshot (0 = off)")
+		goldenOut  = flag.String("golden-out", "", "also write this run's golden record (deterministic outputs) to this file")
 	)
 	flag.Parse()
 	if *nodedupe {
 		sim.SetDedupe(false)
-	}
-	if *nofork {
-		sim.SetForking(false)
 	}
 	if *snapEvery > 0 {
 		sim.SetSnapshotEvery(*snapEvery)
@@ -185,7 +169,6 @@ func main() {
 		start := time.Now() //lint:allow simdeterminism wall time for the bench trajectory only
 		cyc0, runs0 := sim.Totals()
 		hits0 := sim.CacheHits()
-		forks0, saved0, snapBytes0 := sim.ForkStats()
 		runtime.ReadMemStats(&ms0)
 		tab, err := e.Run(opts)
 		runtime.ReadMemStats(&ms1)
@@ -199,10 +182,6 @@ func main() {
 			SimRuns:   runs1 - runs0,
 			CacheHits: sim.CacheHits() - hits0,
 		}
-		forks1, saved1, snapBytes1 := sim.ForkStats()
-		entry.Forks = forks1 - forks0
-		entry.PrefixCyclesSaved = saved1 - saved0
-		entry.SnapshotBytes = snapBytes1 - snapBytes0
 		if entry.SimRuns > 0 {
 			entry.AllocsPerRun = float64(ms1.Mallocs-ms0.Mallocs) / float64(entry.SimRuns)
 			entry.BytesPerRun = float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(entry.SimRuns)
@@ -255,16 +234,11 @@ func main() {
 	report.TotalSecs = time.Since(suiteStart).Seconds() //lint:allow simdeterminism wall time for the bench trajectory only
 	report.TotalCycles, report.TotalRuns = sim.Totals()
 	report.CacheHits = sim.CacheHits()
-	report.Forks, report.PrefixCyclesSaved, report.SnapshotBytes = sim.ForkStats()
 	ops1, _ := gpu.ExecStats()
 	report.OpsInterpreted = ops1 - ops0
 	if report.CacheHits > 0 {
 		fmt.Fprintf(os.Stderr, "awgexp: run cache replayed %d of %d runs\n",
 			report.CacheHits, report.TotalRuns)
-	}
-	if report.Forks > 0 {
-		fmt.Fprintf(os.Stderr, "awgexp: fork planner completed %d runs from shared prefixes, saving %d prefix cycles\n",
-			report.Forks, report.PrefixCyclesSaved)
 	}
 
 	if *cpuprofile != "" {

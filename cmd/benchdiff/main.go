@@ -27,24 +27,18 @@ type entry struct {
 	WallSecs     float64 `json:"wall_secs"`
 	SimRuns      uint64  `json:"sim_runs"`
 	CacheHits    uint64  `json:"cache_hits"`
-	Forks        uint64  `json:"forks"`
-	PrefixSaved  uint64  `json:"prefix_cycles_saved"`
-	SnapBytes    uint64  `json:"snapshot_bytes"`
 	AllocsPerRun float64 `json:"allocs_per_run"`
 	BytesPerRun  float64 `json:"bytes_per_run"`
 }
 
 type report struct {
-	Generated   string  `json:"generated"`
-	GOMAXPROCS  int     `json:"gomaxprocs"`
-	Workers     int     `json:"workers"`
-	Quick       bool    `json:"quick"`
-	Exps        []entry `json:"experiments"`
-	TotalSecs   float64 `json:"total_secs"`
-	CacheHits   uint64  `json:"cache_hits"`
-	Forks       uint64  `json:"forks"`
-	PrefixSaved uint64  `json:"prefix_cycles_saved"`
-	SnapBytes   uint64  `json:"snapshot_bytes"`
+	Generated  string  `json:"generated"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
+	Workers    int     `json:"workers"`
+	Quick      bool    `json:"quick"`
+	Exps       []entry `json:"experiments"`
+	TotalSecs  float64 `json:"total_secs"`
+	CacheHits  uint64  `json:"cache_hits"`
 	// IR ops run by the WG interpreter.
 	OpsInterpreted uint64 `json:"ops_interpreted"`
 }
@@ -94,9 +88,6 @@ func main() {
 		if e.CacheHits > 0 {
 			extra = fmt.Sprintf("  [%d/%d runs from cache]", e.CacheHits, e.SimRuns)
 		}
-		if e.Forks > 0 {
-			extra += fmt.Sprintf("  [%d forked, %s prefix cycles saved]", e.Forks, human(e.PrefixSaved))
-		}
 		fmt.Printf("  %-10s %10.3f %10.3f %+7.1f%%   %.0f -> %.0f%s\n",
 			e.ID, p.WallSecs, e.WallSecs, pct(p.WallSecs, e.WallSecs), p.AllocsPerRun, e.AllocsPerRun, extra)
 	}
@@ -112,11 +103,6 @@ func main() {
 	}
 	if cur.CacheHits > 0 {
 		fmt.Printf("  run cache: %d replayed runs in the new entry\n", cur.CacheHits)
-	}
-	if cur.Forks > 0 || old.Forks > 0 {
-		fmt.Printf("  fork planner: %d -> %d forked runs, %s -> %s prefix cycles saved, %s -> %s snapshot bytes\n",
-			old.Forks, cur.Forks, human(old.PrefixSaved), human(cur.PrefixSaved),
-			human(old.SnapBytes), human(cur.SnapBytes))
 	}
 	if cur.OpsInterpreted > 0 || old.OpsInterpreted > 0 {
 		fmt.Printf("  interpreter: %s -> %s IR ops interpreted\n",
@@ -137,7 +123,7 @@ func pct(old, new float64) float64 {
 	return (new - old) / old * 100
 }
 
-// human renders a count with a k/M/G suffix for the fork-planner columns.
+// human renders a count with a k/M/G suffix.
 func human(n uint64) string {
 	switch {
 	case n >= 1_000_000_000:

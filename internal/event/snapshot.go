@@ -9,7 +9,7 @@ import (
 // clock, the sequence counter, the budget state and every pending calendar
 // entry; Restore rewinds the engine to exactly that point. A restored engine
 // fires the same events in the same (at, seq) order a never-interrupted one
-// would — the foundation of the machine-level fork/replay machinery.
+// would — the foundation of machine-level checkpoints and replays.
 //
 // Pooled Tasks need special care: a calendar entry's Env slots may reference
 // another *pending* Task (the atomic pipeline deposits a bank result into an
@@ -49,8 +49,8 @@ type savedEntry struct {
 	ref [4]int32
 }
 
-// snapEntryBytes approximates one savedEntry's memory footprint for the
-// fork-statistics accounting (exact sizing would need unsafe).
+// snapEntryBytes approximates one savedEntry's memory footprint for
+// Snapshot.Bytes (exact sizing would need unsafe).
 const snapEntryBytes = 176
 
 // Now reports the simulated cycle at which the snapshot was taken.
@@ -187,11 +187,12 @@ func (e *Engine) recycleBucket(b *bucket) {
 }
 
 // ReserveSeqs consumes n sequence numbers without scheduling anything and
-// returns the first. The fork planner reserves, at machine construction,
-// the seqs a cold run's fault arming would consume, so that closures
-// inserted after a restore (AtWithSeq) land in exactly the firing positions
-// the cold run gives them; a member using fewer than n shifts every later
-// seq uniformly, which cannot change same-cycle relative order.
+// returns the first. The fleet layer reserves, at machine construction,
+// the seqs a construction-time fault arming would consume, so that closures
+// inserted later (AtWithSeq) — at device placement, after a migration or a
+// restore — land in exactly the firing positions that arming gives them; a
+// schedule using fewer than n shifts every later seq uniformly, which
+// cannot change same-cycle relative order.
 func (e *Engine) ReserveSeqs(n int) uint64 {
 	base := e.seq + 1
 	e.seq += uint64(n)

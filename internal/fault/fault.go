@@ -214,9 +214,11 @@ func applicable(pol gpu.Policy, e Event) bool {
 }
 
 // CountApplicable reports how many engine events Arm would schedule for
-// sched under pol — the sequence numbers a cold arm consumes. The fork
-// planner reserves the group-wide maximum at machine construction so
-// ArmReserved can splice each member's faults into cold-run firing order.
+// sched under pol — the sequence numbers a construction-time arm consumes.
+// The fleet layer sizes one reserved sequence block per device schedule
+// with it at machine construction (sim.NewSessionReserving), so
+// ArmReserved can later splice each device's faults into the firing order
+// a construction-time arm gives them.
 func CountApplicable(pol gpu.Policy, sched Schedule) int {
 	n := 0
 	for _, e := range sched.Events {
@@ -227,29 +229,16 @@ func CountApplicable(pol gpu.Policy, sched Schedule) int {
 	return n
 }
 
-// FirstApplicableAt reports the cycle of the first fault that would
-// schedule an engine event under pol, and whether any would. The fork
-// planner simulates a sweep group's shared prefix up to just before the
-// earliest such cycle across its members.
-func FirstApplicableAt(pol gpu.Policy, sched Schedule) (event.Cycle, bool) {
-	for _, e := range sched.Events {
-		if applicable(pol, e) {
-			return e.At, true
-		}
-	}
-	return 0, false
-}
-
 // ArmReserved arms sched like Arm, but schedules each fault under a
 // previously reserved sequence number (seqBase + its applicable-event
-// index). The fork planner calls it after restoring a prefix snapshot: the
-// member's machine was built with a matching ReserveSeqs at the point a
-// cold run would Arm, so every fault splices into exactly the calendar
-// position the cold run gives it and same-cycle firing order — and
-// therefore the run's output — is bit-identical. A member consuming fewer
-// than the reserved count leaves trailing reservations unused, which shifts
-// all later sequence numbers uniformly and cannot reorder same-cycle
-// events.
+// index). The fleet layer calls it when a workload machine is placed on a
+// device: the machine was built with a matching ReserveSeqs at the point a
+// construction-time Arm would run (sim.NewSessionReserving), so every fault
+// splices into exactly the calendar position that arm gives it and
+// same-cycle firing order — and therefore the run's output — is
+// bit-identical. A schedule consuming fewer than the reserved count leaves
+// trailing reservations unused, which shifts all later sequence numbers
+// uniformly and cannot reorder same-cycle events.
 func ArmReserved(m *gpu.Machine, sched Schedule, seqBase uint64) error {
 	if err := sched.Validate(m.Config().NumCUs); err != nil {
 		return err

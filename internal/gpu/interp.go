@@ -16,7 +16,7 @@ import (
 // is issued to the timing model, and the engine event that completes it
 // writes the result register and advances the frame to the next device op.
 // No WG owns a goroutine, so the simulation runs on the caller's goroutine
-// alone, and snapshots, forks and fleet migration copy a WG's exact
+// alone, and snapshots and fleet migration copy a WG's exact
 // position in O(registers).
 
 // maxPureOps bounds the pure ops an interpreter slice may execute between

@@ -126,6 +126,7 @@ func NewMachine(cfg Config, memCfg mem.Config, spec *KernelSpec, pol Policy) (*M
 			state: StatePending,
 			cu:    NoCU,
 		}
+		m.initWG(m.wgs[i])
 	}
 	primary := &kernelRun{spec: spec, wgs: m.wgs}
 	for _, w := range m.wgs {
@@ -173,6 +174,7 @@ func (m *Machine) InjectKernel(spec *KernelSpec, at event.Cycle, priority int) (
 			state: StatePending,
 			cu:    NoCU,
 		}
+		m.initWG(w)
 		kr.wgs = append(kr.wgs, w)
 	}
 	m.allWGs = append(m.allWGs, kr.wgs...)
@@ -294,8 +296,8 @@ func (m *Machine) Done() bool { return m.completed == len(m.allWGs) }
 // progress signal.
 func (m *Machine) CompletedWGs() int { return m.completed }
 
-// Deadlocked reports whether the watchdog has declared the run dead (the
-// fork planner checks it to abandon forking when a shared prefix stalls).
+// Deadlocked reports whether the watchdog (or Halt) has declared the run
+// dead.
 func (m *Machine) Deadlocked() bool { return m.deadlocked }
 
 // Halt declares an unfinished run dead for an external reason — the fleet
@@ -457,6 +459,12 @@ func (m *Machine) syncThreads(w *WG) {
 	m.eng.AfterTask(event.Cycle(m.cfg.SyncThreadsLatency)*wf, t)
 }
 
+// initWG binds w's wait-episode completion callback. It is built once per
+// WG, so opening a wait episode allocates nothing.
+func (m *Machine) initWG(w *WG) {
+	w.waitDone = func(observed int64) { m.endWait(w, observed) }
+}
+
 // beginWait opens a wait episode: the policy retries op(a, b) on v until
 // the value it returns satisfies cmp against want (pure waits are OpLoad
 // polls; lock acquires are exchanges or CASes).
@@ -465,16 +473,22 @@ func (m *Machine) beginWait(w *WG, v Var, op AtomicOp, a, b, want int64, cmp Cmp
 	w.setPhase(now, true)
 	w.waitVar, w.waitWant, w.waitCmp, w.waitBegan = v, want, cmp, now
 	m.atomics.charBegin(w, v, want)
-	m.pol.Wait(w, v, op, a, b, want, cmp, hint, func(observed int64) {
-		m.atomics.charMet(w, v, want)
-		if d := uint64(m.eng.Now() - now); d > m.maxWait {
-			m.maxWait = d
-		}
-		w.setPhase(m.eng.Now(), false)
-		m.progress()
-		m.Trace(w, trace.Acquired)
-		m.step(w, observed)
-	})
+	m.pol.Wait(w, v, op, a, b, want, cmp, hint, w.waitDone)
+}
+
+// endWait closes w's wait episode with the value the policy observed and
+// resumes the WG's frame. The episode's condition and start cycle are the
+// ones beginWait recorded on the WG.
+func (m *Machine) endWait(w *WG, observed int64) {
+	now := m.eng.Now()
+	m.atomics.charMet(w, w.waitVar, w.waitWant)
+	if d := uint64(now - w.waitBegan); d > m.maxWait {
+		m.maxWait = d
+	}
+	w.setPhase(now, false)
+	m.progress()
+	m.Trace(w, trace.Acquired)
+	m.step(w, observed)
 }
 
 // finish retires a WG that ran off the end of its program.
@@ -573,9 +587,9 @@ func (m *Machine) Run() metrics.Result {
 // Prepare arms the run without driving the engine: the event budget, the
 // first dispatcher kick, the deadlock watchdog and — when SnapshotEvery is
 // set — the periodic snapshot ring the time-travel
-// diagnosis replays from. The fork planner uses the Prepare/RunTo/FinishRun
-// decomposition to pause a run at a sweep group's divergence point, snapshot
-// it, and finish it once per forked member. It may be called once.
+// diagnosis replays from. The fleet layer uses the Prepare/RunTo/FinishRun
+// decomposition to advance each workload in slices between which it may
+// checkpoint, migrate or halt the machine. It may be called once.
 func (m *Machine) Prepare() {
 	if m.ran {
 		panic("gpu: Machine.Run called twice")
@@ -626,8 +640,8 @@ func (m *Machine) Prepare() {
 func (m *Machine) RunTo(c event.Cycle) { m.eng.RunUntil(c) }
 
 // FinishRun classifies an unfinished run, renders the time-travel diagnosis
-// when a snapshot ring is armed, and assembles the result. After a snapshot Restore, RunTo/FinishRun may run again —
-// that is the fork planner's member loop.
+// when a snapshot ring is armed, and assembles the result. After a snapshot
+// Restore, RunTo/FinishRun may run again (FuzzSnapshotRestore relies on it).
 func (m *Machine) FinishRun() metrics.Result {
 	if !m.Done() {
 		m.deadlocked = true

@@ -78,7 +78,7 @@ type Snapshot struct {
 func (s *Snapshot) Now() event.Cycle { return s.eng.Now() }
 
 // Bytes estimates the snapshot's memory footprint (shared COW pages count
-// at pointer cost, so this reflects the O(dirty) fork cost).
+// at pointer cost, so this reflects the O(dirty) copy cost).
 func (s *Snapshot) Bytes() int {
 	n := 256 + s.eng.Bytes() + s.mem.Bytes()
 	n += 24 * len(s.kernels)

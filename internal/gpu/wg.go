@@ -46,6 +46,9 @@ type WG struct {
 	waitWant  int64
 	waitCmp   Cmp
 	waitBegan event.Cycle
+	// waitDone is the completion callback every wait episode hands the
+	// policy; Machine.initWG binds it once, when the WG is built.
+	waitDone func(observed int64)
 
 	stalled        bool // parked without issuing instructions (frees issue slots)
 	phaseStart     event.Cycle

@@ -12,8 +12,7 @@ package kernels
 // A pattern is pure data and round-trips through a canonical string
 // encoding that doubles as its benchmark name ("litmus:1:..."): a litmus
 // sim.Config is therefore fully declarative, so the session layer's run
-// cache, dedupe, and fork planner all apply to litmus sweeps exactly as
-// they do to the named suite.
+// cache applies to litmus sweeps exactly as it does to the named suite.
 //
 // The op discipline is deliberately restricted so abstract execution is
 // confluent (the property the oracles and Verify rely on): every variable

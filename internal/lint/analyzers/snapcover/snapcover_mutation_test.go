@@ -69,7 +69,7 @@ func runSnapcover(t *testing.T, src string) []checker.Finding {
 // from Restore must produce exactly one snapcover finding naming that
 // field. This is the failure mode the analyzer exists for — a field added
 // to the machine (or dropped from Restore in a refactor) silently
-// desyncing forked replays.
+// desyncing restored replays.
 func TestMutationDeletedRestoreField(t *testing.T) {
 	if findings := runSnapcover(t, snapSrc); len(findings) != 0 {
 		t.Fatalf("intact machine should be clean, got: %v", findings)

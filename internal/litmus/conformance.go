@@ -54,7 +54,7 @@ type Sweep struct {
 }
 
 // Conformance runs every pattern x policy x occupancy cell through the
-// session pool (so the run cache and fork planner apply) and checks each
+// session pool (so the run cache applies) and checks each
 // against the four progress-model oracles. budget is the per-run cycle
 // cap (0 = RunConfig's default); workers <= 0 selects GOMAXPROCS.
 func Conformance(patterns []kernels.Litmus, policies []string, occs []Occupancy, budget uint64, workers int) *Sweep {

@@ -8,7 +8,7 @@
 //
 // Because a Program is declarative data with no captured host state, the
 // machine executes it inline — a resumable frame (pc + register file)
-// advanced directly in the response path — and snapshots, forks and fleet
+// advanced directly in the response path — and snapshots and fleet
 // migration copy the frame.
 //
 // Operands are Src values: a register index or an int64 immediate. Memory

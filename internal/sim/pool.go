@@ -38,32 +38,19 @@ func RunAll(jobs []Job) []Outcome {
 
 // RunAllWorkers is RunAll with an explicit worker count; n <= 0 selects
 // GOMAXPROCS. n == 1 reproduces the serial path exactly (same order, same
-// goroutine).
-//
-// Jobs are first partitioned into work units by the fork planner
-// (forkplan.go): configs identical except for their fault schedules become
-// one unit that simulates the shared prefix once and forks each member from
-// a snapshot. Forking changes wall-clock only — each outcome stays
-// bit-identical to its cold run and lands at its job's index.
+// goroutine). Every job runs cold through runJob, so declarative configs
+// share the run cache (runcache.go) with every other caller of Run.
 func RunAllWorkers(jobs []Job, n int) []Outcome {
-	units := planUnits(jobs)
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if n > len(units) {
-		n = len(units)
+	if n > len(jobs) {
+		n = len(jobs)
 	}
 	out := make([]Outcome, len(jobs))
-	runUnit := func(u unit) {
-		if u.group != nil {
-			u.group.run(jobs, out)
-			return
-		}
-		out[u.single] = runJob(jobs[u.single])
-	}
 	if n <= 1 {
-		for _, u := range units {
-			runUnit(u)
+		for i := range jobs {
+			out[i] = runJob(jobs[i])
 		}
 		return out
 	}
@@ -75,10 +62,10 @@ func RunAllWorkers(jobs []Job, n int) []Outcome {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(units) {
+				if i >= len(jobs) {
 					return
 				}
-				runUnit(units[i])
+				out[i] = runJob(jobs[i])
 			}
 		}()
 	}

@@ -51,13 +51,15 @@ type cacheQueueEntry struct {
 // defaultRunCacheCap bounds the resident cache. Sweeps hold a few thousand
 // unique cells; long-lived processes (litmus hunts, fuzzers) churn through
 // unbounded fingerprints and previously grew the map without limit.
+// Eviction never changes results or the Totals() ledger — an evicted
+// duplicate simply re-simulates, bit-identically, on its next arrival.
 const defaultRunCacheCap = 8192
 
 var (
 	cacheMu    sync.Mutex
 	runCache   = map[string]*cacheEntry{}
-	cacheQueue []cacheQueueEntry // insertion order, guarded by cacheMu
-	cacheCap   = defaultRunCacheCap
+	cacheQueue []cacheQueueEntry    // insertion order, guarded by cacheMu
+	cacheCap   = defaultRunCacheCap // <= 0 removes the bound; guarded by cacheMu
 
 	dedupeOff atomic.Bool
 	cacheHits atomic.Uint64
@@ -70,17 +72,6 @@ var (
 
 // SetDedupe toggles run deduplication (on by default).
 func SetDedupe(on bool) { dedupeOff.Store(!on) }
-
-// SetRunCacheCap bounds how many completed runs stay resident (default
-// 8192); the oldest entries are evicted first. n <= 0 removes the bound.
-// Eviction never changes results or the Totals() ledger — an evicted
-// duplicate simply re-simulates, bit-identically, on its next arrival.
-func SetRunCacheCap(n int) {
-	cacheMu.Lock()
-	cacheCap = n
-	evictLocked()
-	cacheMu.Unlock()
-}
 
 // CacheHits reports how many runs were satisfied by replaying a cached
 // duplicate since process start (or the last ResetCache).

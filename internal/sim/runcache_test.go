@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"awgsim/internal/fault"
 	"awgsim/internal/mem"
 )
 
@@ -28,13 +29,31 @@ func TestFingerprintCoversConfig(t *testing.T) {
 	}
 }
 
+// setCacheCap bounds the run cache for one test.
+func setCacheCap(t *testing.T, n int) {
+	t.Helper()
+	cacheMu.Lock()
+	cacheCap = n
+	evictLocked()
+	cacheMu.Unlock()
+	t.Cleanup(func() {
+		cacheMu.Lock()
+		cacheCap = defaultRunCacheCap
+		cacheMu.Unlock()
+	})
+}
+
 // TestDedupeReplaysIdenticalResult: a duplicate Config replays the cached
 // Result bit for bit, counts a cache hit, and still accounts a run in
 // Totals() — and the replay equals what a genuine re-simulation produces.
+// The config carries a fault schedule, so the Faults section of the
+// fingerprint is exercised too.
 func TestDedupeReplaysIdenticalResult(t *testing.T) {
 	ResetCache()
 	ResetTotals()
 	cfg := quickConfig("SPM_G", "AWG", false, 3)
+	sched := fault.Scripted(cfg.GPU.NumCUs, 10_000)[0]
+	cfg.Faults = &sched
 	r1, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -103,8 +122,7 @@ func TestDedupeSkipsClosures(t *testing.T) {
 // the newest entries replay, the oldest re-simulate after eviction.
 func TestRunCacheBounded(t *testing.T) {
 	ResetCache()
-	SetRunCacheCap(4)
-	defer SetRunCacheCap(defaultRunCacheCap)
+	setCacheCap(t, 4)
 	for seed := uint64(101); seed <= 108; seed++ {
 		if _, err := Run(quickConfig("SPM_G", "AWG", false, seed)); err != nil {
 			t.Fatal(err)
@@ -138,8 +156,7 @@ func TestRunCacheBounded(t *testing.T) {
 func TestEvictionSkipsInFlight(t *testing.T) {
 	ResetCache()
 	defer ResetCache()
-	SetRunCacheCap(2)
-	defer SetRunCacheCap(defaultRunCacheCap)
+	setCacheCap(t, 2)
 	cacheMu.Lock()
 	inflight := &cacheEntry{done: make(chan struct{})}
 	runCache["k0"] = inflight
@@ -170,8 +187,7 @@ func TestEvictionSteadyStateDoesNotAllocate(t *testing.T) {
 	ResetCache()
 	defer ResetCache()
 	const capN = 64
-	SetRunCacheCap(capN)
-	defer SetRunCacheCap(defaultRunCacheCap)
+	setCacheCap(t, capN)
 	keys := make([]string, 4*capN)
 	entries := make([]*cacheEntry, len(keys))
 	for i := range keys {
@@ -225,13 +241,17 @@ func TestResetCacheRacesConstructionError(t *testing.T) {
 		t.Fatal("config not fingerprintable")
 	}
 
+	// One proceed channel per arrival: with a shared one, whichever parked
+	// arrival reaches its receive first would be released, not necessarily
+	// arrival 1.
 	ready := make(chan int)
-	proceed := make(chan struct{})
+	proceed := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
 	arrivals := 0
 	testHookConstruct = func() {
 		arrivals++
-		ready <- arrivals
-		<-proceed
+		n := arrivals
+		ready <- n
+		<-proceed[n-1]
 	}
 	defer func() { testHookConstruct = nil }()
 
@@ -242,7 +262,7 @@ func TestResetCacheRacesConstructionError(t *testing.T) {
 	go func() { _, err := Run(cfg); errs <- err }()
 	<-ready // arrival 2 owns the key in the new map, parked mid-construction
 
-	proceed <- struct{}{} // arrival 1: construction fails, cleanup runs
+	proceed[0] <- struct{}{} // arrival 1: construction fails, cleanup runs
 	if err := <-errs; err == nil {
 		t.Fatal("unknown benchmark built")
 	}
@@ -253,7 +273,7 @@ func TestResetCacheRacesConstructionError(t *testing.T) {
 		t.Fatal("arrival 1's cleanup deleted arrival 2's in-flight entry")
 	}
 
-	proceed <- struct{}{} // arrival 2 finishes (and removes its own entry)
+	proceed[1] <- struct{}{} // arrival 2 finishes (and removes its own entry)
 	if err := <-errs; err == nil {
 		t.Fatal("unknown benchmark built")
 	}

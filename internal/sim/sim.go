@@ -90,6 +90,13 @@ type Config struct {
 	Seed uint64
 }
 
+var snapshotEveryDefault atomic.Uint64
+
+// SetSnapshotEvery sets the process-wide default for gpu.Config.
+// SnapshotEvery: every run keeps a periodic snapshot ring for time-travel
+// stall diagnosis.
+func SetSnapshotEvery(n uint64) { snapshotEveryDefault.Store(n) }
+
 // fill derives defaults.
 func (c *Config) fill() error {
 	if c.Benchmark == "" && c.Kernel == nil {
@@ -142,7 +149,7 @@ type Session struct {
 	hasInjected bool
 
 	// seqBase is the first of the engine sequence numbers reserved in place
-	// of fault arming (fork-planner prefix sessions only; see newSession).
+	// of fault arming (NewSessionReserving only).
 	seqBase uint64
 }
 
@@ -171,12 +178,10 @@ func NewSessionReserving(cfg Config, reserve int) (*Session, error) {
 func (s *Session) SeqBase() uint64 { return s.seqBase }
 
 // newSession builds a simulation, optionally reserving engine sequence
-// numbers where fault arming would occur. The fork planner builds a sweep
-// group's shared-prefix session with Faults == nil and reserve set to the
-// group's largest applicable-event count: the reservation happens at
+// numbers where fault arming would occur: the reservation happens at
 // exactly the construction point fault.Arm would consume those numbers, so
-// a member's faults can later be spliced in (fault.ArmReserved) at the
-// calendar positions a cold run gives them.
+// faults spliced in later (fault.ArmReserved) land at the calendar
+// positions a construction-time arm gives them.
 func newSession(cfg Config, reserve int) (*Session, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -306,3 +311,13 @@ func Totals() (cycles, runs uint64) { return totalCycles.Load(), totalRuns.Load(
 
 // ResetTotals zeroes the simulated-work accounting.
 func ResetTotals() { totalCycles.Store(0); totalRuns.Store(0) }
+
+// ForkStats always reports zeros. It counted runs completed from a shared
+// sweep-prefix snapshot, the prefix cycles they skipped, and the snapshot
+// bytes; every sweep job now runs cold, so nothing is counted. It stays,
+// with ResetForkStats, only so existing callers keep compiling until they
+// drop it.
+func ForkStats() (forks, prefixCyclesSaved, snapshotBytes uint64) { return 0, 0, 0 }
+
+// ResetForkStats does nothing; see ForkStats.
+func ResetForkStats() {}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"awgsim/internal/fault"
 	"awgsim/internal/gpu"
 	"awgsim/internal/kernels"
+	"awgsim/internal/metrics"
 )
 
 // quickConfig builds a reduced-scale config matching the experiment
@@ -35,10 +37,53 @@ func disableDedupe(t *testing.T) {
 	t.Cleanup(func() { SetDedupe(true) })
 }
 
+// normalize strips the Diagnosis pointer so Results compare by value, and
+// returns its rendering for a separate comparison (two equal deadlocks
+// allocate distinct Diagnosis objects).
+func normalize(r metrics.Result) (metrics.Result, string) {
+	diag := ""
+	if r.Diagnosis != nil {
+		diag = r.Diagnosis.String() // includes the time-travel trace when present
+	}
+	r.Diagnosis = nil
+	return r, diag
+}
+
+// faultJobs builds a fault-injection sweep: one base config per (bench,
+// policy) crossed with scripted and random fault schedules, oversubscribed
+// 2x so Baseline deadlocks (exercising the diagnosis path).
+func faultJobs() []Job {
+	benches := []string{"SPM_G"}
+	policies := []string{"Baseline", "Timeout", "AWG"}
+	base := quickConfig("SPM_G", "Baseline", false, 0)
+	scheds := fault.Scripted(base.GPU.NumCUs, 10_000)[:2]
+	scheds = append(scheds,
+		fault.Random(1, base.GPU.NumCUs, 10_000, 80_000),
+		fault.Random(2, base.GPU.NumCUs, 10_000, 80_000))
+	var jobs []Job
+	for _, b := range benches {
+		for _, p := range policies {
+			for i := range scheds {
+				cfg := quickConfig(b, p, false, 0)
+				cfg.Params.NumWGs = 2 * cfg.GPU.NumCUs * cfg.GPU.MaxWGsPerCU
+				s := scheds[i]
+				cfg.Faults = &s
+				cfg.CycleBudget = 20_000_000
+				jobs = append(jobs, Job{
+					Key:    fmt.Sprintf("%s/%s/%s", b, p, s.Name),
+					Config: cfg,
+				})
+			}
+		}
+	}
+	return jobs
+}
+
 // TestRunAllMatchesSerial is the determinism regression the package doc
 // promises: a (benchmark × policy × seed) grid, including oversubscribed
-// runs, simulated twice through the parallel pool and once serially, must
-// produce equal metrics.Result values cell for cell.
+// runs, plus a fault-schedule sweep whose Baseline cells deadlock, simulated
+// twice through the parallel pool and once serially, must produce equal
+// metrics.Result values — and equal deadlock diagnoses — cell for cell.
 func TestRunAllMatchesSerial(t *testing.T) {
 	disableDedupe(t)
 	benches := []string{"SPM_G", "FAM_G", "TB_LG", "SLM_G"}
@@ -56,12 +101,18 @@ func TestRunAllMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+	jobs = append(jobs, faultJobs()...)
 	serial := RunAllWorkers(jobs, 1)
 	parallel1 := RunAll(jobs)
 	parallel2 := RunAllWorkers(jobs, 4)
+	deadlocks := 0
 	for i := range jobs {
 		if err := serial[i].Err; err != nil {
 			t.Fatalf("%s: serial run failed: %v", jobs[i].Key, err)
+		}
+		sr, sd := normalize(serial[i].Result)
+		if sr.Deadlocked {
+			deadlocks++
 		}
 		for run, got := range map[string]Outcome{"pool": parallel1[i], "pool-4": parallel2[i]} {
 			if got.Err != nil {
@@ -70,11 +121,19 @@ func TestRunAllMatchesSerial(t *testing.T) {
 			if got.Key != jobs[i].Key {
 				t.Fatalf("outcome %d key %q, want %q", i, got.Key, jobs[i].Key)
 			}
-			if got.Result != serial[i].Result {
+			gr, gd := normalize(got.Result)
+			if gr != sr {
 				t.Errorf("%s: %s result diverged from serial:\n  serial:   %+v\n  parallel: %+v",
-					jobs[i].Key, run, serial[i].Result, got.Result)
+					jobs[i].Key, run, sr, gr)
+			}
+			if gd != sd {
+				t.Errorf("%s: %s diagnosis diverged from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
+					jobs[i].Key, run, sd, gd)
 			}
 		}
+	}
+	if deadlocks == 0 {
+		t.Fatal("grid produced no deadlocked cell; the diagnosis path went untested")
 	}
 }
 
