@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint lint-fix fuzz ci bench-module bench benchdiff exp quick litmus-quick
+.PHONY: all build test race vet fmt lint lint-fix fuzz ci bench-module exp quick litmus-quick
 
 all: build
 
@@ -25,12 +25,9 @@ fmt:
 # registered in cmd/awglint): simdeterminism, hotpathalloc, hotpathmap,
 # snapcover, fpcover, replaypure, waiterhome, ctorerr, schedpast, plus
 # reduced nilness and shadow checks. Suppress a justified finding with
-# `//lint:allow <analyzer> <reason>` on (or above) the offending line. The
-# wall-clock cost of the suite is recorded into the newest
-# BENCH_results.json trajectory entry (tooling.lint_secs) so analyzer-cost
-# regressions show up alongside the perf trajectory.
+# `//lint:allow <analyzer> <reason>` on (or above) the offending line.
 lint:
-	$(GO) run ./cmd/awglint -bench-json BENCH_results.json ./...
+	$(GO) run ./cmd/awglint ./...
 
 # lint-fix applies the mechanical SuggestedFixes (e.g. After(0) -> After(1),
 # replaypure's `if !m.replaying { ... }` gate) in place, then re-reports
@@ -77,30 +74,15 @@ litmus-quick:
 # domain analyzers), the race-instrumented test suite (which exercises the
 # parallel experiment pool), the fuzz smokes, the golden-record drift
 # checks (suite-wide and the standalone litmus conformance gate), and the
-# benchmark module's own vet and tests. benchdiff is advisory (leading -):
-# the trajectory spans machines, so a wall-clock delta is a prompt to
-# look, not a gate.
+# benchmark module's own vet and tests. Performance is measured by
+# cmd/awgbench (`bash cmd/awgbench/run.sh`), not gated here.
 ci: fmt vet lint race fuzz golden litmus-quick bench-module
-	-$(GO) run ./cmd/benchdiff
 
 # bench-module vets and tests cmd/awgbench. It is a separate Go module, so
 # `go test ./...` at the root never builds it; this catches a change to a
 # public API it calls (gpu.ExecStats, sim.*, litmus.*).
 bench-module:
 	cd cmd/awgbench && $(GO) vet ./... && $(GO) test ./...
-
-# bench appends a perf-trajectory entry to BENCH_results.json and runs the
-# hot-path benchmarks: the event-engine calendar microbenchmarks and the
-# fig15-shaped (oversubscribed) and fault-injection experiment workloads.
-bench:
-	$(GO) run ./cmd/awgexp -quick -json BENCH_results.json > /dev/null
-	$(GO) test ./internal/event -bench 'BenchmarkEngine' -benchmem -run '^$$'
-	$(GO) test . -bench 'BenchmarkFig15Oversubscribed|BenchmarkFaults' -benchmem -run '^$$'
-
-# benchdiff compares the two newest trajectory entries and exits non-zero
-# on a >10% total wall-clock regression.
-benchdiff:
-	$(GO) run ./cmd/benchdiff
 
 # exp/quick print the full and reduced-scale experiment suites.
 exp:

@@ -74,8 +74,6 @@ func BenchmarkFig15Oversubscribed(b *testing.B) {
 func benchmarkSingleRun(b *testing.B, bench, policy string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		cfg := awg.Config{Benchmark: bench, Policy: policy}
-		cfg.GPU.NumCUs = 0 // defaults
 		res, err := awg.Run(awg.Config{Benchmark: bench, Policy: policy})
 		if err != nil {
 			b.Fatal(err)

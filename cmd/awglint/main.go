@@ -12,7 +12,7 @@
 //
 // Findings are suppressed line-by-line with a justified directive:
 //
-//	start := time.Now() //lint:allow simdeterminism wall-clock for bench trajectory only
+//	start := time.Now() //lint:allow simdeterminism wall-clock for a progress line, never in simulated state
 //
 // An unknown analyzer name in a directive is itself reported, so a typo
 // cannot silently disable a check.

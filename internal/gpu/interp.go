@@ -179,7 +179,7 @@ func (m *Machine) advanceIR(w *WG) {
 }
 
 // irOpsInterpreted is process-wide execution telemetry: how many IR ops the
-// interpreter executed. Pure telemetry for the bench trajectory — never part
+// interpreter executed. Pure telemetry for awgbench's gpu.ir_ops — never part
 // of metrics.Result — and, like sim.Totals, never rewound by snapshot
 // restores.
 var irOpsInterpreted atomic.Uint64

@@ -15,7 +15,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"awgsim/internal/lint/analysis"
 	"awgsim/internal/lint/load"
@@ -481,35 +480,6 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-// recordBenchTiming writes the lint wall time into the "tooling" section of
-// the newest trajectory entry in a BENCH_results.json-shaped file.
-func recordBenchTiming(path string, elapsed time.Duration, nFindings int) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var entries []map[string]any
-	if uerr := json.Unmarshal(data, &entries); uerr != nil {
-		return fmt.Errorf("%s: %v", path, uerr)
-	}
-	if len(entries) == 0 {
-		return fmt.Errorf("%s: no trajectory entries", path)
-	}
-	last := entries[len(entries)-1]
-	tooling, _ := last["tooling"].(map[string]any)
-	if tooling == nil {
-		tooling = map[string]any{}
-	}
-	tooling["lint_secs"] = float64(int(elapsed.Seconds()*1000)) / 1000
-	tooling["lint_findings"] = nFindings
-	last["tooling"] = tooling
-	out, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
 // Main is the cmd/awglint entry point: parses flags and package patterns,
 // prints findings to stderr, and exits non-zero when any survive.
 func Main(analyzers ...*analysis.Analyzer) {
@@ -521,14 +491,12 @@ func Main(analyzers ...*analysis.Analyzer) {
 // Flags: -fix applies suggested fixes; -json emits findings as a JSON
 // array; -baseline FILE tolerates findings recorded in FILE and fails only
 // on new ones; -write-baseline FILE records the current findings and exits
-// zero; -bench-json FILE stamps the lint wall time into FILE's newest
-// trajectory entry (tooling section).
+// zero.
 func MainInto(w io.Writer, args []string, analyzers ...*analysis.Analyzer) int {
 	fix := false
 	asJSON := false
 	baselinePath := ""
 	writeBaselinePath := ""
-	benchJSONPath := ""
 	var patterns []string
 	for i := 0; i < len(args); i++ {
 		a := args[i]
@@ -560,14 +528,8 @@ func MainInto(w io.Writer, args []string, analyzers ...*analysis.Analyzer) int {
 				return 2
 			}
 			writeBaselinePath = v
-		case a == "-bench-json" || a == "--bench-json":
-			v, ok := stringFlag("bench-json")
-			if !ok {
-				return 2
-			}
-			benchJSONPath = v
 		case a == "-h" || a == "--help":
-			fmt.Fprintln(w, "usage: awglint [-fix] [-json] [-baseline file] [-write-baseline file] [-bench-json file] [packages]")
+			fmt.Fprintln(w, "usage: awglint [-fix] [-json] [-baseline file] [-write-baseline file] [packages]")
 			fmt.Fprintln(w, "analyzers:")
 			for _, an := range analyzers {
 				doc, _, _ := strings.Cut(an.Doc, "\n")
@@ -582,21 +544,13 @@ func MainInto(w io.Writer, args []string, analyzers ...*analysis.Analyzer) int {
 		}
 	}
 
-	start := time.Now() //lint:allow simdeterminism tooling wall-clock for the lint-cost trajectory, not simulator state
 	findings, err := Run("", patterns, analyzers, fix)
-	elapsed := time.Since(start) //lint:allow simdeterminism tooling wall-clock for the lint-cost trajectory, not simulator state
 	if err != nil {
 		fmt.Fprintf(w, "awglint: %v\n", err)
 		return 2
 	}
 	wd, _ := os.Getwd()
 
-	if benchJSONPath != "" {
-		if err := recordBenchTiming(benchJSONPath, elapsed, len(findings)); err != nil {
-			fmt.Fprintf(w, "awglint: recording timing: %v\n", err)
-			return 2
-		}
-	}
 	if writeBaselinePath != "" {
 		if err := writeBaseline(writeBaselinePath, findings, wd); err != nil {
 			fmt.Fprintf(w, "awglint: writing baseline: %v\n", err)

@@ -25,8 +25,9 @@ import (
 //
 // Replays still account one run's cycles in Totals(), so the simulated-work
 // ledger (and the golden record's sim_cycles/sim_runs) is identical with
-// and without deduplication; only wall-clock changes. SetDedupe(false)
-// restores the always-simulate behaviour.
+// and without deduplication; only wall-clock changes. A caller that needs
+// a genuine re-simulation builds a Session (NewSession) or calls
+// ResetCache first.
 
 type cacheEntry struct {
 	done chan struct{} // closed when res/err/ran are final
@@ -61,7 +62,6 @@ var (
 	cacheQueue []cacheQueueEntry    // insertion order, guarded by cacheMu
 	cacheCap   = defaultRunCacheCap // <= 0 removes the bound; guarded by cacheMu
 
-	dedupeOff atomic.Bool
 	cacheHits atomic.Uint64
 
 	// testHookConstruct, when set (tests only), runs after a first arrival
@@ -69,9 +69,6 @@ var (
 	// where ResetCache can swap the map out from under it.
 	testHookConstruct func()
 )
-
-// SetDedupe toggles run deduplication (on by default).
-func SetDedupe(on bool) { dedupeOff.Store(!on) }
 
 // CacheHits reports how many runs were satisfied by replaying a cached
 // duplicate since process start (or the last ResetCache).
@@ -151,7 +148,7 @@ func runDeduped(cfg Config) (metrics.Result, error) {
 		return metrics.Result{}, err
 	}
 	key, ok := fingerprint(&cfg)
-	if !ok || dedupeOff.Load() {
+	if !ok {
 		return runFresh(cfg)
 	}
 	cacheMu.Lock()

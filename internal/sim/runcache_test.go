@@ -73,9 +73,7 @@ func TestDedupeReplaysIdenticalResult(t *testing.T) {
 		t.Fatalf("Totals() = %d cycles, %d runs; replay must account a run (want %d, 2)",
 			cycles, runs, 2*r1.Cycles)
 	}
-	SetDedupe(false)
-	defer SetDedupe(true)
-	r3, err := Run(cfg)
+	r3, err := runFresh(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,13 +90,6 @@ type Config struct {
 	Seed uint64
 }
 
-var snapshotEveryDefault atomic.Uint64
-
-// SetSnapshotEvery sets the process-wide default for gpu.Config.
-// SnapshotEvery: every run keeps a periodic snapshot ring for time-travel
-// stall diagnosis.
-func SetSnapshotEvery(n uint64) { snapshotEveryDefault.Store(n) }
-
 // fill derives defaults.
 func (c *Config) fill() error {
 	if c.Benchmark == "" && c.Kernel == nil {
@@ -107,12 +100,6 @@ func (c *Config) fill() error {
 	}
 	if c.GPU.NumCUs == 0 {
 		c.GPU = gpu.DefaultConfig()
-	}
-	if c.GPU.SnapshotEvery == 0 {
-		// The process-wide default (awgexp -snapshot-every) flows through the
-		// config — and therefore the run-cache fingerprint, since a snapshot
-		// ring changes the engine's event stream.
-		c.GPU.SnapshotEvery = snapshotEveryDefault.Load()
 	}
 	if c.Mem.LineSize == 0 {
 		c.Mem = mem.DefaultConfig()
@@ -257,18 +244,7 @@ func (s *Session) InjectedLatency() uint64 {
 // cycle cap, then functionally validates a completed run (unless
 // SkipVerify). A deadlocked run is not an error — Result.Deadlocked
 // reports it. Run may be called once.
-func (s *Session) Run() (metrics.Result, error) {
-	res := s.m.Run()
-	totalCycles.Add(res.Cycles)
-	totalRuns.Add(1)
-	if !res.Deadlocked && !s.cfg.SkipVerify && s.verify != nil {
-		if verr := s.verify(s.m.Mem().Read); verr != nil {
-			return res, fmt.Errorf("sim: %s under %s completed but failed validation: %w",
-				res.Benchmark, res.Policy, verr)
-		}
-	}
-	return res, nil
-}
+func (s *Session) Run() (metrics.Result, error) { return s.settle(s.m.Run()) }
 
 // Finish completes a staged run the caller drove itself through
 // Machine().Prepare/RunTo (the fleet layer's per-slice pacing does this):
@@ -276,31 +252,34 @@ func (s *Session) Run() (metrics.Result, error) {
 // the simulated work in the process-wide ledger, and functionally
 // validates a completed run exactly like Run. Call once, after the last
 // RunTo.
-func (s *Session) Finish() (metrics.Result, error) {
-	res := s.m.FinishRun()
+func (s *Session) Finish() (metrics.Result, error) { return s.settle(s.m.FinishRun()) }
+
+// settle accounts a finished run in the process-wide ledger and
+// functionally validates it unless it deadlocked or SkipVerify is set.
+func (s *Session) settle(res metrics.Result) (metrics.Result, error) {
 	totalCycles.Add(res.Cycles)
 	totalRuns.Add(1)
-	if !res.Deadlocked && !s.cfg.SkipVerify && s.verify != nil {
-		if verr := s.verify(s.m.Mem().Read); verr != nil {
-			return res, fmt.Errorf("sim: %s under %s completed but failed validation: %w",
-				res.Benchmark, res.Policy, verr)
-		}
+	if res.Deadlocked || s.cfg.SkipVerify || s.verify == nil {
+		return res, nil
+	}
+	if err := s.verify(s.m.Mem().Read); err != nil {
+		return res, fmt.Errorf("sim: %s under %s completed but failed validation: %w",
+			res.Benchmark, res.Policy, err)
 	}
 	return res, nil
 }
 
 // Run builds and executes one simulation. Fully-declarative Configs are
 // run-deduplicated: a Config equal to one already simulated this process
-// replays its cached Result (see runcache.go; SetDedupe(false) opts out).
-// Callers needing post-run access to the machine use NewSession directly,
-// which always simulates.
+// replays its cached Result (see runcache.go). Callers needing a genuine
+// re-simulation or post-run access to the machine use NewSession
+// directly, which always simulates.
 func Run(cfg Config) (metrics.Result, error) {
 	return runDeduped(cfg)
 }
 
 // totalCycles/totalRuns account all simulated work since process start (or
-// the last ResetTotals); the awgexp bench-trajectory writer records them
-// next to wall-clock so perf baselines compare like with like.
+// the last ResetTotals); awgexp's golden record pins them per experiment.
 var (
 	totalCycles atomic.Uint64
 	totalRuns   atomic.Uint64

@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"awgsim/internal/fault"
 	"awgsim/internal/gpu"
 	"awgsim/internal/kernels"
+	"awgsim/internal/mem"
 	"awgsim/internal/metrics"
 )
 
@@ -27,14 +29,6 @@ func quickConfig(bench, policy string, oversub bool, seed uint64) Config {
 		PreemptAt:     10_000,
 		Seed:          seed,
 	}
-}
-
-// disableDedupe turns the run cache off for one test, so repeated runs
-// genuinely re-simulate (replays would make determinism checks vacuous).
-func disableDedupe(t *testing.T) {
-	t.Helper()
-	SetDedupe(false)
-	t.Cleanup(func() { SetDedupe(true) })
 }
 
 // normalize strips the Diagnosis pointer so Results compare by value, and
@@ -85,7 +79,6 @@ func faultJobs() []Job {
 // twice through the parallel pool and once serially, must produce equal
 // metrics.Result values — and equal deadlock diagnoses — cell for cell.
 func TestRunAllMatchesSerial(t *testing.T) {
-	disableDedupe(t)
 	benches := []string{"SPM_G", "FAM_G", "TB_LG", "SLM_G"}
 	policies := []string{"Baseline", "Timeout", "MonNR-All", "AWG"}
 	seeds := []uint64{0, 1, 42}
@@ -102,9 +95,20 @@ func TestRunAllMatchesSerial(t *testing.T) {
 		}
 	}
 	jobs = append(jobs, faultJobs()...)
-	serial := RunAllWorkers(jobs, 1)
-	parallel1 := RunAll(jobs)
-	parallel2 := RunAllWorkers(jobs, 4)
+	// Every pass starts from an empty run cache and must simulate each job:
+	// a pass that replayed cached Results would compare them with
+	// themselves.
+	pass := func(workers int) []Outcome {
+		ResetCache()
+		out := RunAllWorkers(jobs, workers)
+		if h := CacheHits(); h != 0 {
+			t.Fatalf("%d-worker pass replayed %d runs from the run cache", workers, h)
+		}
+		return out
+	}
+	serial := pass(1)
+	parallel1 := pass(0) // RunAll's GOMAXPROCS-wide pool
+	parallel2 := pass(4)
 	deadlocks := 0
 	for i := range jobs {
 		if err := serial[i].Err; err != nil {
@@ -140,12 +144,11 @@ func TestRunAllMatchesSerial(t *testing.T) {
 // TestSeedPerturbsRun checks the seed axis is live: different seeds may
 // produce different timings, equal seeds must reproduce exactly.
 func TestSeedPerturbsRun(t *testing.T) {
-	disableDedupe(t)
-	a1, err := Run(quickConfig("SPM_G", "AWG", false, 7))
+	a1, err := runFresh(quickConfig("SPM_G", "AWG", false, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := Run(quickConfig("SPM_G", "AWG", false, 7))
+	a2, err := runFresh(quickConfig("SPM_G", "AWG", false, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,6 +181,58 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Benchmark: "SPM_G"}); err == nil {
 		t.Error("config without policy accepted")
+	}
+}
+
+// TestSessionValidationFailure: a completed run whose Verify fails reports
+// the error through Session.Run and through a staged Prepare/RunTo/Finish
+// alike, and each path accounts exactly one run in Totals(). SkipVerify
+// lets the same run pass.
+func TestSessionValidationFailure(t *testing.T) {
+	errCorrupt := errors.New("corrupt counter")
+	config := func(skipVerify bool) Config {
+		cfg := quickConfig("SPM_G", "AWG", false, 0)
+		b, err := kernels.Build(cfg.Benchmark, cfg.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Benchmark = ""
+		cfg.Kernel, cfg.Init = &b.Spec, b.Init
+		cfg.Verify = func(func(mem.Addr) int64) error { return errCorrupt }
+		cfg.SkipVerify = skipVerify
+		return cfg
+	}
+	staged := func(s *Session) (metrics.Result, error) {
+		m := s.Machine()
+		m.Prepare()
+		m.RunTo(m.CycleLimit())
+		return s.Finish()
+	}
+	for _, path := range []struct {
+		name string
+		run  func(*Session) (metrics.Result, error)
+	}{{"Run", (*Session).Run}, {"Finish", staged}} {
+		for _, skip := range []bool{false, true} {
+			s, err := NewSession(config(skip))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ResetTotals()
+			res, err := path.run(s)
+			s.Release()
+			if res.Deadlocked || res.Cycles == 0 {
+				t.Fatalf("%s: run did not complete: %+v", path.name, res)
+			}
+			if skip && err != nil {
+				t.Errorf("%s with SkipVerify: %v", path.name, err)
+			}
+			if !skip && !errors.Is(err, errCorrupt) {
+				t.Errorf("%s: error %v, want the Verify failure", path.name, err)
+			}
+			if cycles, runs := Totals(); runs != 1 || cycles != res.Cycles {
+				t.Errorf("%s: Totals() = %d cycles, %d runs; want %d, 1", path.name, cycles, runs, res.Cycles)
+			}
+		}
 	}
 }
 
