@@ -21,17 +21,15 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# lint runs awglint, the repo's domain analyzer suite (the eleven analyzers
-# registered in cmd/awglint): simdeterminism, hotpathalloc, hotpathmap,
-# snapcover, fpcover, replaypure, waiterhome, ctorerr, schedpast, plus
-# reduced nilness and shadow checks. Suppress a justified finding with
-# `//lint:allow <analyzer> <reason>` on (or above) the offending line.
+# lint runs awglint, the repo's domain analyzer suite; for the registered
+# analyzers, see `go run ./cmd/awglint -h`. Suppress a justified finding
+# with `//lint:allow <analyzer> <reason>` on (or above) the offending line.
 lint:
 	$(GO) run ./cmd/awglint ./...
 
-# lint-fix applies the mechanical SuggestedFixes (e.g. After(0) -> After(1),
-# replaypure's `if !m.replaying { ... }` gate) in place, then re-reports
-# anything that remains.
+# lint-fix applies the mechanical SuggestedFixes in place (the remaining one
+# is schedpast's After(0) -> After(1)), then re-reports anything that
+# remains.
 lint-fix:
 	$(GO) run ./cmd/awglint -fix ./...
 

@@ -4,11 +4,9 @@
 //
 // Usage:
 //
-//	go run ./cmd/awglint ./...                     # report findings (exit 1 if any)
-//	go run ./cmd/awglint -fix ./...                # also apply mechanical suggested fixes
-//	go run ./cmd/awglint -json ./...               # machine-readable findings
-//	go run ./cmd/awglint -write-baseline B ./...   # snapshot current findings
-//	go run ./cmd/awglint -baseline B ./...         # report only new findings
+//	go run ./cmd/awglint ./...          # report findings (exit 1 if any)
+//	go run ./cmd/awglint -fix ./...     # also apply mechanical suggested fixes
+//	go run ./cmd/awglint -h             # list the registered analyzers
 //
 // Findings are suppressed line-by-line with a justified directive:
 //
@@ -20,11 +18,9 @@ package main
 
 import (
 	"awgsim/internal/lint/analyzers/ctorerr"
-	"awgsim/internal/lint/analyzers/fpcover"
 	"awgsim/internal/lint/analyzers/hotpathalloc"
 	"awgsim/internal/lint/analyzers/hotpathmap"
 	"awgsim/internal/lint/analyzers/nilness"
-	"awgsim/internal/lint/analyzers/replaypure"
 	"awgsim/internal/lint/analyzers/schedpast"
 	"awgsim/internal/lint/analyzers/shadow"
 	"awgsim/internal/lint/analyzers/simdeterminism"
@@ -39,8 +35,6 @@ func main() {
 		hotpathalloc.Analyzer,
 		hotpathmap.Analyzer,
 		snapcover.Analyzer,
-		fpcover.Analyzer,
-		replaypure.Analyzer,
 		waiterhome.Analyzer,
 		ctorerr.Analyzer,
 		schedpast.Analyzer,

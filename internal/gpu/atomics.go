@@ -14,7 +14,7 @@ import (
 // its value applies. The SyncMon implementations subscribe through this.
 type AtomicObserver func(by *WG, v Var, op AtomicOp, old, new int64)
 
-// atomicUnit is the production atomic pipeline: it routes atomics and
+// atomicUnit is the machine's atomic pipeline: it routes atomics and
 // monitor arms to the variable's synchronization point with the memory
 // system's timing, applies value effects at bank-service time, fans out to
 // observers, and keeps the Table 2 synchronization characterization.
@@ -65,6 +65,7 @@ func newAtomicUnit(m *Machine) *atomicUnit {
 	})}
 }
 
+// subscribe registers f for every atomic's bank-service instant.
 func (p *atomicUnit) subscribe(f AtomicObserver) {
 	p.observers = append(p.observers, f)
 }
@@ -202,6 +203,7 @@ func (p *atomicUnit) charFor(v Var) *varChar {
 	return &p.charSlab[*r-1]
 }
 
+// charBegin/charMet bracket one wait episode for the Table 2 stats.
 func (p *atomicUnit) charBegin(w *WG, v Var, want int64) {
 	c := p.charFor(v)
 	seen := false
@@ -284,6 +286,7 @@ type charSummary struct {
 	stats    metrics.SyncVarStats
 }
 
+// characterization computes the run's charSummary.
 func (p *atomicUnit) characterization() charSummary {
 	var conds, maxW int
 	var updSum float64

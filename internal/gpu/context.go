@@ -7,7 +7,7 @@ import (
 	"awgsim/internal/trace"
 )
 
-// ctxSwitcher is the production context engine: it sequences every WG
+// ctxSwitcher is the machine's context engine: it sequences every WG
 // context save and restore (CP firmware latency plus the context-size
 // memory traffic of Figure 5) and implements the CU-level preemption of the
 // paper's dynamic resource-loss experiment.

@@ -137,7 +137,8 @@ func (f *irFrame) runPure() (*prog.Op, uint64) {
 func (m *Machine) advanceIR(w *WG) {
 	f := w.frame
 	op, n := f.runPure()
-	//lint:allow replaypure interpreter work meter, not simulation state; IR frames restore by copy, never by replay
+	// irOps is an interpreter work meter, not simulation state: a
+	// diagnosis replay counts its window again.
 	m.irOps += n
 	if op == nil {
 		m.finish(w)

@@ -33,9 +33,10 @@ type Policy interface {
 
 // Machine is the whole simulated GPU. It owns the event engine, the memory
 // hierarchy, the WG interpreter frames and their device-op issue, and wires
-// three collaborators (see subsystems.go) that do everything else: the
-// dispatcher places WGs onto CUs, the atomic pipeline services atomics at
-// the L2, and the context engine saves and restores WG contexts.
+// three collaborators that do everything else: the dispatcher (scheduler.go)
+// places WGs onto CUs, the atomic pipeline (atomics.go) services atomics at
+// the L2, and the context engine (context.go) saves and restores WG
+// contexts.
 type Machine struct {
 	cfg  Config
 	eng  *event.Engine
@@ -43,9 +44,9 @@ type Machine struct {
 	spec *KernelSpec
 	pol  Policy
 
-	sched   dispatcher
-	atomics atomicPipeline
-	ctx     contextEngine
+	sched   *scheduler
+	atomics *atomicUnit
+	ctx     *ctxSwitcher
 
 	wgs     []*WG // primary kernel's WGs (results, charz)
 	kernels []*kernelRun

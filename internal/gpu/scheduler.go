@@ -2,10 +2,11 @@ package gpu
 
 import "awgsim/internal/event"
 
-// scheduler is the production dispatcher: it owns the CU resource pools and
-// the two WG queues and places WGs onto CUs whenever resources free up. It
-// asks the context engine to restore ready WGs and the machine to launch
-// never-started ones.
+// scheduler is the machine's dispatcher: it owns the CU resource pools, the
+// two WG queues (never-started pending WGs and switched-out ready WGs) and
+// the dispatcher serialization slot, and places WGs onto CUs whenever
+// resources free up. It asks the context engine to restore ready WGs and
+// the machine to launch never-started ones.
 type scheduler struct {
 	m   *Machine
 	cus []*computeUnit
@@ -30,6 +31,7 @@ func newScheduler(m *Machine) *scheduler {
 	return s
 }
 
+// cu resolves a CU by id.
 func (s *scheduler) cu(id CUID) *computeUnit { return s.cus[id] }
 
 // enqueuePending inserts WGs into the pending queue in priority order

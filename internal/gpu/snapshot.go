@@ -178,14 +178,7 @@ func cloneVarChar(c *varChar) varChar {
 // Snapshot captures the machine's simulated state. It must be called between
 // events (from the driving goroutine, or from within a single event).
 func (m *Machine) Snapshot() *Snapshot {
-	sched, ok := m.sched.(*scheduler)
-	if !ok {
-		panic("gpu: Snapshot requires the production scheduler")
-	}
-	au, ok := m.atomics.(*atomicUnit)
-	if !ok {
-		panic("gpu: Snapshot requires the production atomic pipeline")
-	}
+	sched, au := m.sched, m.atomics
 	s := &Snapshot{
 		eng:          m.eng.Snapshot(),
 		mem:          m.mem.Snapshot(),
@@ -263,8 +256,7 @@ func (m *Machine) Snapshot() *Snapshot {
 // continues with RunTo/FinishRun and is bit-identical to a run that was
 // never interrupted.
 func (m *Machine) Restore(s *Snapshot) {
-	sched := m.sched.(*scheduler)
-	au := m.atomics.(*atomicUnit)
+	sched, au := m.sched, m.atomics
 	m.eng.Restore(s.eng)
 	m.mem.Restore(s.mem)
 	m.Count = s.count
@@ -360,10 +352,10 @@ func (m *Machine) pushRingSnapshot() {
 // enabled and renders the timeline: the machine rewinds to the newest ring
 // snapshot at or before the last progress event, runs to the diagnosis
 // cycle recording every scheduling event, then restores its end state. The
-// replay is cycle- and seq-identical to the original run (the watchdog and
-// ring closures consume identical engine state under m.replaying), except
-// that a JitterCP window replays against the jitter stream's advanced state
-// — acceptable for a diagnostic artifact.
+// watchdog and ring closures consume identical engine state under
+// m.replaying, so the replay must land where the original run was
+// diagnosed; replayDivergence checks that, and the rendered header reports
+// any mismatch.
 func (m *Machine) replayTrace() string {
 	diag := m.diag
 	endSnap := m.Snapshot()
@@ -379,11 +371,32 @@ func (m *Machine) replayTrace() string {
 	m.Restore(pick)
 	m.tracer = rec
 	m.RunTo(event.Cycle(diag.AtCycle))
+	diverged := m.replayDivergence(diag)
 	m.tracer = oldTracer
 	m.Restore(endSnap)
 	m.replaying = false
 	var b strings.Builder
 	fmt.Fprintf(&b, "replay of cycles %d..%d (%s):\n", uint64(pick.Now()), diag.AtCycle, rec.Signature())
+	if diverged != "" {
+		fmt.Fprintf(&b, "replay diverged from the diagnosed run: %s\n", diverged)
+	}
 	b.WriteString(rec.Timeline(100))
 	return b.String()
+}
+
+// replayDivergence is the runtime replay-purity check: it compares the
+// replayed run's WG completions, last progress and stop cycle with the
+// diagnosis it re-derives, describing each mismatch ("" when all agree).
+func (m *Machine) replayDivergence(d *metrics.Diagnosis) string {
+	var diffs []string
+	if m.completed != d.Completed {
+		diffs = append(diffs, fmt.Sprintf("%d WGs completed, diagnosis has %d", m.completed, d.Completed))
+	}
+	if got := uint64(m.lastProgress); got != d.LastProgress {
+		diffs = append(diffs, fmt.Sprintf("last progress at cycle %d, diagnosis has %d", got, d.LastProgress))
+	}
+	if got := uint64(m.eng.Now()); got != d.AtCycle {
+		diffs = append(diffs, fmt.Sprintf("stopped at cycle %d, diagnosis has %d", got, d.AtCycle))
+	}
+	return strings.Join(diffs, "; ")
 }

@@ -7,7 +7,6 @@
 package checker
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -395,14 +394,7 @@ func applyFixes(findings []Finding) error {
 	return nil
 }
 
-// baselineKey identifies a finding for baseline matching. Line numbers are
-// deliberately excluded so unrelated edits above a known finding don't make
-// it look new; the count per key catches genuine duplicates.
-func baselineKey(f Finding, wd string) string {
-	file := relTo(f.Position.Filename, wd)
-	return f.Package + "|" + file + "|" + f.Analyzer + "|" + f.Message
-}
-
+// relTo renders path relative to wd when it lies beneath it.
 func relTo(path, wd string) string {
 	if wd == "" {
 		return path
@@ -413,73 +405,6 @@ func relTo(path, wd string) string {
 	return path
 }
 
-// baselineFile is the on-disk baseline format: finding keys to counts.
-type baselineFile struct {
-	Comment  string         `json:"comment,omitempty"`
-	Findings map[string]int `json:"findings"`
-}
-
-// loadBaseline reads a baseline written by -write-baseline.
-func loadBaseline(path string) (map[string]int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var bf baselineFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return nil, fmt.Errorf("baseline %s: %v", path, err)
-	}
-	if bf.Findings == nil {
-		bf.Findings = map[string]int{}
-	}
-	return bf.Findings, nil
-}
-
-// writeBaseline records the findings so later runs fail only on new ones.
-func writeBaseline(path string, findings []Finding, wd string) error {
-	bf := baselineFile{
-		Comment:  "awglint baseline: known findings tolerated by CI; regenerate with awglint -write-baseline",
-		Findings: map[string]int{},
-	}
-	for _, f := range findings {
-		bf.Findings[baselineKey(f, wd)]++
-	}
-	data, err := json.MarshalIndent(bf, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// filterBaseline drops findings covered by the baseline, consuming counts
-// so N baselined instances tolerate at most N occurrences.
-func filterBaseline(findings []Finding, baseline map[string]int, wd string) []Finding {
-	budget := make(map[string]int, len(baseline))
-	for k, v := range baseline {
-		budget[k] = v
-	}
-	var out []Finding
-	for _, f := range findings {
-		k := baselineKey(f, wd)
-		if budget[k] > 0 {
-			budget[k]--
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
-// jsonFinding is the -json output shape, one object per finding.
-type jsonFinding struct {
-	Package  string `json:"package"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 // Main is the cmd/awglint entry point: parses flags and package patterns,
 // prints findings to stderr, and exits non-zero when any survive.
 func Main(analyzers ...*analysis.Analyzer) {
@@ -487,49 +412,18 @@ func Main(analyzers ...*analysis.Analyzer) {
 }
 
 // MainInto is Main with injectable output and arguments, for testing.
-//
-// Flags: -fix applies suggested fixes; -json emits findings as a JSON
-// array; -baseline FILE tolerates findings recorded in FILE and fails only
-// on new ones; -write-baseline FILE records the current findings and exits
-// zero.
+// Findings print one per line as `file:line:col: analyzer: message`, with
+// file relative to the working directory. The -fix flag applies suggested
+// fixes.
 func MainInto(w io.Writer, args []string, analyzers ...*analysis.Analyzer) int {
 	fix := false
-	asJSON := false
-	baselinePath := ""
-	writeBaselinePath := ""
 	var patterns []string
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		stringFlag := func(name string) (string, bool) {
-			if a != "-"+name && a != "--"+name {
-				return "", false
-			}
-			if i+1 >= len(args) {
-				fmt.Fprintf(w, "awglint: -%s needs a file argument\n", name)
-				return "", false
-			}
-			i++
-			return args[i], true
-		}
+	for _, a := range args {
 		switch {
 		case a == "-fix" || a == "--fix":
 			fix = true
-		case a == "-json" || a == "--json":
-			asJSON = true
-		case a == "-baseline" || a == "--baseline":
-			v, ok := stringFlag("baseline")
-			if !ok {
-				return 2
-			}
-			baselinePath = v
-		case a == "-write-baseline" || a == "--write-baseline":
-			v, ok := stringFlag("write-baseline")
-			if !ok {
-				return 2
-			}
-			writeBaselinePath = v
 		case a == "-h" || a == "--help":
-			fmt.Fprintln(w, "usage: awglint [-fix] [-json] [-baseline file] [-write-baseline file] [packages]")
+			fmt.Fprintln(w, "usage: awglint [-fix] [packages]")
 			fmt.Fprintln(w, "analyzers:")
 			for _, an := range analyzers {
 				doc, _, _ := strings.Cut(an.Doc, "\n")
@@ -550,48 +444,10 @@ func MainInto(w io.Writer, args []string, analyzers ...*analysis.Analyzer) int {
 		return 2
 	}
 	wd, _ := os.Getwd()
-
-	if writeBaselinePath != "" {
-		if err := writeBaseline(writeBaselinePath, findings, wd); err != nil {
-			fmt.Fprintf(w, "awglint: writing baseline: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(w, "awglint: baseline with %d finding(s) written to %s\n", len(findings), writeBaselinePath)
-		return 0
-	}
-	if baselinePath != "" {
-		baseline, err := loadBaseline(baselinePath)
-		if err != nil {
-			fmt.Fprintf(w, "awglint: %v\n", err)
-			return 2
-		}
-		findings = filterBaseline(findings, baseline, wd)
-	}
-
-	if asJSON {
-		out := make([]jsonFinding, 0, len(findings))
-		for _, f := range findings {
-			out = append(out, jsonFinding{
-				Package:  f.Package,
-				File:     relTo(f.Position.Filename, wd),
-				Line:     f.Position.Line,
-				Column:   f.Position.Column,
-				Analyzer: f.Analyzer,
-				Message:  f.Message,
-			})
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fmt.Fprintf(w, "awglint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintln(w, string(data))
-	} else {
-		for _, f := range findings {
-			pos := f.Position
-			pos.Filename = relTo(pos.Filename, wd)
-			fmt.Fprintf(w, "%s: %s: %s\n", pos, f.Analyzer, f.Message)
-		}
+	for _, f := range findings {
+		pos := f.Position
+		pos.Filename = relTo(pos.Filename, wd)
+		fmt.Fprintf(w, "%s: %s: %s\n", pos, f.Analyzer, f.Message)
 	}
 	if len(findings) > 0 {
 		return 1

@@ -2,10 +2,11 @@ package checker
 
 import (
 	"bytes"
-	"encoding/json"
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -69,112 +70,44 @@ func TestDirectives(t *testing.T) {
 // simdeterminism analyzer (kept in sync with TestDirectives's wants).
 const dirsFindings = 6
 
-// TestJSONOutput drives MainInto with -json and checks the machine-readable
-// rendering: a JSON array sorted by (package, file, line, column, analyzer)
-// with workdir-relative paths.
-func TestJSONOutput(t *testing.T) {
+// findingLine is the plain rendering of one finding:
+// `file:line:col: analyzer: message`.
+var findingLine = regexp.MustCompile(`^([^:]+):(\d+):(\d+): \w+: .+$`)
+
+// TestPlainOutput drives MainInto and checks the rendering: exit 1, one
+// `file:line:col: analyzer: message` line per finding with a
+// workdir-relative file, sorted by (file, line, column).
+func TestPlainOutput(t *testing.T) {
 	var buf bytes.Buffer
-	code := MainInto(&buf, []string{"-json", "./testdata/src/dirs"}, simdeterminism.Analyzer)
+	code := MainInto(&buf, []string{"./testdata/src/dirs"}, simdeterminism.Analyzer)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1; output:\n%s", code, buf.String())
 	}
-	var got []struct {
-		Package  string `json:"package"`
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Column   int    `json:"column"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != dirsFindings {
+		t.Fatalf("got %d lines, want %d:\n%s", len(lines), dirsFindings, buf.String())
 	}
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatalf("output is not a JSON array: %v\n%s", err, buf.String())
+	type pos struct {
+		file      string
+		line, col int
 	}
-	if len(got) != dirsFindings {
-		t.Fatalf("got %d findings, want %d:\n%s", len(got), dirsFindings, buf.String())
-	}
-	for i, f := range got {
-		if f.Package == "" || f.File == "" || f.Line == 0 || f.Analyzer == "" || f.Message == "" {
-			t.Errorf("finding %d has empty fields: %+v", i, f)
+	var prev pos
+	for i, l := range lines {
+		m := findingLine.FindStringSubmatch(l)
+		if m == nil {
+			t.Fatalf("line %d %q is not file:line:col: analyzer: message", i, l)
 		}
-		if filepath.IsAbs(f.File) {
-			t.Errorf("finding %d: file %q not relativized to the working directory", i, f.File)
+		line, _ := strconv.Atoi(m[2])
+		col, _ := strconv.Atoi(m[3])
+		p := pos{m[1], line, col}
+		if filepath.IsAbs(p.file) || !strings.HasPrefix(p.file, filepath.Join("testdata", "src", "dirs")) {
+			t.Errorf("line %d: file %q not relative to the working directory", i, p.file)
 		}
-		if i == 0 {
-			continue
+		if i > 0 && (prev.file > p.file ||
+			(prev.file == p.file && (prev.line > p.line || (prev.line == p.line && prev.col > p.col)))) {
+			t.Errorf("lines %d and %d out of (file, line, column) order:\n%s\n%s", i-1, i, lines[i-1], l)
 		}
-		p := got[i-1]
-		if p.Package > f.Package ||
-			(p.Package == f.Package && p.File > f.File) ||
-			(p.Package == f.Package && p.File == f.File && p.Line > f.Line) {
-			t.Errorf("findings %d and %d out of (package, file, line) order", i-1, i)
-		}
-	}
-}
-
-// TestBaselineRoundTrip snapshots the dirs findings with -write-baseline,
-// verifies a -baseline run is then clean, and checks that shrinking one
-// key's count resurfaces exactly one finding (count semantics, not
-// all-or-nothing).
-func TestBaselineRoundTrip(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "baseline.json")
-
-	var buf bytes.Buffer
-	if code := MainInto(&buf, []string{"-write-baseline", base, "./testdata/src/dirs"},
-		simdeterminism.Analyzer); code != 0 {
-		t.Fatalf("write-baseline exit = %d; output:\n%s", code, buf.String())
-	}
-
-	buf.Reset()
-	if code := MainInto(&buf, []string{"-baseline", base, "./testdata/src/dirs"},
-		simdeterminism.Analyzer); code != 0 {
-		t.Fatalf("baselined run exit = %d, want 0; output:\n%s", code, buf.String())
-	}
-	if out := strings.TrimSpace(buf.String()); out != "" {
-		t.Fatalf("baselined run still reports:\n%s", out)
-	}
-
-	// Drop one unit from a duplicated key: with two identical wall-clock
-	// findings in the same file, a budget of one must let exactly one
-	// through.
-	data, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bf struct {
-		Comment  string         `json:"comment"`
-		Findings map[string]int `json:"findings"`
-	}
-	if err := json.Unmarshal(data, &bf); err != nil {
-		t.Fatal(err)
-	}
-	shrunk := ""
-	for k, n := range bf.Findings {
-		if n > 1 {
-			bf.Findings[k] = n - 1
-			shrunk = k
-			break
-		}
-	}
-	if shrunk == "" {
-		t.Fatal("baseline has no key with count > 1; dirs testdata should duplicate a message")
-	}
-	out, err := json.Marshal(bf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(base, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	buf.Reset()
-	if code := MainInto(&buf, []string{"-baseline", base, "./testdata/src/dirs"},
-		simdeterminism.Analyzer); code != 1 {
-		t.Fatalf("shrunk-baseline run exit = %d, want 1; output:\n%s", code, buf.String())
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("shrunk baseline should resurface exactly 1 finding, got %d:\n%s",
-			len(lines), buf.String())
+		prev = p
 	}
 }
 

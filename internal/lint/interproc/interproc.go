@@ -8,7 +8,7 @@
 //
 //   - struct fields read as values and fields written (keyed by declaring
 //     type, so effects compose through embedding, nesting, and helper
-//     calls) — snapcover and fpcover consume these;
+//     calls) — snapcover consumes these;
 //   - engine-schedule effects (calls to event.Engine's At/After/AtTask/
 //     AfterTask/AtWithSeq/NewTask) and which function-typed parameters are
 //     forwarded into such calls — hotpathalloc consumes these;
@@ -16,7 +16,7 @@
 //     conservative purity verdict — simdeterminism consumes these;
 //   - the transitive set of module functions called, including functions
 //     merely referenced as values (they may run later) — hotpathmap's
-//     reachability and replaypure's traversal consume these.
+//     reachability consumes these.
 //
 // Within one package, summaries are computed by collapsing Tarjan SCCs of
 // the package-local call graph and iterating each component to a fixpoint
@@ -112,12 +112,9 @@ type Result struct {
 	// of every module function imported (directly or transitively) from
 	// dependency packages' facts.
 	Funcs map[FuncKey]*Summary
-	// CtorWrites holds fields written only from constructor-shaped
-	// functions (New*/new*/init*/Init*/Attach/validate*): construction
-	// wiring, not runtime mutation.
-	CtorWrites map[FieldKey]bool
-	// MutWrites holds fields written from non-constructor functions in
-	// this package, mapped to the (sorted) keys of the writers.
+	// MutWrites holds fields written from non-constructor functions
+	// (anything but New*/new*/init*/Init*/Attach/validate*) in this
+	// package, mapped to the (sorted) keys of the writers.
 	MutWrites map[FieldKey][]FuncKey
 }
 
@@ -226,13 +223,6 @@ func (r *Result) PureCall(info *types.Info, call *ast.CallExpr) bool {
 	return pkg.Path() == "fmt" && pureFmtFuncs[f.Name()]
 }
 
-// FieldOf resolves a field selection to the FieldKey of the named type
-// declaring the selected field (walking the embedding path), false when the
-// declaring struct is unnamed.
-func FieldOf(selection *types.Selection) (FieldKey, bool) {
-	return fieldKeyOf(selection)
-}
-
 // SnapshotPair returns a named type's snapshot/restore transfer methods
 // (exported or unexported spelling), nil when absent.
 func SnapshotPair(named *types.Named) (snap, rest *types.Func) {
@@ -312,11 +302,10 @@ func ctorName(name string) bool {
 
 func run(pass *analysis.Pass) (any, error) {
 	r := &Result{
-		Decls:      map[*types.Func]*ast.FuncDecl{},
-		Keys:       map[*types.Func]FuncKey{},
-		Funcs:      map[FuncKey]*Summary{},
-		CtorWrites: map[FieldKey]bool{},
-		MutWrites:  map[FieldKey][]FuncKey{},
+		Decls:     map[*types.Func]*ast.FuncDecl{},
+		Keys:      map[*types.Func]FuncKey{},
+		Funcs:     map[FuncKey]*Summary{},
+		MutWrites: map[FieldKey][]FuncKey{},
 	}
 
 	// Merge dependency facts: effects of module functions below us in the
@@ -399,14 +388,11 @@ func run(pass *analysis.Pass) (any, error) {
 
 	// Mutation index: which fields does this package write, and from where.
 	for _, obj := range r.Order {
-		ex := direct[obj]
-		isCtor := ctorName(obj.Name())
-		for fk := range ex.sum.Writes {
-			if isCtor {
-				r.CtorWrites[fk] = true
-			} else {
-				r.MutWrites[fk] = append(r.MutWrites[fk], r.Keys[obj])
-			}
+		if ctorName(obj.Name()) {
+			continue
+		}
+		for fk := range direct[obj].sum.Writes {
+			r.MutWrites[fk] = append(r.MutWrites[fk], r.Keys[obj])
 		}
 	}
 	for _, fk := range sortedFieldKeys(r.MutWrites) {

@@ -85,7 +85,8 @@ type Diagnosis struct {
 	// Trace is the rendered time-travel replay of the window before the
 	// stall, attached when the machine ran with a snapshot ring
 	// (gpu.Config.SnapshotEvery); empty otherwise, and omitted from
-	// serialized results so snapshot-less runs are byte-identical.
+	// serialized results so snapshot-less runs are byte-identical. Its
+	// header reports any divergence between the replay and this diagnosis.
 	Trace string `json:",omitempty"`
 }
 

@@ -132,7 +132,9 @@ func fingerprint(c *Config) (string, bool) {
 		c.Benchmark, c.Policy, c.GPU, c.Mem, c.Params,
 		c.Oversubscribe, c.PreemptAt, c.CycleBudget, c.SkipVerify, c.Seed)
 	if c.Faults != nil {
-		fmt.Fprintf(&b, "|%q", c.Faults.Name)
+		// Seed never changes a run, but it names the schedule in
+		// construction errors, which duplicates share.
+		fmt.Fprintf(&b, "|%q|%d", c.Faults.Name, c.Faults.Seed)
 		for _, e := range c.Faults.Events {
 			fmt.Fprintf(&b, "|%#v", e)
 		}

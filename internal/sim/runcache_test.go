@@ -9,23 +9,82 @@ import (
 	"awgsim/internal/mem"
 )
 
-// TestFingerprintCoversConfig pins Config's exact field list. If this
-// fails, a field was added (or renamed): decide whether it changes a run's
-// outcome, teach fingerprint() about it — either encode it or treat it as
-// non-fingerprintable — and then update the list here.
+// TestFingerprintCoversConfig perturbs every value leaf of a filled,
+// fingerprintable Config — through GPU, Mem, Params and the Faults schedule
+// with its events — and requires each perturbation to change the run-cache
+// key, so no field a run depends on can drop out of fingerprint(). A nil
+// func or pointer field is behaviour the encoding cannot capture: setting
+// it must make the Config non-fingerprintable. A field of any other kind
+// fails the test, so a new field forces a decision in fingerprint().
 func TestFingerprintCoversConfig(t *testing.T) {
-	want := []string{
-		"Benchmark", "Policy", "Kernel", "Init", "Verify", "GPU", "Mem",
-		"Params", "Oversubscribe", "PreemptAt", "Inject", "Faults",
-		"CycleBudget", "SkipVerify", "Tracer", "Seed",
+	cfg := quickConfig("SPM_G", "AWG", true, 5)
+	cfg.CycleBudget = 1_000_000
+	cfg.Faults = &fault.Schedule{Name: "cover", Seed: 3, Events: []fault.Event{
+		{At: 1_000, Op: fault.CULoss, CU: 1, Ways: 2, WaitList: 3, Seed: 4, MaxSkew: 5},
+		{At: 2_000, Op: fault.JitterCP, CU: 2, Ways: 3, WaitList: 4, Seed: 5, MaxSkew: 6},
+	}}
+	if err := cfg.fill(); err != nil {
+		t.Fatal(err)
 	}
-	rt := reflect.TypeOf(Config{})
-	got := make([]string, rt.NumField())
-	for i := range got {
-		got[i] = rt.Field(i).Name
+	base, ok := fingerprint(&cfg)
+	if !ok {
+		t.Fatal("declarative Config is not fingerprintable")
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("sim.Config fields changed without updating fingerprint():\n  got  %v\n  want %v", got, want)
+
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+			return
+		case reflect.Slice:
+			for i := 0; i < v.Len(); i++ {
+				walk(fmt.Sprintf("%s[%d]", path, i), v.Index(i))
+			}
+			return
+		case reflect.Pointer:
+			if !v.IsNil() {
+				walk(path, v.Elem())
+				return
+			}
+		}
+		if !v.CanSet() {
+			t.Errorf("%s: unexported field; the walk cannot perturb it", path)
+			return
+		}
+		old := reflect.New(v.Type()).Elem()
+		old.Set(v)
+		defer v.Set(old)
+		behaviour := v.Kind() == reflect.Pointer || v.Kind() == reflect.Func
+		switch v.Kind() {
+		case reflect.Pointer:
+			v.Set(reflect.New(v.Type().Elem()))
+		case reflect.Func:
+			v.Set(reflect.MakeFunc(v.Type(), func([]reflect.Value) []reflect.Value { panic("not called") }))
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			v.SetUint(v.Uint() + 1)
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		default:
+			t.Errorf("%s: field of kind %s; decide how fingerprint() covers it and teach this walk", path, v.Kind())
+			return
+		}
+		switch key, ok := fingerprint(&cfg); {
+		case behaviour && ok:
+			t.Errorf("%s set: Config still fingerprintable; fingerprint() must reject it", path)
+		case !behaviour && key == base:
+			t.Errorf("%s perturbed: run-cache fingerprint unchanged; fold it into fingerprint()", path)
+		}
+	}
+	walk("Config", reflect.ValueOf(&cfg).Elem())
+	if key, _ := fingerprint(&cfg); key != base {
+		t.Fatal("walk left the Config perturbed")
 	}
 }
 
