@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint lint-fix fuzz ci bench-module exp quick litmus-quick
+.PHONY: all build test race vet fmt lint lint-fix fuzz ci bench-module exp quick litmus-quick golden-full
 
 all: build
 
@@ -68,13 +68,22 @@ golden:
 litmus-quick:
 	$(GO) run ./cmd/awgexp -quick -exp litmus -golden GOLDEN_litmus.json > /dev/null
 
+# golden-full runs the full-scale suite (about 30 s on two cores) and
+# checks it against its golden record, so the paper-scale record in
+# awgexp_full.txt cannot drift silently. After an intentional model
+# change: `go run ./cmd/awgexp -golden GOLDEN_full.json -update-golden >
+# awgexp_full.txt`.
+golden-full:
+	$(GO) run ./cmd/awgexp -golden GOLDEN_full.json > /dev/null
+
 # ci is the full gate: formatting, static checks (go vet plus the awglint
 # domain analyzers), the race-instrumented test suite (which exercises the
 # parallel experiment pool), the fuzz smokes, the golden-record drift
-# checks (suite-wide and the standalone litmus conformance gate), and the
-# benchmark module's own vet and tests. Performance is measured by
-# cmd/awgbench (`bash cmd/awgbench/run.sh`), not gated here.
-ci: fmt vet lint race fuzz golden litmus-quick bench-module
+# checks (the quick suite, the standalone litmus conformance gate, and the
+# full-scale suite), and the benchmark module's own vet and tests.
+# Performance is measured by cmd/awgbench (`bash cmd/awgbench/run.sh`),
+# not gated here.
+ci: fmt vet lint race fuzz golden litmus-quick golden-full bench-module
 
 # bench-module vets and tests cmd/awgbench. It is a separate Go module, so
 # `go test ./...` at the root never builds it; this catches a change to a

@@ -1,9 +1,11 @@
 // Package cp models the Command Processor firmware extensions of Section
 // V: the CP stays off the critical path, handling only the high-latency,
 // uncommon operations — draining the Monitor Log into a look-up-efficient
-// in-memory table, periodically checking the waiting conditions of spilled
-// synchronization variables, and (through the machine's dispatcher) the
-// context-switch legs of WG scheduling.
+// in-memory table, and periodically checking the waiting conditions of
+// spilled synchronization variables. The table (spillTable) is the only
+// record of spilled conditions: it holds each condition's waiters and the
+// check order a pass walks. The context-switch legs of WG scheduling run
+// in the machine's dispatcher (package gpu).
 package cp
 
 import (
@@ -15,20 +17,6 @@ import (
 	"awgsim/internal/syncmon"
 )
 
-// DrainOrder selects how the CP walks spilled conditions during a check
-// pass. The paper notes the Monitor Log "may contain younger waiting
-// conditions than the SyncMon Cache", creating fairness issues it leaves
-// to future work; these two orders bracket the space.
-type DrainOrder int
-
-const (
-	// OrderFIFO checks conditions oldest-first (drain arrival order).
-	OrderFIFO DrainOrder = iota
-	// OrderRoundRobin rotates the starting point across passes so no
-	// address is persistently checked last.
-	OrderRoundRobin
-)
-
 // Config tunes the firmware's cadence.
 type Config struct {
 	// DrainInterval is how often the CP parses new Monitor Log entries.
@@ -37,8 +25,6 @@ type Config struct {
 	CheckInterval event.Cycle
 	// DrainBatch bounds entries parsed per drain pass.
 	DrainBatch int
-	// Order selects the check pass's walk order.
-	Order DrainOrder
 }
 
 // DefaultConfig returns a cadence that keeps spilled waiters' extra
@@ -61,9 +47,7 @@ type Processor struct {
 	log  *syncmon.MonitorLog
 	wake syncmon.WakeFunc
 
-	tab    spillTable // slab-backed spilled-condition store
-	order  []condKey  // check order (drain arrival order)
-	rotate int        // round-robin start offset
+	tab    spillTable // spilled conditions, their waiters and check order
 	maxTab int
 
 	started bool        //lint:allow snapcover lifecycle latch set by Start; restore targets an already-started processor
@@ -155,26 +139,15 @@ func (p *Processor) TableSize() int { return p.tab.waiters }
 func (p *Processor) MaxTableSize() int { return p.maxTab }
 
 // Unregister withdraws a waiter (its policy timeout fired) so a later
-// drain or check does not wake it spuriously. The waiter is in exactly one
-// of three places: the table (drained), the Monitor Log ring (spilled, not
-// yet drained), or a drain batch in flight. Only the last needs a deferred
-// tombstone — recording one when the ring removal already succeeded leaves
-// it stale, and it would silently swallow the WG's *next* spill on the same
-// condition (a lost wakeup: the waiter never reaches the table and no check
-// pass ever resumes it).
+// drain or check does not wake it spuriously. A spilled waiter is in
+// exactly one of two places: the table (drained) or the Monitor Log ring
+// (spilled, not yet drained). A drain pass pops each entry and files it
+// in the same event, so no third, in-flight place exists.
 func (p *Processor) Unregister(wg gpu.WGID, v gpu.Var, want int64, cmp gpu.Cmp) {
 	k := condKey{v.Addr.WordAligned(), want, cmp}
-	if p.tab.removeWaiter(k, wg) {
-		return
+	if !p.tab.removeWaiter(k, wg) {
+		p.log.Remove(wg, k.addr, k.want)
 	}
-	if p.log.Remove(wg, k.addr, k.want) > 0 {
-		// Still physically in the ring; the tombstone there is consumed when
-		// a drain pops past it, so no drain-time state is needed.
-		return
-	}
-	// Popped into a drain batch but not yet in the table: remember the
-	// tombstone for drain time.
-	p.tab.addTombstone(k, wg)
 }
 
 // drainPass moves log entries into the table.
@@ -187,13 +160,7 @@ func (p *Processor) drainPass() {
 		if !ok {
 			break
 		}
-		k := condKey{e.Addr, e.Want, e.Cmp}
-		if p.tab.consumeTombstone(k, e.WG) {
-			continue
-		}
-		if p.tab.addWaiter(k, e.WG) {
-			p.order = append(p.order, k)
-		}
+		p.tab.addWaiter(condKey{e.Addr, e.Want, e.Cmp}, e.WG)
 		if p.tab.waiters > p.maxTab {
 			p.maxTab = p.tab.waiters
 		}
@@ -202,27 +169,12 @@ func (p *Processor) drainPass() {
 	p.m.Engine().After(p.cadence(p.cfg.DrainInterval), p.drainFn)
 }
 
-// dropCond removes a condition from the table, maintaining the address
-// index and check order, and returns its waiters in FIFO order (valid
-// until the next dropCond).
-func (p *Processor) dropCond(k condKey) []gpu.WGID {
-	ws := p.tab.dropWaiters(k, p.wakeBuf[:0])
-	p.wakeBuf = ws
-	for i, o := range p.order {
-		if o == k {
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			break
-		}
-	}
-	return ws
-}
-
 // noteHighWater folds the CP's occupancy into the machine counters — the
 // Figure 13 series: waiting conditions, monitored addresses, waiting WGs,
 // and the monitor table.
 func (p *Processor) noteHighWater() {
-	if p.tab.condLive > p.m.Count.MaxConditions {
-		p.m.Count.MaxConditions = p.tab.condLive
+	if n := p.tab.conditions(); n > p.m.Count.MaxConditions {
+		p.m.Count.MaxConditions = n
 	}
 	if p.tab.waiters > p.m.Count.MaxWaitingWGs {
 		p.m.Count.MaxWaitingWGs = p.tab.waiters
@@ -238,25 +190,11 @@ func (p *Processor) checkPass() {
 	if p.stopped() {
 		return
 	}
-	// Walk in a deterministic order: drain arrival (FIFO) or rotated
-	// round-robin. Map iteration order would break replay determinism.
-	//
-	// Snapshot the walk before issuing anything: a check result runs
-	// dropCond, which splices p.order, so indexing the live slice with the
-	// pass's stale length would skip or repeat conditions once the first
-	// met condition of the pass is dropped.
-	n := len(p.order)
-	start := 0
-	if p.cfg.Order == OrderRoundRobin && n > 0 {
-		start = p.rotate % n
-		p.rotate++
-	}
-	keys := p.scratch[:0]
-	for i := 0; i < n; i++ {
-		keys = append(keys, p.order[(start+i)%n])
-	}
-	p.scratch = keys
-	for _, k := range keys {
+	// Walk the table's check order; map iteration order would break replay
+	// determinism. Copy the walk before issuing anything: a met check drops
+	// its condition from the list.
+	p.scratch = p.tab.appendOrder(p.scratch[:0])
+	for _, k := range p.scratch {
 		t := p.m.Engine().NewTask(runCheckResult)
 		t.Env[0] = p
 		t.I[0] = int64(k.addr)
@@ -275,11 +213,8 @@ func runCheckResult(t *event.Task) {
 	if !k.cmp.Test(t.I[gpu.AtomicRet], k.want) {
 		return
 	}
-	if !p.tab.inTable(k) {
-		return
-	}
-	ws := p.dropCond(k)
-	for _, wg := range ws {
+	p.wakeBuf = p.tab.dropWaiters(k, p.wakeBuf[:0])
+	for _, wg := range p.wakeBuf {
 		p.wake(wg, k.addr, k.want, true)
 	}
 }

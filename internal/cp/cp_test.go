@@ -124,27 +124,57 @@ func TestUnregisterAfterDrain(t *testing.T) {
 	}
 }
 
-func TestUnregisterBeforeDrainTombstones(t *testing.T) {
+func TestUnregisterAbsentWaiterKeepsNextSpill(t *testing.T) {
+	// A withdrawal can find the waiter in neither the table nor the ring
+	// (it never spilled). It must leave nothing behind: the WG's next
+	// fresh spill on the same condition is filed and woken.
 	h := newHarness(t, DefaultConfig())
-	// Unregister arrives while the entry is conceptually in flight (the
-	// log's own Remove covers the ring; the tombstone covers a popped
-	// batch). Simulate by unregistering before any drain and then pushing.
 	h.p.Unregister(6, gpu.GlobalVar(0x500), 2, gpu.CmpEQ)
 	h.log.Push(syncmon.LogEntry{Addr: 0x500, Want: 2, Cmp: gpu.CmpEQ, WG: 6})
+	h.runFor(10_000) // drain
+	if h.p.TableSize() != 1 {
+		t.Fatalf("fresh spill not filed after an absent withdrawal (table size %d)", h.p.TableSize())
+	}
 	h.m.Mem().Write(0x500, 2)
 	h.runFor(20_000)
-	if len(h.wakes) != 0 {
-		t.Fatalf("tombstoned waiter woken: %+v", h.wakes)
+	if len(h.wakes) != 1 || h.wakes[0].wg != 6 {
+		t.Fatalf("wakes = %+v, want one wake of WG 6", h.wakes)
+	}
+}
+
+func TestUnregisterEmptiedConditionChecksOnce(t *testing.T) {
+	// A withdrawal that empties a drained condition takes it out of the
+	// check order with its last waiter. When the WG spills the same
+	// condition again, each check pass issues one L2 load for it, not one
+	// per time the condition was ever filed.
+	h := newHarness(t, DefaultConfig())
+	k := syncmon.LogEntry{Addr: 0xd00, Want: 1, Cmp: gpu.CmpEQ, WG: 4}
+	h.log.Push(k)
+	h.runFor(10_000) // drain and check at cycle 8,000
+	h.p.Unregister(4, gpu.GlobalVar(0xd00), 1, gpu.CmpEQ)
+	h.log.Push(k)
+	before := h.m.Mem().Stats().Atomics
+	h.runFor(8_000) // one drain and one check pass, at cycle 16,000
+	if n := h.m.Mem().Stats().Atomics - before; n != 1 {
+		t.Fatalf("check pass issued %d L2 loads for one spilled condition, want 1", n)
+	}
+	h.m.Mem().Write(0xd00, 1)
+	h.runFor(20_000)
+	if len(h.wakes) != 1 || h.wakes[0].wg != 4 {
+		t.Fatalf("wakes = %+v, want one wake of WG 4", h.wakes)
+	}
+	if h.p.TableSize() != 0 {
+		t.Fatalf("table size %d after the wake, want 0", h.p.TableSize())
 	}
 }
 
 func TestUnregisterConsumesRingEntry(t *testing.T) {
 	// The lost-wakeup regression: a waiter spills, its policy timeout fires
 	// before any drain, and the WG later re-registers and re-spills the
-	// same condition. The withdrawal must consume the ring entry directly —
-	// recording a deferred tombstone instead leaves it stale, and the
-	// re-spilled entry is silently discarded at drain time (the waiter then
-	// never reaches the table and no check pass ever wakes it).
+	// same condition. The withdrawal must consume the ring entry directly,
+	// and nothing it leaves behind may discard the re-spilled entry at drain
+	// time (the waiter would then never reach the table and no check pass
+	// would ever wake it).
 	h := newHarness(t, DefaultConfig())
 	h.log.Push(syncmon.LogEntry{Addr: 0xb00, Want: 1, Cmp: gpu.CmpEQ, WG: 7})
 	h.p.Unregister(7, gpu.GlobalVar(0xb00), 1, gpu.CmpEQ)
@@ -155,7 +185,7 @@ func TestUnregisterConsumesRingEntry(t *testing.T) {
 	h.log.Push(syncmon.LogEntry{Addr: 0xb00, Want: 1, Cmp: gpu.CmpEQ, WG: 7})
 	h.runFor(10_000) // drain
 	if h.p.TableSize() != 1 {
-		t.Fatal("re-spilled waiter swallowed by a stale tombstone")
+		t.Fatal("re-spilled waiter not filed")
 	}
 	h.m.Mem().Write(0xb00, 1)
 	h.runFor(20_000)
@@ -166,8 +196,8 @@ func TestUnregisterConsumesRingEntry(t *testing.T) {
 
 func TestTwoSpilledConditionsMetSamePass(t *testing.T) {
 	// Both conditions hold when a check pass starts: the first wake drops
-	// its condition from p.order mid-pass, which must not make the walk
-	// skip or repeat the second (the pass snapshots its walk first).
+	// its condition from the check order mid-pass, which must not make the
+	// walk skip or repeat the second (the pass copies its walk first).
 	h := newHarness(t, DefaultConfig())
 	h.log.Push(syncmon.LogEntry{Addr: 0xc00, Want: 1, Cmp: gpu.CmpEQ, WG: 1})
 	h.log.Push(syncmon.LogEntry{Addr: 0xc40, Want: 2, Cmp: gpu.CmpEQ, WG: 2})
@@ -256,23 +286,5 @@ func TestCheckOrderDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("check order diverged: %v vs %v", a, b)
 		}
-	}
-}
-
-func TestRoundRobinRotatesStart(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Order = OrderRoundRobin
-	h := newHarness(t, cfg)
-	// Two conditions that never become true: each check pass probes both,
-	// but rotation must alternate which is probed first. Observe through
-	// wake order once we satisfy them at different times.
-	h.log.Push(syncmon.LogEntry{Addr: 0xa00, Want: 1, Cmp: gpu.CmpEQ, WG: 1})
-	h.log.Push(syncmon.LogEntry{Addr: 0xa40, Want: 1, Cmp: gpu.CmpEQ, WG: 2})
-	h.runFor(20_000) // drained, neither satisfied
-	h.m.Mem().Write(0xa00, 1)
-	h.m.Mem().Write(0xa40, 1)
-	h.runFor(20_000)
-	if len(h.wakes) != 2 {
-		t.Fatalf("woke %d, want 2", len(h.wakes))
 	}
 }

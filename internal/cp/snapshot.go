@@ -8,11 +8,12 @@ import (
 
 // Snapshot/Restore for the Command Processor. The spill table is flat POD
 // slabs plus two open-addressed indices, so a snapshot is a few slice
-// copies. The firmware loop continuations (drainFn/checkFn) are hoisted
-// once in Start and live on the engine calendar — the engine snapshot
-// carries the pending loop events, and the func values themselves are
-// stable, so the Processor only records its bookkeeping. The checkPass
-// scratch buffers are excluded: nothing in them survives a pass.
+// copies; the check order is links inside the slab and travels with it.
+// The firmware loop continuations (drainFn/checkFn) are hoisted once in
+// Start and live on the engine calendar — the engine snapshot carries the
+// pending loop events, and the func values themselves are stable, so the
+// Processor only records its bookkeeping. The checkPass scratch buffers
+// are excluded: nothing in them survives a pass.
 //
 // The cadence-jitter hook is a func value whose pseudo-random walk lives in
 // the Processor's jitterState (the SetCadenceJitter contract), so saving
@@ -22,8 +23,6 @@ import (
 // Snapshot is a point-in-time copy of a Processor's simulated state.
 type Snapshot struct {
 	tab         tableSnap
-	order       []condKey
-	rotate      int
 	maxTab      int
 	jitter      func(state *uint64, base event.Cycle) event.Cycle
 	jitterState uint64
@@ -33,8 +32,6 @@ type Snapshot struct {
 func (p *Processor) Snapshot() *Snapshot {
 	return &Snapshot{
 		tab:         p.tab.snapshot(),
-		order:       append([]condKey(nil), p.order...),
-		rotate:      p.rotate,
 		maxTab:      p.maxTab,
 		jitter:      p.jitter,
 		jitterState: p.jitterState,
@@ -44,8 +41,6 @@ func (p *Processor) Snapshot() *Snapshot {
 // Restore rewinds the processor to the snapshot.
 func (p *Processor) Restore(sn *Snapshot) {
 	p.tab.restore(&sn.tab)
-	p.order = append(p.order[:0], sn.order...)
-	p.rotate = sn.rotate
 	p.maxTab = sn.maxTab
 	p.jitter = sn.jitter
 	p.jitterState = sn.jitterState
@@ -53,44 +48,44 @@ func (p *Processor) Restore(sn *Snapshot) {
 
 // Bytes estimates the snapshot's memory footprint.
 func (sn *Snapshot) Bytes() int {
-	return 64 + sn.tab.bytes() + 24*len(sn.order)
+	return 64 + sn.tab.bytes()
 }
 
 // tableSnap is a point-in-time copy of a spillTable.
 type tableSnap struct {
-	ents    []spillSlot
-	freeEnt int32
-	wnodes  []wgNode
-	freeW   int32
-	idx     *hashutil.Flat[condKey, int32]
-	addrs   *hashutil.Flat[mem.Addr, int32]
-
-	waiters  int
-	condLive int
+	ents         []spillSlot
+	freeEnt      int32
+	oHead, oTail int32
+	wnodes       []wgNode
+	freeW        int32
+	idx          *hashutil.Flat[condKey, int32]
+	addrs        *hashutil.Flat[mem.Addr, int32]
+	waiters      int
 }
 
 func (t *spillTable) snapshot() tableSnap {
 	return tableSnap{
-		ents:     append([]spillSlot(nil), t.ents...),
-		freeEnt:  t.freeEnt,
-		wnodes:   append([]wgNode(nil), t.wnodes...),
-		freeW:    t.freeW,
-		idx:      t.idx.Clone(),
-		addrs:    t.addrs.Clone(),
-		waiters:  t.waiters,
-		condLive: t.condLive,
+		ents:    append([]spillSlot(nil), t.ents...),
+		freeEnt: t.freeEnt,
+		oHead:   t.oHead,
+		oTail:   t.oTail,
+		wnodes:  append([]wgNode(nil), t.wnodes...),
+		freeW:   t.freeW,
+		idx:     t.idx.Clone(),
+		addrs:   t.addrs.Clone(),
+		waiters: t.waiters,
 	}
 }
 
 func (t *spillTable) restore(sn *tableSnap) {
 	t.ents = append(t.ents[:0], sn.ents...)
 	t.freeEnt = sn.freeEnt
+	t.oHead, t.oTail = sn.oHead, sn.oTail
 	t.wnodes = append(t.wnodes[:0], sn.wnodes...)
 	t.freeW = sn.freeW
 	t.idx.CopyFrom(sn.idx)
 	t.addrs.CopyFrom(sn.addrs)
 	t.waiters = sn.waiters
-	t.condLive = sn.condLive
 }
 
 func (sn *tableSnap) bytes() int {

@@ -9,47 +9,44 @@ import (
 // nilRef marks an empty slab link.
 const nilRef int32 = -1
 
-// spillSlot is one slab-resident spilled condition. A slot exists while it
-// has live waiters (it is "in the table") or pending removed-tombstones (a
-// waiter withdrawn while its log entry sat in a drain batch in flight —
-// the PR 3 single-home bookkeeping, now a flagged list on the same slot
-// instead of a separate map of maps).
+// spillSlot is one slab-resident spilled condition. A slot exists exactly
+// while its condition has waiters, and while it exists it is linked into
+// the table's check order.
 type spillSlot struct {
 	key condKey
 
-	wHead, wTail int32 // live waiters, drain arrival order (FIFO)
+	wHead, wTail int32 // waiters, drain arrival order (FIFO)
 	wLen         int32
 
-	rHead int32 // removed-tombstone WGs awaiting drain consumption
-	rLen  int32
+	oPrev, oNext int32 // check-order links
 
 	next int32 // freelist link while unallocated
 }
 
-// wgNode is one waiter/tombstone list node.
+// wgNode is one waiter list node.
 type wgNode struct {
 	wg   gpu.WGID
 	next int32
 }
 
-// spillTable is the CP's in-memory spilled-condition store: a slab of
-// condition slots indexed by an open-addressed (addr, want, cmp) table,
-// with intrusive freelist-backed waiter and tombstone lists and an
-// open-addressed per-address condition counter. It replaces the
-// table/removed/addrs Go maps; the check-order walk stays with the
-// Processor (drain arrival order is a slice, exactly as before).
+// spillTable is the CP's in-memory spilled-condition store and the only
+// record of which conditions are spilled: a slab of condition slots
+// indexed by an open-addressed (addr, want, cmp) table, with intrusive
+// freelist-backed waiter lists, an intrusive check-order list through the
+// slots (the order a check pass walks), and an open-addressed per-address
+// condition counter.
 type spillTable struct {
-	ents    []spillSlot
-	freeEnt int32
+	ents         []spillSlot
+	freeEnt      int32
+	oHead, oTail int32 // check order: conditions by arrival, oldest first
 
 	wnodes []wgNode
 	freeW  int32
 
 	idx   *hashutil.Flat[condKey, int32]  // key -> 1-based slot ref (0 = fresh)
-	addrs *hashutil.Flat[mem.Addr, int32] // in-table conditions per address
+	addrs *hashutil.Flat[mem.Addr, int32] // spilled conditions per address
 
-	waiters  int // total live waiters (the old inTable)
-	condLive int // conditions with live waiters (the old len(table))
+	waiters int // total waiters
 }
 
 func newSpillTable() spillTable {
@@ -60,6 +57,8 @@ func newSpillTable() spillTable {
 	}
 	return spillTable{
 		freeEnt: nilRef,
+		oHead:   nilRef,
+		oTail:   nilRef,
 		freeW:   nilRef,
 		idx:     hashutil.NewFlat[condKey, int32](64, hashKey),
 		addrs: hashutil.NewFlat[mem.Addr, int32](64, func(a mem.Addr) uint64 {
@@ -68,8 +67,19 @@ func newSpillTable() spillTable {
 	}
 }
 
-// monitoredAddrs reports distinct addresses with in-table conditions.
+// conditions reports the spilled conditions (every slot has waiters).
+func (t *spillTable) conditions() int { return t.idx.Len() }
+
+// monitoredAddrs reports distinct addresses with spilled conditions.
 func (t *spillTable) monitoredAddrs() int { return t.addrs.Len() }
+
+// appendOrder appends every spilled condition to buf in check order.
+func (t *spillTable) appendOrder(buf []condKey) []condKey {
+	for e := t.oHead; e != nilRef; e = t.ents[e].oNext {
+		buf = append(buf, t.ents[e].key)
+	}
+	return buf
+}
 
 func (t *spillTable) lookup(k condKey) int32 {
 	p := t.idx.Ref(k)
@@ -79,16 +89,8 @@ func (t *spillTable) lookup(k condKey) int32 {
 	return *p - 1
 }
 
-func (t *spillTable) getOrCreate(k condKey) int32 {
-	p := t.idx.Put(k)
-	if *p == 0 {
-		e := t.alloc(k)
-		*p = e + 1
-		return e
-	}
-	return *p - 1
-}
-
+// alloc takes a slot for the new condition k and links it at the tail of
+// the check order.
 func (t *spillTable) alloc(k condKey) int32 {
 	var e int32
 	if t.freeEnt != nilRef {
@@ -98,22 +100,49 @@ func (t *spillTable) alloc(k condKey) int32 {
 		t.ents = append(t.ents, spillSlot{})
 		e = int32(len(t.ents) - 1)
 	}
-	t.ents[e] = spillSlot{key: k, wHead: nilRef, wTail: nilRef, rHead: nilRef}
+	t.ents[e] = spillSlot{key: k, wHead: nilRef, wTail: nilRef, oPrev: t.oTail, oNext: nilRef}
+	if t.oTail == nilRef {
+		t.oHead = e
+	} else {
+		t.ents[t.oTail].oNext = e
+	}
+	t.oTail = e
+	*t.addrs.Put(k.addr)++
 	return e
 }
 
-// maybeFree releases e once it holds neither waiters nor tombstones.
-func (t *spillTable) maybeFree(e int32) {
+// free releases slot e once its condition's last waiter has left,
+// unlinking it from the check order, the key index and the address count.
+func (t *spillTable) free(e int32) {
 	s := &t.ents[e]
-	if s.wLen > 0 || s.rLen > 0 {
-		return
+	if s.oPrev == nilRef {
+		t.oHead = s.oNext
+	} else {
+		t.ents[s.oPrev].oNext = s.oNext
+	}
+	if s.oNext == nilRef {
+		t.oTail = s.oPrev
+	} else {
+		t.ents[s.oNext].oPrev = s.oPrev
 	}
 	t.idx.Delete(s.key)
+	p := t.addrs.Ref(s.key.addr)
+	*p--
+	if *p == 0 {
+		t.addrs.Delete(s.key.addr)
+	}
 	s.next = t.freeEnt
 	t.freeEnt = e
 }
 
-func (t *spillTable) pushNode(head, tail *int32, wg gpu.WGID) {
+// addWaiter appends wg to k's waiter list (drain arrival order); a new
+// condition joins the tail of the check order.
+func (t *spillTable) addWaiter(k condKey, wg gpu.WGID) {
+	ref := t.idx.Put(k)
+	if *ref == 0 {
+		*ref = t.alloc(k) + 1
+	}
+	s := &t.ents[*ref-1]
 	var w int32
 	if t.freeW != nilRef {
 		w = t.freeW
@@ -123,28 +152,14 @@ func (t *spillTable) pushNode(head, tail *int32, wg gpu.WGID) {
 		w = int32(len(t.wnodes) - 1)
 	}
 	t.wnodes[w] = wgNode{wg: wg, next: nilRef}
-	if *tail == nilRef {
-		*head = w
+	if s.wTail == nilRef {
+		s.wHead = w
 	} else {
-		t.wnodes[*tail].next = w
+		t.wnodes[s.wTail].next = w
 	}
-	*tail = w
-}
-
-// addWaiter appends wg to k's waiter list (drain arrival order),
-// reporting whether the condition just entered the table.
-func (t *spillTable) addWaiter(k condKey, wg gpu.WGID) (newCond bool) {
-	e := t.getOrCreate(k)
-	s := &t.ents[e]
-	newCond = s.wLen == 0
-	t.pushNode(&s.wHead, &s.wTail, wg)
+	s.wTail = w
 	s.wLen++
 	t.waiters++
-	if newCond {
-		t.condLive++
-		*t.addrs.Put(k.addr)++
-	}
-	return newCond
 }
 
 // removeWaiter unlinks wg from k's waiter list (a policy-timeout
@@ -174,17 +189,16 @@ func (t *spillTable) removeWaiter(k condKey, wg gpu.WGID) bool {
 		t.freeW = w
 		t.waiters--
 		if s.wLen == 0 {
-			t.condLive--
-			t.addrDec(k.addr)
-			t.maybeFree(e)
+			t.free(e)
 		}
 		return true
 	}
 	return false
 }
 
-// dropWaiters removes condition k from the table entirely, appending its
-// waiters to buf in FIFO order (the check-met wake path).
+// dropWaiters removes condition k from the table, appending its waiters to
+// buf in FIFO order (the check-met wake path). An absent k appends
+// nothing.
 func (t *spillTable) dropWaiters(k condKey, buf []gpu.WGID) []gpu.WGID {
 	e := t.lookup(k)
 	if e == nilRef {
@@ -199,78 +213,6 @@ func (t *spillTable) dropWaiters(k condKey, buf []gpu.WGID) []gpu.WGID {
 		w = nx
 	}
 	t.waiters -= int(s.wLen)
-	if s.wLen > 0 {
-		t.condLive--
-		t.addrDec(k.addr)
-	}
-	s.wHead, s.wTail, s.wLen = nilRef, nilRef, 0
-	t.maybeFree(e)
+	t.free(e)
 	return buf
-}
-
-// inTable reports whether k currently has live waiters.
-func (t *spillTable) inTable(k condKey) bool {
-	e := t.lookup(k)
-	return e != nilRef && t.ents[e].wLen > 0
-}
-
-// addTombstone records that wg withdrew from k while its spill was in a
-// drain batch in flight. Set semantics: a WG is recorded at most once per
-// condition, as with the old map-of-sets.
-func (t *spillTable) addTombstone(k condKey, wg gpu.WGID) {
-	e := t.getOrCreate(k)
-	s := &t.ents[e]
-	for w := s.rHead; w != nilRef; w = t.wnodes[w].next {
-		if t.wnodes[w].wg == wg {
-			return
-		}
-	}
-	// Tombstone list order is immaterial (membership only): push at head.
-	var w int32
-	if t.freeW != nilRef {
-		w = t.freeW
-		t.freeW = t.wnodes[w].next
-	} else {
-		t.wnodes = append(t.wnodes, wgNode{})
-		w = int32(len(t.wnodes) - 1)
-	}
-	t.wnodes[w] = wgNode{wg: wg, next: s.rHead}
-	s.rHead = w
-	s.rLen++
-}
-
-// consumeTombstone removes wg's tombstone on k if present (a drain pop
-// matching a withdrawn waiter), reporting whether one was consumed.
-func (t *spillTable) consumeTombstone(k condKey, wg gpu.WGID) bool {
-	e := t.lookup(k)
-	if e == nilRef {
-		return false
-	}
-	s := &t.ents[e]
-	prev := nilRef
-	for w := s.rHead; w != nilRef; w = t.wnodes[w].next {
-		if t.wnodes[w].wg != wg {
-			prev = w
-			continue
-		}
-		if prev == nilRef {
-			s.rHead = t.wnodes[w].next
-		} else {
-			t.wnodes[prev].next = t.wnodes[w].next
-		}
-		s.rLen--
-		t.wnodes[w].next = t.freeW
-		t.freeW = w
-		t.maybeFree(e)
-		return true
-	}
-	return false
-}
-
-func (t *spillTable) addrDec(a mem.Addr) {
-	p := t.addrs.Ref(a)
-	*p--
-	if *p == 0 {
-		t.addrs.Delete(a)
-	}
 }

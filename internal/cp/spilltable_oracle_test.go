@@ -7,11 +7,11 @@ import (
 	"awgsim/internal/mem"
 )
 
-// spillModel mirrors spillTable semantics with the pre-slab representation:
-// a map of waiter FIFOs and a map of tombstone sets (order-free membership).
+// spillModel mirrors spillTable semantics with plain Go containers: a map
+// of waiter FIFOs and the check order as a slice of condition keys.
 type spillModel struct {
 	waiters map[condKey][]gpu.WGID
-	tombs   map[condKey][]gpu.WGID
+	order   []condKey
 }
 
 // keyspace enumerates the finite condition space the test drives, in a
@@ -28,75 +28,101 @@ func keyspace() []condKey {
 	return ks
 }
 
+// unorder removes k from the model's check order, if present.
+func (m *spillModel) unorder(k condKey) {
+	for i, o := range m.order {
+		if o == k {
+			m.order = append(m.order[:i], m.order[i+1:]...)
+			return
+		}
+	}
+}
+
 func (m *spillModel) check(t *testing.T, tab *spillTable, step int) {
 	t.Helper()
-	total, condLive := 0, 0
+	total, live := 0, 0
 	liveAddrs := map[mem.Addr]bool{}
 	for _, k := range keyspace() {
 		ws := m.waiters[k]
 		total += len(ws)
 		if len(ws) > 0 {
-			condLive++
+			live++
 			liveAddrs[k.addr] = true
 		}
-		if got := tab.inTable(k); got != (len(ws) > 0) {
-			t.Fatalf("step %d: inTable(%+v) = %v, oracle %v", step, k, got, len(ws) > 0)
+		e := tab.lookup(k)
+		if (e != nilRef) != (len(ws) > 0) {
+			t.Fatalf("step %d: cond %+v in table = %v, oracle waiters %v", step, k, e != nilRef, ws)
+		}
+		if e == nilRef {
+			continue
 		}
 		// dropWaiters is the only reader of waiter order; probing it would
 		// mutate, so diff the FIFO by walking the slot chain directly.
-		if e := tab.lookup(k); e != nilRef {
-			w := tab.ents[e].wHead
-			for i, want := range ws {
-				if w == nilRef || tab.wnodes[w].wg != want {
-					t.Fatalf("step %d: cond %+v waiter[%d] diverges from oracle %v", step, k, i, ws)
-				}
-				w = tab.wnodes[w].next
+		w := tab.ents[e].wHead
+		for i, want := range ws {
+			if w == nilRef || tab.wnodes[w].wg != want {
+				t.Fatalf("step %d: cond %+v waiter[%d] diverges from oracle %v", step, k, i, ws)
 			}
-			if w != nilRef {
-				t.Fatalf("step %d: cond %+v waiter list longer than oracle %v", step, k, ws)
-			}
-			// Tombstones are a set: same size, every table entry in the model.
-			rn := 0
-			for r := tab.ents[e].rHead; r != nilRef; r = tab.wnodes[r].next {
-				found := false
-				for _, tw := range m.tombs[k] {
-					if tw == tab.wnodes[r].wg {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("step %d: cond %+v has tombstone %d the oracle lacks", step, k, tab.wnodes[r].wg)
-				}
-				rn++
-			}
-			if rn != len(m.tombs[k]) {
-				t.Fatalf("step %d: cond %+v has %d tombstones, oracle %d", step, k, rn, len(m.tombs[k]))
-			}
-		} else if len(ws) > 0 || len(m.tombs[k]) > 0 {
-			t.Fatalf("step %d: cond %+v missing from table, oracle ws=%v tombs=%v", step, k, ws, m.tombs[k])
+			w = tab.wnodes[w].next
+		}
+		if w != nilRef {
+			t.Fatalf("step %d: cond %+v waiter list longer than oracle %v", step, k, ws)
 		}
 	}
 	if tab.waiters != total {
 		t.Fatalf("step %d: waiters = %d, oracle %d", step, tab.waiters, total)
 	}
-	if tab.condLive != condLive {
-		t.Fatalf("step %d: condLive = %d, oracle %d", step, tab.condLive, condLive)
+	if tab.conditions() != live {
+		t.Fatalf("step %d: conditions = %d, oracle %d", step, tab.conditions(), live)
 	}
 	if tab.monitoredAddrs() != len(liveAddrs) {
 		t.Fatalf("step %d: monitoredAddrs = %d, oracle %d", step, tab.monitoredAddrs(), len(liveAddrs))
 	}
+
+	// The check order holds each live condition exactly once, in entry
+	// order, and no empty condition.
+	order := tab.appendOrder(nil)
+	seen := map[condKey]bool{}
+	for i, k := range order {
+		if seen[k] {
+			t.Fatalf("step %d: cond %+v appears twice in check order %v", step, k, order)
+		}
+		seen[k] = true
+		if len(m.waiters[k]) == 0 {
+			t.Fatalf("step %d: empty cond %+v in check order at %d", step, k, i)
+		}
+	}
+	if len(order) != len(m.order) {
+		t.Fatalf("step %d: check order %v, oracle %v", step, order, m.order)
+	}
+	for i := range order {
+		if order[i] != m.order[i] {
+			t.Fatalf("step %d: check order %v, oracle %v", step, order, m.order)
+		}
+	}
+	// The back links mirror the forward walk.
+	i := len(order) - 1
+	for e := tab.oTail; e != nilRef; e = tab.ents[e].oPrev {
+		if i < 0 || tab.ents[e].key != order[i] {
+			t.Fatalf("step %d: backward check-order walk diverges at %d from %v", step, i, order)
+		}
+		i--
+	}
+	if i != -1 {
+		t.Fatalf("step %d: backward check-order walk stopped at %d of %d", step, i, len(order))
+	}
 }
 
 // TestSpillTableOracle drives the slab spill table and a map-based oracle
-// through a long seeded-random op sequence, diffing waiter order, counters,
-// tombstone membership, and every returned value at each step. Freelist
-// reuse after drops/consumes is exactly what the interleaving stresses.
+// through a long seeded-random op sequence, diffing waiter order, check
+// order, counters, and every returned value at each checked step. Freelist
+// reuse after withdrawals and drops is exactly what the interleaving
+// stresses.
 func TestSpillTableOracle(t *testing.T) {
 	ks := keyspace()
 	for _, seed := range []uint64{1, 0x5eed, 0xdecafbad} {
 		tab := newSpillTable()
-		m := spillModel{waiters: map[condKey][]gpu.WGID{}, tombs: map[condKey][]gpu.WGID{}}
+		m := spillModel{waiters: map[condKey][]gpu.WGID{}}
 		rng := seed
 		next := func(n int) int {
 			rng ^= rng << 13
@@ -107,13 +133,13 @@ func TestSpillTableOracle(t *testing.T) {
 		for step := 0; step < 4000; step++ {
 			k := ks[next(len(ks))]
 			wg := gpu.WGID(next(8))
-			switch next(6) {
+			switch next(4) {
 			case 0, 1: // addWaiter (weighted: the table needs occupancy)
-				wantNew := len(m.waiters[k]) == 0
-				if got := tab.addWaiter(k, wg); got != wantNew {
-					t.Fatalf("seed %#x step %d: addWaiter(%+v,%d) = %v, oracle %v", seed, step, k, wg, got, wantNew)
+				if len(m.waiters[k]) == 0 {
+					m.order = append(m.order, k)
 				}
 				m.waiters[k] = append(m.waiters[k], wg)
+				tab.addWaiter(k, wg)
 			case 2: // removeWaiter (first match)
 				want := false
 				for j, w := range m.waiters[k] {
@@ -122,6 +148,9 @@ func TestSpillTableOracle(t *testing.T) {
 						want = true
 						break
 					}
+				}
+				if len(m.waiters[k]) == 0 {
+					m.unorder(k)
 				}
 				if got := tab.removeWaiter(k, wg); got != want {
 					t.Fatalf("seed %#x step %d: removeWaiter(%+v,%d) = %v, oracle %v", seed, step, k, wg, got, want)
@@ -138,30 +167,7 @@ func TestSpillTableOracle(t *testing.T) {
 					}
 				}
 				delete(m.waiters, k)
-			case 4: // addTombstone (set semantics)
-				tab.addTombstone(k, wg)
-				dup := false
-				for _, w := range m.tombs[k] {
-					if w == wg {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					m.tombs[k] = append(m.tombs[k], wg)
-				}
-			case 5: // consumeTombstone
-				want := false
-				for j, w := range m.tombs[k] {
-					if w == wg {
-						m.tombs[k] = append(m.tombs[k][:j], m.tombs[k][j+1:]...)
-						want = true
-						break
-					}
-				}
-				if got := tab.consumeTombstone(k, wg); got != want {
-					t.Fatalf("seed %#x step %d: consumeTombstone(%+v,%d) = %v, oracle %v", seed, step, k, wg, got, want)
-				}
+				m.unorder(k)
 			}
 			if step%37 == 0 || step > 3900 {
 				m.check(t, &tab, step)

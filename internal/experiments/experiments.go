@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"strings"
 
+	"awgsim/internal/fault"
 	"awgsim/internal/gpu"
 	"awgsim/internal/kernels"
 	"awgsim/internal/metrics"
@@ -93,8 +94,10 @@ func (o Options) simConfig(c cell) sim.Config {
 
 // batch simulates every distinct cell through the sim worker pool and
 // returns the results keyed by cell. Duplicate cells (a base run shared by
-// several rows) simulate once. Any cell's error fails the whole batch,
-// labeled with the cell that produced it.
+// several rows) simulate once. Every cell's outcome must pass the IFP
+// invariant (fault.CheckOutcome): a deadlock renders only under a non-IFP
+// policy, and only diagnosed. Any cell's error or violation fails the
+// whole batch, labeled with the cell that produced it.
 func (o Options) batch(cells []cell) (map[cell]metrics.Result, error) {
 	seen := make(map[cell]bool, len(cells))
 	uniq := make([]cell, 0, len(cells))
@@ -110,8 +113,8 @@ func (o Options) batch(cells []cell) (map[cell]metrics.Result, error) {
 	}
 	results := make(map[cell]metrics.Result, len(uniq))
 	for i, out := range sim.RunAll(jobs) {
-		if out.Err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", uniq[i].bench, uniq[i].policy, out.Err)
+		if err := fault.CheckOutcome(uniq[i].policy, out.Result, out.Err); err != nil {
+			return nil, fmt.Errorf("%s/%s: %w", uniq[i].bench, uniq[i].policy, err)
 		}
 		results[uniq[i]] = out.Result
 	}

@@ -11,9 +11,12 @@ import (
 
 // faultPolicies is the faults experiment's policy set: the non-IFP
 // Baseline (expected to deadlock, diagnosed) against the IFP-providing
-// timeout and monitor architectures (required to complete verified under
-// every schedule).
-var faultPolicies = []string{"Baseline", "Timeout", "MonNR-All", "MonNR-One", "AWG"}
+// timeout, monitor and AWG architectures and the AWG ablation variants
+// (required to complete verified under every schedule).
+var faultPolicies = []string{
+	"Baseline", "Timeout", "MonNR-All", "MonNR-One", "MonRS-All", "MonR-All",
+	"AWG", "AWG-nostall", "AWG-nopredict", "AWG-nocache",
+}
 
 // faultRandomSeeds addresses the randomized schedules; fixed so the
 // experiment is a regression artifact, not a dice roll.

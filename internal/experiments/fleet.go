@@ -115,14 +115,14 @@ func runFleets(cfgs []fleet.Config) ([]*fleet.Result, []error) {
 	return res, errs
 }
 
-// Fleet is the fleet-scale robustness experiment: K devices, every IFP
-// policy (plus the Baseline control), every churn schedule — device loss
-// with mid-kernel WG migration, restore with rebalance, thermal derates,
-// uncorrectable ECC with retire-and-rewind — on top of per-device
-// machine-fault schedules. The fleet SLO is enforced on every cell: IFP
-// policies complete with zero violations, Baseline may hang but hangs
-// diagnosed, and the loss schedules must actually migrate work off the
-// lost device.
+// Fleet is the fleet-scale robustness experiment: K devices, the Baseline
+// control and the timeout, monitor and AWG architectures, every churn
+// schedule — device loss with mid-kernel WG migration, restore with
+// rebalance, thermal derates, uncorrectable ECC with retire-and-rewind —
+// on top of per-device machine-fault schedules. The fleet SLO is enforced
+// on every cell: IFP policies complete with zero violations, Baseline may
+// hang but hangs diagnosed, and the loss schedules must actually migrate
+// work off the lost device.
 func Fleet(o Options) (*metrics.Table, error) {
 	scheds := o.fleetSchedules()
 	var cfgs []fleet.Config
@@ -131,7 +131,7 @@ func Fleet(o Options) (*metrics.Table, error) {
 		sched  int
 	}
 	var keys []key
-	for _, p := range faultPolicies {
+	for _, p := range []string{"Baseline", "Timeout", "MonNR-All", "MonNR-One", "AWG"} {
 		for si, s := range scheds {
 			cfgs = append(cfgs, o.fleetConfig(p, s))
 			keys = append(keys, key{p, si})

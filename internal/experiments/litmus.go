@@ -12,9 +12,12 @@ import (
 
 // litmusPolicies is the conformance experiment's policy set: the non-IFP
 // Baseline and Sleep (documented to fail IFP-only patterns when
-// oversubscribed) against the timeout, monitor, and AWG architectures
-// (required to pass every cell).
-var litmusPolicies = []string{"Baseline", "Sleep", "Timeout", "MonNR-All", "MonNR-One", "AWG"}
+// oversubscribed) against the timeout, monitor, and AWG architectures and
+// the AWG ablation variants (required to pass every cell).
+var litmusPolicies = []string{
+	"Baseline", "Sleep", "Timeout", "MonNR-All", "MonNR-One", "MonRS-All", "MonR-All",
+	"AWG", "AWG-nostall", "AWG-nopredict", "AWG-nocache",
+}
 
 // litmusScale bundles the sweep's size at the configured scale: the
 // generator seed is fixed so the experiment is a regression artifact, not

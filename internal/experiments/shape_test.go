@@ -241,6 +241,16 @@ func TestAblationShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	header, rows := cells(t, tab)
+	// Every variant claims IFP, so every cell is a speedup and each
+	// variant's geomean covers all four benchmarks.
+	if len(rows) != len(AblationBenchmarks())+1 {
+		t.Fatalf("%d rows, want %d benchmarks and the geomean", len(rows), len(AblationBenchmarks()))
+	}
+	for _, row := range rows {
+		for _, v := range header[1:] {
+			num(t, header, row, v)
+		}
+	}
 	gm := geoMeanRow(t, rows)
 	full := num(t, header, gm, "AWG")
 	nocache := num(t, header, gm, "AWG-nocache")

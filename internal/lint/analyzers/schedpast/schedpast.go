@@ -10,8 +10,9 @@
 //
 //  2. Structural mutation of a collection while ranging over it in the
 //     same function body — the `cp.checkPass` hazard class: the check pass
-//     used to walk p.order by index while a met condition's dropCond
-//     spliced p.order underneath it, skipping or repeating conditions.
+//     once walked its check-order slice by index while a met condition's
+//     removal spliced the slice underneath it, skipping or repeating
+//     conditions.
 //     For slices, reassigning the ranged slice inside the body is flagged
 //     unless the enclosing block immediately leaves the loop (the
 //     splice-then-break idiom is sound: the stale iteration state is never

@@ -7,7 +7,7 @@ import "awgsim/internal/lint/analyzers/schedpast/testdata/src/event"
 
 type proc struct {
 	eng   *event.Engine
-	order []int64
+	walk  []int64
 	table map[int64]int
 }
 
@@ -27,9 +27,9 @@ func (p *proc) delays() {
 // spliceMidWalk is the checkPass hazard verbatim: the ranged slice is
 // spliced and iteration continues over stale state.
 func (p *proc) spliceMidWalk() {
-	for i, id := range p.order {
+	for i, id := range p.walk {
 		if id == 0 {
-			p.order = append(p.order[:i], p.order[i+1:]...) // want `reassigns p\.order while ranging over it`
+			p.walk = append(p.walk[:i], p.walk[i+1:]...) // want `reassigns p\.walk while ranging over it`
 		}
 	}
 }
@@ -37,9 +37,9 @@ func (p *proc) spliceMidWalk() {
 // spliceThenBreak is the sanctioned variant: the stale iteration state is
 // never used again.
 func (p *proc) spliceThenBreak() {
-	for i, id := range p.order {
+	for i, id := range p.walk {
 		if id == 1 {
-			p.order = append(p.order[:i], p.order[i+1:]...)
+			p.walk = append(p.walk[:i], p.walk[i+1:]...)
 			break
 		}
 	}
@@ -47,10 +47,10 @@ func (p *proc) spliceThenBreak() {
 
 // snapshotWalk is the other sanctioned fix: walk a copy, splice the real one.
 func (p *proc) snapshotWalk(scratch []int64) {
-	scratch = append(scratch[:0], p.order...)
+	scratch = append(scratch[:0], p.walk...)
 	for i, id := range scratch {
 		if id == 2 {
-			p.order = append(p.order[:i], p.order[i+1:]...)
+			p.walk = append(p.walk[:i], p.walk[i+1:]...)
 		}
 	}
 }

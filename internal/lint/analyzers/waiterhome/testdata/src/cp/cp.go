@@ -1,58 +1,68 @@
 // Package cp seeds single-home violations against a stand-in for the CP's
-// spilled-condition table.
+// spilled-condition table and its intrusive check order.
 package cp
 
-type cond struct {
+const nilRef int32 = -1
+
+type condKey struct {
 	addr int64
 	want int64
 }
 
-// Processor mirrors the CP's protected table state.
+// spillSlot mirrors a condition slot's protected links.
+type spillSlot struct {
+	key          condKey
+	wLen         int32
+	oPrev, oNext int32
+	next         int32
+}
+
+// spillTable mirrors the table's protected containers.
+type spillTable struct {
+	ents         []spillSlot
+	freeEnt      int32
+	oHead, oTail int32
+}
+
+// free is an approved transfer function: unlinking a condition from the
+// check order here is sanctioned.
+func (t *spillTable) free(e int32) {
+	s := &t.ents[e]
+	if s.oPrev == nilRef {
+		t.oHead = s.oNext
+	} else {
+		t.ents[s.oPrev].oNext = s.oNext
+	}
+	if s.oNext == nilRef {
+		t.oTail = s.oPrev
+	} else {
+		t.ents[s.oNext].oPrev = s.oPrev
+	}
+	s.next = t.freeEnt
+	t.freeEnt = e
+}
+
+// skipHead is not approved to unlink the check order directly — a
+// condition must leave the order with its last waiter, through free.
+func (t *spillTable) skipHead() {
+	if t.oHead != nilRef {
+		t.oHead = t.ents[t.oHead].oNext // want `spillTable\.oHead holds single-home waiter state`
+	}
+}
+
+// Processor mirrors the CP's protected table field.
 type Processor struct {
-	table   map[int64]*cond
-	order   []int64
-	inTable map[int64]bool
-	addrs   map[int64]int
-	removed map[int64]bool
-}
-
-func New() *Processor {
-	return &Processor{
-		table:   map[int64]*cond{},
-		inTable: map[int64]bool{},
-		addrs:   map[int64]int{},
-		removed: map[int64]bool{},
-	}
-}
-
-// dropCond is an approved transfer function: splicing here is sanctioned.
-func (p *Processor) dropCond(id int64, i int) {
-	delete(p.table, id)
-	delete(p.inTable, id)
-	p.order = append(p.order[:i], p.order[i+1:]...)
-}
-
-// checkPass is not approved to splice the walk order directly — it must
-// route removals through dropCond.
-func (p *Processor) checkPass() {
-	for i, id := range p.order {
-		if c, ok := p.table[id]; ok && c.addr == c.want {
-			p.order = append(p.order[:i], p.order[i+1:]...) // want `Processor\.order holds single-home waiter state`
-			p.removed[id] = true                            // want `Processor\.removed holds single-home waiter state`
-			break
-		}
-	}
+	tab spillTable
 }
 
 // Restore is the approved whole-home rewind: every container is rewritten
 // from one snapshot image, so no waiter can end up split across homes.
-func (p *Processor) Restore(order []int64, removed map[int64]bool) {
-	p.order = append(p.order[:0], order...) // approved: Restore is a transfer function
-	p.removed = removed                     // approved: Restore is a transfer function
+func (p *Processor) Restore(tab spillTable) {
+	p.tab = tab // approved: Restore is a transfer function
 }
 
 // rewind is NOT an approved name: snapshot-style rewrites must live in the
 // named snapshot layer, not be scattered under ad-hoc names.
-func (p *Processor) rewind(order []int64) {
-	p.order = order // want `Processor\.order holds single-home waiter state`
+func (p *Processor) rewind(tab spillTable) {
+	p.tab = tab // want `Processor\.tab holds single-home waiter state`
 }

@@ -9,7 +9,9 @@
 // failing schedule in hand, but its structural precondition can: waiter
 // state moves only through a small set of named transfer functions, so any
 // direct mutation of the underlying containers from other code is a bug in
-// the making.
+// the making. The CP's check order is links through the same table slots,
+// so it is protected with them: a condition joins and leaves the order only
+// with its first and last waiter.
 //
 // The analyzer restricts writes (assignment, ++/--, delete, splice-append)
 // to the protected fields below to their approved transfer functions.
@@ -132,57 +134,52 @@ var homes = []home{
 		},
 	},
 	{
-		// CP spilled-condition table, its walk order, and the wake buffer
-		// waiters travel through. (table/inTable/addrs/removed survive as
-		// testdata stand-in fields.)
+		// The CP's spilled-condition table and the wake buffer waiters
+		// travel through.
 		pkgSuffix: "/cp", typeName: "Processor",
-		fields: map[string]bool{
-			"table": true, "order": true, "inTable": true,
-			"addrs": true, "removed": true, "tab": true, "wakeBuf": true,
-		},
+		fields: map[string]bool{"tab": true, "wakeBuf": true},
 		approved: map[string]bool{
 			"New": true, "Unregister": true, "drainPass": true,
-			"dropCond": true, "runCheckResult": true,
+			"runCheckResult": true,
 			// Restore rewrites every container of the home from one saved
 			// image, so the single-home invariant holds by construction.
 			"Restore": true,
 		},
 	},
 	{
-		// The CP slab table's containers, counters, and indexes.
+		// The CP slab table's containers, check order, counters, and
+		// indexes.
 		pkgSuffix: "/cp", typeName: "spillTable",
 		fields: map[string]bool{
-			"ents": true, "freeEnt": true, "wnodes": true, "freeW": true,
-			"idx": true, "addrs": true, "waiters": true, "condLive": true,
+			"ents": true, "freeEnt": true, "oHead": true, "oTail": true,
+			"wnodes": true, "freeW": true, "idx": true, "addrs": true,
+			"waiters": true,
 		},
 		approved: map[string]bool{
-			"newSpillTable": true, "alloc": true, "maybeFree": true,
-			"pushNode": true, "addWaiter": true, "removeWaiter": true,
-			"dropWaiters": true, "addTombstone": true, "consumeTombstone": true,
+			"newSpillTable": true, "alloc": true, "free": true,
+			"addWaiter": true, "removeWaiter": true, "dropWaiters": true,
 			// Whole-table rewind from a snapshot image (see Restore above).
 			"restore": true,
 		},
 	},
 	{
-		// A spilled condition's waiter and tombstone list heads.
+		// A spilled condition's waiter list and check-order links.
 		pkgSuffix: "/cp", typeName: "spillSlot",
 		fields: map[string]bool{
 			"wHead": true, "wTail": true, "wLen": true,
-			"rHead": true, "rLen": true, "next": true,
+			"oPrev": true, "oNext": true, "next": true,
 		},
 		approved: map[string]bool{
-			"alloc": true, "maybeFree": true, "addWaiter": true,
+			"alloc": true, "free": true, "addWaiter": true,
 			"removeWaiter": true, "dropWaiters": true,
-			"addTombstone": true, "consumeTombstone": true,
 		},
 	},
 	{
-		// Waiter/tombstone node freelist links.
+		// Waiter node freelist links.
 		pkgSuffix: "/cp", typeName: "wgNode",
 		fields: map[string]bool{"next": true},
 		approved: map[string]bool{
-			"pushNode": true, "removeWaiter": true, "dropWaiters": true,
-			"addTombstone": true, "consumeTombstone": true,
+			"addWaiter": true, "removeWaiter": true, "dropWaiters": true,
 		},
 	},
 	{

