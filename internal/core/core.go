@@ -86,38 +86,61 @@ func DefaultPredictorConfig() PredictorConfig {
 // seen more than two unique updates (a barrier counter sweeping values);
 // resume one by one when there are multiple waiters but at most two unique
 // updates (a mutex toggling locked/unlocked).
+//
+// The modelled hardware holds all cfg.Filters filters at once; the host
+// builds filter i on the first update that lands on it. An unbuilt filter
+// reads exactly as a built, empty one: a count of 0 and all-zero state.
+// Filter i is seeded cfg.Seed+i whenever it is built, so a run's bits and
+// counts do not depend on which filters were touched first.
 type Predictor struct {
 	cfg      PredictorConfig
-	counters []*hashutil.UniqueCounter
+	counters []*hashutil.UniqueCounter // nil until the filter's first update
 	index    hashutil.Universal
 
 	// Counters the policy layer surfaces into the run result.
 	PredictedAll, PredictedOne, Resets uint64
 }
 
-// NewPredictor builds the predictor.
+// NewPredictor builds the predictor. Its filters are built on first use.
 func NewPredictor(cfg PredictorConfig) *Predictor {
 	if cfg.Filters <= 0 {
 		panic("core: predictor needs at least one filter")
 	}
-	p := &Predictor{
+	if cfg.BloomBits <= 0 || cfg.BloomBits > 64 || cfg.BloomK <= 0 {
+		panic("core: predictor filters need 1-64 bits and at least one hash")
+	}
+	return &Predictor{
 		cfg:      cfg,
 		counters: make([]*hashutil.UniqueCounter, cfg.Filters),
 		index:    hashutil.NewUniversal(cfg.Seed, cfg.Filters),
 	}
-	for i := range p.counters {
-		p.counters[i] = hashutil.NewUniqueCounter(cfg.BloomBits, cfg.BloomK, cfg.Seed+uint64(i))
-	}
-	return p
 }
 
-func (p *Predictor) counterFor(addr mem.Addr) *hashutil.UniqueCounter {
-	return p.counters[p.index.Hash(uint64(addr))]
+// filter returns addr's filter index.
+func (p *Predictor) filter(addr mem.Addr) int { return p.index.Hash(uint64(addr)) }
+
+// build returns filter i, building it if this is its first use.
+func (p *Predictor) build(i int) *hashutil.UniqueCounter {
+	c := p.counters[i]
+	if c == nil {
+		c = hashutil.NewUniqueCounter(p.cfg.BloomBits, p.cfg.BloomK, p.cfg.Seed+uint64(i))
+		p.counters[i] = c
+	}
+	return c
+}
+
+// count reports addr's unique-update count; an unbuilt filter has seen
+// none.
+func (p *Predictor) count(addr mem.Addr) int {
+	if c := p.counters[p.filter(addr)]; c != nil {
+		return c.Count()
+	}
+	return 0
 }
 
 // ObserveUpdate records an update's value in the address's Bloom filter.
 func (p *Predictor) ObserveUpdate(addr mem.Addr, newVal int64) {
-	p.counterFor(addr).Observe(uint64(newVal))
+	p.build(p.filter(addr)).Observe(uint64(newVal))
 }
 
 // Select implements the paper's prediction rule.
@@ -126,7 +149,7 @@ func (p *Predictor) Select(addr mem.Addr, _ int64, classes []syncmon.OpClass) in
 	if waiters <= 1 {
 		return waiters
 	}
-	if p.counterFor(addr).Count() > 2 {
+	if p.count(addr) > 2 {
 		p.PredictedAll++
 		return waiters
 	}
@@ -136,17 +159,18 @@ func (p *Predictor) Select(addr mem.Addr, _ int64, classes []syncmon.OpClass) in
 
 // AddressUnmonitored resets the address's Bloom filter, per the paper:
 // "once a condition has been met, all waiting WGs have resumed, and the
-// address is not monitored, the associated Bloom filter is reset".
+// address is not monitored, the associated Bloom filter is reset". An
+// unbuilt filter is already empty; the reset still counts.
 func (p *Predictor) AddressUnmonitored(addr mem.Addr) {
-	p.counterFor(addr).Reset()
+	if c := p.counters[p.filter(addr)]; c != nil {
+		c.Reset()
+	}
 	p.Resets++
 }
 
 // UniqueUpdates reports the current unique-update estimate for an address
 // (for tests and traces).
-func (p *Predictor) UniqueUpdates(addr mem.Addr) int {
-	return p.counterFor(addr).Count()
-}
+func (p *Predictor) UniqueUpdates(addr mem.Addr) int { return p.count(addr) }
 
 // StallPredictor estimates how long a WG will wait on a condition at a
 // given address, from the history of met conditions there. AWG stalls a

@@ -10,7 +10,8 @@ import (
 // copied eagerly.
 
 // PredictorSnap is a point-in-time copy of a Predictor's mutable state:
-// every counter's filter bits and unique count plus the surfaced counters.
+// every counter's filter bits and unique count (zero for an unbuilt
+// filter) plus the surfaced counters.
 type PredictorSnap struct {
 	counters                           []hashutil.CounterState
 	predictedAll, predictedOne, resets uint64
@@ -25,15 +26,20 @@ func (p *Predictor) Snapshot() *PredictorSnap {
 		resets:       p.Resets,
 	}
 	for i, c := range p.counters {
-		s.counters[i] = c.State()
+		if c != nil {
+			s.counters[i] = c.State()
+		}
 	}
 	return s
 }
 
-// Restore rewinds the predictor to the snapshot.
+// Restore rewinds the predictor to the snapshot. A filter still unbuilt
+// stays so unless the snapshot holds state for it.
 func (p *Predictor) Restore(s *PredictorSnap) {
-	for i, c := range p.counters {
-		c.SetState(s.counters[i])
+	for i, st := range s.counters {
+		if p.counters[i] != nil || st != (hashutil.CounterState{}) {
+			p.build(i).SetState(st)
+		}
 	}
 	p.PredictedAll, p.PredictedOne, p.Resets = s.predictedAll, s.predictedOne, s.resets
 }

@@ -70,12 +70,23 @@ type bucket struct {
 	pos int
 }
 
-func (b *bucket) add(ev scheduled) {
+// add appends ev, first emptying the bucket if it has fully drained; hw is
+// the bucket's high-water mark (see Engine.nearHW).
+func (b *bucket) add(ev scheduled, hw *int32) {
 	if b.pos > 0 && b.pos == len(b.ev) {
-		b.ev = b.ev[:0]
-		b.pos = 0
+		b.truncate(hw)
 	}
 	b.ev = append(b.ev, ev)
+}
+
+// truncate empties the bucket for reuse. The dropped slots keep their stale
+// entries, so the bucket's high-water mark first rises to cover them.
+func (b *bucket) truncate(hw *int32) {
+	if n := int32(len(b.ev)); n > *hw {
+		*hw = n
+	}
+	b.ev = b.ev[:0]
+	b.pos = 0
 }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
@@ -120,6 +131,16 @@ type Engine struct {
 	// watchdog of last resort against such livelocks.
 	budget    uint64
 	budgetHit bool
+
+	// nearHW/farHW are each bucket's high-water length since the engine
+	// was last recycled, raised wherever a bucket is truncated. No slot at
+	// or past a bucket's mark has been written since, so Recycle clears
+	// only up to it. They live here rather than in bucket so the event
+	// loop's memory layout does not change.
+	//lint:allow snapcover host-side recycle bookkeeping; no simulated state
+	nearHW [nearSize]int32
+	//lint:allow snapcover host-side recycle bookkeeping; no simulated state
+	farHW [farSize]int32
 }
 
 // New returns an engine positioned at cycle zero with an empty calendar.
@@ -159,10 +180,10 @@ func (e *Engine) schedule(at Cycle, fn func(), task *Task) {
 	}
 	e.seq++
 	if at >= e.nearBase && at-e.nearBase < nearSize {
-		b := &e.near[at&nearMask]
+		i := at & nearMask
+		b := &e.near[i]
 		if b.pos > 0 && b.pos == len(b.ev) {
-			b.ev = b.ev[:0]
-			b.pos = 0
+			b.truncate(&e.nearHW[i])
 		}
 		b.ev = append(b.ev, scheduled{at: at, seq: e.seq, fn: fn, task: task})
 		e.nearOcc[(at&nearMask)>>6] |= 1 << (at & 63)
@@ -182,7 +203,8 @@ func (e *Engine) place(ev scheduled) {
 	at := ev.at
 	if at >= e.nearBase {
 		if at-e.nearBase < nearSize {
-			e.near[at&nearMask].add(ev)
+			i := at & nearMask
+			e.near[i].add(ev, &e.nearHW[i])
 			e.nearOcc[(at&nearMask)>>6] |= 1 << (at & 63)
 			e.nearCnt++
 			if at < e.nearScan {
@@ -191,7 +213,8 @@ func (e *Engine) place(ev scheduled) {
 			return
 		}
 		if (at>>nearBits)-(e.nearBase>>nearBits) <= farSize {
-			e.far[(at>>nearBits)&farMask].add(ev)
+			i := (at >> nearBits) & farMask
+			e.far[i].add(ev, &e.farHW[i])
 			e.farCnt++
 			return
 		}
@@ -231,13 +254,15 @@ func (e *Engine) wheelHead() *bucket {
 		// one-cycle slots.
 		e.nearBase += nearSize
 		e.nearScan = e.nearBase
-		fb := &e.far[(e.nearBase>>nearBits)&farMask]
+		fi := (e.nearBase >> nearBits) & farMask
+		fb := &e.far[fi]
 		if n := len(fb.ev); n > 0 {
 			for _, ev := range fb.ev {
-				e.near[ev.at&nearMask].add(ev)
-				e.nearOcc[(ev.at&nearMask)>>6] |= 1 << (ev.at & 63)
+				i := ev.at & nearMask
+				e.near[i].add(ev, &e.nearHW[i])
+				e.nearOcc[i>>6] |= 1 << (ev.at & 63)
 			}
-			fb.ev = fb.ev[:0]
+			fb.truncate(&e.farHW[fi])
 			e.farCnt -= n
 			e.nearCnt += n
 		}

@@ -53,10 +53,10 @@ func (e *Engine) Recycle() {
 
 func (e *Engine) reset() {
 	for i := range e.near {
-		e.drainBucket(&e.near[i])
+		e.drainBucket(&e.near[i], &e.nearHW[i])
 	}
 	for i := range e.far {
-		e.drainBucket(&e.far[i])
+		e.drainBucket(&e.far[i], &e.farHW[i])
 	}
 	for i := range e.heap {
 		if t := e.heap[i].task; t != nil {
@@ -74,16 +74,11 @@ func (e *Engine) reset() {
 	e.budget, e.budgetHit = 0, false
 }
 
-// drainBucket empties a bucket like recycleBucket, additionally clearing
-// the consumed slots fire left stale so a pooled engine pins no dead
-// closures or tasks.
-func (e *Engine) drainBucket(b *bucket) {
-	for i := b.pos; i < len(b.ev); i++ {
-		if t := b.ev[i].task; t != nil {
-			e.releaseTask(t)
-		}
-	}
-	clear(b.ev[:cap(b.ev)])
-	b.ev = b.ev[:0]
-	b.pos = 0
+// drainBucket empties a bucket like recycleBucket, then clears the slots
+// written since the last Recycle — those below its high-water mark hw; the
+// rest are still zero — so a pooled engine pins no dead closures or tasks.
+func (e *Engine) drainBucket(b *bucket, hw *int32) {
+	e.recycleBucket(b, hw)
+	clear(b.ev[:*hw])
+	*hw = 0
 }

@@ -120,10 +120,10 @@ func (e *Engine) Snapshot() *Snapshot {
 // their original (at, seq) firing order. Any Stop() in effect is cleared.
 func (e *Engine) Restore(s *Snapshot) {
 	for i := range e.near {
-		e.recycleBucket(&e.near[i])
+		e.recycleBucket(&e.near[i], &e.nearHW[i])
 	}
 	for i := range e.far {
-		e.recycleBucket(&e.far[i])
+		e.recycleBucket(&e.far[i], &e.farHW[i])
 	}
 	for i := range e.heap {
 		if t := e.heap[i].task; t != nil {
@@ -174,16 +174,14 @@ func (e *Engine) Restore(s *Snapshot) {
 }
 
 // recycleBucket returns a bucket's unconsumed tasks to the free list and
-// empties it.
-func (e *Engine) recycleBucket(b *bucket) {
+// empties it; hw is the bucket's high-water mark.
+func (e *Engine) recycleBucket(b *bucket, hw *int32) {
 	for i := b.pos; i < len(b.ev); i++ {
 		if t := b.ev[i].task; t != nil {
 			e.releaseTask(t)
 		}
-		b.ev[i] = scheduled{}
 	}
-	b.ev = b.ev[:0]
-	b.pos = 0
+	b.truncate(hw)
 }
 
 // ReserveSeqs consumes n sequence numbers without scheduling anything and
@@ -213,7 +211,8 @@ func (e *Engine) AtWithSeq(at Cycle, seq uint64, fn func()) {
 	ev := scheduled{at: at, seq: seq, fn: fn}
 	if at >= e.nearBase {
 		if at-e.nearBase < nearSize {
-			e.near[at&nearMask].insertBySeq(ev)
+			i := at & nearMask
+			e.near[i].insertBySeq(ev, &e.nearHW[i])
 			e.nearOcc[(at&nearMask)>>6] |= 1 << (at & 63)
 			e.nearCnt++
 			if at < e.nearScan {
@@ -222,7 +221,8 @@ func (e *Engine) AtWithSeq(at Cycle, seq uint64, fn func()) {
 			return
 		}
 		if (at>>nearBits)-(e.nearBase>>nearBits) <= farSize {
-			e.far[(at>>nearBits)&farMask].insertBySeq(ev)
+			i := (at >> nearBits) & farMask
+			e.far[i].insertBySeq(ev, &e.farHW[i])
 			e.farCnt++
 			return
 		}
@@ -234,10 +234,10 @@ func (e *Engine) AtWithSeq(at Cycle, seq uint64, fn func()) {
 // first same-cycle entry with a greater seq. Bucket lists keep entries of
 // equal timestamp in ascending seq order (that is the firing order); entries
 // of other timestamps — possible in far buckets — are position-irrelevant.
-func (b *bucket) insertBySeq(ev scheduled) {
+// hw is the bucket's high-water mark.
+func (b *bucket) insertBySeq(ev scheduled, hw *int32) {
 	if b.pos > 0 && b.pos == len(b.ev) {
-		b.ev = b.ev[:0]
-		b.pos = 0
+		b.truncate(hw)
 	}
 	i := b.pos
 	for i < len(b.ev) {

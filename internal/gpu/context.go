@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"slices"
 	"sort"
 
 	"awgsim/internal/event"
@@ -161,10 +162,7 @@ func (c *ctxSwitcher) preemptCU(id CUID) {
 	}
 	m.mem.InvalidateCU(int(id))
 	cu := m.sched.cu(id)
-	victims := make([]*WG, 0, len(cu.resident))
-	for _, w := range cu.resident {
-		victims = append(victims, w)
-	}
+	victims := slices.Clone(cu.resident)
 	// Deterministic order.
 	sort.Slice(victims, func(i, j int) bool { return victims[i].id < victims[j].id })
 	for _, w := range victims {

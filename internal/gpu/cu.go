@@ -1,6 +1,9 @@
 package gpu
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Config describes the machine, defaulting to the paper's Table 1 baseline.
 type Config struct {
@@ -80,17 +83,16 @@ type computeUnit struct {
 	wgSlots  int
 	wfSlots  int
 	ldsFree  int
-	resident map[WGID]*WG
+	resident []*WG // hosted WGs, unordered
 }
 
 func newComputeUnit(id CUID, cfg Config) *computeUnit {
 	return &computeUnit{
-		id:       id,
-		enabled:  true,
-		wgSlots:  cfg.MaxWGsPerCU,
-		wfSlots:  cfg.wfSlotsPerCU(),
-		ldsFree:  cfg.LDSPerCU,
-		resident: make(map[WGID]*WG),
+		id:      id,
+		enabled: true,
+		wgSlots: cfg.MaxWGsPerCU,
+		wfSlots: cfg.wfSlotsPerCU(),
+		ldsFree: cfg.LDSPerCU,
 	}
 }
 
@@ -107,18 +109,22 @@ func (cu *computeUnit) host(w *WG, simdWidth int) {
 	cu.wgSlots--
 	cu.wfSlots -= w.spec.Wavefronts(simdWidth)
 	cu.ldsFree -= w.spec.LDSBytes
-	cu.resident[w.id] = w
+	cu.resident = append(cu.resident, w)
 	w.cu = cu.id
 }
 
 // release returns w's resources to the pool.
 func (cu *computeUnit) release(w *WG, simdWidth int) {
-	if _, ok := cu.resident[w.id]; !ok {
+	i := slices.Index(cu.resident, w)
+	if i < 0 {
 		panic(fmt.Sprintf("gpu: releasing %v not resident on cu%d", w, cu.id))
 	}
 	cu.wgSlots++
 	cu.wfSlots += w.spec.Wavefronts(simdWidth)
 	cu.ldsFree += w.spec.LDSBytes
-	delete(cu.resident, w.id)
+	last := len(cu.resident) - 1
+	cu.resident[i] = cu.resident[last]
+	cu.resident[last] = nil
+	cu.resident = cu.resident[:last]
 	w.cu = NoCU
 }

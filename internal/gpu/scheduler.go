@@ -282,7 +282,6 @@ func (s *scheduler) issueFactor(w *WG) event.Cycle {
 		return 1
 	}
 	executing := 0
-	//lint:allow simdeterminism commutative integer sum; Wavefronts is a pure function of the immutable spec
 	for _, r := range s.cus[w.cu].resident {
 		if !r.stalled && r.state == StateResident {
 			executing += r.spec.Wavefronts(s.m.cfg.SIMDWidth)

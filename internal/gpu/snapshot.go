@@ -130,10 +130,9 @@ type frameSnap struct {
 	regs []int64
 }
 
-// wgSnap records one WG's mutable runtime state. The resident maps are not
-// saved: w.cu mirrors residency exactly (host sets it, release clears it),
-// so Restore rebuilds each CU's resident set from the WGs — no map
-// iteration anywhere in the snapshot path.
+// wgSnap records one WG's mutable runtime state. The CUs' resident lists
+// are not saved: w.cu mirrors residency exactly (host sets it, release
+// clears it), so Restore rebuilds each list from the WGs.
 type wgSnap struct {
 	frame          *frameSnap
 	state          WGState
@@ -279,12 +278,13 @@ func (m *Machine) Restore(s *Snapshot) {
 	for i, cu := range sched.cus {
 		cs := &s.cus[i]
 		cu.enabled, cu.wgSlots, cu.wfSlots, cu.ldsFree = cs.enabled, cs.wgSlots, cs.wfSlots, cs.ldsFree
-		clear(cu.resident)
+		cu.resident = cu.resident[:0]
 	}
 	for i, w := range m.allWGs {
 		m.restoreWG(w, &s.wgs[i])
 		if w.cu != NoCU {
-			sched.cus[w.cu].resident[w.id] = w
+			cu := sched.cus[w.cu]
+			cu.resident = append(cu.resident, w)
 		}
 	}
 	au.charIdx.CopyFrom(s.atomics.charIdx)

@@ -82,7 +82,7 @@ func Get(name string) (Builder, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(p Params) (*Benchmark, error) { return litmusBench(l, p) }, nil
+		return func(p Params) (*Benchmark, error) { return litmusBench(l, name, p) }, nil
 	}
 	b, ok := registry[name]
 	if !ok {

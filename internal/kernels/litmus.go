@@ -185,31 +185,37 @@ func (l Litmus) Validate() error {
 // exactly, and equal patterns encode identically — the property that makes
 // the name a run-cache fingerprint component.
 func (l Litmus) Encode() string {
-	var b strings.Builder
-	b.WriteString(LitmusPrefix)
+	b := make([]byte, 0, len(LitmusPrefix)+8*l.NumOps())
+	b = append(b, LitmusPrefix...)
 	for wi, prog := range l.Progs {
 		if wi > 0 {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
 		for i, op := range prog {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
 			switch op.Kind {
 			case LitmusAdd:
-				fmt.Fprintf(&b, "a%d", op.Var)
+				b = strconv.AppendInt(append(b, 'a'), int64(op.Var), 10)
 			case LitmusSet:
-				fmt.Fprintf(&b, "s%d.%d", op.Var, op.Val)
+				b = appendVarVal(b, 's', op)
 			case LitmusWaitGE:
-				fmt.Fprintf(&b, "g%d.%d", op.Var, op.Val)
+				b = appendVarVal(b, 'g', op)
 			case LitmusWaitEq:
-				fmt.Fprintf(&b, "e%d.%d", op.Var, op.Val)
+				b = appendVarVal(b, 'e', op)
 			case LitmusWork:
-				fmt.Fprintf(&b, "c%d", op.Val)
+				b = strconv.AppendInt(append(b, 'c'), op.Val, 10)
 			}
 		}
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendVarVal appends op's <tag><var>.<val> token.
+func appendVarVal(b []byte, tag byte, op LitmusOp) []byte {
+	b = strconv.AppendInt(append(b, tag), int64(op.Var), 10)
+	return strconv.AppendInt(append(b, '.'), op.Val, 10)
 }
 
 // DecodeLitmus parses an encoded litmus benchmark name. The encoding must
@@ -282,7 +288,13 @@ func decodeLitmusOp(tok string) (LitmusOp, error) {
 		if err != nil {
 			return LitmusOp{}, err
 		}
-		k := map[byte]LitmusOpKind{'s': LitmusSet, 'g': LitmusWaitGE, 'e': LitmusWaitEq}[kind]
+		k := LitmusSet
+		switch kind {
+		case 'g':
+			k = LitmusWaitGE
+		case 'e':
+			k = LitmusWaitEq
+		}
 		return LitmusOp{Kind: k, Var: int(v), Val: n}, nil
 	default:
 		return LitmusOp{}, fmt.Errorf("op token %q: unknown kind %q", tok, kind)
@@ -341,15 +353,12 @@ func litmusStep(op LitmusOp, vals []int64) bool {
 	return true
 }
 
-// litmusBench builds the runnable benchmark for a decoded pattern: one WG
-// per program, every variable a line-separated global word, and Verify
-// comparing the final memory against the pattern's confluent fair-execution
-// values — which catches a policy that "completes" by corrupting or
-// skipping synchronization.
-func litmusBench(l Litmus, p Params) (*Benchmark, error) {
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
+// litmusBench builds the runnable benchmark for a pattern DecodeLitmus has
+// validated from its canonical name: one WG per program, every variable a
+// line-separated global word, and Verify comparing the final memory
+// against the pattern's confluent fair-execution values — which catches a
+// policy that "completes" by corrupting or skipping synchronization.
+func litmusBench(l Litmus, name string, p Params) (*Benchmark, error) {
 	if p.NumWGs != l.NumWGs() {
 		return nil, fmt.Errorf("kernels: litmus pattern has %d WGs, launch params ask %d", l.NumWGs(), p.NumWGs)
 	}
@@ -360,7 +369,7 @@ func litmusBench(l Litmus, p Params) (*Benchmark, error) {
 	vars := alloc.Words(max(l.NumVars(), 1))
 	finals, complete := l.FairFinal()
 
-	spec := baseSpec(p, l.Encode(), 8, 0)
+	spec := baseSpec(p, name, 8, 0)
 	spec.IR = litmusIR(l, vars)
 	return &Benchmark{
 		Spec:   spec,

@@ -1,33 +1,40 @@
 package kernels
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestLitmusEncodeDecodeRoundTrip(t *testing.T) {
-	patterns := []Litmus{
+	// Each pattern's literal encoding pins the name grammar, so the encoder
+	// cannot drift from the canonical names recorded in goldens.
+	patterns := []struct {
+		l    Litmus
+		name string
+	}{
 		// Two-WG producer/consumer chain over a flag.
-		{Progs: [][]LitmusOp{
+		{Litmus{Progs: [][]LitmusOp{
 			{{Kind: LitmusWaitEq, Var: 0, Val: 1}},
 			{{Kind: LitmusSet, Var: 0, Val: 1}},
-		}},
+		}}, "litmus:1:e0.1;s0.1"},
 		// Counter gather with work skew.
-		{Progs: [][]LitmusOp{
+		{Litmus{Progs: [][]LitmusOp{
 			{{Kind: LitmusAdd, Var: 0}, {Kind: LitmusWaitGE, Var: 0, Val: 3}},
 			{{Kind: LitmusWork, Val: 40}, {Kind: LitmusAdd, Var: 0}},
 			{{Kind: LitmusAdd, Var: 0}, {Kind: LitmusWaitGE, Var: 0, Val: 2}},
-		}},
+		}}, "litmus:1:a0,g0.3;c40,a0;a0,g0.2"},
 		// A WG with an empty program is legal (pure bystander).
-		{Progs: [][]LitmusOp{
+		{Litmus{Progs: [][]LitmusOp{
 			{{Kind: LitmusSet, Var: 1, Val: 7}},
 			nil,
-		}},
+		}}, "litmus:1:s1.7;"},
+		// Every kind, with multi-digit vars and values.
+		{Litmus{Progs: [][]LitmusOp{
+			{{Kind: LitmusAdd, Var: 255}, {Kind: LitmusSet, Var: 12, Val: 345}},
+			{{Kind: LitmusWaitEq, Var: 12, Val: 345}, {Kind: LitmusWaitGE, Var: 255, Val: 1}, {Kind: LitmusWork, Val: 4096}},
+		}}, "litmus:1:a255,s12.345;e12.345,g255.1,c4096"},
 	}
-	for _, l := range patterns {
-		name := l.Encode()
-		if !strings.HasPrefix(name, LitmusPrefix) {
-			t.Fatalf("Encode() = %q, missing prefix", name)
+	for _, tc := range patterns {
+		name := tc.l.Encode()
+		if name != tc.name {
+			t.Fatalf("Encode() = %q, want %q", name, tc.name)
 		}
 		got, err := DecodeLitmus(name)
 		if err != nil {

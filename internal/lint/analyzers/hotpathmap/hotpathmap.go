@@ -1,14 +1,15 @@
-// Package hotpathmap keeps Go maps off the simulator's bank-service and
-// wake paths.
+// Package hotpathmap keeps Go maps off the simulator's bank-service, wake
+// and CU-issue paths.
 //
 // The data-oriented hot-state overhaul replaced the SyncMon condition
 // cache's maps, the CP spilled-condition table's maps, and the memory
 // system's value store with slab/flat structures: profiled suites spent
 // over a quarter of their wall clock in map runtime (hash, probe, grow)
-// and the allocations behind it. A map reintroduced on those paths —
-// indexed, ranged, or deleted in any function reachable from a
-// bank-service or wake root — quietly reverts that, so the analyzer flags
-// it at review time.
+// and the allocations behind it. The CU's resident set followed: ranging
+// it as a map on every compute chunk took a seventh of an oversubscribed
+// workload's CPU. A map reintroduced on those paths — indexed, ranged, or
+// deleted in any function reachable from a hot root — quietly reverts
+// that, so the analyzer flags it at review time.
 //
 // Reachability comes from the ipsummary call graph: a root's composed
 // summary carries its transitive Calls set, which deliberately includes
@@ -32,16 +33,17 @@ import (
 // Analyzer is the hotpathmap analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:     "hotpathmap",
-	Doc:      "forbid Go map access in functions reachable from bank-service/wake hot paths",
+	Doc:      "forbid Go map access in functions reachable from bank-service, wake and CU-issue hot paths",
 	Requires: []*analysis.Analyzer{interproc.Analyzer},
 	Run:      run,
 }
 
 // scope names one hot package (by path suffix, so testdata stand-ins
-// match) and its hot roots: the entry points the bank-service and wake
-// machinery calls per atomic / per wake.
+// match), the hot path its findings name, and its hot roots: the entry
+// points the machinery calls per atomic, per wake or per compute chunk.
 type scope struct {
 	pkgSuffix string
+	path      string
 	roots     map[string]bool
 }
 
@@ -49,7 +51,7 @@ var scopes = []scope{
 	{
 		// SyncMon: per-atomic observation, registration/withdrawal at bank
 		// time, spill, and the sporadic-wake sweep.
-		pkgSuffix: "/syncmon",
+		pkgSuffix: "/syncmon", path: "bank-service/wake",
 		roots: map[string]bool{
 			"Register": true, "Unregister": true, "observe": true,
 			"spill": true, "wakeAllOnAddr": true,
@@ -58,16 +60,24 @@ var scopes = []scope{
 	{
 		// CP firmware: drain/check passes, check results, and waiter
 		// withdrawal all run against every spilled condition.
-		pkgSuffix: "/cp",
+		pkgSuffix: "/cp", path: "bank-service/wake",
 		roots: map[string]bool{
 			"Unregister": true, "drainPass": true, "checkPass": true,
 			"runCheckResult": true,
 		},
 	},
 	{
+		// GPU CU issue: every compute chunk re-samples the CU's issue-slot
+		// contention, and the chunk chain re-arms itself as a pooled task.
+		pkgSuffix: "/gpu", path: "CU-issue",
+		roots: map[string]bool{
+			"runCompute": true, "computeStep": true, "runComputeChunk": true,
+		},
+	},
+	{
 		// Memory system: value reads/writes and every timing query run per
 		// access at bank-service rate.
-		pkgSuffix: "/mem",
+		pkgSuffix: "/mem", path: "bank-service/wake",
 		roots: map[string]bool{
 			"Read": true, "Write": true, "Access": true,
 			"AtomicTiming": true, "LocalAtomicTiming": true, "ArmTiming": true,
@@ -90,7 +100,7 @@ func run(pass *analysis.Pass) (any, error) {
 	})
 	for _, obj := range ip.Order {
 		if reachable[obj] && ip.Decls[obj].Body != nil {
-			checkBody(pass, ip.Decls[obj])
+			checkBody(pass, sc.path, ip.Decls[obj])
 		}
 	}
 	return nil, nil
@@ -105,19 +115,19 @@ func scopeFor(path string) *scope {
 	return nil
 }
 
-// checkBody flags map index, range, and delete operations inside one hot
-// function.
-func checkBody(pass *analysis.Pass, fd *ast.FuncDecl) {
+// checkBody flags map index, range, and delete operations inside one
+// function reachable from the named hot path.
+func checkBody(pass *analysis.Pass, path string, fd *ast.FuncDecl) {
 	name := fd.Name.Name
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.IndexExpr:
 			if isMap(pass, n.X) {
-				report(pass, n, name, "indexed")
+				report(pass, n, name, path, "indexed")
 			}
 		case *ast.RangeStmt:
 			if isMap(pass, n.X) {
-				report(pass, n, name, "ranged over")
+				report(pass, n, name, path, "ranged over")
 			}
 		case *ast.CallExpr:
 			id, ok := n.Fun.(*ast.Ident)
@@ -125,7 +135,7 @@ func checkBody(pass *analysis.Pass, fd *ast.FuncDecl) {
 				return true
 			}
 			if _, isB := pass.TypesInfo.Uses[id].(*types.Builtin); isB && isMap(pass, n.Args[0]) {
-				report(pass, n, name, "deleted from")
+				report(pass, n, name, path, "deleted from")
 			}
 		}
 		return true
@@ -141,10 +151,10 @@ func isMap(pass *analysis.Pass, e ast.Expr) bool {
 	return ok
 }
 
-func report(pass *analysis.Pass, n ast.Node, fn, verb string) {
+func report(pass *analysis.Pass, n ast.Node, fn, path, verb string) {
 	pass.Report(analysis.Diagnostic{
 		Pos: n.Pos(), End: n.End(),
-		Message: "map " + verb + " in " + fn + ", reachable from a bank-service/wake hot path; " +
+		Message: "map " + verb + " in " + fn + ", reachable from a " + path + " hot path; " +
 			"use a slab or hashutil.Flat index (see the hot-state layout in DESIGN.md)",
 	})
 }

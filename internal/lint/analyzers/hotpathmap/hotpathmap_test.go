@@ -8,5 +8,5 @@ import (
 )
 
 func TestHotPathMap(t *testing.T) {
-	analysistest.Run(t, hotpathmap.Analyzer, "syncmon", "cp", "mem")
+	analysistest.Run(t, hotpathmap.Analyzer, "syncmon", "cp", "mem", "gpu")
 }

@@ -128,7 +128,8 @@ var homes = []home{
 			"size": true, "live": true, "maxLive": true,
 		},
 		approved: map[string]bool{
-			"NewMonitorLog": true, "Push": true, "Pop": true, "Remove": true,
+			"NewMonitorLog": true, "allocRing": true, "Push": true,
+			"Pop": true, "Remove": true,
 			// Whole-ring rewind from a snapshot image (see Restore above).
 			"restore": true,
 		},

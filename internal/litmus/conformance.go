@@ -88,11 +88,10 @@ func Conformance(patterns []kernels.Litmus, policies []string, occs []Occupancy,
 // benchmark's Verify and surfaced as Err on a completed run) are always
 // violations regardless of the oracles.
 func (s *Sweep) check(c *Cell) {
-	l := s.Patterns[c.Pattern]
-	name := l.Encode()
 	if !c.Failed() {
 		return // completed and verified; nothing to report
 	}
+	name := s.Patterns[c.Pattern].Encode()
 	if c.Err == nil && c.Result.Deadlocked && c.Result.Diagnosis == nil {
 		s.Violations = append(s.Violations, Violation{
 			Cell: *c, Model: IFP,

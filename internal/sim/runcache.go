@@ -1,11 +1,15 @@
 package sim
 
 import (
-	"fmt"
-	"strings"
+	"hash/maphash"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
+	"awgsim/internal/event"
+	"awgsim/internal/gpu"
+	"awgsim/internal/kernels"
+	"awgsim/internal/mem"
 	"awgsim/internal/metrics"
 )
 
@@ -30,6 +34,7 @@ import (
 // ResetCache first.
 
 type cacheEntry struct {
+	key  runKey        // the full key; the map indexes its hash
 	done chan struct{} // closed when res/err/ran are final
 	res  metrics.Result
 	err  error
@@ -45,7 +50,7 @@ type cacheEntry struct {
 // its key re-inserted with a fresh entry — so the evictor checks the map
 // still holds this exact entry before acting on it.
 type cacheQueueEntry struct {
-	key string
+	key uint64 // keyHash of e.key
 	e   *cacheEntry
 }
 
@@ -58,9 +63,10 @@ const defaultRunCacheCap = 8192
 
 var (
 	cacheMu    sync.Mutex
-	runCache   = map[string]*cacheEntry{}
-	cacheQueue []cacheQueueEntry    // insertion order, guarded by cacheMu
-	cacheCap   = defaultRunCacheCap // <= 0 removes the bound; guarded by cacheMu
+	runCache   = map[uint64]*cacheEntry{} // indexed by keyHash
+	cacheQueue []cacheQueueEntry          // insertion order, guarded by cacheMu
+	cacheCap   = defaultRunCacheCap       // <= 0 removes the bound; guarded by cacheMu
+	keySeed    = maphash.MakeSeed()
 
 	cacheHits atomic.Uint64
 
@@ -77,7 +83,7 @@ func CacheHits() uint64 { return cacheHits.Load() }
 // ResetCache drops every cached run and zeroes the hit counter.
 func ResetCache() {
 	cacheMu.Lock()
-	runCache = map[string]*cacheEntry{}
+	runCache = map[uint64]*cacheEntry{}
 	cacheQueue = nil
 	cacheMu.Unlock()
 	cacheHits.Store(0)
@@ -119,28 +125,60 @@ func evictLocked() {
 	cacheQueue = cacheQueue[w:]
 }
 
-// fingerprint canonically encodes a declarative Config, reporting ok=false
-// for Configs carrying closures or pointers the encoding cannot capture.
-// fill() has already run, so defaulted and explicit Configs that denote the
-// same machine encode identically.
-func fingerprint(c *Config) (string, bool) {
-	if c.Kernel != nil || c.Init != nil || c.Verify != nil || c.Inject != nil || c.Tracer != nil {
-		return "", false
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%q|%q|%#v|%#v|%#v|%v|%d|%d|%v|%d",
-		c.Benchmark, c.Policy, c.GPU, c.Mem, c.Params,
-		c.Oversubscribe, c.PreemptAt, c.CycleBudget, c.SkipVerify, c.Seed)
-	if c.Faults != nil {
-		// Seed never changes a run, but it names the schedule in
-		// construction errors, which duplicates share.
-		fmt.Fprintf(&b, "|%q|%d", c.Faults.Name, c.Faults.Seed)
-		for _, e := range c.Faults.Events {
-			fmt.Fprintf(&b, "|%#v", e)
-		}
-	}
-	return b.String(), true
+// runKey is the run-cache key: every value field of a declarative Config,
+// with the machine, memory and launch configs held whole. A fault schedule
+// holds a slice, so a present one is folded into faults as a string.
+type runKey struct {
+	benchmark, policy string
+	gpu               gpu.Config
+	mem               mem.Config
+	params            kernels.Params
+	oversubscribe     bool
+	preemptAt         event.Cycle
+	cycleBudget       uint64
+	skipVerify        bool
+	seed              uint64
+	faults            string // "" when the Config has no schedule
 }
+
+// fingerprint builds a declarative Config's run-cache key, reporting
+// ok=false for Configs carrying closures or pointers the key cannot
+// capture. fill() has already run, so defaulted and explicit Configs that
+// denote the same machine get equal keys.
+func fingerprint(c *Config) (runKey, bool) {
+	if c.Kernel != nil || c.Init != nil || c.Verify != nil || c.Inject != nil || c.Tracer != nil {
+		return runKey{}, false
+	}
+	k := runKey{
+		benchmark: c.Benchmark, policy: c.Policy,
+		gpu: c.GPU, mem: c.Mem, params: c.Params,
+		oversubscribe: c.Oversubscribe, preemptAt: c.PreemptAt,
+		cycleBudget: c.CycleBudget, skipVerify: c.SkipVerify, seed: c.Seed,
+	}
+	if f := c.Faults; f != nil {
+		// Seed never changes a run, but it names the schedule in
+		// construction errors, which duplicates share. The quoted name
+		// leads, so a present schedule never encodes as "".
+		b := strconv.AppendQuote(nil, f.Name)
+		b = strconv.AppendUint(append(b, '|'), f.Seed, 10)
+		for _, e := range f.Events {
+			for _, v := range [...]int64{int64(e.At), int64(e.Op), int64(e.CU),
+				int64(e.Ways), int64(e.WaitList), int64(e.Seed), int64(e.MaxSkew)} {
+				b = strconv.AppendInt(append(b, ','), v, 10)
+			}
+			b = append(b, ';')
+		}
+		k.faults = string(b)
+	}
+	return k, true
+}
+
+// keyHash indexes the cache by a runKey's hash. A runKey is several hundred
+// bytes, and a Go map stores a key over 128 bytes out of line, allocating
+// on every insert; a hash index keeps inserts allocation-free. Each entry
+// holds its full key, so a lookup that lands on another key's entry sees
+// the mismatch.
+func keyHash(k runKey) uint64 { return maphash.Comparable(keySeed, k) }
 
 // runDeduped executes cfg through the run cache: the first arrival of a
 // fingerprint simulates (concurrent duplicates wait on it — singleflight),
@@ -153,10 +191,16 @@ func runDeduped(cfg Config) (metrics.Result, error) {
 	if !ok {
 		return runFresh(cfg)
 	}
+	h := keyHash(key)
 	cacheMu.Lock()
-	e := runCache[key]
+	e := runCache[h]
 	if e != nil {
 		cacheMu.Unlock()
+		if e.key != key {
+			// Another key under the same 64-bit hash: simulate without
+			// the cache rather than replay a different run.
+			return runFresh(cfg)
+		}
 		<-e.done
 		if e.ran {
 			cacheHits.Add(1)
@@ -168,14 +212,14 @@ func runDeduped(cfg Config) (metrics.Result, error) {
 		// nothing was cached, so report the same failure afresh.
 		return metrics.Result{}, e.err
 	}
-	e = &cacheEntry{done: make(chan struct{})}
-	runCache[key] = e
-	cacheQueue = append(cacheQueue, cacheQueueEntry{key, e})
+	e = &cacheEntry{key: key, done: make(chan struct{})}
+	runCache[h] = e
+	cacheQueue = append(cacheQueue, cacheQueueEntry{h, e})
 	evictLocked()
 	cacheMu.Unlock()
 
-	if h := testHookConstruct; h != nil {
-		h()
+	if hook := testHookConstruct; hook != nil {
+		hook()
 	}
 	s, err := NewSession(cfg)
 	if err != nil {
@@ -184,8 +228,8 @@ func runDeduped(cfg Config) (metrics.Result, error) {
 		cacheMu.Lock()
 		// Only drop our own entry: ResetCache may have swapped the map
 		// mid-run and a fresh first arrival can own this key by now.
-		if runCache[key] == e {
-			delete(runCache, key)
+		if runCache[h] == e {
+			delete(runCache, h)
 		}
 		cacheMu.Unlock()
 		return metrics.Result{}, err

@@ -88,6 +88,10 @@ func TestFingerprintCoversConfig(t *testing.T) {
 	}
 }
 
+// testKey is the cache index of the i-th synthetic run key of the
+// eviction tests.
+func testKey(i int) uint64 { return keyHash(runKey{benchmark: fmt.Sprintf("k%d", i)}) }
+
 // setCacheCap bounds the run cache for one test.
 func setCacheCap(t *testing.T, n int) {
 	t.Helper()
@@ -157,6 +161,39 @@ func TestDedupeDistinguishesConfigs(t *testing.T) {
 	}
 }
 
+// TestDedupeHashCollisionRunsFresh: an entry resident under a run's hash
+// but holding another key is never replayed for it; the run simulates
+// fresh and leaves the other key's entry in place.
+func TestDedupeHashCollisionRunsFresh(t *testing.T) {
+	ResetCache()
+	defer ResetCache()
+	cfg := quickConfig("SPM_G", "AWG", false, 13)
+	keyCfg := cfg
+	if err := keyCfg.fill(); err != nil {
+		t.Fatal(err)
+	}
+	key, _ := fingerprint(&keyCfg)
+	other := &cacheEntry{key: runKey{benchmark: "other"}, done: make(chan struct{}),
+		ran: true, completed: true}
+	other.res.Cycles = 1
+	close(other.done)
+	cacheMu.Lock()
+	runCache[keyHash(key)] = other
+	cacheMu.Unlock()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cycles == 1 || CacheHits() != 0 {
+		t.Fatalf("replayed another key's entry (cycles %d, hits %d)", res.Cycles, CacheHits())
+	}
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	if runCache[keyHash(key)] != other {
+		t.Fatal("a colliding run displaced the resident entry")
+	}
+}
+
 // TestDedupeSkipsClosures: a Config carrying any closure field is not
 // fingerprintable and always simulates fresh.
 func TestDedupeSkipsClosures(t *testing.T) {
@@ -216,20 +253,20 @@ func TestEvictionSkipsInFlight(t *testing.T) {
 	setCacheCap(t, 2)
 	cacheMu.Lock()
 	inflight := &cacheEntry{done: make(chan struct{})}
-	runCache["k0"] = inflight
-	cacheQueue = append(cacheQueue, cacheQueueEntry{"k0", inflight})
+	runCache[testKey(0)] = inflight
+	cacheQueue = append(cacheQueue, cacheQueueEntry{testKey(0), inflight})
 	for i := 1; i <= 3; i++ {
 		e := &cacheEntry{done: make(chan struct{}), completed: true}
-		k := fmt.Sprintf("k%d", i)
+		k := testKey(i)
 		runCache[k] = e
 		cacheQueue = append(cacheQueue, cacheQueueEntry{k, e})
 	}
 	evictLocked()
 	defer cacheMu.Unlock()
-	if runCache["k0"] != inflight {
+	if runCache[testKey(0)] != inflight {
 		t.Fatal("in-flight entry evicted")
 	}
-	if len(runCache) != 2 || runCache["k3"] == nil {
+	if len(runCache) != 2 || runCache[testKey(3)] == nil {
 		t.Fatalf("want in-flight k0 + newest k3 resident, have %d entries", len(runCache))
 	}
 	if len(cacheQueue) != 2 {
@@ -245,10 +282,10 @@ func TestEvictionSteadyStateDoesNotAllocate(t *testing.T) {
 	defer ResetCache()
 	const capN = 64
 	setCacheCap(t, capN)
-	keys := make([]string, 4*capN)
+	keys := make([]uint64, 4*capN)
 	entries := make([]*cacheEntry, len(keys))
 	for i := range keys {
-		keys[i] = fmt.Sprintf("k%d", i)
+		keys[i] = testKey(i)
 		entries[i] = &cacheEntry{completed: true}
 	}
 	next := 0
@@ -275,7 +312,7 @@ func TestEvictionSteadyStateDoesNotAllocate(t *testing.T) {
 	// The survivors are exactly the newest capN insertions, oldest first.
 	for i, qe := range cacheQueue {
 		if want := keys[(next-capN+i)%len(keys)]; qe.key != want || runCache[want] != qe.e {
-			t.Fatalf("queue slot %d holds %q, want %q", i, qe.key, want)
+			t.Fatalf("queue slot %d holds key %x, want %x", i, qe.key, want)
 		}
 	}
 }
@@ -324,7 +361,7 @@ func TestResetCacheRacesConstructionError(t *testing.T) {
 		t.Fatal("unknown benchmark built")
 	}
 	cacheMu.Lock()
-	survived := runCache[key] != nil
+	survived := runCache[keyHash(key)] != nil
 	cacheMu.Unlock()
 	if !survived {
 		t.Fatal("arrival 1's cleanup deleted arrival 2's in-flight entry")
@@ -335,7 +372,7 @@ func TestResetCacheRacesConstructionError(t *testing.T) {
 		t.Fatal("unknown benchmark built")
 	}
 	cacheMu.Lock()
-	gone := runCache[key] == nil
+	gone := runCache[keyHash(key)] == nil
 	cacheMu.Unlock()
 	if !gone {
 		t.Fatal("construction-error entry left resident")

@@ -80,17 +80,15 @@ func (cs *condStore) snapshot() storeSnap {
 	}
 }
 
-// restore overwrites the store's slabs from the snapshot. The slabs'
-// backing arrays are fixed-capacity (pointer stability), so shrinking back
-// to the snapshot length reuses them and allocates nothing.
+// restore overwrites the store's slabs from the snapshot. Refs are slab
+// indices, so the copies keep every saved link valid; a slab already as
+// long as the snapshot's is reused without allocating.
 func (cs *condStore) restore(sn *storeSnap) {
 	copy(cs.setEnt, sn.setEnt)
 	copy(cs.setLen, sn.setLen)
-	cs.ents = cs.ents[:len(sn.ents)]
-	copy(cs.ents, sn.ents)
+	cs.ents = append(cs.ents[:0], sn.ents...)
 	cs.freeEnt = sn.freeEnt
-	cs.wnodes = cs.wnodes[:len(sn.wnodes)]
-	copy(cs.wnodes, sn.wnodes)
+	cs.wnodes = append(cs.wnodes[:0], sn.wnodes...)
 	cs.freeW = sn.freeW
 	cs.byAddr.CopyFrom(sn.byAddr)
 }
@@ -103,8 +101,9 @@ func (sn *storeSnap) bytes() int {
 // logSnap is a point-in-time copy of the Monitor Log ring. Only the
 // occupied span [head, head+size) is stored, unwrapped: every ring reader
 // stays inside that span, so slots outside it are dead storage a restore
-// can leave stale. ringCap keeps the live ring's capacity so bytes()
-// reports the same footprint a dense copy would.
+// can leave stale. ringCap keeps the log's capacity so bytes() reports
+// the same footprint a dense copy would, whether or not the live ring has
+// been allocated.
 type logSnap struct {
 	ringCap int
 	entries []LogEntry // size entries, unwrapped from head
@@ -117,7 +116,7 @@ type logSnap struct {
 
 func (l *MonitorLog) snapshot() logSnap {
 	sn := logSnap{
-		ringCap: len(l.entries),
+		ringCap: l.capacity,
 		head:    l.head,
 		size:    l.size,
 		live:    l.live,
@@ -127,7 +126,7 @@ func (l *MonitorLog) snapshot() logSnap {
 		sn.entries = make([]LogEntry, l.size)
 		sn.dead = make([]bool, l.size)
 		for k := 0; k < l.size; k++ {
-			idx := (l.head + k) % len(l.entries)
+			idx := (l.head + k) % l.capacity
 			sn.entries[k] = l.entries[idx]
 			sn.dead[k] = l.dead[idx]
 		}
@@ -136,8 +135,11 @@ func (l *MonitorLog) snapshot() logSnap {
 }
 
 func (l *MonitorLog) restore(sn *logSnap) {
+	if sn.size > 0 {
+		l.allocRing()
+	}
 	for k := 0; k < sn.size; k++ {
-		idx := (sn.head + k) % len(l.entries)
+		idx := (sn.head + k) % l.capacity
 		l.entries[idx] = sn.entries[k]
 		l.dead[idx] = sn.dead[k]
 	}

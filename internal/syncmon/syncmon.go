@@ -117,27 +117,39 @@ type LogEntry struct {
 }
 
 // MonitorLog is the circular buffer in global memory the SyncMon spills to
-// and the CP drains.
+// and the CP drains. The modelled buffer always holds capacity entries; the
+// host allocates the ring on the first Push, so a run that never spills
+// pays nothing for it. An unallocated ring reads as an empty one.
 type MonitorLog struct {
-	entries []LogEntry
-	dead    []bool
-	head    int
-	size    int // occupied ring slots, tombstones included (gates Push)
-	live    int // non-tombstoned entries
-	maxLive int // high-water mark of live
+	capacity int
+	entries  []LogEntry // nil until the first Push
+	dead     []bool
+	head     int
+	size     int // occupied ring slots, tombstones included (gates Push)
+	live     int // non-tombstoned entries
+	maxLive  int // high-water mark of live
 }
 
 // NewMonitorLog builds a log with the given capacity.
 func NewMonitorLog(capacity int) *MonitorLog {
-	return &MonitorLog{entries: make([]LogEntry, capacity), dead: make([]bool, capacity)}
+	return &MonitorLog{capacity: capacity}
+}
+
+// allocRing gives the log its ring storage if it has none yet.
+func (l *MonitorLog) allocRing() {
+	if l.entries == nil {
+		l.entries = make([]LogEntry, l.capacity)
+		l.dead = make([]bool, l.capacity)
+	}
 }
 
 // Push appends an entry; it reports false when the log is full.
 func (l *MonitorLog) Push(e LogEntry) bool {
-	if l.size == len(l.entries) {
+	if l.size == l.capacity {
 		return false
 	}
-	tail := (l.head + l.size) % len(l.entries)
+	l.allocRing()
+	tail := (l.head + l.size) % l.capacity
 	l.entries[tail] = e
 	l.dead[tail] = false
 	l.size++
@@ -152,7 +164,7 @@ func (l *MonitorLog) Push(e LogEntry) bool {
 func (l *MonitorLog) Pop() (LogEntry, bool) {
 	for l.size > 0 {
 		e, dead := l.entries[l.head], l.dead[l.head]
-		l.head = (l.head + 1) % len(l.entries)
+		l.head = (l.head + 1) % l.capacity
 		l.size--
 		if !dead {
 			l.live--
@@ -174,7 +186,7 @@ func (l *MonitorLog) MaxLen() int { return l.maxLive }
 // not in the ring leaves it unchanged.
 func (l *MonitorLog) Remove(wg gpu.WGID, addr mem.Addr, want int64) {
 	for i := 0; i < l.size; i++ {
-		idx := (l.head + i) % len(l.entries)
+		idx := (l.head + i) % l.capacity
 		e := l.entries[idx]
 		if !l.dead[idx] && e.WG == wg && e.Addr == addr && e.Want == want {
 			l.dead[idx] = true
@@ -223,7 +235,7 @@ func New(cfg Config, m *gpu.Machine, selector ResumeSelector, wake WakeFunc) (*S
 		cfg:      cfg,
 		m:        m,
 		hash:     hashutil.NewUniversal(cfg.Seed, max(cfg.Sets, 1)),
-		store:    newCondStore(max(cfg.Sets, 1), cfg.Ways, cfg.WaitListSize),
+		store:    newCondStore(max(cfg.Sets, 1), cfg.Ways),
 		log:      NewMonitorLog(cfg.LogCapacity),
 		selector: selector,
 		wake:     wake,

@@ -318,6 +318,37 @@ func TestSetConflictSpillsToLog(t *testing.T) {
 	}
 }
 
+// TestLogRingAllocatedOnFirstSpill: a monitor that never spills holds no
+// ring storage, an empty ring snapshots and restores without building one,
+// and the first spill allocates the full modelled capacity.
+func TestLogRingAllocatedOnFirstSpill(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Sets, cfg.Ways = 1, 1
+	h := newHarness(t, cfg)
+	if h.sm.Register(1, gpu.GlobalVar(0x500), 1, gpu.CmpEQ, ClassLoad) != Registered {
+		t.Fatal("first register spilled")
+	}
+	h.update(0x500, gpu.OpStore, 1)
+	h.sm.Restore(h.sm.Snapshot())
+	l := h.sm.Log()
+	if l.entries != nil || l.dead != nil {
+		t.Fatal("monitor that never spilled allocated its log ring")
+	}
+	if pop, ok := l.Pop(); ok || l.Len() != 0 {
+		t.Fatalf("unallocated ring popped %+v (len %d), want empty", pop, l.Len())
+	}
+	l.Remove(1, 0x500, 1) // no-op on an unallocated ring
+	if h.sm.Register(2, gpu.GlobalVar(0x540), 1, gpu.CmpEQ, ClassLoad) != Registered {
+		t.Fatal("register into the freed way spilled")
+	}
+	if got := h.sm.Register(3, gpu.GlobalVar(0x580), 1, gpu.CmpEQ, ClassLoad); got != Spilled {
+		t.Fatalf("conflicting register = %v, want Spilled", got)
+	}
+	if len(l.entries) != cfg.LogCapacity || len(l.dead) != cfg.LogCapacity {
+		t.Fatalf("first spill allocated %d/%d ring slots, want %d", len(l.entries), len(l.dead), cfg.LogCapacity)
+	}
+}
+
 func TestWaitListFullSpills(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WaitListSize = 2
