@@ -328,9 +328,6 @@ func (e *Engine) BudgetExhausted() bool { return e.budgetHit }
 // completes. Further events remain on the calendar.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Stopped reports whether Stop has been called since the last Run.
-func (e *Engine) Stopped() bool { return e.stopped }
-
 // Step fires the single earliest event. It returns false when the calendar
 // is empty.
 func (e *Engine) Step() bool {

@@ -185,12 +185,12 @@ func (e *Engine) recycleBucket(b *bucket, hw *int32) {
 }
 
 // ReserveSeqs consumes n sequence numbers without scheduling anything and
-// returns the first. The fleet layer reserves, at machine construction,
-// the seqs a construction-time fault arming would consume, so that closures
-// inserted later (AtWithSeq) — at device placement, after a migration or a
-// restore — land in exactly the firing positions that arming gives them; a
-// schedule using fewer than n shifts every later seq uniformly, which
-// cannot change same-cycle relative order.
+// returns the first. fault.Reserve reserves, at machine construction, the
+// seqs a construction-time fault arming would consume, so that closures
+// inserted later (AtWithSeq) — at device placement or after a migration —
+// land in exactly the firing positions that arming gives them; a schedule
+// using fewer than n shifts every later seq uniformly, which cannot change
+// same-cycle relative order.
 func (e *Engine) ReserveSeqs(n int) uint64 {
 	base := e.seq + 1
 	e.seq += uint64(n)

@@ -2,7 +2,9 @@
 // the robustness evaluation: seed-driven schedules of mid-run hardware
 // faults — CU loss/restore cycles, SyncMon capacity degradation (forcing
 // Monitor-Log spills), and CP firmware-cadence jitter — armed onto a
-// machine's event calendar before the kernel launches.
+// machine's event calendar before the kernel launches (Arm), or reserved
+// there and armed later at the same calendar positions (Reserve,
+// ArmReserved).
 //
 // Schedules are data, not behaviour: the same (schedule, config, seed)
 // triple always replays bit-identically, because every fault fires as an
@@ -102,7 +104,9 @@ func (s Schedule) label() string {
 // Validate checks a schedule against a machine with numCUs compute units:
 // CU indices must be in range, a CU may only be lost while enabled and
 // restored while lost, at least one CU must remain enabled after every
-// event, degrade geometries must be sane, and events must be time-ordered.
+// event, degrade geometries must be sane, and events must be time-ordered
+// at positive cycles: a fault armed after launch (ArmReserved) can only
+// land strictly after the cycle the machine stands at.
 func (s Schedule) Validate(numCUs int) error {
 	if numCUs <= 0 {
 		return fmt.Errorf("fault: %d CUs", numCUs)
@@ -111,6 +115,9 @@ func (s Schedule) Validate(numCUs int) error {
 	lost := make(map[int]bool)
 	var prev event.Cycle
 	for i, e := range s.Events {
+		if e.At == 0 {
+			return fmt.Errorf("fault: %s event %d: at cycle 0; faults must land after launch", s.label(), i)
+		}
 		if e.At < prev {
 			return fmt.Errorf("fault: %s event %d at cycle %d before predecessor at %d",
 				s.label(), i, e.At, prev)
@@ -168,145 +175,87 @@ func Arm(m *gpu.Machine, sched Schedule) error {
 		return err
 	}
 	for _, e := range sched.Events {
-		switch e.Op {
-		case CULoss:
-			m.Engine().At(e.At, func() { m.PreemptCU(gpu.CUID(e.CU)) })
-		case CURestore:
-			m.Engine().At(e.At, func() { m.RestoreCU(gpu.CUID(e.CU)) })
-		case DegradeSyncMon:
-			hw, ok := m.Policy().(monitorHardware)
-			if !ok {
-				continue
-			}
-			m.Engine().At(e.At, func() { hw.SyncMon().Degrade(e.Ways, e.WaitList) })
-		case JitterCP:
-			hw, ok := m.Policy().(monitorHardware)
-			if !ok {
-				continue
-			}
-			m.Engine().At(e.At, func() {
-				// The skew walk lives in the CP's snapshotted jitter state,
-				// so a machine rewind replays the same stretch sequence.
-				hw.CP().SetCadenceJitter(func(state *uint64, base event.Cycle) event.Cycle {
-					if e.MaxSkew == 0 {
-						return base
-					}
-					return base + event.Cycle(splitmix(state)%uint64(e.MaxSkew))
-				}, e.Seed)
-			})
+		if fn := action(m, e); fn != nil {
+			m.Engine().At(e.At, fn)
 		}
 	}
 	return nil
 }
 
-// applicable reports whether e would schedule an engine event for pol: CU
-// faults always do; monitor faults only when the policy exposes monitor
-// hardware (Arm skips them entirely otherwise, consuming no sequence
-// number).
-func applicable(pol gpu.Policy, e Event) bool {
-	switch e.Op {
-	case DegradeSyncMon, JitterCP:
-		_, ok := pol.(monitorHardware)
-		return ok
-	default:
-		return true
-	}
-}
-
-// CountApplicable reports how many engine events Arm would schedule for
-// sched under pol — the sequence numbers a construction-time arm consumes.
-// The fleet layer sizes one reserved sequence block per device schedule
-// with it at machine construction (sim.NewSessionReserving), so
-// ArmReserved can later splice each device's faults into the firing order
-// a construction-time arm gives them.
-func CountApplicable(pol gpu.Policy, sched Schedule) int {
-	n := 0
-	for _, e := range sched.Events {
-		if applicable(pol, e) {
-			n++
+// Reserve validates each schedule against m and reserves one block of
+// engine sequence numbers per schedule, sized by the faults Arm would
+// schedule from it on m's policy; it returns each block's first number.
+// Called at the construction point where Arm would run, it lets
+// ArmReserved arm a schedule later — when a fleet workload is placed on a
+// device, or migrates onto one — at exactly the calendar positions a
+// construction-time Arm gives its faults, so same-cycle firing order and
+// the run's output are bit-identical. A block whose faults are never
+// armed shifts every later sequence number uniformly, which cannot
+// reorder same-cycle events.
+func Reserve(m *gpu.Machine, scheds []Schedule) ([]uint64, error) {
+	bases := make([]uint64, len(scheds))
+	for i, s := range scheds {
+		if err := s.Validate(m.Config().NumCUs); err != nil {
+			return nil, fmt.Errorf("schedule %d: %w", i, err)
 		}
+		n := 0
+		for _, e := range s.Events {
+			if action(m, e) != nil {
+				n++
+			}
+		}
+		bases[i] = m.Engine().ReserveSeqs(n)
 	}
-	return n
+	return bases, nil
 }
 
-// ArmReserved arms sched like Arm, but schedules each fault under a
-// previously reserved sequence number (seqBase + its applicable-event
-// index). The fleet layer calls it when a workload machine is placed on a
-// device: the machine was built with a matching ReserveSeqs at the point a
-// construction-time Arm would run (sim.NewSessionReserving), so every fault
-// splices into exactly the calendar position that arm gives it and
-// same-cycle firing order — and therefore the run's output — is
-// bit-identical. A schedule consuming fewer than the reserved count leaves
-// trailing reservations unused, which shifts all later sequence numbers
-// uniformly and cannot reorder same-cycle events.
-func ArmReserved(m *gpu.Machine, sched Schedule, seqBase uint64) error {
-	if err := sched.Validate(m.Config().NumCUs); err != nil {
-		return err
-	}
-	seq := seqBase
+// ArmReserved arms the faults of sched that lie strictly after the given
+// cycle under the block Reserve returned for it (base plus the fault's
+// index among sched's applicable faults); faults at or before after are
+// elided and leave their numbers unused. A workload placed at launch
+// passes 0 and gets the whole schedule; one migrating mid-run passes its
+// clock and picks up the tail.
+func ArmReserved(m *gpu.Machine, sched Schedule, base uint64, after event.Cycle) {
+	seq := base
 	for _, e := range sched.Events {
-		if !applicable(m.Policy(), e) {
+		fn := action(m, e)
+		if fn == nil {
 			continue
 		}
-		armOneReserved(m, e, seq)
+		if e.At > after {
+			m.Engine().AtWithSeq(e.At, seq, fn)
+		}
 		seq++
 	}
-	return nil
 }
 
-// armOneReserved schedules one applicable fault event under a reserved
-// sequence number.
-func armOneReserved(m *gpu.Machine, e Event, seq uint64) {
-	var fn func()
+// action returns the closure that applies e to m, or nil when e does not
+// apply: monitor faults on a policy without monitor hardware arm nothing
+// and consume no sequence number.
+func action(m *gpu.Machine, e Event) func() {
 	switch e.Op {
 	case CULoss:
-		fn = func() { m.PreemptCU(gpu.CUID(e.CU)) }
+		return func() { m.PreemptCU(gpu.CUID(e.CU)) }
 	case CURestore:
-		fn = func() { m.RestoreCU(gpu.CUID(e.CU)) }
-	case DegradeSyncMon:
-		hw := m.Policy().(monitorHardware)
-		fn = func() { hw.SyncMon().Degrade(e.Ways, e.WaitList) }
-	case JitterCP:
-		hw := m.Policy().(monitorHardware)
-		fn = func() {
-			// See Arm: the skew walk lives in snapshotted CP state.
-			hw.CP().SetCadenceJitter(func(state *uint64, base event.Cycle) event.Cycle {
-				if e.MaxSkew == 0 {
-					return base
-				}
-				return base + event.Cycle(splitmix(state)%uint64(e.MaxSkew))
-			}, e.Seed)
-		}
+		return func() { m.RestoreCU(gpu.CUID(e.CU)) }
 	}
-	m.Engine().AtWithSeq(e.At, seq, fn)
-}
-
-// ArmReservedAfter arms the tail of sched that lies strictly after the
-// given cycle, under the same reserved sequence numbers a full ArmReserved
-// would give those events (seqBase + applicable-event index over the WHOLE
-// schedule — skipped events leave their reservations unused). The fleet
-// layer uses it when a workload migrates onto a device mid-run: the target
-// device's fault environment applies from the migration instant onward,
-// while events whose cycles already passed on the workload's local clock
-// are elided (AtWithSeq refuses past cycles). The full schedule is
-// validated, so the armed tail is a consistent continuation.
-func ArmReservedAfter(m *gpu.Machine, sched Schedule, seqBase uint64, after event.Cycle) error {
-	if err := sched.Validate(m.Config().NumCUs); err != nil {
-		return err
+	hw, ok := m.Policy().(monitorHardware)
+	if !ok {
+		return nil
 	}
-	seq := seqBase
-	for _, e := range sched.Events {
-		if !applicable(m.Policy(), e) {
-			continue
-		}
-		if e.At <= after {
-			seq++
-			continue
-		}
-		armOneReserved(m, e, seq)
-		seq++
+	if e.Op == DegradeSyncMon {
+		return func() { hw.SyncMon().Degrade(e.Ways, e.WaitList) }
 	}
-	return nil
+	return func() {
+		// The skew walk lives in the CP's snapshotted jitter state, so a
+		// machine rewind replays the same stretch sequence.
+		hw.CP().SetCadenceJitter(func(state *uint64, base event.Cycle) event.Cycle {
+			if e.MaxSkew == 0 {
+				return base
+			}
+			return base + event.Cycle(splitmix(state)%uint64(e.MaxSkew))
+		}, e.Seed)
+	}
 }
 
 // splitmix advances a splitmix64 state and returns the next value — the

@@ -140,11 +140,18 @@ func TestValidateRejects(t *testing.T) {
 		{"unknown op", Schedule{Name: "bad", Events: []Event{
 			{At: 10, Op: Op(99)},
 		}}},
+		{"cycle 0", Schedule{Name: "bad", Events: []Event{
+			{At: 0, Op: CULoss, CU: 0},
+		}}},
 	}
 	for _, c := range cases {
 		if err := c.sched.Validate(2); err == nil {
 			t.Errorf("%s: Validate accepted %v", c.name, c.sched.Events)
 		}
+	}
+	zero := Schedule{Name: "bad", Events: []Event{{At: 0, Op: DegradeSyncMon, Ways: 1, WaitList: 1}}}
+	if err := zero.Validate(2); err == nil || !strings.Contains(err.Error(), "event 0: at cycle 0") {
+		t.Errorf("cycle-0 fault: error %v does not name event 0 and its cycle", err)
 	}
 	if err := (Schedule{}).Validate(0); err == nil {
 		t.Error("zero-CU machine accepted")

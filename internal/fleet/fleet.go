@@ -1,3 +1,16 @@
+// Package fleet scales the single-machine model out to a fleet: K
+// gpu.Machine devices multiplexing workloads under one deterministic
+// loop, churned by a fleet-level fault plane of seeded XID-style health
+// events — device-fell-off-bus, thermal throttle, uncorrectable ECC. Run
+// is the package's one entry point.
+//
+// The layer's point is the paper's invariant at datacenter scale: a
+// policy that guarantees independent forward progress of work-groups
+// should survive device churn — mid-kernel work-groups migrate off a lost
+// device (checkpoint restore plus live-state transplant) and the run
+// still completes — while Baseline-style busy-wait policies hang and must
+// be *diagnosed*, not merely time out. The SLO checker in slo.go promotes
+// fault.CheckOutcome to that fleet contract.
 package fleet
 
 import (
@@ -24,20 +37,22 @@ type Config struct {
 	MinDevices int
 
 	// Workloads are the simulations to place, round-robin across devices.
-	// Their Faults field must be nil — device-coupled fault schedules
-	// arrive through DeviceFaults instead.
+	// Their Faults and Inject fields must be nil — device-coupled fault
+	// schedules arrive through DeviceFaults instead.
 	Workloads []sim.Config
 
-	// Plane is the fleet-level health-event schedule.
+	// Plane is the fleet-level health-event schedule, validated against
+	// Devices before any machine is built.
 	Plane Schedule
 
 	// DeviceFaults optionally couples a machine-level fault schedule (CU
 	// loss, monitor degradation, CP jitter) to each device: a workload
-	// experiences the schedule of whichever device hosts it. Sequence
-	// numbers for every device's schedule are reserved at session
-	// construction, so arming the home device at genesis and a target
-	// device's tail after a migration lands on identical calendar
-	// positions across runs. Nil, or exactly Devices entries.
+	// experiences the schedule of whichever device hosts it. Every
+	// workload machine reserves a sequence block for each device's
+	// schedule at construction (fault.Reserve), so arming the home device
+	// at launch and a target device's tail after a migration lands on
+	// identical calendar positions across runs. Nil, or exactly Devices
+	// entries, each validated against every workload's machine.
 	DeviceFaults []fault.Schedule
 
 	// CheckpointEvery is the fleet-cycle cadence of checkpoint refreshes —
@@ -64,13 +79,22 @@ func (c *Config) fill() error {
 	if len(c.Workloads) == 0 {
 		return fmt.Errorf("fleet: no workloads")
 	}
-	for i := range c.Workloads {
-		if c.Workloads[i].Faults != nil {
+	for i, w := range c.Workloads {
+		if w.Faults != nil {
 			return fmt.Errorf("fleet: workload %d carries its own fault schedule; use DeviceFaults", i)
+		}
+		if w.Inject != nil {
+			// fault.Reserve runs after sim.NewSession, past an injected
+			// kernel's launch event; a construction-time arm runs before
+			// it, so the reserved blocks would not match its positions.
+			return fmt.Errorf("fleet: workload %d injects a second kernel; fleet workloads run one", i)
 		}
 	}
 	if c.DeviceFaults != nil && len(c.DeviceFaults) != c.Devices {
 		return fmt.Errorf("fleet: %d device fault schedules for %d devices", len(c.DeviceFaults), c.Devices)
+	}
+	if err := c.Plane.Validate(c.Devices); err != nil {
+		return err
 	}
 	if c.MinDevices == 0 {
 		c.MinDevices = 1
@@ -100,8 +124,7 @@ func (c *Config) fill() error {
 type Device struct {
 	id        int
 	onBus     bool
-	scale     int // thermal derate factor, 1 = nominal
-	eccEvents int
+	scale     int   // thermal derate factor, 1 = nominal
 	workloads []int // live workload ids homed here, ascending
 }
 
@@ -170,208 +193,32 @@ type Result struct {
 	Violations  []Violation
 }
 
-// Fleet is the simulation of K devices under one fault plane. It
-// implements Injectable (and therefore Manager). Drive it New →
-// (optional Inject*At) → Run; Initialize and Shutdown are part of the
-// Manager surface and Run calls them itself when the caller does not.
-type Fleet struct {
+// fleet is one run's state: K devices under one fault plane.
+type fleet struct {
 	cfg  Config
 	devs []*Device
 	wls  []*workload
 
-	plan     []Event
-	planIdx  int
-	injected []Event
+	planIdx int // next Plane event to apply
 
 	clock    event.Cycle
 	degraded bool
-	shut     bool
-
-	initialized bool
-	ran         bool
 
 	events     []HealthEvent
-	collected  int // prefix of events already drained by CollectHealthEvents
 	migrations []Migration
 	violations []Violation
 }
 
-// New builds an unstarted fleet from cfg.
-func New(cfg Config) *Fleet { return &Fleet{cfg: cfg} }
-
-// Initialize validates the configuration, constructs every workload's
-// machine with its reserved fault-sequence blocks, places workloads
-// round-robin, arms each home device's fault schedule, and takes the
-// genesis checkpoints. Idempotent.
-func (f *Fleet) Initialize() error {
-	if f.initialized {
-		return nil
-	}
-	if err := f.cfg.fill(); err != nil {
-		return err
-	}
-	f.devs = make([]*Device, f.cfg.Devices)
-	for i := range f.devs {
-		f.devs[i] = &Device{id: i, onBus: true, scale: 1}
-	}
-	f.wls = make([]*workload, len(f.cfg.Workloads))
-	for i, wcfg := range f.cfg.Workloads {
-		w := &workload{id: i, armed: make([]bool, f.cfg.Devices), seqBases: make([]uint64, f.cfg.Devices)}
-		// Reserve one engine-sequence block per device, sized by how many of
-		// that device's fault events apply to this workload's policy.
-		counts := make([]int, f.cfg.Devices)
-		reserve := 0
-		if f.cfg.DeviceFaults != nil {
-			pol, err := sim.NewPolicy(wcfg.Policy)
-			if err != nil {
-				return fmt.Errorf("fleet: workload %d: %w", i, err)
-			}
-			for d := range counts {
-				counts[d] = fault.CountApplicable(pol, f.cfg.DeviceFaults[d])
-				reserve += counts[d]
-			}
-		}
-		sess, err := sim.NewSessionReserving(wcfg, reserve)
-		if err != nil {
-			return fmt.Errorf("fleet: workload %d: %w", i, err)
-		}
-		w.sess, w.m = sess, sess.Machine()
-		base := sess.SeqBase()
-		for d := range counts {
-			w.seqBases[d] = base
-			base += uint64(counts[d])
-		}
-		w.m.Prepare()
-		home := i % f.cfg.Devices
-		f.attach(f.devs[home], w)
-		w.dev = home
-		if f.cfg.DeviceFaults != nil {
-			w.armed[home] = true
-			if err := fault.ArmReserved(w.m, f.cfg.DeviceFaults[home], w.seqBases[home]); err != nil {
-				return fmt.Errorf("fleet: workload %d on device %d: %w", i, home, err)
-			}
-		}
-		w.ckpt = w.m.Snapshot()
-		f.wls[i] = w
-	}
-	f.initialized = true
-	return nil
-}
-
-// Shutdown finishes any still-live workloads (diagnosed as a fleet drain)
-// and marks the fleet closed. Run calls it after a normal run, where it
-// is a no-op on the already-terminal workloads. Idempotent.
-func (f *Fleet) Shutdown() error {
-	if f.shut {
-		return nil
-	}
-	if f.initialized {
-		for _, w := range f.wls {
-			if w.terminal {
-				continue
-			}
-			w.m.Halt(metrics.ReasonFleetDrain)
-			w.drained = true
-			f.finish(w)
-		}
-	}
-	f.shut = true
-	return nil
-}
-
-// GetDeviceCount reports the fleet size.
-func (f *Fleet) GetDeviceCount() (int, error) {
-	if err := f.Initialize(); err != nil {
-		return 0, err
-	}
-	return f.cfg.Devices, nil
-}
-
-// GetDeviceInfo reports a device's identity and current placement.
-func (f *Fleet) GetDeviceInfo(device int) (DeviceInfo, error) {
-	if err := f.Initialize(); err != nil {
-		return DeviceInfo{}, err
-	}
-	if device < 0 || device >= len(f.devs) {
-		return DeviceInfo{}, fmt.Errorf("fleet: device %d out of range [0,%d)", device, len(f.devs))
-	}
-	d := f.devs[device]
-	return DeviceInfo{ID: d.id, Workloads: append([]int(nil), d.workloads...)}, nil
-}
-
-// GetDeviceHealth reports a device's instantaneous health word.
-func (f *Fleet) GetDeviceHealth(device int) (DeviceHealth, error) {
-	if err := f.Initialize(); err != nil {
-		return DeviceHealth{}, err
-	}
-	if device < 0 || device >= len(f.devs) {
-		return DeviceHealth{}, fmt.Errorf("fleet: device %d out of range [0,%d)", device, len(f.devs))
-	}
-	d := f.devs[device]
-	return DeviceHealth{OnBus: d.onBus, ThermalScale: d.scale, ECCEvents: d.eccEvents}, nil
-}
-
-// CollectHealthEvents drains the health events recorded since the last
-// collection.
-func (f *Fleet) CollectHealthEvents() []HealthEvent {
-	out := append([]HealthEvent(nil), f.events[f.collected:]...)
-	f.collected = len(f.events)
-	return out
-}
-
-// InjectXIDHealthEventAt schedules an XID on a device before the run.
-func (f *Fleet) InjectXIDHealthEventAt(device int, xid uint64, at event.Cycle) error {
-	switch xid {
-	case XIDFellOffBus:
-		return f.inject(Event{At: at, Kind: DeviceLoss, Device: device})
-	case XIDDoubleBitECC:
-		return f.inject(Event{At: at, Kind: ECCError, Device: device, Pages: 1})
-	}
-	return fmt.Errorf("fleet: no injection for XID %d", xid)
-}
-
-// InjectThermalHealthEventAt schedules a clock derate (scale 1 clears).
-func (f *Fleet) InjectThermalHealthEventAt(device int, scale int, at event.Cycle) error {
-	return f.inject(Event{At: at, Kind: ThermalThrottle, Device: device, Scale: scale})
-}
-
-// InjectMemoryHealthEventAt schedules an uncorrectable ECC fault over a
-// page range.
-func (f *Fleet) InjectMemoryHealthEventAt(device int, page uint64, pages int, at event.Cycle) error {
-	return f.inject(Event{At: at, Kind: ECCError, Device: device, Page: page, Pages: pages})
-}
-
-func (f *Fleet) inject(e Event) error {
-	if f.ran {
-		return fmt.Errorf("fleet: injection after the run started")
-	}
-	f.injected = append(f.injected, e)
-	return nil
-}
-
-// Run drives the fleet to completion: paced slices of every live workload
-// between plane-event/checkpoint boundaries, health events applied in
-// schedule order, checkpoints refreshed, the SLO scanned. It returns the
-// assembled Result; SLO violations are reported in it, not as an error.
-// Run may be called once.
-func (f *Fleet) Run() (*Result, error) {
-	if f.ran {
-		return nil, fmt.Errorf("fleet: Run called twice")
-	}
-	if err := f.Initialize(); err != nil {
+// Run validates cfg, builds every workload's machine, and drives the fleet
+// to completion: paced slices of every live workload between
+// plane-event/checkpoint boundaries, health events applied in schedule
+// order, checkpoints refreshed, the SLO scanned. SLO violations are
+// reported in the Result, not as an error; an invalid cfg is the error.
+func Run(cfg Config) (*Result, error) {
+	f, err := newFleet(cfg)
+	if err != nil {
 		return nil, err
 	}
-	f.ran = true
-	// Merge pre-run injections into the plane, keeping schedule order
-	// stable for equal timestamps, and validate the merged plan.
-	merged := f.cfg.Plane
-	merged.Events = append(append([]Event(nil), merged.Events...), f.injected...)
-	sort.SliceStable(merged.Events, func(i, j int) bool { return merged.Events[i].At < merged.Events[j].At })
-	if err := merged.Validate(f.cfg.Devices); err != nil {
-		return nil, err
-	}
-	f.plan = merged.Events
-
 	for f.clock < f.cfg.FleetBudget && f.liveCount() > 0 && !f.degraded {
 		next := f.nextBoundary()
 		f.advanceAll(next - f.clock)
@@ -389,9 +236,6 @@ func (f *Fleet) Run() (*Result, error) {
 			f.finish(w)
 		}
 	}
-	if err := f.Shutdown(); err != nil {
-		return nil, err
-	}
 	res := f.result()
 	// Every workload is terminal and its checkpoints die with the fleet:
 	// recycle the device machines' buffers for the next fleet in the sweep.
@@ -401,8 +245,44 @@ func (f *Fleet) Run() (*Result, error) {
 	return res, nil
 }
 
+// newFleet validates cfg, constructs every workload's machine with its
+// reserved fault-sequence blocks, places workloads round-robin, arms each
+// home device's fault schedule, and takes the genesis checkpoints.
+func newFleet(cfg Config) (*fleet, error) {
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
+	f := &fleet{cfg: cfg, devs: make([]*Device, cfg.Devices), wls: make([]*workload, len(cfg.Workloads))}
+	for i := range f.devs {
+		f.devs[i] = &Device{id: i, onBus: true, scale: 1}
+	}
+	for i, wcfg := range cfg.Workloads {
+		sess, err := sim.NewSession(wcfg)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: workload %d: %w", i, err)
+		}
+		home := i % cfg.Devices
+		w := &workload{id: i, sess: sess, m: sess.Machine(), dev: home}
+		if cfg.DeviceFaults != nil {
+			// Reserve at the point where sim.NewSession arms a Faults
+			// schedule, then arm the home device's block.
+			if w.seqBases, err = fault.Reserve(w.m, cfg.DeviceFaults); err != nil {
+				return nil, fmt.Errorf("fleet: workload %d device faults: %w", i, err)
+			}
+			w.armed = make([]bool, cfg.Devices)
+			w.armed[home] = true
+			fault.ArmReserved(w.m, cfg.DeviceFaults[home], w.seqBases[home], 0)
+		}
+		w.m.Prepare()
+		f.attach(f.devs[home], w)
+		w.ckpt = w.m.Snapshot()
+		f.wls[i] = w
+	}
+	return f, nil
+}
+
 // result assembles the final Result and runs the end-of-run SLO checks.
-func (f *Fleet) result() *Result {
+func (f *fleet) result() *Result {
 	deadline := f.cfg.SLO.CompletionDeadline
 	if deadline == 0 {
 		deadline = f.cfg.FleetBudget
@@ -426,7 +306,7 @@ func (f *Fleet) result() *Result {
 	return r
 }
 
-func (f *Fleet) liveCount() int {
+func (f *fleet) liveCount() int {
 	n := 0
 	for _, w := range f.wls {
 		if !w.terminal {
@@ -436,7 +316,7 @@ func (f *Fleet) liveCount() int {
 	return n
 }
 
-func (f *Fleet) onBusCount() int {
+func (f *fleet) onBusCount() int {
 	n := 0
 	for _, d := range f.devs {
 		if d.onBus {
@@ -448,10 +328,10 @@ func (f *Fleet) onBusCount() int {
 
 // nextBoundary picks the next fleet cycle the loop must stop at: the next
 // plane event, the next checkpoint tick, or the budget.
-func (f *Fleet) nextBoundary() event.Cycle {
+func (f *fleet) nextBoundary() event.Cycle {
 	next := f.cfg.FleetBudget
-	if f.planIdx < len(f.plan) && f.plan[f.planIdx].At < next {
-		next = f.plan[f.planIdx].At
+	if plan := f.cfg.Plane.Events; f.planIdx < len(plan) && plan[f.planIdx].At < next {
+		next = plan[f.planIdx].At
 	}
 	if tick := (f.clock/f.cfg.CheckpointEvery + 1) * f.cfg.CheckpointEvery; tick < next {
 		next = tick
@@ -465,7 +345,7 @@ func (f *Fleet) nextBoundary() event.Cycle {
 // no cycles are lost to rounding. Workloads advance in id order — the
 // fleet loop runs on one goroutine and each machine keeps its own
 // single-goroutine engine, so the interleaving is deterministic.
-func (f *Fleet) advanceAll(slice event.Cycle) {
+func (f *fleet) advanceAll(slice event.Cycle) {
 	for _, w := range f.wls {
 		if w.terminal {
 			continue
@@ -508,7 +388,7 @@ func (f *Fleet) advanceAll(slice event.Cycle) {
 
 // finish tears one workload down: classify and account the run, record
 // when it ended on the fleet clock, and vacate its home.
-func (f *Fleet) finish(w *workload) {
+func (f *fleet) finish(w *workload) {
 	w.res, w.resErr = w.sess.Finish()
 	w.terminal = true
 	w.doneAt = f.clock
@@ -517,9 +397,10 @@ func (f *Fleet) finish(w *workload) {
 
 // applyPlaneEvents fires every plane event due at the current fleet
 // cycle, in schedule order.
-func (f *Fleet) applyPlaneEvents() {
-	for f.planIdx < len(f.plan) && f.plan[f.planIdx].At <= f.clock {
-		e := f.plan[f.planIdx]
+func (f *fleet) applyPlaneEvents() {
+	plan := f.cfg.Plane.Events
+	for f.planIdx < len(plan) && plan[f.planIdx].At <= f.clock {
+		e := plan[f.planIdx]
 		f.planIdx++
 		if f.degraded {
 			// The fleet already drained; remaining events are moot.
@@ -541,7 +422,7 @@ func (f *Fleet) applyPlaneEvents() {
 // loseDevice takes a device off the bus: migrate its live workloads to
 // survivors, or — below the capacity floor — drain the whole fleet
 // cleanly.
-func (f *Fleet) loseDevice(e Event) {
+func (f *fleet) loseDevice(e Event) {
 	d := f.devs[e.Device]
 	d.onBus = false
 	f.note(e, XIDFellOffBus, fmt.Sprintf("device %d fell off the bus (%d workloads resident)", d.id, len(d.workloads)))
@@ -558,7 +439,7 @@ func (f *Fleet) loseDevice(e Event) {
 // drain stops every live workload with a structured fleet-drain
 // diagnosis: device churn left fewer than MinDevices on the bus, and a
 // clean diagnosed stop beats a wedged fleet.
-func (f *Fleet) drain(e Event) {
+func (f *fleet) drain(e Event) {
 	f.degraded = true
 	f.note(e, XIDNone, fmt.Sprintf("fleet below survivable floor (%d on bus < %d): draining %d live workloads",
 		f.onBusCount(), f.cfg.MinDevices, f.liveCount()))
@@ -574,7 +455,7 @@ func (f *Fleet) drain(e Event) {
 
 // restoreDevice brings a lost device back at nominal frequency and
 // rebalances one workload onto it from the most-loaded device.
-func (f *Fleet) restoreDevice(e Event) {
+func (f *fleet) restoreDevice(e Event) {
 	d := f.devs[e.Device]
 	d.onBus = true
 	d.scale = 1
@@ -593,7 +474,7 @@ func (f *Fleet) restoreDevice(e Event) {
 // throttleDevice derates a device's clocks: resident workloads pace
 // slower from the next slice, and monitor-family policies stretch their
 // CP firmware cadence by the same factor.
-func (f *Fleet) throttleDevice(e Event) {
+func (f *fleet) throttleDevice(e Event) {
 	d := f.devs[e.Device]
 	d.scale = e.Scale
 	detail := fmt.Sprintf("device %d thermal derate x%d", d.id, d.scale)
@@ -610,9 +491,8 @@ func (f *Fleet) throttleDevice(e Event) {
 // then retires the range by rewinding each to its last checkpoint — the
 // corrupted values are never executed on, and the rewind re-executes from
 // the pre-fault image.
-func (f *Fleet) eccError(e Event) {
+func (f *fleet) eccError(e Event) {
 	d := f.devs[e.Device]
-	d.eccEvents++
 	seed := f.cfg.Plane.Seed ^ e.Page ^ uint64(e.At)<<16 ^ 0xecc0
 	resident := append([]int(nil), d.workloads...)
 	words := 0
@@ -630,7 +510,7 @@ func (f *Fleet) eccError(e Event) {
 // rewind restores a workload to its last checkpoint in place (same
 // device), charging the lost local cycles and re-imposing the device's
 // thermal state on the restored machine.
-func (f *Fleet) rewind(w *workload, d *Device) {
+func (f *fleet) rewind(w *workload, d *Device) {
 	lost := w.pos - w.ckpt.Now()
 	w.m.Restore(w.ckpt)
 	w.pos = w.ckpt.Now()
@@ -646,7 +526,7 @@ func (f *Fleet) rewind(w *workload, d *Device) {
 // reserved sequence block, and immediately take a fresh checkpoint so
 // later rewinds replay the same calendar. The transplant costs a pause
 // proportional to the moved state.
-func (f *Fleet) migrate(w *workload, target int, cause string) {
+func (f *fleet) migrate(w *workload, target int, cause string) {
 	from := w.dev
 	lost := w.pos - w.ckpt.Now()
 	w.m.Restore(w.ckpt)
@@ -660,11 +540,7 @@ func (f *Fleet) migrate(w *workload, target int, cause string) {
 	f.applyThermal(w, t.scale)
 	if f.cfg.DeviceFaults != nil && !w.armed[target] {
 		w.armed[target] = true
-		// Validation already passed at genesis arming; the machine config is
-		// unchanged, so an error here is unreachable.
-		if err := fault.ArmReservedAfter(w.m, f.cfg.DeviceFaults[target], w.seqBases[target], w.m.Engine().Now()); err != nil {
-			panic(fmt.Sprintf("fleet: arming device %d tail on workload %d: %v", target, w.id, err))
-		}
+		fault.ArmReserved(w.m, f.cfg.DeviceFaults[target], w.seqBases[target], w.m.Engine().Now())
 	}
 	w.ckpt = w.m.Snapshot()
 	pause := f.cfg.MigrationPauseBase + event.Cycle(w.ckpt.Bytes()/128)
@@ -678,7 +554,7 @@ func (f *Fleet) migrate(w *workload, target int, cause string) {
 
 // pickTarget chooses the least-loaded on-bus device other than exclude
 // (ties to the lowest id).
-func (f *Fleet) pickTarget(exclude int) int {
+func (f *fleet) pickTarget(exclude int) int {
 	best := -1
 	for _, d := range f.devs {
 		if !d.onBus || d.id == exclude {
@@ -694,7 +570,7 @@ func (f *Fleet) pickTarget(exclude int) int {
 // applyThermal imposes a device derate on a workload's command processor.
 // Policies without monitor hardware have no CP; their derate is purely
 // the pacing slowdown.
-func (f *Fleet) applyThermal(w *workload, scale int) {
+func (f *fleet) applyThermal(w *workload, scale int) {
 	if hw, ok := w.m.Policy().(interface{ CP() *cp.Processor }); ok {
 		hw.CP().SetCadenceScale(scale)
 	}
@@ -703,7 +579,7 @@ func (f *Fleet) applyThermal(w *workload, scale int) {
 // refreshCheckpoints re-snapshots live workloads at the checkpoint
 // cadence. Paused workloads are skipped — their state is unchanged since
 // the snapshot the pause came from.
-func (f *Fleet) refreshCheckpoints() {
+func (f *fleet) refreshCheckpoints() {
 	for _, w := range f.wls {
 		if w.terminal || w.pauseUntil > f.clock {
 			continue
@@ -713,7 +589,7 @@ func (f *Fleet) refreshCheckpoints() {
 }
 
 // sloScan runs the online starvation detector at each boundary.
-func (f *Fleet) sloScan() {
+func (f *fleet) sloScan() {
 	win := f.cfg.SLO.StallWindow
 	if win == 0 {
 		return
@@ -749,14 +625,14 @@ func (f *Fleet) sloScan() {
 }
 
 // note appends one health event to the fleet log.
-func (f *Fleet) note(e Event, xid uint64, detail string) {
+func (f *fleet) note(e Event, xid uint64, detail string) {
 	f.events = append(f.events, HealthEvent{At: f.clock, Device: e.Device, XID: xid, Kind: e.Kind, Detail: detail})
 }
 
 // attach homes a live workload on a device, keeping ids ascending. It and
 // detach are the only mutators of Device.workloads (the single-home
 // invariant awglint's waiterhome analyzer enforces for this package).
-func (f *Fleet) attach(d *Device, w *workload) {
+func (f *fleet) attach(d *Device, w *workload) {
 	i := sort.SearchInts(d.workloads, w.id)
 	d.workloads = append(d.workloads, 0)
 	copy(d.workloads[i+1:], d.workloads[i:])
@@ -764,7 +640,7 @@ func (f *Fleet) attach(d *Device, w *workload) {
 }
 
 // detach removes a workload from its home device.
-func (f *Fleet) detach(d *Device, w *workload) {
+func (f *fleet) detach(d *Device, w *workload) {
 	i := sort.SearchInts(d.workloads, w.id)
 	if i < len(d.workloads) && d.workloads[i] == w.id {
 		d.workloads = append(d.workloads[:i], d.workloads[i+1:]...)

@@ -16,9 +16,6 @@ import (
 	"awgsim/internal/sim"
 )
 
-// The Fleet is the reference Injectable (and therefore Manager) backend.
-var _ fleet.Injectable = (*fleet.Fleet)(nil)
-
 // tinyWorkload is a small oversubscribed simulation that finishes in a few
 // hundred thousand cycles under IFP policies and deadlocks (diagnosed)
 // under Baseline.
@@ -59,7 +56,7 @@ func tinyFleet(policy string, plane fleet.Schedule) fleet.Config {
 
 func run(t *testing.T, cfg fleet.Config) *fleet.Result {
 	t.Helper()
-	r, err := fleet.New(cfg).Run()
+	r, err := fleet.Run(cfg)
 	if err != nil {
 		t.Fatalf("fleet run: %v", err)
 	}
@@ -82,8 +79,7 @@ func TestSteadyFleetCompletes(t *testing.T) {
 // single-loss plane fires while the oversubscribed workload's WGs are deep
 // in synchronization waits, so the victim workload migrates mid-wait. The
 // transplant restores the checkpoint (waiter state re-homed through the
-// syncmon/CP transfer paths plus response-log replay) on the surviving
-// device; if any waiter were left double-homed it would wake twice and
+// syncmon/CP transfer paths) on the surviving device; if any waiter were left double-homed it would wake twice and
 // corrupt the producer/consumer counters, which the post-run functional
 // verification (run by Session.Finish for every completed workload)
 // catches. The test therefore requires: a migration actually happened off
@@ -150,7 +146,7 @@ func TestFleetDeterminism(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := fleet.New(cfg()).Run()
+			r, err := fleet.Run(cfg())
 			if err != nil {
 				t.Errorf("run %d: %v", i, err)
 				return
@@ -233,70 +229,115 @@ func TestBaselineDiagnosedUnderChurn(t *testing.T) {
 	}
 }
 
-func TestManagerSurface(t *testing.T) {
-	f := fleet.New(tinyFleet("AWG", fleet.Schedule{Name: "steady"}))
-	if err := f.InjectThermalHealthEventAt(0, 2, 12_000); err != nil {
-		t.Fatal(err)
+// TestPlaneEventsLoggedInOrder drives one event of each remediating kind
+// through the plane: the health-event log records them in time order with
+// their XIDs, and the loss migrates the lost device's workload.
+func TestPlaneEventsLoggedInOrder(t *testing.T) {
+	plane := fleet.Schedule{Name: "trio", Events: []fleet.Event{
+		{At: 12_000, Kind: fleet.ThermalThrottle, Device: 0, Scale: 2},
+		{At: 18_000, Kind: fleet.DeviceLoss, Device: 3},
+		{At: 22_000, Kind: fleet.ECCError, Device: 1, Page: 0, Pages: 2},
+	}}
+	r := run(t, tinyFleet("AWG", plane))
+	type logged struct {
+		At   event.Cycle
+		Kind fleet.Kind
+		XID  uint64
 	}
-	if err := f.InjectXIDHealthEventAt(3, fleet.XIDFellOffBus, 18_000); err != nil {
-		t.Fatal(err)
+	var got []logged
+	for _, e := range r.Events {
+		got = append(got, logged{e.At, e.Kind, e.XID})
 	}
-	if err := f.InjectMemoryHealthEventAt(1, 0, 2, 22_000); err != nil {
-		t.Fatal(err)
+	want := []logged{
+		{12_000, fleet.ThermalThrottle, fleet.XIDNone},
+		{18_000, fleet.DeviceLoss, fleet.XIDFellOffBus},
+		{22_000, fleet.ECCError, fleet.XIDDoubleBitECC},
 	}
-	if err := f.InjectXIDHealthEventAt(0, 7, 1); err == nil {
-		t.Fatal("unknown XID accepted")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("health events %+v, want %+v", got, want)
 	}
-	n, err := f.GetDeviceCount()
-	if err != nil || n != 4 {
-		t.Fatalf("GetDeviceCount = %d, %v", n, err)
+	if len(r.Migrations) == 0 {
+		t.Fatalf("device loss migrated nothing:\n%s", r)
 	}
-	info, err := f.GetDeviceInfo(0)
-	if err != nil || len(info.Workloads) != 1 || info.Workloads[0] != 0 {
-		t.Fatalf("GetDeviceInfo(0) = %+v, %v", info, err)
+	m := r.Migrations[0]
+	if m.From != 3 || m.Workload != 3 || m.Cause != "device-loss" {
+		t.Fatalf("first migration %+v, want workload 3 off device 3 for the loss", m)
 	}
-	h, err := f.GetDeviceHealth(3)
-	if err != nil || !h.OnBus || h.ThermalScale != 1 {
-		t.Fatalf("GetDeviceHealth(3) = %+v, %v", h, err)
+	if len(r.Violations) != 0 {
+		t.Fatalf("violations: %v", r.Violations)
 	}
-	if _, err := f.GetDeviceInfo(9); err == nil {
-		t.Fatal("out-of-range device accepted")
-	}
-	r, err := f.Run()
+}
+
+// constructionArmed runs wcfg as a plain session with sched armed at
+// construction: the run a fleet's reserved, late-armed faults must match.
+func constructionArmed(t *testing.T, wcfg sim.Config, sched fault.Schedule) (metrics.Result, error) {
+	t.Helper()
+	wcfg.Faults = &sched
+	s, err := sim.NewSession(wcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Run(); err == nil {
-		t.Fatal("second Run accepted")
+	defer s.Release()
+	return s.Run()
+}
+
+// TestOneDeviceFleetMatchesSimRun pins the placement half of fault-sequence
+// reservation: a one-device fleet, whose faults are reserved after
+// construction and armed at placement, must produce exactly the result of
+// the same schedule armed at construction by a plain session.
+func TestOneDeviceFleetMatchesSimRun(t *testing.T) {
+	for _, policy := range []string{"Baseline", "Timeout", "MonNR-All", "AWG"} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			sched := fault.Random(seed, 2, 5_000, 40_000)
+			wcfg := tinyWorkload(policy, "SPM_G", seed)
+			r := run(t, fleet.Config{
+				Devices:      1,
+				Workloads:    []sim.Config{wcfg},
+				DeviceFaults: []fault.Schedule{sched},
+			})
+			want, werr := constructionArmed(t, wcfg, sched)
+			got := r.Workloads[0]
+			if (got.Err == nil) != (werr == nil) || !reflect.DeepEqual(got.Result, want) {
+				t.Errorf("%s under %s: fleet %+v (err %v), sim %+v (err %v)",
+					policy, sched, got.Result, got.Err, want, werr)
+			}
+		}
 	}
-	if err := f.InjectThermalHealthEventAt(0, 2, 99_000); err == nil {
-		t.Fatal("injection after run accepted")
-	}
-	// All three injections surfaced as health events, in time order.
-	evs := f.CollectHealthEvents()
-	if len(evs) != len(r.Events) {
-		t.Fatalf("collected %d events, result has %d", len(evs), len(r.Events))
-	}
-	if len(f.CollectHealthEvents()) != 0 {
-		t.Fatal("second collection not empty")
-	}
-	var kinds []fleet.Kind
-	for _, e := range evs {
-		kinds = append(kinds, e.Kind)
-	}
-	want := []fleet.Kind{fleet.ThermalThrottle, fleet.DeviceLoss, fleet.ECCError}
-	if !reflect.DeepEqual(kinds, want) {
-		t.Fatalf("health-event kinds %v, want %v", kinds, want)
-	}
-	health, err := f.GetDeviceHealth(3)
-	if err != nil || health.OnBus {
-		t.Fatalf("device 3 still on bus after XID 79: %+v, %v", health, err)
-	}
-	if len(r.Migrations) == 0 {
-		t.Fatalf("injected device loss migrated nothing:\n%s", r)
-	}
-	if err := f.Shutdown(); err != nil {
-		t.Fatal(err)
+}
+
+// TestMigratedFaultTailMatchesConstructionArm pins the migration half of
+// reservation: a workload that loses its device, rewinds to its
+// checkpoint, and picks up the target device's schedule must run exactly
+// as if that schedule had been armed at construction. The faults sweep a
+// 40-cycle window just past the checkpoint, so some land on cycles where
+// the restored calendar already holds machine events; armed without their
+// reserved sequence numbers, such a fault would fire after those events
+// instead of before them.
+func TestMigratedFaultTailMatchesConstructionArm(t *testing.T) {
+	for _, policy := range []string{"Baseline", "Timeout", "MonNR-All", "AWG"} {
+		for at := event.Cycle(10_001); at <= 10_040; at++ {
+			tail := fault.Schedule{Name: "tail", Events: []fault.Event{
+				{At: at, Op: fault.CULoss, CU: 1},
+				{At: at + 5_000, Op: fault.CURestore, CU: 1},
+			}}
+			wcfg := tinyWorkload(policy, "SPM_G", 1)
+			r := run(t, fleet.Config{
+				Devices:         2,
+				Workloads:       []sim.Config{wcfg},
+				DeviceFaults:    []fault.Schedule{{}, tail},
+				Plane:           fleet.Schedule{Name: "lose-0", Events: []fleet.Event{{At: 15_000, Kind: fleet.DeviceLoss, Device: 0}}},
+				CheckpointEvery: 10_000,
+			})
+			if len(r.Migrations) != 1 {
+				t.Fatalf("%s: want one migration off device 0:\n%s", policy, r)
+			}
+			want, werr := constructionArmed(t, wcfg, tail)
+			got := r.Workloads[0]
+			if (got.Err == nil) != (werr == nil) || !reflect.DeepEqual(got.Result, want) {
+				t.Errorf("%s, faults from cycle %d: migrated run took %d cycles (err %v), construction-armed run %d (err %v)",
+					policy, at, got.Result.Cycles, got.Err, want.Cycles, werr)
+			}
+		}
 	}
 }
 
@@ -482,18 +523,37 @@ func TestStarvationDetector(t *testing.T) {
 }
 
 func TestConfigRejects(t *testing.T) {
+	one := []sim.Config{tinyWorkload("AWG", "SPM_G", 1)}
+	inject := tinyWorkload("AWG", "SPM_G", 1)
+	inject.Inject = &sim.Injection{At: 10_000}
 	bad := []fleet.Config{
-		{Devices: 0, Workloads: []sim.Config{tinyWorkload("AWG", "SPM_G", 1)}},
+		{Devices: 0, Workloads: one},
 		{Devices: 2},
-		{Devices: 2, MinDevices: 3, Workloads: []sim.Config{tinyWorkload("AWG", "SPM_G", 1)}},
-		{Devices: 2, Workloads: []sim.Config{tinyWorkload("AWG", "SPM_G", 1)}, DeviceFaults: []fault.Schedule{{}}},
+		{Devices: 2, MinDevices: 3, Workloads: one},
+		{Devices: 2, Workloads: one, DeviceFaults: []fault.Schedule{{}}},
 		{Devices: 2, Workloads: []sim.Config{{Benchmark: "SPM_G", Policy: "AWG", Faults: &fault.Schedule{}}}},
+		{Devices: 2, Workloads: []sim.Config{inject}},
+		// An out-of-order plane is rejected, not sorted.
+		{Devices: 2, Workloads: one, Plane: fleet.Schedule{Name: "order", Events: []fleet.Event{
+			{At: 9_000, Kind: fleet.ThermalThrottle, Device: 0, Scale: 2},
+			{At: 3_000, Kind: fleet.ThermalThrottle, Device: 1, Scale: 2},
+		}}},
+		// A device fault at cycle 0 cannot be armed after launch.
+		{Devices: 1, Workloads: one, DeviceFaults: []fault.Schedule{{Name: "zero", Events: []fault.Event{
+			{At: 0, Op: fault.CULoss, CU: 1},
+		}}}},
+		// Device 1's schedule is invalid on the workload's 2-CU machine; the
+		// workload only reaches device 1 by migrating there after the loss,
+		// but the schedule is rejected before the run starts.
+		{Devices: 2, Workloads: one,
+			DeviceFaults: []fault.Schedule{{}, {Name: "bad-cu", Events: []fault.Event{
+				{At: 10_000, Op: fault.CULoss, CU: 7},
+			}}},
+			Plane: fleet.Schedule{Name: "lose-0", Events: []fleet.Event{{At: 15_000, Kind: fleet.DeviceLoss, Device: 0}}}},
 	}
 	for i, cfg := range bad {
-		if err := fleet.New(cfg).Initialize(); err == nil {
-			t.Errorf("bad config %d accepted", i)
+		if r, err := fleet.Run(cfg); err == nil {
+			t.Errorf("bad config %d accepted:\n%s", i, r)
 		}
 	}
-	var zero event.Cycle
-	_ = zero
 }

@@ -44,7 +44,7 @@ func FuzzFleetEvents(f *testing.F) {
 			CheckpointEvery: 10_000,
 			FleetBudget:     30_000_000,
 		}
-		r, err := fleet.New(cfg).Run()
+		r, err := fleet.Run(cfg)
 		if err != nil {
 			t.Fatalf("fleet run: %v", err)
 		}

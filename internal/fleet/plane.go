@@ -41,6 +41,26 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
+// XID codes health events carry, matching the NVIDIA XID numbering fleet
+// managers key their remediation playbooks on. Events with no XID
+// equivalent (thermal derate, device restore) carry XIDNone.
+const (
+	XIDNone         uint64 = 0
+	XIDDoubleBitECC uint64 = 48 // uncorrectable double-bit ECC error
+	XIDFellOffBus   uint64 = 79 // device no longer responds on the bus
+)
+
+// HealthEvent is one entry of the fleet's health-event log (Result.Events):
+// what happened, to which device, at which fleet cycle, and the
+// remediation (migration, rewind, drain) it triggered.
+type HealthEvent struct {
+	At     event.Cycle
+	Device int
+	XID    uint64 // XIDNone for non-XID events
+	Kind   Kind
+	Detail string
+}
+
 // Event is one scheduled health event on the fleet plane.
 type Event struct {
 	At     event.Cycle // fleet cycle (not any workload's local clock)

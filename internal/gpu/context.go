@@ -203,10 +203,6 @@ func (c *ctxSwitcher) deliver(w *WG, f func()) {
 // oversubscribed.
 func (m *Machine) SwitchOut(w *WG) { m.ctx.switchOut(w) }
 
-// MarkReady promotes a switched-out WG to the ready queue. Safe to call in
-// any state; only switched-out (or switching-out) WGs change state.
-func (m *Machine) MarkReady(w *WG) { m.ctx.markReady(w) }
-
 // PreemptCU models the oversubscribed experiment's mid-kernel resource
 // loss: the CU is disabled, its L1 dropped, and every resident WG is
 // force-preempted (context saved and queued ready, since these WGs were

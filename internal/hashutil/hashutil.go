@@ -62,7 +62,6 @@ func splitmix(x uint64) uint64 {
 // 2.1% false-positive probability for the unique-update counts it records.
 type Bloom struct {
 	bits  uint64 // m <= 64, so one word suffices for the hardware geometry
-	m, k  int
 	funcs []Universal
 }
 
@@ -79,7 +78,7 @@ func NewBloom(m, k int, seed uint64) *Bloom {
 	for i := range funcs {
 		funcs[i] = NewUniversal(seed+uint64(i)*0x1000193, m)
 	}
-	return &Bloom{m: m, k: k, funcs: funcs}
+	return &Bloom{funcs: funcs}
 }
 
 // Add records value v. It reports whether v was possibly already present
@@ -122,9 +121,6 @@ func (b *Bloom) State() uint64 { return b.bits }
 // SetState overwrites the filter's bit vector with one previously returned
 // by State.
 func (b *Bloom) SetState(bits uint64) { b.bits = bits }
-
-// Bits reports the filter geometry (m) for introspection and tests.
-func (b *Bloom) Bits() int { return b.m }
 
 // UniqueCounter tracks an approximate count of distinct values observed at a
 // monitored address. It is the structure AWG consults to decide between

@@ -207,10 +207,6 @@ func (s *System) Write(a Addr, v int64) { s.values.write(a, v) }
 // value store is word-granular.
 func (a Addr) WordAligned() Addr { return a &^ 7 }
 
-// PageWords reports the value store's page size in words. The fleet fault
-// plane addresses ECC fault ranges in these page units.
-func PageWords() int { return pageWords }
-
 // CorruptRange models an uncorrectable ECC burst over the page range
 // [page, page+pages): every word of each already-allocated page is
 // overwritten with a splitmix64-derived poison pattern (absent pages hold

@@ -41,36 +41,45 @@ func RunAll(jobs []Job) []Outcome {
 // goroutine). Every job runs cold through runJob, so declarative configs
 // share the run cache (runcache.go) with every other caller of Run.
 func RunAllWorkers(jobs []Job, n int) []Outcome {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > len(jobs) {
-		n = len(jobs)
-	}
 	out := make([]Outcome, len(jobs))
-	if n <= 1 {
-		for i := range jobs {
-			out[i] = runJob(jobs[i])
+	ForEach(len(jobs), n, func(i int) { out[i] = runJob(jobs[i]) })
+	return out
+}
+
+// ForEach calls f(i) for every i in [0, count) over min(workers, count)
+// goroutines, each claiming the next unclaimed index until none is left;
+// workers <= 0 selects GOMAXPROCS. With one worker it calls f in index
+// order on the caller's goroutine. f must be safe to call concurrently
+// for distinct indices.
+func ForEach(count, workers int, f func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > count {
+		workers = count
+	}
+	if workers <= 1 {
+		for i := 0; i < count; i++ {
+			f(i)
 		}
-		return out
+		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
+				if i >= count {
 					return
 				}
-				out[i] = runJob(jobs[i])
+				f(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return out
 }
 
 func runJob(j Job) Outcome {

@@ -1,8 +1,8 @@
 // Package sim is the experiment-session layer between the public awg API /
 // the experiment harnesses and the GPU model underneath. It owns the
 // construction of one simulation — config → memory → machine → policy →
-// tracer — and provides a worker pool (RunAll) that fans *independent*
-// simulations out across OS cores.
+// tracer — and provides a worker pool (ForEach, and RunAll on top of it)
+// that fans *independent* simulations out across OS cores.
 //
 // Each simulation keeps its single-goroutine deterministic event engine, so
 // a run's result is bit-identical whether it executes on the serial path or
@@ -134,42 +134,10 @@ type Session struct {
 
 	injected    gpu.KernelHandle
 	hasInjected bool
-
-	// seqBase is the first of the engine sequence numbers reserved in place
-	// of fault arming (NewSessionReserving only).
-	seqBase uint64
 }
 
 // NewSession builds a simulation from cfg without running it.
 func NewSession(cfg Config) (*Session, error) {
-	return newSession(cfg, 0)
-}
-
-// NewSessionReserving builds a simulation like NewSession, additionally
-// reserving `reserve` engine sequence numbers at the construction point a
-// fault arm would consume them (cfg.Faults must be nil). SeqBase reports
-// the first reserved number. The fleet layer builds each workload machine
-// this way: device-coupled fault schedules are spliced in later — at
-// genesis placement and after migrations — with fault.ArmReserved /
-// ArmReservedAfter, so late arming lands on the same calendar positions a
-// construction-time arm would give it and stays bit-identical across runs.
-func NewSessionReserving(cfg Config, reserve int) (*Session, error) {
-	if cfg.Faults != nil {
-		return nil, fmt.Errorf("sim: NewSessionReserving with a fault schedule; reservation replaces arming")
-	}
-	return newSession(cfg, reserve)
-}
-
-// SeqBase reports the first engine sequence number reserved at
-// construction (NewSessionReserving), zero when none were reserved.
-func (s *Session) SeqBase() uint64 { return s.seqBase }
-
-// newSession builds a simulation, optionally reserving engine sequence
-// numbers where fault arming would occur: the reservation happens at
-// exactly the construction point fault.Arm would consume those numbers, so
-// faults spliced in later (fault.ArmReserved) land at the calendar
-// positions a construction-time arm gives them.
-func newSession(cfg Config, reserve int) (*Session, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
@@ -208,8 +176,6 @@ func newSession(cfg Config, reserve int) (*Session, error) {
 		if err := fault.Arm(m, *cfg.Faults); err != nil {
 			return nil, err
 		}
-	} else if reserve > 0 {
-		s.seqBase = m.Engine().ReserveSeqs(reserve)
 	}
 	if inj := cfg.Inject; inj != nil {
 		h, err := m.InjectKernel(inj.Spec, inj.At, inj.Priority)
