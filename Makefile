@@ -38,8 +38,9 @@ lint-fix:
 # random schedule/run interleavings through the event-engine calendar
 # checked against a reference heap oracle, random condition-cache op
 # streams diffed against a map-based oracle of the slab condition store,
-# fuzzed snapshot/restore cuts that must replay bit-identically, the
-# litmus shrinker driven against abstract progress-model oracles, and
+# runs sliced at a fuzzed cycle that must equal the unsliced run (the step
+# every fleet rewind relies on), the litmus shrinker driven against
+# abstract progress-model oracles, and
 # random IR programs (shared words only see commuting adds, so the result
 # is interleaving-independent) run on the machine with every addressable
 # word checked against an untimed sequential reference interpreter.
@@ -47,7 +48,7 @@ fuzz:
 	$(GO) test ./internal/fault -fuzz FuzzSchedule -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/event -fuzz FuzzCalendar -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/syncmon -fuzz FuzzCondStore -fuzztime 5s -run '^$$'
-	$(GO) test ./internal/sim -fuzz FuzzSnapshotRestore -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/sim -fuzz FuzzSlicedRun -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/fleet -fuzz FuzzFleetEvents -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/litmus -fuzz FuzzLitmusShrink -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/gpu -fuzz FuzzProgIR -fuzztime 5s -run '^$$'

@@ -24,7 +24,6 @@ import (
 	"awgsim/internal/lint/analyzers/schedpast"
 	"awgsim/internal/lint/analyzers/shadow"
 	"awgsim/internal/lint/analyzers/simdeterminism"
-	"awgsim/internal/lint/analyzers/snapcover"
 	"awgsim/internal/lint/analyzers/waiterhome"
 	"awgsim/internal/lint/checker"
 )
@@ -34,7 +33,6 @@ func main() {
 		simdeterminism.Analyzer,
 		hotpathalloc.Analyzer,
 		hotpathmap.Analyzer,
-		snapcover.Analyzer,
 		waiterhome.Analyzer,
 		ctorerr.Analyzer,
 		schedpast.Analyzer,

@@ -72,6 +72,9 @@ func main() {
 	if res.Deadlocked {
 		fmt.Printf("result           DEADLOCK after %d cycles (%d WGs completed)\n",
 			res.Cycles, res.Completed)
+		if res.Diagnosis != nil {
+			fmt.Print(res.Diagnosis.String())
+		}
 	} else {
 		fmt.Printf("runtime          %d cycles (%.1f us at 2 GHz)\n", res.Cycles, float64(res.Cycles)/2000)
 	}

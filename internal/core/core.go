@@ -172,6 +172,10 @@ func (p *Predictor) AddressUnmonitored(addr mem.Addr) {
 // (for tests and traces).
 func (p *Predictor) UniqueUpdates(addr mem.Addr) int { return p.count(addr) }
 
+// StateBytes estimates the predictor's simulated state: one filter state
+// per counter, built or not.
+func (p *Predictor) StateBytes() int { return 24 + 16*len(p.counters) }
+
 // StallPredictor estimates how long a WG will wait on a condition at a
 // given address, from the history of met conditions there. AWG stalls a
 // waiting WG for the predicted period before paying for a context switch
@@ -223,3 +227,7 @@ func (s *StallPredictor) Predict(addr mem.Addr) event.Cycle {
 	}
 	return c
 }
+
+// StateBytes estimates the stall predictor's simulated state: its EWMA
+// table.
+func (s *StallPredictor) StateBytes() int { return 48 + 16*len(s.ewma) }

@@ -50,16 +50,16 @@ type Processor struct {
 	tab    spillTable // spilled conditions, their waiters and check order
 	maxTab int
 
-	started bool        //lint:allow snapcover lifecycle latch set by Start; restore targets an already-started processor
-	stopped func() bool //lint:allow snapcover engine-stop probe wired at start; function values are re-wired, not snapshotted
+	started bool        // Start ran
+	stopped func() bool // wired by Start: the loops' exit probe
 	// jitter perturbs loop cadence; its pseudo-random walk lives in
-	// jitterState (not a closure variable) so Snapshot/Restore rewinds it.
+	// jitterState, seeded by SetCadenceJitter.
 	jitter      func(state *uint64, base event.Cycle) event.Cycle
 	jitterState uint64
 
-	drainFn, checkFn func()     //lint:allow snapcover hoisted episode continuations wired once at start; a restored processor reuses the armed loops
-	scratch          []condKey  //lint:allow snapcover reusable scratch, rebuilt from the table every pass; dead between passes
-	wakeBuf          []gpu.WGID //lint:allow snapcover reusable scratch, rebuilt from the table every pass; dead between passes
+	drainFn, checkFn func()     // the firmware loops, hoisted by Start
+	scratch          []condKey  // check-pass walk, rebuilt every pass
+	wakeBuf          []gpu.WGID // met condition's waiters, rebuilt every check
 }
 
 // New builds a processor draining log on machine m. wake delivers met
@@ -82,9 +82,7 @@ func New(cfg Config, m *gpu.Machine, log *syncmon.MonitorLog, wake syncmon.WakeF
 // rescheduling intervals (fault injection models a busy or descheduled CP
 // by stretching its cadence). The hook receives the configured base
 // interval and returns the one to use; nil restores the exact cadence.
-// Hooks must keep any evolving randomness in *state (seeded here) rather
-// than in captured variables, so a machine snapshot restore replays the
-// same skew sequence.
+// Hooks keep any evolving randomness in *state, seeded here.
 func (p *Processor) SetCadenceJitter(f func(state *uint64, base event.Cycle) event.Cycle, seed uint64) {
 	p.jitter = f
 	p.jitterState = seed
@@ -93,9 +91,9 @@ func (p *Processor) SetCadenceJitter(f func(state *uint64, base event.Cycle) eve
 // SetCadenceScale stretches the firmware loops' cadence by a constant
 // integer factor — the fleet layer's thermal-throttle model: a derated
 // device clocks its command processor down with its CUs. factor <= 1
-// restores the exact cadence. Implemented through the jitter hook with no
-// evolving state, so it composes with snapshot rewinds trivially; a
-// subsequent SetCadenceJitter (e.g. a JitterCP fault) replaces it.
+// restores the exact cadence, clearing any JitterCP skew. Implemented
+// through the jitter hook with no evolving state; a subsequent
+// SetCadenceJitter (e.g. a JitterCP fault) replaces it.
 func (p *Processor) SetCadenceScale(factor int) {
 	if factor <= 1 {
 		p.SetCadenceJitter(nil, 0)
@@ -137,6 +135,13 @@ func (p *Processor) TableSize() int { return p.tab.waiters }
 // MaxTableSize reports the high-water mark, the "Monitor Table" series of
 // Figure 13.
 func (p *Processor) MaxTableSize() int { return p.maxTab }
+
+// StateBytes estimates the processor's simulated state: the spill table's
+// slabs and indices.
+func (p *Processor) StateBytes() int {
+	t := &p.tab
+	return 64 + 48*len(t.ents) + 16*len(t.wnodes) + 32*(t.idx.Len()+t.addrs.Len())
+}
 
 // Unregister withdraws a waiter (its policy timeout fired) so a later
 // drain or check does not wake it spuriously. A spilled waiter is in

@@ -95,21 +95,20 @@ type Engine struct {
 	now      Cycle
 	seq      uint64
 	executed uint64
-	stopped  bool //lint:allow snapcover cleared by restore; snapshots are only taken from running engines
+	stopped  bool
 
 	near     [nearSize]bucket
 	far      [farSize]bucket
-	nearBase Cycle //lint:allow snapcover derived wheel geometry; restore recomputes it from the snapshot cycle
-	nearScan Cycle //lint:allow snapcover derived wheel geometry; restore recomputes it from the snapshot cycle
-	nearCnt  int   // unconsumed entries in the near wheel
-	farCnt   int   // entries in the far wheel
+	nearBase Cycle
+	nearScan Cycle
+	nearCnt  int // unconsumed entries in the near wheel
+	farCnt   int // entries in the far wheel
 
 	// nearOcc is the near wheel's occupancy bitmap: bit i set ⇔ near[i]
 	// holds unconsumed entries. wheelHead finds the next head bucket with
 	// a trailing-zeros scan instead of probing up to 256 buckets — the
 	// wheel is sparse in this model's event mix, so the linear probe was
 	// a measurable share of every fire.
-	//lint:allow snapcover derived wheel geometry; restore rebuilds it while re-placing entries
 	nearOcc [nearSize / 64]uint64
 
 	heap []scheduled // 4-ary min-heap on (at, seq): overflow + below-base
@@ -118,9 +117,7 @@ type Engine struct {
 	// sentinel when the heap is empty). The run loop compares the wheel
 	// head against the heap top once per fired event; the cached key makes
 	// that two engine-local loads instead of chasing the heap slice.
-	//lint:allow snapcover derived heap geometry; restore rebuilds it while re-pushing entries
-	heapMinAt Cycle
-	//lint:allow snapcover derived heap geometry; restore rebuilds it while re-pushing entries
+	heapMinAt  Cycle
 	heapMinSeq uint64
 
 	free *Task // task free list
@@ -137,10 +134,8 @@ type Engine struct {
 	// or past a bucket's mark has been written since, so Recycle clears
 	// only up to it. They live here rather than in bucket so the event
 	// loop's memory layout does not change.
-	//lint:allow snapcover host-side recycle bookkeeping; no simulated state
 	nearHW [nearSize]int32
-	//lint:allow snapcover host-side recycle bookkeeping; no simulated state
-	farHW [farSize]int32
+	farHW  [farSize]int32
 }
 
 // New returns an engine positioned at cycle zero with an empty calendar.
@@ -157,6 +152,14 @@ func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending reports how many events are waiting on the calendar.
 func (e *Engine) Pending() int { return e.nearCnt + e.farCnt + len(e.heap) }
+
+// calendarEntryBytes is the footprint StateBytes charges per pending
+// calendar entry: the entry plus a pooled task's environment.
+const calendarEntryBytes = 176
+
+// StateBytes estimates the engine's simulated state: a fixed header plus
+// one entry per pending event.
+func (e *Engine) StateBytes() int { return 64 + e.Pending()*calendarEntryBytes }
 
 // At schedules fn to run at absolute cycle at. Scheduling in the past is a
 // programming error in the timing model, so it panics rather than silently
@@ -197,8 +200,7 @@ func (e *Engine) schedule(at Cycle, fn func(), task *Task) {
 }
 
 // place files an entry that already carries its seq into the calendar
-// structure its timestamp selects. Restore re-places snapshot entries
-// through the same horizon rules scheduling uses.
+// structure its timestamp selects.
 func (e *Engine) place(ev scheduled) {
 	at := ev.at
 	if at >= e.nearBase {
@@ -489,7 +491,7 @@ func (e *Engine) heapPop() scheduled {
 }
 
 // syncHeapMin refreshes the cached heap-top key after a bulk heap
-// mutation (pop, reset, restore).
+// mutation (pop, reset).
 func (e *Engine) syncHeapMin() {
 	if len(e.heap) == 0 {
 		e.heapMinAt, e.heapMinSeq = ^Cycle(0), ^uint64(0)

@@ -39,9 +39,8 @@ func NewPooled() *Engine {
 // Recycle resets the engine to its initial state — clock, counters and
 // calendar as New() leaves them, retaining allocated capacity and the task
 // free list — and offers it to the pool for a later NewPooled. The caller
-// must drop every reference to the engine and to snapshots taken from it;
-// restoring an old snapshot onto a recycled engine is a use-after-free in
-// simulation terms.
+// must drop every reference to the engine: scheduling on a recycled engine
+// is a use-after-free in simulation terms.
 func (e *Engine) Recycle() {
 	e.reset()
 	enginePool.mu.Lock()
@@ -72,6 +71,17 @@ func (e *Engine) reset() {
 	e.stopped = false
 	e.nearBase, e.nearScan = 0, 0
 	e.budget, e.budgetHit = 0, false
+}
+
+// recycleBucket returns a bucket's unconsumed tasks to the free list and
+// empties it; hw is the bucket's high-water mark.
+func (e *Engine) recycleBucket(b *bucket, hw *int32) {
+	for i := b.pos; i < len(b.ev); i++ {
+		if t := b.ev[i].task; t != nil {
+			e.releaseTask(t)
+		}
+	}
+	b.truncate(hw)
 }
 
 // drainBucket empties a bucket like recycleBucket, then clears the slots

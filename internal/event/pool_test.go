@@ -26,14 +26,13 @@ func staleSlots(e *Engine) int {
 
 // TestRecycleClearsTouchedSlots dirties an engine the ways a run does —
 // near buckets refilled at several depths, far buckets poured, the heap
-// filled, a snapshot restored, work left pending with live tasks — then
+// filled, work left pending with live tasks — then
 // recycles it. Every slot up to every bucket's capacity must be zero
 // afterwards, though Recycle clears only up to each bucket's high-water
 // mark, and the recycled engine must fire a scripted schedule exactly as
 // a fresh one does.
 func TestRecycleClearsTouchedSlots(t *testing.T) {
 	e := New()
-	runWorkload(e, 7)
 	nop := func(*Task) {}
 	for round := 4; round >= 1; round-- {
 		for d := Cycle(1); d <= 6; d++ {
@@ -48,9 +47,6 @@ func TestRecycleClearsTouchedSlots(t *testing.T) {
 		e.After(Cycle(300+97*i), func() {})
 		e.AfterTask(Cycle(70_000+i), e.NewTask(nop))
 	}
-	snap := e.Snapshot()
-	e.RunUntil(e.Now() + 2_000)
-	e.Restore(snap)
 	e.RunUntil(e.Now() + 1_000)
 	// Refill the current cycle's bucket at shrinking depths: once drained,
 	// it is reset lazily by the next After(0), the scheduling fast path.

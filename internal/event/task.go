@@ -51,11 +51,10 @@ func (e *Engine) AfterTask(d Cycle, t *Task) {
 	e.schedule(e.now+d, nil, t)
 }
 
-// releaseTask drops a fired task's Env references (for the GC, and so a
-// reused task never carries a stale *Task slot into a snapshot's pending-
-// reference walk) and returns it to the free list. The I slots are left
-// stale: callees read only the integer slots their scheduler wrote, so
-// clearing 48 bytes per fire bought nothing.
+// releaseTask drops a fired task's Env references, so a pooled task pins
+// nothing for the GC, and returns it to the free list. The I slots are
+// left stale: callees read only the integer slots their scheduler wrote,
+// so clearing 48 bytes per fire bought nothing.
 func (e *Engine) releaseTask(t *Task) {
 	t.fn = nil
 	t.Env = [4]any{}

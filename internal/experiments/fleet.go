@@ -158,8 +158,8 @@ func Fleet(o Options) (*metrics.Table, error) {
 // FleetWorkedExample renders two fleet runs in full — the worked examples
 // README documents. First, AWG under the single-loss schedule: the
 // health-event log shows device 3 falling off the bus and its mid-kernel
-// workload migrating (checkpoint restore, re-homing, fresh checkpoint on
-// the surviving device) with every workload still completing verified.
+// workload migrating (re-run to its checkpoint, re-homed, resumed on the
+// surviving device) with every workload still completing verified.
 // Second, a blackout below the survivable floor: the fleet degrades
 // cleanly, each drained workload carrying a structured fleet-drain
 // diagnosis.

@@ -2,9 +2,7 @@
 // the robustness evaluation: seed-driven schedules of mid-run hardware
 // faults — CU loss/restore cycles, SyncMon capacity degradation (forcing
 // Monitor-Log spills), and CP firmware-cadence jitter — armed onto a
-// machine's event calendar before the kernel launches (Arm), or reserved
-// there and armed later at the same calendar positions (Reserve,
-// ArmReserved).
+// machine's event calendar before the kernel launches (Arm).
 //
 // Schedules are data, not behaviour: the same (schedule, config, seed)
 // triple always replays bit-identically, because every fault fires as an
@@ -105,8 +103,8 @@ func (s Schedule) label() string {
 // CU indices must be in range, a CU may only be lost while enabled and
 // restored while lost, at least one CU must remain enabled after every
 // event, degrade geometries must be sane, and events must be time-ordered
-// at positive cycles: a fault armed after launch (ArmReserved) can only
-// land strictly after the cycle the machine stands at.
+// at positive cycles: Arm applies only faults strictly after its after
+// cycle, which is 0 for a schedule applying from launch.
 func (s Schedule) Validate(numCUs int) error {
 	if numCUs <= 0 {
 		return fmt.Errorf("fault: %d CUs", numCUs)
@@ -168,13 +166,20 @@ type monitorHardware interface {
 	CP() *cp.Processor
 }
 
-// Arm validates sched against m and schedules every fault as an engine
-// event. Call between NewMachine and Run.
-func Arm(m *gpu.Machine, sched Schedule) error {
+// Arm validates the whole of sched against m and schedules each fault that
+// lies strictly after the given cycle as an engine event. Call between
+// machine construction and Prepare. A run armed with its own schedule
+// passes 0; a fleet workload arms each device it has visited with the
+// cycle it arrived there, so every fault takes the calendar position a
+// single construction-time arm gives it.
+func Arm(m *gpu.Machine, sched Schedule, after event.Cycle) error {
 	if err := sched.Validate(m.Config().NumCUs); err != nil {
 		return err
 	}
 	for _, e := range sched.Events {
+		if e.At <= after {
+			continue
+		}
 		if fn := action(m, e); fn != nil {
 			m.Engine().At(e.At, fn)
 		}
@@ -182,56 +187,8 @@ func Arm(m *gpu.Machine, sched Schedule) error {
 	return nil
 }
 
-// Reserve validates each schedule against m and reserves one block of
-// engine sequence numbers per schedule, sized by the faults Arm would
-// schedule from it on m's policy; it returns each block's first number.
-// Called at the construction point where Arm would run, it lets
-// ArmReserved arm a schedule later — when a fleet workload is placed on a
-// device, or migrates onto one — at exactly the calendar positions a
-// construction-time Arm gives its faults, so same-cycle firing order and
-// the run's output are bit-identical. A block whose faults are never
-// armed shifts every later sequence number uniformly, which cannot
-// reorder same-cycle events.
-func Reserve(m *gpu.Machine, scheds []Schedule) ([]uint64, error) {
-	bases := make([]uint64, len(scheds))
-	for i, s := range scheds {
-		if err := s.Validate(m.Config().NumCUs); err != nil {
-			return nil, fmt.Errorf("schedule %d: %w", i, err)
-		}
-		n := 0
-		for _, e := range s.Events {
-			if action(m, e) != nil {
-				n++
-			}
-		}
-		bases[i] = m.Engine().ReserveSeqs(n)
-	}
-	return bases, nil
-}
-
-// ArmReserved arms the faults of sched that lie strictly after the given
-// cycle under the block Reserve returned for it (base plus the fault's
-// index among sched's applicable faults); faults at or before after are
-// elided and leave their numbers unused. A workload placed at launch
-// passes 0 and gets the whole schedule; one migrating mid-run passes its
-// clock and picks up the tail.
-func ArmReserved(m *gpu.Machine, sched Schedule, base uint64, after event.Cycle) {
-	seq := base
-	for _, e := range sched.Events {
-		fn := action(m, e)
-		if fn == nil {
-			continue
-		}
-		if e.At > after {
-			m.Engine().AtWithSeq(e.At, seq, fn)
-		}
-		seq++
-	}
-}
-
 // action returns the closure that applies e to m, or nil when e does not
-// apply: monitor faults on a policy without monitor hardware arm nothing
-// and consume no sequence number.
+// apply: monitor faults on a policy without monitor hardware arm nothing.
 func action(m *gpu.Machine, e Event) func() {
 	switch e.Op {
 	case CULoss:
@@ -247,8 +204,8 @@ func action(m *gpu.Machine, e Event) func() {
 		return func() { hw.SyncMon().Degrade(e.Ways, e.WaitList) }
 	}
 	return func() {
-		// The skew walk lives in the CP's snapshotted jitter state, so a
-		// machine rewind replays the same stretch sequence.
+		// The skew walk lives in the CP's jitter state, seeded here, so
+		// equal runs stretch the cadence identically.
 		hw.CP().SetCadenceJitter(func(state *uint64, base event.Cycle) event.Cycle {
 			if e.MaxSkew == 0 {
 				return base

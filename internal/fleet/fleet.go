@@ -7,10 +7,16 @@
 // The layer's point is the paper's invariant at datacenter scale: a
 // policy that guarantees independent forward progress of work-groups
 // should survive device churn — mid-kernel work-groups migrate off a lost
-// device (checkpoint restore plus live-state transplant) and the run
+// device (rewound to their last checkpoint and re-homed) and the run
 // still completes — while Baseline-style busy-wait policies hang and must
 // be *diagnosed*, not merely time out. The SLO checker in slo.go promotes
 // fault.CheckOutcome to that fleet contract.
+//
+// A checkpoint is a replay point, not a copy of the machine: a run is a
+// pure function of its sim.Config plus the few changes the fleet makes
+// between slices (device faults armed, thermal derates), so a rewind
+// rebuilds the machine from the Config, re-applies those changes and
+// re-runs it to the checkpoint cycle, bit-identically.
 package fleet
 
 import (
@@ -47,22 +53,25 @@ type Config struct {
 
 	// DeviceFaults optionally couples a machine-level fault schedule (CU
 	// loss, monitor degradation, CP jitter) to each device: a workload
-	// experiences the schedule of whichever device hosts it. Every
-	// workload machine reserves a sequence block for each device's
-	// schedule at construction (fault.Reserve), so arming the home device
-	// at launch and a target device's tail after a migration lands on
-	// identical calendar positions across runs. Nil, or exactly Devices
-	// entries, each validated against every workload's machine.
+	// experiences the schedule of whichever device hosts it — its home's
+	// from launch, a migration target's from the checkpoint it resumed
+	// at. Every machine arms them at construction, in device order, so a
+	// device's faults take the same calendar positions whenever the
+	// workload reaches it. Nil, or exactly Devices entries, each validated
+	// against every workload's machine.
 	DeviceFaults []fault.Schedule
 
 	// CheckpointEvery is the fleet-cycle cadence of checkpoint refreshes —
-	// the bound on work lost to a migration or ECC rewind. Default 50_000.
+	// the bound on work lost to a migration or ECC rewind. A refresh copies
+	// nothing; a rewind re-runs its workload from launch to the
+	// checkpoint. Default 50_000.
 	CheckpointEvery event.Cycle
 	// FleetBudget caps the run in fleet cycles; live workloads at the cap
 	// finish diagnosed with metrics.ReasonFleetBudget. Default 100_000_000.
 	FleetBudget event.Cycle
 	// MigrationPauseBase is the fixed fleet-cycle cost of a migration; the
-	// transplanted state adds Snapshot.Bytes()/128 on top. Default 2_000.
+	// transplanted state adds gpu.Machine.StateBytes()/128 on top.
+	// Default 2_000.
 	MigrationPauseBase event.Cycle
 	// ECCRecoveryPause is the fleet-cycle cost of an ECC retire-and-rewind.
 	// Default 2_000.
@@ -84,9 +93,9 @@ func (c *Config) fill() error {
 			return fmt.Errorf("fleet: workload %d carries its own fault schedule; use DeviceFaults", i)
 		}
 		if w.Inject != nil {
-			// fault.Reserve runs after sim.NewSession, past an injected
-			// kernel's launch event; a construction-time arm runs before
-			// it, so the reserved blocks would not match its positions.
+			// Device faults are armed after sim.NewSession, past an
+			// injected kernel's launch event, where a Faults schedule is
+			// armed before it; the two would not match.
 			return fmt.Errorf("fleet: workload %d injects a second kernel; fleet workloads run one", i)
 		}
 	}
@@ -139,10 +148,15 @@ type workload struct {
 	acc event.Cycle // pacing remainder (fleet cycles not yet converted)
 
 	pauseUntil event.Cycle // fleet cycle a migration/recovery pause ends
-	ckpt       *gpu.Snapshot
+	ckpt       checkpoint
 
-	armed    []bool   // per device: fault block armed on this machine
-	seqBases []uint64 // per device: first reserved engine seq of its block
+	// thermal logs every derate imposed on the machine, re-impositions
+	// after a rewind included; a rebuild replays a checkpoint's prefix.
+	thermal []derate
+	// after holds, per device, the cycle after which that device's faults
+	// apply: 0 for the home, the resume checkpoint for a migration target,
+	// event.Never for a device the workload has not reached.
+	after []event.Cycle
 
 	terminal bool
 	drained  bool
@@ -157,6 +171,38 @@ type workload struct {
 	lastCompleted  int
 	lastProgressAt event.Cycle
 	starving       bool
+}
+
+// mark is a point in a workload's run a rebuild re-runs to: the engine
+// cycle, and whether the engine had fired any event by then (a machine
+// at cycle 0 may or may not have run its cycle-0 events).
+type mark struct {
+	at    event.Cycle
+	fired bool
+}
+
+func markOf(m *gpu.Machine) mark {
+	return mark{m.Engine().Now(), m.Engine().Executed() > 0}
+}
+
+// runTo brings a rebuilt machine to the mark.
+func (k mark) runTo(m *gpu.Machine) {
+	if k.fired {
+		m.RunTo(k.at)
+	}
+}
+
+// checkpoint is a replay point: a mark plus how many thermal log entries
+// precede it.
+type checkpoint struct {
+	mark
+	thermal int
+}
+
+// derate is one thermal log entry: the cadence scale imposed at a mark.
+type derate struct {
+	mark
+	scale int
 }
 
 // Migration is one entry of the fleet's migration log.
@@ -237,17 +283,17 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	res := f.result()
-	// Every workload is terminal and its checkpoints die with the fleet:
-	// recycle the device machines' buffers for the next fleet in the sweep.
+	// Every workload is terminal: recycle the device machines' buffers for
+	// the next fleet in the sweep.
 	for _, w := range f.wls {
-		w.m.ReleaseBuffers()
+		w.sess.Release()
 	}
 	return res, nil
 }
 
-// newFleet validates cfg, constructs every workload's machine with its
-// reserved fault-sequence blocks, places workloads round-robin, arms each
-// home device's fault schedule, and takes the genesis checkpoints.
+// newFleet validates cfg, places workloads round-robin, builds every
+// workload's machine with its home device's faults armed (validating
+// every device's schedule against it), and takes the genesis checkpoints.
 func newFleet(cfg Config) (*fleet, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -256,29 +302,70 @@ func newFleet(cfg Config) (*fleet, error) {
 	for i := range f.devs {
 		f.devs[i] = &Device{id: i, onBus: true, scale: 1}
 	}
-	for i, wcfg := range cfg.Workloads {
-		sess, err := sim.NewSession(wcfg)
-		if err != nil {
+	for i := range cfg.Workloads {
+		home := i % cfg.Devices
+		w := &workload{id: i, dev: home}
+		if cfg.DeviceFaults != nil {
+			w.after = make([]event.Cycle, cfg.Devices)
+			for d := range w.after {
+				w.after[d] = event.Never
+			}
+			w.after[home] = 0
+		}
+		if err := f.build(w); err != nil {
 			return nil, fmt.Errorf("fleet: workload %d: %w", i, err)
 		}
-		home := i % cfg.Devices
-		w := &workload{id: i, sess: sess, m: sess.Machine(), dev: home}
-		if cfg.DeviceFaults != nil {
-			// Reserve at the point where sim.NewSession arms a Faults
-			// schedule, then arm the home device's block.
-			if w.seqBases, err = fault.Reserve(w.m, cfg.DeviceFaults); err != nil {
-				return nil, fmt.Errorf("fleet: workload %d device faults: %w", i, err)
-			}
-			w.armed = make([]bool, cfg.Devices)
-			w.armed[home] = true
-			fault.ArmReserved(w.m, cfg.DeviceFaults[home], w.seqBases[home], 0)
-		}
-		w.m.Prepare()
 		f.attach(f.devs[home], w)
-		w.ckpt = w.m.Snapshot()
+		w.ckpt = w.checkpoint()
 		f.wls[i] = w
 	}
 	return f, nil
+}
+
+// build constructs w's machine from its Config, arms each device's faults
+// after the cycle w reached it (validating every device's schedule,
+// reached or not), and prepares the run.
+func (f *fleet) build(w *workload) error {
+	sess, err := sim.NewSession(f.cfg.Workloads[w.id])
+	if err != nil {
+		return err
+	}
+	for d, after := range w.after {
+		if err := fault.Arm(sess.Machine(), f.cfg.DeviceFaults[d], after); err != nil {
+			return fmt.Errorf("device %d faults: %w", d, err)
+		}
+	}
+	sess.Machine().Prepare()
+	w.sess, w.m = sess, sess.Machine()
+	return nil
+}
+
+// rewind returns w to its checkpoint by re-running: it releases the
+// current session unsettled (only a workload's final session is
+// finished), builds a fresh one, replays the checkpoint's prefix of the
+// thermal log, and runs to the checkpoint. It charges and returns the
+// local cycles lost; the caller re-imposes the device's derate.
+func (f *fleet) rewind(w *workload) uint64 {
+	lost := uint64(w.pos - w.ckpt.at)
+	w.sess.Release()
+	if err := f.build(w); err != nil {
+		// newFleet built this workload from the same Config and schedules.
+		panic(fmt.Sprintf("fleet: rebuilding workload %d: %v", w.id, err))
+	}
+	w.thermal = w.thermal[:w.ckpt.thermal]
+	for _, t := range w.thermal {
+		t.runTo(w.m)
+		setCadenceScale(w.m, t.scale)
+	}
+	w.ckpt.runTo(w.m)
+	w.pos, w.acc = w.ckpt.at, 0
+	w.lostCycles += lost
+	return lost
+}
+
+// checkpoint marks w's current point as its replay point.
+func (w *workload) checkpoint() checkpoint {
+	return checkpoint{markOf(w.m), len(w.thermal)}
 }
 
 // result assembles the final Result and runs the end-of-run SLO checks.
@@ -489,8 +576,8 @@ func (f *fleet) throttleDevice(e Event) {
 
 // eccError poisons the faulted page range on every resident workload,
 // then retires the range by rewinding each to its last checkpoint — the
-// corrupted values are never executed on, and the rewind re-executes from
-// the pre-fault image.
+// corrupted values are never executed on: the rewind rebuilds the machine
+// and re-executes to the checkpoint.
 func (f *fleet) eccError(e Event) {
 	d := f.devs[e.Device]
 	seed := f.cfg.Plane.Seed ^ e.Page ^ uint64(e.At)<<16 ^ 0xecc0
@@ -499,7 +586,8 @@ func (f *fleet) eccError(e Event) {
 	for _, id := range resident {
 		w := f.wls[id]
 		words += w.m.Mem().CorruptRange(e.Page, e.Pages, seed)
-		f.rewind(w, d)
+		f.rewind(w)
+		f.applyThermal(w, d.scale)
 		w.pauseUntil = f.clock + f.cfg.ECCRecoveryPause
 		w.recoveries++
 	}
@@ -507,48 +595,30 @@ func (f *fleet) eccError(e Event) {
 		d.id, e.Page, e.Page+uint64(e.Pages), words, len(resident)))
 }
 
-// rewind restores a workload to its last checkpoint in place (same
-// device), charging the lost local cycles and re-imposing the device's
-// thermal state on the restored machine.
-func (f *fleet) rewind(w *workload, d *Device) {
-	lost := w.pos - w.ckpt.Now()
-	w.m.Restore(w.ckpt)
-	w.pos = w.ckpt.Now()
-	w.acc = 0
-	w.lostCycles += uint64(lost)
-	f.applyThermal(w, d.scale)
-}
-
-// migrate transplants a live workload onto the target device: restore the
-// last checkpoint (the lost device's post-checkpoint state is gone with
-// it), re-home the workload, re-impose the target's thermal state, arm
-// the not-yet-fired tail of the target's device-fault schedule on its
-// reserved sequence block, and immediately take a fresh checkpoint so
-// later rewinds replay the same calendar. The transplant costs a pause
-// proportional to the moved state.
+// migrate moves a live workload onto the target device: it rewinds to
+// the last checkpoint (the lost device's post-checkpoint state is gone
+// with it) with the target's device faults armed from that checkpoint on,
+// if the workload has not been there before, re-homes the workload,
+// re-imposes the target's thermal state, and makes the resume point its
+// new checkpoint. The transplant costs a pause proportional to the moved
+// state.
 func (f *fleet) migrate(w *workload, target int, cause string) {
 	from := w.dev
-	lost := w.pos - w.ckpt.Now()
-	w.m.Restore(w.ckpt)
-	w.pos = w.ckpt.Now()
-	w.acc = 0
-	w.lostCycles += uint64(lost)
+	if w.after != nil && w.after[target] == event.Never {
+		w.after[target] = w.ckpt.at
+	}
+	lost := f.rewind(w)
 	f.detach(f.devs[from], w)
 	f.attach(f.devs[target], w)
 	w.dev = target
-	t := f.devs[target]
-	f.applyThermal(w, t.scale)
-	if f.cfg.DeviceFaults != nil && !w.armed[target] {
-		w.armed[target] = true
-		fault.ArmReserved(w.m, f.cfg.DeviceFaults[target], w.seqBases[target], w.m.Engine().Now())
-	}
-	w.ckpt = w.m.Snapshot()
-	pause := f.cfg.MigrationPauseBase + event.Cycle(w.ckpt.Bytes()/128)
+	f.applyThermal(w, f.devs[target].scale)
+	w.ckpt = w.checkpoint()
+	pause := f.cfg.MigrationPauseBase + event.Cycle(w.m.StateBytes()/128)
 	w.pauseUntil = f.clock + pause
 	w.migrations++
 	f.migrations = append(f.migrations, Migration{
 		At: f.clock, Workload: w.id, From: from, To: target,
-		Cause: cause, LostCycles: uint64(lost), Pause: pause,
+		Cause: cause, LostCycles: lost, Pause: pause,
 	})
 }
 
@@ -567,24 +637,31 @@ func (f *fleet) pickTarget(exclude int) int {
 	return best
 }
 
-// applyThermal imposes a device derate on a workload's command processor.
-// Policies without monitor hardware have no CP; their derate is purely
-// the pacing slowdown.
+// applyThermal imposes a device derate on a workload's machine and logs
+// it for replay. A scale-1 re-imposition is logged too: it clears a
+// JitterCP skew the CP may carry.
 func (f *fleet) applyThermal(w *workload, scale int) {
-	if hw, ok := w.m.Policy().(interface{ CP() *cp.Processor }); ok {
+	w.thermal = append(w.thermal, derate{markOf(w.m), scale})
+	setCadenceScale(w.m, scale)
+}
+
+// setCadenceScale derates a machine's command processor. Policies without
+// monitor hardware have no CP; their derate is purely the pacing slowdown.
+func setCadenceScale(m *gpu.Machine, scale int) {
+	if hw, ok := m.Policy().(interface{ CP() *cp.Processor }); ok {
 		hw.CP().SetCadenceScale(scale)
 	}
 }
 
-// refreshCheckpoints re-snapshots live workloads at the checkpoint
-// cadence. Paused workloads are skipped — their state is unchanged since
-// the snapshot the pause came from.
+// refreshCheckpoints moves live workloads' replay points forward at the
+// checkpoint cadence. Paused workloads are skipped — their state is
+// unchanged since the checkpoint the pause came from.
 func (f *fleet) refreshCheckpoints() {
 	for _, w := range f.wls {
 		if w.terminal || w.pauseUntil > f.clock {
 			continue
 		}
-		w.ckpt = w.m.Snapshot()
+		w.ckpt = w.checkpoint()
 	}
 }
 

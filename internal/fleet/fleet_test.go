@@ -78,9 +78,9 @@ func TestSteadyFleetCompletes(t *testing.T) {
 // TestMigrationMidWaitWakesOnce is the cross-device single-home test: the
 // single-loss plane fires while the oversubscribed workload's WGs are deep
 // in synchronization waits, so the victim workload migrates mid-wait. The
-// transplant restores the checkpoint (waiter state re-homed through the
-// syncmon/CP transfer paths) on the surviving device; if any waiter were left double-homed it would wake twice and
-// corrupt the producer/consumer counters, which the post-run functional
+// migration rebuilds the machine and re-runs it to the checkpoint on the
+// surviving device; if any waiter were left double-homed it would wake
+// twice and corrupt the producer/consumer counters, which the post-run functional
 // verification (run by Session.Finish for every completed workload)
 // catches. The test therefore requires: a migration actually happened off
 // the lost device, every workload completed verified, and the migration
@@ -269,7 +269,7 @@ func TestPlaneEventsLoggedInOrder(t *testing.T) {
 }
 
 // constructionArmed runs wcfg as a plain session with sched armed at
-// construction: the run a fleet's reserved, late-armed faults must match.
+// construction: the run a fleet workload's device faults must match.
 func constructionArmed(t *testing.T, wcfg sim.Config, sched fault.Schedule) (metrics.Result, error) {
 	t.Helper()
 	wcfg.Faults = &sched
@@ -281,9 +281,9 @@ func constructionArmed(t *testing.T, wcfg sim.Config, sched fault.Schedule) (met
 	return s.Run()
 }
 
-// TestOneDeviceFleetMatchesSimRun pins the placement half of fault-sequence
-// reservation: a one-device fleet, whose faults are reserved after
-// construction and armed at placement, must produce exactly the result of
+// TestOneDeviceFleetMatchesSimRun pins the placement half of device-fault
+// arming: a one-device fleet, which arms its device's faults after
+// sim.NewSession and before Prepare, must produce exactly the result of
 // the same schedule armed at construction by a plain session.
 func TestOneDeviceFleetMatchesSimRun(t *testing.T) {
 	for _, policy := range []string{"Baseline", "Timeout", "MonNR-All", "AWG"} {
@@ -306,13 +306,13 @@ func TestOneDeviceFleetMatchesSimRun(t *testing.T) {
 }
 
 // TestMigratedFaultTailMatchesConstructionArm pins the migration half of
-// reservation: a workload that loses its device, rewinds to its
+// device-fault arming: a workload that loses its device, rewinds to its
 // checkpoint, and picks up the target device's schedule must run exactly
 // as if that schedule had been armed at construction. The faults sweep a
 // 40-cycle window just past the checkpoint, so some land on cycles where
-// the restored calendar already holds machine events; armed without their
-// reserved sequence numbers, such a fault would fire after those events
-// instead of before them.
+// the calendar already holds machine events; armed after Prepare instead
+// of at construction, such a fault would fire after those events instead
+// of before them.
 func TestMigratedFaultTailMatchesConstructionArm(t *testing.T) {
 	for _, policy := range []string{"Baseline", "Timeout", "MonNR-All", "AWG"} {
 		for at := event.Cycle(10_001); at <= 10_040; at++ {

@@ -25,11 +25,6 @@ type Config struct {
 	// zero-delay livelocks that never advance the simulated clock, which
 	// neither MaxCycles nor the progress watchdog can terminate.
 	MaxEvents uint64
-	// SnapshotEvery, when non-zero, keeps a ring of periodic machine
-	// snapshots so a diagnosed stall can be replayed from the last pre-stall
-	// snapshot with tracing enabled — time-travel debugging for DEADLOCK
-	// cells. Costs one snapshot every SnapshotEvery cycles; off by default.
-	SnapshotEvery uint64
 }
 
 // DefaultConfig returns the Table 1 machine: 8 CUs, 2 SIMD units of width

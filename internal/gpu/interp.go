@@ -16,8 +16,7 @@ import (
 // is issued to the timing model, and the engine event that completes it
 // writes the result register and advances the frame to the next device op.
 // No WG owns a goroutine, so the simulation runs on the caller's goroutine
-// alone, and snapshots and fleet migration copy a WG's exact
-// position in O(registers).
+// alone.
 
 // maxPureOps bounds the pure ops an interpreter slice may execute between
 // device operations — the backstop against a program whose register loop
@@ -33,7 +32,7 @@ type irFrame struct {
 	dst  int16
 	regs []int64
 	// geom caches the per-WG launch-geometry constants, indexed by
-	// prog.Geom. Derived from immutable WG identity, so snapshots skip it.
+	// prog.Geom, derived from immutable WG identity.
 	geom [6]int64
 }
 
@@ -137,8 +136,7 @@ func (f *irFrame) runPure() (*prog.Op, uint64) {
 func (m *Machine) advanceIR(w *WG) {
 	f := w.frame
 	op, n := f.runPure()
-	// irOps is an interpreter work meter, not simulation state: a
-	// diagnosis replay counts its window again.
+	// irOps is an interpreter work meter, not simulation state.
 	m.irOps += n
 	if op == nil {
 		m.finish(w)
@@ -180,9 +178,8 @@ func (m *Machine) advanceIR(w *WG) {
 }
 
 // irOpsInterpreted is process-wide execution telemetry: how many IR ops the
-// interpreter executed. Pure telemetry for awgbench's gpu.ir_ops — never part
-// of metrics.Result — and, like sim.Totals, never rewound by snapshot
-// restores.
+// interpreter executed. Pure telemetry for awgbench's gpu.ir_ops, never part
+// of metrics.Result.
 var irOpsInterpreted atomic.Uint64
 
 // ExecStats reports the cumulative count of IR ops interpreted since process

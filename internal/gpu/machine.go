@@ -54,31 +54,23 @@ type Machine struct {
 
 	Count Counters
 
-	tracer *trace.Recorder //lint:allow snapcover observational trace sink wired by the host, not simulation state
+	tracer *trace.Recorder
 
 	completed    int
 	maxWait      uint64
 	lastDoneAt   event.Cycle
 	lastProgress event.Cycle
 	deadlocked   bool
-	ran          bool //lint:allow snapcover one-shot Run latch; snapshots fork mid-run and restore into the same run
+	ran          bool
 
 	diag      *metrics.Diagnosis
-	diagSinks []func(*metrics.Diagnosis) //lint:allow snapcover host-side diagnosis callbacks; function values are re-wired, not snapshotted
+	diagSinks []func(*metrics.Diagnosis)
 
 	// irOps accumulates inline-interpreted IR ops for ExecStats, flushed to
 	// the package counter at FinishRun.
-	irOps uint64 //lint:allow snapcover host-side telemetry like sim.Totals; restores must not rewind it
+	irOps uint64
 
 	jitterState uint64
-
-	// Snapshot machinery (snapshot.go). snapHooks carries policy-side state
-	// in and out of machine snapshots; snapRing is the watchdog's periodic
-	// pre-stall snapshots; replaying suppresses watchdog/ring side effects
-	// while a diagnosis replay re-executes a window of the run.
-	snapHooks []snapHook
-	replaying bool        //lint:allow snapcover the replay flag itself gates restore side effects; carrying it through a snapshot would wedge replays on
-	snapRing  []*Snapshot //lint:allow snapcover the watchdog ring holds snapshots; capturing it inside one would recurse
 }
 
 // NewMachine builds a machine for one kernel launch under one policy.
@@ -230,10 +222,38 @@ func (m *Machine) PollOverhead() event.Cycle { return event.Cycle(m.cfg.PollOver
 // harness advance loops that test it every slice.
 func (m *Machine) CycleLimit() event.Cycle { return event.Cycle(m.cfg.MaxCycles) }
 
+// StateBytes estimates the machine's simulated state — the engine
+// calendar, the memory hierarchy, scheduler queues and CU pools, every
+// WG's runtime state and interpreter frame, the Table 2
+// characterization, and the policy's monitor hardware when it reports
+// one. The fleet layer charges a migration's transplant pause by it.
+func (m *Machine) StateBytes() int {
+	n := 256 + m.eng.StateBytes() + m.mem.StateBytes()
+	n += 24 * len(m.kernels)
+	n += 16 * (len(m.sched.pending) + len(m.sched.readyQueue))
+	n += 16 * len(m.sched.cus)
+	for _, w := range m.allWGs {
+		n += 160 + 8*len(w.parked)
+		if f := w.frame; f != nil {
+			n += 40 + 8*len(f.regs)
+		}
+	}
+	au := m.atomics
+	n += 24 * len(au.charAddrs)
+	for i := range au.charSlab {
+		c := &au.charSlab[i]
+		n += 64 + 8*(len(c.wantVals)+len(c.epWGs)+len(c.epCounts)+len(c.updatesPerMet)) + 24*len(c.conds)
+	}
+	if p, ok := m.pol.(interface{ StateBytes() int }); ok {
+		n += p.StateBytes()
+	}
+	return n
+}
+
 // ReleaseBuffers recycles the machine's engine and memory tag arrays into
 // their package pools for the next machine this process builds. It must be
-// the caller's last use of the machine: the engine, the memory system, and
-// any snapshot restore against them are invalid afterward.
+// the caller's last use of the machine: the engine and the memory system
+// are invalid afterward.
 func (m *Machine) ReleaseBuffers() {
 	m.mem.ReleaseBuffers()
 	m.eng.Recycle()
@@ -586,11 +606,11 @@ func (m *Machine) Run() metrics.Result {
 }
 
 // Prepare arms the run without driving the engine: the event budget, the
-// first dispatcher kick, the deadlock watchdog and — when SnapshotEvery is
-// set — the periodic snapshot ring the time-travel
-// diagnosis replays from. The fleet layer uses the Prepare/RunTo/FinishRun
-// decomposition to advance each workload in slices between which it may
-// checkpoint, migrate or halt the machine. It may be called once.
+// first dispatcher kick and the deadlock watchdog. The fleet layer uses
+// the Prepare/RunTo/FinishRun decomposition to advance each workload in
+// slices between which it may checkpoint, derate or halt the machine; a
+// run sliced at any cycles equals the unsliced Run (FuzzSlicedRun). It
+// may be called once.
 func (m *Machine) Prepare() {
 	if m.ran {
 		panic("gpu: Machine.Run called twice")
@@ -599,50 +619,28 @@ func (m *Machine) Prepare() {
 	m.eng.SetEventBudget(m.cfg.MaxEvents)
 	m.sched.kick()
 	// Deadlock watchdog: on a full progress window without any WG advancing,
-	// capture a structured diagnosis before stopping the engine. During a
-	// diagnosis replay the closure must consume the same engine state (fire,
-	// not reschedule) without re-diagnosing, so replays stay cycle- and
-	// seq-identical to the original run.
+	// capture a structured diagnosis before stopping the engine.
 	var watch func()
 	watch = func() {
 		if m.Done() {
 			return
 		}
 		if m.eng.Now()-m.lastProgress >= event.Cycle(m.cfg.ProgressWindow) {
-			if !m.replaying {
-				m.deadlocked = true
-				m.diag = m.diagnose(metrics.ReasonProgressStall)
-				m.eng.Stop()
-			}
+			m.deadlocked = true
+			m.diag = m.diagnose(metrics.ReasonProgressStall)
+			m.eng.Stop()
 			return
 		}
 		m.eng.After(event.Cycle(m.cfg.ProgressWindow/4), watch)
 	}
 	m.eng.After(event.Cycle(m.cfg.ProgressWindow/4), watch)
-	if m.cfg.SnapshotEvery > 0 {
-		var tick func()
-		tick = func() {
-			if m.Done() {
-				return
-			}
-			// Reschedule before snapshotting so the snapshot carries the
-			// next tick: a replay then consumes identical sequence numbers.
-			m.eng.After(event.Cycle(m.cfg.SnapshotEvery), tick)
-			if !m.replaying {
-				m.pushRingSnapshot()
-			}
-		}
-		m.eng.After(event.Cycle(m.cfg.SnapshotEvery), tick)
-	}
 }
 
 // RunTo drives the engine to the given cycle (or to a stop, budget
 // exhaustion, or calendar drain, whichever comes first).
 func (m *Machine) RunTo(c event.Cycle) { m.eng.RunUntil(c) }
 
-// FinishRun classifies an unfinished run, renders the time-travel diagnosis
-// when a snapshot ring is armed, and assembles the result. After a snapshot
-// Restore, RunTo/FinishRun may run again (FuzzSnapshotRestore relies on it).
+// FinishRun classifies an unfinished run and assembles the result.
 func (m *Machine) FinishRun() metrics.Result {
 	if !m.Done() {
 		m.deadlocked = true
@@ -655,9 +653,6 @@ func (m *Machine) FinishRun() metrics.Result {
 			}
 			m.diag = m.diagnose(reason)
 		}
-	}
-	if m.deadlocked && m.diag != nil && len(m.snapRing) > 0 {
-		m.diag.Trace = m.replayTrace()
 	}
 	end := m.eng.Now()
 	for _, w := range m.allWGs {

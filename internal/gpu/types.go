@@ -11,6 +11,11 @@
 // paper's waiting atomics. That split mirrors the paper's observation that
 // the same primitive library runs under every architecture in its design
 // space.
+//
+// A run is deterministic: the same configuration, kernel, policy and
+// pre-run setup give a bit-identical run, however its driver slices it
+// with RunTo. Callers that need to go back in time rebuild the machine
+// and re-run it.
 package gpu
 
 import (

@@ -132,36 +132,6 @@ func (f *Flat[K, V]) grow() {
 	}
 }
 
-// Clone returns an independent deep copy of the table sharing only the hash
-// function. Snapshot/restore uses it: a clone preserves slot positions
-// exactly, so a restored table probes identically to the original.
-func (f *Flat[K, V]) Clone() *Flat[K, V] {
-	return &Flat[K, V]{
-		hash: f.hash,
-		keys: append([]K(nil), f.keys...),
-		vals: append([]V(nil), f.vals...),
-		used: append([]bool(nil), f.used...),
-		mask: f.mask,
-		live: f.live,
-	}
-}
-
-// CopyFrom overwrites f's contents with src's (typically a Clone taken
-// earlier), reusing f's backing arrays when the geometries match so a
-// restore does not allocate.
-func (f *Flat[K, V]) CopyFrom(src *Flat[K, V]) {
-	if len(f.keys) != len(src.keys) {
-		f.keys = make([]K, len(src.keys))
-		f.vals = make([]V, len(src.vals))
-		f.used = make([]bool, len(src.used))
-	}
-	copy(f.keys, src.keys)
-	copy(f.vals, src.vals)
-	copy(f.used, src.used)
-	f.mask = src.mask
-	f.live = src.live
-}
-
 // Mix64 is the SplitMix64 finalizer, exported as the default key-mixing
 // function for Flat tables over addresses and packed condition keys.
 func Mix64(x uint64) uint64 { return splitmix(x) }

@@ -113,15 +113,6 @@ func (b *Bloom) Reset() { b.bits = 0 }
 // PopCount reports how many bits are set, a cheap saturation signal.
 func (b *Bloom) PopCount() int { return bits.OnesCount64(b.bits) }
 
-// State returns the filter's bit vector — with the fixed <= 64-bit hardware
-// geometry, one word is the filter's entire mutable state. Snapshot/restore
-// round-trips it through SetState.
-func (b *Bloom) State() uint64 { return b.bits }
-
-// SetState overwrites the filter's bit vector with one previously returned
-// by State.
-func (b *Bloom) SetState(bits uint64) { b.bits = bits }
-
 // UniqueCounter tracks an approximate count of distinct values observed at a
 // monitored address. It is the structure AWG consults to decide between
 // resume-one and resume-all: mutexes toggle between at most two values while
@@ -153,22 +144,4 @@ func (c *UniqueCounter) Count() int { return c.count }
 func (c *UniqueCounter) Reset() {
 	c.bloom.Reset()
 	c.count = 0
-}
-
-// CounterState is a UniqueCounter's mutable state: the filter bits plus the
-// running unique count.
-type CounterState struct {
-	Bits  uint64
-	Count int
-}
-
-// State captures the counter's mutable state for a snapshot.
-func (c *UniqueCounter) State() CounterState {
-	return CounterState{Bits: c.bloom.State(), Count: c.count}
-}
-
-// SetState restores state previously captured with State.
-func (c *UniqueCounter) SetState(s CounterState) {
-	c.bloom.SetState(s.Bits)
-	c.count = s.Count
 }

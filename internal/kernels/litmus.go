@@ -310,22 +310,7 @@ func decodeLitmusOp(tok string) (LitmusOp, error) {
 func (l Litmus) FairFinal() (vals []int64, complete bool) {
 	vals = make([]int64, l.NumVars())
 	pc := make([]int, len(l.Progs))
-	for {
-		progressed := false
-		for wg, prog := range l.Progs {
-			for pc[wg] < len(prog) {
-				op := prog[pc[wg]]
-				if !litmusStep(op, vals) {
-					break
-				}
-				pc[wg]++
-				progressed = true
-			}
-		}
-		if !progressed {
-			break
-		}
-	}
+	l.Quiesce(func(int) bool { return true }, pc, vals)
 	complete = true
 	for wg, prog := range l.Progs {
 		if pc[wg] < len(prog) {
@@ -335,9 +320,32 @@ func (l Litmus) FairFinal() (vals []int64, complete bool) {
 	return vals, complete
 }
 
-// litmusStep applies op to the abstract memory, reporting false when the
-// op is a wait whose condition is not yet satisfied.
-func litmusStep(op LitmusOp, vals []int64) bool {
+// Quiesce runs every admitted WG fairly until none can advance, mutating
+// pc (each WG's next op) and vals in place. The grammar's confluence makes
+// the result independent of iteration order, so the quiescent state is a
+// function of the admitted set — what the progress-model oracles in
+// internal/litmus memoize on.
+func (l Litmus) Quiesce(admitted func(wg int) bool, pc []int, vals []int64) {
+	for {
+		progressed := false
+		for wg, prog := range l.Progs {
+			if !admitted(wg) {
+				continue
+			}
+			for pc[wg] < len(prog) && prog[pc[wg]].Step(vals) {
+				pc[wg]++
+				progressed = true
+			}
+		}
+		if !progressed {
+			return
+		}
+	}
+}
+
+// Step applies op to the abstract memory, reporting false when the op is a
+// wait whose condition is not yet satisfied.
+func (op LitmusOp) Step(vals []int64) bool {
 	switch op.Kind {
 	case LitmusAdd:
 		vals[op.Var]++

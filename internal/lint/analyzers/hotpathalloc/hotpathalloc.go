@@ -6,7 +6,7 @@
 // highest-rate paths — CU issue, bank service, wake delivery — that cost a
 // 4–7x slowdown before pooled event.Task replaced it. The analyzer flags a
 // capturing function literal passed directly to an Engine scheduling
-// method (At / After / AtWithSeq / AtTask / AfterTask / NewTask) inside
+// method (At / After / AtTask / AfterTask / NewTask) inside
 // the hot-path packages (internal/gpu, internal/syncmon, internal/policy).
 //
 // The check is interprocedural: the ipsummary framework marks

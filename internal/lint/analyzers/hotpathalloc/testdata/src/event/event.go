@@ -18,13 +18,12 @@ type Task struct {
 // Engine mirrors the scheduling surface of event.Engine.
 type Engine struct{}
 
-func (e *Engine) Now() Cycle                             { return 0 }
-func (e *Engine) At(at Cycle, fn func())                 {}
-func (e *Engine) After(d Cycle, fn func())               {}
-func (e *Engine) AtWithSeq(at Cycle, seq int, fn func()) {}
-func (e *Engine) AtTask(at Cycle, t *Task)               {}
-func (e *Engine) AfterTask(d Cycle, t *Task)             {}
-func (e *Engine) NewTask(fn TaskFunc) *Task              { return &Task{} }
+func (e *Engine) Now() Cycle                 { return 0 }
+func (e *Engine) At(at Cycle, fn func())     {}
+func (e *Engine) After(d Cycle, fn func())   {}
+func (e *Engine) AtTask(at Cycle, t *Task)   {}
+func (e *Engine) AfterTask(d Cycle, t *Task) {}
+func (e *Engine) NewTask(fn TaskFunc) *Task  { return &Task{} }
 
 // Defer forwards its callback into Engine.At: ipsummary marks fn as a
 // scheduling parameter, so capturing literals handed to Defer from hot

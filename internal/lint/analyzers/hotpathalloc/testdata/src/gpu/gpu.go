@@ -30,46 +30,46 @@ func (m *machine) capturingTaskFunc() {
 	m.eng.NewTask(func(t *event.Task) { m.n++ }) // want `capturing closure \(m\) scheduled via Engine\.NewTask`
 }
 
-// snapshotRing mirrors the machine's periodic snapshot-ring arming: the
-// tick closure is built once at Prepare and rescheduled by identifier, so
-// only the naive per-tick literal is a finding.
-func (m *machine) snapshotRing(every event.Cycle) {
+// watchdog mirrors the machine's deadlock-watchdog arming: the tick
+// closure is built once at Prepare and rescheduled by identifier, so only
+// the naive per-tick literal is a finding.
+func (m *machine) watchdog(every event.Cycle) {
 	var tick func()
 	tick = func() {
 		m.eng.After(every, tick) // identifier at the call site: hoisted once
-		m.n++                    // stand-in for pushRingSnapshot
+		m.n++                    // stand-in for the progress check
 	}
 	m.eng.After(every, tick)
 }
 
-func (m *machine) snapshotRingNaive(every event.Cycle) {
+func (m *machine) watchdogNaive(every event.Cycle) {
 	m.eng.After(every, func() { // want `capturing closure \(m, every\) scheduled via Engine\.After`
-		m.snapshotRingNaive(every) // reschedules by allocating a fresh closure per tick
+		m.watchdogNaive(every) // reschedules by allocating a fresh closure per tick
 	})
 }
 
 func runStep(t *event.Task) { t.Env[0].(*machine).n++ }
 
-// atSeq forwards its callback into Engine.AtWithSeq; ipsummary marks fn
-// as a scheduling parameter.
-func (m *machine) atSeq(seq int, fn func()) {
-	m.eng.AtWithSeq(m.eng.Now(), seq, fn)
+// atLater forwards its callback into Engine.At; ipsummary marks fn as a
+// scheduling parameter.
+func (m *machine) atLater(d event.Cycle, fn func()) {
+	m.eng.At(m.eng.Now()+d, fn)
 }
 
-// armLater hops through atSeq — the in-component fixpoint must propagate
+// armLater hops through atLater — the in-component fixpoint must propagate
 // the scheduling-parameter mark one level further.
-func (m *machine) armLater(fn func()) { m.atSeq(7, fn) }
+func (m *machine) armLater(fn func()) { m.atLater(7, fn) }
 
 func (m *machine) forwarded(w int) {
-	m.eng.AtWithSeq(0, 1, func() { m.n += w }) // want `capturing closure \(m, w\) scheduled via Engine\.AtWithSeq`
+	m.eng.At(0, func() { m.n += w }) // want `capturing closure \(m, w\) scheduled via Engine\.At`
 
-	m.atSeq(2, func() { m.n++ })    // want `capturing closure \(m\) forwarded to atSeq which schedules it on the engine`
+	m.atLater(2, func() { m.n++ })  // want `capturing closure \(m\) forwarded to atLater which schedules it on the engine`
 	m.armLater(func() { m.n += w }) // want `capturing closure \(m, w\) forwarded to armLater which schedules it on the engine`
 
 	// Cross-package forwarder: event.Defer's summary arrives via the fact.
 	event.Defer(m.eng, func() { m.n++ }) // want `capturing closure \(m\) forwarded to Defer which schedules it on the engine`
 
-	m.atSeq(3, func() { println("static") }) // non-capturing: fine through forwarders too
+	m.atLater(3, func() { println("static") }) // non-capturing: fine through forwarders too
 
 	hoisted := func() { m.n++ }
 	m.armLater(hoisted) // identifier at the call site: hoisted once per episode

@@ -55,14 +55,8 @@ type Processor struct {
 	tab spillTable
 }
 
-// Restore is the approved whole-home rewind: every container is rewritten
-// from one snapshot image, so no waiter can end up split across homes.
-func (p *Processor) Restore(tab spillTable) {
-	p.tab = tab // approved: Restore is a transfer function
-}
-
-// rewind is NOT an approved name: snapshot-style rewrites must live in the
-// named snapshot layer, not be scattered under ad-hoc names.
+// rewind is not an approved transfer function: replacing the table
+// wholesale outside its accessors can split a waiter across homes.
 func (p *Processor) rewind(tab spillTable) {
 	p.tab = tab // want `Processor\.tab holds single-home waiter state`
 }

@@ -73,22 +73,9 @@ func (s *SyncMon) evictHalf() {
 	_ = ok
 }
 
-// Restore is the approved whole-home rewind: rewriting every container
-// from one snapshot image cannot split a waiter across homes.
-func (s *SyncMon) Restore(sets [][]entry, waiters map[int64]int) {
-	s.sets = sets       // approved: Restore is a transfer function
-	s.waiters = waiters // approved: Restore is a transfer function
-}
-
-// restore is the ring's approved rewind.
-func (l *MonitorLog) restore(head, live int) {
-	l.head = head // approved: restore is a ring transfer function
-	l.live = live // approved: restore is a ring transfer function
-}
-
-// restoreFast is NOT an approved name: a partial rewind outside the
-// snapshot layer is exactly the two-homes hazard the rule exists for.
-func (l *MonitorLog) restoreFast(head int) {
+// rewindHead is not an approved ring accessor: a partial rewind outside
+// Push/Pop/Remove is exactly the two-homes hazard the rule exists for.
+func (l *MonitorLog) rewindHead(head int) {
 	l.head = head // want `MonitorLog\.head holds single-home waiter state`
 }
 

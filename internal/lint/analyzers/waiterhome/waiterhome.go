@@ -60,9 +60,6 @@ var homes = []home{
 			"New": true, "Register": true, "Unregister": true,
 			"dropEntry": true, "observe": true, "wakeAllOnAddr": true,
 			"Degrade": true,
-			// Restore rewrites every container of the home from one saved
-			// image, so the single-home invariant holds by construction.
-			"Restore": true,
 		},
 	},
 	{
@@ -86,8 +83,6 @@ var homes = []home{
 			"newCondStore": true, "insert": true, "drop": true,
 			"pushWaiter": true, "popWaiter": true, "shedTailWaiter": true,
 			"removeWaiter": true, "clearWaiters": true,
-			// Whole-store rewind from a snapshot image (see Restore above).
-			"restore": true,
 		},
 	},
 	{
@@ -130,8 +125,6 @@ var homes = []home{
 		approved: map[string]bool{
 			"NewMonitorLog": true, "allocRing": true, "Push": true,
 			"Pop": true, "Remove": true,
-			// Whole-ring rewind from a snapshot image (see Restore above).
-			"restore": true,
 		},
 	},
 	{
@@ -142,9 +135,6 @@ var homes = []home{
 		approved: map[string]bool{
 			"New": true, "Unregister": true, "drainPass": true,
 			"runCheckResult": true,
-			// Restore rewrites every container of the home from one saved
-			// image, so the single-home invariant holds by construction.
-			"Restore": true,
 		},
 	},
 	{
@@ -159,8 +149,6 @@ var homes = []home{
 		approved: map[string]bool{
 			"newSpillTable": true, "alloc": true, "free": true,
 			"addWaiter": true, "removeWaiter": true, "dropWaiters": true,
-			// Whole-table rewind from a snapshot image (see Restore above).
-			"restore": true,
 		},
 	},
 	{

@@ -8,17 +8,8 @@ import (
 	"awgsim/internal/lint/analysis"
 )
 
-// writeKind classifies how an lvalue selector participates in a statement.
-type writeKind int
-
-const (
-	wkNone      writeKind = iota
-	wkWrite               // plain assignment target
-	wkReadWrite           // op-assign, ++/--, or address-taken
-)
-
 // extract walks one function body and records its direct effects: field
-// reads/writes, call edges (local, cross-package, stdlib), scheduling,
+// writes, call edges (local, cross-package, stdlib), scheduling,
 // nondeterminism taint, and parameter-forwarding sites.
 func extract(pass *analysis.Pass, obj *types.Func, fd *ast.FuncDecl, r *Result) *extraction {
 	ex := &extraction{
@@ -50,13 +41,13 @@ func extract(pass *analysis.Pass, obj *types.Func, fd *ast.FuncDecl, r *Result) 
 
 	parents := map[ast.Node]ast.Node{}
 	var stack []ast.Node
-	writes := map[ast.Expr]writeKind{}
+	writes := map[ast.Expr]bool{}
 	seenLocal := map[*types.Func]bool{}
 
 	// markWrite peels index/star/paren wrappers off an lvalue and records
 	// the root selector (if any) as written; non-selector roots that reach
 	// outside the function mark WritesNonLocal.
-	markWrite := func(e ast.Expr, kind writeKind) {
+	markWrite := func(e ast.Expr) {
 		deref := false
 		indexed := false
 		for {
@@ -79,7 +70,7 @@ func extract(pass *analysis.Pass, obj *types.Func, fd *ast.FuncDecl, r *Result) 
 	done:
 		switch x := e.(type) {
 		case *ast.SelectorExpr:
-			writes[x] = kind
+			writes[x] = true
 		case *ast.Ident:
 			o := info.Uses[x]
 			if o == nil {
@@ -123,20 +114,16 @@ func extract(pass *analysis.Pass, obj *types.Func, fd *ast.FuncDecl, r *Result) 
 
 		switch x := n.(type) {
 		case *ast.AssignStmt:
-			kind := wkWrite
-			if x.Tok != token.ASSIGN && x.Tok != token.DEFINE {
-				kind = wkReadWrite // op-assign reads then writes
-			}
 			if x.Tok != token.DEFINE {
 				for _, lhs := range x.Lhs {
-					markWrite(lhs, kind)
+					markWrite(lhs)
 				}
 			}
 		case *ast.IncDecStmt:
-			markWrite(x.X, wkReadWrite)
+			markWrite(x.X)
 		case *ast.UnaryExpr:
 			if x.Op == token.AND {
-				markWrite(x.X, wkReadWrite)
+				markWrite(x.X)
 			}
 		case *ast.GoStmt, *ast.SendStmt, *ast.SelectStmt:
 			// Concurrency: effects and ordering invisible to the summary.
@@ -144,7 +131,7 @@ func extract(pass *analysis.Pass, obj *types.Func, fd *ast.FuncDecl, r *Result) 
 		case *ast.CallExpr:
 			extractCall(pass, ex, x, seenLocal, r)
 		case *ast.SelectorExpr:
-			classifySelector(pass, ex, x, parents, writes)
+			recordFieldWrite(pass, ex, x, writes)
 		case *ast.Ident:
 			extractFuncValueRef(pass, ex, x, parents, seenLocal, r)
 		}
@@ -171,41 +158,19 @@ func isParam(fn *types.Func, o types.Object) bool {
 	return false
 }
 
-// classifySelector records the effect of one field selection: write (from
-// the precomputed lvalue map), covering read, or nothing for pure
-// navigation (x.f.g and x.f.m() record the deeper access, not f — except
-// for snapshot-shaped methods, which deep-copy the field they are called
-// on and therefore count as covering it).
-func classifySelector(pass *analysis.Pass, ex *extraction, sel *ast.SelectorExpr, parents map[ast.Node]ast.Node, writes map[ast.Expr]writeKind) {
+// recordFieldWrite records a field selection the precomputed lvalue map
+// marks as written.
+func recordFieldWrite(pass *analysis.Pass, ex *extraction, sel *ast.SelectorExpr, writes map[ast.Expr]bool) {
+	if !writes[sel] {
+		return
+	}
 	selection, ok := pass.TypesInfo.Selections[sel]
 	if !ok || selection.Kind() != types.FieldVal {
 		return
 	}
-	fk, ok := fieldKeyOf(selection)
-	if !ok {
-		return
-	}
-	if kind, isWrite := writes[sel]; isWrite {
+	if fk, ok := fieldKeyOf(selection); ok {
 		ex.sum.Writes[fk] = true
-		if kind == wkReadWrite {
-			ex.sum.Reads[fk] = true
-		}
-		return
 	}
-	// Navigation check: this selector is the operand of a deeper selection.
-	if p, ok := parents[sel].(*ast.SelectorExpr); ok && p.X == sel {
-		if psel, ok := pass.TypesInfo.Selections[p]; ok {
-			if psel.Kind() == types.MethodVal && snapMethodNames[p.Sel.Name] {
-				// x.f.Clone() / x.f.restore(...) — transfer method invoked
-				// directly on the field: covers it.
-				ex.sum.Reads[fk] = true
-			}
-			// Otherwise x.f.g or x.f.m(): the deeper access is recorded when
-			// the walker reaches it; f itself is only a path segment.
-			return
-		}
-	}
-	ex.sum.Reads[fk] = true
 }
 
 // fieldKeyOf resolves a field selection to the named type that declares

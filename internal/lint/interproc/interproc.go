@@ -6,11 +6,11 @@
 //
 // The per-function Summary records the effects the domain analyzers need:
 //
-//   - struct fields read as values and fields written (keyed by declaring
-//     type, so effects compose through embedding, nesting, and helper
-//     calls) — snapcover consumes these;
+//   - struct fields written (keyed by declaring type, so effects compose
+//     through embedding, nesting, and helper calls) and writes the field
+//     tracking cannot name — the purity verdict consumes these;
 //   - engine-schedule effects (calls to event.Engine's At/After/AtTask/
-//     AfterTask/AtWithSeq/NewTask) and which function-typed parameters are
+//     AfterTask/NewTask) and which function-typed parameters are
 //     forwarded into such calls — hotpathalloc consumes these;
 //   - nondeterminism taint (wall-clock reads, global math/rand) and a
 //     conservative purity verdict — simdeterminism consumes these;
@@ -55,12 +55,6 @@ type FuncKey string
 // Summary is the composed effect summary of one function: its own direct
 // effects plus those of everything it (transitively) calls.
 type Summary struct {
-	// Reads holds fields read as values (copied, compared, passed, sliced,
-	// appended from, or handed to a Clone/CopyFrom/Snapshot/Restore-shaped
-	// method). Pure navigation (x.f.g, x.f.m()) records the inner access,
-	// not f itself — so a snapshot that copies a nested slab field-by-field
-	// is credited with exactly the fields it touches.
-	Reads map[FieldKey]bool
 	// Writes holds fields assigned, element-assigned, or address-taken.
 	Writes map[FieldKey]bool
 	// Calls is the transitive set of module functions reachable from this
@@ -112,10 +106,6 @@ type Result struct {
 	// of every module function imported (directly or transitively) from
 	// dependency packages' facts.
 	Funcs map[FuncKey]*Summary
-	// MutWrites holds fields written from non-constructor functions
-	// (anything but New*/new*/init*/Init*/Attach/validate*) in this
-	// package, mapped to the (sorted) keys of the writers.
-	MutWrites map[FieldKey][]FuncKey
 }
 
 // SummaryOf returns the composed summary for a declared or imported module
@@ -164,7 +154,7 @@ var Analyzer = &analysis.Analyzer{
 // calendar (NewTask included: its TaskFunc runs as events).
 var SchedMethods = map[string]bool{
 	"At": true, "After": true, "AtTask": true, "AfterTask": true,
-	"AtWithSeq": true, "NewTask": true,
+	"NewTask": true,
 }
 
 // EngineSchedCall reports whether call invokes a scheduling method on
@@ -223,21 +213,6 @@ func (r *Result) PureCall(info *types.Info, call *ast.CallExpr) bool {
 	return pkg.Path() == "fmt" && pureFmtFuncs[f.Name()]
 }
 
-// SnapshotPair returns a named type's snapshot/restore transfer methods
-// (exported or unexported spelling), nil when absent.
-func SnapshotPair(named *types.Named) (snap, rest *types.Func) {
-	for i := 0; i < named.NumMethods(); i++ {
-		m := named.Method(i)
-		switch m.Name() {
-		case "Snapshot", "snapshot":
-			snap = m
-		case "Restore", "restore":
-			rest = m
-		}
-	}
-	return snap, rest
-}
-
 // Key returns the canonical cross-package key for a function or method.
 func Key(obj *types.Func) FuncKey {
 	obj = obj.Origin()
@@ -284,28 +259,11 @@ var pureFmtFuncs = map[string]bool{
 	"Sprintf": true, "Sprint": true, "Sprintln": true, "Errorf": true,
 }
 
-// snapMethodNames are method names that, called directly on a struct field
-// (x.f.Clone()), deep-copy or overwrite the field's state and therefore
-// count as covering reads of that field.
-var snapMethodNames = map[string]bool{
-	"Snapshot": true, "snapshot": true, "Restore": true, "restore": true,
-	"Clone": true, "CopyFrom": true,
-}
-
-// ctorName reports whether writes inside a function of this name are
-// construction wiring rather than runtime mutation.
-func ctorName(name string) bool {
-	return strings.HasPrefix(name, "New") || strings.HasPrefix(name, "new") ||
-		strings.HasPrefix(name, "init") || strings.HasPrefix(name, "Init") ||
-		strings.HasPrefix(name, "validate") || name == "Attach"
-}
-
 func run(pass *analysis.Pass) (any, error) {
 	r := &Result{
-		Decls:     map[*types.Func]*ast.FuncDecl{},
-		Keys:      map[*types.Func]FuncKey{},
-		Funcs:     map[FuncKey]*Summary{},
-		MutWrites: map[FieldKey][]FuncKey{},
+		Decls: map[*types.Func]*ast.FuncDecl{},
+		Keys:  map[*types.Func]FuncKey{},
+		Funcs: map[FuncKey]*Summary{},
 	}
 
 	// Merge dependency facts: effects of module functions below us in the
@@ -386,20 +344,6 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 	}
 
-	// Mutation index: which fields does this package write, and from where.
-	for _, obj := range r.Order {
-		if ctorName(obj.Name()) {
-			continue
-		}
-		for fk := range direct[obj].sum.Writes {
-			r.MutWrites[fk] = append(r.MutWrites[fk], r.Keys[obj])
-		}
-	}
-	for _, fk := range sortedFieldKeys(r.MutWrites) {
-		ws := r.MutWrites[fk]
-		sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-	}
-
 	// Export this package's composed summaries for importers.
 	fact := &Fact{Funcs: map[FuncKey]*Summary{}}
 	for _, obj := range r.Order {
@@ -429,7 +373,6 @@ type fwdArg struct {
 
 func newSummary() *Summary {
 	return &Summary{
-		Reads:  map[FieldKey]bool{},
 		Writes: map[FieldKey]bool{},
 		Calls:  map[FuncKey]bool{},
 	}
@@ -447,9 +390,6 @@ func mergeSummary(dst, src *Summary, via string) {
 	if src == nil {
 		dst.Unknown = true
 		return
-	}
-	for k := range src.Reads {
-		dst.Reads[k] = true
 	}
 	for k := range src.Writes {
 		dst.Writes[k] = true
@@ -476,25 +416,6 @@ func addNondet(s *Summary, cause string) {
 	}
 	s.Nondet = append(s.Nondet, cause)
 	sort.Strings(s.Nondet)
-}
-
-// sortedFieldKeys returns m's keys in deterministic order.
-func sortedFieldKeys[V any](m map[FieldKey]V) []FieldKey {
-	keys := make([]FieldKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		if a.Type != b.Type {
-			return a.Type < b.Type
-		}
-		return a.Field < b.Field
-	})
-	return keys
 }
 
 // mergeExtraction folds a member's direct effects into the component

@@ -102,12 +102,10 @@ func TestPurityAndReads(t *testing.T) {
 	if s := summary(t, r, topPath+".Even"); s.Pure() {
 		t.Errorf("Even must not be pure")
 	}
+	// A field read is no effect: ReadLabel stays pure.
 	s := summary(t, r, topPath+".ReadLabel")
-	if !s.Reads[interproc.FieldKey{Pkg: topPath, Type: "State", Field: "label"}] {
-		t.Errorf("ReadLabel: missing State.label read, got %+v", s)
-	}
-	if len(s.Writes) != 0 || s.WritesNonLocal {
-		t.Errorf("ReadLabel must not write, got %+v", s)
+	if len(s.Writes) != 0 || s.WritesNonLocal || !s.Pure() {
+		t.Errorf("ReadLabel must be pure and not write, got %+v", s)
 	}
 }
 

@@ -90,48 +90,6 @@ func MustTerminate(l kernels.Litmus, m Model, wgCap int) bool {
 	return false
 }
 
-// quiesce runs every admitted WG fairly until none can advance, mutating
-// pc/vals in place. Confluence of the grammar makes the result independent
-// of iteration order.
-func quiesce(l kernels.Litmus, admitted func(wg int) bool, pc []int, vals []int64) {
-	for {
-		progressed := false
-		for wg, prog := range l.Progs {
-			if !admitted(wg) {
-				continue
-			}
-			for pc[wg] < len(prog) {
-				if !litmusStepAbstract(prog[pc[wg]], vals) {
-					break
-				}
-				pc[wg]++
-				progressed = true
-			}
-		}
-		if !progressed {
-			return
-		}
-	}
-}
-
-// litmusStepAbstract applies one op to the abstract memory, reporting
-// false for an unsatisfied wait. It mirrors kernels.Litmus.FairFinal's
-// step function.
-func litmusStepAbstract(op kernels.LitmusOp, vals []int64) bool {
-	switch op.Kind {
-	case kernels.LitmusAdd:
-		vals[op.Var]++
-	case kernels.LitmusSet:
-		vals[op.Var] = op.Val
-	case kernels.LitmusWaitGE:
-		return vals[op.Var] >= op.Val
-	case kernels.LitmusWaitEq:
-		return vals[op.Var] == op.Val
-	case kernels.LitmusWork:
-	}
-	return true
-}
-
 // mustHSA decides termination under the HSA adversary, which runs only the
 // lowest-id unfinished WG: the pattern must complete executed serially in
 // ID order.
@@ -139,7 +97,7 @@ func mustHSA(l kernels.Litmus) bool {
 	vals := make([]int64, l.NumVars())
 	for _, prog := range l.Progs {
 		for _, op := range prog {
-			if !litmusStepAbstract(op, vals) {
+			if !op.Step(vals) {
 				return false
 			}
 		}
@@ -176,7 +134,7 @@ func mustLinOcc(l kernels.Litmus, wgCap int) bool {
 	admitted := wgCap
 	for {
 		limit := admitted
-		quiesce(l, func(wg int) bool { return wg < limit }, pc, vals)
+		l.Quiesce(func(wg int) bool { return wg < limit }, pc, vals)
 		f := finished(limit)
 		if f == n {
 			return true
@@ -215,7 +173,7 @@ func mustOBE(l kernels.Litmus, wgCap int) bool {
 		}
 		pc := make([]int, n)
 		vals := make([]int64, l.NumVars())
-		quiesce(l, func(wg int) bool { return mask&(1<<wg) != 0 }, pc, vals)
+		l.Quiesce(func(wg int) bool { return mask&(1<<wg) != 0 }, pc, vals)
 		blocked := 0
 		for wg, prog := range l.Progs {
 			if mask&(1<<wg) != 0 && pc[wg] < len(prog) {

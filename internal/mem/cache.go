@@ -34,12 +34,11 @@ type Cache struct {
 
 	// touched lists the sets holding any non-zero line, in first-touch
 	// order; touchedSet is its membership index. Every line outside a
-	// touched set is zero — the invariant that lets snapshots copy only
+	// touched set is zero — the invariant that lets a release clear only
 	// touched sets instead of the whole tag array (the suite's working
-	// sets occupy a few hundred lines of an 8k-line L2, so checkpoints
-	// were ~96% zero copies). Mutators call touch before writing a line.
-	touched []int32
-	//lint:allow snapcover membership index of touched; restore rebuilds it from the snapshot's set list
+	// sets occupy a few hundred lines of an 8k-line L2). Mutators call
+	// touch before writing a line.
+	touched    []int32
 	touchedSet []bool
 }
 

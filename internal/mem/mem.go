@@ -169,6 +169,17 @@ func (s *System) Config() Config { return s.cfg }
 // Stats returns a snapshot of the activity counters.
 func (s *System) Stats() Stats { return s.stats }
 
+// StateBytes estimates the hierarchy's simulated state: the word store's
+// directory and one pointer per page, every tag array at its full size,
+// and the bank, local-unit and channel reservations.
+func (s *System) StateBytes() int {
+	n := 64 + 13*s.values.dir.Len() + 24*len(s.values.pages) + 32*len(s.l2.lines)
+	for _, c := range s.l1 {
+		n += 32 * len(c.lines)
+	}
+	return n + 8*(len(s.bankFree)+len(s.localFree)+len(s.chanFree))
+}
+
 // L2 exposes the shared cache so the SyncMon can pin monitored lines.
 func (s *System) L2() *Cache { return s.l2 }
 
@@ -210,10 +221,9 @@ func (a Addr) WordAligned() Addr { return a &^ 7 }
 // CorruptRange models an uncorrectable ECC burst over the page range
 // [page, page+pages): every word of each already-allocated page is
 // overwritten with a splitmix64-derived poison pattern (absent pages hold
-// no data to corrupt). Writes go through the ordinary COW write path, so
-// snapshots taken before the burst are unaffected and restoring one heals
-// the corruption — exactly the containment story the fleet layer's ECC
-// recovery relies on. Returns the number of words poisoned.
+// no data to corrupt). The fleet layer's ECC recovery then discards the
+// machine and re-runs to its checkpoint, so the poisoned values are never
+// executed on. Returns the number of words poisoned.
 func (s *System) CorruptRange(page uint64, pages int, seed uint64) int {
 	return s.values.corruptRange(page, pages, seed)
 }

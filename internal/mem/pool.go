@@ -56,8 +56,7 @@ func (c *Cache) release() {
 }
 
 // ReleaseBuffers returns the hierarchy's tag arrays to the recycle pool
-// for a later NewSystem. It must be the caller's last use of the system;
-// snapshots taken from it stay valid (they own their storage).
+// for a later NewSystem. It must be the caller's last use of the system.
 func (s *System) ReleaseBuffers() {
 	for _, c := range s.l1 {
 		c.release()

@@ -23,7 +23,6 @@ const (
 type wordStore struct {
 	dir      *hashutil.Flat[uint64, int32]
 	pages    [][]int64
-	shared   []bool // parallel to pages: page is shared with a snapshot
 	lastPage uint64
 	lastIdx  int32 // 0-based slab index of lastPage; -1 = empty cache
 }
@@ -51,45 +50,27 @@ func (w *wordStore) read(a Addr) int64 {
 }
 
 // write sets the word at the (word-aligned) address a, allocating its page
-// on first touch. Pages shared with a snapshot are copy-on-write: the first
-// mutation after a snapshot clones the page, so a fork costs O(dirty pages),
-// not O(store).
+// on first touch.
 func (w *wordStore) write(a Addr, v int64) {
 	word := uint64(a) >> 3
 	page := word >> pageShift
 	if page == w.lastPage && w.lastIdx >= 0 {
-		idx := w.lastIdx
-		if w.shared[idx] {
-			w.splitPage(idx)
-		}
-		w.pages[idx][word&pageMask] = v
+		w.pages[w.lastIdx][word&pageMask] = v
 		return
 	}
 	p := w.dir.Put(page)
 	if *p == 0 {
 		w.pages = append(w.pages, make([]int64, pageWords))
-		w.shared = append(w.shared, false)
 		*p = int32(len(w.pages))
 	}
 	idx := *p - 1
-	if w.shared[idx] {
-		w.splitPage(idx)
-	}
 	w.lastPage, w.lastIdx = page, idx
 	w.pages[idx][word&pageMask] = v
 }
 
-// splitPage replaces the page at slab index idx with a private copy, leaving
-// the original to whatever snapshot it is shared with.
-func (w *wordStore) splitPage(idx int32) {
-	w.pages[idx] = append([]int64(nil), w.pages[idx]...)
-	w.shared[idx] = false
-}
-
 // corruptRange poisons every word of each allocated page in
 // [page, page+n) with a splitmix64 stream (the same generator the fault
-// subsystem uses, so the pattern is seed-addressable). Mutations route
-// through write: shared (snapshotted) pages split copy-on-write first.
+// subsystem uses, so the pattern is seed-addressable).
 func (w *wordStore) corruptRange(page uint64, n int, seed uint64) int {
 	words := 0
 	state := seed

@@ -81,13 +81,6 @@ type Diagnosis struct {
 
 	WGs        []WGDiag      // unfinished WGs, ascending id
 	Conditions []BlockedCond // blocking conditions, ascending (addr, want)
-
-	// Trace is the rendered time-travel replay of the window before the
-	// stall, attached when the machine ran with a snapshot ring
-	// (gpu.Config.SnapshotEvery); empty otherwise, and omitted from
-	// serialized results so snapshot-less runs are byte-identical. Its
-	// header reports any divergence between the replay and this diagnosis.
-	Trace string `json:",omitempty"`
 }
 
 // Summary is the one-line form: reason plus the headline numbers.
@@ -122,12 +115,6 @@ func (d *Diagnosis) String() string {
 	for _, s := range names {
 		ids := states[s]
 		fmt.Fprintf(&b, "  %d WG(s) %s: %s\n", len(ids), s, idRanges(ids))
-	}
-	if d.Trace != "" {
-		b.WriteString("  pre-stall trace (replayed from last snapshot):\n")
-		for _, line := range strings.Split(strings.TrimRight(d.Trace, "\n"), "\n") {
-			fmt.Fprintf(&b, "    %s\n", line)
-		}
 	}
 	return b.String()
 }

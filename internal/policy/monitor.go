@@ -194,53 +194,22 @@ func (p *Monitor) Attach(m *gpu.Machine) error {
 		d.MonitorLogLen = p.sm.Log().Len()
 		d.CPTableSize = p.cpp.TableSize()
 	})
-	m.AddSnapshotHook(p.snapshot, p.restore)
 	return nil
 }
 
-// monitorSnap bundles the monitor hardware's snapshots: the SyncMon (with
-// its condition cache and Monitor Log), the CP spill table, and — when the
-// policy carries them — the resume-count and stall-time predictors.
-type monitorSnap struct {
-	sm    *syncmon.Snapshot
-	cpp   *cp.Snapshot
-	pred  *core.PredictorSnap
-	stall *core.StallSnap
-}
-
-// Bytes estimates the snapshot's memory footprint.
-func (s *monitorSnap) Bytes() int {
-	n := s.sm.Bytes() + s.cpp.Bytes()
-	if s.pred != nil {
-		n += s.pred.Bytes()
-	}
-	if s.stall != nil {
-		n += s.stall.Bytes()
-	}
-	return n
-}
-
-func (p *Monitor) snapshot() any {
-	s := &monitorSnap{sm: p.sm.Snapshot(), cpp: p.cpp.Snapshot()}
+// StateBytes estimates the monitor hardware's simulated state: the
+// SyncMon, the CP spill table and, when the policy carries them, the
+// resume-count and stall-time predictors. gpu.Machine.StateBytes adds it
+// to the machine's own.
+func (p *Monitor) StateBytes() int {
+	n := p.sm.StateBytes() + p.cpp.StateBytes()
 	if p.opt.Predictor != nil {
-		s.pred = p.opt.Predictor.Snapshot()
+		n += p.opt.Predictor.StateBytes()
 	}
 	if p.stallPred != nil {
-		s.stall = p.stallPred.Snapshot()
+		n += p.stallPred.StateBytes()
 	}
-	return s
-}
-
-func (p *Monitor) restore(v any) {
-	s := v.(*monitorSnap)
-	p.sm.Restore(s.sm)
-	p.cpp.Restore(s.cpp)
-	if s.pred != nil {
-		p.opt.Predictor.Restore(s.pred)
-	}
-	if s.stall != nil {
-		p.stallPred.Restore(s.stall)
-	}
+	return n
 }
 
 // SyncMon exposes the attached monitor hardware; nil before Attach. Fault
@@ -302,32 +271,6 @@ type episode struct {
 	fire       func()          // fallback timeout, built on first enterWait
 	onFireLoad func(val int64) // CP condition recheck for non-resident waiters
 	predExpire func()          // stall-prediction expiry, built on first use
-}
-
-// episodeState is the mutable half of an episode, captured by machine
-// snapshots. The identity half (condition, continuations) is immutable for
-// the episode's lifetime, and the hoisted closures capture only the stable
-// (w, ep, p) triple, so they survive a rewind untouched.
-type episodeState struct {
-	waiting, justWoken, earlyWake bool
-	registeredAt                  event.Cycle
-	reg                           syncmon.RegisterResult
-	lastRet                       int64
-}
-
-// SaveEpisode captures the episode's mutable state for a machine snapshot.
-func (ep *episode) SaveEpisode() any {
-	return episodeState{
-		waiting: ep.waiting, justWoken: ep.justWoken, earlyWake: ep.earlyWake,
-		registeredAt: ep.registeredAt, reg: ep.reg, lastRet: ep.lastRet,
-	}
-}
-
-// LoadEpisode rewinds the episode to state captured by SaveEpisode.
-func (ep *episode) LoadEpisode(s any) {
-	st := s.(episodeState)
-	ep.waiting, ep.justWoken, ep.earlyWake = st.waiting, st.justWoken, st.earlyWake
-	ep.registeredAt, ep.reg, ep.lastRet = st.registeredAt, st.reg, st.lastRet
 }
 
 func (p *Monitor) Wait(w *gpu.WG, v gpu.Var, op gpu.AtomicOp, a, b, want int64, cmp gpu.Cmp, _ gpu.WaitHint, done func(int64)) {

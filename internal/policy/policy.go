@@ -40,40 +40,23 @@ func NewBaseline() *Baseline {
 func (b *Baseline) Name() string                { return "Baseline" }
 func (b *Baseline) Attach(m *gpu.Machine) error { b.m = m; return nil }
 
-// backoffEpisode is the per-wait record of the backoff policies: the only
-// mutable episode state is the current backoff interval. It lives in the
-// WG's PolicyData slot (rather than a closure-local variable) so machine
-// snapshots can capture and rewind it — the episode's calendar closures
-// keep referencing the same record across a restore.
-type backoffEpisode struct {
-	backoff event.Cycle
-}
-
-// SaveEpisode captures the episode's mutable state for a machine snapshot.
-func (ep *backoffEpisode) SaveEpisode() any { return ep.backoff }
-
-// LoadEpisode rewinds the episode to state captured by SaveEpisode.
-func (ep *backoffEpisode) LoadEpisode(s any) { ep.backoff = s.(event.Cycle) }
-
 func (b *Baseline) Wait(w *gpu.WG, v gpu.Var, op gpu.AtomicOp, a, b2, want int64, cmp gpu.Cmp, hint gpu.WaitHint, done func(int64)) {
 	// The retry loop shares one attempt and one response continuation per
 	// episode: a contended episode can spin thousands of times, and each
 	// retry must not allocate.
-	ep := &backoffEpisode{backoff: b.BackoffBase}
-	w.PolicyData = ep
+	backoff := b.BackoffBase
 	var attempt func()
 	var onResp func(int64)
 	onResp = func(ret int64) {
 		if cmp.Test(ret, want) {
-			w.PolicyData = nil
 			done(ret)
 			return
 		}
 		delay := b.m.PollOverhead()
 		if hint.Backoff {
-			delay += ep.backoff + event.Cycle(b.m.Jitter(uint64(ep.backoff/4+1)))
-			if ep.backoff*2 <= b.BackoffMax {
-				ep.backoff *= 2
+			delay += backoff + event.Cycle(b.m.Jitter(uint64(backoff/4+1)))
+			if backoff*2 <= b.BackoffMax {
+				backoff *= 2
 			}
 		}
 		b.m.Engine().After(delay, attempt)
@@ -103,11 +86,10 @@ func (s *Sleep) Name() string                { return s.name }
 func (s *Sleep) Attach(m *gpu.Machine) error { s.m = m; return nil }
 
 func (s *Sleep) Wait(w *gpu.WG, v gpu.Var, op gpu.AtomicOp, a, b, want int64, cmp gpu.Cmp, _ gpu.WaitHint, done func(int64)) {
-	ep := &backoffEpisode{backoff: s.Base}
-	if ep.backoff > s.MaxBackoff {
-		ep.backoff = s.MaxBackoff
+	backoff := s.Base
+	if backoff > s.MaxBackoff {
+		backoff = s.MaxBackoff
 	}
-	w.PolicyData = ep
 	var attempt func()
 	resume := func() {
 		s.m.SetStalled(w, false)
@@ -116,14 +98,13 @@ func (s *Sleep) Wait(w *gpu.WG, v gpu.Var, op gpu.AtomicOp, a, b, want int64, cm
 	var onResp func(int64)
 	onResp = func(ret int64) {
 		if cmp.Test(ret, want) {
-			w.PolicyData = nil
 			done(ret)
 			return
 		}
 		s.m.Count.Stalls++
-		d := ep.backoff + event.Cycle(s.m.Jitter(uint64(ep.backoff/8+1)))
-		if ep.backoff*2 <= s.MaxBackoff {
-			ep.backoff *= 2
+		d := backoff + event.Cycle(s.m.Jitter(uint64(backoff/8+1)))
+		if backoff*2 <= s.MaxBackoff {
+			backoff *= 2
 		}
 		// s_sleep parks the wavefront: issue slots free up while the
 		// timer runs, though all other resources stay held.

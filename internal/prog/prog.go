@@ -8,8 +8,9 @@
 //
 // Because a Program is declarative data with no captured host state, the
 // machine executes it inline — a resumable frame (pc + register file)
-// advanced directly in the response path — and snapshots and fleet
-// migration copy the frame.
+// advanced directly in the response path — and a run is a pure function
+// of its configuration, which is what lets the fleet layer rewind a
+// workload by re-running it.
 //
 // Operands are Src values: a register index or an int64 immediate. Memory
 // operands are *pool indices* — the operand's value selects an address from

@@ -173,7 +173,7 @@ func NewSession(cfg Config) (*Session, error) {
 	}
 	s := &Session{cfg: cfg, m: m, verify: verifyFn}
 	if cfg.Faults != nil {
-		if err := fault.Arm(m, *cfg.Faults); err != nil {
+		if err := fault.Arm(m, *cfg.Faults, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -192,9 +192,9 @@ func NewSession(cfg Config) (*Session, error) {
 func (s *Session) Machine() *gpu.Machine { return s.m }
 
 // Release recycles the session machine's large buffers (engine, cache tag
-// arrays) into their package pools. Internal one-shot paths call it after
-// the result is extracted; the session, its machine, and snapshots taken
-// from the machine must not be used afterward.
+// arrays) into their package pools. One-shot paths call it after the
+// result is extracted, and the fleet layer when a rewind discards a
+// machine; the session and its machine must not be used afterward.
 func (s *Session) Release() { s.m.ReleaseBuffers() }
 
 // InjectedLatency reports the injected kernel's launch-to-finish latency

@@ -37,7 +37,7 @@ func quickConfig(bench, policy string, oversub bool, seed uint64) Config {
 func normalize(r metrics.Result) (metrics.Result, string) {
 	diag := ""
 	if r.Diagnosis != nil {
-		diag = r.Diagnosis.String() // includes the time-travel trace when present
+		diag = r.Diagnosis.String()
 	}
 	r.Diagnosis = nil
 	return r, diag

@@ -213,9 +213,9 @@ type SyncMon struct {
 
 	// observe() scratch, reused across calls: a hot barrier's release makes
 	// the wake fan-out fire on every update, so it must not allocate.
-	metScratch  []int32   //lint:allow snapcover reusable observe scratch, dead between calls
-	wakeScratch []wakeup  //lint:allow snapcover reusable observe scratch, dead between calls
-	clsScratch  []OpClass //lint:allow snapcover reusable observe scratch, dead between calls
+	metScratch  []int32
+	wakeScratch []wakeup
+	clsScratch  []OpClass
 }
 
 // wakeup is one pending resume collected during an observe pass; wakes are
@@ -311,6 +311,15 @@ func (s *SyncMon) Degrade(newWays, newWaitList int) {
 
 // Log exposes the Monitor Log for the Command Processor to drain.
 func (s *SyncMon) Log() *MonitorLog { return s.log }
+
+// StateBytes estimates the monitor's simulated state: the condition cache's
+// set arrays, condition and waiter slabs and address index, and the Monitor
+// Log ring at its full capacity.
+func (s *SyncMon) StateBytes() int {
+	cs := &s.store
+	return 128 + 4*(len(cs.setEnt)+len(cs.setLen)) + 40*len(cs.ents) +
+		24*len(cs.wnodes) + 24*cs.byAddr.Len() + 33*s.log.capacity + 24
+}
 
 // setIndex hashes (addr, want) per Section V.C: the word address is shifted
 // up and ORed with the waiting value, then universally hashed into a set.

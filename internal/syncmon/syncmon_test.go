@@ -319,8 +319,7 @@ func TestSetConflictSpillsToLog(t *testing.T) {
 }
 
 // TestLogRingAllocatedOnFirstSpill: a monitor that never spills holds no
-// ring storage, an empty ring snapshots and restores without building one,
-// and the first spill allocates the full modelled capacity.
+// ring storage, and the first spill allocates the full modelled capacity.
 func TestLogRingAllocatedOnFirstSpill(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Sets, cfg.Ways = 1, 1
@@ -329,7 +328,6 @@ func TestLogRingAllocatedOnFirstSpill(t *testing.T) {
 		t.Fatal("first register spilled")
 	}
 	h.update(0x500, gpu.OpStore, 1)
-	h.sm.Restore(h.sm.Snapshot())
 	l := h.sm.Log()
 	if l.entries != nil || l.dead != nil {
 		t.Fatal("monitor that never spilled allocated its log ring")

@@ -92,20 +92,26 @@ type Event struct {
 type Recorder struct {
 	events []Event
 	limit  int
+	oldest int // once full, the ring slot holding the oldest event
 }
 
-// NewRecorder builds a recorder keeping at most limit events (0 =
-// unlimited).
+// NewRecorder builds a recorder keeping the newest limit events (0 =
+// unlimited), so a run cut just past a stall keeps the cycles leading
+// into it.
 func NewRecorder(limit int) *Recorder {
 	return &Recorder{limit: limit}
 }
 
-// Record appends an event; silently drops once the limit is reached.
+// Record appends an event; once the limit is reached it overwrites the
+// oldest.
 func (r *Recorder) Record(at event.Cycle, wg int, kind Kind) {
-	if r.limit > 0 && len(r.events) >= r.limit {
+	e := Event{At: at, WG: wg, Kind: kind}
+	if r.limit == 0 || len(r.events) < r.limit {
+		r.events = append(r.events, e)
 		return
 	}
-	r.events = append(r.events, Event{At: at, WG: wg, Kind: kind})
+	r.events[r.oldest] = e
+	r.oldest = (r.oldest + 1) % r.limit
 }
 
 // Len reports recorded events.
@@ -113,7 +119,7 @@ func (r *Recorder) Len() int { return len(r.events) }
 
 // Events returns the recorded events in time order.
 func (r *Recorder) Events() []Event {
-	out := append([]Event(nil), r.events...)
+	out := append(append([]Event(nil), r.events[r.oldest:]...), r.events[:r.oldest]...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
 }

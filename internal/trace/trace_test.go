@@ -36,6 +36,24 @@ func TestRecorderLimit(t *testing.T) {
 	}
 }
 
+// TestRecorderKeepsNewest: a full recorder drops its oldest events, so a
+// run cut just past a stall keeps the timeline leading into it.
+func TestRecorderKeepsNewest(t *testing.T) {
+	r := NewRecorder(3)
+	for i := 0; i < 5; i++ {
+		r.Record(event.Cycle(10*i), i, Attempt)
+	}
+	evs := r.Events()
+	if len(evs) != 3 {
+		t.Fatalf("kept %d events, want 3", len(evs))
+	}
+	for i, e := range evs {
+		if want := event.Cycle(10 * (i + 2)); e.At != want || e.WG != i+2 {
+			t.Fatalf("event %d = %+v, want WG %d at %d (the newest three, in time order)", i, e, i+2, want)
+		}
+	}
+}
+
 func TestCountByKind(t *testing.T) {
 	r := NewRecorder(0)
 	r.Record(0, 0, Attempt)
