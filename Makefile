@@ -40,10 +40,12 @@ lint-fix:
 # streams diffed against a map-based oracle of the slab condition store,
 # runs sliced at a fuzzed cycle that must equal the unsliced run (the step
 # every fleet rewind relies on), the litmus shrinker driven against
-# abstract progress-model oracles, and
+# abstract progress-model oracles,
 # random IR programs (shared words only see commuting adds, so the result
 # is interleaving-independent) run on the machine with every addressable
-# word checked against an untimed sequential reference interpreter.
+# word checked against an untimed sequential reference interpreter, and
+# random wait begin/met/write-atomic streams through the Table 2
+# characterization diffed against its slice-based reference.
 fuzz:
 	$(GO) test ./internal/fault -fuzz FuzzSchedule -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/event -fuzz FuzzCalendar -fuzztime 5s -run '^$$'
@@ -52,6 +54,7 @@ fuzz:
 	$(GO) test ./internal/fleet -fuzz FuzzFleetEvents -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/litmus -fuzz FuzzLitmusShrink -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/gpu -fuzz FuzzProgIR -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/gpu -fuzz FuzzCharacterization -fuzztime 5s -run '^$$'
 
 # golden runs the quick experiment suite once and checks its deterministic
 # outputs (simulated cycles, run counts, rendered-table hashes) against the

@@ -1,8 +1,6 @@
 package gpu
 
 import (
-	"sort"
-
 	"awgsim/internal/event"
 	"awgsim/internal/hashutil"
 	"awgsim/internal/mem"
@@ -22,41 +20,34 @@ type atomicUnit struct {
 	m         *Machine
 	observers []AtomicObserver
 
-	// Table 2 characterization: a slab of per-variable records indexed by
-	// word-aligned address. observeUpdate runs at every write atomic's
-	// bank-service instant, so the lookup and the active-episode walk are
-	// flat-array operations rather than map traffic.
-	charIdx   *hashutil.Flat[mem.Addr, int32] // aligned addr -> 1-based slab ref
-	charSlab  []varChar
-	charAddrs []mem.Addr // slab insertion order (characterization re-sorts)
-}
+	// Table 2 characterization. Every update is O(1): observeUpdate runs
+	// at each write atomic's bank-service instant and bumps one per-variable
+	// write count, and a wait episode's update count is the difference of
+	// that count between its begin and met. A WG has at most one open
+	// episode (beginWait runs only from a running frame, and endWait closes
+	// the episode before the frame steps again), so the episode's refs and
+	// starting count live on the WG (charVar, charCond, charStart).
+	charIdx *hashutil.Flat[mem.Addr, int32] // aligned addr -> 1-based ref into writes
+	writes  []uint64                        // write atomics per variable
 
-// varChar keeps one synchronization variable's Table 2 statistics. The
-// per-variable populations (distinct waited-for values, concurrent
-// conditions, active episodes) are small — bounded by concurrent waiters —
-// so linear scans of flat slices beat map overhead on every path.
-type varChar struct {
-	scope Scope
-
-	wantVals []int64    // distinct waited-for values
-	conds    []condStat // concurrent waiters per (addr, want) condition
+	// Built on the first wait, so a run that never waits allocates neither.
+	condIdx *hashutil.Flat[condKey, int32] // (addr, want) -> 1-based ref into waiters
+	wantIdx *hashutil.Flat[condKey, bool]  // (aligned addr, want) waited for
+	waiters []int                          // WGs waiting per condition now
 
 	maxWaiters int
-
-	epWGs    []WGID // active episodes: the waiting WGs...
-	epCounts []int  // ...and updates observed since each began
-
-	updatesPerMet []int
-}
-
-type condStat struct {
-	key condKey
-	n   int
+	wants      int    // distinct waited-for values, summed over variables
+	open, mets int    // wait episodes open now, and met so far
+	metUpdates uint64 // writes between begin and met, summed over met episodes
 }
 
 type condKey struct {
 	addr mem.Addr
 	want int64
+}
+
+func (k condKey) hash() uint64 {
+	return hashutil.Mix64(hashutil.Mix64(uint64(k.addr)) ^ uint64(k.want))
 }
 
 func newAtomicUnit(m *Machine) *atomicUnit {
@@ -192,91 +183,45 @@ func (p *atomicUnit) arm(w *WG, v Var, atBank func(), resp func()) {
 
 // --- Table 2 characterization instrumentation ---
 
-func (p *atomicUnit) charFor(v Var) *varChar {
+// charBegin opens w's wait episode on want at v for the Table 2 stats.
+func (p *atomicUnit) charBegin(w *WG, v Var, want int64) {
+	if p.condIdx == nil {
+		p.condIdx = hashutil.NewFlat[condKey, int32](16, condKey.hash)
+		p.wantIdx = hashutil.NewFlat[condKey, bool](16, condKey.hash)
+	}
 	addr := v.Addr.WordAligned() // observeUpdate keys by aligned address
 	r := p.charIdx.Put(addr)
 	if *r == 0 {
-		p.charSlab = append(p.charSlab, varChar{scope: v.Scope})
-		p.charAddrs = append(p.charAddrs, addr)
-		*r = int32(len(p.charSlab))
+		p.writes = append(p.writes, 0)
+		*r = int32(len(p.writes))
 	}
-	return &p.charSlab[*r-1]
+	w.charVar, w.charStart = *r, p.writes[*r-1]
+	if seen := p.wantIdx.Put(condKey{addr, want}); !*seen {
+		*seen = true
+		p.wants++
+	}
+	c := p.condIdx.Put(condKey{v.Addr, want})
+	if *c == 0 {
+		p.waiters = append(p.waiters, 0)
+		*c = int32(len(p.waiters))
+	}
+	w.charCond = *c
+	p.waiters[*c-1]++
+	p.maxWaiters = max(p.maxWaiters, p.waiters[*c-1])
+	p.open++
 }
 
-// charBegin/charMet bracket one wait episode for the Table 2 stats.
-func (p *atomicUnit) charBegin(w *WG, v Var, want int64) {
-	c := p.charFor(v)
-	seen := false
-	for _, wv := range c.wantVals {
-		if wv == want {
-			seen = true
-			break
-		}
-	}
-	if !seen {
-		c.wantVals = append(c.wantVals, want)
-	}
-	k := condKey{v.Addr, want}
-	bumped := false
-	for i := range c.conds {
-		if c.conds[i].key == k {
-			c.conds[i].n++
-			if c.conds[i].n > c.maxWaiters {
-				c.maxWaiters = c.conds[i].n
-			}
-			bumped = true
-			break
-		}
-	}
-	if !bumped {
-		c.conds = append(c.conds, condStat{key: k, n: 1})
-		if c.maxWaiters < 1 {
-			c.maxWaiters = 1
-		}
-	}
-	// Begin (or restart) w's episode with a zeroed update count.
-	for i, id := range c.epWGs {
-		if id == w.id {
-			c.epCounts[i] = 0
-			return
-		}
-	}
-	c.epWGs = append(c.epWGs, w.id)
-	c.epCounts = append(c.epCounts, 0)
-}
-
-func (p *atomicUnit) charMet(w *WG, v Var, want int64) {
-	c := p.charFor(v)
-	k := condKey{v.Addr, want}
-	for i := range c.conds {
-		if c.conds[i].key == k {
-			if c.conds[i].n > 0 {
-				c.conds[i].n--
-			}
-			break
-		}
-	}
-	for i, id := range c.epWGs {
-		if id == w.id {
-			c.updatesPerMet = append(c.updatesPerMet, c.epCounts[i])
-			// Episode order is immaterial (observeUpdate increments all,
-			// charMet records only the finished one): swap-remove.
-			last := len(c.epWGs) - 1
-			c.epWGs[i], c.epCounts[i] = c.epWGs[last], c.epCounts[last]
-			c.epWGs, c.epCounts = c.epWGs[:last], c.epCounts[:last]
-			return
-		}
-	}
+// charMet closes w's open wait episode.
+func (p *atomicUnit) charMet(w *WG) {
+	p.waiters[w.charCond-1]--
+	p.metUpdates += p.writes[w.charVar-1] - w.charStart
+	p.open--
+	p.mets++
 }
 
 func (p *atomicUnit) observeUpdate(a mem.Addr) {
-	r := p.charIdx.Ref(a.WordAligned())
-	if r == nil {
-		return
-	}
-	c := &p.charSlab[*r-1]
-	for i := range c.epCounts {
-		c.epCounts[i]++
+	if r := p.charIdx.Ref(a.WordAligned()); r != nil {
+		p.writes[*r-1]++
 	}
 }
 
@@ -286,34 +231,24 @@ type charSummary struct {
 	stats    metrics.SyncVarStats
 }
 
-// characterization computes the run's charSummary.
+// characterization computes the run's charSummary. The mean divides
+// integer totals, so no accumulation order can leak into it.
 func (p *atomicUnit) characterization() charSummary {
-	var conds, maxW int
-	var updSum float64
-	var updN int
-	// Iterate in address order: the float accumulation below is not
-	// associative, so insertion order would leak into the Table 2 mean.
-	addrs := append([]mem.Addr(nil), p.charAddrs...)
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		c := &p.charSlab[*p.charIdx.Ref(a)-1]
-		conds += len(c.wantVals)
-		if c.maxWaiters > maxW {
-			maxW = c.maxWaiters
-		}
-		for _, u := range c.updatesPerMet {
-			updSum += float64(u)
-			updN++
-		}
-	}
 	sum := charSummary{
-		syncVars: len(p.charSlab),
-		stats:    metrics.SyncVarStats{Conditions: conds, MaxWaiters: maxW},
+		syncVars: len(p.writes),
+		stats:    metrics.SyncVarStats{Conditions: p.wants, MaxWaiters: p.maxWaiters},
 	}
-	if updN > 0 {
-		sum.stats.UpdatesPerCond = updSum / float64(updN)
+	if p.mets > 0 {
+		sum.stats.UpdatesPerCond = float64(p.metUpdates) / float64(p.mets)
 	}
 	return sum
+}
+
+// stateBytes is the characterization's term of Machine.StateBytes: an
+// 88-byte record per variable, 8 bytes per distinct waited-for value, 16
+// per open episode, 8 per met one, and 24 per condition.
+func (p *atomicUnit) stateBytes() int {
+	return 88*len(p.writes) + 8*(p.wants+2*p.open+p.mets) + 24*len(p.waiters)
 }
 
 // OnAtomicApply subscribes f to every atomic's bank-service instant.

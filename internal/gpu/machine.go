@@ -238,12 +238,7 @@ func (m *Machine) StateBytes() int {
 			n += 40 + 8*len(f.regs)
 		}
 	}
-	au := m.atomics
-	n += 24 * len(au.charAddrs)
-	for i := range au.charSlab {
-		c := &au.charSlab[i]
-		n += 64 + 8*(len(c.wantVals)+len(c.epWGs)+len(c.epCounts)+len(c.updatesPerMet)) + 24*len(c.conds)
-	}
+	n += m.atomics.stateBytes()
 	if p, ok := m.pol.(interface{ StateBytes() int }); ok {
 		n += p.StateBytes()
 	}
@@ -502,7 +497,7 @@ func (m *Machine) beginWait(w *WG, v Var, op AtomicOp, a, b, want int64, cmp Cmp
 // ones beginWait recorded on the WG.
 func (m *Machine) endWait(w *WG, observed int64) {
 	now := m.eng.Now()
-	m.atomics.charMet(w, w.waitVar, w.waitWant)
+	m.atomics.charMet(w)
 	if d := uint64(now - w.waitBegan); d > m.maxWait {
 		m.maxWait = d
 	}

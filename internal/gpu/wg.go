@@ -49,6 +49,11 @@ type WG struct {
 	// waitDone is the completion callback every wait episode hands the
 	// policy; Machine.initWG binds it once, when the WG is built.
 	waitDone func(observed int64)
+	// The open episode's Table 2 bookkeeping: its variable's and
+	// condition's refs in the atomic unit, and the variable's write count
+	// when it began.
+	charVar, charCond int32
+	charStart         uint64
 
 	stalled        bool // parked without issuing instructions (frees issue slots)
 	phaseStart     event.Cycle

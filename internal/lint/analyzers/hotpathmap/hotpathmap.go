@@ -67,21 +67,25 @@ var scopes = []scope{
 		},
 	},
 	{
-		// GPU CU issue: every compute chunk re-samples the CU's issue-slot
-		// contention, and the chunk chain re-arms itself as a pooled task.
-		pkgSuffix: "/gpu", path: "CU-issue",
+		// GPU: every compute chunk re-samples the CU's issue-slot
+		// contention, and the chunk chain re-arms itself as a pooled task;
+		// every atomic's bank-service leg updates the Table 2
+		// characterization, as does every wait episode's begin and end.
+		pkgSuffix: "/gpu", path: "CU-issue/bank-service",
 		roots: map[string]bool{
 			"runCompute": true, "computeStep": true, "runComputeChunk": true,
+			"runAtomicApply": true, "beginWait": true, "endWait": true,
 		},
 	},
 	{
 		// Memory system: value reads/writes and every timing query run per
-		// access at bank-service rate.
+		// access at bank-service rate; context traffic runs per context
+		// save and restore.
 		pkgSuffix: "/mem", path: "bank-service/wake",
 		roots: map[string]bool{
 			"Read": true, "Write": true, "Access": true,
 			"AtomicTiming": true, "LocalAtomicTiming": true, "ArmTiming": true,
-			"LoadTiming": true, "StoreTiming": true,
+			"LoadTiming": true, "StoreTiming": true, "ContextTraffic": true,
 		},
 	},
 }

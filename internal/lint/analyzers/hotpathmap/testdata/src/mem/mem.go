@@ -1,10 +1,11 @@
-// Package mem seeds bank-service map traffic: Read/Write are hot roots,
-// construction-time code is not.
+// Package mem seeds bank-service map traffic: Read/Write and
+// ContextTraffic are hot roots, construction-time code is not.
 package mem
 
 type system struct {
-	words map[uint64]int64
-	banks map[uint64]int
+	words    map[uint64]int64
+	banks    map[uint64]int
+	chanFree map[int]int64
 }
 
 func (s *system) Read(addr uint64) int64 {
@@ -20,9 +21,19 @@ func (s *system) bankOf(addr uint64) int {
 	return s.banks[addr] // want `map indexed in bankOf, reachable from a bank-service/wake hot path`
 }
 
+func (s *system) ContextTraffic(lines int) int64 {
+	var done int64
+	for ch, free := range s.chanFree { // want `map ranged over in ContextTraffic, reachable from a bank-service/wake hot path`
+		if ch < lines && free > done {
+			done = free
+		}
+	}
+	return done
+}
+
 // newSystem runs once at construction: seeding the maps there is cold.
 func newSystem(n int) *system {
-	s := &system{words: map[uint64]int64{}, banks: map[uint64]int{}}
+	s := &system{words: map[uint64]int64{}, banks: map[uint64]int{}, chanFree: map[int]int64{}}
 	for i := 0; i < n; i++ {
 		s.banks[uint64(i)] = i % 4
 	}

@@ -112,14 +112,12 @@ type System struct {
 	localFree []event.Cycle // next free cycle per CU local atomic unit
 	chanFree  []event.Cycle // next free cycle per DRAM channel
 
-	// Precomputed bank/channel interleaving for power-of-two geometry: the
-	// bank selector runs once per atomic, so the Table 1 defaults (64 B
-	// lines, 16 banks, 4 channels) take the shift/mask path.
+	// Precomputed bank interleaving for power-of-two geometry: the bank
+	// selector runs once per atomic, so the Table 1 defaults (64 B lines,
+	// 16 banks) take the shift/mask path.
 	lineShift uint
 	bankMask  uint64
-	chanMask  uint64
 	pow2Banks bool
-	pow2Chans bool
 
 	stats Stats
 }
@@ -149,10 +147,6 @@ func NewSystem(cfg Config, eng *event.Engine, numCUs int) (*System, error) {
 		s.pow2Banks = true
 		s.lineShift = uint(log2(cfg.LineSize))
 		s.bankMask = uint64(cfg.L2Banks - 1)
-	}
-	if isPow2(cfg.DRAMChannels) {
-		s.pow2Chans = true
-		s.chanMask = uint64(cfg.DRAMChannels - 1)
 	}
 	s.l1 = make([]*Cache, numCUs)
 	for i := range s.l1 {
@@ -188,13 +182,6 @@ func (s *System) bankOf(a Addr) int {
 		return int(uint64(a) >> s.lineShift & s.bankMask)
 	}
 	return int(uint64(a) / uint64(s.cfg.LineSize) % uint64(s.cfg.L2Banks))
-}
-
-func (s *System) channelOf(line uint64) int {
-	if s.pow2Chans {
-		return int(line & s.chanMask)
-	}
-	return int(line % uint64(s.cfg.DRAMChannels))
 }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
@@ -335,28 +322,32 @@ func (s *System) StoreTiming(cu int, a Addr) (respAt event.Cycle) {
 }
 
 // ContextTraffic computes the completion time of moving bytes of WG context
-// between the CU and memory (save or restore). Lines are striped across the
-// DRAM channels; the transfer completes when the last line does.
+// between the CU and memory (save or restore). Line i goes to channel
+// i mod DRAMChannels, and each channel serves its lines back to back from
+// when the first can start, so it is booked per channel in closed form; the
+// transfer completes when the last line does.
 func (s *System) ContextTraffic(bytes int) (doneAt event.Cycle) {
-	if bytes <= 0 {
-		return s.eng.Now()
-	}
 	now := s.eng.Now()
+	if bytes <= 0 {
+		return now
+	}
 	lines := (bytes + s.cfg.LineSize - 1) / s.cfg.LineSize
 	s.stats.ContextBytes += uint64(bytes)
 	s.stats.DRAMLines += uint64(lines)
 	doneAt = now
-	for i := 0; i < lines; i++ {
-		ch := s.channelOf(uint64(i))
-		start := now + s.cfg.L2Latency + s.cfg.DRAMLatency
-		if s.chanFree[ch] > start {
-			start = s.chanFree[ch]
+	base := now + s.cfg.L2Latency + s.cfg.DRAMLatency
+	per, extra := lines/len(s.chanFree), lines%len(s.chanFree)
+	for ch, free := range s.chanFree {
+		k := per
+		if ch < extra {
+			k++
 		}
-		end := start + s.cfg.DRAMService
+		if k == 0 {
+			break // this channel gets no line, nor does any later one
+		}
+		end := max(free, base) + event.Cycle(k)*s.cfg.DRAMService
 		s.chanFree[ch] = end
-		if end > doneAt {
-			doneAt = end
-		}
+		doneAt = max(doneAt, end)
 	}
 	return doneAt
 }

@@ -212,6 +212,87 @@ func TestContextTrafficUsesChannels(t *testing.T) {
 	}
 }
 
+// perLineContextTraffic is the line-by-line booking that ContextTraffic's
+// closed form replaced, kept as its reference: line i queues on channel
+// i mod DRAMChannels behind that channel's earlier lines.
+func perLineContextTraffic(s *System, bytes int) event.Cycle {
+	if bytes <= 0 {
+		return s.eng.Now()
+	}
+	now := s.eng.Now()
+	lines := (bytes + s.cfg.LineSize - 1) / s.cfg.LineSize
+	s.stats.ContextBytes += uint64(bytes)
+	s.stats.DRAMLines += uint64(lines)
+	doneAt := now
+	for i := 0; i < lines; i++ {
+		ch := i % s.cfg.DRAMChannels
+		start := now + s.cfg.L2Latency + s.cfg.DRAMLatency
+		if s.chanFree[ch] > start {
+			start = s.chanFree[ch]
+		}
+		end := start + s.cfg.DRAMService
+		s.chanFree[ch] = end
+		if end > doneAt {
+			doneAt = end
+		}
+	}
+	return doneAt
+}
+
+// TestContextTrafficMatchesPerLine makes the same calls on two systems, one
+// booked in closed form and one line by line, at advancing cycles short
+// enough that earlier transfers still hold some channels past the DRAM
+// base of later ones.
+func TestContextTrafficMatchesPerLine(t *testing.T) {
+	sizes := []int{0, 1, 63, 64, 65, 255, 256, 257, 9728}
+	steps := []event.Cycle{0, 40, 150, 700, 5000, 3}
+	for _, chans := range []int{1, 3, 4} {
+		for _, svc := range []event.Cycle{0, 32} {
+			cfg := DefaultConfig()
+			cfg.DRAMChannels, cfg.DRAMService = chans, svc
+			eng := event.New()
+			got, err := NewSystem(cfg, eng, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := NewSystem(cfg, eng, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			busy := false
+			for i := 0; i < 5*len(sizes); i++ {
+				if step := steps[i%len(steps)]; step > 0 {
+					eng.At(eng.Now()+step, func() {})
+					eng.Run()
+				}
+				base := eng.Now() + cfg.L2Latency + cfg.DRAMLatency
+				for _, free := range got.chanFree {
+					busy = busy || free > base
+				}
+				bytes := sizes[i*7%len(sizes)]
+				g, w := got.ContextTraffic(bytes), perLineContextTraffic(ref, bytes)
+				if g != w {
+					t.Fatalf("%d channels, service %d, call %d (%d B at %d): done %d, per line %d",
+						chans, svc, i, bytes, eng.Now(), g, w)
+				}
+				for ch := range ref.chanFree {
+					if got.chanFree[ch] != ref.chanFree[ch] {
+						t.Fatalf("%d channels, service %d, call %d: channel %d free at %d, per line %d",
+							chans, svc, i, ch, got.chanFree[ch], ref.chanFree[ch])
+					}
+				}
+				if got.Stats() != ref.Stats() {
+					t.Fatalf("%d channels, service %d, call %d: stats %+v, per line %+v",
+						chans, svc, i, got.Stats(), ref.Stats())
+				}
+			}
+			if svc > 0 && !busy {
+				t.Fatalf("%d channels: no call found a channel busy past its DRAM base", chans)
+			}
+		}
+	}
+}
+
 func TestInvalidateCU(t *testing.T) {
 	s, _ := newSys(t)
 	cfg := s.Config()

@@ -17,12 +17,18 @@ type WGBreakdown struct {
 	Waiting uint64 // cycles spent inside synchronization wait episodes
 }
 
-// SyncVarStats characterizes one synchronization variable, the raw material
-// for Table 2's columns.
+// SyncVarStats is a run's synchronization characterization over all its
+// variables, the raw material for Table 2's columns.
 type SyncVarStats struct {
-	Conditions     int     // distinct (addr, expected) conditions seen
-	MaxWaiters     int     // max WGs simultaneously waiting on one condition
-	UpdatesPerCond float64 // mean updates to the variable until a condition met
+	// Conditions sums, over word-aligned variables, each one's distinct
+	// waited-for values.
+	Conditions int
+	// MaxWaiters is the peak number of WGs waiting at once on any one
+	// (addr, want) condition.
+	MaxWaiters int
+	// UpdatesPerCond is the mean, over met wait episodes, of the write
+	// atomics to the episode's word between its begin and its met.
+	UpdatesPerCond float64
 }
 
 // Result is everything one simulation run reports.
