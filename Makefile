@@ -72,7 +72,7 @@ golden:
 litmus-quick:
 	$(GO) run ./cmd/awgexp -quick -exp litmus -golden GOLDEN_litmus.json > /dev/null
 
-# golden-full runs the full-scale suite (about 30 s on two cores) and
+# golden-full runs the full-scale suite (16–22 s of wall time on two cores) and
 # checks it against its golden record, so the paper-scale record in
 # awgexp_full.txt cannot drift silently. After an intentional model
 # change: `go run ./cmd/awgexp -golden GOLDEN_full.json -update-golden >

@@ -18,7 +18,6 @@ package main
 
 import (
 	"awgsim/internal/lint/analyzers/ctorerr"
-	"awgsim/internal/lint/analyzers/hotpathalloc"
 	"awgsim/internal/lint/analyzers/hotpathmap"
 	"awgsim/internal/lint/analyzers/nilness"
 	"awgsim/internal/lint/analyzers/schedpast"
@@ -31,7 +30,6 @@ import (
 func main() {
 	checker.Main(
 		simdeterminism.Analyzer,
-		hotpathalloc.Analyzer,
 		hotpathmap.Analyzer,
 		waiterhome.Analyzer,
 		ctorerr.Analyzer,

@@ -70,6 +70,11 @@ type Machine struct {
 	// the package counter at FinishRun.
 	irOps uint64
 
+	// spareParked is the empty slice runParked gives the next WG it
+	// drains, so parked slices keep their capacity across switch-ins
+	// instead of regrowing for every park.
+	spareParked []func()
+
 	jitterState uint64
 }
 
@@ -414,13 +419,20 @@ func runAtomicStepResp(t *event.Task) {
 	t.Env[0].(*Machine).step(t.Env[1].(*WG), t.I[AtomicRet])
 }
 
-// runParked fires the continuations queued while the WG was away.
+// runParked fires the continuations queued while the WG was away. A
+// continuation may park again, so the WG takes the machine's spare slice
+// for new parks while the loop drains its old one, which becomes the spare.
 func (m *Machine) runParked(w *WG) {
+	if len(w.parked) == 0 {
+		return
+	}
 	parked := w.parked
-	w.parked = nil
+	w.parked, m.spareParked = m.spareParked[:0], nil
 	for _, f := range parked {
 		f()
 	}
+	clear(parked)
+	m.spareParked = parked[:0]
 }
 
 // step completes w's in-flight device op with its result value and

@@ -255,7 +255,12 @@ func (s *scheduler) dispatchPass() {
 			w, fromReady = alt, !fromReady
 		}
 		if fromReady {
-			s.readyQueue = s.readyQueue[1:]
+			// Shift down rather than reslice, so the queue keeps its
+			// backing array across the run's switch-ins.
+			q := s.readyQueue
+			n := copy(q, q[1:])
+			q[n] = nil
+			s.readyQueue = q[:n]
 			s.m.ctx.switchIn(w, cu)
 		} else {
 			s.pending = s.pending[1:]

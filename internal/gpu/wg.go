@@ -34,8 +34,10 @@ type WG struct {
 	// straight to ready.
 	readyWhenSaved bool
 
-	// Policy scratch: the active wait episode's bookkeeping lives here so
-	// policies don't need side tables. Opaque to the machine.
+	// PolicyData is the WG's wait state under the machine's policy, so
+	// policies need no side tables: built on the WG's first Wait and reset
+	// by each later one, which is why opening an episode allocates
+	// nothing. Opaque to the machine.
 	PolicyData any
 
 	waiting bool // currently inside a wait episode (for breakdown)

@@ -9,25 +9,11 @@ import (
 )
 
 // extract walks one function body and records its direct effects: field
-// writes, call edges (local, cross-package, stdlib), scheduling,
-// nondeterminism taint, and parameter-forwarding sites.
+// writes, call edges (local, cross-package, stdlib), scheduling, and
+// nondeterminism taint.
 func extract(pass *analysis.Pass, obj *types.Func, fd *ast.FuncDecl, r *Result) *extraction {
-	ex := &extraction{
-		sum:       newSummary(),
-		fnParams:  map[*types.Var]int{},
-		schedArgs: map[*types.Var]bool{},
-	}
+	ex := &extraction{sum: newSummary()}
 	info := pass.TypesInfo
-
-	// Function-typed parameters, candidates for schedule forwarding.
-	if sig, ok := obj.Type().(*types.Signature); ok {
-		for i := 0; i < sig.Params().Len(); i++ {
-			p := sig.Params().At(i)
-			if _, isFunc := p.Type().Underlying().(*types.Signature); isFunc {
-				ex.fnParams[p] = i
-			}
-		}
-	}
 
 	// Locals declared in this function (value writes to them are invisible
 	// to callers).
@@ -203,22 +189,12 @@ func fieldKeyOf(selection *types.Selection) (FieldKey, bool) {
 }
 
 // extractCall records the effects of one call expression: engine
-// scheduling, stdlib nondeterminism, local and cross-package edges, and
-// parameter forwarding.
+// scheduling, stdlib nondeterminism, and local and cross-package edges.
 func extractCall(pass *analysis.Pass, ex *extraction, call *ast.CallExpr, seenLocal map[*types.Func]bool, r *Result) {
 	info := pass.TypesInfo
 
 	if _, ok := EngineSchedCall(info, call); ok {
 		ex.sum.Schedules = true
-		for _, arg := range call.Args {
-			if id, ok := arg.(*ast.Ident); ok {
-				if v, ok := info.Uses[id].(*types.Var); ok {
-					if _, isFnParam := ex.fnParams[v]; isFnParam {
-						ex.schedArgs[v] = true
-					}
-				}
-			}
-		}
 		return
 	}
 
@@ -267,7 +243,6 @@ func extractCall(pass *analysis.Pass, ex *extraction, call *ast.CallExpr, seenLo
 				ex.local = append(ex.local, callee.Origin())
 			}
 			ex.sum.Calls[Key(callee)] = true
-			recordForwarding(info, ex, call, callee)
 			return
 		}
 		// Same-package method without body here (interface method on a
@@ -287,30 +262,11 @@ func extractCall(pass *analysis.Pass, ex *extraction, call *ast.CallExpr, seenLo
 	if _, known := r.Funcs[key]; known {
 		// Module dependency with an imported fact.
 		ex.sum.Calls[key] = true
-		recordForwarding(info, ex, call, callee)
 		return
 	}
 
 	// Standard library (or module package whose facts are absent).
 	classifyStdlibCall(ex, callee, pkg.Path())
-}
-
-// recordForwarding notes function-typed parameters passed into a callee
-// whose own SchedParams may make this a scheduling site.
-func recordForwarding(info *types.Info, ex *extraction, call *ast.CallExpr, callee *types.Func) {
-	for i, arg := range call.Args {
-		id, ok := arg.(*ast.Ident)
-		if !ok {
-			continue
-		}
-		v, ok := info.Uses[id].(*types.Var)
-		if !ok {
-			continue
-		}
-		if _, isFnParam := ex.fnParams[v]; isFnParam {
-			ex.fwdArgs = append(ex.fwdArgs, fwdArg{callee: callee.Origin(), index: i, param: v})
-		}
-	}
 }
 
 // classifyStdlibCall folds a standard-library call into the summary:

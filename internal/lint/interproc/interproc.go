@@ -10,8 +10,7 @@
 //     through embedding, nesting, and helper calls) and writes the field
 //     tracking cannot name — the purity verdict consumes these;
 //   - engine-schedule effects (calls to event.Engine's At/After/AtTask/
-//     AfterTask/NewTask) and which function-typed parameters are
-//     forwarded into such calls — hotpathalloc consumes these;
+//     AfterTask/NewTask), which make a function impure;
 //   - nondeterminism taint (wall-clock reads, global math/rand) and a
 //     conservative purity verdict — simdeterminism consumes these;
 //   - the transitive set of module functions called, including functions
@@ -19,8 +18,7 @@
 //     reachability consumes these.
 //
 // Within one package, summaries are computed by collapsing Tarjan SCCs of
-// the package-local call graph and iterating each component to a fixpoint
-// in reverse topological order. Across packages, each analyzed package
+// the package-local call graph in reverse topological order. Across packages, each analyzed package
 // exports its composed summaries as a package fact; importers merge the
 // facts of their dependencies, so effects flow bottom-up through the
 // package DAG in the dependency-first order the driver visits packages.
@@ -63,9 +61,6 @@ type Summary struct {
 	// Schedules reports that the function (transitively) places work on the
 	// event engine.
 	Schedules bool
-	// SchedParams lists the indices of function-typed parameters that are
-	// (transitively) forwarded into an engine-schedule call.
-	SchedParams []int
 	// Nondet lists nondeterminism sources reached (transitively):
 	// "time.Now", "math/rand.Intn", ... with provenance through helpers.
 	Nondet []string
@@ -303,7 +298,7 @@ func run(pass *analysis.Pass) (any, error) {
 
 	// Tarjan SCCs over the package-local call graph, emitted in reverse
 	// topological order (callees before callers), then one summary per
-	// component with an in-component fixpoint for the forwarding bits.
+	// component.
 	sccs := tarjan(r.Order, func(f *types.Func) []*types.Func { return direct[f].local })
 	for _, scc := range sccs {
 		inSCC := map[*types.Func]bool{}
@@ -322,25 +317,7 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 		}
 		for _, f := range scc {
-			s := cloneSummary(u)
-			// SchedParams are per-function: a parameter index means nothing
-			// across different members, so compute them per member against
-			// the component's shared Schedules/Calls knowledge.
-			s.SchedParams = schedParams(pass, direct[f], r, inSCC, u)
-			r.Funcs[r.Keys[f]] = s
-		}
-		// In-component forwarding fixpoint: a member may forward its param
-		// into another member's forwarding param.
-		for changed := true; changed; {
-			changed = false
-			for _, f := range scc {
-				s := r.Funcs[r.Keys[f]]
-				np := schedParams(pass, direct[f], r, nil, nil)
-				if len(np) != len(s.SchedParams) {
-					s.SchedParams = np
-					changed = true
-				}
-			}
+			r.Funcs[r.Keys[f]] = cloneSummary(u)
 		}
 	}
 
@@ -355,20 +332,8 @@ func run(pass *analysis.Pass) (any, error) {
 
 // extraction is one function's direct effects plus its outgoing edges.
 type extraction struct {
-	sum      *Summary      // direct effects only
-	local    []*types.Func // same-package callees (deduped, file order)
-	fnParams map[*types.Var]int
-	// schedArgs are parameter objects passed directly to an engine-schedule
-	// call; fwdArgs are (callee, argIndex, param) triples passed to another
-	// function's parameter.
-	schedArgs map[*types.Var]bool
-	fwdArgs   []fwdArg
-}
-
-type fwdArg struct {
-	callee *types.Func
-	index  int
-	param  *types.Var
+	sum   *Summary      // direct effects only
+	local []*types.Func // same-package callees (deduped, file order)
 }
 
 func newSummary() *Summary {
@@ -436,32 +401,6 @@ func mergeExtraction(dst *Summary, ex *extraction, r *Result) {
 			mergeSummary(dst, s, name)
 		}
 	}
-}
-
-// schedParams computes which function-typed parameters of ex's function are
-// forwarded into engine scheduling, using current summaries for callees.
-func schedParams(pass *analysis.Pass, ex *extraction, r *Result, _ map[*types.Func]bool, _ *Summary) []int {
-	idx := map[int]bool{}
-	for p := range ex.schedArgs {
-		idx[ex.fnParams[p]] = true
-	}
-	for _, fa := range ex.fwdArgs {
-		s := r.Funcs[Key(fa.callee)]
-		if s == nil {
-			continue
-		}
-		for _, j := range s.SchedParams {
-			if j == fa.index {
-				idx[ex.fnParams[fa.param]] = true
-			}
-		}
-	}
-	out := make([]int, 0, len(idx))
-	for i := range idx {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // tarjan returns the strongly connected components of the call graph in

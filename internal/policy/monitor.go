@@ -53,6 +53,8 @@ type Monitor struct {
 	cpp *cp.Processor
 
 	stallPred *core.StallPredictor
+
+	freeTimers *timer // fired timer records, reused by the next arm
 }
 
 // NewMonRSAll builds the sporadic monitor with wait instructions.
@@ -246,36 +248,49 @@ func (s *selectorCounter) Select(a memAddr, want int64, classes []syncmon.OpClas
 	return n
 }
 
-// episode is one in-flight wait; it lives in the WG's PolicyData slot.
+// episode is a WG's wait state under the monitor family. A WG has at most
+// one open wait episode, so each WG gets one episode, built on its first
+// Wait and reset by every later one; the continuations a contended
+// episode threads through thousands of retries are bound when it is
+// built. gen numbers the WG's episodes: a timer that outlives the episode
+// it was armed in carries that episode's gen (see timer), so it cannot
+// act on a later one.
 type episode struct {
-	v            gpu.Var
-	op           gpu.AtomicOp
-	a, b, want   int64
-	cmp          gpu.Cmp
-	done         func(int64)
+	waitOp
+	w            *gpu.WG
+	gen          uint64
+	open         bool // Wait has run and finish has not
 	waiting      bool
 	justWoken    bool
 	earlyWake    bool // notification arrived before enterWait ran
 	registeredAt event.Cycle
+	timer        *timer // the record this episode's timers share, if any
 
-	// A contended episode retries thousands of times, so its continuations
-	// are built once (in Wait, or lazily on first use) and threaded through
-	// episode fields instead of captured per retry.
-	reg        syncmon.RegisterResult // registration outcome of the attempt in flight
-	lastRet    int64                  // atomic return carried between the arm legs (ArmWaitInstr)
-	retry      func()                 // p.attempt(w, ep)
-	atBank     func(old, new int64)   // waiting-atomic registration leg
-	onResp     func(ret int64)        // atomic response leg
-	armBank    func()                 // wait-instruction arm legs
-	armResp    func()
-	fire       func()          // fallback timeout, built on first enterWait
-	onFireLoad func(val int64) // CP condition recheck for non-resident waiters
-	predExpire func()          // stall-prediction expiry, built on first use
+	reg     syncmon.RegisterResult // registration outcome of the attempt in flight
+	lastRet int64                  // atomic return carried between the arm legs (ArmWaitInstr)
+	retry   func()                 // p.attempt(ep)
+	atBank  func(old, new int64)   // waiting-atomic registration leg
+	onResp  func(ret int64)        // atomic response leg
+	armBank func()                 // wait-instruction arm legs
+	armResp func()
 }
 
 func (p *Monitor) Wait(w *gpu.WG, v gpu.Var, op gpu.AtomicOp, a, b, want int64, cmp gpu.Cmp, _ gpu.WaitHint, done func(int64)) {
-	ep := &episode{v: v, op: op, a: a, b: b, want: want, cmp: cmp, done: done}
-	ep.retry = func() { p.attempt(w, ep) }
+	ep, _ := w.PolicyData.(*episode)
+	if ep == nil {
+		ep = p.newEpisode(w)
+		w.PolicyData = ep
+	}
+	ep.waitOp = waitOp{v: v, op: op, a: a, b: b, want: want, cmp: cmp, done: done}
+	ep.gen++
+	ep.open, ep.justWoken, ep.earlyWake, ep.registeredAt = true, false, false, 0
+	p.attempt(ep)
+}
+
+// newEpisode builds w's episode and binds its continuations.
+func (p *Monitor) newEpisode(w *gpu.WG) *episode {
+	ep := &episode{w: w}
+	ep.retry = func() { p.attempt(ep) }
 	if p.opt.Arm == ArmWaitingAtomic {
 		ep.atBank = func(old, _ int64) {
 			if !ep.cmp.Test(old, ep.want) {
@@ -283,7 +298,7 @@ func (p *Monitor) Wait(w *gpu.WG, v gpu.Var, op gpu.AtomicOp, a, b, want int64, 
 				ep.reg = p.sm.Register(w.ID(), ep.v, ep.want, ep.cmp, syncmon.ClassOf(ep.op))
 			}
 		}
-		ep.onResp = func(ret int64) { p.resolve(w, ep, ret, ep.reg) }
+		ep.onResp = func(ret int64) { p.resolve(ep, ret, ep.reg) }
 	} else {
 		// Wait-instruction style: plain atomic, then a separate arm. Updates
 		// applied between the atomic's service and the arm's service are
@@ -291,49 +306,45 @@ func (p *Monitor) Wait(w *gpu.WG, v gpu.Var, op gpu.AtomicOp, a, b, want int64, 
 		ep.armBank = func() {
 			ep.reg = p.sm.Register(w.ID(), ep.v, ep.want, ep.cmp, syncmon.ClassOf(ep.op))
 		}
-		ep.armResp = func() { p.resolve(w, ep, ep.lastRet, ep.reg) }
+		ep.armResp = func() { p.resolve(ep, ep.lastRet, ep.reg) }
 		ep.onResp = func(ret int64) {
 			if ep.cmp.Test(ret, ep.want) {
-				p.resolve(w, ep, ret, -1)
+				p.resolve(ep, ret, -1)
 				return
 			}
 			ep.lastRet = ret
 			p.m.IssueArm(w, ep.v, ep.armBank, ep.armResp)
 		}
 	}
-	w.PolicyData = ep
-	p.attempt(w, ep)
+	return ep
 }
 
-func (ep *episode) activeFor(w *gpu.WG) bool {
-	cur, _ := w.PolicyData.(*episode)
-	return cur == ep && ep.waiting
-}
+// waitingIn reports whether episode gen is still open and registered.
+func (ep *episode) waitingIn(gen uint64) bool { return ep.gen == gen && ep.waiting }
 
-func (p *Monitor) finish(w *gpu.WG, ep *episode, ret int64) {
-	ep.waiting = false
-	w.PolicyData = nil
+func (p *Monitor) finish(ep *episode, ret int64) {
+	ep.open, ep.waiting = false, false
 	ep.done(ret)
 }
 
 // attempt issues the synchronization atomic once and routes the outcome.
-func (p *Monitor) attempt(w *gpu.WG, ep *episode) {
-	p.m.SetStalled(w, false)
+func (p *Monitor) attempt(ep *episode) {
+	p.m.SetStalled(ep.w, false)
 	ep.reg = syncmon.RegisterResult(-1)
 	if p.opt.Arm == ArmWaitingAtomic {
-		p.m.IssueAtomic(w, ep.v, ep.op, ep.a, ep.b, ep.atBank, ep.onResp)
+		p.m.IssueAtomic(ep.w, ep.v, ep.op, ep.a, ep.b, ep.atBank, ep.onResp)
 		return
 	}
-	p.m.IssueAtomic(w, ep.v, ep.op, ep.a, ep.b, nil, ep.onResp)
+	p.m.IssueAtomic(ep.w, ep.v, ep.op, ep.a, ep.b, nil, ep.onResp)
 }
 
 // resolve handles an attempt's response given its registration outcome.
-func (p *Monitor) resolve(w *gpu.WG, ep *episode, ret int64, reg syncmon.RegisterResult) {
+func (p *Monitor) resolve(ep *episode, ret int64, reg syncmon.RegisterResult) {
 	if ep.cmp.Test(ret, ep.want) {
 		if ep.justWoken && p.stallPred != nil {
 			p.stallPred.Record(ep.v.Addr.WordAligned(), p.m.Engine().Now()-ep.registeredAt)
 		}
-		p.finish(w, ep, ret)
+		p.finish(ep, ret)
 		return
 	}
 	if ep.justWoken {
@@ -354,7 +365,7 @@ func (p *Monitor) resolve(w *gpu.WG, ep *episode, ret int64, reg syncmon.Registe
 			p.m.Engine().After(p.m.PollOverhead(), ep.retry)
 			return
 		}
-		p.enterWait(w, ep)
+		p.enterWait(ep)
 	default: // Rejected (log full) — Mesa semantics: keep retrying.
 		p.m.Engine().After(p.m.PollOverhead()+64, ep.retry)
 	}
@@ -363,7 +374,8 @@ func (p *Monitor) resolve(w *gpu.WG, ep *episode, ret int64, reg syncmon.Registe
 // enterWait parks the registered waiter: stalled on its CU, or context
 // switched out when the machine is oversubscribed (after AWG's predicted
 // stall period, when enabled).
-func (p *Monitor) enterWait(w *gpu.WG, ep *episode) {
+func (p *Monitor) enterWait(ep *episode) {
+	w := ep.w
 	ep.waiting = true
 	ep.registeredAt = p.m.Engine().Now()
 	p.m.Count.Stalls++
@@ -373,69 +385,133 @@ func (p *Monitor) enterWait(w *gpu.WG, ep *episode) {
 		if p.stallPred != nil {
 			// AWG: stall for the predicted period first; switch out only
 			// if the condition is still unmet when it expires.
-			if ep.predExpire == nil {
-				ep.predExpire = func() {
-					if ep.activeFor(w) && w.Resident() && p.m.Oversubscribed() {
-						p.m.SwitchOut(w)
-					}
-				}
+			t := p.timerFor(ep)
+			if t.expireFn == nil {
+				t.expireFn = t.expire
 			}
 			d := p.stallPred.Predict(ep.v.Addr.WordAligned())
-			p.m.Engine().After(d, ep.predExpire)
+			p.m.Engine().After(d, t.expireFn)
 		} else {
 			p.m.SwitchOut(w)
 		}
 	}
 
 	if p.opt.Fallback > 0 {
-		if ep.fire == nil {
-			ep.onFireLoad = func(val int64) {
-				if !ep.activeFor(w) {
-					return
-				}
-				if !ep.cmp.Test(val, ep.want) {
-					p.m.Engine().After(p.opt.Fallback, ep.fire)
-					return
-				}
-				// A waiter is registered in exactly one place: the SyncMon
-				// cache or, spilled, the log/CP side. After a cache hit the
-				// CP has nothing to withdraw, so only a miss goes on to it.
-				if !p.sm.Unregister(w.ID(), ep.v, ep.want, ep.cmp) {
-					p.cpp.Unregister(w.ID(), ep.v, ep.want, ep.cmp)
-				}
-				p.m.Count.Timeouts++
-				p.m.Trace(w, trace.TimeoutFire)
-				ep.waiting = false
-				ep.justWoken = true
-				p.m.Deliver(w, ep.retry)
-			}
-			ep.fire = func() {
-				if !ep.activeFor(w) {
-					return
-				}
-				if !w.Resident() {
-					// Context-switched waiter: switching it in just to poll
-					// would thrash the dispatcher, so the CP re-checks the
-					// condition on its behalf with an L2 read and restores the
-					// WG only if the condition actually holds.
-					p.m.IssueAtomic(nil, gpu.GlobalVar(ep.v.Addr), gpu.OpLoad, 0, 0, nil, ep.onFireLoad)
-					return
-				}
-				// Stalled on the CU: withdraw the registration and recheck
-				// ourselves ("eventually the stalled WGs will time out and be
-				// activated"). Same single-home rule as above: the CP only
-				// hears about the withdrawal when the cache did not hold it.
-				if !p.sm.Unregister(w.ID(), ep.v, ep.want, ep.cmp) {
-					p.cpp.Unregister(w.ID(), ep.v, ep.want, ep.cmp)
-				}
-				p.m.Count.Timeouts++
-				p.m.Trace(w, trace.TimeoutFire)
-				ep.waiting = false
-				p.m.Deliver(w, ep.retry)
-			}
+		t := p.timerFor(ep)
+		if t.fireFn == nil {
+			t.fireFn = t.fire
 		}
 		d := p.opt.Fallback + event.Cycle(p.m.Jitter(uint64(p.opt.Fallback/4+1)))
-		p.m.Engine().After(d, ep.fire)
+		p.m.Engine().After(d, t.fireFn)
+	}
+}
+
+// timeOut ends a registered wait without a notification: the registration
+// is withdrawn and the WG retries. A waiter is registered in exactly one
+// place: the SyncMon cache or, spilled, the log/CP side. After a cache hit
+// the CP has nothing to withdraw, so only a miss goes on to it.
+func (p *Monitor) timeOut(ep *episode) {
+	w := ep.w
+	if !p.sm.Unregister(w.ID(), ep.v, ep.want, ep.cmp) {
+		p.cpp.Unregister(w.ID(), ep.v, ep.want, ep.cmp)
+	}
+	p.m.Count.Timeouts++
+	p.m.Trace(w, trace.TimeoutFire)
+	ep.waiting = false
+	p.m.Deliver(w, ep.retry)
+}
+
+// timer is the record behind a Monitor timer that may outlive the
+// episode that armed it: a fallback timeout, the CP condition reload a
+// fallback becomes for a switched-out waiter, or AWG's stall-period
+// expiry. It carries its episode's gen, and a callback that fires once
+// that episode has ended does nothing. An episode's timers share one
+// record, counted by pending; the record returns to the Monitor's free
+// list when the last of them has fired, so records live and die with the
+// machine. A record binds each callback on first use.
+type timer struct {
+	p       *Monitor
+	ep      *episode
+	gen     uint64
+	pending int // callbacks on the calendar, or a reload in flight
+	next    *timer
+
+	fireFn, expireFn func()
+	loadFn           func(val int64)
+}
+
+// timerFor returns the record for ep's current episode, counting one more
+// pending callback on it.
+func (p *Monitor) timerFor(ep *episode) *timer {
+	t := ep.timer
+	if t == nil || t.gen != ep.gen {
+		if t = p.freeTimers; t == nil {
+			t = &timer{p: p}
+		} else {
+			p.freeTimers, t.next = t.next, nil
+		}
+		t.ep, t.gen = ep, ep.gen
+		ep.timer = t
+	}
+	t.pending++
+	return t
+}
+
+// fired retires one of t's callbacks, freeing t after the last, and
+// reports whether t's episode is still waiting.
+func (t *timer) fired() bool {
+	ep := t.ep
+	live := ep.waitingIn(t.gen)
+	if t.pending--; t.pending == 0 {
+		if ep.timer == t {
+			ep.timer = nil
+		}
+		t.ep, t.next, t.p.freeTimers = nil, t.p.freeTimers, t
+	}
+	return live
+}
+
+// fire is the fallback timeout.
+func (t *timer) fire() {
+	p, ep := t.p, t.ep
+	if ep.waitingIn(t.gen) && !ep.w.Resident() {
+		// Context-switched waiter: switching it in just to poll would
+		// thrash the dispatcher, so the CP re-checks the condition on its
+		// behalf with an L2 read and restores the WG only if the condition
+		// actually holds. The callback stays pending through the reload.
+		if t.loadFn == nil {
+			t.loadFn = t.load
+		}
+		p.m.IssueAtomic(nil, gpu.GlobalVar(ep.v.Addr), gpu.OpLoad, 0, 0, nil, t.loadFn)
+		return
+	}
+	if t.fired() {
+		// Stalled on the CU: withdraw the registration and recheck
+		// ourselves ("eventually the stalled WGs will time out and be
+		// activated").
+		p.timeOut(ep)
+	}
+}
+
+// load is the CP's condition reload for a switched-out waiter.
+func (t *timer) load(val int64) {
+	p, ep := t.p, t.ep
+	if ep.waitingIn(t.gen) && !ep.cmp.Test(val, ep.want) {
+		p.m.Engine().After(p.opt.Fallback, t.fireFn)
+		return
+	}
+	if t.fired() {
+		ep.justWoken = true
+		p.timeOut(ep)
+	}
+}
+
+// expire ends AWG's predicted stall period: a waiter whose condition is
+// still unmet switches out if others want its resources.
+func (t *timer) expire() {
+	p, w := t.p, t.ep.w
+	if t.fired() && w.Resident() && p.m.Oversubscribed() {
+		p.m.SwitchOut(w)
 	}
 }
 
@@ -443,7 +519,7 @@ func (p *Monitor) enterWait(w *gpu.WG, ep *episode) {
 func (p *Monitor) onWake(id gpu.WGID, addr memAddr, want int64, met bool) {
 	w := p.m.WGs()[id]
 	ep, _ := w.PolicyData.(*episode)
-	if ep == nil || ep.v.Addr.WordAligned() != addr || ep.want != want {
+	if ep == nil || !ep.open || ep.v.Addr.WordAligned() != addr || ep.want != want {
 		return // stale notification; the episode already ended
 	}
 	if !ep.waiting {

@@ -41,28 +41,25 @@ func (b *Baseline) Name() string                { return "Baseline" }
 func (b *Baseline) Attach(m *gpu.Machine) error { b.m = m; return nil }
 
 func (b *Baseline) Wait(w *gpu.WG, v gpu.Var, op gpu.AtomicOp, a, b2, want int64, cmp gpu.Cmp, hint gpu.WaitHint, done func(int64)) {
-	// The retry loop shares one attempt and one response continuation per
-	// episode: a contended episode can spin thousands of times, and each
-	// retry must not allocate.
-	backoff := b.BackoffBase
-	var attempt func()
-	var onResp func(int64)
-	onResp = func(ret int64) {
-		if cmp.Test(ret, want) {
-			done(ret)
-			return
-		}
-		delay := b.m.PollOverhead()
-		if hint.Backoff {
-			delay += backoff + event.Cycle(b.m.Jitter(uint64(backoff/4+1)))
-			if backoff*2 <= b.BackoffMax {
-				backoff *= 2
-			}
-		}
-		b.m.Engine().After(delay, attempt)
+	s := retryState(b.m, w, b)
+	s.waitOp = waitOp{v: v, op: op, a: a, b: b2, want: want, cmp: cmp, done: done}
+	s.hint, s.backoff = hint, b.BackoffBase
+	s.attempt()
+}
+
+func (b *Baseline) respond(s *retryWait, ret int64) {
+	if s.cmp.Test(ret, s.want) {
+		s.done(ret)
+		return
 	}
-	attempt = func() { b.m.IssueAtomic(w, v, op, a, b2, nil, onResp) }
-	attempt()
+	delay := b.m.PollOverhead()
+	if s.hint.Backoff {
+		delay += s.backoff + event.Cycle(b.m.Jitter(uint64(s.backoff/4+1)))
+		if s.backoff*2 <= b.BackoffMax {
+			s.backoff *= 2
+		}
+	}
+	b.m.Engine().After(delay, s.attempt)
 }
 
 // Sleep models exponential backoff built on the s_sleep instruction: after
@@ -86,33 +83,26 @@ func (s *Sleep) Name() string                { return s.name }
 func (s *Sleep) Attach(m *gpu.Machine) error { s.m = m; return nil }
 
 func (s *Sleep) Wait(w *gpu.WG, v gpu.Var, op gpu.AtomicOp, a, b, want int64, cmp gpu.Cmp, _ gpu.WaitHint, done func(int64)) {
-	backoff := s.Base
-	if backoff > s.MaxBackoff {
-		backoff = s.MaxBackoff
+	st := retryState(s.m, w, s)
+	st.waitOp = waitOp{v: v, op: op, a: a, b: b, want: want, cmp: cmp, done: done}
+	st.backoff = min(s.Base, s.MaxBackoff)
+	st.attempt()
+}
+
+func (s *Sleep) respond(st *retryWait, ret int64) {
+	if st.cmp.Test(ret, st.want) {
+		st.done(ret)
+		return
 	}
-	var attempt func()
-	resume := func() {
-		s.m.SetStalled(w, false)
-		attempt()
+	s.m.Count.Stalls++
+	d := st.backoff + event.Cycle(s.m.Jitter(uint64(st.backoff/8+1)))
+	if st.backoff*2 <= s.MaxBackoff {
+		st.backoff *= 2
 	}
-	var onResp func(int64)
-	onResp = func(ret int64) {
-		if cmp.Test(ret, want) {
-			done(ret)
-			return
-		}
-		s.m.Count.Stalls++
-		d := backoff + event.Cycle(s.m.Jitter(uint64(backoff/8+1)))
-		if backoff*2 <= s.MaxBackoff {
-			backoff *= 2
-		}
-		// s_sleep parks the wavefront: issue slots free up while the
-		// timer runs, though all other resources stay held.
-		s.m.SetStalled(w, true)
-		s.m.Engine().After(d, resume)
-	}
-	attempt = func() { s.m.IssueAtomic(w, v, op, a, b, nil, onResp) }
-	attempt()
+	// s_sleep parks the wavefront: issue slots free up while the
+	// timer runs, though all other resources stay held.
+	s.m.SetStalled(st.w, true)
+	s.m.Engine().After(d, st.resume)
 }
 
 // Timeout is the paper's simplest IFP-providing architecture: a failed
@@ -137,28 +127,73 @@ func (t *Timeout) Name() string                { return t.name }
 func (t *Timeout) Attach(m *gpu.Machine) error { t.m = m; return nil }
 
 func (t *Timeout) Wait(w *gpu.WG, v gpu.Var, op gpu.AtomicOp, a, b, want int64, cmp gpu.Cmp, _ gpu.WaitHint, done func(int64)) {
-	var attempt func()
-	deliver := func() { t.m.Deliver(w, attempt) }
-	resume := func() {
-		t.m.SetStalled(w, false)
-		attempt()
+	s := retryState(t.m, w, t)
+	s.waitOp = waitOp{v: v, op: op, a: a, b: b, want: want, cmp: cmp, done: done}
+	s.attempt()
+}
+
+func (t *Timeout) respond(s *retryWait, ret int64) {
+	if s.cmp.Test(ret, s.want) {
+		s.done(ret)
+		return
 	}
-	var onResp func(int64)
-	onResp = func(ret int64) {
-		if cmp.Test(ret, want) {
-			done(ret)
-			return
-		}
-		t.m.Count.Stalls++
-		if t.m.Oversubscribed() {
-			// Yield resources for the interval.
-			t.m.SwitchOut(w)
-			t.m.Engine().After(t.Interval, deliver)
-		} else {
-			t.m.SetStalled(w, true)
-			t.m.Engine().After(t.Interval, resume)
-		}
+	t.m.Count.Stalls++
+	if t.m.Oversubscribed() {
+		// Yield resources for the interval.
+		t.m.SwitchOut(s.w)
+		t.m.Engine().After(t.Interval, s.deliver)
+	} else {
+		t.m.SetStalled(s.w, true)
+		t.m.Engine().After(t.Interval, s.resume)
 	}
-	attempt = func() { t.m.IssueAtomic(w, v, op, a, b, nil, onResp) }
-	attempt()
+}
+
+// waitOp is one wait episode's operation and condition, as Wait receives
+// them.
+type waitOp struct {
+	v          gpu.Var
+	op         gpu.AtomicOp
+	a, b, want int64
+	cmp        gpu.Cmp
+	done       func(int64)
+}
+
+// retryWait is a WG's wait state under Baseline, Sleep and Timeout. A WG
+// has at most one open wait episode, so each WG gets one retryWait, built
+// on its first Wait and reset by every later one. Its continuations are
+// bound when it is built: a contended episode retries thousands of times,
+// and neither a retry nor a new episode allocates.
+type retryWait struct {
+	waitOp
+	w       *gpu.WG
+	hint    gpu.WaitHint
+	backoff event.Cycle // Baseline's hinted and Sleep's backoff interval
+
+	attempt func()          // issue the atomic once
+	onResp  func(ret int64) // the attempt's response, handed to the policy
+	resume  func()          // unstall, then attempt (Sleep, Timeout)
+	deliver func()          // attempt once resident again (Timeout)
+}
+
+// retryPolicy is a policy whose wait episodes are retryWait loops: respond
+// handles each attempt's response.
+type retryPolicy interface {
+	respond(s *retryWait, ret int64)
+}
+
+// retryState returns w's wait state, building it on the WG's first Wait.
+func retryState(m *gpu.Machine, w *gpu.WG, pol retryPolicy) *retryWait {
+	if s, ok := w.PolicyData.(*retryWait); ok {
+		return s
+	}
+	s := &retryWait{w: w}
+	s.attempt = func() { m.IssueAtomic(w, s.v, s.op, s.a, s.b, nil, s.onResp) }
+	s.onResp = func(ret int64) { pol.respond(s, ret) }
+	s.resume = func() {
+		m.SetStalled(w, false)
+		s.attempt()
+	}
+	s.deliver = func() { m.Deliver(w, s.attempt) }
+	w.PolicyData = s
+	return s
 }

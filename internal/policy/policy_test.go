@@ -474,3 +474,80 @@ func TestAWGPredictorActivity(t *testing.T) {
 		t.Fatal("AWG predictor never consulted")
 	}
 }
+
+// twoFlagKernel builds the stale-timer scenario: WG 0 sets flag a after
+// first cycles of computation and flag b gap cycles later; WG 1 waits for
+// a, then for b, so its second wait episode opens while timers its first
+// one armed are still pending; every other WG computes for busy cycles.
+func twoFlagKernel(numWGs int, first, gap, busy int64, a, b mem.Addr) *gpu.KernelSpec {
+	return irKernel("two-flags", numWGs, func(bd *prog.Builder) {
+		fa, fb := bd.GVar(uint64(a)), bd.GVar(uint64(b))
+		id := bd.Geom(prog.GeomID)
+		waiter, other, end := bd.Label(), bd.Label(), bd.Label()
+		bd.Br(prog.NE, id, prog.Imm(0), waiter)
+		bd.Compute(prog.Imm(first))
+		bd.AtomicStore(fa, prog.Imm(1))
+		bd.Compute(prog.Imm(gap))
+		bd.AtomicStore(fb, prog.Imm(1))
+		bd.Jmp(end)
+		bd.Bind(waiter)
+		bd.Br(prog.NE, id, prog.Imm(1), other)
+		bd.AwaitEq(fa, prog.Imm(1))
+		bd.AwaitEq(fb, prog.Imm(1))
+		bd.Jmp(end)
+		bd.Bind(other)
+		bd.Compute(prog.Imm(busy))
+		bd.Bind(end)
+	})
+}
+
+// TestStaleTimersIgnored: a WG keeps one wait state across its episodes,
+// so a timer its first episode armed can fire while its second one waits.
+// Such a timer must do nothing: here every wait is met by a notification
+// before its own timers fire, so a stale timer acting on the second
+// episode would count a timeout (withdrawing its registration, which the
+// retry then re-registers as a third stall) or switch the WG out.
+func TestStaleTimersIgnored(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		pol    gpu.Policy
+		numWGs int
+		// WG 0 sets a after first cycles and b gap cycles later.
+		first, gap int64
+	}{
+		// Episode 1 registers near cycle 500, so MonNR-All's fallback
+		// fires 50k–63k cycles in. Episode 2 registers near cycle 20.6k,
+		// so its own fires after 70.6k; b lands near 65.1k.
+		{"fallback/MonNR-All", policy.NewMonNRAll(), 2, 20_000, 45_000},
+		// Oversubscribed AWG with no history on an address stalls for
+		// 3,000 cycles before switching out: episode 1's expiry lands near
+		// cycle 3.5k, inside episode 2's wait (from 2.1k), and b lands near
+		// 4.1k, before episode 2's own expiry near 5.1k.
+		{"stall-expiry/AWG", policy.NewAWG(), 6, 1_500, 2_500},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Two WGs per CU keep WG 0's computation at full issue rate;
+			// six WGs leave two pending, so the machine is oversubscribed.
+			cfg := testConfig()
+			cfg.MaxWGsPerCU = 2
+			spec := twoFlagKernel(tc.numWGs, tc.first, tc.gap, 200_000, 0xa000, 0xb000)
+			m, err := gpu.NewMachine(cfg, mem.DefaultConfig(), spec, tc.pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := m.Run()
+			if res.Deadlocked {
+				t.Fatal("deadlocked")
+			}
+			if res.Timeouts != 0 || res.SwitchesOut != 0 {
+				t.Errorf("timeouts=%d switches-out=%d, want 0: a stale timer acted on a later episode",
+					res.Timeouts, res.SwitchesOut)
+			}
+			// Each of WG 1's two episodes registers once and is resumed by
+			// its flag's write.
+			if res.Stalls != 2 || res.Resumes != 2 {
+				t.Errorf("stalls=%d resumes=%d, want 2 and 2", res.Stalls, res.Resumes)
+			}
+		})
+	}
+}

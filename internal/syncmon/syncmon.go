@@ -212,7 +212,9 @@ type SyncMon struct {
 	conds                              int
 
 	// observe() scratch, reused across calls: a hot barrier's release makes
-	// the wake fan-out fire on every update, so it must not allocate.
+	// the wake fan-out fire on every update, so it must not allocate. The
+	// sporadic wake-all reuses metScratch for the entries it empties and
+	// wakeScratch for the waiters it resumes.
 	metScratch  []int32
 	wakeScratch []wakeup
 	clsScratch  []OpClass
@@ -475,9 +477,8 @@ func (s *SyncMon) observe(by *gpu.WG, v gpu.Var, op gpu.AtomicOp, old, new int64
 // condition of addr resumes, unchecked. The walk is set-major (set scan
 // order, not registration order), matching the historical wake sequence.
 func (s *SyncMon) wakeAllOnAddr(addr mem.Addr) {
-	var resumed []waiter
-	var wants []int64
-	var emptied []int32
+	resumed := s.wakeScratch[:0]
+	emptied := s.metScratch[:0]
 	for si := range s.store.setLen {
 		base := si * s.store.stride
 		for j := 0; j < s.store.setSize(si); j++ {
@@ -487,8 +488,7 @@ func (s *SyncMon) wakeAllOnAddr(addr mem.Addr) {
 				continue
 			}
 			for w := c.wHead; w != nilRef; w = s.store.wnodes[w].next {
-				resumed = append(resumed, s.store.wnodes[w].wt)
-				wants = append(wants, c.want)
+				resumed = append(resumed, wakeup{s.store.wnodes[w].wt, c.want})
 			}
 			s.waiters -= s.store.clearWaiters(e)
 			emptied = append(emptied, e)
@@ -499,8 +499,10 @@ func (s *SyncMon) wakeAllOnAddr(addr mem.Addr) {
 	for _, e := range emptied {
 		s.dropEntry(e)
 	}
-	for i, wt := range resumed {
-		s.wake(wt.wg, addr, wants[i], false)
+	s.metScratch = emptied[:0]
+	s.wakeScratch = resumed[:0]
+	for _, wu := range resumed {
+		s.wake(wu.wt.wg, addr, wu.want, false)
 	}
 }
 
