@@ -43,9 +43,11 @@ lint-fix:
 # abstract progress-model oracles,
 # random IR programs (shared words only see commuting adds, so the result
 # is interleaving-independent) run on the machine with every addressable
-# word checked against an untimed sequential reference interpreter, and
+# word checked against an untimed sequential reference interpreter,
 # random wait begin/met/write-atomic streams through the Table 2
-# characterization diffed against its slice-based reference.
+# characterization diffed against its slice-based reference, and random
+# litmus pattern names through the one-pass decoder diffed against a
+# split-based reference decoder.
 fuzz:
 	$(GO) test ./internal/fault -fuzz FuzzSchedule -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/event -fuzz FuzzCalendar -fuzztime 5s -run '^$$'
@@ -55,6 +57,7 @@ fuzz:
 	$(GO) test ./internal/litmus -fuzz FuzzLitmusShrink -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/gpu -fuzz FuzzProgIR -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/gpu -fuzz FuzzCharacterization -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/kernels -fuzz FuzzDecodeLitmus -fuzztime 5s -run '^$$'
 
 # golden runs the quick experiment suite once and checks its deterministic
 # outputs (simulated cycles, run counts, rendered-table hashes) against the

@@ -43,8 +43,8 @@ type spillTable struct {
 	wnodes []wgNode
 	freeW  int32
 
-	idx   *hashutil.Flat[condKey, int32]  // key -> 1-based slot ref (0 = fresh)
-	addrs *hashutil.Flat[mem.Addr, int32] // spilled conditions per address
+	idx   hashutil.Flat[condKey, int32]  // key -> 1-based slot ref (0 = fresh)
+	addrs hashutil.Flat[mem.Addr, int32] // spilled conditions per address
 
 	waiters int // total waiters
 }

@@ -51,11 +51,18 @@ func (e *Engine) Recycle() {
 }
 
 func (e *Engine) reset() {
+	// A bucket with no entries and a zero high-water mark has had nothing
+	// written since the last Recycle, so there is nothing to drain or
+	// clear; a short run leaves most of the 512 buckets so.
 	for i := range e.near {
-		e.drainBucket(&e.near[i], &e.nearHW[i])
+		if len(e.near[i].ev) != 0 || e.nearHW[i] != 0 {
+			e.drainBucket(&e.near[i], &e.nearHW[i])
+		}
 	}
 	for i := range e.far {
-		e.drainBucket(&e.far[i], &e.farHW[i])
+		if len(e.far[i].ev) != 0 || e.farHW[i] != 0 {
+			e.drainBucket(&e.far[i], &e.farHW[i])
+		}
 	}
 	for i := range e.heap {
 		if t := e.heap[i].task; t != nil {
@@ -73,22 +80,18 @@ func (e *Engine) reset() {
 	e.budget, e.budgetHit = 0, false
 }
 
-// recycleBucket returns a bucket's unconsumed tasks to the free list and
-// empties it; hw is the bucket's high-water mark.
-func (e *Engine) recycleBucket(b *bucket, hw *int32) {
+// drainBucket returns a bucket's unconsumed tasks to the free list, empties
+// it, and clears the slots written since the last Recycle — those below
+// its high-water mark hw, which the truncation raises to cover the current
+// entries; the rest are still zero — so a pooled engine pins no dead
+// closures or tasks.
+func (e *Engine) drainBucket(b *bucket, hw *int32) {
 	for i := b.pos; i < len(b.ev); i++ {
 		if t := b.ev[i].task; t != nil {
 			e.releaseTask(t)
 		}
 	}
 	b.truncate(hw)
-}
-
-// drainBucket empties a bucket like recycleBucket, then clears the slots
-// written since the last Recycle — those below its high-water mark hw; the
-// rest are still zero — so a pooled engine pins no dead closures or tasks.
-func (e *Engine) drainBucket(b *bucket, hw *int32) {
-	e.recycleBucket(b, hw)
 	clear(b.ev[:*hw])
 	*hw = 0
 }

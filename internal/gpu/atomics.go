@@ -27,13 +27,15 @@ type atomicUnit struct {
 	// episode (beginWait runs only from a running frame, and endWait closes
 	// the episode before the frame steps again), so the episode's refs and
 	// starting count live on the WG (charVar, charCond, charStart).
-	charIdx *hashutil.Flat[mem.Addr, int32] // aligned addr -> 1-based ref into writes
-	writes  []uint64                        // write atomics per variable
+	charIdx hashutil.Flat[mem.Addr, int32] // aligned addr -> 1-based ref into writes
+	writes  []uint64                       // write atomics per variable
 
-	// Built on the first wait, so a run that never waits allocates neither.
-	condIdx *hashutil.Flat[condKey, int32] // (addr, want) -> 1-based ref into waiters
-	wantIdx *hashutil.Flat[condKey, bool]  // (aligned addr, want) waited for
-	waiters []int                          // WGs waiting per condition now
+	// These indexes and charIdx allocate their slots on their first Put,
+	// which only charBegin makes, so a run that never waits allocates none
+	// of the three.
+	condIdx hashutil.Flat[condKey, int32] // (addr, want) -> 1-based ref into waiters
+	wantIdx hashutil.Flat[condKey, bool]  // (aligned addr, want) waited for
+	waiters []int                         // WGs waiting per condition now
 
 	maxWaiters int
 	wants      int    // distinct waited-for values, summed over variables
@@ -51,9 +53,14 @@ func (k condKey) hash() uint64 {
 }
 
 func newAtomicUnit(m *Machine) *atomicUnit {
-	return &atomicUnit{m: m, charIdx: hashutil.NewFlat[mem.Addr, int32](64, func(a mem.Addr) uint64 {
-		return hashutil.Mix64(uint64(a))
-	})}
+	return &atomicUnit{
+		m: m,
+		charIdx: hashutil.NewFlat[mem.Addr, int32](64, func(a mem.Addr) uint64 {
+			return hashutil.Mix64(uint64(a))
+		}),
+		condIdx: hashutil.NewFlat[condKey, int32](16, condKey.hash),
+		wantIdx: hashutil.NewFlat[condKey, bool](16, condKey.hash),
+	}
 }
 
 // subscribe registers f for every atomic's bank-service instant.
@@ -185,10 +192,6 @@ func (p *atomicUnit) arm(w *WG, v Var, atBank func(), resp func()) {
 
 // charBegin opens w's wait episode on want at v for the Table 2 stats.
 func (p *atomicUnit) charBegin(w *WG, v Var, want int64) {
-	if p.condIdx == nil {
-		p.condIdx = hashutil.NewFlat[condKey, int32](16, condKey.hash)
-		p.wantIdx = hashutil.NewFlat[condKey, bool](16, condKey.hash)
-	}
 	addr := v.Addr.WordAligned() // observeUpdate keys by aligned address
 	r := p.charIdx.Put(addr)
 	if *r == 0 {

@@ -80,3 +80,34 @@ func TestFlatZeroAndGrowth(t *testing.T) {
 		}
 	}
 }
+
+// TestFlatSlotsOnFirstPut: an untouched table costs nothing — Ref, Delete
+// and Len allocate no object and report every key absent — and the first
+// Put sizes the slots from the hint, keeping the load factor under 3/4 so
+// that hint entries fit without a growth.
+func TestFlatSlotsOnFirstPut(t *testing.T) {
+	for _, tc := range []struct{ hint, slots int }{{0, 8}, {6, 8}, {7, 16}, {16, 32}, {64, 128}} {
+		f := NewFlat[uint64, int](tc.hint, Mix64)
+		allocs := testing.AllocsPerRun(100, func() {
+			if f.Ref(8) != nil || f.Delete(8) || f.Len() != 0 {
+				t.Fatalf("hint %d: fresh table reports a key present", tc.hint)
+			}
+		})
+		if allocs != 0 || f.used != nil {
+			t.Fatalf("hint %d: fresh table allocated %.0f objects, slots %d", tc.hint, allocs, len(f.keys))
+		}
+		*f.Put(8) = 1
+		if len(f.keys) != tc.slots {
+			t.Fatalf("hint %d: first Put allocated %d slots, want %d", tc.hint, len(f.keys), tc.slots)
+		}
+		for k := uint64(1); k < uint64(tc.hint); k++ {
+			*f.Put(8 * (k + 1)) = int(k)
+		}
+		if len(f.keys) != tc.slots {
+			t.Fatalf("hint %d: %d entries grew the table to %d slots", tc.hint, f.Len(), len(f.keys))
+		}
+		if p := f.Ref(8); p == nil || *p != 1 {
+			t.Fatalf("hint %d: first key lost", tc.hint)
+		}
+	}
+}

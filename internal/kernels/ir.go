@@ -476,9 +476,13 @@ func HandoffIR(flag mem.Addr, work int64) *prog.Program {
 }
 
 // litmusIR lowers a litmus pattern onto the IR: a dispatch chain on the WG
-// ID selects the WG's straight-line op segment.
+// ID selects the WG's straight-line op segment. The builder is sized from
+// the pattern first: the ID read, a branch per WG and the fall-through
+// jump, then each segment's ops and closing jump; a label per segment and
+// the end; and at most one pool entry per variable.
 func litmusIR(l Litmus, vars []mem.Addr) *prog.Program {
 	b := prog.NewBuilder()
+	b.Grow(2+2*l.NumWGs()+l.NumOps(), 1+l.NumWGs(), len(vars))
 	id := b.Geom(prog.GeomID)
 	end := b.Label()
 	segs := make([]prog.Label, len(l.Progs))

@@ -113,9 +113,9 @@ func (l Litmus) Validate() error {
 		counter = 1
 		flag    = 2
 	)
-	role := make([]int, litmusMaxVars)
-	setCount := make([]int, litmusMaxVars)
-	classify := func(v, want int) error {
+	var role [litmusMaxVars]uint8
+	var set [litmusMaxVars]bool
+	classify := func(v int, want uint8) error {
 		if role[v] == 0 {
 			role[v] = want
 			return nil
@@ -139,10 +139,10 @@ func (l Litmus) Validate() error {
 					return fmt.Errorf("kernels: litmus WG %d op %d: set value %d, want > 0", wg, i, op.Val)
 				}
 				err = classify(op.Var, flag)
-				setCount[op.Var]++
-				if setCount[op.Var] > 1 {
+				if set[op.Var] {
 					return fmt.Errorf("kernels: litmus WG %d op %d: flag %d set more than once", wg, i, op.Var)
 				}
+				set[op.Var] = true
 			case LitmusWaitGE:
 				if op.Val <= 0 {
 					return fmt.Errorf("kernels: litmus WG %d op %d: wait target %d, want > 0", wg, i, op.Val)
@@ -185,7 +185,11 @@ func (l Litmus) Validate() error {
 // exactly, and equal patterns encode identically — the property that makes
 // the name a run-cache fingerprint component.
 func (l Litmus) Encode() string {
-	b := make([]byte, 0, len(LitmusPrefix)+8*l.NumOps())
+	return string(l.appendName(make([]byte, 0, len(LitmusPrefix)+8*l.NumOps())))
+}
+
+// appendName appends the pattern's canonical name to b.
+func (l Litmus) appendName(b []byte) []byte {
 	b = append(b, LitmusPrefix...)
 	for wi, prog := range l.Progs {
 		if wi > 0 {
@@ -209,7 +213,7 @@ func (l Litmus) Encode() string {
 			}
 		}
 	}
-	return string(b)
+	return b
 }
 
 // appendVarVal appends op's <tag><var>.<val> token.
@@ -218,32 +222,60 @@ func appendVarVal(b []byte, tag byte, op LitmusOp) []byte {
 	return strconv.AppendInt(append(b, '.'), op.Val, 10)
 }
 
+// Stack scratch for DecodeLitmus: patterns up to these sizes decode with
+// two allocations, the op array and the program table; larger ones spill
+// the scratch to the heap. The generator's patterns stay well inside.
+const (
+	litmusScratchOps  = 64
+	litmusScratchWGs  = 16
+	litmusScratchName = 256
+)
+
 // DecodeLitmus parses an encoded litmus benchmark name. The encoding must
 // be canonical (DecodeLitmus(name).Encode() == name) and the decoded
-// pattern valid; errors carry the offending token.
+// pattern valid; errors carry the offending token. One walk over the name
+// collects the ops and each program's end in stack scratch; the pattern
+// then takes a single op array that its programs slice.
 func DecodeLitmus(name string) (Litmus, error) {
 	body, ok := strings.CutPrefix(name, LitmusPrefix)
 	if !ok {
 		return Litmus{}, fmt.Errorf("kernels: %q is not a litmus pattern name", name)
 	}
-	var l Litmus
-	for wi, progStr := range strings.Split(body, ";") {
-		var prog []LitmusOp
-		if progStr != "" {
-			for _, tok := range strings.Split(progStr, ",") {
-				op, err := decodeLitmusOp(tok)
-				if err != nil {
-					return Litmus{}, fmt.Errorf("kernels: litmus WG %d: %w", wi, err)
-				}
-				prog = append(prog, op)
+	var opBuf [litmusScratchOps]LitmusOp
+	var endBuf [litmusScratchWGs]int
+	ops, ends := opBuf[:0], endBuf[:0]
+	for wi := 0; ; wi++ {
+		progStr, rest, more := strings.Cut(body, ";")
+		for next := progStr != ""; next; {
+			var tok string
+			tok, progStr, next = strings.Cut(progStr, ",")
+			op, err := decodeLitmusOp(tok)
+			if err != nil {
+				return Litmus{}, fmt.Errorf("kernels: litmus WG %d: %w", wi, err)
 			}
+			ops = append(ops, op)
 		}
-		l.Progs = append(l.Progs, prog)
+		ends = append(ends, len(ops))
+		if !more {
+			break
+		}
+		body = rest
+	}
+	all := make([]LitmusOp, len(ops))
+	copy(all, ops)
+	l := Litmus{Progs: make([][]LitmusOp, len(ends))}
+	start := 0
+	for wi, end := range ends {
+		if end > start {
+			l.Progs[wi] = all[start:end:end]
+		}
+		start = end
 	}
 	if err := l.Validate(); err != nil {
 		return Litmus{}, err
 	}
-	if l.Encode() != name {
+	var nameBuf [litmusScratchName]byte
+	if string(l.appendName(nameBuf[:0])) != name {
 		return Litmus{}, fmt.Errorf("kernels: non-canonical litmus name %q", name)
 	}
 	return l, nil

@@ -21,7 +21,7 @@ const (
 // and a one-entry last-page cache short-circuits the directory probe for
 // the streaming case.
 type wordStore struct {
-	dir      *hashutil.Flat[uint64, int32]
+	dir      hashutil.Flat[uint64, int32]
 	pages    [][]int64
 	lastPage uint64
 	lastIdx  int32 // 0-based slab index of lastPage; -1 = empty cache

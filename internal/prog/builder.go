@@ -1,6 +1,9 @@
 package prog
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Builder assembles a Program: it allocates registers, interns pool
 // addresses, and patches forward branches through labels. The zero Builder
@@ -13,15 +16,9 @@ import "fmt"
 type Builder struct {
 	code    []Op
 	pool    []uint64
-	poolIdx map[uint64]int64
+	poolIdx map[uint64]int64 // built by the first Addr
 	nreg    int
 	labels  []int // label -> bound pc, -1 while unbound
-	patches []patch
-}
-
-type patch struct {
-	pc    int
-	label Label
 }
 
 // Label names a branch target; bind it to a position with Bind.
@@ -36,8 +33,18 @@ type Mem struct {
 }
 
 // NewBuilder starts an empty program.
-func NewBuilder() *Builder {
-	return &Builder{poolIdx: make(map[uint64]int64)}
+func NewBuilder() *Builder { return &Builder{} }
+
+// Grow reserves room for code more ops, labels more labels and addrs more
+// interned addresses, so a caller that knows its program's size builds it
+// without regrowing.
+func (b *Builder) Grow(code, labels, addrs int) {
+	b.code = slices.Grow(b.code, code)
+	b.labels = slices.Grow(b.labels, labels)
+	b.pool = slices.Grow(b.pool, addrs)
+	if b.poolIdx == nil {
+		b.poolIdx = make(map[uint64]int64, addrs)
+	}
 }
 
 // Reg allocates a fresh register.
@@ -52,6 +59,9 @@ func (b *Builder) Reg() Src {
 func (b *Builder) Addr(a uint64) Src {
 	if i, ok := b.poolIdx[a]; ok {
 		return Imm(i)
+	}
+	if b.poolIdx == nil {
+		b.poolIdx = make(map[uint64]int64)
 	}
 	i := int64(len(b.pool))
 	b.pool = append(b.pool, a)
@@ -109,14 +119,15 @@ func (b *Builder) Here() Label {
 	return l
 }
 
-// Jmp emits an unconditional branch to l.
+// Jmp emits an unconditional branch to l. Until Build, a branch's Target
+// holds its label rather than a pc.
 func (b *Builder) Jmp(l Label) {
-	b.patches = append(b.patches, patch{pc: b.emit(Op{Kind: OpJmp, Dst: -1}), label: l})
+	b.emit(Op{Kind: OpJmp, Dst: -1, Target: int32(l)})
 }
 
 // Br emits a conditional branch to l, taken when cmp(a, c) holds.
 func (b *Builder) Br(cmp Cmp, a, c Src, l Label) {
-	b.patches = append(b.patches, patch{pc: b.emit(Op{Kind: OpBr, Dst: -1, Cmp: cmp, A: a, B: c}), label: l})
+	b.emit(Op{Kind: OpBr, Dst: -1, Cmp: cmp, A: a, B: c, Target: int32(l)})
 }
 
 // --- pure register ops ---
@@ -257,12 +268,16 @@ func (b *Builder) AcquireCAS(m Mem, expect, newv Src) {
 // Build patches branches, validates, and returns the finished program. The
 // builder must not be reused afterwards.
 func (b *Builder) Build() (*Program, error) {
-	for _, pt := range b.patches {
-		at := b.labels[pt.label]
-		if at == -1 {
-			return nil, fmt.Errorf("prog: label %d never bound", pt.label)
+	for pc := range b.code {
+		op := &b.code[pc]
+		if op.Kind != OpJmp && op.Kind != OpBr {
+			continue
 		}
-		b.code[pt.pc].Target = int32(at)
+		at := b.labels[op.Target]
+		if at == -1 {
+			return nil, fmt.Errorf("prog: label %d never bound", op.Target)
+		}
+		op.Target = int32(at)
 	}
 	p := &Program{NumRegs: b.nreg, Pool: b.pool, Code: b.code}
 	if err := p.Validate(); err != nil {

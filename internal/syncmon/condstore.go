@@ -42,18 +42,20 @@ type addrState struct {
 
 // condStore is the SyncMon condition cache's storage: a condition slab with
 // flat per-set occupancy arrays, a waiter slab, and an open-addressed
-// address index. The slabs grow by append as a run touches them; set
-// occupancy (Sets x Ways, the paper's cache geometry) bounds the condition
-// slab and the SyncMon's waiter count bounds the waiter slab. Every list
-// is intrusive and freelist-backed: once the slabs have grown,
-// registering, waking and evicting touch no allocator and no Go map, and
-// every order the old map-based representation exposed (set scan order,
-// per-address registration order, waiter FIFO) is preserved by
-// construction.
+// address index. The set arrays are built on the first insert, and the
+// slabs and index grow as a run touches them, so a run that never
+// registers a condition allocates none of them; set occupancy (Sets x
+// Ways, the paper's cache geometry) bounds the condition slab and the
+// SyncMon's waiter count bounds the waiter slab. Every list is intrusive
+// and freelist-backed: once the slabs have grown, registering, waking and
+// evicting touch no allocator and no Go map, and every order the old
+// map-based representation exposed (set scan order, per-address
+// registration order, waiter FIFO) is preserved by construction.
 type condStore struct {
+	sets   int
 	stride int     // ways per set at construction (Degrade only shrinks use)
-	setEnt []int32 // sets x stride resident refs, insertion order
-	setLen []int32
+	setEnt []int32 // sets x stride resident refs, insertion order; nil until the first insert
+	setLen []int32 // nil until the first insert
 
 	ents    []condSlot
 	freeEnt int32
@@ -61,14 +63,13 @@ type condStore struct {
 	wnodes []waiterSlot
 	freeW  int32
 
-	byAddr *hashutil.Flat[mem.Addr, addrState]
+	byAddr hashutil.Flat[mem.Addr, addrState]
 }
 
 func newCondStore(sets, ways int) condStore {
 	return condStore{
+		sets:    sets,
 		stride:  ways,
-		setEnt:  make([]int32, sets*ways),
-		setLen:  make([]int32, sets),
 		freeEnt: nilRef,
 		freeW:   nilRef,
 		byAddr: hashutil.NewFlat[mem.Addr, addrState](64, func(a mem.Addr) uint64 {
@@ -83,12 +84,17 @@ func newCondStore(sets, ways int) condStore {
 func (cs *condStore) at(e int32) *condSlot { return &cs.ents[e] }
 
 // setSize reports set si's occupancy.
-func (cs *condStore) setSize(si int) int { return int(cs.setLen[si]) }
+func (cs *condStore) setSize(si int) int {
+	if cs.setLen == nil {
+		return 0
+	}
+	return int(cs.setLen[si])
+}
 
 // find scans set si in insertion order for (addr, want, cmp).
 func (cs *condStore) find(si int, addr mem.Addr, want int64, cmp gpu.Cmp) int32 {
 	base := si * cs.stride
-	for i := 0; i < int(cs.setLen[si]); i++ {
+	for i, n := 0, cs.setSize(si); i < n; i++ {
 		e := cs.setEnt[base+i]
 		c := &cs.ents[e]
 		if c.addr == addr && c.want == want && c.cmp == cmp {
@@ -102,6 +108,10 @@ func (cs *condStore) find(si int, addr mem.Addr, want int64, cmp gpu.Cmp) int32 
 // it at the tail of its address chain; firstOnAddr reports whether this
 // made the address monitored.
 func (cs *condStore) insert(si int, addr mem.Addr, want int64, cmp gpu.Cmp) (e int32, firstOnAddr bool) {
+	if cs.setLen == nil {
+		cs.setEnt = make([]int32, cs.sets*cs.stride)
+		cs.setLen = make([]int32, cs.sets)
+	}
 	if cs.freeEnt != nilRef {
 		e = cs.freeEnt
 		cs.freeEnt = cs.ents[e].next

@@ -315,11 +315,13 @@ func (s *SyncMon) Degrade(newWays, newWaitList int) {
 func (s *SyncMon) Log() *MonitorLog { return s.log }
 
 // StateBytes estimates the monitor's simulated state: the condition cache's
-// set arrays, condition and waiter slabs and address index, and the Monitor
-// Log ring at its full capacity.
+// set arrays at their configured geometry, condition and waiter slabs and
+// address index, and the Monitor Log ring at its full capacity. Like the
+// ring, the set arrays are charged whether or not the host has built them
+// yet.
 func (s *SyncMon) StateBytes() int {
 	cs := &s.store
-	return 128 + 4*(len(cs.setEnt)+len(cs.setLen)) + 40*len(cs.ents) +
+	return 128 + 4*(cs.sets*cs.stride+cs.sets) + 40*len(cs.ents) +
 		24*len(cs.wnodes) + 24*cs.byAddr.Len() + 33*s.log.capacity + 24
 }
 

@@ -347,6 +347,33 @@ func TestLogRingAllocatedOnFirstSpill(t *testing.T) {
 	}
 }
 
+// TestSetArraysBuiltOnFirstInsert: a monitor builds its condition-set
+// arrays at its first insert, but StateBytes charges them at the configured
+// geometry from construction, so the fleet's migration pause, which reads
+// gpu.Machine.StateBytes, is what it was when the arrays were built eagerly.
+func TestSetArraysBuiltOnFirstInsert(t *testing.T) {
+	cfg := DefaultConfig()
+	h := newHarness(t, cfg)
+	cs := &h.sm.store
+	if cs.setEnt != nil || cs.setLen != nil {
+		t.Fatal("fresh monitor built its set arrays")
+	}
+	// 128 + 4*(256*4 + 256) set-array bytes + 33*4096 ring bytes + 24.
+	if got := h.sm.StateBytes(); got != 140440 {
+		t.Fatalf("fresh monitor StateBytes = %d, want 140440", got)
+	}
+	if h.sm.Register(1, gpu.GlobalVar(0x500), 1, gpu.CmpEQ, ClassLoad) != Registered {
+		t.Fatal("first register spilled")
+	}
+	if len(cs.setEnt) != cfg.Sets*cfg.Ways || len(cs.setLen) != cfg.Sets {
+		t.Fatalf("first insert built %d/%d set-array entries, want %d/%d", len(cs.setEnt), len(cs.setLen), cfg.Sets*cfg.Ways, cfg.Sets)
+	}
+	// Plus a 40-byte condition, a 24-byte waiter and a 24-byte address.
+	if got := h.sm.StateBytes(); got != 140440+88 {
+		t.Fatalf("StateBytes after the first insert = %d, want %d", got, 140440+88)
+	}
+}
+
 func TestWaitListFullSpills(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WaitListSize = 2
