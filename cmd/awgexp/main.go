@@ -12,9 +12,9 @@
 //	awgexp -cpuprofile cpu.out   # profile the suite (see README, Profiling)
 //	awgexp -list
 //
-// Identical declarative configs recurring across experiments simulate
-// once and replay from the run cache; outputs are bit-identical either
-// way. Performance is measured by cmd/awgbench, not here.
+// A grid cell recurring across experiments simulates once and is reused
+// by the later ones; outputs and the golden run counts are identical
+// either way. Performance is measured by cmd/awgbench, not here.
 //
 // A failing experiment no longer aborts the suite: its error is reported,
 // the remaining experiments still run, and awgexp exits non-zero at the
@@ -93,7 +93,7 @@ func main() {
 		runtime.GOMAXPROCS(*workers)
 	}
 
-	opts := experiments.Options{Quick: *quick}
+	opts := experiments.NewOptions(*quick)
 	run := experiments.All()
 	if *exp != "" {
 		e, err := experiments.Get(*exp)
@@ -139,7 +139,7 @@ func main() {
 		}
 		fmt.Print(out)
 		if hits > 0 {
-			fmt.Printf("[%s regenerated in %.1fs; %d/%d runs replayed from cache]\n\n",
+			fmt.Printf("[%s regenerated in %.1fs; %d/%d runs reused]\n\n",
 				e.ID, secs, hits, runs1-runs0)
 		} else {
 			fmt.Printf("[%s regenerated in %.1fs]\n\n", e.ID, secs)
@@ -156,7 +156,7 @@ func main() {
 	}
 	if hits := sim.CacheHits(); hits > 0 {
 		_, runs := sim.Totals()
-		fmt.Fprintf(os.Stderr, "awgexp: run cache replayed %d of %d runs\n", hits, runs)
+		fmt.Fprintf(os.Stderr, "awgexp: reused %d of %d runs\n", hits, runs)
 	}
 
 	if *cpuprofile != "" {

@@ -71,7 +71,7 @@ func main() {
 
 	unexpected := s.Unexpected()
 	expected := len(s.Violations) - len(unexpected)
-	fmt.Printf("%d cells: %d unexpected violation(s), %d expected non-IFP outcome(s), cache replayed %d runs\n",
+	fmt.Printf("%d cells: %d unexpected violation(s), %d expected non-IFP outcome(s), %d runs reused\n",
 		len(s.Cells), len(unexpected), expected, sim.CacheHits())
 	if *showExpected {
 		fmt.Println(s.Summary())

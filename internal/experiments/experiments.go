@@ -35,6 +35,20 @@ type Options struct {
 	// used by unit tests and the benchmark harness. Shapes remain, exact
 	// ratios move.
 	Quick bool
+
+	// memo maps every grid cell simulated through these Options, defaults
+	// filled in (key), to its Result, so a cell that recurs in a later
+	// experiment reuses it. It is not locked: experiments sharing Options
+	// run one at a time, as in awgexp and the tests. Nil (a literal
+	// Options) simulates every experiment afresh.
+	memo map[cell]metrics.Result
+}
+
+// NewOptions returns Options at the given scale whose experiments share
+// their grid cells: each distinct cell simulates once, however many
+// experiments run it.
+func NewOptions(quick bool) Options {
+	return Options{Quick: quick, memo: map[cell]metrics.Result{}}
 }
 
 // params returns the launch parameters for the configured scale.
@@ -67,16 +81,26 @@ type cell struct {
 	numWGs        int
 }
 
+// key fills c's zero iters and numWGs with the scale's defaults, so cells
+// that denote the same run compare equal: Oversweep's 1x cells name the
+// default launch size that table2 and fig14 leave zero.
+func (o Options) key(c cell) cell {
+	p := o.params()
+	if c.iters == 0 {
+		c.iters = p.Iters
+	}
+	if c.numWGs == 0 {
+		c.numWGs = p.NumWGs
+	}
+	return c
+}
+
 // simConfig translates a grid cell into a session config at the experiment
 // scale.
 func (o Options) simConfig(c cell) sim.Config {
+	c = o.key(c)
 	p := o.params()
-	if c.iters > 0 {
-		p.Iters = c.iters
-	}
-	if c.numWGs > 0 {
-		p.NumWGs = c.numWGs
-	}
+	p.Iters, p.NumWGs = c.iters, c.numWGs
 	cfg := sim.Config{
 		Benchmark:     c.bench,
 		Policy:        c.policy,
@@ -94,37 +118,40 @@ func (o Options) simConfig(c cell) sim.Config {
 
 // batch simulates every distinct cell through the sim worker pool and
 // returns the results keyed by cell. Duplicate cells (a base run shared by
-// several rows) simulate once. Every cell's outcome must pass the IFP
-// invariant (fault.CheckOutcome): a deadlock renders only under a non-IFP
-// policy, and only diagnosed. Any cell's error or violation fails the
-// whole batch, labeled with the cell that produced it.
+// several rows) simulate once, and a cell an earlier experiment ran through
+// the same Options takes its Result from the memo, accounted by sim.Reuse.
+// Every simulated cell's outcome must pass the IFP invariant
+// (fault.CheckOutcome): a deadlock renders only under a non-IFP policy,
+// and only diagnosed. Any cell's error or violation fails the whole batch,
+// labeled with the cell that produced it.
 func (o Options) batch(cells []cell) (map[cell]metrics.Result, error) {
-	seen := make(map[cell]bool, len(cells))
-	uniq := make([]cell, 0, len(cells))
+	results := make(map[cell]metrics.Result, len(cells))
+	var jobs []sim.Job
+	var fresh []cell
 	for _, c := range cells {
-		if !seen[c] {
-			seen[c] = true
-			uniq = append(uniq, c)
+		if _, ok := results[c]; ok {
+			continue
 		}
+		if res, ok := o.memo[o.key(c)]; ok {
+			sim.Reuse(res)
+			results[c] = res
+			continue
+		}
+		results[c] = metrics.Result{} // claimed; filled once simulated
+		jobs = append(jobs, sim.Job{Config: o.simConfig(c)})
+		fresh = append(fresh, c)
 	}
-	jobs := make([]sim.Job, len(uniq))
-	for i, c := range uniq {
-		jobs[i] = sim.Job{Config: o.simConfig(c)}
-	}
-	results := make(map[cell]metrics.Result, len(uniq))
 	for i, out := range sim.RunAll(jobs) {
-		if err := fault.CheckOutcome(uniq[i].policy, out.Result, out.Err); err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", uniq[i].bench, uniq[i].policy, err)
+		c := fresh[i]
+		if err := fault.CheckOutcome(c.policy, out.Result, out.Err); err != nil {
+			return nil, fmt.Errorf("%s/%s: %w", c.bench, c.policy, err)
 		}
-		results[uniq[i]] = out.Result
+		results[c] = out.Result
+		if o.memo != nil {
+			o.memo[o.key(c)] = out.Result
+		}
 	}
 	return results, nil
-}
-
-// run executes one simulation with the experiment scale applied; the grid
-// experiments use batch instead, this serves one-off probes.
-func (o Options) run(benchmark, policy string, oversubscribe bool, iters int) (metrics.Result, error) {
-	return sim.Run(o.simConfig(cell{bench: benchmark, policy: policy, oversub: oversubscribe, iters: iters}))
 }
 
 // Experiment identifies one regenerable artifact.

@@ -3,9 +3,14 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"awgsim/internal/metrics"
+	"awgsim/internal/sim"
 )
 
-var quick = Options{Quick: true}
+// quick is shared by the package's tests, so a grid cell simulates once
+// and later tests reuse it.
+var quick = NewOptions(true)
 
 func TestAllExperimentsRegistered(t *testing.T) {
 	ids := map[string]bool{}
@@ -115,5 +120,48 @@ func TestHardwareOverheadTable(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("hardware overhead table missing %q", want)
 		}
+	}
+}
+
+// TestOptionsShareCells: experiments run through one NewOptions share their
+// grid cells. Oversweep after Table2 reuses Table2's SPM_G and TB_LG
+// Baseline cells, since its explicit 1x launch size is the default Table2
+// leaves zero, and Totals still counts every cell. Fresh Options simulate
+// those cells again and render the same table; a literal Options never
+// reuses, even when it repeats an experiment.
+func TestOptionsShareCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three experiments")
+	}
+	run := func(o Options, exp func(Options) (*metrics.Table, error)) (out string, runs, reused uint64) {
+		t.Helper()
+		sim.ResetTotals()
+		sim.ResetCache()
+		tab, err := exp(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, runs = sim.Totals()
+		return tab.String(), runs, sim.CacheHits()
+	}
+	shared := NewOptions(true)
+	if _, runs, reused := run(shared, Table2); runs != 12 || reused != 0 {
+		t.Fatalf("table2 through new Options: %d runs, %d reused; want 12, 0", runs, reused)
+	}
+	after, runs, reused := run(shared, Oversweep)
+	if runs != 24 || reused != 2 {
+		t.Errorf("oversweep after table2: %d runs, %d reused; want 24, the two 1x Baseline cells reused", runs, reused)
+	}
+	alone, runs, reused := run(NewOptions(true), Oversweep)
+	if runs != 24 || reused != 0 {
+		t.Errorf("oversweep through new Options: %d runs, %d reused; want 24, 0", runs, reused)
+	}
+	if after != alone {
+		t.Errorf("reused cells changed the table\n--- reused\n%s\n--- simulated\n%s", after, alone)
+	}
+	literal := Options{Quick: true}
+	run(literal, Table2)
+	if _, runs, reused := run(literal, Table2); runs != 12 || reused != 0 {
+		t.Errorf("table2 again through a literal Options: %d runs, %d reused; want 12, 0", runs, reused)
 	}
 }

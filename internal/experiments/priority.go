@@ -31,18 +31,22 @@ func Priority(o Options) (*metrics.Table, error) {
 	if o.Quick {
 		injectAt = 5_000
 	}
-	// Interleave the alone/injected pairs into one batch: even job indices
-	// are the uninjected references, odd the injected runs.
+	// The uninjected references are grid cells, shared with the other
+	// experiments; the injected runs carry a kernel and always simulate.
+	var cells []cell
 	var jobs []sim.Job
 	for _, b := range benches {
 		for _, p := range pols {
-			alone := o.simConfig(cell{bench: b, policy: p, iters: priorityIters(o)})
-			injected := alone
+			alone := cell{bench: b, policy: p, iters: priorityIters(o)}
+			injected := o.simConfig(alone)
 			injected.Inject = &sim.Injection{Spec: o.highPriorityKernel(), At: injectAt, Priority: 1}
-			jobs = append(jobs,
-				sim.Job{Key: b + "/" + p + "/alone", Config: alone},
-				sim.Job{Key: b + "/" + p + "/injected", Config: injected})
+			cells = append(cells, alone)
+			jobs = append(jobs, sim.Job{Key: b + "/" + p + "/injected", Config: injected})
 		}
+	}
+	grid, err := o.batch(cells)
+	if err != nil {
+		return nil, fmt.Errorf("priority %w", err)
 	}
 	outs := sim.RunAll(jobs)
 	for _, out := range outs {
@@ -52,22 +56,19 @@ func Priority(o Options) (*metrics.Table, error) {
 	}
 	t := metrics.NewTable("Priority injection: HP latency and LP overhead per policy",
 		"Benchmark", "Policy", "LPalone", "LPwithHP", "LPoverhead", "HPlatency")
-	i := 0
-	for _, b := range benches {
-		for _, p := range pols {
-			alone, injected := outs[i].Result, outs[i+1]
-			i += 2
-			lp := injected.Result
-			overhead := "-"
-			if alone.Cycles > 0 && !lp.Deadlocked {
-				overhead = fmt.Sprintf("%.2fx", float64(lp.Cycles)/float64(alone.Cycles))
-			}
-			lpCell := any(lp.Cycles)
-			if lp.Deadlocked {
-				lpCell = deadlockMark
-			}
-			t.AddRow(b, p, alone.Cycles, lpCell, overhead, injected.InjectedLatency)
+	for i, c := range cells {
+		b, p := c.bench, c.policy
+		alone, injected := grid[c], outs[i]
+		lp := injected.Result
+		overhead := "-"
+		if alone.Cycles > 0 && !lp.Deadlocked {
+			overhead = fmt.Sprintf("%.2fx", float64(lp.Cycles)/float64(alone.Cycles))
 		}
+		lpCell := any(lp.Cycles)
+		if lp.Deadlocked {
+			lpCell = deadlockMark
+		}
+		t.AddRow(b, p, alone.Cycles, lpCell, overhead, injected.InjectedLatency)
 	}
 	return t, nil
 }

@@ -74,8 +74,8 @@ func Apps() []string { return []string{"HashTable", "BankAccount"} }
 // Get returns the builder for a benchmark name. Names carrying
 // LitmusPrefix are decoded as litmus patterns rather than looked up: the
 // pattern's canonical encoding is its benchmark name, which keeps litmus
-// sim.Configs declarative (and so run-cache fingerprintable) without
-// registering thousands of generated patterns.
+// sim.Configs declarative without registering thousands of generated
+// patterns.
 func Get(name string) (Builder, error) {
 	if strings.HasPrefix(name, LitmusPrefix) {
 		l, err := DecodeLitmus(name)

@@ -182,8 +182,8 @@ func (l Litmus) Validate() error {
 // Encode renders the pattern as its canonical benchmark name: programs
 // joined by ';', ops by ',', with op tokens a<var>, s<var>.<val>,
 // g<var>.<val>, e<var>.<val>, c<cycles>. DecodeLitmus(Encode()) round-trips
-// exactly, and equal patterns encode identically — the property that makes
-// the name a run-cache fingerprint component.
+// exactly, and equal patterns encode identically — the property that lets
+// a conformance sweep key its distinct runs on the name.
 func (l Litmus) Encode() string {
 	return string(l.appendName(make([]byte, 0, len(LitmusPrefix)+8*l.NumOps())))
 }

@@ -54,13 +54,23 @@ type Sweep struct {
 }
 
 // Conformance runs every pattern x policy x occupancy cell through the
-// session pool (so the run cache applies) and checks each
-// against the four progress-model oracles. budget is the per-run cycle
-// cap (0 = RunConfig's default); workers <= 0 selects GOMAXPROCS.
+// session pool and checks each against the four progress-model oracles.
+// Each distinct run, a (pattern name, policy, capacity) triple, simulates
+// once: occupancies whose Cap coincide, and patterns Generate repeats,
+// copy that run's outcome, accounted by sim.Reuse. budget is the per-run
+// cycle cap (0 = RunConfig's default); workers <= 0 selects GOMAXPROCS.
 func Conformance(patterns []kernels.Litmus, policies []string, occs []Occupancy, budget uint64, workers int) *Sweep {
 	s := &Sweep{Patterns: patterns, Policies: policies, Occupancy: occs}
+	type run struct {
+		name, policy string
+		wgCap        int
+	}
+	runs := make(map[run]int) // index into jobs
 	var jobs []sim.Job
+	var jobOf []int   // per cell, the job it takes its outcome from
+	var copied []bool // per cell, whether an earlier cell ran that job
 	for pi, l := range patterns {
+		name := l.Encode()
 		for _, pol := range policies {
 			for _, occ := range occs {
 				wgCap := occ.Cap(l.NumWGs())
@@ -69,13 +79,24 @@ func Conformance(patterns []kernels.Litmus, policies []string, occs []Occupancy,
 					cell.Must[m] = MustTerminate(l, m, wgCap)
 				}
 				s.Cells = append(s.Cells, cell)
-				jobs = append(jobs, sim.Job{Config: RunConfig(l, pol, wgCap, budget)})
+				j, ok := runs[run{name, pol, wgCap}]
+				if !ok {
+					j = len(jobs)
+					runs[run{name, pol, wgCap}] = j
+					jobs = append(jobs, sim.Job{Config: RunConfig(l, pol, wgCap, budget)})
+				}
+				jobOf = append(jobOf, j)
+				copied = append(copied, ok)
 			}
 		}
 	}
 	outs := sim.RunAllWorkers(jobs, workers)
 	for i := range s.Cells {
-		s.Cells[i].Result, s.Cells[i].Err = outs[i].Result, outs[i].Err
+		out := outs[jobOf[i]]
+		if copied[i] {
+			sim.Reuse(out.Result)
+		}
+		s.Cells[i].Result, s.Cells[i].Err = out.Result, out.Err
 		s.check(&s.Cells[i])
 	}
 	return s

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"awgsim/internal/kernels"
 	"awgsim/internal/sim"
 )
 
@@ -52,19 +53,86 @@ func TestConformanceSweep(t *testing.T) {
 
 // TestConformanceDeterministic: two sweeps over the same patterns render
 // byte-identical matrices and summaries (the property the experiment's
-// golden pin relies on).
+// golden pin relies on). Each sweep simulates every distinct run itself:
+// it reuses only its own duplicates, the 8 of its 96 cells whose
+// occupancies share a Cap, never the other sweep's runs.
 func TestConformanceDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a few hundred simulations")
 	}
 	pats := Generate(4, 8)
-	a := Conformance(pats, testPolicies, Occupancies(), 0, 2)
-	b := Conformance(pats, testPolicies, Occupancies(), 0, 3)
+	sweep := func(workers int) *Sweep {
+		before := sim.CacheHits()
+		s := Conformance(pats, testPolicies, Occupancies(), 0, workers)
+		if got := sim.CacheHits() - before; len(s.Cells) != 96 || got != 8 {
+			t.Fatalf("%d-worker sweep reused %d of %d cells, want 8 of 96", workers, got, len(s.Cells))
+		}
+		return s
+	}
+	a := sweep(2)
+	b := sweep(3)
 	if a.Matrix("d").String() != b.Matrix("d").String() {
 		t.Fatalf("matrix differs across worker counts")
 	}
 	if a.Summary() != b.Summary() {
 		t.Fatalf("summary differs across worker counts")
+	}
+}
+
+// TestConformanceReusesDuplicates: a sweep simulates each distinct
+// (pattern name, policy, capacity) once and copies the outcome to the
+// other cells. The pattern list repeats a pattern (under another index,
+// so the sweep must key on the name), the two-WG pattern's half and one
+// occupancies share a Cap, and an unknown policy fails construction in
+// every cell. Totals counts one run per cell that ran, copies included;
+// the copies of a construction failure count nothing.
+func TestConformanceReusesDuplicates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	two := mustDecode(t, "litmus:1:e0.1;s0.1")
+	three := mustDecode(t, "litmus:1:a0,g1.1;a1,g2.1;a2,g0.1")
+	pats := []kernels.Litmus{two, three, mustDecode(t, two.Encode())}
+	policies := []string{"Baseline", "AWG", "NoSuchPolicy"}
+	sim.ResetTotals()
+	sim.ResetCache()
+	s := Conformance(pats, policies, Occupancies(), 0, 0)
+	type run struct {
+		name, policy string
+		wgCap        int
+	}
+	first := map[run]Cell{}
+	ran, distinct := 0, 0
+	for _, c := range s.Cells {
+		if c.Policy == "NoSuchPolicy" {
+			if c.Err == nil {
+				t.Fatalf("cell %d under an unknown policy ran", c.Pattern)
+			}
+			continue
+		}
+		ran++
+		k := run{s.Patterns[c.Pattern].Encode(), c.Policy, c.Cap}
+		f, ok := first[k]
+		if !ok {
+			first[k] = c
+			distinct++
+			continue
+		}
+		if c.Result != f.Result || c.Err != f.Err {
+			t.Errorf("%s at cap %d: copy %+v differs from the run %+v", c.Policy, c.Cap, c.Result, f.Result)
+		}
+	}
+	// two: full (2), half and one (1, 1); three: full (3), half (2), one
+	// (1); the repeat of two copies all three of its runs. Per policy: 9
+	// cells, 5 distinct runs.
+	if ran != 18 || distinct != 10 {
+		t.Fatalf("%d cells ran with %d distinct runs, want 18 and 10", ran, distinct)
+	}
+	if _, runs := sim.Totals(); runs != uint64(ran) {
+		t.Errorf("Totals counted %d runs, want one per cell that ran: %d", runs, ran)
+	}
+	if got := sim.CacheHits(); got != uint64(ran-distinct) {
+		t.Errorf("%d cells reused, want cells minus distinct runs: %d", got, ran-distinct)
 	}
 }
 
@@ -106,21 +174,5 @@ func TestRenderGoTest(t *testing.T) {
 		if !strings.Contains(src, want) {
 			t.Errorf("rendered test missing %q:\n%s", want, src)
 		}
-	}
-}
-
-// TestSimFailFnUsesCache: a FailFn re-running the same pattern must hit
-// the session run cache (shrinking probes the same candidates repeatedly).
-func TestSimFailFnUsesCache(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
-	}
-	sim.ResetCache()
-	l := mustDecode(t, "litmus:1:e0.1;s0.1")
-	fail := SimFailFn("Baseline", 1, 0)
-	fail(l)
-	fail(l)
-	if sim.CacheHits() == 0 {
-		t.Fatalf("second identical probe did not hit the run cache")
 	}
 }

@@ -18,8 +18,8 @@
 // A pattern that must terminate under model M at occupancy K but
 // deadlocks in the simulator is a conformance violation; the shrinker
 // (Shrink) reduces it — dropping WGs, dropping ops, compacting variables,
-// re-running through the session run cache — to a minimal reproducer that
-// RenderGoTest turns into a committable regression test.
+// re-simulating each candidate — to a minimal reproducer that RenderGoTest
+// turns into a committable regression test.
 package litmus
 
 import (
@@ -227,8 +227,8 @@ func Occupancies() []Occupancy {
 // occupancy: a single-CU machine with wgCap resident slots, a short
 // progress window (patterns are tiny, so a stall is detected quickly), and
 // a cycle budget that terminates livelocked runs diagnosed. The benchmark
-// name is the pattern's canonical encoding, so the config stays
-// fingerprintable by the session run cache.
+// name is the pattern's canonical encoding, so the config is declarative
+// and equal patterns build equal configs.
 func RunConfig(l kernels.Litmus, policy string, wgCap int, budget uint64) sim.Config {
 	g := gpu.DefaultConfig()
 	g.NumCUs = 1

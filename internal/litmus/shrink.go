@@ -114,8 +114,9 @@ func Size(l kernels.Litmus) int { return l.NumWGs() + l.NumOps() }
 
 // SimFailFn builds the FailFn the conformance hunts shrink with: the
 // candidate still fails (stalls or errors) when the policy runs it at the
-// given capacity. Probes go through sim.Run, so repeated candidates replay
-// from the session run cache instead of re-simulating.
+// given capacity. Every probe simulates, a repeated candidate too: litmus
+// runs are short, and the README's worked example repeats 2 of its 12
+// runs.
 func SimFailFn(policy string, wgCap int, budget uint64) FailFn {
 	return func(l kernels.Litmus) bool {
 		res, err := sim.Run(RunConfig(l, policy, wgCap, budget))
@@ -129,7 +130,7 @@ func SimFailFn(policy string, wgCap int, budget uint64) FailFn {
 // drops change the pattern size) AND the policy still fails it. Plain
 // SimFailFn would happily shrink a violation into a trivially broken
 // pattern no model requires terminating; this keeps the reproducer a
-// violation all the way down.
+// violation all the way down. Like SimFailFn, every probe simulates.
 func ViolationFailFn(policy string, model Model, occ Occupancy, budget uint64) FailFn {
 	return func(l kernels.Litmus) bool {
 		wgCap := occ.Cap(l.NumWGs())

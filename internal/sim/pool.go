@@ -38,8 +38,7 @@ func RunAll(jobs []Job) []Outcome {
 
 // RunAllWorkers is RunAll with an explicit worker count; n <= 0 selects
 // GOMAXPROCS. n == 1 reproduces the serial path exactly (same order, same
-// goroutine). Every job runs cold through runJob, so declarative configs
-// share the run cache (runcache.go) with every other caller of Run.
+// goroutine). Every job simulates, duplicates included.
 func RunAllWorkers(jobs []Job, n int) []Outcome {
 	out := make([]Outcome, len(jobs))
 	ForEach(len(jobs), n, func(i int) { out[i] = runJob(jobs[i]) })
@@ -82,14 +81,9 @@ func ForEach(count, workers int, f func(i int)) {
 	wg.Wait()
 }
 
+// runJob builds, runs and releases one job's session.
 func runJob(j Job) Outcome {
 	o := Outcome{Key: j.Key}
-	if j.Config.Inject == nil {
-		// No injected kernel means no InjectedLatency to extract, so the
-		// job can go through Run's deduplication cache.
-		o.Result, o.Err = Run(j.Config)
-		return o
-	}
 	s, err := NewSession(j.Config)
 	if err != nil {
 		o.Err = err

