@@ -13,6 +13,7 @@ import (
 
 	"awgsim/internal/event"
 	"awgsim/internal/gpu"
+	"awgsim/internal/hashutil"
 	"awgsim/internal/mem"
 	"awgsim/internal/syncmon"
 )
@@ -52,10 +53,12 @@ type Processor struct {
 
 	started bool        // Start ran
 	stopped func() bool // wired by Start: the loops' exit probe
-	// jitter perturbs loop cadence; its pseudo-random walk lives in
-	// jitterState, seeded by SetCadenceJitter.
-	jitter      func(state *uint64, base event.Cycle) event.Cycle
-	jitterState uint64
+	// The loops' cadence perturbation: each interval is stretched by
+	// scale (SetCadenceScale) and skewed by up to maxSkew cycles drawn
+	// from the skewState walk (SkewCadence). At most one is set.
+	scale     event.Cycle
+	maxSkew   event.Cycle
+	skewState uint64
 
 	drainFn, checkFn func()     // the firmware loops, hoisted by Start
 	scratch          []condKey  // check-pass walk, rebuilt every pass
@@ -78,36 +81,32 @@ func New(cfg Config, m *gpu.Machine, log *syncmon.MonitorLog, wake syncmon.WakeF
 	}, nil
 }
 
-// SetCadenceJitter installs a hook that perturbs the firmware loops'
-// rescheduling intervals (fault injection models a busy or descheduled CP
-// by stretching its cadence). The hook receives the configured base
-// interval and returns the one to use; nil restores the exact cadence.
-// Hooks keep any evolving randomness in *state, seeded here.
-func (p *Processor) SetCadenceJitter(f func(state *uint64, base event.Cycle) event.Cycle, seed uint64) {
-	p.jitter = f
-	p.jitterState = seed
+// SkewCadence adds a pseudo-random skew in [0, maxSkew) cycles to every
+// firmware loop interval — fault injection's model of a busy or
+// descheduled CP. The skews walk a splitmix64 stream seeded by seed, so
+// equal runs stretch the cadence identically; maxSkew 0 restores the exact
+// cadence. It replaces any SetCadenceScale.
+func (p *Processor) SkewCadence(seed uint64, maxSkew event.Cycle) {
+	p.scale, p.maxSkew, p.skewState = 0, maxSkew, seed
 }
 
 // SetCadenceScale stretches the firmware loops' cadence by a constant
 // integer factor — the fleet layer's thermal-throttle model: a derated
 // device clocks its command processor down with its CUs. factor <= 1
-// restores the exact cadence, clearing any JitterCP skew. Implemented
-// through the jitter hook with no evolving state; a subsequent
-// SetCadenceJitter (e.g. a JitterCP fault) replaces it.
+// restores the exact cadence. It replaces any SkewCadence, as a later
+// SkewCadence (a JitterCP fault) replaces it.
 func (p *Processor) SetCadenceScale(factor int) {
-	if factor <= 1 {
-		p.SetCadenceJitter(nil, 0)
-		return
-	}
-	f := event.Cycle(factor)
-	p.SetCadenceJitter(func(_ *uint64, base event.Cycle) event.Cycle { return base * f }, 0)
+	p.scale, p.maxSkew, p.skewState = event.Cycle(max(factor, 1)), 0, 0
 }
 
-// cadence applies the jitter hook to a base interval, keeping the result
-// at least one cycle so the loops always advance.
+// cadence applies the scale or skew to a base interval, keeping the
+// result at least one cycle so the loops always advance.
 func (p *Processor) cadence(base event.Cycle) event.Cycle {
-	if p.jitter != nil {
-		base = p.jitter(&p.jitterState, base)
+	if p.scale > 1 {
+		base *= p.scale
+	}
+	if p.maxSkew > 0 {
+		base += event.Cycle(hashutil.SplitMix64(&p.skewState) % uint64(p.maxSkew))
 	}
 	if base == 0 {
 		base = 1
@@ -184,8 +183,8 @@ func (p *Processor) noteHighWater() {
 	if p.tab.waiters > p.m.Count.MaxWaitingWGs {
 		p.m.Count.MaxWaitingWGs = p.tab.waiters
 	}
-	if n := p.tab.monitoredAddrs(); n > p.m.Count.MaxMonitoredVars {
-		p.m.Count.MaxMonitoredVars = n
+	if n := p.tab.monitoredAddrs(); n > p.m.Count.MaxMonitoredVar {
+		p.m.Count.MaxMonitoredVar = n
 	}
 }
 

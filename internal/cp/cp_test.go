@@ -5,6 +5,7 @@ import (
 
 	"awgsim/internal/event"
 	"awgsim/internal/gpu"
+	"awgsim/internal/hashutil"
 	"awgsim/internal/mem"
 	"awgsim/internal/prog"
 	"awgsim/internal/syncmon"
@@ -14,8 +15,7 @@ type nopPolicy struct{}
 
 func (nopPolicy) Name() string              { return "nop" }
 func (nopPolicy) Attach(*gpu.Machine) error { return nil }
-func (nopPolicy) Wait(*gpu.WG, gpu.Var, gpu.AtomicOp, int64, int64, int64, gpu.Cmp, gpu.WaitHint, func(int64)) {
-}
+func (nopPolicy) Wait(*gpu.WG)              {}
 
 type wakeRec struct {
 	wg   gpu.WGID
@@ -224,9 +224,9 @@ func TestHighWaterMarks(t *testing.T) {
 	if h.p.MaxTableSize() != 4 {
 		t.Fatalf("MaxTableSize = %d, want 4", h.p.MaxTableSize())
 	}
-	if h.m.Count.MaxConditions != 4 || h.m.Count.MaxWaitingWGs != 4 || h.m.Count.MaxMonitoredVars != 4 {
+	if h.m.Count.MaxConditions != 4 || h.m.Count.MaxWaitingWGs != 4 || h.m.Count.MaxMonitoredVar != 4 {
 		t.Fatalf("machine high-water %d/%d/%d",
-			h.m.Count.MaxConditions, h.m.Count.MaxWaitingWGs, h.m.Count.MaxMonitoredVars)
+			h.m.Count.MaxConditions, h.m.Count.MaxWaitingWGs, h.m.Count.MaxMonitoredVar)
 	}
 }
 
@@ -286,5 +286,35 @@ func TestCheckOrderDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("check order diverged: %v vs %v", a, b)
 		}
+	}
+}
+
+// TestCadenceScaleAndSkew checks the firmware cadence's two perturbations:
+// a scale multiplies the interval, a skew adds a seed-addressed draw below
+// its maximum, setting either clears the other, and an interval never
+// falls below one cycle.
+func TestCadenceScaleAndSkew(t *testing.T) {
+	p := &Processor{}
+	if got := p.cadence(100); got != 100 {
+		t.Fatalf("unperturbed cadence = %d, want 100", got)
+	}
+	p.SetCadenceScale(3)
+	if got := p.cadence(100); got != 300 {
+		t.Fatalf("scaled cadence = %d, want 300", got)
+	}
+	p.SkewCadence(7, 50)
+	state := uint64(7)
+	for i := 0; i < 100; i++ {
+		want := 100 + event.Cycle(hashutil.SplitMix64(&state)%50)
+		if got := p.cadence(100); got != want {
+			t.Fatalf("skewed interval %d = %d, want %d (the skew must replace the scale)", i, got, want)
+		}
+	}
+	p.SetCadenceScale(1)
+	if got := p.cadence(100); got != 100 {
+		t.Fatalf("cadence after SetCadenceScale(1) = %d, want the exact 100", got)
+	}
+	if got := p.cadence(0); got != 1 {
+		t.Fatalf("zero interval = %d, want 1", got)
 	}
 }

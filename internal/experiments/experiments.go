@@ -1,8 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation. Each Fig*/Table* function runs the required simulations and
 // returns both the raw data and a rendered text table whose rows/series
-// match what the paper reports. The awgexp command prints them; the
-// repository's bench harness wraps each in a testing.B benchmark.
+// match what the paper reports. The awgexp command prints them.
 //
 // Every experiment enumerates its (benchmark × policy × scenario) grid up
 // front and hands the whole batch to the sim package's worker pool, so a
@@ -32,8 +31,8 @@ import (
 // Options scales the experiments.
 type Options struct {
 	// Quick shrinks the launches so the whole suite runs in seconds;
-	// used by unit tests and the benchmark harness. Shapes remain, exact
-	// ratios move.
+	// used by unit tests and the quick golden record. Shapes remain,
+	// exact ratios move.
 	Quick bool
 
 	// memo maps every grid cell simulated through these Options, defaults

@@ -20,6 +20,7 @@ import (
 	"awgsim/internal/cp"
 	"awgsim/internal/event"
 	"awgsim/internal/gpu"
+	"awgsim/internal/hashutil"
 	"awgsim/internal/syncmon"
 )
 
@@ -203,27 +204,7 @@ func action(m *gpu.Machine, e Event) func() {
 	if e.Op == DegradeSyncMon {
 		return func() { hw.SyncMon().Degrade(e.Ways, e.WaitList) }
 	}
-	return func() {
-		// The skew walk lives in the CP's jitter state, seeded here, so
-		// equal runs stretch the cadence identically.
-		hw.CP().SetCadenceJitter(func(state *uint64, base event.Cycle) event.Cycle {
-			if e.MaxSkew == 0 {
-				return base
-			}
-			return base + event.Cycle(splitmix(state)%uint64(e.MaxSkew))
-		}, e.Seed)
-	}
-}
-
-// splitmix advances a splitmix64 state and returns the next value — the
-// same generator the machine's jitter stream uses, so fault randomness is
-// deterministic and seed-addressable.
-func splitmix(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	x := *state
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
+	return func() { hw.CP().SkewCadence(e.Seed, e.MaxSkew) }
 }
 
 // Scripted returns the canonical hand-written schedules, scaled to a
@@ -292,7 +273,7 @@ func Random(seed uint64, numCUs int, base, span event.Cycle) Schedule {
 	if span == 0 {
 		span = 1
 	}
-	n := 6 + int(splitmix(&state)%7) // 6..12 events
+	n := 6 + int(hashutil.SplitMix64(&state)%7) // 6..12 events
 	enabled := make([]bool, numCUs)
 	for i := range enabled {
 		enabled[i] = true
@@ -308,13 +289,13 @@ func Random(seed uint64, numCUs int, base, span event.Cycle) Schedule {
 		div = 2
 	}
 	for i := 0; i < n; i++ {
-		at += event.Cycle(splitmix(&state) % uint64(div))
-		switch splitmix(&state) % 4 {
+		at += event.Cycle(hashutil.SplitMix64(&state) % uint64(div))
+		switch hashutil.SplitMix64(&state) % 4 {
 		case 0: // lose a random enabled CU, keeping one alive
 			if numEnabled < 2 {
 				continue
 			}
-			k := int(splitmix(&state) % uint64(numCUs))
+			k := int(hashutil.SplitMix64(&state) % uint64(numCUs))
 			for !enabled[k] {
 				k = (k + 1) % numCUs
 			}
@@ -325,7 +306,7 @@ func Random(seed uint64, numCUs int, base, span event.Cycle) Schedule {
 			if numEnabled == numCUs {
 				continue
 			}
-			k := int(splitmix(&state) % uint64(numCUs))
+			k := int(hashutil.SplitMix64(&state) % uint64(numCUs))
 			for enabled[k] {
 				k = (k + 1) % numCUs
 			}
@@ -338,8 +319,8 @@ func Random(seed uint64, numCUs int, base, span event.Cycle) Schedule {
 			// means (WaitListSize 0 is reserved for the uncached-monitor
 			// policy variants). Floor the draw at one entry; the ways draw
 			// stays first so schedules that never drew 0 are unchanged.
-			ways := 1 + int(splitmix(&state)%4)
-			wl := int(splitmix(&state) % 64)
+			ways := 1 + int(hashutil.SplitMix64(&state)%4)
+			wl := int(hashutil.SplitMix64(&state) % 64)
 			if wl == 0 {
 				wl = 1
 			}
@@ -350,8 +331,8 @@ func Random(seed uint64, numCUs int, base, span event.Cycle) Schedule {
 		default: // jitter the CP cadence
 			s.Events = append(s.Events, Event{
 				At: at, Op: JitterCP,
-				Seed:    splitmix(&state),
-				MaxSkew: event.Cycle(splitmix(&state) % 64_000),
+				Seed:    hashutil.SplitMix64(&state),
+				MaxSkew: event.Cycle(hashutil.SplitMix64(&state) % 64_000),
 			})
 		}
 	}

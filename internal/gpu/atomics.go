@@ -9,22 +9,23 @@ import (
 )
 
 // AtomicObserver is notified at bank-service time of every atomic, after
-// its value applies. The SyncMon implementations subscribe through this.
+// its value applies. The SyncMon subscribes through this.
 type AtomicObserver func(by *WG, v Var, op AtomicOp, old, new int64)
 
 // atomicUnit is the machine's atomic pipeline: it routes atomics and
 // monitor arms to the variable's synchronization point with the memory
-// system's timing, applies value effects at bank-service time, fans out to
-// observers, and keeps the Table 2 synchronization characterization.
+// system's timing, applies value effects at bank-service time, reports
+// them to its observer, and keeps the Table 2 synchronization
+// characterization.
 type atomicUnit struct {
-	m         *Machine
-	observers []AtomicObserver
+	m        *Machine
+	observer AtomicObserver // nil until the policy's monitor subscribes
 
 	// Table 2 characterization. Every update is O(1): observeUpdate runs
 	// at each write atomic's bank-service instant and bumps one per-variable
 	// write count, and a wait episode's update count is the difference of
 	// that count between its begin and met. A WG has at most one open
-	// episode (beginWait runs only from a running frame, and endWait closes
+	// episode (beginWait runs only from a running frame, and EndWait closes
 	// the episode before the frame steps again), so the episode's refs and
 	// starting count live on the WG (charVar, charCond, charStart).
 	charIdx hashutil.Flat[mem.Addr, int32] // aligned addr -> 1-based ref into writes
@@ -63,11 +64,6 @@ func newAtomicUnit(m *Machine) *atomicUnit {
 	}
 }
 
-// subscribe registers f for every atomic's bank-service instant.
-func (p *atomicUnit) subscribe(f AtomicObserver) {
-	p.observers = append(p.observers, f)
-}
-
 // AtomicRet is the resp-task slot the atomic pipeline deposits the op's
 // returned value into before the response task fires (see IssueAtomicTask).
 const AtomicRet = 5
@@ -76,8 +72,8 @@ const AtomicRet = 5
 // CP condition checks). The op's value effect and all monitor observations
 // happen at bank-service time; resp, if non-nil, runs at response time with
 // the op's returned value. atBank, if non-nil, runs at bank-service time
-// after observers — this is where waiting atomics register their condition
-// race-free.
+// after the observer — this is where waiting atomics register their
+// condition race-free.
 func (p *atomicUnit) issue(w *WG, v Var, op AtomicOp, a, b int64, atBank func(old, new int64), resp func(ret int64)) {
 	if w != nil && !w.Resident() {
 		w.Park(func() { p.issue(w, v, op, a, b, atBank, resp) })
@@ -155,8 +151,8 @@ func runAtomicApply(t *event.Task) {
 	if op.IsWrite() {
 		p.observeUpdate(v.Addr)
 	}
-	for _, obs := range p.observers {
-		obs(w, v, op, old, newVal)
+	if p.observer != nil {
+		p.observer(w, v, op, old, newVal)
 	}
 	if atBank, _ := t.Env[2].(func(old, new int64)); atBank != nil {
 		atBank(old, newVal)
@@ -254,8 +250,9 @@ func (p *atomicUnit) stateBytes() int {
 	return 88*len(p.writes) + 8*(p.wants+2*p.open+p.mets) + 24*len(p.waiters)
 }
 
-// OnAtomicApply subscribes f to every atomic's bank-service instant.
-func (m *Machine) OnAtomicApply(f AtomicObserver) { m.atomics.subscribe(f) }
+// OnAtomicApply subscribes f to every atomic's bank-service instant,
+// replacing any earlier subscriber: a machine has one monitor.
+func (m *Machine) OnAtomicApply(f AtomicObserver) { m.atomics.observer = f }
 
 // IssueAtomicTask performs an atomic like IssueAtomic but delivers the
 // response through a pooled event task: resp fires at response time with
@@ -270,7 +267,7 @@ func (m *Machine) IssueAtomicTask(w *WG, v Var, op AtomicOp, a, b int64, resp *e
 // such as CP condition checks). The op's value effect and all monitor
 // observations happen at bank-service time; resp, if non-nil, runs at
 // response time with the op's returned value. atBank, if non-nil, runs at
-// bank-service time after observers — this is where waiting atomics
+// bank-service time after the observer — this is where waiting atomics
 // register their condition race-free.
 func (m *Machine) IssueAtomic(w *WG, v Var, op AtomicOp, a, b int64, atBank func(old, new int64), resp func(ret int64)) {
 	m.atomics.issue(w, v, op, a, b, atBank, resp)

@@ -163,15 +163,15 @@ func (m *Machine) advanceIR(w *WG) {
 	case prog.OpSyncThreads:
 		m.syncThreads(w)
 	case prog.OpAwaitEq:
-		m.beginWait(w, f.varOf(op), OpLoad, 0, 0, f.val(op.B), CmpEQ, WaitHint{Backoff: op.Hint})
+		m.beginWait(w, WaitOp{Var: f.varOf(op), Op: OpLoad, Want: f.val(op.B), Cmp: CmpEQ, Backoff: op.Hint})
 	case prog.OpAwaitGE:
-		m.beginWait(w, f.varOf(op), OpLoad, 0, 0, f.val(op.B), CmpGE, WaitHint{})
+		m.beginWait(w, WaitOp{Var: f.varOf(op), Op: OpLoad, Want: f.val(op.B), Cmp: CmpGE})
 	case prog.OpAcquireExch:
 		// Test-and-set: exchange B in until the old value equals C.
-		m.beginWait(w, f.varOf(op), OpExch, f.val(op.B), 0, f.val(op.C), CmpEQ, WaitHint{Backoff: op.Hint})
+		m.beginWait(w, WaitOp{Var: f.varOf(op), Op: OpExch, A: f.val(op.B), Want: f.val(op.C), Cmp: CmpEQ, Backoff: op.Hint})
 	case prog.OpAcquireCAS:
 		// CAS(B -> C) until it succeeds, i.e. returns the expected B.
-		m.beginWait(w, f.varOf(op), OpCAS, f.val(op.B), f.val(op.C), f.val(op.B), CmpEQ, WaitHint{})
+		m.beginWait(w, WaitOp{Var: f.varOf(op), Op: OpCAS, A: f.val(op.B), B: f.val(op.C), Want: f.val(op.B), Cmp: CmpEQ})
 	default:
 		panic(fmt.Sprintf("gpu: IR device op %s not dispatched", op.Kind))
 	}

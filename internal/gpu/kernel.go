@@ -82,10 +82,3 @@ func (h KernelHandle) Latency() uint64 {
 	}
 	return uint64(h.kr.doneAt - h.kr.launched)
 }
-
-// WaitHint carries per-callsite information from the kernel to the policy,
-// such as whether the benchmark variant was written with software
-// exponential backoff (the SPMBO_* benchmarks; prog.Op.Hint).
-type WaitHint struct {
-	Backoff bool
-}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"awgsim/internal/event"
+	"awgsim/internal/hashutil"
 	"awgsim/internal/mem"
 	"awgsim/internal/metrics"
 	"awgsim/internal/trace"
@@ -13,6 +14,12 @@ import (
 // Policy lowers synchronization wait episodes. Exactly one policy is active
 // per machine; the paper's design space (Baseline, Sleep, Timeout, the
 // monitor family, AWG) is expressed entirely through this interface.
+//
+// The machine finds three optional methods by type assertion: StateBytes()
+// int sizes the policy's monitor hardware for Machine.StateBytes,
+// Diagnose(*metrics.Diagnosis) adds its occupancy to a stalled run's
+// diagnosis, and Tally(*metrics.Counters) adds the counts it keeps itself
+// to the run's result.
 type Policy interface {
 	// Name identifies the policy in results ("Baseline", "AWG", ...).
 	Name() string
@@ -21,22 +28,22 @@ type Policy interface {
 	// updates for its monitors). A non-nil error (e.g. an invalid SyncMon
 	// or CP geometry) fails machine construction.
 	Attach(m *Machine) error
-	// Wait completes one synchronization episode for w: the program needs
-	// op (OpLoad for pure waits, OpExch/OpCAS for lock acquires, with
-	// operands a and b) to be retried until the value it returns equals
-	// want. The policy decides what happens between attempts — busy
-	// polling, backoff, timed stalls, monitor arming, waiting atomics,
-	// context switches — and finally calls done exactly once with the
-	// observed value. done must be called in an engine event.
-	Wait(w *WG, v Var, op AtomicOp, a, b, want int64, cmp Cmp, hint WaitHint, done func(observed int64))
+	// Wait runs w's open wait episode, whose operation w.Episode()
+	// reports: the program needs the atomic (OpLoad for pure waits,
+	// OpExch/OpCAS for lock acquires) retried until the value it returns
+	// satisfies the episode's condition. The policy decides what happens
+	// between attempts — busy polling, backoff, timed stalls, monitor
+	// arming, waiting atomics, context switches — and finally calls
+	// Machine.EndWait exactly once with the observed value, in an engine
+	// event.
+	Wait(w *WG)
 }
 
 // Machine is the whole simulated GPU. It owns the event engine, the memory
-// hierarchy, the WG interpreter frames and their device-op issue, and wires
-// three collaborators that do everything else: the dispatcher (scheduler.go)
-// places WGs onto CUs, the atomic pipeline (atomics.go) services atomics at
-// the L2, and the context engine (context.go) saves and restores WG
-// contexts.
+// hierarchy, the WG interpreter frames and their device-op issue, and the
+// WG context saves and restores (context.go). Two collaborators do
+// everything else: the dispatcher (scheduler.go) places WGs onto CUs, and
+// the atomic pipeline (atomics.go) services atomics at the L2.
 type Machine struct {
 	cfg  Config
 	eng  *event.Engine
@@ -46,13 +53,14 @@ type Machine struct {
 
 	sched   *scheduler
 	atomics *atomicUnit
-	ctx     *ctxSwitcher
 
 	wgs     []*WG // primary kernel's WGs (results, charz)
 	kernels []*kernelRun
 	allWGs  []*WG // every WG on the machine, indexed by WGID
 
-	Count Counters
+	// Count is the run's counters, bumped in place by the machine, the
+	// policy and its monitor hardware; the Result embeds it.
+	Count metrics.Counters
 
 	tracer *trace.Recorder
 
@@ -63,8 +71,7 @@ type Machine struct {
 	deadlocked   bool
 	ran          bool
 
-	diag      *metrics.Diagnosis
-	diagSinks []func(*metrics.Diagnosis)
+	diag *metrics.Diagnosis
 
 	// irOps accumulates inline-interpreted IR ops for ExecStats, flushed to
 	// the package counter at FinishRun.
@@ -103,7 +110,6 @@ func NewMachine(cfg Config, memCfg mem.Config, spec *KernelSpec, pol Policy) (*M
 	}
 	m.sched = newScheduler(m)
 	m.atomics = newAtomicUnit(m)
-	m.ctx = newCtxSwitcher(m)
 	// Build the WGs with their static home groups: WGs are assigned to
 	// scheduling groups in dispatch order, MaxWGsPerCU per group, wrapping
 	// over the CUs — the blocked placement the sequential dispatcher of
@@ -124,7 +130,6 @@ func NewMachine(cfg Config, memCfg mem.Config, spec *KernelSpec, pol Policy) (*M
 			state: StatePending,
 			cu:    NoCU,
 		}
-		m.initWG(m.wgs[i])
 	}
 	primary := &kernelRun{spec: spec, wgs: m.wgs}
 	for _, w := range m.wgs {
@@ -172,7 +177,6 @@ func (m *Machine) InjectKernel(spec *KernelSpec, at event.Cycle, priority int) (
 			state: StatePending,
 			cu:    NoCU,
 		}
-		m.initWG(w)
 		kr.wgs = append(kr.wgs, w)
 	}
 	m.allWGs = append(m.allWGs, kr.wgs...)
@@ -205,12 +209,6 @@ func (m *Machine) Engine() *event.Engine { return m.eng }
 // Policy exposes the attached policy (fault injection type-asserts it to
 // reach monitor hardware when present).
 func (m *Machine) Policy() Policy { return m.pol }
-
-// AddDiagnostic registers a hook that enriches deadlock diagnoses; the
-// monitor policies use it to report SyncMon/CP occupancy.
-func (m *Machine) AddDiagnostic(f func(*metrics.Diagnosis)) {
-	m.diagSinks = append(m.diagSinks, f)
-}
 
 // Mem exposes the memory hierarchy.
 func (m *Machine) Mem() *mem.System { return m.mem }
@@ -289,10 +287,7 @@ func (m *Machine) Jitter(n uint64) uint64 {
 		return 0
 	}
 	m.jitterState++
-	x := m.jitterState + 0x9e3779b97f4a7c15
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return (x ^ x>>31) % n
+	return hashutil.Mix64(m.jitterState) % n
 }
 
 // progress records a forward-progress event for the deadlock watchdog.
@@ -487,27 +482,22 @@ func (m *Machine) syncThreads(w *WG) {
 	m.eng.AfterTask(event.Cycle(m.cfg.SyncThreadsLatency)*wf, t)
 }
 
-// initWG binds w's wait-episode completion callback. It is built once per
-// WG, so opening a wait episode allocates nothing.
-func (m *Machine) initWG(w *WG) {
-	w.waitDone = func(observed int64) { m.endWait(w, observed) }
-}
-
-// beginWait opens a wait episode: the policy retries op(a, b) on v until
-// the value it returns satisfies cmp against want (pure waits are OpLoad
-// polls; lock acquires are exchanges or CASes).
-func (m *Machine) beginWait(w *WG, v Var, op AtomicOp, a, b, want int64, cmp Cmp, hint WaitHint) {
+// beginWait opens a wait episode on w with operation op and hands it to
+// the policy, which retries op until the value it returns satisfies the
+// condition (pure waits are OpLoad polls; lock acquires are exchanges or
+// CASes). The WG holds the operation for the episode's life.
+func (m *Machine) beginWait(w *WG, op WaitOp) {
 	now := m.eng.Now()
 	w.setPhase(now, true)
-	w.waitVar, w.waitWant, w.waitCmp, w.waitBegan = v, want, cmp, now
-	m.atomics.charBegin(w, v, want)
-	m.pol.Wait(w, v, op, a, b, want, cmp, hint, w.waitDone)
+	w.wait, w.waitBegan = op, now
+	m.atomics.charBegin(w, op.Var, op.Want)
+	m.pol.Wait(w)
 }
 
-// endWait closes w's wait episode with the value the policy observed and
-// resumes the WG's frame. The episode's condition and start cycle are the
-// ones beginWait recorded on the WG.
-func (m *Machine) endWait(w *WG, observed int64) {
+// EndWait closes w's open wait episode with the value the policy's last
+// retry observed and resumes the WG's frame. A policy calls it exactly
+// once per episode, in an engine event.
+func (m *Machine) EndWait(w *WG, observed int64) {
 	now := m.eng.Now()
 	m.atomics.charMet(w)
 	if d := uint64(now - w.waitBegan); d > m.maxWait {
@@ -539,8 +529,8 @@ func (m *Machine) finish(w *WG) {
 
 // diagnose captures the machine's synchronization state for a run that
 // failed to finish: every unfinished WG, the conditions they block on,
-// queue occupancies, and policy-side monitor occupancy via the registered
-// diagnostic sinks.
+// queue occupancies, and the policy's monitor occupancy when it reports
+// one.
 func (m *Machine) diagnose(reason string) *metrics.Diagnosis {
 	d := &metrics.Diagnosis{
 		Reason:       reason,
@@ -564,13 +554,13 @@ func (m *Machine) diagnose(reason string) *metrics.Diagnosis {
 			continue
 		}
 		wd := metrics.WGDiag{ID: int(w.id), State: w.state.String(), CU: int(w.cu)}
-		if v, want, cmp, ok := w.WaitingOn(); ok {
+		if op := w.Episode(); op != nil {
 			wd.Blocked = true
-			wd.Addr = uint64(v.Addr)
-			wd.Want = want
-			wd.Cmp = cmp.String()
+			wd.Addr = uint64(op.Var.Addr)
+			wd.Want = op.Want
+			wd.Cmp = op.Cmp.String()
 			wd.StuckFor = uint64(now - w.waitBegan)
-			k := condKey{uint64(v.Addr), want, cmp}
+			k := condKey{uint64(op.Var.Addr), op.Want, op.Cmp}
 			conds[k] = append(conds[k], int(w.id))
 		}
 		d.WGs = append(d.WGs, wd)
@@ -598,8 +588,8 @@ func (m *Machine) diagnose(reason string) *metrics.Diagnosis {
 			Addr: k.addr, Want: k.want, Cmp: k.cmp.String(), Waiters: ids,
 		})
 	}
-	for _, f := range m.diagSinks {
-		f(d)
+	if p, ok := m.pol.(interface{ Diagnose(*metrics.Diagnosis) }); ok {
+		p.Diagnose(d)
 	}
 	return d
 }

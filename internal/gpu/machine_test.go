@@ -15,12 +15,13 @@ type spinPolicy struct{ m *Machine }
 func (p *spinPolicy) Name() string            { return "spin" }
 func (p *spinPolicy) Attach(m *Machine) error { p.m = m; return nil }
 
-func (p *spinPolicy) Wait(w *WG, v Var, op AtomicOp, a, b, want int64, cmp Cmp, _ WaitHint, done func(int64)) {
+func (p *spinPolicy) Wait(w *WG) {
+	op := w.Episode()
 	var attempt func()
 	attempt = func() {
-		p.m.IssueAtomic(w, v, op, a, b, nil, func(ret int64) {
-			if cmp.Test(ret, want) {
-				done(ret)
+		p.m.IssueAtomic(w, op.Var, op.Op, op.A, op.B, nil, func(ret int64) {
+			if op.Cmp.Test(ret, op.Want) {
+				p.m.EndWait(w, ret)
 				return
 			}
 			p.m.Engine().After(16, attempt)
@@ -36,12 +37,13 @@ type yieldPolicy struct{ m *Machine }
 func (p *yieldPolicy) Name() string            { return "yield" }
 func (p *yieldPolicy) Attach(m *Machine) error { p.m = m; return nil }
 
-func (p *yieldPolicy) Wait(w *WG, v Var, op AtomicOp, a, b, want int64, cmp Cmp, _ WaitHint, done func(int64)) {
+func (p *yieldPolicy) Wait(w *WG) {
+	op := w.Episode()
 	var attempt func()
 	attempt = func() {
-		p.m.IssueAtomic(w, v, op, a, b, nil, func(ret int64) {
-			if cmp.Test(ret, want) {
-				done(ret)
+		p.m.IssueAtomic(w, op.Var, op.Op, op.A, op.B, nil, func(ret int64) {
+			if op.Cmp.Test(ret, op.Want) {
+				p.m.EndWait(w, ret)
 				return
 			}
 			if p.m.Oversubscribed() {
@@ -440,13 +442,14 @@ type stallingPolicy struct{ m *Machine }
 func (p *stallingPolicy) Name() string            { return "stalling" }
 func (p *stallingPolicy) Attach(m *Machine) error { p.m = m; return nil }
 
-func (p *stallingPolicy) Wait(w *WG, v Var, op AtomicOp, a, b, want int64, cmp Cmp, _ WaitHint, done func(int64)) {
+func (p *stallingPolicy) Wait(w *WG) {
+	op := w.Episode()
 	var attempt func()
 	attempt = func() {
-		p.m.IssueAtomic(w, v, op, a, b, nil, func(ret int64) {
-			if cmp.Test(ret, want) {
+		p.m.IssueAtomic(w, op.Var, op.Op, op.A, op.B, nil, func(ret int64) {
+			if op.Cmp.Test(ret, op.Want) {
 				p.m.SetStalled(w, false)
-				done(ret)
+				p.m.EndWait(w, ret)
 				return
 			}
 			p.m.SetStalled(w, true)

@@ -13,12 +13,13 @@ type evictMidAtomicPolicy struct {
 func (p *evictMidAtomicPolicy) Name() string            { return "evict-mid-atomic" }
 func (p *evictMidAtomicPolicy) Attach(m *Machine) error { p.m = m; return nil }
 
-func (p *evictMidAtomicPolicy) Wait(w *WG, v Var, op AtomicOp, a, b, want int64, cmp Cmp, _ WaitHint, done func(int64)) {
+func (p *evictMidAtomicPolicy) Wait(w *WG) {
+	op := w.Episode()
 	var attempt func()
 	attempt = func() {
-		p.m.IssueAtomic(w, v, op, a, b, nil, func(ret int64) {
-			if cmp.Test(ret, want) {
-				done(ret)
+		p.m.IssueAtomic(w, op.Var, op.Op, op.A, op.B, nil, func(ret int64) {
+			if op.Cmp.Test(ret, op.Want) {
+				p.m.EndWait(w, ret)
 				return
 			}
 			p.m.Engine().After(16, attempt)

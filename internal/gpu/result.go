@@ -5,25 +5,9 @@ import (
 	"awgsim/internal/metrics"
 )
 
-// Counters aggregates policy- and machine-level scheduling activity.
-// Policies increment their own fields through Machine.Count.
-type Counters struct {
-	SwitchesOut, SwitchesIn uint64
-	Stalls                  uint64
-	Resumes                 uint64
-	WastedResumes           uint64
-	Timeouts                uint64
-	PredictAll, PredictOne  uint64
-	BloomResets             uint64
-	LogSpills, LogRejects   uint64
-	MaxConditions           int
-	MaxWaitingWGs           int
-	MaxMonitoredVars        int
-	MaxLogEntries           int
-}
-
 // result assembles the run's metrics from the machine, the memory system,
-// and the atomic pipeline's characterization.
+// the atomic pipeline's characterization, and the policy's own tally when
+// it keeps one.
 func (m *Machine) result(end event.Cycle) metrics.Result {
 	ms := m.mem.Stats()
 	res := metrics.Result{
@@ -36,25 +20,13 @@ func (m *Machine) result(end event.Cycle) metrics.Result {
 		BankWait:     ms.BankWait,
 		ContextBytes: ms.ContextBytes,
 
-		SwitchesOut:   m.Count.SwitchesOut,
-		SwitchesIn:    m.Count.SwitchesIn,
-		Stalls:        m.Count.Stalls,
-		Resumes:       m.Count.Resumes,
-		WastedResumes: m.Count.WastedResumes,
-		Timeouts:      m.Count.Timeouts,
-		PredictAll:    m.Count.PredictAll,
-		PredictOne:    m.Count.PredictOne,
-		BloomResets:   m.Count.BloomResets,
-		LogSpills:     m.Count.LogSpills,
-		LogRejects:    m.Count.LogRejects,
-
-		MaxConditions:   m.Count.MaxConditions,
-		MaxWaitingWGs:   m.Count.MaxWaitingWGs,
-		MaxMonitoredVar: m.Count.MaxMonitoredVars,
-		MaxLogEntries:   m.Count.MaxLogEntries,
+		Counters: m.Count,
 
 		ContextKB: float64(m.spec.ContextBytes(m.cfg.SIMDWidth)) / 1024,
 		MaxWait:   m.maxWait,
+	}
+	if p, ok := m.pol.(interface{ Tally(*metrics.Counters) }); ok {
+		p.Tally(&res.Counters)
 	}
 	res.Completed = m.kernels[0].completed
 	if m.deadlocked {

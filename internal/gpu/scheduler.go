@@ -148,7 +148,7 @@ func (s *scheduler) forceEvict(w *WG) {
 		return
 	}
 	w.forcePreempted = true
-	s.m.ctx.saveOut(w, true)
+	s.m.saveOut(w, true)
 }
 
 // disableCU takes a CU out of placement, reporting whether it was enabled.
@@ -261,7 +261,7 @@ func (s *scheduler) dispatchPass() {
 			n := copy(q, q[1:])
 			q[n] = nil
 			s.readyQueue = q[:n]
-			s.m.ctx.switchIn(w, cu)
+			s.m.switchIn(w, cu)
 		} else {
 			s.pending = s.pending[1:]
 			s.m.start(w, cu)

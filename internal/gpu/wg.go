@@ -40,17 +40,13 @@ type WG struct {
 	// nothing. Opaque to the machine.
 	PolicyData any
 
-	waiting bool // currently inside a wait episode (for breakdown)
-	// The active wait episode's condition, recorded when the wait op issues so
-	// deadlock diagnoses can name what every blocked WG is waiting for
-	// without asking the policy. Valid while waiting is set.
-	waitVar   Var
-	waitWant  int64
-	waitCmp   Cmp
+	waiting bool // a wait episode is open (also the breakdown's phase)
+	// The open wait episode's operation and start cycle, recorded by
+	// beginWait: the policy retries wait.Op through Episode, and deadlock
+	// diagnoses name what every blocked WG waits for without asking the
+	// policy. Valid while waiting is set.
+	wait      WaitOp
 	waitBegan event.Cycle
-	// waitDone is the completion callback every wait episode hands the
-	// policy; Machine.initWG binds it once, when the WG is built.
-	waitDone func(observed int64)
 	// The open episode's Table 2 bookkeeping: its variable's and
 	// condition's refs in the atomic unit, and the variable's write count
 	// when it began.
@@ -90,13 +86,26 @@ func (w *WG) Park(f func()) { w.parked = append(w.parked, f) }
 // Stalled reports whether the WG is parked without issuing instructions.
 func (w *WG) Stalled() bool { return w.stalled }
 
-// WaitingOn reports the condition of the WG's active wait episode, and
-// whether one is active at all.
-func (w *WG) WaitingOn() (v Var, want int64, cmp Cmp, ok bool) {
+// WaitOp is one wait episode's operation: the program retries Op(A, B) on
+// Var until the value it returns satisfies Cmp against Want. Backoff marks
+// a call site written with software exponential backoff (the SPMBO_*
+// benchmarks; prog.Op.Hint).
+type WaitOp struct {
+	Var     Var
+	Op      AtomicOp
+	A, B    int64
+	Want    int64
+	Cmp     Cmp
+	Backoff bool
+}
+
+// Episode reports the operation of w's open wait episode, or nil when none
+// is open. Policies read it; only the machine writes it.
+func (w *WG) Episode() *WaitOp {
 	if !w.waiting {
-		return Var{}, 0, 0, false
+		return nil
 	}
-	return w.waitVar, w.waitWant, w.waitCmp, true
+	return &w.wait
 }
 
 func (w *WG) String() string {

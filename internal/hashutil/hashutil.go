@@ -29,8 +29,8 @@ func NewUniversal(seed uint64, m int) Universal {
 	if m <= 0 {
 		panic("hashutil: universal hash range must be positive")
 	}
-	a := (splitmix(seed) % (mersennePrime31 - 1)) + 1 // a in [1, p-1]
-	b := splitmix(seed+0x9e3779b97f4a7c15) % mersennePrime31
+	a := (Mix64(seed) % (mersennePrime31 - 1)) + 1 // a in [1, p-1]
+	b := Mix64(seed+0x9e3779b97f4a7c15) % mersennePrime31
 	return Universal{a: a, b: b, m: uint64(m)}
 }
 
@@ -47,13 +47,24 @@ func fold31(x uint64) uint64 {
 	return (x ^ x>>31 ^ x>>62) & mersennePrime31
 }
 
-// splitmix is the SplitMix64 finalizer, used only to derive well-mixed
-// family parameters from small seeds.
-func splitmix(x uint64) uint64 {
+// Mix64 is the SplitMix64 finalizer: the default key-mixing function for
+// Flat tables over addresses and packed condition keys, and the mixer that
+// derives universal-hash family parameters from small seeds.
+func Mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
 	x = (x ^ x>>27) * 0x94d049bb133111eb
 	return x ^ x>>31
+}
+
+// SplitMix64 advances a splitmix64 generator state and returns its next
+// value. Fault, fleet and litmus schedules, memory poisoning and CP
+// cadence skew all draw from it, so each stream is deterministic and
+// addressed by one uint64 seed.
+func SplitMix64(state *uint64) uint64 {
+	x := Mix64(*state)
+	*state += 0x9e3779b97f4a7c15
+	return x
 }
 
 // Bloom is a fixed-geometry Bloom filter matching the paper's AWG predictor

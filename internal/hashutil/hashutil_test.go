@@ -228,3 +228,21 @@ func BenchmarkBloomObserve(b *testing.B) {
 		c.Observe(uint64(i % 8))
 	}
 }
+
+// TestSplitMix64KnownAnswers pins the generator to the reference
+// splitmix64 stream for seed 0, and checks that Mix64 of a state is the
+// value SplitMix64 draws from it.
+func TestSplitMix64KnownAnswers(t *testing.T) {
+	state := uint64(0)
+	for i, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		if got := SplitMix64(&state); got != want {
+			t.Fatalf("draw %d = %#x, want %#x", i, got, want)
+		}
+	}
+	for _, seed := range []uint64{1, 0xc0ffee, 1 << 63} {
+		s := seed
+		if got, want := SplitMix64(&s), Mix64(seed); got != want {
+			t.Fatalf("seed %#x: SplitMix64 = %#x, Mix64 = %#x", seed, got, want)
+		}
+	}
+}

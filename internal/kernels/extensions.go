@@ -16,11 +16,6 @@ import (
 // Extensions lists the extension benchmarks.
 func Extensions() []string { return []string{"Semaphore", "RWLock"} }
 
-func init() {
-	registry["Semaphore"] = semaphoreBench
-	registry["RWLock"] = rwLockBench
-}
-
 // semaphoreBench: every WG repeatedly enters a region admitting at most K
 // concurrent holders. Validation: total entries and a zero in-region count
 // at the end; an over-admitting scheduler corrupts the occupancy counter's

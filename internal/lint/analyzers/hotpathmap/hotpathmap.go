@@ -74,7 +74,7 @@ var scopes = []scope{
 		pkgSuffix: "/gpu", path: "CU-issue/bank-service",
 		roots: map[string]bool{
 			"runCompute": true, "computeStep": true, "runComputeChunk": true,
-			"runAtomicApply": true, "beginWait": true, "endWait": true,
+			"runAtomicApply": true, "beginWait": true, "EndWait": true,
 		},
 	},
 	{

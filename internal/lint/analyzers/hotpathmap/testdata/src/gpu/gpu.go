@@ -57,11 +57,11 @@ func (m *Machine) beginWait(addr uint64, want int64) {
 	m.waiters[[2]int64{int64(addr), want}]++ // want `map indexed in beginWait, reachable from a CU-issue/bank-service hot path`
 }
 
-func (m *Machine) endWait(addr uint64, want int64) {
+func (m *Machine) EndWait(addr uint64, want int64) {
 	m.charMet(addr, want)
 }
 
-// charMet is reached through endWait, so its map delete is hot.
+// charMet is reached through EndWait, so its map delete is hot.
 func (m *Machine) charMet(addr uint64, want int64) {
 	delete(m.waiters, [2]int64{int64(addr), want}) // want `map deleted from in charMet, reachable from a CU-issue/bank-service hot path`
 }

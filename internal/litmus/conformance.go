@@ -55,10 +55,13 @@ type Sweep struct {
 
 // Conformance runs every pattern x policy x occupancy cell through the
 // session pool and checks each against the four progress-model oracles.
-// Each distinct run, a (pattern name, policy, capacity) triple, simulates
-// once: occupancies whose Cap coincide, and patterns Generate repeats,
-// copy that run's outcome, accounted by sim.Reuse. budget is the per-run
-// cycle cap (0 = RunConfig's default); workers <= 0 selects GOMAXPROCS.
+// The oracles' verdicts depend on the pattern and the capacity alone, so
+// they are decided once per (pattern, occupancy) and shared by its
+// policies' cells. Each distinct run, a (pattern name, policy, capacity)
+// triple, simulates once: occupancies whose Cap coincide, and patterns
+// Generate repeats, copy that run's outcome, accounted by sim.Reuse.
+// budget is the per-run cycle cap (0 = RunConfig's default); workers <= 0
+// selects GOMAXPROCS.
 func Conformance(patterns []kernels.Litmus, policies []string, occs []Occupancy, budget uint64, workers int) *Sweep {
 	s := &Sweep{Patterns: patterns, Policies: policies, Occupancy: occs}
 	type run struct {
@@ -69,21 +72,26 @@ func Conformance(patterns []kernels.Litmus, policies []string, occs []Occupancy,
 	var jobs []sim.Job
 	var jobOf []int   // per cell, the job it takes its outcome from
 	var copied []bool // per cell, whether an earlier cell ran that job
+	// byOcc holds the pattern's cell per occupancy, less its policy.
+	byOcc := make([]Cell, len(occs))
 	for pi, l := range patterns {
 		name := l.Encode()
+		for oi, occ := range occs {
+			c := Cell{Pattern: pi, Occ: occ.Name, Cap: occ.Cap(l.NumWGs())}
+			for _, m := range Models() {
+				c.Must[m] = MustTerminate(l, m, c.Cap)
+			}
+			byOcc[oi] = c
+		}
 		for _, pol := range policies {
-			for _, occ := range occs {
-				wgCap := occ.Cap(l.NumWGs())
-				cell := Cell{Pattern: pi, Policy: pol, Occ: occ.Name, Cap: wgCap}
-				for _, m := range Models() {
-					cell.Must[m] = MustTerminate(l, m, wgCap)
-				}
+			for _, cell := range byOcc {
+				cell.Policy = pol
 				s.Cells = append(s.Cells, cell)
-				j, ok := runs[run{name, pol, wgCap}]
+				j, ok := runs[run{name, pol, cell.Cap}]
 				if !ok {
 					j = len(jobs)
-					runs[run{name, pol, wgCap}] = j
-					jobs = append(jobs, sim.Job{Config: RunConfig(l, pol, wgCap, budget)})
+					runs[run{name, pol, cell.Cap}] = j
+					jobs = append(jobs, sim.Job{Config: RunConfig(l, pol, cell.Cap, budget)})
 				}
 				jobOf = append(jobOf, j)
 				copied = append(copied, ok)

@@ -84,15 +84,20 @@ func TestConformanceDeterministic(t *testing.T) {
 // other cells. The pattern list repeats a pattern (under another index,
 // so the sweep must key on the name), the two-WG pattern's half and one
 // occupancies share a Cap, and an unknown policy fails construction in
-// every cell. Totals counts one run per cell that ran, copies included;
-// the copies of a construction failure count nothing.
+// every cell. Every cell carries its own pattern's oracle verdicts at its
+// Cap. Totals counts one run per cell that ran, copies included; the
+// copies of a construction failure count nothing.
 func TestConformanceReusesDuplicates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
 	two := mustDecode(t, "litmus:1:e0.1;s0.1")
 	three := mustDecode(t, "litmus:1:a0,g1.1;a1,g2.1;a2,g0.1")
-	pats := []kernels.Litmus{two, three, mustDecode(t, two.Encode())}
+	// fwd is two's forward handoff: the same caps, other verdicts (an
+	// in-order scheduler completes it), so a cell given another
+	// pattern's verdicts shows.
+	fwd := mustDecode(t, "litmus:1:s0.1;e0.1")
+	pats := []kernels.Litmus{two, three, mustDecode(t, two.Encode()), fwd}
 	policies := []string{"Baseline", "AWG", "NoSuchPolicy"}
 	sim.ResetTotals()
 	sim.ResetCache()
@@ -104,6 +109,11 @@ func TestConformanceReusesDuplicates(t *testing.T) {
 	first := map[run]Cell{}
 	ran, distinct := 0, 0
 	for _, c := range s.Cells {
+		for _, m := range Models() {
+			if want := MustTerminate(s.Patterns[c.Pattern], m, c.Cap); c.Must[m] != want {
+				t.Errorf("%s at cap %d: Must[%s] = %v, the oracle says %v", c.Policy, c.Cap, m, c.Must[m], want)
+			}
+		}
 		if c.Policy == "NoSuchPolicy" {
 			if c.Err == nil {
 				t.Fatalf("cell %d under an unknown policy ran", c.Pattern)
@@ -122,11 +132,11 @@ func TestConformanceReusesDuplicates(t *testing.T) {
 			t.Errorf("%s at cap %d: copy %+v differs from the run %+v", c.Policy, c.Cap, c.Result, f.Result)
 		}
 	}
-	// two: full (2), half and one (1, 1); three: full (3), half (2), one
-	// (1); the repeat of two copies all three of its runs. Per policy: 9
-	// cells, 5 distinct runs.
-	if ran != 18 || distinct != 10 {
-		t.Fatalf("%d cells ran with %d distinct runs, want 18 and 10", ran, distinct)
+	// two and fwd: full (2), half and one (1, 1); three: full (3), half
+	// (2), one (1); the repeat of two copies all three of its runs. Per
+	// policy: 12 cells, 7 distinct runs.
+	if ran != 24 || distinct != 14 {
+		t.Fatalf("%d cells ran with %d distinct runs, want 24 and 14", ran, distinct)
 	}
 	if _, runs := sim.Totals(); runs != uint64(ran) {
 		t.Errorf("Totals counted %d runs, want one per cell that ran: %d", runs, ran)

@@ -3,19 +3,9 @@ package litmus
 import (
 	"fmt"
 
+	"awgsim/internal/hashutil"
 	"awgsim/internal/kernels"
 )
-
-// splitmix is the splitmix64 step, the same generator discipline
-// fault.Random and the machine's jitter stream use, so a litmus sweep is
-// addressed by a single uint64 seed.
-func splitmix(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	x := *state
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
-}
 
 // Family names one generator shape. Every family except FamBroken
 // constructs patterns that complete under fair scheduling (they are
@@ -97,7 +87,7 @@ func Generate(seed uint64, count int) []kernels.Litmus {
 	out := make([]kernels.Litmus, 0, count)
 	for i := 0; i < count; i++ {
 		fam := families[i%len(families)]
-		n := 2 + int(splitmix(&state)%5) // 2..6 WGs
+		n := 2 + int(hashutil.SplitMix64(&state)%5) // 2..6 WGs
 		var l kernels.Litmus
 		switch fam {
 		case FamChain:
@@ -130,8 +120,8 @@ func Generate(seed uint64, count int) []kernels.Litmus {
 // maybeWork prepends a small compute op with probability 1/2, skewing
 // arrival times the way real rounds do.
 func maybeWork(state *uint64) []kernels.LitmusOp {
-	if splitmix(state)%2 == 0 {
-		return []kernels.LitmusOp{{Kind: kernels.LitmusWork, Val: int64(20 + splitmix(state)%180)}}
+	if hashutil.SplitMix64(state)%2 == 0 {
+		return []kernels.LitmusOp{{Kind: kernels.LitmusWork, Val: int64(20 + hashutil.SplitMix64(state)%180)}}
 	}
 	return nil
 }
@@ -197,7 +187,7 @@ func genGather(n int, state *uint64) kernels.Litmus {
 // genScatter builds the broadcast: a seeded publisher sets the flag, every
 // other WG eq-waits on it.
 func genScatter(n int, state *uint64) kernels.Litmus {
-	pub := int(splitmix(state) % uint64(n))
+	pub := int(hashutil.SplitMix64(state) % uint64(n))
 	progs := make([][]kernels.LitmusOp, n)
 	for i := 0; i < n; i++ {
 		prog := maybeWork(state)
@@ -219,26 +209,26 @@ func genScatter(n int, state *uint64) kernels.Litmus {
 // that order — while the WG-to-WG dependency shape is arbitrary.
 func genDAG(n int, state *uint64) kernels.Litmus {
 	progs := make([][]kernels.LitmusOp, n)
-	nvars := 1 + int(splitmix(state)%uint64(n))
+	nvars := 1 + int(hashutil.SplitMix64(state)%uint64(n))
 	adds := make([]int64, nvars)
-	steps := n * (2 + int(splitmix(state)%3))
+	steps := n * (2 + int(hashutil.SplitMix64(state)%3))
 	for s := 0; s < steps; s++ {
-		wg := int(splitmix(state) % uint64(n))
-		v := int(splitmix(state) % uint64(nvars))
-		switch splitmix(state) % 4 {
+		wg := int(hashutil.SplitMix64(state) % uint64(n))
+		v := int(hashutil.SplitMix64(state) % uint64(nvars))
+		switch hashutil.SplitMix64(state) % 4 {
 		case 0, 1: // signal
 			progs[wg] = append(progs[wg], kernels.LitmusOp{Kind: kernels.LitmusAdd, Var: v})
 			adds[v]++
 		case 2: // handoff wait on anything already published
 			if adds[v] > 0 {
-				target := 1 + int64(splitmix(state)%uint64(adds[v]))
+				target := 1 + int64(hashutil.SplitMix64(state)%uint64(adds[v]))
 				progs[wg] = append(progs[wg], kernels.LitmusOp{Kind: kernels.LitmusWaitGE, Var: v, Val: target})
 			} else {
 				progs[wg] = append(progs[wg], kernels.LitmusOp{Kind: kernels.LitmusAdd, Var: v})
 				adds[v]++
 			}
 		default: // work
-			progs[wg] = append(progs[wg], kernels.LitmusOp{Kind: kernels.LitmusWork, Val: int64(20 + splitmix(state)%120)})
+			progs[wg] = append(progs[wg], kernels.LitmusOp{Kind: kernels.LitmusWork, Val: int64(20 + hashutil.SplitMix64(state)%120)})
 		}
 	}
 	// Guarantee at least one cross-WG edge so the pattern is not vacuous:
@@ -252,7 +242,7 @@ func genDAG(n int, state *uint64) kernels.Litmus {
 // breakPattern appends an eq-wait on a fresh, never-written flag to a
 // seeded WG: the result cannot terminate under any scheduler, fair or not.
 func breakPattern(l kernels.Litmus, state *uint64) kernels.Litmus {
-	wg := int(splitmix(state) % uint64(l.NumWGs()))
+	wg := int(hashutil.SplitMix64(state) % uint64(l.NumWGs()))
 	dead := l.NumVars()
 	l.Progs[wg] = append(l.Progs[wg], kernels.LitmusOp{Kind: kernels.LitmusWaitEq, Var: dead, Val: 1})
 	return l

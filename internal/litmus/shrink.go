@@ -112,25 +112,15 @@ func compactVars(l kernels.Litmus) kernels.Litmus {
 // Size is the shrinker's metric: WGs plus total ops.
 func Size(l kernels.Litmus) int { return l.NumWGs() + l.NumOps() }
 
-// SimFailFn builds the FailFn the conformance hunts shrink with: the
-// candidate still fails (stalls or errors) when the policy runs it at the
-// given capacity. Every probe simulates, a repeated candidate too: litmus
-// runs are short, and the README's worked example repeats 2 of its 12
-// runs.
-func SimFailFn(policy string, wgCap int, budget uint64) FailFn {
-	return func(l kernels.Litmus) bool {
-		res, err := sim.Run(RunConfig(l, policy, wgCap, budget))
-		return err != nil || res.Deadlocked
-	}
-}
-
 // ViolationFailFn builds the FailFn for shrinking a conformance violation:
 // a candidate counts only if the oracle still demands termination under
 // the violated model at the occupancy level's capacity (recomputed as WG
-// drops change the pattern size) AND the policy still fails it. Plain
-// SimFailFn would happily shrink a violation into a trivially broken
-// pattern no model requires terminating; this keeps the reproducer a
-// violation all the way down. Like SimFailFn, every probe simulates.
+// drops change the pattern size) AND the policy still fails (stalls or
+// errors on) it. Checking the failure alone would happily shrink a
+// violation into a trivially broken pattern no model requires
+// terminating; the oracle keeps the reproducer a violation all the way
+// down. Every probe simulates, a repeated candidate too: litmus runs are
+// short, and the README's worked example repeats 2 of its 12 runs.
 func ViolationFailFn(policy string, model Model, occ Occupancy, budget uint64) FailFn {
 	return func(l kernels.Litmus) bool {
 		wgCap := occ.Cap(l.NumWGs())

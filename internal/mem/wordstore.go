@@ -79,11 +79,7 @@ func (w *wordStore) corruptRange(page uint64, n int, seed uint64) int {
 			continue
 		}
 		for i := uint64(0); i < pageWords; i++ {
-			state += 0x9e3779b97f4a7c15
-			x := state
-			x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-			x = (x ^ x>>27) * 0x94d049bb133111eb
-			w.write(Addr((p<<pageShift+i)<<3), int64(x^x>>31))
+			w.write(Addr((p<<pageShift+i)<<3), int64(hashutil.SplitMix64(&state)))
 			words++
 		}
 	}

@@ -31,6 +31,31 @@ type SyncVarStats struct {
 	UpdatesPerCond float64
 }
 
+// Counters is a run's scheduling, monitor-occupancy and predictor
+// activity. The machine, its policy, the SyncMon and the CP bump it in
+// place (gpu.Machine.Count), and Result embeds it, so its fields are
+// Result's and encode in this order.
+type Counters struct {
+	// Scheduling activity.
+	SwitchesOut, SwitchesIn uint64
+	Stalls                  uint64
+	Resumes                 uint64 // WGs woken by the policy
+	WastedResumes           uint64 // woken WGs whose retry failed (contention / sporadic wakeups)
+	Timeouts                uint64 // waits ended by a timeout rather than a notification
+
+	// SyncMon / CP occupancy, for Figure 13 and the hardware-overhead table.
+	MaxConditions   int // peak waiting conditions tracked (SyncMon + spill)
+	MaxWaitingWGs   int // peak waiting WGs tracked
+	MaxMonitoredVar int // peak distinct monitored addresses
+	MaxLogEntries   int // peak Monitor Log occupancy
+	LogSpills       uint64
+	LogRejects      uint64 // waiting atomics bounced because the log was full (Mesa retries)
+
+	// AWG predictor activity.
+	PredictAll, PredictOne uint64
+	BloomResets            uint64
+}
+
 // Result is everything one simulation run reports.
 type Result struct {
 	Benchmark string
@@ -58,24 +83,8 @@ type Result struct {
 	// resume policies do not).
 	MaxWait uint64
 
-	// Scheduling activity.
-	SwitchesOut, SwitchesIn uint64
-	Stalls                  uint64
-	Resumes                 uint64 // WGs woken by the policy
-	WastedResumes           uint64 // woken WGs whose retry failed (contention / sporadic wakeups)
-	Timeouts                uint64 // waits ended by a timeout rather than a notification
-
-	// SyncMon / CP occupancy, for Figure 13 and the hardware-overhead table.
-	MaxConditions   int // peak waiting conditions tracked (SyncMon + spill)
-	MaxWaitingWGs   int // peak waiting WGs tracked
-	MaxMonitoredVar int // peak distinct monitored addresses
-	MaxLogEntries   int // peak Monitor Log occupancy
-	LogSpills       uint64
-	LogRejects      uint64 // waiting atomics bounced because the log was full (Mesa retries)
-
-	// AWG predictor activity.
-	PredictAll, PredictOne uint64
-	BloomResets            uint64
+	// Scheduling, SyncMon/CP occupancy and AWG predictor activity.
+	Counters
 
 	// Benchmark characterization (Table 2).
 	SyncVars int

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -110,5 +112,42 @@ func TestTableAlignment(t *testing.T) {
 	// The second column must start at the same offset in both lines.
 	if strings.Index(lines[0], "x") != strings.Index(lines[1], "1") {
 		t.Fatalf("columns misaligned:\n%s", tb.String())
+	}
+}
+
+// TestResultJSONKeyOrder pins the top-level key order of an encoded
+// Result: awgsim -json and awgbench's result digest depend on it, and the
+// embedded Counters decides its middle.
+func TestResultJSONKeyOrder(t *testing.T) {
+	b, err := json.Marshal(Result{Diagnosis: &Diagnosis{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"Benchmark", "Policy", "Cycles", "Deadlocked", "Completed", "Diagnosis",
+		"Atomics", "BankWait", "ContextBytes", "Breakdown", "MaxWait",
+		"SwitchesOut", "SwitchesIn", "Stalls", "Resumes", "WastedResumes", "Timeouts",
+		"MaxConditions", "MaxWaitingWGs", "MaxMonitoredVar", "MaxLogEntries", "LogSpills", "LogRejects",
+		"PredictAll", "PredictOne", "BloomResets",
+		"SyncVars", "VarStats", "ContextKB",
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	if _, err := dec.Token(); err != nil { // the opening brace
+		t.Fatal(err)
+	}
+	var got []string
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, k.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("encoded keys\n%v\nwant\n%v", got, want)
 	}
 }

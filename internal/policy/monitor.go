@@ -5,6 +5,7 @@ import (
 	"awgsim/internal/cp"
 	"awgsim/internal/event"
 	"awgsim/internal/gpu"
+	"awgsim/internal/mem"
 	"awgsim/internal/metrics"
 	"awgsim/internal/syncmon"
 	"awgsim/internal/trace"
@@ -39,9 +40,6 @@ type MonitorOptions struct {
 	// SyncMon / CP geometry; zero values take the paper defaults.
 	SyncMonConfig *syncmon.Config
 	CPConfig      *cp.Config
-	// Predictor exposes AWG's predictor for counter reporting (optional;
-	// set when Selector is a *core.Predictor).
-	Predictor *core.Predictor
 }
 
 // Monitor is the unified monitor-family policy: MonRS-All, MonR-All,
@@ -52,6 +50,7 @@ type Monitor struct {
 	sm  *syncmon.SyncMon
 	cpp *cp.Processor
 
+	pred      *core.Predictor // opt.Selector when it is AWG's predictor
 	stallPred *core.StallPredictor
 
 	freeTimers *timer // fired timer records, reused by the next arm
@@ -103,10 +102,9 @@ func NewMinResume() *Monitor {
 // NewAWG builds the paper's final design: waiting atomics, Bloom-filter
 // resume-count prediction, and stall-period prediction.
 func NewAWG() *Monitor {
-	pred := core.NewPredictor(core.DefaultPredictorConfig())
 	return NewMonitor(MonitorOptions{
 		Name: "AWG", Arm: ArmWaitingAtomic,
-		Selector: pred, Predictor: pred,
+		Selector:     core.NewPredictor(core.DefaultPredictorConfig()),
 		StallPredict: true, Fallback: 25_000,
 	})
 }
@@ -116,10 +114,9 @@ func NewAWG() *Monitor {
 // oversubscribed, like MonNR, but keep the resume-count prediction. The
 // ablation experiment quantifies what the stall predictor buys.
 func NewAWGNoStallPredict() *Monitor {
-	pred := core.NewPredictor(core.DefaultPredictorConfig())
 	return NewMonitor(MonitorOptions{
 		Name: "AWG-nostall", Arm: ArmWaitingAtomic,
-		Selector: pred, Predictor: pred,
+		Selector: core.NewPredictor(core.DefaultPredictorConfig()),
 		Fallback: 25_000,
 	})
 }
@@ -139,14 +136,13 @@ func NewAWGNoResumePredict() *Monitor {
 // every waiting condition spills to the Monitor Log and the CP carries the
 // full scheduling state — the measurement configuration of Figure 13.
 func NewAWGNoCache() *Monitor {
-	pred := core.NewPredictor(core.DefaultPredictorConfig())
 	smCfg := syncmon.DefaultConfig()
 	smCfg.Sets = 0
 	smCfg.WaitListSize = 0
 	smCfg.LogCapacity = 16384
 	return NewMonitor(MonitorOptions{
 		Name: "AWG-nocache", Arm: ArmWaitingAtomic,
-		Selector: pred, Predictor: pred,
+		Selector:     core.NewPredictor(core.DefaultPredictorConfig()),
 		StallPredict: true, Fallback: 25_000,
 		SyncMonConfig: &smCfg,
 	})
@@ -157,7 +153,8 @@ func NewMonitor(opt MonitorOptions) *Monitor {
 	if opt.Selector == nil {
 		opt.Selector = core.ResumeAll{}
 	}
-	return &Monitor{opt: opt}
+	pred, _ := opt.Selector.(*core.Predictor)
+	return &Monitor{opt: opt, pred: pred}
 }
 
 func (p *Monitor) Name() string { return p.opt.Name }
@@ -172,7 +169,7 @@ func (p *Monitor) Attach(m *gpu.Machine) error {
 	}
 	smCfg.Sporadic = p.opt.Sporadic
 	var err error
-	if p.sm, err = syncmon.New(smCfg, m, p.countingSelector(), p.onWake); err != nil {
+	if p.sm, err = syncmon.New(smCfg, m, p.opt.Selector, p.onWake); err != nil {
 		return err
 	}
 	cpCfg := cp.DefaultConfig()
@@ -190,13 +187,25 @@ func (p *Monitor) Attach(m *gpu.Machine) error {
 		// immediately rather than squat on its CU.
 		p.stallPred = core.NewStallPredictor(256, 3_000)
 	}
-	m.AddDiagnostic(func(d *metrics.Diagnosis) {
-		d.SyncMonConditions = p.sm.Conditions()
-		d.SyncMonWaiters = p.sm.Waiters()
-		d.MonitorLogLen = p.sm.Log().Len()
-		d.CPTableSize = p.cpp.TableSize()
-	})
 	return nil
+}
+
+// Diagnose adds the SyncMon's and the CP's occupancy to a stalled run's
+// diagnosis.
+func (p *Monitor) Diagnose(d *metrics.Diagnosis) {
+	d.SyncMonConditions = p.sm.Conditions()
+	d.SyncMonWaiters = p.sm.Waiters()
+	d.MonitorLogLen = p.sm.Log().Len()
+	d.CPTableSize = p.cpp.TableSize()
+}
+
+// Tally adds AWG's predictor decisions, which the predictor counts
+// itself, to the run's counters.
+func (p *Monitor) Tally(c *metrics.Counters) {
+	if p.pred != nil {
+		c.PredictAll, c.PredictOne = p.pred.PredictedAll, p.pred.PredictedOne
+		c.BloomResets = p.pred.Resets
+	}
 }
 
 // StateBytes estimates the monitor hardware's simulated state: the
@@ -205,8 +214,8 @@ func (p *Monitor) Attach(m *gpu.Machine) error {
 // to the machine's own.
 func (p *Monitor) StateBytes() int {
 	n := p.sm.StateBytes() + p.cpp.StateBytes()
-	if p.opt.Predictor != nil {
-		n += p.opt.Predictor.StateBytes()
+	if p.pred != nil {
+		n += p.pred.StateBytes()
 	}
 	if p.stallPred != nil {
 		n += p.stallPred.StateBytes()
@@ -221,45 +230,17 @@ func (p *Monitor) SyncMon() *syncmon.SyncMon { return p.sm }
 // CP exposes the attached Command Processor; nil before Attach.
 func (p *Monitor) CP() *cp.Processor { return p.cpp }
 
-// countingSelector wraps the configured selector so machine counters see
-// the predictor's decisions.
-func (p *Monitor) countingSelector() syncmon.ResumeSelector {
-	return &selectorCounter{inner: p.opt.Selector, p: p}
-}
-
-type selectorCounter struct {
-	inner syncmon.ResumeSelector
-	p     *Monitor
-}
-
-func (s *selectorCounter) ObserveUpdate(a memAddr, v int64) { s.inner.ObserveUpdate(a, v) }
-func (s *selectorCounter) AddressUnmonitored(a memAddr) {
-	s.inner.AddressUnmonitored(a)
-	if s.p.opt.Predictor != nil {
-		s.p.m.Count.BloomResets = s.p.opt.Predictor.Resets
-	}
-}
-func (s *selectorCounter) Select(a memAddr, want int64, classes []syncmon.OpClass) int {
-	n := s.inner.Select(a, want, classes)
-	if s.p.opt.Predictor != nil {
-		s.p.m.Count.PredictAll = s.p.opt.Predictor.PredictedAll
-		s.p.m.Count.PredictOne = s.p.opt.Predictor.PredictedOne
-	}
-	return n
-}
-
-// episode is a WG's wait state under the monitor family. A WG has at most
-// one open wait episode, so each WG gets one episode, built on its first
-// Wait and reset by every later one; the continuations a contended
-// episode threads through thousands of retries are bound when it is
-// built. gen numbers the WG's episodes: a timer that outlives the episode
-// it was armed in carries that episode's gen (see timer), so it cannot
-// act on a later one.
+// episode is a WG's wait state under the monitor family; the episode's
+// operation lives on the WG (w.Episode()). A WG has at most one open wait
+// episode, so each WG gets one episode, built on its first Wait and reset
+// by every later one; the continuations a contended episode threads
+// through thousands of retries are bound when it is built. gen numbers
+// the WG's episodes: a timer that outlives the episode it was armed in
+// carries that episode's gen (see timer), so it cannot act on a later
+// one.
 type episode struct {
-	waitOp
 	w            *gpu.WG
 	gen          uint64
-	open         bool // Wait has run and finish has not
 	waiting      bool
 	justWoken    bool
 	earlyWake    bool // notification arrived before enterWait ran
@@ -275,15 +256,14 @@ type episode struct {
 	armResp func()
 }
 
-func (p *Monitor) Wait(w *gpu.WG, v gpu.Var, op gpu.AtomicOp, a, b, want int64, cmp gpu.Cmp, _ gpu.WaitHint, done func(int64)) {
+func (p *Monitor) Wait(w *gpu.WG) {
 	ep, _ := w.PolicyData.(*episode)
 	if ep == nil {
 		ep = p.newEpisode(w)
 		w.PolicyData = ep
 	}
-	ep.waitOp = waitOp{v: v, op: op, a: a, b: b, want: want, cmp: cmp, done: done}
 	ep.gen++
-	ep.open, ep.justWoken, ep.earlyWake, ep.registeredAt = true, false, false, 0
+	ep.justWoken, ep.earlyWake, ep.registeredAt = false, false, 0
 	p.attempt(ep)
 }
 
@@ -293,9 +273,9 @@ func (p *Monitor) newEpisode(w *gpu.WG) *episode {
 	ep.retry = func() { p.attempt(ep) }
 	if p.opt.Arm == ArmWaitingAtomic {
 		ep.atBank = func(old, _ int64) {
-			if !ep.cmp.Test(old, ep.want) {
+			if !ep.met(old) {
 				// Race-free: same bank-service instant as the op itself.
-				ep.reg = p.sm.Register(w.ID(), ep.v, ep.want, ep.cmp, syncmon.ClassOf(ep.op))
+				p.register(ep)
 			}
 		}
 		ep.onResp = func(ret int64) { p.resolve(ep, ret, ep.reg) }
@@ -303,17 +283,15 @@ func (p *Monitor) newEpisode(w *gpu.WG) *episode {
 		// Wait-instruction style: plain atomic, then a separate arm. Updates
 		// applied between the atomic's service and the arm's service are
 		// missed — the window of vulnerability.
-		ep.armBank = func() {
-			ep.reg = p.sm.Register(w.ID(), ep.v, ep.want, ep.cmp, syncmon.ClassOf(ep.op))
-		}
+		ep.armBank = func() { p.register(ep) }
 		ep.armResp = func() { p.resolve(ep, ep.lastRet, ep.reg) }
 		ep.onResp = func(ret int64) {
-			if ep.cmp.Test(ret, ep.want) {
+			if ep.met(ret) {
 				p.resolve(ep, ret, -1)
 				return
 			}
 			ep.lastRet = ret
-			p.m.IssueArm(w, ep.v, ep.armBank, ep.armResp)
+			p.m.IssueArm(w, w.Episode().Var, ep.armBank, ep.armResp)
 		}
 	}
 	return ep
@@ -322,29 +300,37 @@ func (p *Monitor) newEpisode(w *gpu.WG) *episode {
 // waitingIn reports whether episode gen is still open and registered.
 func (ep *episode) waitingIn(gen uint64) bool { return ep.gen == gen && ep.waiting }
 
-func (p *Monitor) finish(ep *episode, ret int64) {
-	ep.open, ep.waiting = false, false
-	ep.done(ret)
+// met reports whether val satisfies the open episode's condition.
+func (ep *episode) met(val int64) bool {
+	op := ep.w.Episode()
+	return op.Cmp.Test(val, op.Want)
+}
+
+// register files the open episode's condition with the SyncMon.
+func (p *Monitor) register(ep *episode) {
+	op := ep.w.Episode()
+	ep.reg = p.sm.Register(ep.w.ID(), op.Var, op.Want, op.Cmp, syncmon.ClassOf(op.Op))
 }
 
 // attempt issues the synchronization atomic once and routes the outcome.
 func (p *Monitor) attempt(ep *episode) {
 	p.m.SetStalled(ep.w, false)
 	ep.reg = syncmon.RegisterResult(-1)
+	op := ep.w.Episode()
 	if p.opt.Arm == ArmWaitingAtomic {
-		p.m.IssueAtomic(ep.w, ep.v, ep.op, ep.a, ep.b, ep.atBank, ep.onResp)
+		p.m.IssueAtomic(ep.w, op.Var, op.Op, op.A, op.B, ep.atBank, ep.onResp)
 		return
 	}
-	p.m.IssueAtomic(ep.w, ep.v, ep.op, ep.a, ep.b, nil, ep.onResp)
+	p.m.IssueAtomic(ep.w, op.Var, op.Op, op.A, op.B, nil, ep.onResp)
 }
 
 // resolve handles an attempt's response given its registration outcome.
 func (p *Monitor) resolve(ep *episode, ret int64, reg syncmon.RegisterResult) {
-	if ep.cmp.Test(ret, ep.want) {
+	if ep.met(ret) {
 		if ep.justWoken && p.stallPred != nil {
-			p.stallPred.Record(ep.v.Addr.WordAligned(), p.m.Engine().Now()-ep.registeredAt)
+			p.stallPred.Record(ep.w.Episode().Var.Addr.WordAligned(), p.m.Engine().Now()-ep.registeredAt)
 		}
-		p.finish(ep, ret)
+		p.m.EndWait(ep.w, ret)
 		return
 	}
 	if ep.justWoken {
@@ -389,7 +375,7 @@ func (p *Monitor) enterWait(ep *episode) {
 			if t.expireFn == nil {
 				t.expireFn = t.expire
 			}
-			d := p.stallPred.Predict(ep.v.Addr.WordAligned())
+			d := p.stallPred.Predict(w.Episode().Var.Addr.WordAligned())
 			p.m.Engine().After(d, t.expireFn)
 		} else {
 			p.m.SwitchOut(w)
@@ -412,8 +398,9 @@ func (p *Monitor) enterWait(ep *episode) {
 // the CP has nothing to withdraw, so only a miss goes on to it.
 func (p *Monitor) timeOut(ep *episode) {
 	w := ep.w
-	if !p.sm.Unregister(w.ID(), ep.v, ep.want, ep.cmp) {
-		p.cpp.Unregister(w.ID(), ep.v, ep.want, ep.cmp)
+	op := w.Episode()
+	if !p.sm.Unregister(w.ID(), op.Var, op.Want, op.Cmp) {
+		p.cpp.Unregister(w.ID(), op.Var, op.Want, op.Cmp)
 	}
 	p.m.Count.Timeouts++
 	p.m.Trace(w, trace.TimeoutFire)
@@ -482,7 +469,7 @@ func (t *timer) fire() {
 		if t.loadFn == nil {
 			t.loadFn = t.load
 		}
-		p.m.IssueAtomic(nil, gpu.GlobalVar(ep.v.Addr), gpu.OpLoad, 0, 0, nil, t.loadFn)
+		p.m.IssueAtomic(nil, gpu.GlobalVar(ep.w.Episode().Var.Addr), gpu.OpLoad, 0, 0, nil, t.loadFn)
 		return
 	}
 	if t.fired() {
@@ -496,7 +483,7 @@ func (t *timer) fire() {
 // load is the CP's condition reload for a switched-out waiter.
 func (t *timer) load(val int64) {
 	p, ep := t.p, t.ep
-	if ep.waitingIn(t.gen) && !ep.cmp.Test(val, ep.want) {
+	if ep.waitingIn(t.gen) && !ep.met(val) {
 		p.m.Engine().After(p.opt.Fallback, t.fireFn)
 		return
 	}
@@ -516,12 +503,12 @@ func (t *timer) expire() {
 }
 
 // onWake receives SyncMon and CP notifications.
-func (p *Monitor) onWake(id gpu.WGID, addr memAddr, want int64, met bool) {
+func (p *Monitor) onWake(id gpu.WGID, addr mem.Addr, want int64, met bool) {
 	w := p.m.WGs()[id]
-	ep, _ := w.PolicyData.(*episode)
-	if ep == nil || !ep.open || ep.v.Addr.WordAligned() != addr || ep.want != want {
+	if op := w.Episode(); op == nil || op.Var.Addr.WordAligned() != addr || op.Want != want {
 		return // stale notification; the episode already ended
 	}
+	ep := w.PolicyData.(*episode)
 	if !ep.waiting {
 		// The waiting atomic's response is still in flight back to the CU:
 		// latch the resume so resolve() retries instead of waiting.

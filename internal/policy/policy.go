@@ -12,8 +12,9 @@
 //	MinResume  oracle resume selection (Figure 9's normalization base)
 //
 // A policy's only job is to complete Wait episodes: retry the program's
-// atomic until it returns the wanted value, deciding what the WG does in
-// between.
+// atomic (the WG's Episode) until it returns the wanted value, deciding
+// what the WG does in between, then end the episode with
+// gpu.Machine.EndWait.
 package policy
 
 import (
@@ -23,12 +24,12 @@ import (
 
 // Baseline busy-waits: the WG re-issues its atomic as fast as the loop
 // overhead allows, holding its CU resources throughout. Matches the
-// HeteroSync benchmarks as written. For hint.Backoff call sites (the
-// SPMBO_* variants) it inserts software exponential backoff, burned as
+// HeteroSync benchmarks as written. For Backoff call sites (the SPMBO_*
+// variants) it inserts software exponential backoff, burned as
 // compute rather than slept, exactly like a backoff loop in kernel code.
 type Baseline struct {
 	m *gpu.Machine
-	// BackoffBase/Max bound the software backoff for hinted call sites.
+	// BackoffBase/Max bound the software backoff for Backoff call sites.
 	BackoffBase, BackoffMax event.Cycle
 }
 
@@ -40,20 +41,15 @@ func NewBaseline() *Baseline {
 func (b *Baseline) Name() string                { return "Baseline" }
 func (b *Baseline) Attach(m *gpu.Machine) error { b.m = m; return nil }
 
-func (b *Baseline) Wait(w *gpu.WG, v gpu.Var, op gpu.AtomicOp, a, b2, want int64, cmp gpu.Cmp, hint gpu.WaitHint, done func(int64)) {
+func (b *Baseline) Wait(w *gpu.WG) {
 	s := retryState(b.m, w, b)
-	s.waitOp = waitOp{v: v, op: op, a: a, b: b2, want: want, cmp: cmp, done: done}
-	s.hint, s.backoff = hint, b.BackoffBase
+	s.backoff = b.BackoffBase
 	s.attempt()
 }
 
-func (b *Baseline) respond(s *retryWait, ret int64) {
-	if s.cmp.Test(ret, s.want) {
-		s.done(ret)
-		return
-	}
+func (b *Baseline) retry(s *retryWait) {
 	delay := b.m.PollOverhead()
-	if s.hint.Backoff {
+	if s.w.Episode().Backoff {
 		delay += s.backoff + event.Cycle(b.m.Jitter(uint64(s.backoff/4+1)))
 		if s.backoff*2 <= b.BackoffMax {
 			s.backoff *= 2
@@ -82,18 +78,13 @@ func NewSleep(name string, maxBackoff event.Cycle) *Sleep {
 func (s *Sleep) Name() string                { return s.name }
 func (s *Sleep) Attach(m *gpu.Machine) error { s.m = m; return nil }
 
-func (s *Sleep) Wait(w *gpu.WG, v gpu.Var, op gpu.AtomicOp, a, b, want int64, cmp gpu.Cmp, _ gpu.WaitHint, done func(int64)) {
+func (s *Sleep) Wait(w *gpu.WG) {
 	st := retryState(s.m, w, s)
-	st.waitOp = waitOp{v: v, op: op, a: a, b: b, want: want, cmp: cmp, done: done}
 	st.backoff = min(s.Base, s.MaxBackoff)
 	st.attempt()
 }
 
-func (s *Sleep) respond(st *retryWait, ret int64) {
-	if st.cmp.Test(ret, st.want) {
-		st.done(ret)
-		return
-	}
+func (s *Sleep) retry(st *retryWait) {
 	s.m.Count.Stalls++
 	d := st.backoff + event.Cycle(s.m.Jitter(uint64(st.backoff/8+1)))
 	if st.backoff*2 <= s.MaxBackoff {
@@ -126,17 +117,11 @@ func NewTimeout(name string, interval event.Cycle) *Timeout {
 func (t *Timeout) Name() string                { return t.name }
 func (t *Timeout) Attach(m *gpu.Machine) error { t.m = m; return nil }
 
-func (t *Timeout) Wait(w *gpu.WG, v gpu.Var, op gpu.AtomicOp, a, b, want int64, cmp gpu.Cmp, _ gpu.WaitHint, done func(int64)) {
-	s := retryState(t.m, w, t)
-	s.waitOp = waitOp{v: v, op: op, a: a, b: b, want: want, cmp: cmp, done: done}
-	s.attempt()
+func (t *Timeout) Wait(w *gpu.WG) {
+	retryState(t.m, w, t).attempt()
 }
 
-func (t *Timeout) respond(s *retryWait, ret int64) {
-	if s.cmp.Test(ret, s.want) {
-		s.done(ret)
-		return
-	}
+func (t *Timeout) retry(s *retryWait) {
 	t.m.Count.Stalls++
 	if t.m.Oversubscribed() {
 		// Yield resources for the interval.
@@ -148,37 +133,26 @@ func (t *Timeout) respond(s *retryWait, ret int64) {
 	}
 }
 
-// waitOp is one wait episode's operation and condition, as Wait receives
-// them.
-type waitOp struct {
-	v          gpu.Var
-	op         gpu.AtomicOp
-	a, b, want int64
-	cmp        gpu.Cmp
-	done       func(int64)
-}
-
 // retryWait is a WG's wait state under Baseline, Sleep and Timeout. A WG
 // has at most one open wait episode, so each WG gets one retryWait, built
 // on its first Wait and reset by every later one. Its continuations are
 // bound when it is built: a contended episode retries thousands of times,
 // and neither a retry nor a new episode allocates.
 type retryWait struct {
-	waitOp
 	w       *gpu.WG
-	hint    gpu.WaitHint
-	backoff event.Cycle // Baseline's hinted and Sleep's backoff interval
+	backoff event.Cycle // Baseline's Backoff and Sleep's backoff interval
 
 	attempt func()          // issue the atomic once
-	onResp  func(ret int64) // the attempt's response, handed to the policy
+	onResp  func(ret int64) // the attempt's response: end the episode or retry
 	resume  func()          // unstall, then attempt (Sleep, Timeout)
 	deliver func()          // attempt once resident again (Timeout)
 }
 
-// retryPolicy is a policy whose wait episodes are retryWait loops: respond
-// handles each attempt's response.
+// retryPolicy is a policy whose wait episodes are retryWait loops: an
+// attempt that returns a value meeting the condition ends the episode, and
+// retry schedules the next attempt after one that did not.
 type retryPolicy interface {
-	respond(s *retryWait, ret int64)
+	retry(s *retryWait)
 }
 
 // retryState returns w's wait state, building it on the WG's first Wait.
@@ -187,8 +161,17 @@ func retryState(m *gpu.Machine, w *gpu.WG, pol retryPolicy) *retryWait {
 		return s
 	}
 	s := &retryWait{w: w}
-	s.attempt = func() { m.IssueAtomic(w, s.v, s.op, s.a, s.b, nil, s.onResp) }
-	s.onResp = func(ret int64) { pol.respond(s, ret) }
+	s.attempt = func() {
+		op := w.Episode()
+		m.IssueAtomic(w, op.Var, op.Op, op.A, op.B, nil, s.onResp)
+	}
+	s.onResp = func(ret int64) {
+		if op := w.Episode(); op.Cmp.Test(ret, op.Want) {
+			m.EndWait(w, ret)
+			return
+		}
+		pol.retry(s)
+	}
 	s.resume = func() {
 		m.SetStalled(w, false)
 		s.attempt()

@@ -533,7 +533,7 @@ func (s *SyncMon) noteHighWater() {
 	if s.maxWaiters > s.m.Count.MaxWaitingWGs {
 		s.m.Count.MaxWaitingWGs = s.maxWaiters
 	}
-	if s.maxMonitored > s.m.Count.MaxMonitoredVars {
-		s.m.Count.MaxMonitoredVars = s.maxMonitored
+	if s.maxMonitored > s.m.Count.MaxMonitoredVar {
+		s.m.Count.MaxMonitoredVar = s.maxMonitored
 	}
 }

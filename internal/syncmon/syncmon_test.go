@@ -66,8 +66,7 @@ type nopPolicy struct{}
 
 func (nopPolicy) Name() string              { return "nop" }
 func (nopPolicy) Attach(*gpu.Machine) error { return nil }
-func (nopPolicy) Wait(*gpu.WG, gpu.Var, gpu.AtomicOp, int64, int64, int64, gpu.Cmp, gpu.WaitHint, func(int64)) {
-}
+func (nopPolicy) Wait(*gpu.WG)              {}
 
 func TestMonitorLogFIFO(t *testing.T) {
 	l := NewMonitorLog(4)
@@ -485,9 +484,9 @@ func TestHighWaterCounters(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.sm.Register(gpu.WGID(i), gpu.GlobalVar(mem.Addr(0xb00+i*64)), 1, gpu.CmpEQ, ClassLoad)
 	}
-	if h.m.Count.MaxConditions != 5 || h.m.Count.MaxWaitingWGs != 5 || h.m.Count.MaxMonitoredVars != 5 {
+	if h.m.Count.MaxConditions != 5 || h.m.Count.MaxWaitingWGs != 5 || h.m.Count.MaxMonitoredVar != 5 {
 		t.Fatalf("high-water %d/%d/%d, want 5/5/5",
-			h.m.Count.MaxConditions, h.m.Count.MaxWaitingWGs, h.m.Count.MaxMonitoredVars)
+			h.m.Count.MaxConditions, h.m.Count.MaxWaitingWGs, h.m.Count.MaxMonitoredVar)
 	}
 	for i := 0; i < 5; i++ {
 		h.update(mem.Addr(0xb00+i*64), gpu.OpStore, 1)
