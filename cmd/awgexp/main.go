@@ -16,9 +16,8 @@
 // by the later ones; outputs and the golden run counts are identical
 // either way. Performance is measured by cmd/awgbench, not here.
 //
-// A failing experiment no longer aborts the suite: its error is reported,
-// the remaining experiments still run, and awgexp exits non-zero at the
-// end if anything failed.
+// A failing experiment's error is reported, the remaining experiments
+// still run, and awgexp exits non-zero at the end if anything failed.
 package main
 
 import (

@@ -129,8 +129,7 @@ func (p *atomicUnit) start(w *WG, v Var, op AtomicOp, a, b int64, atBank func(ol
 }
 
 // runAtomicApply is the bank-service leg: value effect, monitored-bit fan
-// out, and the race-free atBank hook, in the same order the closure-based
-// path used.
+// out, and the race-free atBank hook, in that order.
 func runAtomicApply(t *event.Task) {
 	p := t.Env[0].(*atomicUnit)
 	w, _ := t.Env[1].(*WG)

@@ -29,16 +29,8 @@ type Analyzer struct {
 	Doc string
 
 	// Requires lists analyzers that must run on the same package first;
-	// their return values are available through Pass.ResultOf. A required
-	// analyzer that exports package facts (FactBased) additionally runs
-	// over every module package in the dependency graph, in dependency
-	// order, so its facts compose bottom-up across the package DAG.
+	// their return values are available through Pass.ResultOf.
 	Requires []*Analyzer
-
-	// FactBased marks an analyzer that exports a package fact via
-	// Pass.ExportPackageFact. The driver runs it over dependency packages
-	// (not only the requested roots) so importers can consume the facts.
-	FactBased bool
 
 	// Run applies the analyzer to a package. It reports findings via
 	// Pass.Report/Reportf and may return an arbitrary result value, which
@@ -60,31 +52,6 @@ type Pass struct {
 	// ResultOf holds the return values of this pass's Requires analyzers,
 	// keyed by analyzer, for the same package.
 	ResultOf map[*Analyzer]any
-
-	// ImportPackageFact returns the fact this pass's analyzer exported for
-	// an already-analyzed package (a dependency in the current driver run).
-	// The driver installs it; nil when the driver does not support facts.
-	ImportPackageFact func(pkgPath string) (any, bool)
-
-	// ExportPackageFact publishes a fact for the current package, visible
-	// to later passes of the same analyzer via ImportPackageFact. The
-	// driver installs it; nil when the driver does not support facts.
-	ExportPackageFact func(fact any)
-}
-
-// PackageFact is a nil-safe ImportPackageFact.
-func (p *Pass) PackageFact(pkgPath string) (any, bool) {
-	if p.ImportPackageFact == nil {
-		return nil, false
-	}
-	return p.ImportPackageFact(pkgPath)
-}
-
-// ExportFact is a nil-safe ExportPackageFact.
-func (p *Pass) ExportFact(fact any) {
-	if p.ExportPackageFact != nil {
-		p.ExportPackageFact(fact)
-	}
 }
 
 // Reportf reports a formatted diagnostic at pos.

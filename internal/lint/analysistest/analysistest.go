@@ -9,9 +9,9 @@
 //	rand.Intn(4) // want `math/rand global`
 //	bad()        // want "first" "second"
 //
-// Directive suppression (`//lint:allow`) is deliberately NOT applied here —
-// it is a driver feature, tested at the checker layer — so seeded
-// violations always surface.
+// Analyzers run through checker.Diagnostics, awglint's own pass executor,
+// which applies no `//lint:allow` directive — suppression belongs to
+// checker.Run and is tested there — so seeded violations always surface.
 package analysistest
 
 import (
@@ -25,6 +25,7 @@ import (
 	"testing"
 
 	"awgsim/internal/lint/analysis"
+	"awgsim/internal/lint/checker"
 	"awgsim/internal/lint/load"
 )
 
@@ -38,110 +39,19 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
 	for i, p := range pkgs {
 		patterns[i] = "./" + path.Join("testdata", "src", p)
 	}
-	loaded, graph, err := load.LoadGraph("", patterns...)
+	loaded, err := load.Load("", patterns...)
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
 	if len(loaded) != len(pkgs) {
 		t.Fatalf("analysistest: loaded %d packages for %d patterns", len(loaded), len(pkgs))
 	}
-	// Mirror the driver: fact-based analyzers in the Requires closure run
-	// over the whole dependency graph first (dependency order), so facts
-	// from one testdata package are visible when analyzing its importers.
-	ex := &executor{results: map[passKey]passResult{}, facts: map[*analysis.Analyzer]map[string]any{}}
-	for _, p := range graph {
-		for _, req := range factClosure(a) {
-			if _, err := ex.run(p, req); err != nil {
-				t.Fatalf("analysistest: %v", err)
-			}
-		}
-	}
 	for _, p := range loaded {
 		if len(p.TypeErrors) > 0 {
 			t.Fatalf("analysistest: %s: testdata does not type-check: %v", p.PkgPath, p.TypeErrors[0])
 		}
-		runOne(t, ex, a, p)
+		runOne(t, a, p)
 	}
-}
-
-// factClosure returns the fact-based analyzers in a's transitive Requires
-// closure (a included if fact-based), dependencies first.
-func factClosure(a *analysis.Analyzer) []*analysis.Analyzer {
-	var out []*analysis.Analyzer
-	seen := map[*analysis.Analyzer]bool{}
-	var visit func(x *analysis.Analyzer)
-	visit = func(x *analysis.Analyzer) {
-		if seen[x] {
-			return
-		}
-		seen[x] = true
-		for _, req := range x.Requires {
-			visit(req)
-		}
-		if x.FactBased {
-			out = append(out, x)
-		}
-	}
-	visit(a)
-	return out
-}
-
-// executor memoizes per-(package, analyzer) runs with a shared fact store,
-// matching the checker driver's execution model.
-type executor struct {
-	results map[passKey]passResult
-	facts   map[*analysis.Analyzer]map[string]any
-}
-
-type passKey struct {
-	pkg *load.Package
-	an  *analysis.Analyzer
-}
-
-type passResult struct {
-	value any
-	diags []analysis.Diagnostic
-}
-
-func (ex *executor) run(p *load.Package, a *analysis.Analyzer) (passResult, error) {
-	k := passKey{p, a}
-	if res, ok := ex.results[k]; ok {
-		return res, nil
-	}
-	resultOf := map[*analysis.Analyzer]any{}
-	for _, req := range a.Requires {
-		res, err := ex.run(p, req)
-		if err != nil {
-			return passResult{}, err
-		}
-		resultOf[req] = res.value
-	}
-	if ex.facts[a] == nil {
-		ex.facts[a] = map[string]any{}
-	}
-	store := ex.facts[a]
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      p.Fset,
-		Files:     p.Files,
-		Pkg:       p.Types,
-		TypesInfo: p.Info,
-		ResultOf:  resultOf,
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-		ImportPackageFact: func(pkgPath string) (any, bool) {
-			f, ok := store[pkgPath]
-			return f, ok
-		},
-		ExportPackageFact: func(fact any) { store[p.PkgPath] = fact },
-	}
-	value, err := a.Run(pass)
-	if err != nil {
-		return passResult{}, fmt.Errorf("%s: analyzer %s: %v", p.PkgPath, a.Name, err)
-	}
-	res := passResult{value: value, diags: diags}
-	ex.results[k] = res
-	return res, nil
 }
 
 type key struct {
@@ -155,18 +65,17 @@ type want struct {
 	matched bool
 }
 
-func runOne(t *testing.T, ex *executor, a *analysis.Analyzer, p *load.Package) {
+func runOne(t *testing.T, a *analysis.Analyzer, p *load.Package) {
 	t.Helper()
 	wants := map[key][]*want{}
 	for _, f := range p.Files {
 		collectWants(t, p, f, wants)
 	}
 
-	res, err := ex.run(p, a)
+	diags, err := checker.Diagnostics(p, a)
 	if err != nil {
-		t.Fatalf("analysistest: %s: %v", p.PkgPath, err)
+		t.Fatalf("analysistest: %v", err)
 	}
-	diags := res.diags
 
 	for _, d := range diags {
 		pos := p.Fset.Position(d.Pos)

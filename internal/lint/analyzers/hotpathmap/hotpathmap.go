@@ -7,9 +7,9 @@
 // over a quarter of their wall clock in map runtime (hash, probe, grow)
 // and the allocations behind it. The CU's resident set followed: ranging
 // it as a map on every compute chunk took a seventh of an oversubscribed
-// workload's CPU. A map reintroduced on those paths — indexed, ranged, or
-// deleted in any function reachable from a hot root — quietly reverts
-// that, so the analyzer flags it at review time.
+// workload's CPU. A map reintroduced on those paths — indexed, ranged,
+// deleted from or cleared in any function reachable from a hot root —
+// quietly reverts that, so the analyzer flags it at review time.
 //
 // Reachability comes from the ipsummary call graph: a root's composed
 // summary carries its transitive Calls set, which deliberately includes
@@ -33,7 +33,7 @@ import (
 // Analyzer is the hotpathmap analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:     "hotpathmap",
-	Doc:      "forbid Go map access in functions reachable from bank-service, wake and CU-issue hot paths",
+	Doc:      "forbid Go map index, range, delete and clear in functions reachable from bank-service, wake and CU-issue hot paths",
 	Requires: []*analysis.Analyzer{interproc.Analyzer},
 	Run:      run,
 }
@@ -119,8 +119,8 @@ func scopeFor(path string) *scope {
 	return nil
 }
 
-// checkBody flags map index, range, and delete operations inside one
-// function reachable from the named hot path.
+// checkBody flags map index, range, delete and clear operations inside
+// one function reachable from the named hot path.
 func checkBody(pass *analysis.Pass, path string, fd *ast.FuncDecl) {
 	name := fd.Name.Name
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -135,11 +135,17 @@ func checkBody(pass *analysis.Pass, path string, fd *ast.FuncDecl) {
 			}
 		case *ast.CallExpr:
 			id, ok := n.Fun.(*ast.Ident)
-			if !ok || id.Name != "delete" || len(n.Args) == 0 {
+			if !ok || len(n.Args) == 0 || !isMap(pass, n.Args[0]) {
 				return true
 			}
-			if _, isB := pass.TypesInfo.Uses[id].(*types.Builtin); isB && isMap(pass, n.Args[0]) {
+			if _, isB := pass.TypesInfo.Uses[id].(*types.Builtin); !isB {
+				return true
+			}
+			switch id.Name {
+			case "delete":
 				report(pass, n, name, path, "deleted from")
+			case "clear":
+				report(pass, n, name, path, "cleared")
 			}
 		}
 		return true

@@ -39,9 +39,10 @@ var Analyzer = &analysis.Analyzer{
 	Name: "simdeterminism",
 	Doc: "forbid wall-clock reads, global math/rand, and order-leaking map iteration\n\n" +
 		"Map-range bodies are judged against interprocedural effect summaries:\n" +
-		"calling a helper is order-safe when the helper's composed summary is\n" +
-		"pure (no non-local writes, scheduling, nondeterminism, or unknown\n" +
-		"callees), instead of flagging every call syntactically.",
+		"calling a same-package helper is order-safe when its composed summary\n" +
+		"is pure (no caller-visible write, and no call into code the summary\n" +
+		"cannot see, other packages' included), instead of flagging every call\n" +
+		"syntactically.",
 	Requires: []*analysis.Analyzer{interproc.Analyzer},
 	Run:      run,
 }

@@ -45,3 +45,13 @@ func pureCallStmtLoop(m map[string]int) {
 		canon(k) // pure call as a statement: result discarded, no effects
 	}
 }
+
+// fill copies its argument into the caller's slice, a write the caller
+// sees: which key lands in buf last depends on iteration order.
+func fill(buf []byte, s string) { copy(buf, s) }
+
+func copyHelperLoop(m map[string]int, buf []byte) {
+	for k := range m { // want `iterates over a map in nondeterministic order`
+		fill(buf, k)
+	}
+}

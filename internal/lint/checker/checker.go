@@ -1,9 +1,8 @@
 // Package checker is the multichecker driver behind cmd/awglint: it loads
 // packages, applies every registered analyzer (running each analyzer's
-// Requires closure first, with package facts flowing dependency-first
-// across the module DAG), honors `//lint:allow` suppression directives,
-// renders diagnostics deterministically, and can apply suggested fixes in
-// place.
+// Requires first, on the same package), honors `//lint:allow` suppression
+// directives, renders diagnostics deterministically, and can apply
+// suggested fixes in place.
 package checker
 
 import (
@@ -50,54 +49,29 @@ type directive struct {
 
 // Run loads patterns (from dir, module root when empty), applies the
 // analyzers to every module package matched, and returns the surviving
-// findings in deterministic order. Each analyzer's transitive Requires run
-// first; FactBased analyzers in the closure additionally run over every
-// module package in the dependency graph (dependency-first) so their
-// package facts exist before importers are analyzed. When fix is set,
-// suggested fixes of surviving findings are applied to the source files
-// before returning.
+// findings in deterministic order. When fix is set, suggested fixes of
+// surviving findings are applied to the source files before returning.
 func Run(dir string, patterns []string, analyzers []*analysis.Analyzer, fix bool) ([]Finding, error) {
-	roots, graph, err := load.LoadGraph(dir, patterns...)
+	pkgs, err := load.Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
 
-	closure := analyzerClosure(analyzers)
+	// Directives may name any analyzer that runs, required ones included.
 	known := map[string]*analysis.Analyzer{}
-	for _, a := range closure {
+	var add func(a *analysis.Analyzer)
+	add = func(a *analysis.Analyzer) {
 		known[a.Name] = a
-	}
-	var factBased []*analysis.Analyzer
-	for _, a := range closure {
-		if a.FactBased {
-			factBased = append(factBased, a)
+		for _, req := range a.Requires {
+			add(req)
 		}
 	}
-
-	ex := &executor{
-		results: map[passKey]passResult{},
-		facts:   map[*analysis.Analyzer]map[string]any{},
-	}
-
-	// Dependency-first sweep: give every fact-based analyzer a chance to
-	// export facts for each module package before its importers run.
-	for _, p := range graph {
-		if len(p.TypeErrors) > 0 {
-			return nil, fmt.Errorf("%s: type errors: %v", p.PkgPath, p.TypeErrors[0])
-		}
-		for _, a := range factBased {
-			if _, err := ex.run(p, a); err != nil {
-				return nil, err
-			}
-		}
+	for _, a := range analyzers {
+		add(a)
 	}
 
 	var findings []Finding
-	isRoot := map[*load.Package]bool{}
-	for _, p := range roots {
-		isRoot[p] = true
-	}
-	for _, p := range roots {
+	for _, p := range pkgs {
 		if p.Standard {
 			continue
 		}
@@ -106,8 +80,9 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer, fix bool
 		}
 		directives, bad := parseDirectives(p, known)
 		findings = append(findings, bad...)
+		done := map[*analysis.Analyzer]passResult{}
 		for _, a := range analyzers {
-			res, err := ex.run(p, a)
+			res, err := run(p, a, done)
 			if err != nil {
 				return nil, err
 			}
@@ -151,64 +126,37 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer, fix bool
 	return findings, nil
 }
 
-// analyzerClosure returns the analyzers plus their transitive Requires,
-// dependencies first.
-func analyzerClosure(analyzers []*analysis.Analyzer) []*analysis.Analyzer {
-	var out []*analysis.Analyzer
-	seen := map[*analysis.Analyzer]bool{}
-	var visit func(a *analysis.Analyzer)
-	visit = func(a *analysis.Analyzer) {
-		if seen[a] {
-			return
-		}
-		seen[a] = true
-		for _, req := range a.Requires {
-			visit(req)
-		}
-		out = append(out, a)
-	}
-	for _, a := range analyzers {
-		visit(a)
-	}
-	return out
+// Diagnostics runs a on p, after the analyzers a requires, and returns
+// what a reported. It applies no //lint:allow directive: the analysistest
+// harness checks analyzers through it, so seeded violations always
+// surface.
+func Diagnostics(p *load.Package, a *analysis.Analyzer) ([]analysis.Diagnostic, error) {
+	res, err := run(p, a, map[*analysis.Analyzer]passResult{})
+	return res.diags, err
 }
 
-// executor memoizes per-(package, analyzer) runs and holds the shared
-// in-memory fact store for the driver invocation.
-type executor struct {
-	results map[passKey]passResult
-	facts   map[*analysis.Analyzer]map[string]any
-}
-
-type passKey struct {
-	pkg *load.Package
-	an  *analysis.Analyzer
-}
-
+// passResult is one analyzer's return value and diagnostics on one
+// package.
 type passResult struct {
 	value any
 	diags []analysis.Diagnostic
 }
 
-// run executes one analyzer on one package, running its Requires first and
-// wiring their results and the analyzer's fact store into the pass.
-func (ex *executor) run(p *load.Package, a *analysis.Analyzer) (passResult, error) {
-	key := passKey{p, a}
-	if res, ok := ex.results[key]; ok {
+// run executes a on p, running its Requires first and handing their
+// results to the pass. done memoizes the package's passes, so an analyzer
+// that several others require runs once.
+func run(p *load.Package, a *analysis.Analyzer, done map[*analysis.Analyzer]passResult) (passResult, error) {
+	if res, ok := done[a]; ok {
 		return res, nil
 	}
 	resultOf := map[*analysis.Analyzer]any{}
 	for _, req := range a.Requires {
-		res, err := ex.run(p, req)
+		res, err := run(p, req, done)
 		if err != nil {
 			return passResult{}, err
 		}
 		resultOf[req] = res.value
 	}
-	if ex.facts[a] == nil {
-		ex.facts[a] = map[string]any{}
-	}
-	factStore := ex.facts[a]
 	var diags []analysis.Diagnostic
 	pass := &analysis.Pass{
 		Analyzer:  a,
@@ -218,18 +166,13 @@ func (ex *executor) run(p *load.Package, a *analysis.Analyzer) (passResult, erro
 		TypesInfo: p.Info,
 		ResultOf:  resultOf,
 		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-		ImportPackageFact: func(pkgPath string) (any, bool) {
-			f, ok := factStore[pkgPath]
-			return f, ok
-		},
-		ExportPackageFact: func(fact any) { factStore[p.PkgPath] = fact },
 	}
 	value, err := a.Run(pass)
 	if err != nil {
 		return passResult{}, fmt.Errorf("%s: analyzer %s: %v", p.PkgPath, a.Name, err)
 	}
 	res := passResult{value: value, diags: diags}
-	ex.results[key] = res
+	done[a] = res
 	return res, nil
 }
 

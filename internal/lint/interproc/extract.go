@@ -4,122 +4,105 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"awgsim/internal/lint/analysis"
 )
 
-// extract walks one function body and records its direct effects: field
-// writes, call edges (local, cross-package, stdlib), scheduling, and
-// nondeterminism taint.
-func extract(pass *analysis.Pass, obj *types.Func, fd *ast.FuncDecl, r *Result) *extraction {
-	ex := &extraction{sum: newSummary()}
-	info := pass.TypesInfo
+// extraction is one function's direct effects plus its outgoing edges.
+type extraction struct {
+	impure bool
+	local  []*types.Func // same-package callees and function values (deduped, first-use order)
+}
 
-	// Locals declared in this function (value writes to them are invisible
-	// to callers).
-	locals := map[types.Object]bool{}
-	//lint:allow simdeterminism set insertion keyed by object identity is commutative; Defs order never reaches a summary
-	for id, o := range info.Defs {
-		if v, ok := o.(*types.Var); ok && id.Pos() >= fd.Pos() && id.End() <= fd.End() {
-			locals[v] = true
-		}
-	}
+// argPkgs are standard-library packages whose package-level functions
+// rearrange or read their arguments and keep no hidden state. A helper
+// may call them; a map-range body calling one directly is still judged
+// by simdeterminism, which does not whitelist them.
+var argPkgs = map[string]bool{"sort": true, "slices": true, "maps": true}
 
-	parents := map[ast.Node]ast.Node{}
-	var stack []ast.Node
-	writes := map[ast.Expr]bool{}
-	seenLocal := map[*types.Func]bool{}
+// extract walks one function body for its direct effects and its edges to
+// the package's declared functions, called or referenced as values.
+func extract(info *types.Info, obj *types.Func, fd *ast.FuncDecl, decls map[*types.Func]*ast.FuncDecl) *extraction {
+	ex := &extraction{}
+	seen := map[*types.Func]bool{}
 
-	// markWrite peels index/star/paren wrappers off an lvalue and records
-	// the root selector (if any) as written; non-selector roots that reach
-	// outside the function mark WritesNonLocal.
-	markWrite := func(e ast.Expr) {
-		deref := false
-		indexed := false
+	// write records a write to e or, with elems set, into e's elements.
+	// Only a write whose root is a variable declared in this function stays
+	// invisible to callers, and not when it goes into the elements of a
+	// parameter, which alias the caller's data.
+	write := func(e ast.Expr, elems bool) {
 		for {
 			switch x := e.(type) {
 			case *ast.ParenExpr:
 				e = x.X
 			case *ast.IndexExpr:
-				indexed = true
-				e = x.X
+				e, elems = x.X, true
 			case *ast.SliceExpr:
-				indexed = true
-				e = x.X
-			case *ast.StarExpr:
-				deref = true
-				e = x.X
-			default:
-				goto done
-			}
-		}
-	done:
-		switch x := e.(type) {
-		case *ast.SelectorExpr:
-			writes[x] = true
-		case *ast.Ident:
-			o := info.Uses[x]
-			if o == nil {
-				o = info.Defs[x]
-			}
-			if o == nil || x.Name == "_" {
-				return
-			}
-			if !locals[o] {
-				ex.sum.WritesNonLocal = true
-				return
-			}
-			// Writing through a deref or into the elements of a local that
-			// aliases caller data (a pointer/slice/map parameter) is
-			// caller-visible.
-			if deref {
-				ex.sum.WritesNonLocal = true
-			} else if indexed {
-				if v, ok := o.(*types.Var); ok && v.IsField() {
-					ex.sum.WritesNonLocal = true
-				} else if isParam(obj, o) {
-					ex.sum.WritesNonLocal = true
+				e, elems = x.X, true
+			case *ast.Ident:
+				if x.Name == "_" {
+					return
 				}
+				v, ok := info.Uses[x].(*types.Var)
+				if !ok || v.Pos() < fd.Pos() || v.Pos() >= fd.End() || elems && isParam(obj, v) {
+					ex.impure = true
+				}
+				return
+			default:
+				// A selector (a field, or another package's variable), a
+				// pointer dereference, or a composite root.
+				ex.impure = true
+				return
 			}
-		default:
-			// Composite expressions (call results etc.): conservatively
-			// caller-visible.
-			ex.sum.WritesNonLocal = true
 		}
 	}
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-
 		switch x := n.(type) {
 		case *ast.AssignStmt:
 			if x.Tok != token.DEFINE {
 				for _, lhs := range x.Lhs {
-					markWrite(lhs)
+					write(lhs, false)
 				}
 			}
 		case *ast.IncDecStmt:
-			markWrite(x.X)
+			write(x.X, false)
 		case *ast.UnaryExpr:
 			if x.Op == token.AND {
-				markWrite(x.X)
+				write(x.X, false)
 			}
 		case *ast.GoStmt, *ast.SendStmt, *ast.SelectStmt:
 			// Concurrency: effects and ordering invisible to the summary.
-			ex.sum.Unknown = true
+			ex.impure = true
 		case *ast.CallExpr:
-			extractCall(pass, ex, x, seenLocal, r)
-		case *ast.SelectorExpr:
-			recordFieldWrite(pass, ex, x, writes)
+			if f := calleeFunc(info, x); f != nil {
+				// A declared callee is an edge, added when its identifier
+				// is visited below.
+				if decls[f.Origin()] == nil && !pureLibFunc(f) && !(pkgLevel(f) && argPkgs[f.Pkg().Path()]) {
+					ex.impure = true
+				}
+				return true
+			}
+			fun := ast.Unparen(x.Fun)
+			if _, ok := fun.(*ast.FuncLit); ok {
+				return true // invoked in place: its body is walked inline
+			}
+			if id, ok := fun.(*ast.Ident); ok {
+				if b, ok := info.Uses[id].(*types.Builtin); ok {
+					switch b.Name() {
+					case "copy", "delete", "clear":
+						write(x.Args[0], true) // they write their first argument's elements
+					}
+					return true
+				}
+			}
+			if !info.Types[fun].IsType() {
+				ex.impure = true // a function value or func-typed field, not a conversion
+			}
 		case *ast.Ident:
-			extractFuncValueRef(pass, ex, x, parents, seenLocal, r)
+			// Calls and function values alike: a value may run later.
+			if f, ok := info.Uses[x].(*types.Func); ok && decls[f.Origin()] != nil && !seen[f.Origin()] {
+				seen[f.Origin()] = true
+				ex.local = append(ex.local, f.Origin())
+			}
 		}
 		return true
 	})
@@ -129,10 +112,7 @@ func extract(pass *analysis.Pass, obj *types.Func, fd *ast.FuncDecl, r *Result) 
 // isParam reports whether o is one of fn's parameters (including the
 // receiver).
 func isParam(fn *types.Func, o types.Object) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
+	sig := fn.Type().(*types.Signature)
 	if sig.Recv() == o {
 		return true
 	}
@@ -142,172 +122,6 @@ func isParam(fn *types.Func, o types.Object) bool {
 		}
 	}
 	return false
-}
-
-// recordFieldWrite records a field selection the precomputed lvalue map
-// marks as written.
-func recordFieldWrite(pass *analysis.Pass, ex *extraction, sel *ast.SelectorExpr, writes map[ast.Expr]bool) {
-	if !writes[sel] {
-		return
-	}
-	selection, ok := pass.TypesInfo.Selections[sel]
-	if !ok || selection.Kind() != types.FieldVal {
-		return
-	}
-	if fk, ok := fieldKeyOf(selection); ok {
-		ex.sum.Writes[fk] = true
-	}
-}
-
-// fieldKeyOf resolves a field selection to the named type that declares
-// the selected field, walking the embedding path.
-func fieldKeyOf(selection *types.Selection) (FieldKey, bool) {
-	t := selection.Recv()
-	index := selection.Index()
-	var owner *types.Named
-	var field *types.Var
-	for _, i := range index {
-		if p, ok := t.Underlying().(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		named, _ := t.(*types.Named)
-		st, ok := t.Underlying().(*types.Struct)
-		if !ok || i >= st.NumFields() {
-			return FieldKey{}, false
-		}
-		owner, field = named, st.Field(i)
-		t = field.Type()
-	}
-	if owner == nil || field == nil || owner.Obj().Pkg() == nil {
-		return FieldKey{}, false
-	}
-	return FieldKey{
-		Pkg:   owner.Obj().Pkg().Path(),
-		Type:  owner.Obj().Name(),
-		Field: field.Name(),
-	}, true
-}
-
-// extractCall records the effects of one call expression: engine
-// scheduling, stdlib nondeterminism, and local and cross-package edges.
-func extractCall(pass *analysis.Pass, ex *extraction, call *ast.CallExpr, seenLocal map[*types.Func]bool, r *Result) {
-	info := pass.TypesInfo
-
-	if _, ok := EngineSchedCall(info, call); ok {
-		ex.sum.Schedules = true
-		return
-	}
-
-	callee := calleeFunc(info, call)
-	if callee == nil {
-		// Conversion, builtin, or dynamic call.
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			switch o := info.Uses[fun].(type) {
-			case *types.Builtin:
-				return // append/len/copy/... have no hidden effects
-			case *types.TypeName:
-				return // conversion
-			case *types.Var:
-				_ = o
-				ex.sum.Unknown = true // calling a function value
-				return
-			}
-		case *ast.SelectorExpr:
-			if sel, ok := info.Selections[fun]; ok && sel.Kind() == types.FieldVal {
-				ex.sum.Unknown = true // calling a func-typed field
-				return
-			}
-			if _, ok := info.Uses[fun.Sel].(*types.TypeName); ok {
-				return // qualified conversion
-			}
-		case *ast.ArrayType, *ast.MapType, *ast.FuncType, *ast.InterfaceType, *ast.StarExpr:
-			return // conversion
-		case *ast.FuncLit:
-			return // immediately-invoked literal: body walked inline
-		}
-		ex.sum.Unknown = true
-		return
-	}
-
-	pkg := callee.Pkg()
-	if pkg == nil {
-		ex.sum.Unknown = true // error.Error and friends
-		return
-	}
-
-	if pkg.Path() == pass.Pkg.Path() {
-		if decl, ok := r.Decls[callee.Origin()]; ok && decl != nil {
-			if !seenLocal[callee.Origin()] {
-				seenLocal[callee.Origin()] = true
-				ex.local = append(ex.local, callee.Origin())
-			}
-			ex.sum.Calls[Key(callee)] = true
-			return
-		}
-		// Same-package method without body here (interface method on a
-		// local interface type, or generated): unknown.
-		ex.sum.Unknown = true
-		return
-	}
-
-	if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
-		if _, isIface := sig.Recv().Type().Underlying().(*types.Interface); isIface {
-			ex.sum.Unknown = true // dynamic dispatch
-			return
-		}
-	}
-
-	key := Key(callee)
-	if _, known := r.Funcs[key]; known {
-		// Module dependency with an imported fact.
-		ex.sum.Calls[key] = true
-		return
-	}
-
-	// Standard library (or module package whose facts are absent).
-	classifyStdlibCall(ex, callee, pkg.Path())
-}
-
-// classifyStdlibCall folds a standard-library call into the summary:
-// nondeterminism taint for clocks and the global rand stream, purity for a
-// small whitelist, Unknown otherwise.
-func classifyStdlibCall(ex *extraction, callee *types.Func, pkgPath string) {
-	name := callee.Name()
-	if sig, ok := callee.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		// Stdlib method call (strings.Builder.WriteString, rand.Rand.Intn on
-		// a seeded source, ...): receiver mutation is invisible here.
-		// rand.Rand methods on explicitly-seeded sources are deterministic,
-		// which is exactly why only package-level rand functions taint.
-		ex.sum.Unknown = true
-		return
-	}
-	if m, ok := nondetCalls[pkgPath]; ok {
-		if label, ok := m[name]; ok {
-			addNondet(ex.sum, label)
-			return
-		}
-	}
-	if pkgPath == "math/rand" || pkgPath == "math/rand/v2" {
-		if !randConstructors[name] {
-			addNondet(ex.sum, pkgPath+"."+name)
-		}
-		return
-	}
-	if pureStdlibPkgs[pkgPath] {
-		return
-	}
-	if pkgPath == "fmt" && pureFmtFuncs[name] {
-		return
-	}
-	if pkgPath == "sort" || pkgPath == "slices" || pkgPath == "maps" {
-		// Deterministic argument manipulation (sort.Slice mutates its
-		// argument, which the call site's own analysis sees; the functions
-		// themselves introduce no hidden state). maps.Keys iteration order
-		// is the *caller's* range concern, not a call effect.
-		return
-	}
-	ex.sum.Unknown = true
 }
 
 // calleeFunc resolves a call's static callee, nil for dynamic calls and
@@ -331,50 +145,4 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// extractFuncValueRef records module functions referenced as values (not
-// in call position): they may run later, so reachability must include
-// them. This is the function-value / method-value edge of the call graph.
-func extractFuncValueRef(pass *analysis.Pass, ex *extraction, id *ast.Ident, parents map[ast.Node]ast.Node, seenLocal map[*types.Func]bool, r *Result) {
-	f, ok := pass.TypesInfo.Uses[id].(*types.Func)
-	if !ok {
-		return
-	}
-	// Skip idents that are the callee of a direct call (handled by
-	// extractCall) or the Sel of a selector (the selector path handles it).
-	switch p := parents[id].(type) {
-	case *ast.CallExpr:
-		if ast.Unparen(p.Fun) == ast.Expr(id) {
-			return
-		}
-	case *ast.SelectorExpr:
-		if p.Sel == id {
-			// Method value or qualified ref: check the selector's parent.
-			if call, ok := parents[p].(*ast.CallExpr); ok && ast.Unparen(call.Fun) == ast.Expr(p) {
-				return
-			}
-		} else {
-			return // id is the X of the selector: a package name or value
-		}
-	}
-	pkg := f.Pkg()
-	if pkg == nil {
-		return
-	}
-	if pkg.Path() == pass.Pkg.Path() {
-		if _, ok := r.Decls[f.Origin()]; ok {
-			if !seenLocal[f.Origin()] {
-				seenLocal[f.Origin()] = true
-				ex.local = append(ex.local, f.Origin())
-			}
-			ex.sum.Calls[Key(f)] = true
-		}
-		return
-	}
-	if _, known := r.Funcs[Key(f)]; known {
-		ex.sum.Calls[Key(f)] = true
-	}
-	// Stdlib function values (sort.Strings passed around): ignore; if
-	// called dynamically the call site reports Unknown.
 }

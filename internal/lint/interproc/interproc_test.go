@@ -1,6 +1,7 @@
 package interproc_test
 
 import (
+	"go/types"
 	"testing"
 
 	"awgsim/internal/lint/analysis"
@@ -8,114 +9,70 @@ import (
 	"awgsim/internal/lint/load"
 )
 
-// runOver mirrors the driver: ipsummary over the dependency graph in
-// dependency-first order with a shared fact store, returning the Result of
-// the named root package.
-func runOver(t *testing.T, wantPkg string) *interproc.Result {
+// summarize runs ipsummary over the top testdata package and returns its
+// declared functions by name with the Result.
+func summarize(t *testing.T) (*interproc.Result, map[string]*types.Func) {
 	t.Helper()
-	_, graph, err := load.LoadGraph("",
-		"./testdata/src/ip/dep", "./testdata/src/ip/top")
+	pkgs, err := load.Load("", "./testdata/src/ip/top")
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	facts := map[string]any{}
-	var out *interproc.Result
-	for _, p := range graph {
-		if len(p.TypeErrors) > 0 {
-			t.Fatalf("%s: type errors: %v", p.PkgPath, p.TypeErrors[0])
-		}
-		pass := &analysis.Pass{
-			Analyzer:  interproc.Analyzer,
-			Fset:      p.Fset,
-			Files:     p.Files,
-			Pkg:       p.Types,
-			TypesInfo: p.Info,
-			Report:    func(analysis.Diagnostic) {},
-			ImportPackageFact: func(pkgPath string) (any, bool) {
-				f, ok := facts[pkgPath]
-				return f, ok
-			},
-		}
-		pkgPath := p.PkgPath
-		pass.ExportPackageFact = func(fact any) { facts[pkgPath] = fact }
-		v, err := interproc.Analyzer.Run(pass)
-		if err != nil {
-			t.Fatalf("%s: %v", p.PkgPath, err)
-		}
-		if p.PkgPath == wantPkg {
-			out = v.(*interproc.Result)
-		}
+	p := pkgs[0]
+	v, err := interproc.Analyzer.Run(&analysis.Pass{
+		Analyzer:  interproc.Analyzer,
+		Fset:      p.Fset,
+		Files:     p.Files,
+		Pkg:       p.Types,
+		TypesInfo: p.Info,
+		Report:    func(analysis.Diagnostic) {},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out == nil {
-		t.Fatalf("package %s not analyzed", wantPkg)
+	r := v.(*interproc.Result)
+	byName := map[string]*types.Func{}
+	for _, f := range r.Order {
+		byName[f.Name()] = f
 	}
-	return out
+	return r, byName
 }
 
-const (
-	depPath = "awgsim/internal/lint/interproc/testdata/src/ip/dep"
-	topPath = "awgsim/internal/lint/interproc/testdata/src/ip/top"
-)
-
-func summary(t *testing.T, r *interproc.Result, key string) *interproc.Summary {
-	t.Helper()
-	s, ok := r.Funcs[interproc.FuncKey(key)]
-	if !ok {
-		t.Fatalf("no summary for %s", key)
+func TestSCCSharesCallsAndImpurity(t *testing.T) {
+	r, fn := summarize(t)
+	for _, name := range []string{"Even", "Odd"} {
+		s := r.Funcs[fn[name]]
+		if !s.Impure {
+			t.Errorf("%s: pure, want the component's field write to make it impure", name)
+		}
+		for _, callee := range []string{"Even", "Odd", "leaf"} {
+			if !s.Calls[fn[callee]] {
+				t.Errorf("%s: Calls lacks %s", name, callee)
+			}
+		}
+		if len(s.Calls) != 3 {
+			t.Errorf("%s: %d callees, want 3", name, len(s.Calls))
+		}
 	}
-	return s
-}
-
-func TestSCCAndCrossPackageComposition(t *testing.T) {
-	r := runOver(t, topPath)
-
-	// Even and Odd form one SCC: both carry Odd's cross-package effects.
-	for _, fn := range []string{topPath + ".Even", topPath + ".Odd"} {
-		s := summary(t, r, fn)
-		if !s.Writes[interproc.FieldKey{Pkg: depPath, Type: "Counter", Field: "N"}] {
-			t.Errorf("%s: missing Counter.N write through dep.Bump", fn)
-		}
-		if !s.Writes[interproc.FieldKey{Pkg: depPath, Type: "Counter", Field: "last"}] {
-			t.Errorf("%s: missing Counter.last write through dep.Stamp", fn)
-		}
-		if !s.Writes[interproc.FieldKey{Pkg: topPath, Type: "State", Field: "hits"}] {
-			t.Errorf("%s: missing State.hits write from SCC partner", fn)
-		}
-		if !s.Writes[interproc.FieldKey{Pkg: topPath, Type: "nested", Field: "gen"}] {
-			t.Errorf("%s: missing nested.gen write (declaring-type keying)", fn)
-		}
-		if len(s.Nondet) == 0 {
-			t.Errorf("%s: missing time.Now taint through dep.Stamp, summary %+v", fn, s)
-		}
-		if !s.Calls[interproc.FuncKey(depPath+".Stamp")] {
-			t.Errorf("%s: transitive Calls missing dep.Stamp", fn)
-		}
+	if s := r.Funcs[fn["Chain"]]; !s.Calls[fn["leaf"]] {
+		t.Error("Chain: Calls lacks leaf, two hops away")
 	}
 }
 
-func TestPurityAndReads(t *testing.T) {
-	r := runOver(t, topPath)
-
-	if s := summary(t, r, topPath+".Twice"); !s.Pure() {
-		t.Errorf("Twice should be pure, got %+v", s)
-	}
-	if s := summary(t, r, topPath+".Even"); s.Pure() {
-		t.Errorf("Even must not be pure")
-	}
-	// A field read is no effect: ReadLabel stays pure.
-	s := summary(t, r, topPath+".ReadLabel")
-	if len(s.Writes) != 0 || s.WritesNonLocal || !s.Pure() {
-		t.Errorf("ReadLabel must be pure and not write, got %+v", s)
-	}
-}
-
-func TestDepFactStandsAlone(t *testing.T) {
-	r := runOver(t, depPath)
-	s := summary(t, r, depPath+".Stamp")
-	if len(s.Nondet) == 0 {
-		t.Errorf("Stamp: expected time.Now taint, got %+v", s)
-	}
-	if s := summary(t, r, depPath+".Pure"); !s.Pure() {
-		t.Errorf("dep.Pure should be pure, got %+v", s)
+func TestPurity(t *testing.T) {
+	r, fn := summarize(t)
+	for name, impure := range map[string]bool{
+		"leaf":       false,
+		"Chain":      false, // same-package helper chain
+		"ReadLabel":  false, // field read, local write
+		"CopyLocal":  false, // copy into a local slice
+		"CrossPure":  true,  // another package's code is never seen
+		"SetHits":    true,  // qualified write to another package's variable
+		"CopyInto":   true,
+		"DeleteFrom": true,
+		"ClearAll":   true,
+	} {
+		if got := r.Funcs[fn[name]].Impure; got != impure {
+			t.Errorf("%s: Impure = %v, want %v", name, got, impure)
+		}
 	}
 }

@@ -1,21 +1,11 @@
-// Package dep is the dependency layer of the interproc framework test:
-// its summaries reach the importing package only through the exported
-// package fact.
+// Package dep is the other package the interproc test's summaries call
+// into. Summaries stay inside their package, so every call an importer
+// makes here is impure to it, whatever the callee does.
 package dep
 
-import "time"
-
-// Counter is mutated by the importing package through helpers here.
-type Counter struct {
-	N    int
-	last int64
-}
-
-// Bump writes Counter.N.
-func Bump(c *Counter) { c.N++ }
-
-// Stamp is nondeterministic: it reads the wall clock.
-func Stamp(c *Counter) { c.last = time.Now().UnixNano() }
+// Hits is a package variable an importer writes through a qualified
+// identifier.
+var Hits int
 
 // Pure has no effects at all.
 func Pure(x int) int { return x * 2 }

@@ -1,39 +1,64 @@
 // Package top exercises the summary lattice: a mutually recursive pair
-// (one SCC), cross-package effect composition through dep's fact, field
-// read/write classification, and purity.
+// (one SCC), writes a caller sees (through a field, another package's
+// variable, or a parameter's elements via copy, delete and clear), reads
+// and local writes that it does not, and a call into another package.
 package top
 
 import "awgsim/internal/lint/interproc/testdata/src/ip/dep"
 
-// State carries local fields for read/write classification.
+// State carries fields for read/write classification.
 type State struct {
 	hits  int
 	label string
-	inner nested
 }
 
-type nested struct{ gen uint64 }
-
-// Even and Odd form one strongly connected component; Odd's taint (via
-// dep.Stamp) must surface in Even's summary too.
-func Even(s *State, c *dep.Counter, n int) {
+// Even and Odd form one strongly connected component: Even's field write
+// makes Odd impure too, and both reach each other and leaf.
+func Even(s *State, n int) {
 	if n == 0 {
 		return
 	}
 	s.hits++
-	Odd(s, c, n-1)
+	Odd(s, n-1)
 }
 
-// Odd calls into dep, picking up its writes and nondeterminism.
-func Odd(s *State, c *dep.Counter, n int) {
-	dep.Stamp(c)
-	dep.Bump(c)
-	s.inner.gen++
-	Even(s, c, n-1)
+// Odd writes nothing itself.
+func Odd(s *State, n int) {
+	leaf(n)
+	Even(s, n-1)
 }
 
-// ReadLabel reads State.label as a value without writing anything local.
-func ReadLabel(s *State) string { return s.label }
+func leaf(n int) int { return n + 1 }
 
-// Twice is pure: only a pure dep call and locals.
-func Twice(x int) int { return dep.Pure(x) + dep.Pure(x) }
+// Chain is pure through two same-package hops.
+func Chain(x int) int { return hop(x) + 1 }
+
+func hop(x int) int { return leaf(x) * 2 }
+
+// ReadLabel reads a field and writes only a local.
+func ReadLabel(s *State) string {
+	out := s.label
+	out += "!"
+	return out
+}
+
+// CopyLocal copies into a slice it made: no caller sees the write.
+func CopyLocal(src []int) []int {
+	buf := make([]int, len(src))
+	copy(buf, src)
+	return buf
+}
+
+// CrossPure calls dep.Pure, whose purity the summary cannot see.
+func CrossPure(x int) int { return dep.Pure(x) }
+
+// SetHits writes another package's variable.
+func SetHits() { dep.Hits = 1 }
+
+// CopyInto, DeleteFrom and ClearAll write their parameter's elements
+// through a builtin.
+func CopyInto(dst, src []int) { copy(dst, src) }
+
+func DeleteFrom(m map[string]int, k string) { delete(m, k) }
+
+func ClearAll(s []int) { clear(s) }

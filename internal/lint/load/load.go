@@ -28,7 +28,6 @@ type Package struct {
 	PkgPath  string
 	Dir      string
 	GoFiles  []string // absolute paths, non-test files only
-	Imports  []string // resolved import paths (ImportMap applied)
 	Standard bool     // GOROOT package
 	Module   bool     // belongs to the module being linted
 
@@ -48,11 +47,10 @@ type Package struct {
 type listed struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	GoFiles    []string
-	Imports    []string
 	ImportMap  map[string]string
 	Standard   bool
+	DepOnly    bool // listed only as a dependency, not matched by a pattern
 	Module     *struct{ Path string }
 	Error      *struct{ Err string }
 	// DepsErrors carries problems in the dependency cone (go list -e
@@ -66,15 +64,6 @@ type listed struct {
 // type-checked packages the patterns matched, in deterministic (import
 // path) order. Dependencies are checked too but not returned.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	roots, _, err := LoadGraph(dir, patterns...)
-	return roots, err
-}
-
-// LoadGraph is Load, additionally returning every non-standard package in
-// the dependency graph (roots included) in dependency-first order — the
-// order a facts-based analyzer must visit packages so each import's facts
-// exist before its importers run.
-func LoadGraph(dir string, patterns ...string) (roots, graph []*Package, err error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -85,74 +74,42 @@ func LoadGraph(dir string, patterns ...string) (roots, graph []*Package, err err
 	cmd.Stdout = &out
 	cmd.Stderr = &errb
 	if err := cmd.Run(); err != nil {
-		return nil, nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, errb.String())
+		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, errb.String())
 	}
 
-	// Decode the JSON stream. go list -deps emits dependencies before
-	// dependents, so a single forward pass can type-check everything.
-	var order []*listed
-	byPath := map[string]*listed{}
+	// go list -deps emits dependencies before dependents, so a single
+	// forward pass over the JSON stream type-checks everything; the
+	// packages the patterns matched are the ones not marked DepOnly.
+	fset := token.NewFileSet()
+	typed := map[string]*types.Package{"unsafe": types.Unsafe}
+	imp := &mapImporter{typed: typed}
+	var roots []*Package
 	dec := json.NewDecoder(&out)
 	for dec.More() {
 		var l listed
 		if err := dec.Decode(&l); err != nil {
-			return nil, nil, fmt.Errorf("go list: decoding: %v", err)
+			return nil, fmt.Errorf("go list: decoding: %v", err)
 		}
-		order = append(order, &l)
-		byPath[l.ImportPath] = &l
-	}
-
-	// The roots (the packages the patterns actually matched) are the trailing
-	// entries go list prints after their dependencies; recompute them instead
-	// by re-listing without -deps, which is cheap and unambiguous.
-	rootsCmd := exec.Command("go", append([]string{"list", "-e"}, patterns...)...)
-	rootsCmd.Dir = dir
-	rootsOut, rootsErr := rootsCmd.Output()
-	rootSet := map[string]bool{}
-	if rootsErr == nil {
-		for _, p := range strings.Fields(string(rootsOut)) {
-			rootSet[p] = true
-		}
-	}
-
-	fset := token.NewFileSet()
-	typed := map[string]*types.Package{"unsafe": types.Unsafe}
-	pkgs := map[string]*Package{}
-	imp := &mapImporter{typed: typed}
-
-	var result []*Package
-	for _, l := range order {
 		if l.ImportPath == "unsafe" {
 			continue
 		}
 		if l.Error != nil {
-			return nil, nil, fmt.Errorf("go list: %s: %s", l.ImportPath, l.Error.Err)
+			return nil, fmt.Errorf("go list: %s: %s", l.ImportPath, l.Error.Err)
 		}
 		if len(l.DepsErrors) > 0 {
-			return nil, nil, fmt.Errorf("go list: %s: %s", l.ImportPath, l.DepsErrors[0].Err)
+			return nil, fmt.Errorf("go list: %s: %s", l.ImportPath, l.DepsErrors[0].Err)
 		}
-		p, err := check(fset, l, imp)
+		p, err := check(fset, &l, imp)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		typed[l.ImportPath] = p.Types
-		pkgs[l.ImportPath] = p
-		if !p.Standard {
-			// `order` is dependency-first, which is exactly the graph order
-			// facts-based analyzers need.
-			graph = append(graph, p)
-		}
-		if rootSet[l.ImportPath] {
-			result = append(result, p)
+		if !l.DepOnly {
+			roots = append(roots, p)
 		}
 	}
-	if len(result) == 0 {
-		// go list without -deps failed (or matched nothing): fall back to
-		// every non-standard package listed.
-		result = append(result, graph...)
-	}
-	sort.Slice(result, func(i, j int) bool { return result[i].PkgPath < result[j].PkgPath })
-	return result, graph, nil
+	sort.Slice(roots, func(i, j int) bool { return roots[i].PkgPath < roots[j].PkgPath })
+	return roots, nil
 }
 
 // check parses and type-checks one listed package.
@@ -166,12 +123,6 @@ func check(fset *token.FileSet, l *listed, imp *mapImporter) (*Package, error) {
 	}
 	for _, f := range l.GoFiles {
 		p.GoFiles = append(p.GoFiles, filepath.Join(l.Dir, f))
-	}
-	for _, im := range l.Imports {
-		if mapped, ok := l.ImportMap[im]; ok {
-			im = mapped
-		}
-		p.Imports = append(p.Imports, im)
 	}
 	for _, path := range p.GoFiles {
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)

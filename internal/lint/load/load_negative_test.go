@@ -34,9 +34,9 @@ func TestLoadImportCycle(t *testing.T) {
 		"a/a.go": "package a\n\nimport _ \"x/b\"\n\nvar A = 1\n",
 		"b/b.go": "package b\n\nimport _ \"x/a\"\n\nvar B = 1\n",
 	})
-	_, _, err := LoadGraph(dir, "./a")
+	_, err := Load(dir, "./a")
 	if err == nil {
-		t.Fatal("LoadGraph succeeded on an import cycle")
+		t.Fatal("Load succeeded on an import cycle")
 	}
 	if !strings.Contains(err.Error(), "import cycle") {
 		t.Errorf("error does not name the cycle: %v", err)
@@ -50,9 +50,9 @@ func TestLoadMissingImport(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"c/c.go": "package c\n\nimport _ \"nosuch/missing\"\n\nvar C = 1\n",
 	})
-	_, _, err := LoadGraph(dir, "./c")
+	_, err := Load(dir, "./c")
 	if err == nil {
-		t.Fatal("LoadGraph succeeded with an unresolvable import")
+		t.Fatal("Load succeeded with an unresolvable import")
 	}
 	if !strings.Contains(err.Error(), "nosuch/missing") {
 		t.Errorf("error does not name the missing package: %v", err)
@@ -68,9 +68,9 @@ func TestLoadBuildTags(t *testing.T) {
 		"d/tagged.go": "//go:build simstub\n\npackage d\n\n" +
 			"var Dropped = thisSymbolDoesNotExist\n",
 	})
-	roots, _, err := LoadGraph(dir, "./d")
+	roots, err := Load(dir, "./d")
 	if err != nil {
-		t.Fatalf("LoadGraph: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
 	if len(roots) != 1 {
 		t.Fatalf("got %d packages, want 1", len(roots))
