@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint lint-fix fuzz ci bench-module exp quick litmus-quick golden-full
+.PHONY: all build test race vet fmt lint lint-fix fuzz ci bench-module exp quick golden golden-full
 
 all: build
 
@@ -59,38 +59,30 @@ fuzz:
 	$(GO) test ./internal/gpu -fuzz FuzzCharacterization -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/kernels -fuzz FuzzDecodeLitmus -fuzztime 5s -run '^$$'
 
-# golden runs the quick experiment suite once and checks its deterministic
-# outputs (simulated cycles, run counts, rendered-table hashes) against the
-# committed golden record. After an intentional model change:
-# `go run ./cmd/awgexp -quick -golden GOLDEN_quick.json -update-golden`.
+# golden and golden-full run the experiment suite at the quick and full
+# scale and diff its output against the committed text record. -F '^== '
+# heads each hunk with the title of the table above it; one line of
+# context (-U1) keeps a change in a table's first rows from pulling that
+# title into the hunk, where -F would pass over it. The full scale takes
+# 16–22 s of wall time on two cores. awgexp writes to a temp file first
+# so that its own failure fails the target (/bin/sh may lack pipefail).
+# After an intentional model change, regenerate a record with
+# `go run ./cmd/awgexp [-quick] > awgexp_<scale>.txt`.
 golden:
-	$(GO) run ./cmd/awgexp -quick -golden GOLDEN_quick.json > /dev/null
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	$(GO) run ./cmd/awgexp -quick > "$$out" && diff -U1 -F '^== ' awgexp_quick.txt "$$out"
 
-# litmus-quick regenerates the quick litmus conformance sweep and checks
-# it against its own golden record (the sweep also runs inside the main
-# golden target; this gate pins the matrix and worked examples standalone
-# so a conformance drift is reported by name). After an intentional
-# change: `go run ./cmd/awgexp -quick -exp litmus -golden
-# GOLDEN_litmus.json -update-golden`.
-litmus-quick:
-	$(GO) run ./cmd/awgexp -quick -exp litmus -golden GOLDEN_litmus.json > /dev/null
-
-# golden-full runs the full-scale suite (16–22 s of wall time on two cores) and
-# checks it against its golden record, so the paper-scale record in
-# awgexp_full.txt cannot drift silently. After an intentional model
-# change: `go run ./cmd/awgexp -golden GOLDEN_full.json -update-golden >
-# awgexp_full.txt`.
 golden-full:
-	$(GO) run ./cmd/awgexp -golden GOLDEN_full.json > /dev/null
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	$(GO) run ./cmd/awgexp > "$$out" && diff -U1 -F '^== ' awgexp_full.txt "$$out"
 
 # ci is the full gate: formatting, static checks (go vet plus the awglint
 # domain analyzers), the race-instrumented test suite (which exercises the
-# parallel experiment pool), the fuzz smokes, the golden-record drift
-# checks (the quick suite, the standalone litmus conformance gate, and the
-# full-scale suite), and the benchmark module's own vet and tests.
+# parallel experiment pool), the fuzz smokes, the golden-record diffs at
+# both scales, and the benchmark module's own vet and tests.
 # Performance is measured by cmd/awgbench (`bash cmd/awgbench/run.sh`),
 # not gated here.
-ci: fmt vet lint race fuzz golden litmus-quick golden-full bench-module
+ci: fmt vet lint race fuzz golden golden-full bench-module
 
 # bench-module vets and tests cmd/awgbench. It is a separate Go module, so
 # `go test ./...` at the root never builds it; this catches a change to a

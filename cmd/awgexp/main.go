@@ -3,26 +3,30 @@
 //
 // Usage:
 //
-//	awgexp                       # everything, full scale (minutes)
+//	awgexp                       # everything, full scale (tens of seconds)
 //	awgexp -quick                # everything, reduced scale (seconds)
 //	awgexp -exp fig14            # one experiment
 //	awgexp -workers 4            # cap the simulation worker pool
-//	awgexp -golden GOLDEN.json   # fail if outputs drift from the golden record
-//	awgexp -golden GOLDEN.json -update-golden   # rewrite the golden record
 //	awgexp -cpuprofile cpu.out   # profile the suite (see README, Profiling)
 //	awgexp -list
+//	awgexp -quick > awgexp_quick.txt   # regenerate a golden record
+//
+// Standard output is the golden record: each experiment's tables and
+// worked example, then a footer with the simulated runs and cycles its
+// tables cost. `make golden` and `make golden-full` diff a fresh run
+// against awgexp_quick.txt and awgexp_full.txt. Wall time and reuse go
+// to standard error.
 //
 // A grid cell recurring across experiments simulates once and is reused
-// by the later ones; outputs and the golden run counts are identical
-// either way. Performance is measured by cmd/awgbench, not here.
+// by the later ones; outputs and the footers are identical either way.
+// Performance is measured by cmd/awgbench, not here.
 //
-// A failing experiment's error is reported, the remaining experiments
-// still run, and awgexp exits non-zero at the end if anything failed.
+// A failing experiment's error is reported and its section left out, the
+// remaining experiments still run, and awgexp exits non-zero at the end
+// if anything failed.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -35,24 +39,8 @@ import (
 	"awgsim/internal/sim"
 )
 
-// goldenEntry pins one experiment's deterministic outputs: the simulated
-// cycle/run totals and a hash of the rendered tables (wall time excluded).
-// Any engine or model change that alters simulated behavior shows up here.
-type goldenEntry struct {
-	ID        string `json:"id"`
-	SimCycles uint64 `json:"sim_cycles"`
-	SimRuns   uint64 `json:"sim_runs"`
-	OutputSHA string `json:"output_sha256"`
-}
-
-type goldenFile struct {
-	Quick       bool          `json:"quick"`
-	Experiments []goldenEntry `json:"experiments"`
-}
-
 // workedExamples render the text an experiment prints after its table.
-// It is part of the hashed output, but its simulations are not counted in
-// the experiment's sim_cycles/sim_runs.
+// Their simulations are not counted in the experiment's footer.
 var workedExamples = map[string]func(experiments.Options) (string, error){
 	"fig6":   experiments.Fig6Timelines,
 	"faults": experiments.FaultsWorkedExample,
@@ -62,12 +50,10 @@ var workedExamples = map[string]func(experiments.Options) (string, error){
 
 func main() {
 	var (
-		exp        = flag.String("exp", "", "single experiment id (table1, table2, fig5..fig15); empty = all")
+		exp        = flag.String("exp", "", "single experiment id (table1, table2, fig5..fig15, ...); empty = all")
 		quick      = flag.Bool("quick", false, "reduced launches: shapes only, runs in seconds")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		workers    = flag.Int("workers", 0, "simulation worker pool size; 0 = GOMAXPROCS")
-		golden     = flag.String("golden", "", "golden-record JSON: compare deterministic outputs against it and exit non-zero on drift")
-		updGolden  = flag.Bool("update-golden", false, "rewrite the -golden file from this run instead of comparing")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the suite to this file")
 		memprofile = flag.String("memprofile", "", "write a heap allocation profile to this file at exit")
 	)
@@ -115,43 +101,22 @@ func main() {
 		}
 	}
 
-	record := goldenFile{Quick: *quick}
 	var failures []string
+	sep := ""
 	for _, e := range run {
-		start := time.Now() //lint:allow simdeterminism wall time for the progress line only; never in golden output
-		cyc0, runs0 := sim.Totals()
-		hits0 := sim.CacheHits()
-		tab, err := e.Run(opts)
-		secs := time.Since(start).Seconds() //lint:allow simdeterminism wall time for the progress line only; never in golden output
-		cyc1, runs1 := sim.Totals()
-		hits := sim.CacheHits() - hits0
+		start := time.Now() //lint:allow simdeterminism wall time for the stderr progress line only; never in the record
+		hits := sim.CacheHits()
+		text, err := section(e, workedExamples[e.ID], opts)
 		if err != nil {
 			failures = append(failures, fmt.Sprintf("%s: %v", e.ID, err))
 			fmt.Fprintf(os.Stderr, "awgexp: %s: %v\n", e.ID, err)
 			continue
 		}
-		out := tab.String() + "\n"
-		if ex := workedExamples[e.ID]; ex != nil {
-			if text, exErr := ex(opts); exErr == nil {
-				out += text + "\n"
-			}
-		}
-		fmt.Print(out)
-		if hits > 0 {
-			fmt.Printf("[%s regenerated in %.1fs; %d/%d runs reused]\n\n",
-				e.ID, secs, hits, runs1-runs0)
-		} else {
-			fmt.Printf("[%s regenerated in %.1fs]\n\n", e.ID, secs)
-		}
-		record.Experiments = append(record.Experiments, goldenEntry{
-			ID:        e.ID,
-			SimCycles: cyc1 - cyc0,
-			SimRuns:   runs1 - runs0,
-			OutputSHA: fmt.Sprintf("%x", sha256.Sum256([]byte(out))),
-		})
-	}
-	if *exp == "" && len(failures) == 0 {
-		fmt.Println(experiments.HardwareOverhead().String())
+		fmt.Print(sep, text)
+		sep = "\n"
+		//lint:allow simdeterminism wall time for the stderr progress line only; never in the record
+		fmt.Fprintf(os.Stderr, "awgexp: %s regenerated in %.1fs; %d runs reused\n",
+			e.ID, time.Since(start).Seconds(), sim.CacheHits()-hits)
 	}
 	if hits := sim.CacheHits(); hits > 0 {
 		_, runs := sim.Totals()
@@ -184,75 +149,27 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	if *golden != "" {
-		if *updGolden {
-			if err := writeJSON(*golden, record); err != nil {
-				fmt.Fprintln(os.Stderr, "awgexp:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "awgexp: golden record written to %s\n", *golden)
-		} else if drifts := compareGolden(*golden, record); len(drifts) > 0 {
-			fmt.Fprintf(os.Stderr, "awgexp: outputs drifted from golden record %s:\n", *golden)
-			for _, d := range drifts {
-				fmt.Fprintln(os.Stderr, "  "+d)
-			}
-			fmt.Fprintln(os.Stderr, "awgexp: if the change is intentional, regenerate with -update-golden")
-			os.Exit(1)
-		} else {
-			fmt.Fprintf(os.Stderr, "awgexp: outputs match golden record %s\n", *golden)
-		}
-	}
 }
 
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+// section renders one experiment's part of the record: its table, then
+// the worked example's text if example is non-nil, then the footer
+// `[<id>: sim_runs N, sim_cycles C]` with the runs and cycles the table
+// simulated (sim.Totals deltas; the example's own runs are not counted).
+// An error from the table or the example fails the whole section.
+func section(e experiments.Experiment, example func(experiments.Options) (string, error), opts experiments.Options) (string, error) {
+	cyc0, runs0 := sim.Totals()
+	tab, err := e.Run(opts)
 	if err != nil {
-		return err
+		return "", err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// compareGolden diffs this run's deterministic outputs against the golden
-// record, returning human-readable drift descriptions (empty = match).
-func compareGolden(path string, got goldenFile) []string {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return []string{err.Error()}
-	}
-	var want goldenFile
-	if err := json.Unmarshal(data, &want); err != nil {
-		return []string{fmt.Sprintf("%s: %v", path, err)}
-	}
-	var drifts []string
-	if want.Quick != got.Quick {
-		drifts = append(drifts, fmt.Sprintf("quick mode mismatch: golden %v, run %v", want.Quick, got.Quick))
-	}
-	wantByID := make(map[string]goldenEntry, len(want.Experiments))
-	for _, e := range want.Experiments {
-		wantByID[e.ID] = e
-	}
-	seen := make(map[string]bool, len(got.Experiments))
-	for _, g := range got.Experiments {
-		seen[g.ID] = true
-		w, ok := wantByID[g.ID]
-		if !ok {
-			drifts = append(drifts, fmt.Sprintf("%s: not in golden record", g.ID))
-			continue
+	cyc1, runs1 := sim.Totals()
+	out := tab.String() + "\n"
+	if example != nil {
+		text, err := example(opts)
+		if err != nil {
+			return "", fmt.Errorf("worked example: %w", err)
 		}
-		if w.SimCycles != g.SimCycles {
-			drifts = append(drifts, fmt.Sprintf("%s: sim_cycles %d -> %d", g.ID, w.SimCycles, g.SimCycles))
-		}
-		if w.SimRuns != g.SimRuns {
-			drifts = append(drifts, fmt.Sprintf("%s: sim_runs %d -> %d", g.ID, w.SimRuns, g.SimRuns))
-		}
-		if w.OutputSHA != g.OutputSHA {
-			drifts = append(drifts, fmt.Sprintf("%s: rendered output changed (sha256 %.12s -> %.12s)", g.ID, w.OutputSHA, g.OutputSHA))
-		}
+		out += text + "\n"
 	}
-	for _, w := range want.Experiments {
-		if !seen[w.ID] {
-			drifts = append(drifts, fmt.Sprintf("%s: in golden record but did not run", w.ID))
-		}
-	}
-	return drifts
+	return out + fmt.Sprintf("[%s: sim_runs %d, sim_cycles %d]\n", e.ID, runs1-runs0, cyc1-cyc0), nil
 }

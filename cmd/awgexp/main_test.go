@@ -1,57 +1,133 @@
 package main
 
 import (
-	"path/filepath"
-	"reflect"
+	"errors"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
+
+	"awgsim/internal/experiments"
+	"awgsim/internal/kernels"
+	"awgsim/internal/metrics"
+	"awgsim/internal/sim"
 )
 
-// TestCompareGolden drives the check behind make golden/litmus-quick
-// against a record written to a temp file: every kind of drift is
-// reported by name, and an exact match reports none.
-func TestCompareGolden(t *testing.T) {
-	record := goldenFile{Quick: true, Experiments: []goldenEntry{
-		{ID: "fig7", SimCycles: 1000, SimRuns: 10, OutputSHA: "aaaaaaaaaaaaaaaa"},
-		{ID: "fig8", SimCycles: 2000, SimRuns: 20, OutputSHA: "bbbbbbbbbbbbbbbb"},
+// TestSection renders a one-run experiment whose worked example runs a
+// second simulation: the footer counts the table's run only, the example's
+// text sits between the table and the footer, and an example that fails
+// fails the section, which then renders nothing.
+func TestSection(t *testing.T) {
+	cfg := sim.Config{
+		Benchmark: "SPM_G",
+		Policy:    "AWG",
+		Params:    kernels.Params{NumWGs: 8, Groups: 8, WIsPerWG: 64, Iters: 1, CSWork: 10, OutsideWork: 10},
+	}
+	var cycles uint64
+	e := experiments.Experiment{ID: "demo", Title: "Demo", Run: func(experiments.Options) (*metrics.Table, error) {
+		res, err := sim.Run(cfg)
+		if err != nil {
+			return nil, err
+		}
+		cycles = res.Cycles
+		tab := metrics.NewTable("Demo", "Benchmark", "Cycles")
+		tab.AddRow(res.Benchmark, res.Cycles)
+		return tab, nil
 	}}
-	path := filepath.Join(t.TempDir(), "golden.json")
-	if err := writeJSON(path, record); err != nil {
+	example := func(experiments.Options) (string, error) {
+		if _, err := sim.Run(cfg); err != nil {
+			return "", err
+		}
+		return "worked example", nil
+	}
+	opts := experiments.NewOptions(true)
+
+	got, err := section(e, example, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// mutate returns a deep copy of record with f applied.
-	mutate := func(f func(*goldenFile)) goldenFile {
-		g := goldenFile{Quick: record.Quick, Experiments: append([]goldenEntry(nil), record.Experiments...)}
-		f(&g)
-		return g
+	tab, _ := e.Run(opts)
+	want := tab.String() + "\nworked example\n" + fmt.Sprintf("[demo: sim_runs 1, sim_cycles %d]\n", cycles)
+	if got != want {
+		t.Fatalf("section:\n%s\nwant:\n%s", got, want)
 	}
-	for _, tc := range []struct {
-		name string
-		got  goldenFile
-		want []string
-	}{
-		{"exact match", mutate(func(*goldenFile) {}), nil},
-		{"sim_cycles", mutate(func(g *goldenFile) { g.Experiments[0].SimCycles++ }),
-			[]string{"fig7: sim_cycles 1000 -> 1001"}},
-		{"sim_runs", mutate(func(g *goldenFile) { g.Experiments[1].SimRuns = 19 }),
-			[]string{"fig8: sim_runs 20 -> 19"}},
-		{"output_sha256", mutate(func(g *goldenFile) { g.Experiments[0].OutputSHA = "cccccccccccccccc" }),
-			[]string{"fig7: rendered output changed (sha256 aaaaaaaaaaaa -> cccccccccccc)"}},
-		{"quick", mutate(func(g *goldenFile) { g.Quick = false }),
-			[]string{"quick mode mismatch: golden true, run false"}},
-		{"missing from record", mutate(func(g *goldenFile) {
-			g.Experiments = append(g.Experiments, goldenEntry{ID: "fig9", SimCycles: 1, SimRuns: 1})
-		}), []string{"fig9: not in golden record"}},
-		{"did not run", mutate(func(g *goldenFile) { g.Experiments = g.Experiments[:1] }),
-			[]string{"fig8: in golden record but did not run"}},
+
+	failing := func(experiments.Options) (string, error) { return "partial", errors.New("no deadlock") }
+	got, err = section(e, failing, opts)
+	if err == nil || !strings.Contains(err.Error(), "worked example: no deadlock") {
+		t.Errorf("failing example: error %v, want the example's error", err)
+	}
+	if got != "" {
+		t.Errorf("failing example rendered %q, want nothing", got)
+	}
+}
+
+// TestExperimentsDocMatchesRecord compares the tables EXPERIMENTS.md
+// embeds with the same tables in the full-scale record, cell by cell.
+// Cells match by row label and column header, because the doc leaves out
+// the constant Baseline or Timeout column.
+func TestExperimentsDocMatchesRecord(t *testing.T) {
+	doc, record := readFile(t, "../../EXPERIMENTS.md"), readFile(t, "../../awgexp_full.txt")
+	for _, tc := range []struct{ heading, title string }{
+		{"### Figure 14", "== Figure 14:"},
+		{"### Figure 15", "== Figure 15:"},
+		{"### Ablation", "== Ablation:"},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := compareGolden(path, tc.got); !reflect.DeepEqual(got, tc.want) {
-				t.Fatalf("compareGolden drifts:\n  got  %q\n  want %q", got, tc.want)
+		rec := tableAfter(t, record, tc.title)
+		cells := map[[2]string]string{}
+		for _, row := range rec[1:] {
+			for j, c := range row {
+				cells[[2]string{row[0], rec[0][j]}] = c
 			}
-		})
+		}
+		want := tableAfter(t, doc, tc.heading)
+		for _, row := range want[1:] {
+			for j, c := range row {
+				if got, ok := cells[[2]string{row[0], want[0][j]}]; !ok || got != c {
+					t.Errorf("%s: row %s, column %s: EXPERIMENTS.md has %q, awgexp_full.txt %q",
+						tc.heading, row[0], want[0][j], c, got)
+				}
+			}
+		}
 	}
-	// A missing record is itself a drift: the gate cannot pass without one.
-	if drifts := compareGolden(filepath.Join(t.TempDir(), "absent.json"), record); len(drifts) != 1 {
-		t.Fatalf("missing record reported %q, want one drift", drifts)
+}
+
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return string(b)
+}
+
+// tableAfter returns the whitespace-split lines of the first table after
+// the first line starting with prefix: from its "Benchmark" header line
+// to the next blank line or code fence. Each row has one cell per column.
+func tableAfter(t *testing.T, text, prefix string) [][]string {
+	t.Helper()
+	i := strings.Index(text, prefix)
+	if i < 0 {
+		t.Fatalf("no line starting with %q", prefix)
+	}
+	lines := strings.Split(text[i:], "\n")
+	for len(lines) > 0 && !strings.HasPrefix(lines[0], "Benchmark") {
+		lines = lines[1:]
+	}
+	var rows [][]string
+	for _, line := range lines {
+		if line == "" || line == "```" {
+			break
+		}
+		rows = append(rows, strings.Fields(line))
+	}
+	if len(rows) < 2 {
+		t.Fatalf("%q: no table rows", prefix)
+	}
+	for _, row := range rows {
+		if len(row) != len(rows[0]) {
+			t.Fatalf("%q: row %q has %d cells for %d columns", prefix, row, len(row), len(rows[0]))
+		}
+	}
+	return rows
 }

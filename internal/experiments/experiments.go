@@ -160,7 +160,8 @@ type Experiment struct {
 	Run   func(o Options) (*metrics.Table, error)
 }
 
-// All lists every experiment in paper order.
+// All lists every experiment in paper order, closing with the Section V.C
+// hardware budget.
 func All() []Experiment {
 	return []Experiment{
 		{"table1", "Table 1: baseline GPU model", func(o Options) (*metrics.Table, error) { return Table1(o), nil }},
@@ -180,6 +181,7 @@ func All() []Experiment {
 		{"faults", "Fault injection: IFP under CU loss, monitor degradation, CP jitter", Faults},
 		{"fleet", "Fleet: device health events, migration under churn, SLO checking", Fleet},
 		{"litmus", "Litmus: generated progress-model conformance matrix (OBE/HSA/LinOcc/IFP)", Litmus},
+		{"overhead", "AWG hardware overhead (Section V.C)", func(Options) (*metrics.Table, error) { return HardwareOverhead(), nil }},
 	}
 }
 

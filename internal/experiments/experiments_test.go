@@ -23,7 +23,7 @@ func TestAllExperimentsRegistered(t *testing.T) {
 		}
 		ids[e.ID] = true
 	}
-	for _, want := range []string{"table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig11", "fig13", "fig14", "fig15", "faults", "fleet", "litmus"} {
+	for _, want := range []string{"table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig11", "fig13", "fig14", "fig15", "faults", "fleet", "litmus", "overhead"} {
 		if !ids[want] {
 			t.Errorf("experiment %s missing", want)
 		}

@@ -31,6 +31,14 @@ import (
 	"awgsim/internal/sim"
 )
 
+const (
+	// migrationPauseBase is the fixed fleet-cycle cost of a migration; the
+	// transplanted state adds gpu.Machine.StateBytes()/128 on top.
+	migrationPauseBase event.Cycle = 2_000
+	// eccRecoveryPause is the fleet-cycle cost of an ECC retire-and-rewind.
+	eccRecoveryPause event.Cycle = 2_000
+)
+
 // Config describes one fleet run: K devices multiplexing the given
 // workloads under a fault plane. Zero-valued knobs take the defaults
 // below.
@@ -69,13 +77,6 @@ type Config struct {
 	// FleetBudget caps the run in fleet cycles; live workloads at the cap
 	// finish diagnosed with metrics.ReasonFleetBudget. Default 100_000_000.
 	FleetBudget event.Cycle
-	// MigrationPauseBase is the fixed fleet-cycle cost of a migration; the
-	// transplanted state adds gpu.Machine.StateBytes()/128 on top.
-	// Default 2_000.
-	MigrationPauseBase event.Cycle
-	// ECCRecoveryPause is the fleet-cycle cost of an ECC retire-and-rewind.
-	// Default 2_000.
-	ECCRecoveryPause event.Cycle
 
 	// SLO is the fleet's service contract (see slo.go).
 	SLO SLO
@@ -116,12 +117,6 @@ func (c *Config) fill() error {
 	}
 	if c.FleetBudget == 0 {
 		c.FleetBudget = 100_000_000
-	}
-	if c.MigrationPauseBase == 0 {
-		c.MigrationPauseBase = 2_000
-	}
-	if c.ECCRecoveryPause == 0 {
-		c.ECCRecoveryPause = 2_000
 	}
 	return nil
 }
@@ -588,7 +583,7 @@ func (f *fleet) eccError(e Event) {
 		words += w.m.Mem().CorruptRange(e.Page, e.Pages, seed)
 		f.rewind(w)
 		f.applyThermal(w, d.scale)
-		w.pauseUntil = f.clock + f.cfg.ECCRecoveryPause
+		w.pauseUntil = f.clock + eccRecoveryPause
 		w.recoveries++
 	}
 	f.note(e, XIDDoubleBitECC, fmt.Sprintf("device %d uncorrectable ECC: pages [%d,%d), %d words poisoned, %d workloads rewound",
@@ -613,7 +608,7 @@ func (f *fleet) migrate(w *workload, target int, cause string) {
 	w.dev = target
 	f.applyThermal(w, f.devs[target].scale)
 	w.ckpt = w.checkpoint()
-	pause := f.cfg.MigrationPauseBase + event.Cycle(w.m.StateBytes()/128)
+	pause := migrationPauseBase + event.Cycle(w.m.StateBytes()/128)
 	w.pauseUntil = f.clock + pause
 	w.migrations++
 	f.migrations = append(f.migrations, Migration{

@@ -83,9 +83,6 @@ func (w *WG) Spec() *KernelSpec { return w.spec }
 // Park queues f to run when the WG next becomes resident.
 func (w *WG) Park(f func()) { w.parked = append(w.parked, f) }
 
-// Stalled reports whether the WG is parked without issuing instructions.
-func (w *WG) Stalled() bool { return w.stalled }
-
 // WaitOp is one wait episode's operation: the program retries Op(A, B) on
 // Var until the value it returns satisfies Cmp against Want. Backoff marks
 // a call site written with software exponential backoff (the SPMBO_*

@@ -13,21 +13,24 @@ type extraction struct {
 }
 
 // argPkgs are standard-library packages whose package-level functions
-// rearrange or read their arguments and keep no hidden state. A helper
-// may call them; a map-range body calling one directly is still judged
-// by simdeterminism, which does not whitelist them.
+// keep no hidden state but may rearrange their first argument's elements
+// (sort.Ints, slices.Reverse), so a call into one is judged as a write
+// into that argument's elements. A map-range body calling one directly
+// is still judged by simdeterminism, which does not whitelist them.
 var argPkgs = map[string]bool{"sort": true, "slices": true, "maps": true}
 
 // extract walks one function body for its direct effects and its edges to
 // the package's declared functions, called or referenced as values.
-func extract(info *types.Info, obj *types.Func, fd *ast.FuncDecl, decls map[*types.Func]*ast.FuncDecl) *extraction {
+func extract(info *types.Info, fd *ast.FuncDecl, decls map[*types.Func]*ast.FuncDecl) *extraction {
 	ex := &extraction{}
 	seen := map[*types.Func]bool{}
+	own := ownLocals(info, fd.Body)
 
 	// write records a write to e or, with elems set, into e's elements.
 	// Only a write whose root is a variable declared in this function stays
-	// invisible to callers, and not when it goes into the elements of a
-	// parameter, which alias the caller's data.
+	// invisible to callers, and a write into the root's elements only when
+	// the root owns them (ownLocals): a parameter's or an alias's elements
+	// are the caller's data.
 	write := func(e ast.Expr, elems bool) {
 		for {
 			switch x := e.(type) {
@@ -42,7 +45,7 @@ func extract(info *types.Info, obj *types.Func, fd *ast.FuncDecl, decls map[*typ
 					return
 				}
 				v, ok := info.Uses[x].(*types.Var)
-				if !ok || v.Pos() < fd.Pos() || v.Pos() >= fd.End() || elems && isParam(obj, v) {
+				if !ok || v.Pos() < fd.Pos() || v.Pos() >= fd.End() || elems && !own[v] {
 					ex.impure = true
 				}
 				return
@@ -63,6 +66,13 @@ func extract(info *types.Info, obj *types.Func, fd *ast.FuncDecl, decls map[*typ
 					write(lhs, false)
 				}
 			}
+		case *ast.RangeStmt:
+			if x.Tok == token.ASSIGN {
+				write(x.Key, false)
+				if x.Value != nil {
+					write(x.Value, false)
+				}
+			}
 		case *ast.IncDecStmt:
 			write(x.X, false)
 		case *ast.UnaryExpr:
@@ -76,7 +86,11 @@ func extract(info *types.Info, obj *types.Func, fd *ast.FuncDecl, decls map[*typ
 			if f := calleeFunc(info, x); f != nil {
 				// A declared callee is an edge, added when its identifier
 				// is visited below.
-				if decls[f.Origin()] == nil && !pureLibFunc(f) && !(pkgLevel(f) && argPkgs[f.Pkg().Path()]) {
+				switch {
+				case decls[f.Origin()] != nil, pureLibFunc(f):
+				case pkgLevel(f) && argPkgs[f.Pkg().Path()] && len(x.Args) > 0:
+					write(x.Args[0], true)
+				default:
 					ex.impure = true
 				}
 				return true
@@ -85,14 +99,12 @@ func extract(info *types.Info, obj *types.Func, fd *ast.FuncDecl, decls map[*typ
 			if _, ok := fun.(*ast.FuncLit); ok {
 				return true // invoked in place: its body is walked inline
 			}
-			if id, ok := fun.(*ast.Ident); ok {
-				if b, ok := info.Uses[id].(*types.Builtin); ok {
-					switch b.Name() {
-					case "copy", "delete", "clear":
-						write(x.Args[0], true) // they write their first argument's elements
-					}
-					return true
+			if b := builtin(info, x); b != "" {
+				switch b {
+				case "append", "copy", "delete", "clear":
+					write(x.Args[0], true) // they write their first argument's elements
 				}
+				return true
 			}
 			if !info.Types[fun].IsType() {
 				ex.impure = true // a function value or func-typed field, not a conversion
@@ -109,19 +121,72 @@ func extract(info *types.Info, obj *types.Func, fd *ast.FuncDecl, decls map[*typ
 	return ex
 }
 
-// isParam reports whether o is one of fn's parameters (including the
-// receiver).
-func isParam(fn *types.Func, o types.Object) bool {
-	sig := fn.Type().(*types.Signature)
-	if sig.Recv() == o {
-		return true
+// ownLocals returns the variables body declares whose every value is a
+// fresh allocation: each definition and assignment is a zero-valued var
+// declaration, a make, a new, a composite literal, or an append to or
+// re-slice of the variable itself. Any other local may alias a caller's
+// data, as may a range variable or a function literal's parameter, which
+// no assignment defines.
+func ownLocals(info *types.Info, body *ast.BlockStmt) map[*types.Var]bool {
+	own := map[*types.Var]bool{}
+	bind := func(id *ast.Ident, fresh bool) {
+		v, ok := info.ObjectOf(id).(*types.Var)
+		if prev, seen := own[v]; seen {
+			own[v] = prev && fresh
+		} else if ok && info.Defs[id] != nil {
+			own[v] = fresh
+		}
 	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if sig.Params().At(i) == o {
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			for i, l := range x.Lhs {
+				if id, ok := l.(*ast.Ident); ok {
+					bind(id, len(x.Rhs) == len(x.Lhs) && freshValue(info, id, x.Rhs[i]))
+				}
+			}
+		case *ast.ValueSpec:
+			for i, id := range x.Names {
+				bind(id, len(x.Values) == 0 || len(x.Values) == len(x.Names) && freshValue(info, id, x.Values[i]))
+			}
+		}
+		return true
+	})
+	return own
+}
+
+// freshValue reports whether e, assigned to the variable v names, is a
+// fresh allocation: make, new, a composite literal, or an append to or
+// re-slice of v itself.
+func freshValue(info *types.Info, v *ast.Ident, e ast.Expr) bool {
+	self := func(x ast.Expr) bool {
+		id, ok := ast.Unparen(x).(*ast.Ident)
+		return ok && info.Uses[id] == info.ObjectOf(v)
+	}
+	switch x := ast.Unparen(e).(type) {
+	case *ast.CompositeLit:
+		return true
+	case *ast.SliceExpr:
+		return self(x.X)
+	case *ast.CallExpr:
+		switch builtin(info, x) {
+		case "make", "new":
 			return true
+		case "append":
+			return self(x.Args[0])
 		}
 	}
 	return false
+}
+
+// builtin returns the name of the builtin function call invokes, or "".
+func builtin(info *types.Info, call *ast.CallExpr) string {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if b, ok := info.Uses[id].(*types.Builtin); ok {
+			return b.Name()
+		}
+	}
+	return ""
 }
 
 // calleeFunc resolves a call's static callee, nil for dynamic calls and

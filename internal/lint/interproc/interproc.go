@@ -33,10 +33,15 @@ type Summary struct {
 	// including functions referenced as values.
 	Calls map[*types.Func]bool
 	// Impure reports a caller-visible effect on some path: a write through
-	// a selector, a pointer, a package variable or a parameter's elements;
-	// a call the summary cannot see into (another package's function, a
-	// method without a body here, a function value); or a go, send or
-	// select statement.
+	// a selector, a pointer or a package variable; a write into the
+	// elements of a parameter or of a local that may alias one (a local
+	// owns its elements only if every value it takes is a fresh make, new,
+	// composite literal, or append to or re-slice of itself); a call the
+	// summary cannot see into (another package's function, a method
+	// without a body here, a function value); or a go, send or select
+	// statement. Writes include an assigning range statement's key and
+	// value, and the first argument's elements of copy, delete, clear,
+	// append and every sort, slices or maps function.
 	Impure bool
 }
 
@@ -140,7 +145,7 @@ func run(pass *analysis.Pass) (any, error) {
 
 	direct := map[*types.Func]*extraction{}
 	for _, obj := range r.Order {
-		direct[obj] = extract(pass.TypesInfo, obj, r.Decls[obj], r.Decls)
+		direct[obj] = extract(pass.TypesInfo, r.Decls[obj], r.Decls)
 	}
 
 	// tarjan emits components callees first, so a callee outside the

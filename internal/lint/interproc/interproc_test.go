@@ -61,15 +61,24 @@ func TestSCCSharesCallsAndImpurity(t *testing.T) {
 func TestPurity(t *testing.T) {
 	r, fn := summarize(t)
 	for name, impure := range map[string]bool{
-		"leaf":       false,
-		"Chain":      false, // same-package helper chain
-		"ReadLabel":  false, // field read, local write
-		"CopyLocal":  false, // copy into a local slice
-		"CrossPure":  true,  // another package's code is never seen
-		"SetHits":    true,  // qualified write to another package's variable
-		"CopyInto":   true,
-		"DeleteFrom": true,
-		"ClearAll":   true,
+		"leaf":         false,
+		"Chain":        false, // same-package helper chain
+		"ReadLabel":    false, // field read, local write
+		"CopyLocal":    false, // copy into a local slice
+		"CrossPure":    true,  // another package's code is never seen
+		"SetHits":      true,  // qualified write to another package's variable
+		"CopyInto":     true,
+		"DeleteFrom":   true,
+		"ClearAll":     true,
+		"SortParam":    true, // sort writes its argument's elements
+		"SortOwn":      false,
+		"AliasWrite":   true, // a local alias of a parameter
+		"LoopAlias":    true,
+		"ClosureWrite": true,
+		"AppendInto":   true, // append writes its first argument's elements
+		"AppendLocal":  false,
+		"RangeGlobal":  true, // an assigning range writes its key
+		"RangeLocal":   false,
 	} {
 		if got := r.Funcs[fn[name]].Impure; got != impure {
 			t.Errorf("%s: Impure = %v, want %v", name, got, impure)
