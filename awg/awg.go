@@ -51,10 +51,6 @@ type Config struct {
 	Oversubscribe bool
 	PreemptAt     event.Cycle
 
-	// SkipVerify disables the post-run functional validation (used only by
-	// experiments that expect a deadlock).
-	SkipVerify bool
-
 	// Seed perturbs the machine's deterministic jitter stream. Runs with
 	// equal seeds are bit-identical; the default 0 reproduces the
 	// historical stream.
@@ -71,7 +67,6 @@ func (c Config) session() sim.Config {
 		Params:        c.Params,
 		Oversubscribe: c.Oversubscribe,
 		PreemptAt:     c.PreemptAt,
-		SkipVerify:    c.SkipVerify,
 		Seed:          c.Seed,
 	}
 }
@@ -95,10 +90,10 @@ func Policies() []string { return sim.Policies() }
 // "Timeout-50k". Bare "Sleep" and "Timeout" use 16k and 20k respectively.
 func NewPolicy(name string) (gpu.Policy, error) { return sim.NewPolicy(name) }
 
-// Run executes one simulation and returns its result. Unless SkipVerify is
-// set, a completed run is functionally validated (lock counts, conserved
-// balances, barrier epochs); a validation failure is returned as an error.
-// A deadlocked run is not an error — Result.Deadlocked reports it.
+// Run executes one simulation and returns its result. A completed run is
+// functionally validated (lock counts, conserved balances, barrier
+// epochs); a validation failure is returned as an error. A deadlocked run
+// is not an error — Result.Deadlocked reports it.
 func Run(cfg Config) (Result, error) {
 	return sim.Run(cfg.session())
 }

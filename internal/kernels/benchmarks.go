@@ -236,19 +236,12 @@ func queueMutexBench(p Params, name string, scope gpu.Scope, vgprs, lds int) (*B
 		n = p.Groups
 		holders = p.WGsPerGroup()
 	}
-	locks := make([]QueueMutex, n)
 	counters := alloc.Words(n)
 	tailAddrs := make([]mem.Addr, n)
 	allSlots := make([][]mem.Addr, n)
-	for i := range locks {
-		slotAddrs := alloc.Words(holders + 1)
-		slots := make([]gpu.Var, len(slotAddrs))
-		for j, a := range slotAddrs {
-			slots[j] = scopedVar(a, scope, i)
-		}
+	for i := range allSlots {
+		allSlots[i] = alloc.Words(holders + 1)
 		tailAddrs[i] = alloc.Word()
-		allSlots[i] = slotAddrs
-		locks[i] = QueueMutex{Tail: scopedVar(tailAddrs[i], scope, i), Slots: slots}
 	}
 	barCount := alloc.Word()
 
@@ -258,8 +251,8 @@ func queueMutexBench(p Params, name string, scope gpu.Scope, vgprs, lds int) (*B
 		Spec:   spec,
 		Params: p,
 		Init: func(write func(mem.Addr, int64)) {
-			for _, l := range locks {
-				l.InitUnlocked(write)
+			for _, slots := range allSlots {
+				write(slots[0], 1) // the first ticket may proceed
 			}
 		},
 		Verify: func(read func(mem.Addr) int64) error {

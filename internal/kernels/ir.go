@@ -135,12 +135,17 @@ func ticketMutexIR(p Params, scope gpu.Scope, tails, servings, counters []mem.Ad
 	return b.MustBuild()
 }
 
-// queueMutexIR is SLM: Iters critical sections under the queue mutexes
-// (one per group in local scope). Lock takes a ticket and waits for its slot
-// to read 1; unlock retires the slot (-1) and unlocks the next. Each lock's
-// slot ring occupies a contiguous pool range, so slot selection is
-// base + ticket%len — the pool addresses stay line-separated even though
-// their indices are dense.
+// queueMutexIR is SLM, the decentralized ticket ("sleep") mutex of
+// Figure 10: Iters critical sections under the queue mutexes (one per
+// group in local scope). Lock takes a ticket from the tail and waits for
+// its own slot to read 1, so each variable sees a single waiter and a
+// single meaningful update; unlock retires the slot (-1) and unlocks the
+// next. Slot values: 0 untouched, 1 unlocked (holder may enter), -1
+// retired; the benchmark's Init writes 1 to each ring's slot 0. A ring's
+// slot count must exceed the acquires outstanding at once (holders + 1).
+// Each lock's slot ring occupies a contiguous pool range, so slot
+// selection is base + ticket%len — the pool addresses stay line-separated
+// even though their indices are dense.
 func queueMutexIR(p Params, scope gpu.Scope, tails []mem.Addr, slots [][]mem.Addr, counters []mem.Addr, barCount mem.Addr) *prog.Program {
 	b := prog.NewBuilder()
 	sc := irScope(scope)

@@ -136,34 +136,6 @@ func TestTreeBarrierTargets(t *testing.T) {
 	}
 }
 
-func TestQueueMutexInit(t *testing.T) {
-	a := NewAddrAlloc(0x100)
-	slots := make([]gpu.Var, 4)
-	for i, addr := range a.Words(4) {
-		slots[i] = gpu.GlobalVar(addr)
-	}
-	q := QueueMutex{Tail: gpu.GlobalVar(a.Word()), Slots: slots}
-	vals := map[uint64]int64{}
-	q.InitUnlocked(func(addr mem.Addr, v int64) { vals[uint64(addr)] = v })
-	if vals[uint64(slots[0].Addr)] != 1 {
-		t.Fatal("first slot not unlocked by InitUnlocked")
-	}
-	if len(vals) != 1 {
-		t.Fatalf("InitUnlocked wrote %d words, want 1", len(vals))
-	}
-}
-
-func TestScopedVar(t *testing.T) {
-	g := scopedVar(0x40, gpu.Global, 3)
-	if g.Scope != gpu.Global || g.Group != 0 {
-		t.Errorf("global scopedVar = %+v", g)
-	}
-	l := scopedVar(0x40, gpu.Local, 3)
-	if l.Scope != gpu.Local || l.Group != 3 {
-		t.Errorf("local scopedVar = %+v", l)
-	}
-}
-
 func TestSkewedWorkDeterministicAndBounded(t *testing.T) {
 	p := testParams()
 	for wg := 0; wg < p.NumWGs; wg++ {

@@ -44,30 +44,6 @@ func (a *AddrAlloc) Words(n int) []mem.Addr {
 	return out
 }
 
-// scopedVar wraps an address in the requested scope for group g.
-func scopedVar(addr mem.Addr, scope gpu.Scope, group int) gpu.Var {
-	if scope == gpu.Local {
-		return gpu.LocalVar(addr, group)
-	}
-	return gpu.GlobalVar(addr)
-}
-
-// QueueMutex is the decentralized ticket ("sleep") mutex of Figure 10
-// (SLM): each acquirer takes a ticket from Tail and waits on its own queue
-// slot, so each variable sees a single waiter and a single meaningful
-// update. Slot values: 0 untouched, 1 unlocked (holder may enter), -1
-// retired. queueMutexIR emits the lock and unlock sequences.
-type QueueMutex struct {
-	Tail  gpu.Var
-	Slots []gpu.Var // slot ring; must exceed the max outstanding acquires
-}
-
-// InitUnlocked prepares the queue so the first ticket may proceed. Call on
-// host state (the machine's value store) before launch.
-func (l QueueMutex) InitUnlocked(write func(mem.Addr, int64)) {
-	write(l.Slots[0].Addr, 1)
-}
-
 // TreeBarrier is the layout of HeteroSync's two-level atomic tree barrier
 // (TB/TBEX): WGs of a group count in on a per-group arrival counter, group
 // masters count in on a global counter, and waiters poll the counters

@@ -17,7 +17,8 @@ import (
 )
 
 // Analyzer describes one static check: a name, documentation, and a Run
-// function invoked once per package.
+// function invoked once per package. Each analyzer judges its package
+// alone: no analyzer reads another's result.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// `//lint:allow <name> <reason>` directives. It must be a valid Go
@@ -28,13 +29,9 @@ type Analyzer struct {
 	// followed by a blank line and further prose.
 	Doc string
 
-	// Requires lists analyzers that must run on the same package first;
-	// their return values are available through Pass.ResultOf.
-	Requires []*Analyzer
-
-	// Run applies the analyzer to a package. It reports findings via
-	// Pass.Report/Reportf and may return an arbitrary result value, which
-	// the driver hands to dependent analyzers through Pass.ResultOf.
+	// Run applies the analyzer to a package and reports findings via
+	// Pass.Report/Reportf. Its result value keeps the upstream signature;
+	// the driver discards it.
 	Run func(*Pass) (any, error)
 }
 
@@ -48,10 +45,6 @@ type Pass struct {
 
 	// Report delivers one diagnostic. The driver installs it.
 	Report func(Diagnostic)
-
-	// ResultOf holds the return values of this pass's Requires analyzers,
-	// keyed by analyzer, for the same package.
-	ResultOf map[*Analyzer]any
 }
 
 // Reportf reports a formatted diagnostic at pos.

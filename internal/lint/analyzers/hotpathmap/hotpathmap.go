@@ -11,14 +11,15 @@
 // deleted from or cleared in any function reachable from a hot root —
 // quietly reverts that, so the analyzer flags it at review time.
 //
-// Reachability comes from the ipsummary call graph: a root's composed
-// summary carries its transitive Calls set, which deliberately includes
-// functions referenced as values — e.g. pooled-task callees — since those
-// do run on the hot path. Reporting stays same-package: cold code sharing
-// a package is not flagged unless a hot root reaches it, and cross-package
-// callees are the importing package's problem. len(m) is allowed (no
-// hashing); a genuinely cold or setup-time map access on a hot path
-// carries a `//lint:allow hotpathmap <reason>` directive.
+// Reachability is a flood over the package's reference graph: every
+// identifier in a reached body that names a function declared in the
+// package is an edge, whether it is called or passed as a value — e.g. a
+// pooled-task callee handed to NewTask — since a value runs on the same
+// hot path. Reporting stays same-package: cold code sharing a package is
+// not flagged unless a hot root reaches it, and cross-package callees are
+// the importing package's problem. len(m) is allowed (no hashing); a
+// genuinely cold or setup-time map access on a hot path carries a
+// `//lint:allow hotpathmap <reason>` directive.
 package hotpathmap
 
 import (
@@ -27,15 +28,13 @@ import (
 	"strings"
 
 	"awgsim/internal/lint/analysis"
-	"awgsim/internal/lint/interproc"
 )
 
 // Analyzer is the hotpathmap analyzer.
 var Analyzer = &analysis.Analyzer{
-	Name:     "hotpathmap",
-	Doc:      "forbid Go map index, range, delete and clear in functions reachable from bank-service, wake and CU-issue hot paths",
-	Requires: []*analysis.Analyzer{interproc.Analyzer},
-	Run:      run,
+	Name: "hotpathmap",
+	Doc:  "forbid Go map index, range, delete and clear in functions reachable from bank-service, wake and CU-issue hot paths",
+	Run:  run,
 }
 
 // scope names one hot package (by path suffix, so testdata stand-ins
@@ -95,16 +94,40 @@ func run(pass *analysis.Pass) (any, error) {
 	if sc == nil {
 		return nil, nil
 	}
-	// ipsummary already holds the package's declarations in file order and
-	// each root's transitive Calls set (function-value references included),
-	// so reachability is a single hop per root.
-	ip := pass.ResultOf[interproc.Analyzer].(*interproc.Result)
-	reachable := ip.Reachable(func(obj *types.Func, fd *ast.FuncDecl) bool {
-		return fd != nil && fd.Body != nil && sc.roots[fd.Name.Name]
-	})
-	for _, obj := range ip.Order {
-		if reachable[obj] && ip.Decls[obj].Body != nil {
-			checkBody(pass, sc.path, ip.Decls[obj])
+	var order []*ast.FuncDecl // file order, the order bodies are checked in
+	decls := map[types.Object]*ast.FuncDecl{}
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				order = append(order, fd)
+				decls[pass.TypesInfo.Defs[fd.Name]] = fd
+			}
+		}
+	}
+	reached := map[*ast.FuncDecl]bool{}
+	var flood func(fd *ast.FuncDecl)
+	flood = func(fd *ast.FuncDecl) {
+		if fd == nil || reached[fd] {
+			return
+		}
+		reached[fd] = true
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if f, ok := pass.TypesInfo.Uses[id].(*types.Func); ok {
+					flood(decls[f.Origin()])
+				}
+			}
+			return true
+		})
+	}
+	for _, fd := range order {
+		if sc.roots[fd.Name.Name] {
+			flood(fd)
+		}
+	}
+	for _, fd := range order {
+		if reached[fd] {
+			checkBody(pass, sc.path, fd)
 		}
 	}
 	return nil, nil

@@ -33,15 +33,15 @@ func (m *monitor) bump(addr uint64) {
 }
 
 // spill reaches drainOne only as a function value (a pooled-task callee
-// pattern): the ipsummary call graph counts value references as edges, so
-// the callee is still hot.
+// pattern): the reference graph counts value references as edges, so the
+// callee is still hot.
 func (m *monitor) spill(addr uint64) {
 	step := m.drainOne
 	step(addr)
 }
 
-// wakeAllOnAddr reaches sweepTwo two calls deep: the transitive Calls set
-// in the root's summary covers the whole chain.
+// wakeAllOnAddr reaches sweepTwo two calls deep: the flood from the root
+// covers the whole chain.
 func (m *monitor) wakeAllOnAddr(addr uint64) {
 	m.sweepOne(addr)
 }

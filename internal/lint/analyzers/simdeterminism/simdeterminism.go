@@ -19,7 +19,10 @@
 //     schedule call, or any other order-sensitive sink. The analyzer
 //     accepts loops whose bodies are provably order-insensitive and the
 //     collect-then-sort idiom (append keys, sort.X afterwards in the same
-//     function); everything else is reported.
+//     function); everything else is reported. The body is judged by its
+//     syntax alone: any call but len, cap, append, delete, min, max or a
+//     type conversion counts as order-sensitive, a helper of the same
+//     package included.
 //
 // Wall-clock use that is genuinely wanted (e.g. cmd-layer timestamps and
 // benchmark wall time) is annotated `//lint:allow simdeterminism <reason>`.
@@ -31,20 +34,17 @@ import (
 	"go/types"
 
 	"awgsim/internal/lint/analysis"
-	"awgsim/internal/lint/interproc"
 )
 
 // Analyzer is the simdeterminism analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "simdeterminism",
 	Doc: "forbid wall-clock reads, global math/rand, and order-leaking map iteration\n\n" +
-		"Map-range bodies are judged against interprocedural effect summaries:\n" +
-		"calling a same-package helper is order-safe when its composed summary\n" +
-		"is pure (no caller-visible write, and no call into code the summary\n" +
-		"cannot see, other packages' included), instead of flagging every call\n" +
-		"syntactically.",
-	Requires: []*analysis.Analyzer{interproc.Analyzer},
-	Run:      run,
+		"Map-range bodies are judged syntactically: a call other than len, cap,\n" +
+		"append, delete, min, max or a type conversion is order-sensitive, a\n" +
+		"same-package helper's included. Collecting into a slice that is sorted\n" +
+		"after the loop is accepted.",
+	Run: run,
 }
 
 // forbiddenCalls maps package path -> function name -> explanation.
@@ -64,7 +64,6 @@ var randConstructors = map[string]bool{
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	ip := pass.ResultOf[interproc.Analyzer].(*interproc.Result)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -72,7 +71,7 @@ func run(pass *analysis.Pass) (any, error) {
 				checkCall(pass, n)
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					checkMapRanges(pass, ip, n.Body)
+					checkMapRanges(pass, n.Body)
 				}
 				return true
 			}
@@ -109,7 +108,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 }
 
 // checkMapRanges walks one function body for range-over-map loops.
-func checkMapRanges(pass *analysis.Pass, ip *interproc.Result, body *ast.BlockStmt) {
+func checkMapRanges(pass *analysis.Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok {
@@ -122,7 +121,7 @@ func checkMapRanges(pass *analysis.Pass, ip *interproc.Result, body *ast.BlockSt
 		if _, isMap := t.Underlying().(*types.Map); !isMap {
 			return true
 		}
-		w := &bodyWalk{pass: pass, ip: ip, rng: rng}
+		w := &bodyWalk{pass: pass, rng: rng}
 		w.checkStmts(rng.Body.List)
 		if !w.sensitive {
 			return true
@@ -144,7 +143,6 @@ func checkMapRanges(pass *analysis.Pass, ip *interproc.Result, body *ast.BlockSt
 // bodyWalk classifies a range body as order-insensitive or not.
 type bodyWalk struct {
 	pass      *analysis.Pass
-	ip        *interproc.Result
 	rng       *ast.RangeStmt
 	sensitive bool
 	why       string
@@ -198,20 +196,12 @@ func (w *bodyWalk) checkStmt(s ast.Stmt) {
 			w.flag("updates " + types.ExprString(s.X))
 		}
 	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if isBuiltin(w.pass, call, "delete") {
-				return
-			}
-			// Interprocedural escape: a callee whose composed summary is
-			// pure cannot leak iteration order no matter when it runs.
-			if w.ip.PureCall(w.pass.TypesInfo, call) {
-				for _, arg := range call.Args {
-					w.checkExpr(arg)
-				}
-				return
-			}
+		// Of the accepted calls only delete can be a statement; checkExpr
+		// flags any other call and vets delete's arguments.
+		if _, ok := ast.Unparen(s.X).(*ast.CallExpr); !ok {
+			w.flag("statement can export iteration order")
 		}
-		w.flag("calls a function whose effects may be order-sensitive")
+		w.checkExpr(s.X)
 	case *ast.IfStmt:
 		w.checkExpr(s.Cond)
 		if s.Init != nil {
@@ -358,10 +348,6 @@ func (w *bodyWalk) checkExpr(e ast.Expr) {
 			isBuiltin(w.pass, call, "append"), isBuiltin(w.pass, call, "delete"),
 			isBuiltin(w.pass, call, "min"), isBuiltin(w.pass, call, "max"),
 			isConversion(w.pass, call):
-			return true
-		case w.ip.PureCall(w.pass.TypesInfo, call):
-			// Pure per its interprocedural summary: value depends only on
-			// arguments, which are themselves vetted.
 			return true
 		default:
 			w.flag("calls " + types.ExprString(call.Fun) + " inside the loop")

@@ -1,8 +1,7 @@
 // Package checker is the multichecker driver behind cmd/awglint: it loads
-// packages, applies every registered analyzer (running each analyzer's
-// Requires first, on the same package), honors `//lint:allow` suppression
-// directives, renders diagnostics deterministically, and can apply
-// suggested fixes in place.
+// packages, applies every registered analyzer to each package on its own,
+// honors `//lint:allow` suppression directives, renders diagnostics
+// deterministically, and can apply suggested fixes in place.
 package checker
 
 import (
@@ -57,17 +56,10 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer, fix bool
 		return nil, err
 	}
 
-	// Directives may name any analyzer that runs, required ones included.
+	// Directives may name any analyzer that runs.
 	known := map[string]*analysis.Analyzer{}
-	var add func(a *analysis.Analyzer)
-	add = func(a *analysis.Analyzer) {
-		known[a.Name] = a
-		for _, req := range a.Requires {
-			add(req)
-		}
-	}
 	for _, a := range analyzers {
-		add(a)
+		known[a.Name] = a
 	}
 
 	var findings []Finding
@@ -80,13 +72,12 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer, fix bool
 		}
 		directives, bad := parseDirectives(p, known)
 		findings = append(findings, bad...)
-		done := map[*analysis.Analyzer]passResult{}
 		for _, a := range analyzers {
-			res, err := run(p, a, done)
+			diags, err := Diagnostics(p, a)
 			if err != nil {
 				return nil, err
 			}
-			for _, d := range res.diags {
+			for _, d := range diags {
 				pos := p.Fset.Position(d.Pos)
 				if suppressed(directives, a.Name, pos) {
 					continue
@@ -126,37 +117,10 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer, fix bool
 	return findings, nil
 }
 
-// Diagnostics runs a on p, after the analyzers a requires, and returns
-// what a reported. It applies no //lint:allow directive: the analysistest
-// harness checks analyzers through it, so seeded violations always
-// surface.
+// Diagnostics runs a on p and returns what a reported. It applies no
+// //lint:allow directive: the analysistest harness checks analyzers
+// through it, so seeded violations always surface.
 func Diagnostics(p *load.Package, a *analysis.Analyzer) ([]analysis.Diagnostic, error) {
-	res, err := run(p, a, map[*analysis.Analyzer]passResult{})
-	return res.diags, err
-}
-
-// passResult is one analyzer's return value and diagnostics on one
-// package.
-type passResult struct {
-	value any
-	diags []analysis.Diagnostic
-}
-
-// run executes a on p, running its Requires first and handing their
-// results to the pass. done memoizes the package's passes, so an analyzer
-// that several others require runs once.
-func run(p *load.Package, a *analysis.Analyzer, done map[*analysis.Analyzer]passResult) (passResult, error) {
-	if res, ok := done[a]; ok {
-		return res, nil
-	}
-	resultOf := map[*analysis.Analyzer]any{}
-	for _, req := range a.Requires {
-		res, err := run(p, req, done)
-		if err != nil {
-			return passResult{}, err
-		}
-		resultOf[req] = res.value
-	}
 	var diags []analysis.Diagnostic
 	pass := &analysis.Pass{
 		Analyzer:  a,
@@ -164,16 +128,12 @@ func run(p *load.Package, a *analysis.Analyzer, done map[*analysis.Analyzer]pass
 		Files:     p.Files,
 		Pkg:       p.Types,
 		TypesInfo: p.Info,
-		ResultOf:  resultOf,
 		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 	}
-	value, err := a.Run(pass)
-	if err != nil {
-		return passResult{}, fmt.Errorf("%s: analyzer %s: %v", p.PkgPath, a.Name, err)
+	if _, err := a.Run(pass); err != nil {
+		return nil, fmt.Errorf("%s: analyzer %s: %v", p.PkgPath, a.Name, err)
 	}
-	res := passResult{value: value, diags: diags}
-	done[a] = res
-	return res, nil
+	return diags, nil
 }
 
 // parseDirectives extracts //lint:allow directives from a package's

@@ -77,10 +77,6 @@ type Config struct {
 	// never advance the clock.
 	CycleBudget uint64
 
-	// SkipVerify disables the post-run functional validation (used only by
-	// experiments that expect a deadlock).
-	SkipVerify bool
-
 	// Tracer, when non-nil, records the run's per-WG timeline.
 	Tracer *trace.Recorder
 
@@ -207,8 +203,7 @@ func (s *Session) InjectedLatency() uint64 {
 }
 
 // Run executes the session's simulation to completion, deadlock, or the
-// cycle cap, then functionally validates a completed run (unless
-// SkipVerify). A deadlocked run is not an error — Result.Deadlocked
+// cycle cap, then functionally validates a completed run. A deadlocked run is not an error — Result.Deadlocked
 // reports it. Run may be called once.
 func (s *Session) Run() (metrics.Result, error) { return s.settle(s.m.Run()) }
 
@@ -221,11 +216,11 @@ func (s *Session) Run() (metrics.Result, error) { return s.settle(s.m.Run()) }
 func (s *Session) Finish() (metrics.Result, error) { return s.settle(s.m.FinishRun()) }
 
 // settle accounts a finished run in the process-wide ledger and
-// functionally validates it unless it deadlocked or SkipVerify is set.
+// functionally validates it unless it deadlocked or has no Verify.
 func (s *Session) settle(res metrics.Result) (metrics.Result, error) {
 	totalCycles.Add(res.Cycles)
 	totalRuns.Add(1)
-	if res.Deadlocked || s.cfg.SkipVerify || s.verify == nil {
+	if res.Deadlocked || s.verify == nil {
 		return res, nil
 	}
 	if err := s.verify(s.m.Mem().Read); err != nil {

@@ -175,22 +175,17 @@ func TestConfigValidation(t *testing.T) {
 
 // TestSessionValidationFailure: a completed run whose Verify fails reports
 // the error through Session.Run and through a staged Prepare/RunTo/Finish
-// alike, and each path accounts exactly one run in Totals(). SkipVerify
-// lets the same run pass.
+// alike, and each path accounts exactly one run in Totals().
 func TestSessionValidationFailure(t *testing.T) {
 	errCorrupt := errors.New("corrupt counter")
-	config := func(skipVerify bool) Config {
-		cfg := quickConfig("SPM_G", "AWG", false, 0)
-		b, err := kernels.Build(cfg.Benchmark, cfg.Params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Benchmark = ""
-		cfg.Kernel, cfg.Init = &b.Spec, b.Init
-		cfg.Verify = func(func(mem.Addr) int64) error { return errCorrupt }
-		cfg.SkipVerify = skipVerify
-		return cfg
+	cfg := quickConfig("SPM_G", "AWG", false, 0)
+	b, err := kernels.Build(cfg.Benchmark, cfg.Params)
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg.Benchmark = ""
+	cfg.Kernel, cfg.Init = &b.Spec, b.Init
+	cfg.Verify = func(func(mem.Addr) int64) error { return errCorrupt }
 	staged := func(s *Session) (metrics.Result, error) {
 		m := s.Machine()
 		m.Prepare()
@@ -201,26 +196,21 @@ func TestSessionValidationFailure(t *testing.T) {
 		name string
 		run  func(*Session) (metrics.Result, error)
 	}{{"Run", (*Session).Run}, {"Finish", staged}} {
-		for _, skip := range []bool{false, true} {
-			s, err := NewSession(config(skip))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ResetTotals()
-			res, err := path.run(s)
-			s.Release()
-			if res.Deadlocked || res.Cycles == 0 {
-				t.Fatalf("%s: run did not complete: %+v", path.name, res)
-			}
-			if skip && err != nil {
-				t.Errorf("%s with SkipVerify: %v", path.name, err)
-			}
-			if !skip && !errors.Is(err, errCorrupt) {
-				t.Errorf("%s: error %v, want the Verify failure", path.name, err)
-			}
-			if cycles, runs := Totals(); runs != 1 || cycles != res.Cycles {
-				t.Errorf("%s: Totals() = %d cycles, %d runs; want %d, 1", path.name, cycles, runs, res.Cycles)
-			}
+		s, err := NewSession(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ResetTotals()
+		res, err := path.run(s)
+		s.Release()
+		if res.Deadlocked || res.Cycles == 0 {
+			t.Fatalf("%s: run did not complete: %+v", path.name, res)
+		}
+		if !errors.Is(err, errCorrupt) {
+			t.Errorf("%s: error %v, want the Verify failure", path.name, err)
+		}
+		if cycles, runs := Totals(); runs != 1 || cycles != res.Cycles {
+			t.Errorf("%s: Totals() = %d cycles, %d runs; want %d, 1", path.name, cycles, runs, res.Cycles)
 		}
 	}
 }
