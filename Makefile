@@ -64,8 +64,9 @@ fuzz:
 # heads each hunk with the title of the table above it; one line of
 # context (-U1) keeps a change in a table's first rows from pulling that
 # title into the hunk, where -F would pass over it. The full scale takes
-# 16–22 s of wall time on two cores. awgexp writes to a temp file first
-# so that its own failure fails the target (/bin/sh may lack pipefail).
+# about 15–16 s of wall time on two cores. awgexp writes to a temp file
+# first so that its own failure fails the target (/bin/sh may lack
+# pipefail).
 # After an intentional model change, regenerate a record with
 # `go run ./cmd/awgexp [-quick] > awgexp_<scale>.txt`.
 golden:

@@ -72,12 +72,15 @@ func (o Options) gpuConfig() gpu.Config {
 }
 
 // cell identifies one simulation in an experiment's grid. Zero iters and
-// numWGs take the scale's defaults.
+// numWGs take the scale's defaults. sched names a fault schedule of the
+// faults experiment's set; a cell with one runs under it, within the
+// scale's fault budget.
 type cell struct {
 	bench, policy string
 	oversub       bool
 	iters         int
 	numWGs        int
+	sched         string
 }
 
 // key fills c's zero iters and numWGs with the scale's defaults, so cells
@@ -112,6 +115,10 @@ func (o Options) simConfig(c cell) sim.Config {
 		// policy is still mid-kernel when the CU disappears.
 		cfg.PreemptAt = 10_000
 	}
+	if c.sched != "" {
+		cfg.Faults = o.faultSchedule(c.sched)
+		_, cfg.CycleBudget = o.faultScale()
+	}
 	return cfg
 }
 
@@ -143,6 +150,9 @@ func (o Options) batch(cells []cell) (map[cell]metrics.Result, error) {
 	for i, out := range sim.RunAll(jobs) {
 		c := fresh[i]
 		if err := fault.CheckOutcome(c.policy, out.Result, out.Err); err != nil {
+			if c.sched != "" {
+				return nil, fmt.Errorf("%s/%s under %s: %w", c.bench, c.policy, c.sched, err)
+			}
 			return nil, fmt.Errorf("%s/%s: %w", c.bench, c.policy, err)
 		}
 		results[c] = out.Result

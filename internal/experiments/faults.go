@@ -6,7 +6,6 @@ import (
 	"awgsim/internal/event"
 	"awgsim/internal/fault"
 	"awgsim/internal/metrics"
-	"awgsim/internal/sim"
 )
 
 // faultPolicies is the faults experiment's policy set: the non-IFP
@@ -44,20 +43,23 @@ func (o Options) faultSchedules() []fault.Schedule {
 	return scheds
 }
 
-// faultConfig is the faults experiment's session for one (bench, policy,
-// schedule) cell: a 2x-capacity launch (so the machine is oversubscribed
-// and Baseline's busy-waiters pin every slot) under the given schedule and
-// the scale's cycle budget.
-func (o Options) faultConfig(bench, policy string, sched fault.Schedule) sim.Config {
-	cfg := o.simConfig(cell{bench: bench, policy: policy})
-	gcfg := o.gpuConfig()
-	p := o.params()
-	p.NumWGs = 2 * gcfg.NumCUs * gcfg.MaxWGsPerCU
-	cfg.Params = p
-	s := sched
-	cfg.Faults = &s
-	_, cfg.CycleBudget = o.faultScale()
-	return cfg
+// faultSchedule returns the schedule of the set named name, or nil.
+func (o Options) faultSchedule(name string) *fault.Schedule {
+	for _, s := range o.faultSchedules() {
+		if s.Name == name {
+			return &s
+		}
+	}
+	return nil
+}
+
+// faultCell is the faults experiment's cell for one (bench, policy,
+// schedule): a 2x-capacity launch, so the machine is oversubscribed and
+// Baseline's busy-waiters pin every slot. An empty sched leaves out the
+// schedule and the scale's cycle budget.
+func (o Options) faultCell(bench, policy, sched string) cell {
+	g := o.gpuConfig()
+	return cell{bench: bench, policy: policy, numWGs: 2 * g.NumCUs * g.MaxWGsPerCU, sched: sched}
 }
 
 // Faults is the robustness experiment: every policy runs oversubscribed
@@ -70,42 +72,29 @@ func (o Options) faultConfig(bench, policy string, sched fault.Schedule) sim.Con
 func Faults(o Options) (*metrics.Table, error) {
 	benches := []string{"SPM_G", "TB_LG"}
 	scheds := o.faultSchedules()
-
-	var jobs []sim.Job
-	type key struct {
-		bench, policy string
-		sched         int
-	}
-	var keys []key
+	var cells []cell
 	for _, b := range benches {
 		for _, p := range faultPolicies {
-			for si, s := range scheds {
-				jobs = append(jobs, sim.Job{Config: o.faultConfig(b, p, s)})
-				keys = append(keys, key{b, p, si})
+			for _, s := range scheds {
+				cells = append(cells, o.faultCell(b, p, s.Name))
 			}
 		}
 	}
-	outs := sim.RunAll(jobs)
+	grid, err := o.batch(cells)
+	if err != nil {
+		return nil, fmt.Errorf("faults %w", err)
+	}
 
 	cols := []string{"Benchmark", "Policy"}
 	for _, s := range scheds {
 		cols = append(cols, s.Name)
 	}
 	t := metrics.NewTable("Fault injection: runtime (cycles) by policy x fault schedule, 2x capacity", cols...)
-	byKey := make(map[key]metrics.Result, len(outs))
-	var violations []string
-	for i, out := range outs {
-		k := keys[i]
-		if cerr := fault.CheckOutcome(k.policy, out.Result, out.Err); cerr != nil {
-			violations = append(violations, fmt.Sprintf("%s under %s: %v", k.bench, scheds[k.sched].Name, cerr))
-		}
-		byKey[k] = out.Result
-	}
 	for _, b := range benches {
 		for _, p := range faultPolicies {
 			row := []any{b, p}
-			for si := range scheds {
-				res := byKey[key{b, p, si}]
+			for _, s := range scheds {
+				res := grid[o.faultCell(b, p, s.Name)]
 				if res.Deadlocked {
 					row = append(row, deadlockMark)
 				} else {
@@ -115,24 +104,25 @@ func Faults(o Options) (*metrics.Table, error) {
 			t.AddRow(row...)
 		}
 	}
-	if len(violations) > 0 {
-		return t, fmt.Errorf("faults: %d IFP invariant violation(s), first: %s", len(violations), violations[0])
-	}
 	return t, nil
 }
 
 // FaultsWorkedExample renders one Baseline deadlock diagnosis in full — the
 // worked example README documents: an oversubscribed SPM_G launch under the
 // first scripted schedule, diagnosed with the blocking conditions named.
+// The cell is one the faults table ran, so Options that ran it reuse its
+// Result.
 func FaultsWorkedExample(o Options) (string, error) {
-	scheds := o.faultSchedules()
-	res, err := sim.Run(o.faultConfig("SPM_G", "Baseline", scheds[0]))
+	sched := o.faultSchedules()[0].Name
+	c := o.faultCell("SPM_G", "Baseline", sched)
+	grid, err := o.batch([]cell{c})
 	if err != nil {
 		return "", fmt.Errorf("faults example: %w", err)
 	}
+	res := grid[c]
 	if !res.Deadlocked || res.Diagnosis == nil {
-		return "", fmt.Errorf("faults example: Baseline 2x under %s did not produce a diagnosis", scheds[0].Name)
+		return "", fmt.Errorf("faults example: Baseline 2x under %s did not produce a diagnosis", sched)
 	}
 	return fmt.Sprintf("Worked example: %s under %s, schedule %q\n%s",
-		res.Benchmark, res.Policy, scheds[0].Name, res.Diagnosis.String()), nil
+		res.Benchmark, res.Policy, sched, res.Diagnosis.String()), nil
 }

@@ -59,8 +59,8 @@ func (o Options) fleetConfig(policy string, plane fleet.Schedule) fleet.Config {
 	benches := []string{"SPM_G", "TB_LG"}
 	wls := make([]sim.Config, fleetDevices)
 	for i := range wls {
-		cfg := o.faultConfig(benches[i%len(benches)], policy, fault.Schedule{})
-		cfg.Faults = nil
+		cfg := o.simConfig(o.faultCell(benches[i%len(benches)], policy, ""))
+		_, cfg.CycleBudget = o.faultScale()
 		cfg.Seed = uint64(i + 1)
 		wls[i] = cfg
 	}

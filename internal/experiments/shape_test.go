@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"awgsim/internal/metrics"
+	"awgsim/internal/sim"
 )
 
 // cells parses a rendered table into rows of fields.
@@ -356,17 +357,34 @@ func TestFaultsShape(t *testing.T) {
 	}
 }
 
-// The Baseline worked example must render a full diagnosis naming the
-// blocking conditions.
+// The Baseline worked example must render a full diagnosis of a proven
+// deadlock, naming the blocking conditions. Through Options that ran the
+// faults table it reuses the table's cell; a literal Options simulates the
+// cell and renders the same text.
 func TestFaultsWorkedExample(t *testing.T) {
+	if _, err := Faults(quick); err != nil {
+		t.Fatal(err)
+	}
+	sim.ResetCache()
 	ex, err := FaultsWorkedExample(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"deadlock diagnosis:", "progress-stall", "blocked on [0x", "scheduler:"} {
+	if n := sim.CacheHits(); n != 1 {
+		t.Errorf("worked example after the faults table reused %d runs, want its cell", n)
+	}
+	for _, want := range []string{"deadlock diagnosis:", "proven-deadlock", "blocked on [0x", "scheduler:"} {
 		if !strings.Contains(ex, want) {
 			t.Errorf("worked example missing %q:\n%s", want, ex)
 		}
+	}
+	sim.ResetCache()
+	fresh, err := FaultsWorkedExample(Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sim.CacheHits(); n != 0 || fresh != ex {
+		t.Errorf("worked example through a literal Options: %d runs reused, text %s; want 0 and\n%s", n, fresh, ex)
 	}
 }
 

@@ -181,22 +181,18 @@ func Arm(m *gpu.Machine, sched Schedule, after event.Cycle) error {
 		if e.At <= after {
 			continue
 		}
-		if fn := action(m, e); fn != nil {
+		if e.Op == CULoss || e.Op == CURestore {
+			m.ScheduleCU(e.At, gpu.CUID(e.CU), e.Op == CURestore)
+		} else if fn := monitorAction(m, e); fn != nil {
 			m.Engine().At(e.At, fn)
 		}
 	}
 	return nil
 }
 
-// action returns the closure that applies e to m, or nil when e does not
-// apply: monitor faults on a policy without monitor hardware arm nothing.
-func action(m *gpu.Machine, e Event) func() {
-	switch e.Op {
-	case CULoss:
-		return func() { m.PreemptCU(gpu.CUID(e.CU)) }
-	case CURestore:
-		return func() { m.RestoreCU(gpu.CUID(e.CU)) }
-	}
+// monitorAction returns the closure that applies the monitor fault e to m,
+// or nil on a policy without monitor hardware, where it arms nothing.
+func monitorAction(m *gpu.Machine, e Event) func() {
 	hw, ok := m.Policy().(monitorHardware)
 	if !ok {
 		return nil

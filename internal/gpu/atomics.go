@@ -123,6 +123,9 @@ func (p *atomicUnit) start(w *WG, v Var, op AtomicOp, a, b int64, atBank func(ol
 	t.I[4] = b
 	t.I[5] = int64(op)
 	m.eng.AtTask(applyAt, t)
+	if w != nil {
+		w.applying++
+	}
 	if resp != nil {
 		m.eng.AtTask(respAt, resp)
 	}
@@ -146,6 +149,14 @@ func runAtomicApply(t *event.Task) {
 	}
 	if newVal != old {
 		m.mem.Write(v.Addr, newVal)
+	}
+	if w != nil {
+		w.applying--
+		// While an episode is open, the WG's only atomics are its
+		// attempts.
+		if w.waiting && w.wait.Cmp.Test(ret, w.wait.Want) {
+			w.metAttempt = true
+		}
 	}
 	if op.IsWrite() {
 		p.observeUpdate(v.Addr)

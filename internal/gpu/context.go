@@ -140,11 +140,27 @@ func (m *Machine) markReady(w *WG) {
 	}
 }
 
-// PreemptCU models the oversubscribed experiment's mid-kernel resource
+// ScheduleCU schedules a CU change at cycle at: the CU's loss, or its
+// restore when enable is set. Every scheduled CU change goes through it,
+// so the machine knows which restores are still to come; a loss needs no
+// count, since a disabled CU hosts nothing and frees no usable slot.
+func (m *Machine) ScheduleCU(at event.Cycle, id CUID, enable bool) {
+	if !enable {
+		m.eng.At(at, func() { m.preemptCU(id) })
+		return
+	}
+	m.restoresDue++
+	m.eng.At(at, func() {
+		m.restoresDue--
+		m.restoreCU(id)
+	})
+}
+
+// preemptCU models the oversubscribed experiment's mid-kernel resource
 // loss: the CU is disabled, its L1 dropped, and every resident WG is
 // force-preempted (context saved and queued ready, since these WGs were
 // executing, not waiting).
-func (m *Machine) PreemptCU(id CUID) {
+func (m *Machine) preemptCU(id CUID) {
 	if !m.sched.disableCU(id) {
 		return
 	}
@@ -162,11 +178,11 @@ func (m *Machine) PreemptCU(id CUID) {
 	m.sched.kick()
 }
 
-// RestoreCU re-enables a previously preempted CU — the paper's dynamic
+// restoreCU re-enables a previously preempted CU — the paper's dynamic
 // resource environment in the other direction: "resource availability
 // varies across kernel scheduling time slices". Queued ready WGs flow
 // back onto it immediately.
-func (m *Machine) RestoreCU(id CUID) {
+func (m *Machine) restoreCU(id CUID) {
 	if !m.sched.enableCU(id) {
 		return
 	}

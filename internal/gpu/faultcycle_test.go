@@ -32,13 +32,12 @@ func TestRepeatedPreemptRestoreAccounting(t *testing.T) {
 	// atomic and context-switch pipelines over the rounds. The two CUs'
 	// outages briefly overlap in some rounds; both restores always land
 	// within a few thousand cycles, far inside the progress window.
-	eng := m.Engine()
 	for i := 0; i < 6; i++ {
 		at := event.Cycle(5_000 + 17_123*i)
-		eng.At(at, func() { m.PreemptCU(1) })
-		eng.At(at+7_919, func() { m.RestoreCU(1) })
-		eng.At(at+3_557, func() { m.PreemptCU(0) })
-		eng.At(at+9_973, func() { m.RestoreCU(0) })
+		m.ScheduleCU(at, 1, false)
+		m.ScheduleCU(at+7_919, 1, true)
+		m.ScheduleCU(at+3_557, 0, false)
+		m.ScheduleCU(at+9_973, 0, true)
 	}
 	res := m.Run()
 	if res.Deadlocked {

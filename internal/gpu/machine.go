@@ -15,11 +15,13 @@ import (
 // per machine; the paper's design space (Baseline, Sleep, Timeout, the
 // monitor family, AWG) is expressed entirely through this interface.
 //
-// The machine finds three optional methods by type assertion: StateBytes()
+// The machine finds four optional methods by type assertion: StateBytes()
 // int sizes the policy's monitor hardware for Machine.StateBytes,
 // Diagnose(*metrics.Diagnosis) adds its occupancy to a stalled run's
-// diagnosis, and Tally(*metrics.Counters) adds the counts it keeps itself
-// to the run's result.
+// diagnosis, Tally(*metrics.Counters) adds the counts it keeps itself to
+// the run's result, and NeverYields() bool, true for a policy under which
+// a waiting WG keeps its slot for the whole episode, lets the deadlock
+// proof rule out a slot freeing.
 type Policy interface {
 	// Name identifies the policy in results ("Baseline", "AWG", ...).
 	Name() string
@@ -70,6 +72,11 @@ type Machine struct {
 	lastProgress event.Cycle
 	deadlocked   bool
 	ran          bool
+
+	// restoresDue and launchesDue count the CU restores (ScheduleCU) and
+	// kernel launches (InjectKernel) still on the calendar: each can make
+	// a WG resident, so the deadlock proof waits them out.
+	restoresDue, launchesDue int
 
 	diag *metrics.Diagnosis
 
@@ -181,6 +188,7 @@ func (m *Machine) InjectKernel(spec *KernelSpec, at event.Cycle, priority int) (
 	}
 	m.allWGs = append(m.allWGs, kr.wgs...)
 	m.kernels = append(m.kernels, kr)
+	m.launchesDue++
 	t := m.eng.NewTask(runKernelLaunch)
 	t.Env[0] = m
 	t.Env[1] = kr
@@ -195,6 +203,7 @@ func runKernelLaunch(t *event.Task) {
 	m := t.Env[0].(*Machine)
 	kr := t.Env[1].(*kernelRun)
 	kr.launched = m.eng.Now()
+	m.launchesDue--
 	m.sched.enqueuePending(kr.wgs)
 	if kr.priority > 0 {
 		m.sched.evictForRoom(kr)
@@ -312,8 +321,8 @@ func (m *Machine) Done() bool { return m.completed == len(m.allWGs) }
 // progress signal.
 func (m *Machine) CompletedWGs() int { return m.completed }
 
-// Deadlocked reports whether the watchdog (or Halt) has declared the run
-// dead.
+// Deadlocked reports whether the watchdog, the deadlock proof or Halt has
+// declared the run dead.
 func (m *Machine) Deadlocked() bool { return m.deadlocked }
 
 // Halt declares an unfinished run dead for an external reason — the fleet
@@ -500,6 +509,7 @@ func (m *Machine) beginWait(w *WG, op WaitOp) {
 func (m *Machine) EndWait(w *WG, observed int64) {
 	now := m.eng.Now()
 	m.atomics.charMet(w)
+	w.metAttempt = false
 	if d := uint64(now - w.waitBegan); d > m.maxWait {
 		m.maxWait = d
 	}
@@ -603,11 +613,11 @@ func (m *Machine) Run() metrics.Result {
 }
 
 // Prepare arms the run without driving the engine: the event budget, the
-// first dispatcher kick and the deadlock watchdog. The fleet layer uses
-// the Prepare/RunTo/FinishRun decomposition to advance each workload in
-// slices between which it may checkpoint, derate or halt the machine; a
-// run sliced at any cycles equals the unsliced Run (FuzzSlicedRun). It
-// may be called once.
+// first dispatcher kick and the deadlock watchdog with its proof. The
+// fleet layer uses the Prepare/RunTo/FinishRun decomposition to advance
+// each workload in slices between which it may checkpoint, derate or halt
+// the machine; a run sliced at any cycles equals the unsliced Run
+// (FuzzSlicedRun). It may be called once.
 func (m *Machine) Prepare() {
 	if m.ran {
 		panic("gpu: Machine.Run called twice")
@@ -615,16 +625,23 @@ func (m *Machine) Prepare() {
 	m.ran = true
 	m.eng.SetEventBudget(m.cfg.MaxEvents)
 	m.sched.kick()
-	// Deadlock watchdog: on a full progress window without any WG advancing,
-	// capture a structured diagnosis before stopping the engine.
+	// Deadlock watchdog: on a full progress window without any WG
+	// advancing, or at the first tick that proves no WG ever can, capture
+	// a structured diagnosis before stopping the engine.
 	var watch func()
 	watch = func() {
 		if m.Done() {
 			return
 		}
+		reason := ""
 		if m.eng.Now()-m.lastProgress >= event.Cycle(m.cfg.ProgressWindow) {
+			reason = metrics.ReasonProgressStall
+		} else if m.provenDeadlock() {
+			reason = metrics.ReasonProvenDeadlock
+		}
+		if reason != "" {
 			m.deadlocked = true
-			m.diag = m.diagnose(metrics.ReasonProgressStall)
+			m.diag = m.diagnose(reason)
 			m.eng.Stop()
 			return
 		}

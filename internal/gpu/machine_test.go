@@ -389,7 +389,7 @@ func TestPreemptCUForcesWGsOut(t *testing.T) {
 	// policy, everything still completes on CU 0.
 	cfg := testConfig()
 	m := newTestMachine(t, cfg, handoffKernel("preempt", 8, 0x8000, 60_000), &yieldPolicy{})
-	m.Engine().At(10_000, func() { m.PreemptCU(1) })
+	m.ScheduleCU(10_000, 1, false)
 	res := m.Run()
 	if res.Deadlocked {
 		t.Fatal("deadlocked after preemption under a yielding policy")
@@ -402,7 +402,7 @@ func TestPreemptCUForcesWGsOut(t *testing.T) {
 	}
 	// Preempting again is a no-op.
 	prev := m.Count.SwitchesOut
-	m.PreemptCU(1)
+	m.preemptCU(1)
 	if m.Count.SwitchesOut != prev {
 		t.Fatal("double preemption switched WGs again")
 	}

@@ -268,8 +268,8 @@ func TestTransientCULossRecovers(t *testing.T) {
 		emitEpochBarrier(b, b.GVar(0x6000), prog.Imm(8))
 	})
 	m := newTestMachine(t, cfg, spec, nil) // busy-wait policy
-	m.Engine().At(5_000, func() { m.PreemptCU(1) })
-	m.Engine().At(120_000, func() { m.RestoreCU(1) })
+	m.ScheduleCU(5_000, 1, false)
+	m.ScheduleCU(120_000, 1, true)
 	res := m.Run()
 	if res.Deadlocked {
 		t.Fatal("baseline deadlocked on a transient CU loss — the evicted WGs should return")
@@ -278,7 +278,7 @@ func TestTransientCULossRecovers(t *testing.T) {
 		t.Fatalf("EnabledCUs = %d after restore, want 2", m.EnabledCUs())
 	}
 	// Restoring an enabled CU is a no-op.
-	m.RestoreCU(0)
+	m.restoreCU(0)
 }
 
 func TestPermanentCULossDeadlocksBaseline(t *testing.T) {
@@ -291,7 +291,7 @@ func TestPermanentCULossDeadlocksBaseline(t *testing.T) {
 		emitEpochBarrier(b, b.GVar(0x7000), prog.Imm(8))
 	})
 	m := newTestMachine(t, cfg, spec, nil)
-	m.Engine().At(5_000, func() { m.PreemptCU(1) })
+	m.ScheduleCU(5_000, 1, false)
 	if res := m.Run(); !res.Deadlocked {
 		t.Fatal("baseline completed despite a permanent CU loss")
 	}

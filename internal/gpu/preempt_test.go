@@ -52,14 +52,14 @@ func TestForceEvictMidAtomic(t *testing.T) {
 }
 
 func TestPreemptThenImmediateRestore(t *testing.T) {
-	// RestoreCU in the same cycle as PreemptCU: the resident WGs are already
+	// restoreCU in the same event as preemptCU: the resident WGs are already
 	// committed to switching out, but the CU is eligible again, so the run
 	// completes at full width.
 	cfg := testConfig()
 	m := newTestMachine(t, cfg, handoffKernel("preempt-restore", 8, 0x8000, 60_000), &yieldPolicy{})
 	m.Engine().At(10_000, func() {
-		m.PreemptCU(1)
-		m.RestoreCU(1)
+		m.preemptCU(1)
+		m.restoreCU(1)
 	})
 	res := m.Run()
 	if res.Deadlocked {
@@ -83,8 +83,8 @@ func TestDispatchStarvationAllCUsDisabled(t *testing.T) {
 	cfg.ProgressWindow = 50_000
 	m := newTestMachine(t, cfg, computeKernel("starve", 8, 1000), &yieldPolicy{})
 	m.Engine().At(0, func() {
-		m.PreemptCU(0)
-		m.PreemptCU(1)
+		m.preemptCU(0)
+		m.preemptCU(1)
 	})
 	res := m.Run()
 	if !res.Deadlocked {
@@ -104,13 +104,11 @@ func TestDispatchResumesAfterRestore(t *testing.T) {
 	cfg := testConfig()
 	m := newTestMachine(t, cfg, computeKernel("starve-restore", 8, 1000), &yieldPolicy{})
 	m.Engine().At(0, func() {
-		m.PreemptCU(0)
-		m.PreemptCU(1)
+		m.preemptCU(0)
+		m.preemptCU(1)
 	})
-	m.Engine().At(20_000, func() {
-		m.RestoreCU(0)
-		m.RestoreCU(1)
-	})
+	m.ScheduleCU(20_000, 0, true)
+	m.ScheduleCU(20_000, 1, true)
 	res := m.Run()
 	if res.Deadlocked {
 		t.Fatal("deadlocked despite restored CUs")

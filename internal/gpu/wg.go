@@ -52,6 +52,14 @@ type WG struct {
 	// when it began.
 	charVar, charCond int32
 	charStart         uint64
+	// metAttempt marks an open episode one of whose attempts has applied
+	// with a value meeting its condition: the episode will end when that
+	// attempt's response lands. Set at bank-service time, cleared by
+	// EndWait; the deadlock proof reads it.
+	metAttempt bool
+	// applying counts the WG's atomics whose bank-service leg is still on
+	// the calendar: a preempted lock holder's release is one.
+	applying int
 
 	stalled        bool // parked without issuing instructions (frees issue slots)
 	phaseStart     event.Cycle

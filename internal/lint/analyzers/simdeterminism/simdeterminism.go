@@ -186,7 +186,7 @@ func (w *bodyWalk) checkStmt(s ast.Stmt) {
 			} else if len(s.Rhs) == 1 {
 				rhs = s.Rhs[0]
 			}
-			w.checkAssign(s, lhs, rhs)
+			w.checkAssign(s.Tok, lhs, rhs)
 		}
 		for _, r := range s.Rhs {
 			w.checkExpr(r)
@@ -227,7 +227,15 @@ func (w *bodyWalk) checkStmt(s ast.Stmt) {
 	case *ast.BranchStmt, *ast.EmptyStmt:
 	case *ast.RangeStmt:
 		// Nested ranges are analyzed independently; their bodies still
-		// inherit this loop's sensitivity rules.
+		// inherit this loop's sensitivity rules. An assigning range writes
+		// its key and value like an assignment does.
+		if s.Tok == token.ASSIGN {
+			for _, lhs := range []ast.Expr{s.Key, s.Value} {
+				if lhs != nil {
+					w.checkAssign(s.Tok, lhs, nil)
+				}
+			}
+		}
 		w.checkExpr(s.X)
 		w.checkStmts(s.Body.List)
 	case *ast.ForStmt:
@@ -263,8 +271,9 @@ func (w *bodyWalk) checkStmt(s ast.Stmt) {
 	}
 }
 
-// checkAssign vets one LHS of an assignment inside the loop body.
-func (w *bodyWalk) checkAssign(s *ast.AssignStmt, lhs, rhs ast.Expr) {
+// checkAssign vets one LHS of an assignment with operator tok inside the
+// loop body; rhs is nil when the LHS takes no single expression's value.
+func (w *bodyWalk) checkAssign(tok token.Token, lhs, rhs ast.Expr) {
 	// Blank: discards the value; RHS side effects are vetted separately.
 	if id, ok := lhs.(*ast.Ident); ok && id.Name == "_" {
 		return
@@ -283,7 +292,7 @@ func (w *bodyWalk) checkAssign(s *ast.AssignStmt, lhs, rhs ast.Expr) {
 	if w.declaredInside(lhs) {
 		return
 	}
-	switch s.Tok {
+	switch tok {
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN,
 		token.AND_ASSIGN, token.OR_ASSIGN, token.XOR_ASSIGN:
 		if w.commutativeLvalue(lhs) {

@@ -62,3 +62,22 @@ func callsInBody(m map[string]int, sink func(string)) {
 		sink(k)
 	}
 }
+
+func lastByMapOrder(m map[string][]int) int {
+	last := 0
+	for _, xs := range m { // want `iterates over a map in nondeterministic order`
+		for _, last = range xs { // last ends as an element of whichever slice map order visits last
+		}
+	}
+	return last
+}
+
+func nestedDefine(m map[string][]int) int {
+	n := 0
+	for _, xs := range m { // per-iteration temporaries, counted: fine
+		for _, x := range xs {
+			n += x
+		}
+	}
+	return n
+}

@@ -9,9 +9,15 @@ import (
 // Stall reasons a Diagnosis carries; the machine picks one when its forward
 // progress watchdog declares a run dead.
 const (
+	// ReasonProvenDeadlock: at a watchdog tick, every resident WG waits on
+	// a condition that memory can no longer meet, and either no unfinished
+	// WG can change memory again or no WG can ever become resident — the
+	// structural deadlock of Baseline and Sleep oversubscribed, and of a
+	// wait that no scheduler can satisfy.
+	ReasonProvenDeadlock = "proven-deadlock"
 	// ReasonProgressStall: no WG made forward progress for a full progress
-	// window — the classic deadlock (Baseline oversubscribed, MonR without
-	// its fallback timeout).
+	// window — what the proof does not cover: a lost wakeup, or a kernel
+	// spinning outside a wait op.
 	ReasonProgressStall = "progress-stall"
 	// ReasonCycleBudget: the run was still making progress but exhausted
 	// its simulated-cycle budget (livelock, or a budget set too tight).

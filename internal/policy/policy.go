@@ -41,6 +41,10 @@ func NewBaseline() *Baseline {
 func (b *Baseline) Name() string                { return "Baseline" }
 func (b *Baseline) Attach(m *gpu.Machine) error { b.m = m; return nil }
 
+// NeverYields reports that a busy-waiting WG keeps its slot, for the
+// machine's deadlock proof.
+func (b *Baseline) NeverYields() bool { return true }
+
 func (b *Baseline) Wait(w *gpu.WG) {
 	s := retryState(b.m, w, b)
 	s.backoff = b.BackoffBase
@@ -77,6 +81,10 @@ func NewSleep(name string, maxBackoff event.Cycle) *Sleep {
 
 func (s *Sleep) Name() string                { return s.name }
 func (s *Sleep) Attach(m *gpu.Machine) error { s.m = m; return nil }
+
+// NeverYields reports that a sleeping WG keeps its slot, for the
+// machine's deadlock proof.
+func (s *Sleep) NeverYields() bool { return true }
 
 func (s *Sleep) Wait(w *gpu.WG) {
 	st := retryState(s.m, w, s)

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"awgsim/internal/event"
+	"awgsim/internal/gpu"
 	"awgsim/internal/metrics"
+	"awgsim/internal/prog"
 	"awgsim/internal/trace"
 )
 
@@ -24,23 +26,36 @@ func runNormalized(t *testing.T, cfg Config) (metrics.Result, *metrics.Diagnosis
 }
 
 // TestTracedRerunReproducesStall pins the recipe for seeing the cycles
-// before a stall: re-run the Config with a Tracer. An oversubscribed
-// Baseline launch deadlocks (residents spin at the exit barrier, pending
-// WGs can never dispatch); re-run traced, it must reach the same Result
-// and the same diagnosis, both for the progress stall and for a run cut
-// by its CycleBudget. Cut just past the diagnosis's last progress, a
-// traced re-run must record the timeline on both sides of it.
+// before a stall: re-run the Config with a Tracer. Each stall reason the
+// watchdog gives has a case that reaches it. An oversubscribed Baseline
+// launch is a proven deadlock: residents spin at the exit barrier, and
+// pending WGs can never dispatch. A kernel spinning on plain loads, outside
+// any wait op, is beyond the proof and stalls out the progress window. A
+// budget below the watchdog's first tick cuts the Baseline launch first.
+// Re-run traced, each must reach the same Result and the same diagnosis.
+// Cut just past the proof's last progress, a traced re-run must record the
+// timeline on both sides of it.
 func TestTracedRerunReproducesStall(t *testing.T) {
 	cfg := quickConfig("SPM_G", "Baseline", false, 0)
 	cfg.Params.NumWGs = 2 * cfg.GPU.NumCUs * cfg.GPU.MaxWGsPerCU
 
+	spin := quickConfig("", "Baseline", false, 0)
+	b := prog.NewBuilder()
+	loop := b.Here()
+	b.Br(prog.EQ, b.Load(b.GVar(0x1000)), prog.Imm(0), loop) // no WG ever sets the flag
+	spin.Kernel = &gpu.KernelSpec{Name: "load-spin", NumWGs: 1, WIsPerWG: 64, IR: b.MustBuild()}
+
 	budgetCfg := cfg
-	budgetCfg.CycleBudget = 1_000_000
-	var stall *metrics.Diagnosis
+	budgetCfg.CycleBudget = cfg.GPU.ProgressWindow / 8 // below the first tick
+	var proven *metrics.Diagnosis
 	for _, c := range []struct {
 		cfg    Config
 		reason string
-	}{{cfg, metrics.ReasonProgressStall}, {budgetCfg, metrics.ReasonCycleBudget}} {
+	}{
+		{cfg, metrics.ReasonProvenDeadlock},
+		{spin, metrics.ReasonProgressStall},
+		{budgetCfg, metrics.ReasonCycleBudget},
+	} {
 		cold, d, coldDiag := runNormalized(t, c.cfg)
 		if d == nil || d.Reason != c.reason {
 			t.Fatalf("untraced run diagnosis %v, want %s", d, c.reason)
@@ -55,16 +70,16 @@ func TestTracedRerunReproducesStall(t *testing.T) {
 		if traced.Tracer.Len() == 0 {
 			t.Errorf("%s: traced re-run recorded nothing", c.reason)
 		}
-		if c.reason == metrics.ReasonProgressStall {
-			stall = d
+		if c.reason == metrics.ReasonProvenDeadlock {
+			proven = d
 		}
 	}
 
 	cut := cfg
-	cut.CycleBudget = stall.LastProgress + 50_000
+	cut.CycleBudget = proven.LastProgress + 50_000
 	cut.Tracer = trace.NewRecorder(100_000)
 	runNormalized(t, cut)
-	last := event.Cycle(stall.LastProgress)
+	last := event.Cycle(proven.LastProgress)
 	var before, after int
 	for _, e := range cut.Tracer.Events() {
 		if e.At <= last {

@@ -164,8 +164,7 @@ func NewSession(cfg Config) (*Session, error) {
 		m.SetTracer(cfg.Tracer)
 	}
 	if cfg.Oversubscribe {
-		last := gpu.CUID(cfg.GPU.NumCUs - 1)
-		m.Engine().At(cfg.PreemptAt, func() { m.PreemptCU(last) })
+		m.ScheduleCU(cfg.PreemptAt, gpu.CUID(cfg.GPU.NumCUs-1), false)
 	}
 	s := &Session{cfg: cfg, m: m, verify: verifyFn}
 	if cfg.Faults != nil {
