@@ -136,6 +136,13 @@ type Engine struct {
 	// loop's memory layout does not change.
 	nearHW [nearSize]int32
 	farHW  [farSize]int32
+
+	// nearDrained and farUsed mark the buckets written since the last
+	// Recycle, which visits only those: a near bucket is marked when it
+	// drains (one still holding entries is marked in nearOcc), a far
+	// bucket when it takes an entry. Both are set off the per-event path.
+	nearDrained [nearSize / 64]uint64
+	farUsed     [farSize / 64]uint64
 }
 
 // New returns an engine positioned at cycle zero with an empty calendar.
@@ -217,6 +224,7 @@ func (e *Engine) place(ev scheduled) {
 		if (at>>nearBits)-(e.nearBase>>nearBits) <= farSize {
 			i := (at >> nearBits) & farMask
 			e.far[i].add(ev, &e.farHW[i])
+			e.farUsed[i>>6] |= 1 << (i & 63)
 			e.farCnt++
 			return
 		}
@@ -301,7 +309,7 @@ func (e *Engine) fire(b *bucket) {
 		b.pos++
 		e.nearCnt--
 		if b.pos == len(b.ev) {
-			e.nearOcc[(ev.at&nearMask)>>6] &^= 1 << (ev.at & 63)
+			e.markDrained(ev.at)
 		}
 	}
 	e.now = ev.at
@@ -313,6 +321,14 @@ func (e *Engine) fire(b *bucket) {
 		return
 	}
 	ev.fn()
+}
+
+// markDrained moves the near bucket of cycle at, which just fired its last
+// entry, from the occupancy bitmap to the drained one.
+func (e *Engine) markDrained(at Cycle) {
+	w, bit := (at&nearMask)>>6, uint64(1)<<(at&63)
+	e.nearOcc[w] &^= bit
+	e.nearDrained[w] |= bit
 }
 
 // SetEventBudget caps the total number of events the engine will execute
@@ -399,7 +415,7 @@ func (e *Engine) RunUntil(limit Cycle) uint64 {
 			wb.pos++
 			e.nearCnt--
 			if wb.pos == len(wb.ev) {
-				e.nearOcc[(ev.at&nearMask)>>6] &^= 1 << (ev.at & 63)
+				e.markDrained(ev.at)
 			}
 		}
 		e.now = ev.at

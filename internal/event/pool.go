@@ -1,6 +1,9 @@
 package event
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Engine recycling. A run's allocation profile is dominated by calendar
 // state that every engine regrows from nothing: the task free list, bucket
@@ -51,19 +54,15 @@ func (e *Engine) Recycle() {
 }
 
 func (e *Engine) reset() {
-	// A bucket with no entries and a zero high-water mark has had nothing
-	// written since the last Recycle, so there is nothing to drain or
-	// clear; a short run leaves most of the 512 buckets so.
-	for i := range e.near {
-		if len(e.near[i].ev) != 0 || e.nearHW[i] != 0 {
-			e.drainBucket(&e.near[i], &e.nearHW[i])
-		}
+	// Only the buckets marked since the last Recycle hold entries or
+	// written slots; a short run leaves most of the 512 unmarked.
+	near := e.nearDrained
+	for w := range near {
+		near[w] |= e.nearOcc[w]
 	}
-	for i := range e.far {
-		if len(e.far[i].ev) != 0 || e.farHW[i] != 0 {
-			e.drainBucket(&e.far[i], &e.farHW[i])
-		}
-	}
+	e.drainMarked(e.near[:], e.nearHW[:], near[:])
+	e.drainMarked(e.far[:], e.farHW[:], e.farUsed[:])
+	e.nearDrained, e.farUsed = [nearSize / 64]uint64{}, [farSize / 64]uint64{}
 	for i := range e.heap {
 		if t := e.heap[i].task; t != nil {
 			e.releaseTask(t)
@@ -78,6 +77,16 @@ func (e *Engine) reset() {
 	e.stopped = false
 	e.nearBase, e.nearScan = 0, 0
 	e.budget, e.budgetHit = 0, false
+}
+
+// drainMarked drains each bucket of wheel whose bit is set in marks.
+func (e *Engine) drainMarked(wheel []bucket, hw []int32, marks []uint64) {
+	for w, word := range marks {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			e.drainBucket(&wheel[i], &hw[i])
+		}
+	}
 }
 
 // drainBucket returns a bucket's unconsumed tasks to the free list, empties

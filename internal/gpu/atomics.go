@@ -53,14 +53,19 @@ func (k condKey) hash() uint64 {
 	return hashutil.Mix64(hashutil.Mix64(uint64(k.addr)) ^ uint64(k.want))
 }
 
-func newAtomicUnit(m *Machine) *atomicUnit {
+// newAtomicUnit sizes the characterization's indexes for a program whose
+// address pool has vars entries: every address a program can touch is an
+// entry of its pool. The size sets only the first allocation (an injected
+// kernel's variables grow the tables), and a Flat never iterates, so it
+// cannot reach a result.
+func newAtomicUnit(m *Machine, vars int) *atomicUnit {
 	return &atomicUnit{
 		m: m,
-		charIdx: hashutil.NewFlat[mem.Addr, int32](64, func(a mem.Addr) uint64 {
+		charIdx: hashutil.NewFlat[mem.Addr, int32](min(vars, 64), func(a mem.Addr) uint64 {
 			return hashutil.Mix64(uint64(a))
 		}),
-		condIdx: hashutil.NewFlat[condKey, int32](16, condKey.hash),
-		wantIdx: hashutil.NewFlat[condKey, bool](16, condKey.hash),
+		condIdx: hashutil.NewFlat[condKey, int32](min(vars, 16), condKey.hash),
+		wantIdx: hashutil.NewFlat[condKey, bool](min(vars, 16), condKey.hash),
 	}
 }
 

@@ -212,7 +212,7 @@ func FuzzCharacterization(f *testing.F) {
 	f.Add(mixed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got := newAtomicUnit(nil)
+		got := newAtomicUnit(nil, len(charWaitAddrs))
 		ref := &refChar{idx: map[mem.Addr]int{}}
 		var wgs [charWGs]*WG
 		for i := range wgs {

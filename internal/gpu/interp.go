@@ -36,10 +36,19 @@ type irFrame struct {
 	geom [6]int64
 }
 
-// newIRFrame builds w's interpreter frame at program start.
+// newIRFrame builds w's interpreter frame at program start. A kernel's
+// frames and register files sit in two slabs, allocated when its first WG
+// starts; a kernel's WG ids are consecutive, so the offset of w's id is
+// its index in both.
 func newIRFrame(w *WG) *irFrame {
-	p := w.spec.IR
-	f := &irFrame{prog: p, dst: -1, regs: make([]int64, p.NumRegs)}
+	p, kr := w.spec.IR, w.kr
+	if kr.frames == nil {
+		kr.frames = make([]irFrame, len(kr.wgs))
+		kr.regs = make([]int64, len(kr.wgs)*p.NumRegs)
+	}
+	i := int(w.id - kr.wgs[0].id)
+	f := &kr.frames[i]
+	*f = irFrame{prog: p, dst: -1, regs: kr.regs[i*p.NumRegs : (i+1)*p.NumRegs : (i+1)*p.NumRegs]}
 	f.geom[prog.GeomID] = int64(w.id)
 	f.geom[prog.GeomNumWGs] = int64(w.spec.NumWGs)
 	f.geom[prog.GeomWIsPerWG] = int64(w.spec.WIsPerWG)

@@ -65,6 +65,11 @@ type kernelRun struct {
 	completed int
 	launched  event.Cycle
 	doneAt    event.Cycle
+
+	// frames and regs hold the WGs' interpreter frames and register files
+	// (newIRFrame), nil until the kernel's first WG starts.
+	frames []irFrame
+	regs   []int64
 }
 
 // KernelHandle reports an injected kernel's progress.

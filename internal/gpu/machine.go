@@ -1,8 +1,9 @@
 package gpu
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"awgsim/internal/event"
 	"awgsim/internal/hashutil"
@@ -56,9 +57,10 @@ type Machine struct {
 	sched   *scheduler
 	atomics *atomicUnit
 
-	wgs     []*WG // primary kernel's WGs (results, charz)
-	kernels []*kernelRun
-	allWGs  []*WG // every WG on the machine, indexed by WGID
+	wgs      []*WG // primary kernel's WGs (results, charz)
+	primary  kernelRun
+	injected int   // kernels InjectKernel added
+	allWGs   []*WG // every WG on the machine, indexed by WGID
 
 	// Count is the run's counters, bumped in place by the machine, the
 	// policy and its monitor hardware; the Result embeds it.
@@ -116,39 +118,52 @@ func NewMachine(cfg Config, memCfg mem.Config, spec *KernelSpec, pol Policy) (*M
 		pol:  pol,
 	}
 	m.sched = newScheduler(m)
-	m.atomics = newAtomicUnit(m)
-	// Build the WGs with their static home groups: WGs are assigned to
-	// scheduling groups in dispatch order, MaxWGsPerCU per group, wrapping
-	// over the CUs — the blocked placement the sequential dispatcher of
-	// Section II.D produces.
-	groupOf := func(i int) int { return (i / cfg.MaxWGsPerCU) % cfg.NumCUs }
-	groupSize := make(map[int]int)
-	for i := 0; i < spec.NumWGs; i++ {
-		groupSize[groupOf(i)]++
-	}
-	m.wgs = make([]*WG, spec.NumWGs)
-	for i := range m.wgs {
-		m.wgs[i] = &WG{
+	m.atomics = newAtomicUnit(m, len(spec.IR.Pool))
+	// Build the WGs, in one slab, with their static home groups: WGs are
+	// assigned to scheduling groups in dispatch order, MaxWGsPerCU per
+	// group, wrapping over the CUs — the blocked placement the sequential
+	// dispatcher of Section II.D produces.
+	n, perCU := spec.NumWGs, cfg.MaxWGsPerCU
+	slab := make([]WG, n)
+	m.wgs = make([]*WG, n)
+	m.primary = kernelRun{spec: spec, wgs: m.wgs}
+	for i := range slab {
+		home := (i / perCU) % cfg.NumCUs
+		slab[i] = WG{
 			id:    WGID(i),
 			spec:  spec,
-			home:  groupOf(i),
-			inGrp: (i/cfg.MaxWGsPerCU)/cfg.NumCUs*cfg.MaxWGsPerCU + i%cfg.MaxWGsPerCU,
-			grpSz: groupSize[groupOf(i)],
+			kr:    &m.primary,
+			home:  home,
+			inGrp: (i/perCU)/cfg.NumCUs*perCU + i%perCU,
+			grpSz: blockedGroupSize(n, perCU, cfg.NumCUs, home),
 			state: StatePending,
 			cu:    NoCU,
 		}
+		m.wgs[i] = &slab[i]
 	}
-	primary := &kernelRun{spec: spec, wgs: m.wgs}
-	for _, w := range m.wgs {
-		w.kr = primary
-	}
-	m.kernels = []*kernelRun{primary}
-	m.allWGs = append(m.allWGs, m.wgs...)
+	// allWGs shares wgs' array until InjectKernel appends, which copies
+	// it: wgs has no spare capacity.
+	m.allWGs = m.wgs
 	m.sched.enqueuePending(m.wgs)
 	if err := pol.Attach(m); err != nil {
 		return nil, fmt.Errorf("gpu: attaching policy %s: %w", pol.Name(), err)
 	}
 	return m, nil
+}
+
+// blockedGroupSize reports how many of n WGs the blocked placement puts in
+// group g: blocks of perCU consecutive WGs go to the ncu groups in turn,
+// and the last block may be short.
+func blockedGroupSize(n, perCU, ncu, g int) int {
+	blocks, rest := n/perCU, n%perCU
+	size := blocks / ncu * perCU
+	switch {
+	case g < blocks%ncu:
+		size += perCU
+	case g == blocks%ncu:
+		size += rest
+	}
+	return size
 }
 
 // InjectKernel launches another kernel at cycle `at` with the given
@@ -187,7 +202,7 @@ func (m *Machine) InjectKernel(spec *KernelSpec, at event.Cycle, priority int) (
 		kr.wgs = append(kr.wgs, w)
 	}
 	m.allWGs = append(m.allWGs, kr.wgs...)
-	m.kernels = append(m.kernels, kr)
+	m.injected++
 	m.launchesDue++
 	t := m.eng.NewTask(runKernelLaunch)
 	t.Env[0] = m
@@ -241,7 +256,7 @@ func (m *Machine) CycleLimit() event.Cycle { return event.Cycle(m.cfg.MaxCycles)
 // one. The fleet layer charges a migration's transplant pause by it.
 func (m *Machine) StateBytes() int {
 	n := 256 + m.eng.StateBytes() + m.mem.StateBytes()
-	n += 24 * len(m.kernels)
+	n += 24 * (1 + m.injected)
 	n += 16 * (len(m.sched.pending) + len(m.sched.readyQueue))
 	n += 16 * len(m.sched.cus)
 	for _, w := range m.allWGs {
@@ -553,12 +568,22 @@ func (m *Machine) diagnose(reason string) *metrics.Diagnosis {
 	}
 	d.PendingWGs, d.ReadyWGs = m.sched.queueLens()
 	now := m.eng.Now()
-	type condKey struct {
+	// A run that failed to finish has an unfinished WG, so d.WGs is never
+	// left empty. Each blocked WG is one (condition, id) record; sorted,
+	// a condition's records are a run with its waiters in ascending id.
+	type cond struct {
 		addr uint64
 		want int64
-		cmp  Cmp
+		// cmp completes the key: (addr, want) alone ties e.g. a reader's
+		// `>= 0` against a writer's `== 0` on the same lock word.
+		cmp Cmp
 	}
-	conds := make(map[condKey][]int)
+	type waiter struct {
+		c  cond
+		id int
+	}
+	d.WGs = make([]metrics.WGDiag, 0, len(m.allWGs)-m.completed)
+	var waits []waiter
 	for _, w := range m.allWGs {
 		if w.finished {
 			continue
@@ -570,33 +595,25 @@ func (m *Machine) diagnose(reason string) *metrics.Diagnosis {
 			wd.Want = op.Want
 			wd.Cmp = op.Cmp.String()
 			wd.StuckFor = uint64(now - w.waitBegan)
-			k := condKey{uint64(op.Var.Addr), op.Want, op.Cmp}
-			conds[k] = append(conds[k], int(w.id))
+			waits = append(waits, waiter{cond{uint64(op.Var.Addr), op.Want, op.Cmp}, int(w.id)})
 		}
 		d.WGs = append(d.WGs, wd)
 	}
-	keys := make([]condKey, 0, len(conds))
-	for k := range conds {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].addr != keys[j].addr {
-			return keys[i].addr < keys[j].addr
-		}
-		if keys[i].want != keys[j].want {
-			return keys[i].want < keys[j].want
-		}
-		// cmp completes the key: (addr, want) alone ties e.g. a reader's
-		// `>= 0` against a writer's `== 0` on the same lock word, and a tie
-		// leaks map iteration order into the diagnosis.
-		return keys[i].cmp < keys[j].cmp
+	slices.SortFunc(waits, func(a, b waiter) int {
+		return cmp.Or(cmp.Compare(a.c.addr, b.c.addr), cmp.Compare(a.c.want, b.c.want),
+			cmp.Compare(a.c.cmp, b.c.cmp), cmp.Compare(a.id, b.id))
 	})
-	for _, k := range keys {
-		ids := conds[k]
-		sort.Ints(ids)
+	ids := make([]int, len(waits))
+	for i := 0; i < len(waits); {
+		j := i
+		for ; j < len(waits) && waits[j].c == waits[i].c; j++ {
+			ids[j] = waits[j].id
+		}
+		c := waits[i].c
 		d.Conditions = append(d.Conditions, metrics.BlockedCond{
-			Addr: k.addr, Want: k.want, Cmp: k.cmp.String(), Waiters: ids,
+			Addr: c.addr, Want: c.want, Cmp: c.cmp.String(), Waiters: ids[i:j:j],
 		})
+		i = j
 	}
 	if p, ok := m.pol.(interface{ Diagnose(*metrics.Diagnosis) }); ok {
 		p.Diagnose(d)

@@ -384,6 +384,27 @@ func TestHomeGroupsAndPlacement(t *testing.T) {
 	}
 }
 
+// TestBlockedGroupSize checks the group-size formula against counting
+// each WG of the blocked placement into its group, over launches that
+// leave short last blocks and groups with no WG.
+func TestBlockedGroupSize(t *testing.T) {
+	for ncu := 1; ncu <= 4; ncu++ {
+		for perCU := 1; perCU <= 5; perCU++ {
+			for n := 1; n <= 3*ncu*perCU+2; n++ {
+				count := make([]int, ncu)
+				for i := 0; i < n; i++ {
+					count[(i/perCU)%ncu]++
+				}
+				for g, want := range count {
+					if got := blockedGroupSize(n, perCU, ncu, g); got != want {
+						t.Fatalf("%d WGs, %d per CU, %d CUs: group %d size %d, want %d", n, perCU, ncu, g, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPreemptCUForcesWGsOut(t *testing.T) {
 	// Long-running WGs on 2 CUs; preempt CU 1 mid-run. With the yield
 	// policy, everything still completes on CU 0.

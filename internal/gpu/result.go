@@ -28,11 +28,11 @@ func (m *Machine) result(end event.Cycle) metrics.Result {
 	if p, ok := m.pol.(interface{ Tally(*metrics.Counters) }); ok {
 		p.Tally(&res.Counters)
 	}
-	res.Completed = m.kernels[0].completed
+	res.Completed = m.primary.completed
 	if m.deadlocked {
 		res.Cycles = uint64(end)
 	} else {
-		res.Cycles = uint64(m.kernels[0].doneAt)
+		res.Cycles = uint64(m.primary.doneAt)
 	}
 	for _, w := range m.wgs {
 		res.Breakdown.Running += w.runningCycles

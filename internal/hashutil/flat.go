@@ -15,14 +15,19 @@ package hashutil
 //
 // A table allocates nothing until its first Put: owners hold it by value,
 // and one that is never written costs a run no allocation, while Ref,
-// Delete and Len on it simply miss.
+// Delete and Len on it simply miss. Its slots are one array, so a table
+// is one allocation and a probe reads key, flag and value together.
 type Flat[K comparable, V any] struct {
-	hash func(K) uint64
-	keys []K // keys, vals and used are nil until the first Put
-	vals []V
-	used []bool
-	mask uint64 // len(keys)-1, or the first Put's size-1 before it
-	live int
+	hash  func(K) uint64
+	slots []flatSlot[K, V] // nil until the first Put
+	mask  uint64           // len(slots)-1, or the first Put's size-1 before it
+	live  int
+}
+
+type flatSlot[K comparable, V any] struct {
+	key  K
+	val  V
+	used bool
 }
 
 // NewFlat returns an empty table that the first Put sizes for at least hint
@@ -48,9 +53,9 @@ func (f *Flat[K, V]) Ref(k K) *V {
 		return nil
 	}
 	i := f.hash(k) & f.mask
-	for f.used[i] {
-		if f.keys[i] == k {
-			return &f.vals[i]
+	for s := &f.slots[i]; s.used; s = &f.slots[i] {
+		if s.key == k {
+			return &s.val
 		}
 		i = (i + 1) & f.mask
 	}
@@ -60,22 +65,22 @@ func (f *Flat[K, V]) Ref(k K) *V {
 // Put returns a pointer to k's value, inserting a zero value first when k
 // is absent. The pointer is valid only until the next Put or Delete.
 func (f *Flat[K, V]) Put(k K) *V {
-	if f.used == nil {
+	if f.slots == nil {
 		f.alloc(int(f.mask) + 1)
-	} else if (f.live+1)*4 > len(f.keys)*3 {
+	} else if (f.live+1)*4 > len(f.slots)*3 {
 		f.grow()
 	}
 	i := f.hash(k) & f.mask
-	for f.used[i] {
-		if f.keys[i] == k {
-			return &f.vals[i]
+	s := &f.slots[i]
+	for ; s.used; s = &f.slots[i] {
+		if s.key == k {
+			return &s.val
 		}
 		i = (i + 1) & f.mask
 	}
-	f.used[i] = true
-	f.keys[i] = k
+	s.used, s.key = true, k
 	f.live++
-	return &f.vals[i]
+	return &s.val
 }
 
 // Delete removes k, reporting whether it was present. Deletion backward-
@@ -86,8 +91,8 @@ func (f *Flat[K, V]) Delete(k K) bool {
 		return false
 	}
 	i := f.hash(k) & f.mask
-	for f.used[i] {
-		if f.keys[i] == k {
+	for s := &f.slots[i]; s.used; s = &f.slots[i] {
+		if s.key == k {
 			f.backshift(i)
 			f.live--
 			return true
@@ -100,47 +105,40 @@ func (f *Flat[K, V]) Delete(k K) bool {
 // backshift vacates slot i, sliding later cluster members down when their
 // home position permits (the classical linear-probing deletion).
 func (f *Flat[K, V]) backshift(i uint64) {
-	var zeroK K
-	var zeroV V
 	j := i
 	for {
 		j = (j + 1) & f.mask
-		if !f.used[j] {
+		if !f.slots[j].used {
 			break
 		}
-		home := f.hash(f.keys[j]) & f.mask
+		home := f.hash(f.slots[j].key) & f.mask
 		// Move j down to i unless that would place it before its home
 		// position within the cluster.
 		if (j-home)&f.mask >= (j-i)&f.mask {
-			f.keys[i], f.vals[i] = f.keys[j], f.vals[j]
+			f.slots[i] = f.slots[j]
 			i = j
 		}
 	}
-	f.used[i] = false
-	f.keys[i], f.vals[i] = zeroK, zeroV
+	f.slots[i] = flatSlot[K, V]{}
 }
 
 // alloc gives the table n empty slots.
 func (f *Flat[K, V]) alloc(n int) {
-	f.keys = make([]K, n)
-	f.vals = make([]V, n)
-	f.used = make([]bool, n)
+	f.slots = make([]flatSlot[K, V], n)
 	f.mask = uint64(n - 1)
 }
 
 func (f *Flat[K, V]) grow() {
-	oldK, oldV, oldU := f.keys, f.vals, f.used
-	f.alloc(2 * len(oldK))
-	for s, u := range oldU {
-		if !u {
+	old := f.slots
+	f.alloc(2 * len(old))
+	for _, s := range old {
+		if !s.used {
 			continue
 		}
-		i := f.hash(oldK[s]) & f.mask
-		for f.used[i] {
+		i := f.hash(s.key) & f.mask
+		for f.slots[i].used {
 			i = (i + 1) & f.mask
 		}
-		f.used[i] = true
-		f.keys[i] = oldK[s]
-		f.vals[i] = oldV[s]
+		f.slots[i] = s
 	}
 }

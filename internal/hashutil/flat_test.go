@@ -93,18 +93,18 @@ func TestFlatSlotsOnFirstPut(t *testing.T) {
 				t.Fatalf("hint %d: fresh table reports a key present", tc.hint)
 			}
 		})
-		if allocs != 0 || f.used != nil {
-			t.Fatalf("hint %d: fresh table allocated %.0f objects, slots %d", tc.hint, allocs, len(f.keys))
+		if allocs != 0 || f.slots != nil {
+			t.Fatalf("hint %d: fresh table allocated %.0f objects, slots %d", tc.hint, allocs, len(f.slots))
 		}
 		*f.Put(8) = 1
-		if len(f.keys) != tc.slots {
-			t.Fatalf("hint %d: first Put allocated %d slots, want %d", tc.hint, len(f.keys), tc.slots)
+		if len(f.slots) != tc.slots {
+			t.Fatalf("hint %d: first Put allocated %d slots, want %d", tc.hint, len(f.slots), tc.slots)
 		}
 		for k := uint64(1); k < uint64(tc.hint); k++ {
 			*f.Put(8 * (k + 1)) = int(k)
 		}
-		if len(f.keys) != tc.slots {
-			t.Fatalf("hint %d: %d entries grew the table to %d slots", tc.hint, f.Len(), len(f.keys))
+		if len(f.slots) != tc.slots {
+			t.Fatalf("hint %d: %d entries grew the table to %d slots", tc.hint, f.Len(), len(f.slots))
 		}
 		if p := f.Ref(8); p == nil || *p != 1 {
 			t.Fatalf("hint %d: first key lost", tc.hint)

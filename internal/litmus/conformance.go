@@ -59,23 +59,30 @@ type Sweep struct {
 // they are decided once per (pattern, occupancy) and shared by its
 // policies' cells. Each distinct run, a (pattern name, policy, capacity)
 // triple, simulates once: occupancies whose Cap coincide, and patterns
-// Generate repeats, copy that run's outcome, accounted by sim.Reuse.
+// Generate repeats, copy that run's outcome, accounted by sim.Reuse. Each
+// distinct name also builds once: its jobs share the immutable kernel
+// (spec, program, Verify) through Config.Kernel, so the pool's workers
+// read one build. The memo is local to the call, like the run table.
 // budget is the per-run cycle cap (0 = RunConfig's default); workers <= 0
 // selects GOMAXPROCS.
 func Conformance(patterns []kernels.Litmus, policies []string, occs []Occupancy, budget uint64, workers int) *Sweep {
-	s := &Sweep{Patterns: patterns, Policies: policies, Occupancy: occs}
+	n := len(patterns) * len(policies) * len(occs)
+	s := &Sweep{Patterns: patterns, Policies: policies, Occupancy: occs, Cells: make([]Cell, 0, n)}
 	type run struct {
 		name, policy string
 		wgCap        int
 	}
-	runs := make(map[run]int) // index into jobs
-	var jobs []sim.Job
-	var jobOf []int   // per cell, the job it takes its outcome from
-	var copied []bool // per cell, whether an earlier cell ran that job
+	runs := make(map[run]int, n) // index into jobs
+	jobs := make([]sim.Job, 0, n)
+	jobOf := make([]int, 0, n)   // per cell, the job it takes its outcome from
+	copied := make([]bool, 0, n) // per cell, whether an earlier cell ran that job
+	names := make([]string, len(patterns))
+	built := make(map[string]*kernels.Benchmark, len(patterns))
 	// byOcc holds the pattern's cell per occupancy, less its policy.
 	byOcc := make([]Cell, len(occs))
 	for pi, l := range patterns {
 		name := l.Encode()
+		names[pi] = name
 		for oi, occ := range occs {
 			c := Cell{Pattern: pi, Occ: occ.Name, Cap: occ.Cap(l.NumWGs())}
 			for _, m := range Models() {
@@ -91,7 +98,8 @@ func Conformance(patterns []kernels.Litmus, policies []string, occs []Occupancy,
 				if !ok {
 					j = len(jobs)
 					runs[run{name, pol, cell.Cap}] = j
-					jobs = append(jobs, sim.Job{Config: RunConfig(l, pol, cell.Cap, budget)})
+					cfg := shareBuild(runConfig(name, l.NumWGs(), pol, cell.Cap, budget), built)
+					jobs = append(jobs, sim.Job{Config: cfg})
 				}
 				jobOf = append(jobOf, j)
 				copied = append(copied, ok)
@@ -104,10 +112,32 @@ func Conformance(patterns []kernels.Litmus, policies []string, occs []Occupancy,
 		if copied[i] {
 			sim.Reuse(out.Result)
 		}
-		s.Cells[i].Result, s.Cells[i].Err = out.Result, out.Err
-		s.check(&s.Cells[i])
+		c := &s.Cells[i]
+		c.Result, c.Err = out.Result, out.Err
+		s.check(c, names[c.Pattern])
 	}
 	return s
+}
+
+// shareBuild hands cfg the kernel its benchmark name builds, building each
+// name once into built. A Result names its benchmark after the kernel
+// spec, which carries the same name, so the run is unchanged. A name whose
+// build fails keeps its name-based config, so each of its runs reports the
+// construction error itself.
+func shareBuild(cfg sim.Config, built map[string]*kernels.Benchmark) sim.Config {
+	b, seen := built[cfg.Benchmark]
+	if !seen {
+		var err error
+		if b, err = kernels.Build(cfg.Benchmark, cfg.Params); err != nil {
+			b = nil
+		}
+		built[cfg.Benchmark] = b
+	}
+	if b != nil {
+		cfg.Benchmark = ""
+		cfg.Kernel, cfg.Init, cfg.Verify = &b.Spec, b.Init, b.Verify
+	}
+	return cfg
 }
 
 // check appends cell's conformance violations, if any. A cell can break at
@@ -115,12 +145,11 @@ func Conformance(patterns []kernels.Litmus, policies []string, occs []Occupancy,
 // *hang* (stall without a structured diagnosis) and a *corruption*
 // (completing a pattern no fair scheduler completes, caught by the
 // benchmark's Verify and surfaced as Err on a completed run) are always
-// violations regardless of the oracles.
-func (s *Sweep) check(c *Cell) {
+// violations regardless of the oracles. name is the pattern's encoding.
+func (s *Sweep) check(c *Cell, name string) {
 	if !c.Failed() {
 		return // completed and verified; nothing to report
 	}
-	name := s.Patterns[c.Pattern].Encode()
 	if c.Err == nil && c.Result.Deadlocked && c.Result.Diagnosis == nil {
 		s.Violations = append(s.Violations, Violation{
 			Cell: *c, Model: IFP,

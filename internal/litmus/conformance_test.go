@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,6 +11,9 @@ import (
 
 // quickPolicies mirrors the experiment's quick policy set.
 var testPolicies = []string{"Baseline", "Timeout", "MonNR-One", "AWG"}
+
+// huntPolicies is awgbench litmus-hunt's policy set.
+var huntPolicies = []string{"Baseline", "Sleep", "Timeout", "MonNR-All", "MonNR-One", "AWG"}
 
 // TestConformanceSweep runs a small generated sweep end-to-end and checks
 // the invariant the whole harness exists to enforce: IFP-providing
@@ -143,6 +147,58 @@ func TestConformanceReusesDuplicates(t *testing.T) {
 	}
 	if got := sim.CacheHits(); got != uint64(ran-distinct) {
 		t.Errorf("%d cells reused, want cells minus distinct runs: %d", got, ran-distinct)
+	}
+}
+
+// TestConformanceMatchesIndependentRuns: a sweep hands every job of a
+// pattern name one shared build, so each cell's Result and error text
+// must equal those of the cell's own run built from the name. The
+// 2-worker sweep shares each build across the pool's goroutines, which
+// the race detector checks.
+func TestConformanceMatchesIndependentRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a few hundred simulations")
+	}
+	pats := Generate(7, 12)
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	for _, workers := range []int{1, 2} {
+		s := Conformance(pats, huntPolicies, Occupancies(), 0, workers)
+		for _, c := range s.Cells {
+			res, err := sim.Run(RunConfig(pats[c.Pattern], c.Policy, c.Cap, 0))
+			if !reflect.DeepEqual(c.Result, res) {
+				t.Fatalf("%d workers: pattern %d, %s at cap %d: sweep Result %+v, independent run %+v",
+					workers, c.Pattern, c.Policy, c.Cap, c.Result, res)
+			}
+			if got, want := errText(c.Err), errText(err); got != want {
+				t.Fatalf("%d workers: pattern %d, %s at cap %d: sweep error %q, independent run %q",
+					workers, c.Pattern, c.Policy, c.Cap, got, want)
+			}
+		}
+	}
+}
+
+// TestConformanceCellAllocs bounds what a small sweep allocates per cell,
+// simulation included: the build each pattern name shares, the sweep's
+// presized tables and a run's set-up and recycle. Rebuilding the kernel
+// for every job costs about 13 objects more per cell, so the bound is the
+// measured count (about 59) plus about 10%.
+func TestConformanceCellAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	pats := Generate(3, 8)
+	cells := float64(len(pats) * len(huntPolicies) * len(Occupancies()))
+	perCell := testing.AllocsPerRun(5, func() {
+		Conformance(pats, huntPolicies, Occupancies(), 0, 1)
+	}) / cells
+	t.Logf("%.1f allocations per cell over %.0f cells", perCell, cells)
+	if max := 65.0; perCell > max {
+		t.Errorf("%.1f allocations per cell, want <= %.1f", perCell, max)
 	}
 }
 

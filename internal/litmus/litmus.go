@@ -230,6 +230,12 @@ func Occupancies() []Occupancy {
 // name is the pattern's canonical encoding, so the config is declarative
 // and equal patterns build equal configs.
 func RunConfig(l kernels.Litmus, policy string, wgCap int, budget uint64) sim.Config {
+	return runConfig(l.Encode(), l.NumWGs(), policy, wgCap, budget)
+}
+
+// runConfig is RunConfig for a pattern already encoded as name, with
+// numWGs programs.
+func runConfig(name string, numWGs int, policy string, wgCap int, budget uint64) sim.Config {
 	g := gpu.DefaultConfig()
 	g.NumCUs = 1
 	g.MaxWGsPerCU = wgCap
@@ -238,10 +244,10 @@ func RunConfig(l kernels.Litmus, policy string, wgCap int, budget uint64) sim.Co
 		budget = 2_000_000
 	}
 	return sim.Config{
-		Benchmark:   l.Encode(),
+		Benchmark:   name,
 		Policy:      policy,
 		GPU:         g,
-		Params:      kernels.Params{NumWGs: l.NumWGs(), Groups: 1, WIsPerWG: 1, Iters: 1},
+		Params:      kernels.Params{NumWGs: numWGs, Groups: 1, WIsPerWG: 1, Iters: 1},
 		CycleBudget: budget,
 	}
 }

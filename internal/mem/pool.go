@@ -55,11 +55,33 @@ func (c *Cache) release() {
 	c.lines, c.touchedSet, c.touched = nil, nil, nil
 }
 
-// ReleaseBuffers returns the hierarchy's tag arrays to the recycle pool
-// for a later NewSystem. It must be the caller's last use of the system.
+// Word-store page recycling. A run's first write allocates a 4 KB page,
+// and a litmus run writes a handful of words into it: over a sweep of
+// tens of thousands of runs, those pages were the largest share of the
+// bytes allocated. Released pages are zeroed, so a write adopts one as a
+// fresh page.
+var pagePool = sync.Pool{New: func() any { return new([pageWords]int64) }}
+
+// newPage returns a zeroed page, recycled when the pool has one.
+func newPage() []int64 { return pagePool.Get().(*[pageWords]int64)[:] }
+
+// release zeroes the store's pages and returns them to the pool. The store
+// must not be used afterward.
+func (w *wordStore) release() {
+	for _, p := range w.pages {
+		clear(p)
+		pagePool.Put((*[pageWords]int64)(p))
+	}
+	w.pages = nil
+}
+
+// ReleaseBuffers returns the hierarchy's tag arrays and value pages to the
+// recycle pools for a later NewSystem. It must be the caller's last use of
+// the system.
 func (s *System) ReleaseBuffers() {
 	for _, c := range s.l1 {
 		c.release()
 	}
 	s.l2.release()
+	s.values.release()
 }

@@ -60,7 +60,7 @@ func (w *wordStore) write(a Addr, v int64) {
 	}
 	p := w.dir.Put(page)
 	if *p == 0 {
-		w.pages = append(w.pages, make([]int64, pageWords))
+		w.pages = append(w.pages, newPage())
 		*p = int32(len(w.pages))
 	}
 	idx := *p - 1

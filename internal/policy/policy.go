@@ -59,7 +59,7 @@ func (b *Baseline) retry(s *retryWait) {
 			s.backoff *= 2
 		}
 	}
-	b.m.Engine().After(delay, s.attempt)
+	s.after(delay, runRetryAttempt)
 }
 
 // Sleep models exponential backoff built on the s_sleep instruction: after
@@ -101,7 +101,7 @@ func (s *Sleep) retry(st *retryWait) {
 	// s_sleep parks the wavefront: issue slots free up while the
 	// timer runs, though all other resources stay held.
 	s.m.SetStalled(st.w, true)
-	s.m.Engine().After(d, st.resume)
+	st.after(d, runRetryResume)
 }
 
 // Timeout is the paper's simplest IFP-providing architecture: a failed
@@ -134,26 +134,26 @@ func (t *Timeout) retry(s *retryWait) {
 	if t.m.Oversubscribed() {
 		// Yield resources for the interval.
 		t.m.SwitchOut(s.w)
-		t.m.Engine().After(t.Interval, s.deliver)
+		s.after(t.Interval, runRetryDeliver)
 	} else {
 		t.m.SetStalled(s.w, true)
-		t.m.Engine().After(t.Interval, s.resume)
+		s.after(t.Interval, runRetryResume)
 	}
 }
 
 // retryWait is a WG's wait state under Baseline, Sleep and Timeout. A WG
 // has at most one open wait episode, so each WG gets one retryWait, built
-// on its first Wait and reset by every later one. Its continuations are
-// bound when it is built: a contended episode retries thousands of times,
-// and neither a retry nor a new episode allocates.
+// on its first Wait and reset by every later one. A contended episode
+// retries thousands of times, so its continuations are the engine's
+// pooled tasks, and neither a retry nor a new episode allocates.
 type retryWait struct {
+	m       *gpu.Machine
 	w       *gpu.WG
+	pol     retryPolicy
 	backoff event.Cycle // Baseline's Backoff and Sleep's backoff interval
-
-	attempt func()          // issue the atomic once
-	onResp  func(ret int64) // the attempt's response: end the episode or retry
-	resume  func()          // unstall, then attempt (Sleep, Timeout)
-	deliver func()          // attempt once resident again (Timeout)
+	// park is attempt bound to the state, for a delivery that waits until
+	// the WG is resident again (Timeout); built on the first one.
+	park func()
 }
 
 // retryPolicy is a policy whose wait episodes are retryWait loops: an
@@ -168,23 +168,54 @@ func retryState(m *gpu.Machine, w *gpu.WG, pol retryPolicy) *retryWait {
 	if s, ok := w.PolicyData.(*retryWait); ok {
 		return s
 	}
-	s := &retryWait{w: w}
-	s.attempt = func() {
-		op := w.Episode()
-		m.IssueAtomic(w, op.Var, op.Op, op.A, op.B, nil, s.onResp)
-	}
-	s.onResp = func(ret int64) {
-		if op := w.Episode(); op.Cmp.Test(ret, op.Want) {
-			m.EndWait(w, ret)
-			return
-		}
-		pol.retry(s)
-	}
-	s.resume = func() {
-		m.SetStalled(w, false)
-		s.attempt()
-	}
-	s.deliver = func() { m.Deliver(w, s.attempt) }
+	s := &retryWait{m: m, w: w, pol: pol}
 	w.PolicyData = s
 	return s
+}
+
+// attempt issues the episode's atomic once; runRetryResp takes the
+// response.
+func (s *retryWait) attempt() {
+	op := s.w.Episode()
+	t := s.m.Engine().NewTask(runRetryResp)
+	t.Env[0] = s
+	s.m.IssueAtomicTask(s.w, op.Var, op.Op, op.A, op.B, t)
+}
+
+// after schedules fn, with s as its task's environment, d cycles from now.
+func (s *retryWait) after(d event.Cycle, fn event.TaskFunc) {
+	eng := s.m.Engine()
+	t := eng.NewTask(fn)
+	t.Env[0] = s
+	eng.AfterTask(d, t)
+}
+
+// runRetryResp ends the episode when the attempt returned a value meeting
+// its condition, and has the policy retry when it did not.
+func runRetryResp(t *event.Task) {
+	s := t.Env[0].(*retryWait)
+	ret := t.I[gpu.AtomicRet]
+	if op := s.w.Episode(); op.Cmp.Test(ret, op.Want) {
+		s.m.EndWait(s.w, ret)
+		return
+	}
+	s.pol.retry(s)
+}
+
+func runRetryAttempt(t *event.Task) { t.Env[0].(*retryWait).attempt() }
+
+// runRetryResume unstalls the WG, then attempts (Sleep, Timeout).
+func runRetryResume(t *event.Task) {
+	s := t.Env[0].(*retryWait)
+	s.m.SetStalled(s.w, false)
+	s.attempt()
+}
+
+// runRetryDeliver attempts once the WG is resident again (Timeout).
+func runRetryDeliver(t *event.Task) {
+	s := t.Env[0].(*retryWait)
+	if s.park == nil {
+		s.park = s.attempt
+	}
+	s.m.Deliver(s.w, s.park)
 }

@@ -66,13 +66,17 @@ type condStore struct {
 	byAddr hashutil.Flat[mem.Addr, addrState]
 }
 
-func newCondStore(sets, ways int) condStore {
+// newCondStore builds the store for a sets x ways cache watching a program
+// whose address pool has vars entries. Every address the program can
+// monitor is a pool entry, so the address index starts at that size
+// (capped at 64) and grows only for an injected kernel's variables.
+func newCondStore(sets, ways, vars int) condStore {
 	return condStore{
 		sets:    sets,
 		stride:  ways,
 		freeEnt: nilRef,
 		freeW:   nilRef,
-		byAddr: hashutil.NewFlat[mem.Addr, addrState](64, func(a mem.Addr) uint64 {
+		byAddr: hashutil.NewFlat[mem.Addr, addrState](min(vars, 64), func(a mem.Addr) uint64 {
 			return hashutil.Mix64(uint64(a))
 		}),
 	}

@@ -237,7 +237,7 @@ func New(cfg Config, m *gpu.Machine, selector ResumeSelector, wake WakeFunc) (*S
 		cfg:      cfg,
 		m:        m,
 		hash:     hashutil.NewUniversal(cfg.Seed, max(cfg.Sets, 1)),
-		store:    newCondStore(max(cfg.Sets, 1), cfg.Ways),
+		store:    newCondStore(max(cfg.Sets, 1), cfg.Ways, len(m.Spec().IR.Pool)),
 		log:      NewMonitorLog(cfg.LogCapacity),
 		selector: selector,
 		wake:     wake,
