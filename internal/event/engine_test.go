@@ -1,6 +1,7 @@
 package event
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -12,14 +13,14 @@ func TestEmptyEngine(t *testing.T) {
 	if e.Now() != 0 {
 		t.Fatalf("fresh engine at cycle %d, want 0", e.Now())
 	}
-	if e.Step() {
-		t.Fatal("Step on empty calendar reported an event")
+	if step(e) {
+		t.Fatal("a single step on an empty calendar fired an event")
 	}
 	if got := e.Run(); got != 0 {
 		t.Fatalf("Run on empty calendar fired %d events", got)
 	}
-	if e.NextEventAt() != Never {
-		t.Fatalf("NextEventAt = %d, want Never", e.NextEventAt())
+	if at := e.nextAt(); at != Never {
+		t.Fatalf("next event at %d, want Never", at)
 	}
 }
 
@@ -96,8 +97,8 @@ func TestRunUntil(t *testing.T) {
 	if e.Pending() != 2 {
 		t.Fatalf("%d events pending, want 2", e.Pending())
 	}
-	if e.NextEventAt() != 30 {
-		t.Fatalf("next event at %d, want 30", e.NextEventAt())
+	if at := e.nextAt(); at != 30 {
+		t.Fatalf("next event at %d, want 30", at)
 	}
 	// Resuming picks up where we left off.
 	e.Run()
@@ -123,6 +124,52 @@ func TestStop(t *testing.T) {
 	}
 	if e.Pending() != 7 {
 		t.Fatalf("%d pending after Stop, want 7", e.Pending())
+	}
+}
+
+// TestSchedulingPendingTaskPanics checks that a task on the calendar, or
+// firing, cannot be scheduled again: the second link would splice two
+// bucket lists together, and the task would fire after its release.
+func TestSchedulingPendingTaskPanics(t *testing.T) {
+	mustPanic := func(t *testing.T, what string, schedule func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		schedule()
+	}
+	for _, first := range []Cycle{10, 3 * nearSize, 2 * farSpan} {
+		for _, second := range []Cycle{10, 20, 5 * nearSize, 3 * farSpan} {
+			e := New()
+			fired := 0
+			tk := e.NewTask(func(*Task) { fired++ })
+			e.AtTask(first, tk)
+			mustPanic(t, fmt.Sprintf("rescheduling a task pending at %d for %d", first, second), func() {
+				e.AtTask(second, tk)
+			})
+			if got := e.Run(); got != 1 || fired != 1 || e.Now() != first {
+				t.Fatalf("task pending at %d: %d events fired (callee ran %d times), clock at %d; want 1 at %d",
+					first, got, fired, e.Now(), first)
+			}
+		}
+	}
+
+	e := New()
+	var self TaskFunc
+	self = func(tk *Task) {
+		mustPanic(t, "a callee rescheduling its own task", func() { e.AfterTask(5, tk) })
+	}
+	e.AfterTask(1, e.NewTask(self))
+	if got := e.Run(); got != 1 || e.Pending() != 0 {
+		t.Fatalf("self-rescheduling task: %d fired, %d pending; want 1 and 0", got, e.Pending())
+	}
+	// Released, the task may be scheduled again.
+	tk := e.NewTask(func(*Task) {})
+	e.AfterTask(1, tk)
+	if got := e.Run(); got != 1 {
+		t.Fatalf("a released task, scheduled again, fired %d times", got)
 	}
 }
 

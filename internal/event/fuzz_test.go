@@ -4,7 +4,7 @@ import "testing"
 
 // runByteWorkload interprets data as an op stream against c and returns the
 // firing trace. The encoding is deliberately dense so the fuzzer can reach
-// every calendar region (near/far/heap, same-cycle ties, cascades, budget
+// every calendar region (near/far/heap, same-cycle ties, pours, budget
 // stops) from short inputs.
 func runByteWorkload(c calendar, data []byte) []firing {
 	var trace []firing
@@ -41,9 +41,9 @@ func runByteWorkload(c calendar, data []byte) []firing {
 		case op < 0x40: // near-wheel delay
 			schedule(Cycle(next()), false)
 		case op < 0x70: // far-wheel delay
-			schedule(Cycle(next())*256+Cycle(next()), false)
+			schedule(nearSize+Cycle(next())*((farSpan-nearSize)/256)+Cycle(next()), false)
 		case op < 0x90: // overflow-heap delay
-			schedule(65_536+Cycle(next())*1024, false)
+			schedule(farSpan+nearSize+Cycle(next())*nearSize, false)
 		case op < 0xa0: // same-cycle burst
 			n := int(next())%8 + 2
 			for i := 0; i < n; i++ {
@@ -53,7 +53,7 @@ func runByteWorkload(c calendar, data []byte) []firing {
 			c.RunUntil(c.Now() + Cycle(next())*Cycle(next()))
 			trace = append(trace, firing{c.Now(), ^uint64(c.Pending())})
 		case op < 0xd0:
-			c.Step()
+			step(c)
 		case op < 0xe0: // budget-limited segment
 			c.SetEventBudget(c.Executed() + uint64(next()) + 1)
 			c.RunUntil(c.Now() + 100_000)
@@ -63,7 +63,7 @@ func runByteWorkload(c calendar, data []byte) []firing {
 			schedule(Cycle(next()), true)
 			c.RunUntil(c.Now() + 10_000)
 		default:
-			trace = append(trace, firing{c.NextEventAt(), ^uint64(0)})
+			trace = append(trace, firing{c.nextAt(), ^uint64(0)})
 		}
 	}
 	c.Run()
@@ -78,6 +78,7 @@ func FuzzCalendar(f *testing.F) {
 	f.Add([]byte{0x01, 0x10, 0x01, 0x10, 0xa0, 0x40, 0x40})
 	f.Add([]byte{0x90, 0x03, 0x50, 0xff, 0x10, 0xb0, 0xff, 0xff, 0x80, 0x02, 0xa0, 0x01, 0x01})
 	f.Add([]byte{0xd5, 0x05, 0xe2, 0x30, 0x00, 0x30, 0x00, 0xc1})
+	f.Add([]byte{0x50, 0x02, 0x07, 0x60, 0x02, 0x07, 0x41, 0x02, 0x07, 0xff, 0xb0, 0x10, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 2048 {
 			data = data[:2048]

@@ -7,7 +7,7 @@ import (
 )
 
 // oracleEngine is the pre-overhaul calendar — a container/heap of closures —
-// kept verbatim as the reference model. The determinism regression replays
+// kept as the reference model. The determinism regression replays
 // randomized schedules against it: the wheel+heap engine must reproduce its
 // firing order exactly, including same-cycle seq ties.
 type oracleEngine struct {
@@ -69,17 +69,6 @@ func (e *oracleEngine) At(at Cycle, fn func()) {
 
 func (e *oracleEngine) After(d Cycle, fn func()) { e.At(e.now+d, fn) }
 
-func (e *oracleEngine) Step() bool {
-	if len(e.events) == 0 {
-		return false
-	}
-	ev := heap.Pop(&e.events).(oracleScheduled)
-	e.now = ev.at
-	e.executed++
-	ev.fn()
-	return true
-}
-
 func (e *oracleEngine) RunUntil(limit Cycle) uint64 {
 	e.stopped = false
 	start := e.executed
@@ -91,18 +80,35 @@ func (e *oracleEngine) RunUntil(limit Cycle) uint64 {
 			e.budgetHit = true
 			break
 		}
-		e.Step()
+		ev := heap.Pop(&e.events).(oracleScheduled)
+		e.now = ev.at
+		e.executed++
+		ev.fn()
 	}
 	return e.executed - start
 }
 
 func (e *oracleEngine) Run() uint64 { return e.RunUntil(Never) }
 
-func (e *oracleEngine) NextEventAt() Cycle {
+func (e *oracleEngine) nextAt() Cycle {
 	if len(e.events) == 0 {
 		return Never
 	}
 	return e.events[0].at
+}
+
+// nextAt reports the cycle of the earliest pending event, or Never when
+// the calendar is empty. Locating the wheel's head may pour far buckets,
+// as firing would.
+func (e *Engine) nextAt() Cycle {
+	at := Never
+	if b := e.wheelHead(); b != nil {
+		at = b.head.at
+	}
+	if len(e.heap) > 0 && e.heap[0].at < at {
+		at = e.heap[0].at
+	}
+	return at
 }
 
 // calendar is the surface both implementations share; the workload driver
@@ -113,19 +119,27 @@ type calendar interface {
 	Pending() int
 	At(Cycle, func())
 	After(Cycle, func())
-	Step() bool
 	RunUntil(Cycle) uint64
 	Run() uint64
 	Stop()
 	SetEventBudget(uint64)
 	BudgetExhausted() bool
-	NextEventAt() Cycle
+	nextAt() Cycle
 }
 
 var (
 	_ calendar = (*Engine)(nil)
 	_ calendar = (*oracleEngine)(nil)
 )
+
+// step fires c's earliest event alone, through a one-event budget, and
+// reports whether one fired.
+func step(c calendar) bool {
+	c.SetEventBudget(c.Executed() + 1)
+	n := c.RunUntil(Never)
+	c.SetEventBudget(0)
+	return n == 1
+}
 
 func splitmix(x *uint64) uint64 {
 	*x += 0x9e3779b97f4a7c15
@@ -135,18 +149,28 @@ func splitmix(x *uint64) uint64 {
 	return z ^ z>>31
 }
 
+// farSpan is the far wheel's reach in cycles. From a clock inside the near
+// window, a delay below nearSize lands on the near wheel, one in
+// [nearSize, farSpan) on the far wheel, and one of farSpan+nearSize or more
+// on the overflow heap.
+const farSpan = farSize * nearSize
+
 // randDelta draws a delay spanning every calendar region: same-cycle, the
-// near wheel, the far wheel, and the overflow heap.
+// near wheel, the far wheel, and the overflow heap. One far class draws
+// from four whole-window delays, so events scheduled from one cycle share
+// far buckets and cycles, and a pour must keep their order.
 func randDelta(rng *uint64) Cycle {
 	switch splitmix(rng) % 10 {
 	case 0:
 		return 0
-	case 1, 2, 3, 4:
-		return Cycle(splitmix(rng) % 256)
+	case 1, 2, 3:
+		return Cycle(splitmix(rng) % nearSize)
+	case 4:
+		return Cycle(nearSize * (1 + splitmix(rng)%4))
 	case 5, 6, 7:
-		return Cycle(256 + splitmix(rng)%65_000)
+		return Cycle(nearSize + splitmix(rng)%(farSpan-nearSize))
 	case 8:
-		return Cycle(65_536 + splitmix(rng)%500_000)
+		return Cycle(farSpan + nearSize + splitmix(rng)%(2*farSpan))
 	default:
 		return Cycle(splitmix(rng) % 16)
 	}
@@ -157,7 +181,7 @@ type firing struct {
 	id uint64
 }
 
-// runWorkload drives c through a seed-derived schedule of At/After/Step/
+// runWorkload drives c through a seed-derived schedule of At/After/step/
 // RunUntil/Stop/budget operations — including events that schedule children
 // and segments that leave the near window ahead of the clock (exercising
 // the below-base heap path) — and returns the exact firing trace.
@@ -205,7 +229,7 @@ func runWorkload(c calendar, seed uint64) []firing {
 		}
 		switch splitmix(&rng) % 6 {
 		case 0:
-			c.Step()
+			step(c)
 		case 1:
 			c.SetEventBudget(c.Executed() + splitmix(&rng)%64 + 1)
 			c.RunUntil(c.Now() + Cycle(splitmix(&rng)%200_000))
@@ -214,8 +238,8 @@ func runWorkload(c calendar, seed uint64) []firing {
 			c.RunUntil(c.Now() + Cycle(splitmix(&rng)%200_000))
 		}
 		trace = append(trace, firing{c.Now(), ^uint64(c.Pending())})
-		if c.NextEventAt() != Never {
-			trace = append(trace, firing{c.NextEventAt(), ^uint64(0) - 1})
+		if at := c.nextAt(); at != Never {
+			trace = append(trace, firing{at, ^uint64(0) - 1})
 		}
 	}
 	c.Run()
@@ -223,13 +247,52 @@ func runWorkload(c calendar, seed uint64) []firing {
 	return trace
 }
 
+// Calendar regions, as regionTally classifies each schedule.
+const (
+	regionNear = iota
+	regionFar
+	regionOverflow
+	regionBelowBase
+	numRegions
+)
+
+var regionNames = [numRegions]string{"near wheel", "far wheel", "overflow heap", "below-base heap"}
+
+// regionTally is an Engine that counts the calendar region each schedule
+// landed in, read off the structure that took the task.
+type regionTally struct {
+	*Engine
+	n [numRegions]int
+}
+
+func (r *regionTally) At(at Cycle, fn func()) {
+	near, far := r.nearCnt, r.farCnt
+	r.Engine.At(at, fn)
+	switch {
+	case r.nearCnt > near:
+		r.n[regionNear]++
+	case r.farCnt > far:
+		r.n[regionFar]++
+	case at < r.nearBase:
+		r.n[regionBelowBase]++
+	default:
+		r.n[regionOverflow]++
+	}
+}
+
+func (r *regionTally) After(d Cycle, fn func()) { r.At(r.Now()+d, fn) }
+
 // TestCalendarMatchesHeapOracle is the determinism regression for the
 // wheel+heap calendar: over many randomized schedules, the firing order
 // (including same-cycle seq ties), clock, pending counts, and budget
 // behaviour must match the pre-overhaul container/heap engine exactly.
+// Every calendar region must take entries, or the regression is silent
+// about it.
 func TestCalendarMatchesHeapOracle(t *testing.T) {
+	var regions [numRegions]int
 	for seed := uint64(1); seed <= 200; seed++ {
-		got := runWorkload(New(), seed)
+		r := &regionTally{Engine: New()}
+		got := runWorkload(r, seed)
 		want := runWorkload(newOracle(), seed)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: trace lengths differ: %d vs oracle %d", seed, len(got), len(want))
@@ -240,7 +303,16 @@ func TestCalendarMatchesHeapOracle(t *testing.T) {
 					seed, i, got[i].at, got[i].id, want[i].at, want[i].id)
 			}
 		}
+		for i, n := range r.n {
+			regions[i] += n
+		}
 	}
+	for i, n := range regions {
+		if n == 0 {
+			t.Errorf("no schedule landed in the %s", regionNames[i])
+		}
+	}
+	t.Logf("schedules per region: %v %v", regionNames, regions)
 }
 
 // TestTaskOrderingMatchesClosures checks that AtTask entries interleave
@@ -285,7 +357,7 @@ func TestTaskOrderingMatchesClosures(t *testing.T) {
 	}
 }
 
-// TestBelowBaseScheduling pins the regression where a cascade advances the
+// TestBelowBaseScheduling pins the regression where a pour advances the
 // near window past the clock and a subsequent event lands below nearBase.
 func TestBelowBaseScheduling(t *testing.T) {
 	e := New()
@@ -293,7 +365,7 @@ func TestBelowBaseScheduling(t *testing.T) {
 	log := func() { fired = append(fired, e.Now()) }
 	e.At(5, log)
 	e.At(70_000, log)
-	e.RunUntil(10) // fires 5; the peek at 70k cascades the window forward
+	e.RunUntil(10) // fires 5; locating 70k pours the window forward
 	if len(fired) != 1 {
 		t.Fatalf("fired %v, want just cycle 5", fired)
 	}
@@ -344,6 +416,42 @@ func BenchmarkEngineTaskShortDelays(b *testing.B) {
 		e.AfterTask(Cycle(remaining%61+1), e.NewTask(chain))
 	}
 	for i := 0; i < 4; i++ {
+		e.AfterTask(Cycle(i+1), e.NewTask(chain))
+	}
+	b.ResetTimer()
+	e.Run()
+}
+
+func BenchmarkEngineBankQueue(b *testing.B) {
+	// A few hundred pooled-task chains whose delays follow the event mix
+	// of a busy-wait polling run: one in five under 16 cycles (CU issue,
+	// response legs), two in three 256–8,191 cycles out (atomics queued at
+	// a contended L2 bank), the rest 16–255 cycles, and a thin tail past
+	// 65,536 cycles (context transfers, firmware cadences).
+	b.ReportAllocs()
+	e := New()
+	rng := uint64(1)
+	remaining := b.N
+	var chain TaskFunc
+	chain = func(*Task) {
+		if remaining <= 0 {
+			return
+		}
+		remaining--
+		var d Cycle
+		switch r := splitmix(&rng) % 1000; {
+		case r < 200:
+			d = Cycle(1 + splitmix(&rng)%15)
+		case r < 865:
+			d = Cycle(256 + splitmix(&rng)%7936)
+		case r < 995:
+			d = Cycle(16 + splitmix(&rng)%240)
+		default:
+			d = Cycle(65_536 + splitmix(&rng)%65_536)
+		}
+		e.AfterTask(d, e.NewTask(chain))
+	}
+	for i := 0; i < 384; i++ {
 		e.AfterTask(Cycle(i+1), e.NewTask(chain))
 	}
 	b.ResetTimer()

@@ -2,40 +2,19 @@ package event
 
 import "testing"
 
-// zeroSlot reports whether a calendar slot holds nothing at all.
-func zeroSlot(ev *scheduled) bool {
-	return ev.at == 0 && ev.seq == 0 && ev.fn == nil && ev.task == nil
-}
-
-// staleSlots counts non-zero slots past each bucket's length: entries a
-// truncation left behind, which only the high-water marks still cover.
-func staleSlots(e *Engine) int {
-	n := 0
-	for _, wheel := range [][]bucket{e.near[:], e.far[:]} {
-		for i := range wheel {
-			b := &wheel[i]
-			for _, ev := range b.ev[len(b.ev):cap(b.ev)] {
-				if !zeroSlot(&ev) {
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
-
-// TestRecycleClearsTouchedSlots dirties an engine each way a run marks a
-// bucket for Recycle, recycles it, and checks that every slot up to every
-// bucket's capacity is zero afterwards, though Recycle visits only the
-// marked buckets and clears each only up to its high-water mark, and that
-// the recycled engine fires a scripted schedule exactly as a fresh one
-// does. The cases:
-//   - run: near buckets refilled at several depths and drained by
-//     RunUntil, far buckets poured, the heap filled, work left pending
-//     with live tasks;
-//   - step: near buckets drained only through Step (the fire path), so
-//     their marks come from there alone;
-//   - far: far buckets that took entries but never poured;
+// TestRecycleClearsTouchedSlots dirties an engine each way a run leaves
+// tasks in the calendar, recycles it, and checks that the recycled engine
+// is as New leaves it apart from its free list and heap capacity: nothing
+// pending, every bucket empty, the occupancy bitmaps zero, every task the
+// engine made back on its free list with nil Env, and a scripted schedule
+// firing exactly as on a fresh engine. The cases:
+//   - run: near buckets refilled and drained by RunUntil, far buckets
+//     poured, the heap fed beyond the far horizon and below the near
+//     window's base, and tasks left pending in every region;
+//   - stop: a run stopped mid-flight by a callee, with live tasks in
+//     every region;
+//   - step: near buckets drained one event at a time, one left part-drained;
+//   - far: far buckets that took tasks but never poured;
 //   - twice: a second Recycle straight after the first.
 func TestRecycleClearsTouchedSlots(t *testing.T) {
 	nop := func(*Task) {}
@@ -55,35 +34,52 @@ func TestRecycleClearsTouchedSlots(t *testing.T) {
 				e.Run()
 			}
 			for i := 0; i < 64; i++ {
-				e.After(Cycle(300+97*i), func() {})
-				e.AfterTask(Cycle(70_000+i), e.NewTask(nop))
+				e.After(Cycle(nearSize+97*i), func() {})
+				e.AfterTask(Cycle(farSpan+nearSize+Cycle(i)), e.NewTask(nop))
 			}
-			e.RunUntil(e.Now() + 1_000)
-			// Refill the current cycle's bucket at shrinking depths: once
-			// drained, it is reset lazily by the next After(0), the
-			// scheduling fast path.
+			e.RunUntil(e.Now() + 8*nearSize)
+			// Locating a task two windows out pours the window past the
+			// clock, so the next near delay lands on the heap below it.
 			now := e.Now()
-			if now < e.nearBase || now-e.nearBase >= nearSize {
-				t.Fatalf("cycle %d outside the near window at %d", now, e.nearBase)
+			e.AtTask(now+3*nearSize, e.NewTask(nop))
+			e.RunUntil(now + nearSize)
+			if e.Now() != now || e.nearBase <= now+1 {
+				t.Fatalf("window at %d with the clock at %d (was %d), want it past the clock", e.nearBase, e.Now(), now)
 			}
-			for _, depth := range []int{40, 20, 5} {
-				for i := 0; i < depth; i++ {
-					e.AfterTask(0, e.NewTask(nop))
+			heap := len(e.heap)
+			e.AfterTask(1, e.NewTask(nop))
+			e.After(2, func() {})
+			if len(e.heap) != heap+2 {
+				t.Fatalf("heap grew %d → %d, want two below-base tasks", heap, len(e.heap))
+			}
+			e.AtTask(e.nearBase+5, e.NewTask(nop))
+			e.At(e.nearBase+5*nearSize, func() {})
+			if e.nearCnt == 0 || e.farCnt == 0 || len(e.heap) == 0 {
+				t.Fatalf("dirtying left %d near, %d far, %d heap; want all three regions occupied",
+					e.nearCnt, e.farCnt, len(e.heap))
+			}
+			return e
+		}},
+		{"stop", func(t *testing.T) *Engine {
+			e := New()
+			n := 0
+			var chain TaskFunc
+			chain = func(*Task) {
+				n++
+				if n == 50 {
+					e.Stop()
 				}
-				e.RunUntil(now)
+				e.AfterTask(Cycle(n%7), e.NewTask(chain))
+				e.After(Cycle(nearSize*(1+n%5)), func() {})
+				if n%10 == 0 {
+					e.AfterTask(farSpan+nearSize, e.NewTask(nop))
+				}
 			}
-			if b := &e.near[now&nearMask]; len(b.ev) != 5 || cap(b.ev) < 40 {
-				t.Fatalf("refilled bucket holds %d of cap %d, want 5 of at least 40", len(b.ev), cap(b.ev))
-			}
-			for d := Cycle(1); d <= 3; d++ {
-				e.AfterTask(d, e.NewTask(nop))
-			}
-			if e.Pending() == 0 || len(e.heap) == 0 || e.farCnt == 0 {
-				t.Fatalf("dirtying left %d pending (%d far, %d heap); want all three regions occupied",
-					e.Pending(), e.farCnt, len(e.heap))
-			}
-			if staleSlots(e) == 0 {
-				t.Fatal("no stale slot past any bucket's length; the case exercises nothing")
+			e.AfterTask(1, e.NewTask(chain))
+			e.Run()
+			if n != 50 || e.nearCnt == 0 || e.farCnt == 0 || len(e.heap) == 0 {
+				t.Fatalf("stopped after %d links with %d near, %d far, %d heap; want 50 and all three regions occupied",
+					n, e.nearCnt, e.farCnt, len(e.heap))
 			}
 			return e
 		}},
@@ -94,10 +90,11 @@ func TestRecycleClearsTouchedSlots(t *testing.T) {
 					e.AfterTask(d, e.NewTask(nop))
 				}
 			}
-			for e.Step() {
+			for i := 0; i < 7; i++ {
+				step(e)
 			}
-			if drainedNear(e) == 0 {
-				t.Fatal("no drained near bucket still holds its entries; the case exercises nothing")
+			if b := &e.near[4]; e.Now() != 4 || b.head == nil || b.head == b.tail {
+				t.Fatalf("clock at %d; want cycle 4's bucket part-drained", e.Now())
 			}
 			return e
 		}},
@@ -108,7 +105,7 @@ func TestRecycleClearsTouchedSlots(t *testing.T) {
 				e.After(Cycle(nearSize+300*i+1), func() {})
 			}
 			if e.farCnt != 16 || e.nearBase != 0 {
-				t.Fatalf("far wheel holds %d entries at near base %d, want 16 unpoured", e.farCnt, e.nearBase)
+				t.Fatalf("far wheel holds %d tasks at near base %d, want 16 unpoured", e.farCnt, e.nearBase)
 			}
 			return e
 		}},
@@ -128,58 +125,62 @@ func TestRecycleClearsTouchedSlots(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := tc.dirty(t)
+			// Outside a run, each task the engine made is pending or free.
+			tasks := freeTasks(t, e) + e.Pending()
 			e.Recycle()
 			if got := NewPooled(); got != e {
 				t.Fatal("NewPooled did not hand back the recycled engine")
 			}
-			checkRecycled(t, e)
+			checkRecycled(t, e, tasks)
 		})
 	}
 }
 
-// drainedNear counts near buckets that fired every entry they hold: the
-// occupancy bitmap no longer marks them, but their slots are written.
-func drainedNear(e *Engine) int {
-	n := 0
-	for i := range e.near {
-		if e.nearOcc[i>>6]&(1<<(i&63)) == 0 && len(e.near[i].ev) != 0 {
-			n++
+// freeTasks walks e's free list, checking that each task on it appears
+// once and was released (no callee, no Env, no seq), and returns its length.
+func freeTasks(t *testing.T, e *Engine) int {
+	t.Helper()
+	seen := make(map[*Task]bool)
+	for tk := e.free; tk != nil; tk = tk.next {
+		if seen[tk] {
+			t.Fatalf("a task is on the free list twice, after %d others", len(seen))
+		}
+		seen[tk] = true
+		if tk.fn != nil || tk.seq != 0 || tk.Env[0] != nil || tk.Env[1] != nil || tk.Env[2] != nil || tk.Env[3] != nil {
+			t.Fatalf("free task %d holds a callee, seq %d or an Env reference", len(seen), tk.seq)
 		}
 	}
-	return n
+	return len(seen)
 }
 
 // checkRecycled checks that e, just recycled, is as New leaves it apart
-// from capacity, and fires like a fresh engine.
-func checkRecycled(t *testing.T, e *Engine) {
+// from capacity, holds all tasks of its engine on its free list, and fires
+// like a fresh engine.
+func checkRecycled(t *testing.T, e *Engine, tasks int) {
 	t.Helper()
+	if e.Now() != 0 || e.Pending() != 0 || e.Executed() != 0 {
+		t.Fatalf("recycled engine at cycle %d with %d pending, %d executed", e.Now(), e.Pending(), e.Executed())
+	}
+	if e.nearSum != 0 || e.nearOcc != [nearSize / 64]uint64{} || e.farOcc != [farSize / 64]uint64{} {
+		t.Fatalf("recycled engine keeps occupancy bits: near %x (summary %x), far %x", e.nearOcc, e.nearSum, e.farOcc)
+	}
 	for _, wheel := range []struct {
 		name    string
 		buckets []bucket
-		hw      []int32
-	}{{"near", e.near[:], e.nearHW[:]}, {"far", e.far[:], e.farHW[:]}} {
-		for i := range wheel.buckets {
-			b := &wheel.buckets[i]
-			if len(b.ev) != 0 || b.pos != 0 || wheel.hw[i] != 0 {
-				t.Fatalf("%s bucket %d: len %d pos %d high-water %d after Recycle", wheel.name, i, len(b.ev), b.pos, wheel.hw[i])
-			}
-			for j, ev := range b.ev[:cap(b.ev)] {
-				if !zeroSlot(&ev) {
-					t.Fatalf("%s bucket %d slot %d of %d still holds an entry after Recycle", wheel.name, i, j, cap(b.ev))
-				}
+	}{{"near", e.near[:]}, {"far", e.far[:]}} {
+		for i, b := range wheel.buckets {
+			if b.head != nil || b.tail != nil {
+				t.Fatalf("%s bucket %d still links tasks after Recycle", wheel.name, i)
 			}
 		}
 	}
-	for j, ev := range e.heap[:cap(e.heap)] {
-		if !zeroSlot(&ev) {
-			t.Fatalf("heap slot %d still holds an entry after Recycle", j)
+	for j, tk := range e.heap[:cap(e.heap)] {
+		if tk != nil {
+			t.Fatalf("heap slot %d still holds a task after Recycle", j)
 		}
 	}
-	if e.Now() != 0 || e.Pending() != 0 || e.Executed() != 0 || e.nearOcc != [nearSize / 64]uint64{} {
-		t.Fatalf("recycled engine at cycle %d with %d pending, %d executed", e.Now(), e.Pending(), e.Executed())
-	}
-	if e.nearDrained != [nearSize / 64]uint64{} || e.farUsed != [farSize / 64]uint64{} {
-		t.Fatalf("recycled engine keeps bucket marks: near %x, far %x", e.nearDrained, e.farUsed)
+	if got := freeTasks(t, e); got != tasks {
+		t.Fatalf("free list holds %d tasks after Recycle, want all %d the engine made", got, tasks)
 	}
 
 	got, want := runWorkload(e, 11), runWorkload(New(), 11)

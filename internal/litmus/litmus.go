@@ -165,14 +165,19 @@ func mustOBE(l kernels.Litmus, wgCap int) bool {
 	if wgCap < 1 {
 		return false
 	}
-	memo := make(map[uint32]bool)
+	// memo[mask] is 0 until the mask is decided, then 1 (terminates) or
+	// -1 (stuck). A mask reads pc and vals only before it recurses, so one
+	// pair serves the whole search.
+	memo := make([]int8, 1<<n)
+	pc := make([]int, n)
+	vals := make([]int64, l.NumVars())
 	var ok func(mask uint32) bool
 	ok = func(mask uint32) bool {
-		if v, seen := memo[mask]; seen {
-			return v
+		if v := memo[mask]; v != 0 {
+			return v > 0
 		}
-		pc := make([]int, n)
-		vals := make([]int64, l.NumVars())
+		clear(pc)
+		clear(vals)
 		l.Quiesce(func(wg int) bool { return mask&(1<<wg) != 0 }, pc, vals)
 		blocked := 0
 		for wg, prog := range l.Progs {
@@ -197,7 +202,10 @@ func mustOBE(l kernels.Litmus, wgCap int) bool {
 				}
 			}
 		}
-		memo[mask] = res
+		memo[mask] = -1
+		if res {
+			memo[mask] = 1
+		}
 		return res
 	}
 	return ok(0)

@@ -20,7 +20,7 @@ var allocGrowth = []struct {
 	objects uint64
 }{
 	{"Monitor timer records and their callbacks, at a new peak of episodes with pending timers", 16},
-	{"calendar buckets, overflow heap and pooled tasks, at a new peak of pending events", 16},
+	{"overflow heap and pooled tasks, one task per event past the peak of pending events", 32},
 	{"WG parked-continuation slices, and the four w.Park(func…) closures in gpu for a WG switched out mid-op", 8},
 	{"Table 2 condition indexes, at a new (addr, want) pair such as each ticket of a ticket lock", 8},
 	{"the Go runtime's own allocations", 2},
