@@ -168,21 +168,17 @@ type workload struct {
 	starving       bool
 }
 
-// mark is a point in a workload's run a rebuild re-runs to: the engine
-// cycle, and whether the engine had fired any event by then (a machine
-// at cycle 0 may or may not have run its cycle-0 events).
-type mark struct {
-	at    event.Cycle
-	fired bool
-}
-
-func markOf(m *gpu.Machine) mark {
-	return mark{m.Engine().Now(), m.Engine().Executed() > 0}
-}
+// mark is a point in a workload's run a rebuild re-runs to: the pacing
+// position, the target of the workload's last RunTo. A live machine has
+// fired every event up to its position and none after it, so a rebuild
+// run to the position replays the same events however densely they fall
+// before it. Position 0 is the machine no slice has run: its cycle-0
+// events have not fired.
+type mark struct{ at event.Cycle }
 
 // runTo brings a rebuilt machine to the mark.
 func (k mark) runTo(m *gpu.Machine) {
-	if k.fired {
+	if k.at > 0 {
 		m.RunTo(k.at)
 	}
 }
@@ -360,7 +356,7 @@ func (f *fleet) rewind(w *workload) uint64 {
 
 // checkpoint marks w's current point as its replay point.
 func (w *workload) checkpoint() checkpoint {
-	return checkpoint{markOf(w.m), len(w.thermal)}
+	return checkpoint{mark{w.pos}, len(w.thermal)}
 }
 
 // result assembles the final Result and runs the end-of-run SLO checks.
@@ -636,7 +632,7 @@ func (f *fleet) pickTarget(exclude int) int {
 // it for replay. A scale-1 re-imposition is logged too: it clears a
 // JitterCP skew the CP may carry.
 func (f *fleet) applyThermal(w *workload, scale int) {
-	w.thermal = append(w.thermal, derate{markOf(w.m), scale})
+	w.thermal = append(w.thermal, derate{mark{w.pos}, scale})
 	setCadenceScale(w.m, scale)
 }
 

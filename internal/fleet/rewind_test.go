@@ -37,7 +37,11 @@ func digestOf(t *testing.T, r *fleet.Result) rewindDigest {
 }
 
 // rewindRecord holds the digests of the runs TestRewindsMatchParentRecord
-// drives, recorded when rewinds still restored machine snapshots.
+// drives, recorded when rewinds still restored machine snapshots. The
+// fleet logs of the runs that rewind were re-recorded when checkpoints
+// began to mark the pacing position instead of the engine clock: a
+// rewind's lost cycles now count from that position. No workload's
+// Result moved.
 var rewindRecord = map[string]rewindDigest{
 	"Timeout/thermal-wave": {
 		"b8990d93e4868f33168a1cb0550d9070a5454829121ac36a85bb67c628854b24",
@@ -49,7 +53,7 @@ var rewindRecord = map[string]rewindDigest{
 		},
 	},
 	"Timeout/ecc-scrub": {
-		"bc9ee00782a91ecab283383ee9d536f788d837fa810284a48def8f434eca81e4",
+		"d04ed9a6f63f342bcebbfd408769a52f3897c3f3cf168b967d9f04f47b680653",
 		[]string{
 			"f31b4cf0354ebc486918d178458540307e247d28b99d62acd2a84e597be1e634",
 			"caf554cf3b70c7f361bafdb622e343155b81fe191271ee622ea4d4f84ecc3ae8",
@@ -58,7 +62,7 @@ var rewindRecord = map[string]rewindDigest{
 		},
 	},
 	"Timeout/mixed": {
-		"3dbc18d637b3bba3a15d56a6606aed03558df99b2ff518dbb2690f7e4f720522",
+		"5194dc04d1407873d20235f5fc224565869e4fe698afde1e15689457cd49aaa7",
 		[]string{
 			"f31b4cf0354ebc486918d178458540307e247d28b99d62acd2a84e597be1e634",
 			"caf554cf3b70c7f361bafdb622e343155b81fe191271ee622ea4d4f84ecc3ae8",
@@ -67,7 +71,7 @@ var rewindRecord = map[string]rewindDigest{
 		},
 	},
 	"Timeout/rand-1": {
-		"ee13bd71ab3f76a1b049d85a0b814984826fb380d044956b41d89f655eba3c28",
+		"7ee6b184099a32c37dcbfc82ecd67eb3875a840daf93589f274de9899a5c11d4",
 		[]string{
 			"f31b4cf0354ebc486918d178458540307e247d28b99d62acd2a84e597be1e634",
 			"caf554cf3b70c7f361bafdb622e343155b81fe191271ee622ea4d4f84ecc3ae8",
@@ -85,7 +89,7 @@ var rewindRecord = map[string]rewindDigest{
 		},
 	},
 	"MonNR-One/ecc-scrub": {
-		"95ac9716907d17f1f22c761de0d80c263f821852aa05437b7ae6f7daf0c30f4c",
+		"97162674db289f04fe19d3ff70618e3c8b3a7bd09dd4f0eae45cc343a1bd777c",
 		[]string{
 			"53ebc784f88883109144fe825e2a0d850113eba75c833d0566c932726fad5f3d",
 			"4def2dfbba3836ec796c6979e75c923f53189cc41f32b97a21487057d6c3c6c1",
@@ -94,7 +98,7 @@ var rewindRecord = map[string]rewindDigest{
 		},
 	},
 	"MonNR-One/mixed": {
-		"790ebad047b258ccccf4c98f8a9e8b23e402b625bf7ca64a43c957904f6c50bf",
+		"dd74ed9e370d011b5b613fb3166588077d96bd46b11574794c0a092964a42cd3",
 		[]string{
 			"53ebc784f88883109144fe825e2a0d850113eba75c833d0566c932726fad5f3d",
 			"4def2dfbba3836ec796c6979e75c923f53189cc41f32b97a21487057d6c3c6c1",
@@ -121,7 +125,7 @@ var rewindRecord = map[string]rewindDigest{
 		},
 	},
 	"AWG/ecc-scrub": {
-		"83ccb0dcb98de9772797557c9b84fea05298045e3afe664020a79a979eb6a12e",
+		"9051c84f4293a3a8a02abc4efaccfd4fa1d4f0976f16fbde60f02ccbf441af3c",
 		[]string{
 			"abe26f91edfac0d59a656b83c7b12faaeda3d99bfe6e5919f15c379446eafc51",
 			"a3ba493e054162799d6c15d26a27bde80df79535854ddcdffe999ec558e319f8",
@@ -130,7 +134,7 @@ var rewindRecord = map[string]rewindDigest{
 		},
 	},
 	"AWG/mixed": {
-		"a0c3aec3e856f445aba5a64d7463a605585e00f3748c943203a7407bfdeae846",
+		"5dc3990c39ddf9f1950f9463b55e6488fad2b5ae839941009294823b0b838e0b",
 		[]string{
 			"abe26f91edfac0d59a656b83c7b12faaeda3d99bfe6e5919f15c379446eafc51",
 			"a3ba493e054162799d6c15d26a27bde80df79535854ddcdffe999ec558e319f8",
@@ -139,7 +143,7 @@ var rewindRecord = map[string]rewindDigest{
 		},
 	},
 	"AWG/rand-1": {
-		"29f64c921653d12bc44e8969eced0aa75497eeb56549a0e5c682773958ca9072",
+		"b12a52ae3536273f38b561423fc0ef598b4dd4e9fc1a5e4c05563c0eca32fabc",
 		[]string{
 			"22c2b1b4e567a7686bfd5246515e3b373dc15a372ce10c3ea3dda89ee1bdc60d",
 			"ab66996a12f311f9894dcbb026978e6904203ceea388391b3142375af22f3711",
@@ -148,7 +152,7 @@ var rewindRecord = map[string]rewindDigest{
 		},
 	},
 	"Timeout/late-replay": {
-		"6e52372f9fc4c5b8a1139f5819338a2818fb7b077e1294e7df581f3d414ce8c5",
+		"31acb460614d8f598b817d07660b4976e30553b3d0064ace0478944535319848",
 		[]string{
 			"f31b4cf0354ebc486918d178458540307e247d28b99d62acd2a84e597be1e634",
 			"caf554cf3b70c7f361bafdb622e343155b81fe191271ee622ea4d4f84ecc3ae8",
@@ -157,7 +161,7 @@ var rewindRecord = map[string]rewindDigest{
 		},
 	},
 	"MonNR-One/late-replay": {
-		"acea870f501583ef8b8ad747d19a87cd546c89487fa24ad66c1177e3854a47b3",
+		"b1366b1c4931839935d5415a1e10482f7de5ea6025a1cc17a32f4ae492c71764",
 		[]string{
 			"53ebc784f88883109144fe825e2a0d850113eba75c833d0566c932726fad5f3d",
 			"4def2dfbba3836ec796c6979e75c923f53189cc41f32b97a21487057d6c3c6c1",
@@ -166,7 +170,7 @@ var rewindRecord = map[string]rewindDigest{
 		},
 	},
 	"AWG/late-replay": {
-		"bc77604dfc0c1da1fa46707bc42decfb6d9f10bcaaf8b30fe65bfd8bc7cbbe34",
+		"802c8219a084d13ead140e1ffad9b5deea6b9e6509e035ccf2485939730b3e27",
 		[]string{
 			"abe26f91edfac0d59a656b83c7b12faaeda3d99bfe6e5919f15c379446eafc51",
 			"a3ba493e054162799d6c15d26a27bde80df79535854ddcdffe999ec558e319f8",
@@ -175,7 +179,7 @@ var rewindRecord = map[string]rewindDigest{
 		},
 	},
 	"Timeout/early-loss": {
-		"53d5d25cb568961f93365bbed6acee9cc18a2da4f12bfa5bc80f893ce3694510",
+		"fb73d56e0df71f8f4a505c6266df08c72d9c0df282dd07502353525dba8a7aaf",
 		[]string{
 			"f31b4cf0354ebc486918d178458540307e247d28b99d62acd2a84e597be1e634",
 			"caf554cf3b70c7f361bafdb622e343155b81fe191271ee622ea4d4f84ecc3ae8",
@@ -184,7 +188,7 @@ var rewindRecord = map[string]rewindDigest{
 		},
 	},
 	"MonNR-One/early-loss": {
-		"71f3e2c8f46a8e7fa9721652b022b03ea51b91244875977aeaf1d8c0d9c690f1",
+		"1373c465e6582f621d7c814b91e0a935e1f721b8c5bc076ccd13f3a381bb0061",
 		[]string{
 			"53ebc784f88883109144fe825e2a0d850113eba75c833d0566c932726fad5f3d",
 			"838527d3dd1706565ac3e7732f187d2012ccc9d9093b8353cb0fefeb5740fb04",
@@ -193,7 +197,7 @@ var rewindRecord = map[string]rewindDigest{
 		},
 	},
 	"AWG/early-loss": {
-		"aaae6a350836389f8c43b0948f0067ae40262dfeab776b8a9f59160cf2607f68",
+		"09495c7e4bb4ca1e180400368fba82bbe544bef9777952d3eb62af0ec401e11c",
 		[]string{
 			"abe26f91edfac0d59a656b83c7b12faaeda3d99bfe6e5919f15c379446eafc51",
 			"2a64af0ab686553aae87743a6ef0f0f82ce852c559ad49f9d4ea5e8508e5ce72",
@@ -220,9 +224,9 @@ var lateReplay = fleet.Schedule{Name: "late-replay", Events: []fleet.Event{
 
 // earlyLoss loses a device after the first 50-cycle checkpoint tick,
 // when each workload's engine has fired its cycle-0 events and nothing
-// since: the rewind returns to a cycle-0 checkpoint that is not the
-// unstarted machine, and the migration's pause counts the calendar the
-// cycle-0 events left.
+// since: the rewind returns to a checkpoint past the unstarted machine
+// whose engine clock still reads 0, and the migration's pause counts the
+// calendar the cycle-0 events left.
 var earlyLoss = fleet.Schedule{Name: "early-loss", Events: []fleet.Event{
 	{At: 75, Kind: fleet.DeviceLoss, Device: 1},
 }}
@@ -234,9 +238,9 @@ var earlyLoss = fleet.Schedule{Name: "early-loss", Events: []fleet.Event{
 // land on devices the workload already armed, scale-1 re-impositions
 // clear an active JitterCP skew, and (lateReplay) the log runs past the
 // checkpoint being rewound to; earlyLoss, at a 50-cycle cadence, rewinds
-// to a started cycle-0 checkpoint. Each run's rendered fleet log and
-// every workload's Result must match, bit for bit, the record taken when
-// those rewinds restored snapshots instead of re-running.
+// to a started checkpoint whose engine clock reads 0. Each run's rendered
+// fleet log and every workload's Result must match, bit for bit, the
+// record (see rewindRecord).
 func TestRewindsMatchParentRecord(t *testing.T) {
 	scripted := fleet.Scripted(4, 5_000)
 	planes := []fleet.Schedule{
