@@ -64,7 +64,7 @@ fuzz:
 # heads each hunk with the title of the table above it; one line of
 # context (-U1) keeps a change in a table's first rows from pulling that
 # title into the hunk, where -F would pass over it. The full scale takes
-# about 15–16 s of wall time on two cores. awgexp writes to a temp file
+# about 14.5–16.5 s of wall time on two cores. awgexp writes to a temp file
 # first so that its own failure fails the target (/bin/sh may lack
 # pipefail).
 # After an intentional model change, regenerate a record with

@@ -39,15 +39,6 @@ import (
 	"awgsim/internal/sim"
 )
 
-// workedExamples render the text an experiment prints after its table.
-// Their simulations are not counted in the experiment's footer.
-var workedExamples = map[string]func(experiments.Options) (string, error){
-	"fig6":   experiments.Fig6Timelines,
-	"faults": experiments.FaultsWorkedExample,
-	"fleet":  experiments.FleetWorkedExample,
-	"litmus": experiments.LitmusWorkedExamples,
-}
-
 func main() {
 	var (
 		exp        = flag.String("exp", "", "single experiment id (table1, table2, fig5..fig15, ...); empty = all")
@@ -106,7 +97,7 @@ func main() {
 	for _, e := range run {
 		start := time.Now() //lint:allow simdeterminism wall time for the stderr progress line only; never in the record
 		hits := sim.CacheHits()
-		text, err := section(e, workedExamples[e.ID], opts)
+		text, err := e.Section(opts)
 		if err != nil {
 			failures = append(failures, fmt.Sprintf("%s: %v", e.ID, err))
 			fmt.Fprintf(os.Stderr, "awgexp: %s: %v\n", e.ID, err)
@@ -149,27 +140,4 @@ func main() {
 		}
 		os.Exit(1)
 	}
-}
-
-// section renders one experiment's part of the record: its table, then
-// the worked example's text if example is non-nil, then the footer
-// `[<id>: sim_runs N, sim_cycles C]` with the runs and cycles the table
-// simulated (sim.Totals deltas; the example's own runs are not counted).
-// An error from the table or the example fails the whole section.
-func section(e experiments.Experiment, example func(experiments.Options) (string, error), opts experiments.Options) (string, error) {
-	cyc0, runs0 := sim.Totals()
-	tab, err := e.Run(opts)
-	if err != nil {
-		return "", err
-	}
-	cyc1, runs1 := sim.Totals()
-	out := tab.String() + "\n"
-	if example != nil {
-		text, err := example(opts)
-		if err != nil {
-			return "", fmt.Errorf("worked example: %w", err)
-		}
-		out += text + "\n"
-	}
-	return out + fmt.Sprintf("[%s: sim_runs %d, sim_cycles %d]\n", e.ID, runs1-runs0, cyc1-cyc0), nil
 }

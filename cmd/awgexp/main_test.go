@@ -1,66 +1,10 @@
 package main
 
 import (
-	"errors"
-	"fmt"
 	"os"
 	"strings"
 	"testing"
-
-	"awgsim/internal/experiments"
-	"awgsim/internal/kernels"
-	"awgsim/internal/metrics"
-	"awgsim/internal/sim"
 )
-
-// TestSection renders a one-run experiment whose worked example runs a
-// second simulation: the footer counts the table's run only, the example's
-// text sits between the table and the footer, and an example that fails
-// fails the section, which then renders nothing.
-func TestSection(t *testing.T) {
-	cfg := sim.Config{
-		Benchmark: "SPM_G",
-		Policy:    "AWG",
-		Params:    kernels.Params{NumWGs: 8, Groups: 8, WIsPerWG: 64, Iters: 1, CSWork: 10, OutsideWork: 10},
-	}
-	var cycles uint64
-	e := experiments.Experiment{ID: "demo", Title: "Demo", Run: func(experiments.Options) (*metrics.Table, error) {
-		res, err := sim.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		cycles = res.Cycles
-		tab := metrics.NewTable("Demo", "Benchmark", "Cycles")
-		tab.AddRow(res.Benchmark, res.Cycles)
-		return tab, nil
-	}}
-	example := func(experiments.Options) (string, error) {
-		if _, err := sim.Run(cfg); err != nil {
-			return "", err
-		}
-		return "worked example", nil
-	}
-	opts := experiments.NewOptions(true)
-
-	got, err := section(e, example, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, _ := e.Run(opts)
-	want := tab.String() + "\nworked example\n" + fmt.Sprintf("[demo: sim_runs 1, sim_cycles %d]\n", cycles)
-	if got != want {
-		t.Fatalf("section:\n%s\nwant:\n%s", got, want)
-	}
-
-	failing := func(experiments.Options) (string, error) { return "partial", errors.New("no deadlock") }
-	got, err = section(e, failing, opts)
-	if err == nil || !strings.Contains(err.Error(), "worked example: no deadlock") {
-		t.Errorf("failing example: error %v, want the example's error", err)
-	}
-	if got != "" {
-		t.Errorf("failing example rendered %q, want nothing", got)
-	}
-}
 
 // TestExperimentsDocMatchesRecord compares the tables EXPERIMENTS.md
 // embeds with the same tables in the full-scale record, cell by cell.

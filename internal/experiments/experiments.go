@@ -168,31 +168,58 @@ type Experiment struct {
 	ID    string // "table1", "fig14", ...
 	Title string
 	Run   func(o Options) (*metrics.Table, error)
+	// Example renders the worked example printed after the table; nil
+	// for an experiment without one.
+	Example func(o Options) (string, error)
 }
 
 // All lists every experiment in paper order, closing with the Section V.C
 // hardware budget.
 func All() []Experiment {
 	return []Experiment{
-		{"table1", "Table 1: baseline GPU model", func(o Options) (*metrics.Table, error) { return Table1(o), nil }},
-		{"table2", "Table 2: benchmark characterization", Table2},
-		{"fig5", "Figure 5: work-group context size", func(o Options) (*metrics.Table, error) { return Fig5(o) }},
-		{"fig6", "Figure 6: policy timeline signatures", Fig6},
-		{"fig7", "Figure 7: exponential backoff (Sleep-Xk) sweep", Fig7},
-		{"fig8", "Figure 8: timeout interval sweep", Fig8},
-		{"fig9", "Figure 9: wait efficiency vs MinResume", Fig9},
-		{"fig11", "Figure 11: WG execution breakdown", Fig11},
-		{"fig13", "Figure 13: CP scheduling structure sizes", Fig13},
-		{"fig14", "Figure 14: non-oversubscribed speedup vs Baseline", Fig14},
-		{"fig15", "Figure 15: oversubscribed speedup vs Timeout", Fig15},
-		{"ablation", "Ablation: AWG predictor/virtualization variants", Ablation},
-		{"priority", "Priority: high-priority kernel injection (Section V.D)", Priority},
-		{"oversweep", "Launch oversubscription sweep (1x/2x/4x capacity)", Oversweep},
-		{"faults", "Fault injection: IFP under CU loss, monitor degradation, CP jitter", Faults},
-		{"fleet", "Fleet: device health events, migration under churn, SLO checking", Fleet},
-		{"litmus", "Litmus: generated progress-model conformance matrix (OBE/HSA/LinOcc/IFP)", Litmus},
-		{"overhead", "AWG hardware overhead (Section V.C)", func(Options) (*metrics.Table, error) { return HardwareOverhead(), nil }},
+		{"table1", "Table 1: baseline GPU model", func(o Options) (*metrics.Table, error) { return Table1(o), nil }, nil},
+		{"table2", "Table 2: benchmark characterization", Table2, nil},
+		{"fig5", "Figure 5: work-group context size", func(o Options) (*metrics.Table, error) { return Fig5(o) }, nil},
+		{"fig6", "Figure 6: policy timeline signatures", Fig6, Fig6Timelines},
+		{"fig7", "Figure 7: exponential backoff (Sleep-Xk) sweep", Fig7, nil},
+		{"fig8", "Figure 8: timeout interval sweep", Fig8, nil},
+		{"fig9", "Figure 9: wait efficiency vs MinResume", Fig9, nil},
+		{"fig11", "Figure 11: WG execution breakdown", Fig11, nil},
+		{"fig13", "Figure 13: CP scheduling structure sizes", Fig13, nil},
+		{"fig14", "Figure 14: non-oversubscribed speedup vs Baseline", Fig14, nil},
+		{"fig15", "Figure 15: oversubscribed speedup vs Timeout", Fig15, nil},
+		{"ablation", "Ablation: AWG predictor/virtualization variants", Ablation, nil},
+		{"priority", "Priority: high-priority kernel injection (Section V.D)", Priority, nil},
+		{"oversweep", "Launch oversubscription sweep (1x/2x/4x capacity)", Oversweep, nil},
+		{"faults", "Fault injection: IFP under CU loss, monitor degradation, CP jitter", Faults, FaultsWorkedExample},
+		{"fleet", "Fleet: device health events, migration under churn, SLO checking", Fleet, FleetWorkedExample},
+		{"litmus", "Litmus: generated progress-model conformance matrix (OBE/HSA/LinOcc/IFP)", Litmus, LitmusWorkedExamples},
+		{"overhead", "AWG hardware overhead (Section V.C)", func(Options) (*metrics.Table, error) { return HardwareOverhead(), nil }, nil},
 	}
+}
+
+// Section renders the experiment's part of the golden record: its table,
+// then its worked example's text if it has one, then the footer
+// `[<id>: sim_runs N, sim_cycles C]` with the runs and cycles the table
+// simulated (sim.Totals deltas; the example's own runs are not counted).
+// An error from the table or the example fails the whole section. The
+// record is the sections in All's order, separated by blank lines.
+func (e Experiment) Section(o Options) (string, error) {
+	cyc0, runs0 := sim.Totals()
+	tab, err := e.Run(o)
+	if err != nil {
+		return "", err
+	}
+	cyc1, runs1 := sim.Totals()
+	out := tab.String() + "\n"
+	if e.Example != nil {
+		text, err := e.Example(o)
+		if err != nil {
+			return "", fmt.Errorf("worked example: %w", err)
+		}
+		out += text + "\n"
+	}
+	return out + fmt.Sprintf("[%s: sim_runs %d, sim_cycles %d]\n", e.ID, runs1-runs0, cyc1-cyc0), nil
 }
 
 // Get returns the experiment with the given ID. An unknown ID's error

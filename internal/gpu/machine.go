@@ -75,6 +75,12 @@ type Machine struct {
 	deadlocked   bool
 	ran          bool
 
+	// watchFrom is the cycle Prepare armed the watchdog at, and watchTick
+	// the number of its last tick booked: tick k fires at watchFrom +
+	// k*ProgressWindow/watchTicks.
+	watchFrom event.Cycle
+	watchTick uint64
+
 	// restoresDue and launchesDue count the CU restores (ScheduleCU) and
 	// kernel launches (InjectKernel) still on the calendar: each can make
 	// a WG resident, so the deadlock proof waits them out.
@@ -642,29 +648,51 @@ func (m *Machine) Prepare() {
 	m.ran = true
 	m.eng.SetEventBudget(m.cfg.MaxEvents)
 	m.sched.kick()
-	// Deadlock watchdog: on a full progress window without any WG
-	// advancing, or at the first tick that proves no WG ever can, capture
-	// a structured diagnosis before stopping the engine.
-	var watch func()
-	watch = func() {
-		if m.Done() {
-			return
-		}
-		reason := ""
-		if m.eng.Now()-m.lastProgress >= event.Cycle(m.cfg.ProgressWindow) {
-			reason = metrics.ReasonProgressStall
-		} else if m.provenDeadlock() {
-			reason = metrics.ReasonProvenDeadlock
-		}
-		if reason != "" {
-			m.deadlocked = true
-			m.diag = m.diagnose(reason)
-			m.eng.Stop()
-			return
-		}
-		m.eng.After(event.Cycle(m.cfg.ProgressWindow/4), watch)
+	m.watchFrom = m.eng.Now()
+	m.bookWatchdog()
+}
+
+// The deadlock watchdog ticks watchTicks times per progress window. Every
+// tick runs the deadlock proof, so a proven run ends within 1/watchTicks
+// of a window; every windowEvery-th tick, a quarter window apart, also
+// ends a run that went a whole window without progress.
+const (
+	watchTicks  = 64
+	windowEvery = 16
+)
+
+// bookWatchdog books the watchdog's next tick. Each tick's cycle is
+// computed from its count, not from the last tick, so the ticks never
+// drift and the window check lands on whole quarter windows.
+func (m *Machine) bookWatchdog() {
+	m.watchTick++
+	t := m.eng.NewTask(runWatchdog)
+	t.Env[0] = m
+	m.eng.AtTask(m.watchFrom+event.Cycle(m.watchTick*m.cfg.ProgressWindow/watchTicks), t)
+}
+
+// runWatchdog is one watchdog tick: on a full progress window without any
+// WG advancing, or once the proof shows no WG ever can, it captures a
+// structured diagnosis and stops the engine; otherwise it books the next
+// tick.
+func runWatchdog(t *event.Task) {
+	m := t.Env[0].(*Machine)
+	if m.Done() {
+		return
 	}
-	m.eng.After(event.Cycle(m.cfg.ProgressWindow/4), watch)
+	reason := ""
+	if m.watchTick%windowEvery == 0 && m.eng.Now()-m.lastProgress >= event.Cycle(m.cfg.ProgressWindow) {
+		reason = metrics.ReasonProgressStall
+	} else if m.provenDeadlock() {
+		reason = metrics.ReasonProvenDeadlock
+	}
+	if reason != "" {
+		m.deadlocked = true
+		m.diag = m.diagnose(reason)
+		m.eng.Stop()
+		return
+	}
+	m.bookWatchdog()
 }
 
 // RunTo drives the engine to the given cycle (or to a stop, budget

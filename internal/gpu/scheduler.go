@@ -13,6 +13,10 @@ type scheduler struct {
 
 	pending    []*WG // never-started WGs, in dispatch order
 	readyQueue []*WG // switched-out WGs whose conditions are met
+	// readyUnsorted is set once a requeueReady append has left readyQueue
+	// out of order, until the next enqueueReady sorts it.
+	readyUnsorted bool
+
 	queueSeq   uint64
 	dispFree   event.Cycle
 	kickQueued bool
@@ -45,20 +49,37 @@ func (s *scheduler) enqueuePending(wgs []*WG) {
 	sortWGQueue(s.pending)
 }
 
-// enqueueReady appends a ready WG with a fresh arrival sequence and runs the
+// enqueueReady queues a ready WG with a fresh arrival sequence and runs the
 // dispatcher. The fresh sequence is what lets never-dispatched pending WGs
-// eventually outrank ready-queue churners (see dispatchPass).
+// eventually outrank ready-queue churners (see dispatchPass). It is also
+// the queue's largest, so in a sorted queue the WG only moves ahead of
+// lower-priority entries; a queue that a requeue left out of order is
+// sorted whole.
 func (s *scheduler) enqueueReady(w *WG) {
 	s.queueSeq++
 	w.queueSeq = s.queueSeq
 	s.readyQueue = append(s.readyQueue, w)
-	sortWGQueue(s.readyQueue)
+	if s.readyUnsorted {
+		sortWGQueue(s.readyQueue)
+		s.readyUnsorted = false
+	} else {
+		q, prio := s.readyQueue, w.kr.priority
+		i := len(q) - 1
+		for ; i > 0 && q[i-1].kr.priority < prio; i-- {
+			q[i] = q[i-1]
+		}
+		q[i] = w
+	}
 	s.kick()
 }
 
 // requeueReady re-appends a WG whose restore was revoked mid-flight; it
-// keeps its sequence number (it never got to run).
+// keeps its sequence number (it never got to run), so the append may
+// leave the queue out of order.
 func (s *scheduler) requeueReady(w *WG) {
+	if n := len(s.readyQueue); n > 0 && queuesBefore(w, s.readyQueue[n-1]) {
+		s.readyUnsorted = true
+	}
 	s.readyQueue = append(s.readyQueue, w)
 	s.kick()
 }
@@ -81,15 +102,15 @@ func (s *scheduler) queueLens() (pending, ready int) {
 // get a slot).
 func sortWGQueue(q []*WG) {
 	for i := 1; i < len(q); i++ {
-		for j := i; j > 0; j-- {
-			a, b := q[j-1], q[j]
-			if b.kr.priority > a.kr.priority || (b.kr.priority == a.kr.priority && b.queueSeq < a.queueSeq) {
-				q[j-1], q[j] = b, a
-			} else {
-				break
-			}
+		for j := i; j > 0 && queuesBefore(q[j], q[j-1]); j-- {
+			q[j-1], q[j] = q[j], q[j-1]
 		}
 	}
+}
+
+// queuesBefore reports whether a sorts strictly ahead of b in a WG queue.
+func queuesBefore(a, b *WG) bool {
+	return a.kr.priority > b.kr.priority || (a.kr.priority == b.kr.priority && a.queueSeq < b.queueSeq)
 }
 
 // evictForRoom force-preempts resident lower-priority WGs until kr's WGs
@@ -255,18 +276,23 @@ func (s *scheduler) dispatchPass() {
 			w, fromReady = alt, !fromReady
 		}
 		if fromReady {
-			// Shift down rather than reslice, so the queue keeps its
-			// backing array across the run's switch-ins.
-			q := s.readyQueue
-			n := copy(q, q[1:])
-			q[n] = nil
-			s.readyQueue = q[:n]
+			s.popReady()
 			s.m.switchIn(w, cu)
 		} else {
 			s.pending = s.pending[1:]
 			s.m.start(w, cu)
 		}
 	}
+}
+
+// popReady removes the ready queue's head. It shifts the rest down rather
+// than reslicing, so the queue keeps its backing array across the run's
+// switch-ins; the order of the rest is unchanged.
+func (s *scheduler) popReady() {
+	q := s.readyQueue
+	n := copy(q, q[1:])
+	q[n] = nil
+	s.readyQueue = q[:n]
 }
 
 // dispatchSlot serializes dispatcher actions.
