@@ -28,7 +28,7 @@ lint:
 	$(GO) run ./cmd/awglint ./...
 
 # lint-fix applies the mechanical SuggestedFixes in place (the remaining one
-# is schedpast's After(0) -> After(1)), then re-reports anything that
+# is schedpast's AfterTask(0) -> AfterTask(1)), then re-reports anything that
 # remains.
 lint-fix:
 	$(GO) run ./cmd/awglint -fix ./...

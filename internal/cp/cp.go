@@ -51,8 +51,7 @@ type Processor struct {
 	tab    spillTable // spilled conditions, their waiters and check order
 	maxTab int
 
-	started bool        // Start ran
-	stopped func() bool // wired by Start: the loops' exit probe
+	started bool // Start ran
 	// The loops' cadence perturbation: each interval is stretched by
 	// scale (SetCadenceScale) and skewed by up to maxSkew cycles drawn
 	// from the skewState walk (SkewCadence). At most one is set.
@@ -60,14 +59,12 @@ type Processor struct {
 	maxSkew   event.Cycle
 	skewState uint64
 
-	drainFn, checkFn func()     // the firmware loops, hoisted by Start
-	scratch          []condKey  // check-pass walk, rebuilt every pass
-	wakeBuf          []gpu.WGID // met condition's waiters, rebuilt every check
+	scratch []condKey  // check-pass walk, rebuilt every pass
+	wakeBuf []gpu.WGID // met condition's waiters, rebuilt every check
 }
 
 // New builds a processor draining log on machine m. wake delivers met
-// conditions to the policy. stopped, if non-nil, lets the owner end the
-// periodic firmware loop (e.g. when the kernel completes).
+// conditions to the policy.
 func New(cfg Config, m *gpu.Machine, log *syncmon.MonitorLog, wake syncmon.WakeFunc) (*Processor, error) {
 	if cfg.DrainInterval == 0 || cfg.CheckInterval == 0 || cfg.DrainBatch <= 0 {
 		return nil, fmt.Errorf("cp: bad config %+v", cfg)
@@ -114,19 +111,29 @@ func (p *Processor) cadence(base event.Cycle) event.Cycle {
 	return base
 }
 
-// Start arms the periodic firmware loops. stopUnless reports whether the
-// loops should keep running (typically "kernel not finished").
-func (p *Processor) Start(keepRunning func() bool) {
+// Start arms the periodic firmware loops. Each pass books the next one,
+// until the machine's kernels have all completed.
+func (p *Processor) Start() {
 	if p.started {
 		return
 	}
 	p.started = true
-	p.stopped = func() bool { return keepRunning != nil && !keepRunning() }
-	p.drainFn = p.drainPass
-	p.checkFn = p.checkPass
-	p.m.Engine().After(p.cadence(p.cfg.DrainInterval), p.drainFn)
-	p.m.Engine().After(p.cadence(p.cfg.CheckInterval), p.checkFn)
+	p.after(p.cfg.DrainInterval, runDrainPass)
+	p.after(p.cfg.CheckInterval, runCheckPass)
 }
+
+// after books the firmware loop fn one interval from now: base, scaled or
+// skewed by the cadence perturbation.
+func (p *Processor) after(base event.Cycle, fn event.TaskFunc) {
+	eng := p.m.Engine()
+	t := eng.NewTask(fn)
+	t.Env[0] = p
+	eng.AfterTask(p.cadence(base), t)
+}
+
+func runDrainPass(t *event.Task) { t.Env[0].(*Processor).drainPass() }
+
+func runCheckPass(t *event.Task) { t.Env[0].(*Processor).checkPass() }
 
 // TableSize reports current spilled conditions tracked.
 func (p *Processor) TableSize() int { return p.tab.waiters }
@@ -156,7 +163,7 @@ func (p *Processor) Unregister(wg gpu.WGID, v gpu.Var, want int64, cmp gpu.Cmp) 
 
 // drainPass moves log entries into the table.
 func (p *Processor) drainPass() {
-	if p.stopped() {
+	if p.m.Done() {
 		return
 	}
 	for i := 0; i < p.cfg.DrainBatch; i++ {
@@ -170,7 +177,7 @@ func (p *Processor) drainPass() {
 		}
 		p.noteHighWater()
 	}
-	p.m.Engine().After(p.cadence(p.cfg.DrainInterval), p.drainFn)
+	p.after(p.cfg.DrainInterval, runDrainPass)
 }
 
 // noteHighWater folds the CP's occupancy into the machine counters — the
@@ -191,7 +198,7 @@ func (p *Processor) noteHighWater() {
 // checkPass issues an L2 read per spilled condition and wakes the waiters
 // of conditions that now hold ("asynchronous periodic condition check").
 func (p *Processor) checkPass() {
-	if p.stopped() {
+	if p.m.Done() {
 		return
 	}
 	// Walk the table's check order; map iteration order would break replay
@@ -204,9 +211,9 @@ func (p *Processor) checkPass() {
 		t.I[0] = int64(k.addr)
 		t.I[1] = k.want
 		t.I[2] = int64(k.cmp)
-		p.m.IssueAtomicTask(nil, gpu.GlobalVar(k.addr), gpu.OpLoad, 0, 0, t)
+		p.m.IssueAtomic(nil, gpu.GlobalVar(k.addr), gpu.OpLoad, 0, 0, t)
 	}
-	p.m.Engine().After(p.cadence(p.cfg.CheckInterval), p.checkFn)
+	p.after(p.cfg.CheckInterval, runCheckPass)
 }
 
 // runCheckResult receives one condition check's L2 read (the value in

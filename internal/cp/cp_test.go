@@ -29,7 +29,6 @@ type harness struct {
 	log   *syncmon.MonitorLog
 	p     *Processor
 	wakes []wakeRec
-	done  bool
 }
 
 func newHarness(t *testing.T, cfg Config) *harness {
@@ -46,7 +45,7 @@ func newHarness(t *testing.T, cfg Config) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.p.Start(func() bool { return !h.done })
+	h.p.Start()
 	return h
 }
 
@@ -232,14 +231,22 @@ func TestHighWaterMarks(t *testing.T) {
 
 func TestStopEndsFirmwareLoops(t *testing.T) {
 	h := newHarness(t, DefaultConfig())
-	h.done = true
+	// The harness kernel's single WG runs to completion, which ends the
+	// loops at their next pass.
+	h.m.Prepare()
 	h.runFor(100_000)
+	if !h.m.Done() {
+		t.Fatal("the harness kernel did not complete")
+	}
 	// With the loops stopped, the calendar must drain completely.
 	if h.m.Engine().Pending() != 0 {
 		t.Fatalf("%d events still pending after stop", h.m.Engine().Pending())
 	}
 	// Starting twice is a no-op (no panic, no duplicate loops).
-	h.p.Start(func() bool { return false })
+	h.p.Start()
+	if h.m.Engine().Pending() != 0 {
+		t.Fatalf("a second Start booked %d events", h.m.Engine().Pending())
+	}
 }
 
 func TestDrainBatchBounded(t *testing.T) {

@@ -10,10 +10,11 @@
 //
 // # Calendar structure
 //
-// Every pending event is a pooled Task; At and After wrap their closure in
-// one. The calendar is a hierarchical timer wheel backed by a heap, sized
-// for this model's event mix: most events are short After(d) legs (CU issue
-// chunks, bank service, response legs) or atomic legs queued at an L2 bank
+// Every pending event is a pooled Task: a named callee with its arguments
+// in inline slots, scheduled with AtTask or AfterTask. The calendar is a
+// hierarchical timer wheel backed by a heap, sized for this model's event
+// mix: most events are short AfterTask(d) legs (CU issue chunks, bank
+// service, response legs) or atomic legs queued at an L2 bank
 // a few thousand cycles ahead, a thin band sits at the firmware cadences and
 // context transfers (tens of thousands of cycles), and a handful of watchdog
 // and harness events land far out.
@@ -142,27 +143,11 @@ const calendarEntryBytes = 176
 // one entry per pending event.
 func (e *Engine) StateBytes() int { return 64 + e.Pending()*calendarEntryBytes }
 
-// runFunc is the callee of the task At and After wrap a closure in.
-func runFunc(t *Task) { t.Env[0].(func())() }
-
-// At schedules fn to run at absolute cycle at. Scheduling in the past is a
-// programming error in the timing model, so it panics rather than silently
-// reordering time.
-func (e *Engine) At(at Cycle, fn func()) {
-	t := e.NewTask(runFunc)
-	t.Env[0] = fn
-	e.schedule(at, t)
-}
-
-// After schedules fn to run d cycles from now.
-func (e *Engine) After(d Cycle, fn func()) {
-	e.At(e.now+d, fn)
-}
-
 // schedule stamps t with at and the next seq and links it into the
-// calendar structure at selects. A task that is already pending would
-// splice two lists together, so scheduling one panics, as scheduling in
-// the past does.
+// calendar structure at selects. Scheduling in the past is a programming
+// error in the timing model, so it panics rather than silently reordering
+// time. A task that is already pending would splice two lists together,
+// so scheduling one panics too.
 func (e *Engine) schedule(at Cycle, t *Task) {
 	if at < e.now {
 		panic(fmt.Sprintf("event: scheduling at cycle %d before now %d", at, e.now))
@@ -263,8 +248,8 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // RunUntil fires events in timestamp order until the calendar drains, the
 // next event lies beyond limit, or Stop is called. It returns the number of
-// events fired. This is the simulator's innermost loop and the engine's
-// only fire path.
+// events fired. This is the simulator's innermost loop and the only path
+// that fires events; Fire runs a task inside the current one.
 func (e *Engine) RunUntil(limit Cycle) uint64 {
 	e.stopped = false
 	start := e.executed

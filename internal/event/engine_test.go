@@ -173,6 +173,75 @@ func TestSchedulingPendingTaskPanics(t *testing.T) {
 	}
 }
 
+// TestFireRunsTaskInline checks Fire on an unscheduled task inside an
+// event: the callee runs at once and reads the slots its caller wrote; it
+// counts no event and takes no seq, so tasks scheduled before, inside and
+// after it fire in that order and number the events as if its body had
+// run inline; and the task returns to the free list, released. Firing a
+// pending task, or scheduling a task from its own Fire, panics.
+func TestFireRunsTaskInline(t *testing.T) {
+	e := New()
+	var order []int64
+	record := func(tk *Task) { order = append(order, tk.I[0]) }
+	mk := func(i int64) *Task {
+		tk := e.NewTask(record)
+		tk.I[0] = i
+		return tk
+	}
+	var fired *Task
+	var env any
+	var executed [2]uint64
+	e.AtTask(5, e.NewTask(func(*Task) {
+		e.AtTask(e.Now(), mk(1))
+		fired = e.NewTask(func(tk *Task) {
+			env = tk.Env[1]
+			record(tk)
+			e.AtTask(e.Now(), mk(2))
+		})
+		fired.Env[1] = "slot"
+		fired.I[0] = 10
+		executed[0] = e.Executed()
+		e.Fire(fired)
+		executed[1] = e.Executed()
+		e.AtTask(e.Now(), mk(3))
+	}))
+	if n := e.Run(); n != 4 {
+		t.Fatalf("run fired %d events, want 4: Fire must not count one", n)
+	}
+	if want := []int64{10, 1, 2, 3}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	if env != "slot" || executed[0] != executed[1] || e.seq != 4 {
+		t.Fatalf("callee saw Env[1]=%v; Executed %d → %d across Fire; %d seqs taken; want slot, equal, 4",
+			env, executed[0], executed[1], e.seq)
+	}
+	found := false
+	for tk := e.free; tk != nil; tk = tk.next {
+		found = found || tk == fired
+	}
+	if !found || fired.fn != nil || fired.seq != 0 || fired.Env[1] != nil {
+		t.Fatalf("fired task on the free list %t, released %t", found, fired.fn == nil && fired.seq == 0 && fired.Env[1] == nil)
+	}
+
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	pending := e.NewTask(record)
+	e.AfterTask(1, pending)
+	mustPanic("firing a pending task", func() { e.Fire(pending) })
+	var self *Task
+	self = e.NewTask(func(*Task) {
+		mustPanic("scheduling a task from its own Fire", func() { e.AfterTask(1, self) })
+	})
+	e.Fire(self)
+}
+
 func TestCascadedEvents(t *testing.T) {
 	// An event chain where each event schedules the next must advance the
 	// clock monotonically and fire every link.
@@ -262,10 +331,11 @@ func TestDeterministicReplay(t *testing.T) {
 }
 
 func BenchmarkScheduleAndRun(b *testing.B) {
+	nop := func(*Task) {}
 	for i := 0; i < b.N; i++ {
 		e := New()
 		for j := 0; j < 1024; j++ {
-			e.At(Cycle(j%97), func() {})
+			e.AtTask(Cycle(j%97), e.NewTask(nop))
 		}
 		e.Run()
 	}

@@ -315,10 +315,11 @@ func TestCalendarMatchesHeapOracle(t *testing.T) {
 	t.Logf("schedules per region: %v %v", regionNames, regions)
 }
 
-// TestTaskOrderingMatchesClosures checks that AtTask entries interleave
-// with At closures in strict scheduling order and that fired tasks are
-// recycled through the free list.
-func TestTaskOrderingMatchesClosures(t *testing.T) {
+// TestTasksFireInScheduleOrder checks that tasks sharing a cycle fire in
+// scheduling order whatever their callees (At wraps a closure in a task
+// of its own callee), and that fired tasks are recycled through the free
+// list.
+func TestTasksFireInScheduleOrder(t *testing.T) {
 	e := New()
 	var order []int
 	mk := func(i int) *Task {
@@ -380,30 +381,10 @@ func TestBelowBaseScheduling(t *testing.T) {
 	}
 }
 
-func BenchmarkEngineShortDelays(b *testing.B) {
-	// Four concurrent chains of small After delays — the CU-issue/bank-
-	// service shape that dominates the experiment workloads.
-	b.ReportAllocs()
-	e := New()
-	remaining := b.N
-	var chain func()
-	chain = func() {
-		if remaining <= 0 {
-			return
-		}
-		remaining--
-		e.After(Cycle(remaining%61+1), chain)
-	}
-	for i := 0; i < 4; i++ {
-		e.After(Cycle(i+1), chain)
-	}
-	b.ResetTimer()
-	e.Run()
-}
-
 func BenchmarkEngineTaskShortDelays(b *testing.B) {
-	// Same shape as BenchmarkEngineShortDelays but through the pooled Task
-	// path: steady-state this must not allocate at all.
+	// Four concurrent chains of small AfterTask delays — the CU-issue/bank-
+	// service shape that dominates the experiment workloads. Steady-state
+	// this must not allocate at all.
 	b.ReportAllocs()
 	e := New()
 	remaining := b.N
@@ -465,16 +446,16 @@ func BenchmarkEngineMixedHorizon(b *testing.B) {
 	e := New()
 	rng := uint64(1)
 	remaining := b.N
-	var chain func()
-	chain = func() {
+	var chain TaskFunc
+	chain = func(*Task) {
 		if remaining <= 0 {
 			return
 		}
 		remaining--
-		e.After(randDelta(&rng)+1, chain)
+		e.AfterTask(randDelta(&rng)+1, e.NewTask(chain))
 	}
 	for i := 0; i < 8; i++ {
-		e.After(Cycle(i+1), chain)
+		e.AfterTask(Cycle(i+1), e.NewTask(chain))
 	}
 	b.ResetTimer()
 	e.Run()

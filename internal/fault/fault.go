@@ -177,30 +177,33 @@ func Arm(m *gpu.Machine, sched Schedule, after event.Cycle) error {
 	if err := sched.Validate(m.Config().NumCUs); err != nil {
 		return err
 	}
-	for _, e := range sched.Events {
+	hw, _ := m.Policy().(monitorHardware)
+	for i := range sched.Events {
+		e := &sched.Events[i]
 		if e.At <= after {
 			continue
 		}
 		if e.Op == CULoss || e.Op == CURestore {
 			m.ScheduleCU(e.At, gpu.CUID(e.CU), e.Op == CURestore)
-		} else if fn := monitorAction(m, e); fn != nil {
-			m.Engine().At(e.At, fn)
+		} else if hw != nil {
+			t := m.Engine().NewTask(runMonitorFault)
+			t.Env[0] = hw
+			t.Env[1] = e
+			m.Engine().AtTask(e.At, t)
 		}
 	}
 	return nil
 }
 
-// monitorAction returns the closure that applies the monitor fault e to m,
-// or nil on a policy without monitor hardware, where it arms nothing.
-func monitorAction(m *gpu.Machine, e Event) func() {
-	hw, ok := m.Policy().(monitorHardware)
-	if !ok {
-		return nil
-	}
+// runMonitorFault applies the monitor fault in Env[1] to the monitor
+// hardware in Env[0].
+func runMonitorFault(t *event.Task) {
+	hw, e := t.Env[0].(monitorHardware), t.Env[1].(*Event)
 	if e.Op == DegradeSyncMon {
-		return func() { hw.SyncMon().Degrade(e.Ways, e.WaitList) }
+		hw.SyncMon().Degrade(e.Ways, e.WaitList)
+		return
 	}
-	return func() { hw.CP().SkewCadence(e.Seed, e.MaxSkew) }
+	hw.CP().SkewCadence(e.Seed, e.MaxSkew)
 }
 
 // Scripted returns the canonical hand-written schedules, scaled to a

@@ -9,16 +9,15 @@ import (
 )
 
 // AtomicObserver is notified at bank-service time of every atomic, after
-// its value applies. The SyncMon subscribes through this.
+// its value applies. The monitor policies subscribe through this.
 type AtomicObserver func(by *WG, v Var, op AtomicOp, old, new int64)
 
-// atomicUnit is the machine's atomic pipeline: it routes atomics and
-// monitor arms to the variable's synchronization point with the memory
-// system's timing, applies value effects at bank-service time, reports
-// them to its observer, and keeps the Table 2 synchronization
-// characterization.
+// atomicUnit is the atomic pipeline's state: the observer that every
+// atomic's bank-service leg (runAtomicApply) reports to, and the Table 2
+// synchronization characterization. IssueAtomic and IssueArm route
+// atomics and monitor arms to the variable's synchronization point with
+// the memory system's timing.
 type atomicUnit struct {
-	m        *Machine
 	observer AtomicObserver // nil until the policy's monitor subscribes
 
 	// Table 2 characterization. Every update is O(1): observeUpdate runs
@@ -58,9 +57,8 @@ func (k condKey) hash() uint64 {
 // entry of its pool. The size sets only the first allocation (an injected
 // kernel's variables grow the tables), and a Flat never iterates, so it
 // cannot reach a result.
-func newAtomicUnit(m *Machine, vars int) *atomicUnit {
+func newAtomicUnit(vars int) *atomicUnit {
 	return &atomicUnit{
-		m: m,
 		charIdx: hashutil.NewFlat[mem.Addr, int32](min(vars, 64), func(a mem.Addr) uint64 {
 			return hashutil.Mix64(uint64(a))
 		}),
@@ -70,45 +68,31 @@ func newAtomicUnit(m *Machine, vars int) *atomicUnit {
 }
 
 // AtomicRet is the resp-task slot the atomic pipeline deposits the op's
-// returned value into before the response task fires (see IssueAtomicTask).
+// returned value into before the response task fires (see IssueAtomic).
 const AtomicRet = 5
 
-// issue performs an atomic for w (nil for agent-issued operations such as
-// CP condition checks). The op's value effect and all monitor observations
-// happen at bank-service time; resp, if non-nil, runs at response time with
-// the op's returned value. atBank, if non-nil, runs at bank-service time
-// after the observer — this is where waiting atomics register their
-// condition race-free.
-func (p *atomicUnit) issue(w *WG, v Var, op AtomicOp, a, b int64, atBank func(old, new int64), resp func(ret int64)) {
-	if w != nil && !w.Resident() {
-		w.Park(func() { p.issue(w, v, op, a, b, atBank, resp) })
+// IssueAtomic performs an atomic for w (nil for agent-issued operations
+// such as CP condition checks). The op's value effect and the observer's
+// notification happen at bank-service time; resp, an unscheduled task or
+// nil, fires at response time with the op's returned value in
+// resp.I[AtomicRet]. The apply leg is scheduled before resp, so their seq
+// order — and therefore every same-timestamp interleaving — matches
+// event issue order. A WG that is not resident parks the atomic until it
+// is.
+func (m *Machine) IssueAtomic(w *WG, v Var, op AtomicOp, a, b int64, resp *event.Task) {
+	parked := w != nil && !w.Resident()
+	fn := runAtomicApply
+	if parked {
+		fn = runParkedAtomic
+	}
+	t := m.wgTask(fn, w)
+	t.Env[2] = resp
+	t.I[0], t.I[1], t.I[2] = int64(v.Addr), int64(v.Scope), int64(v.Group)
+	t.I[3], t.I[4], t.I[5] = a, b, int64(op)
+	if parked {
+		w.park(t)
 		return
 	}
-	var rt *event.Task
-	if resp != nil {
-		rt = p.m.eng.NewTask(runAtomicRespFunc)
-		rt.Env[0] = resp
-	}
-	p.start(w, v, op, a, b, atBank, rt)
-}
-
-// issueTask performs an atomic whose response continuation is a pooled
-// task: resp fires at response time with the op's returned value already
-// deposited in resp.I[AtomicRet].
-func (p *atomicUnit) issueTask(w *WG, v Var, op AtomicOp, a, b int64, resp *event.Task) {
-	if w != nil && !w.Resident() {
-		w.Park(func() { p.issueTask(w, v, op, a, b, resp) })
-		return
-	}
-	p.start(w, v, op, a, b, nil, resp)
-}
-
-// start schedules the apply and response legs for a resident (or agent)
-// atomic. The apply leg is scheduled before the response leg so their seq
-// order — and therefore every same-timestamp interleaving — matches event
-// issue order.
-func (p *atomicUnit) start(w *WG, v Var, op AtomicOp, a, b int64, atBank func(old, new int64), resp *event.Task) {
-	m := p.m
 	m.Trace(w, trace.Attempt)
 	var applyAt, respAt event.Cycle
 	if v.Scope == Local && w != nil && int(w.cu) == v.Group {
@@ -116,17 +100,6 @@ func (p *atomicUnit) start(w *WG, v Var, op AtomicOp, a, b int64, atBank func(ol
 	} else {
 		applyAt, respAt = m.mem.AtomicTiming(v.Addr)
 	}
-	t := m.eng.NewTask(runAtomicApply)
-	t.Env[0] = p
-	t.Env[1] = w
-	t.Env[2] = atBank
-	t.Env[3] = resp
-	t.I[0] = int64(v.Addr)
-	t.I[1] = int64(v.Scope)
-	t.I[2] = int64(v.Group)
-	t.I[3] = a
-	t.I[4] = b
-	t.I[5] = int64(op)
 	m.eng.AtTask(applyAt, t)
 	if w != nil {
 		w.applying++
@@ -136,18 +109,29 @@ func (p *atomicUnit) start(w *WG, v Var, op AtomicOp, a, b int64, atBank func(ol
 	}
 }
 
-// runAtomicApply is the bank-service leg: value effect, monitored-bit fan
-// out, and the race-free atBank hook, in that order.
+// atomicArgs unpacks the variable and operands IssueAtomic packed into t.
+func atomicArgs(t *event.Task) (v Var, op AtomicOp, a, b int64) {
+	v = Var{Addr: mem.Addr(t.I[0]), Scope: Scope(t.I[1]), Group: int(t.I[2])}
+	return v, AtomicOp(t.I[5]), t.I[3], t.I[4]
+}
+
+// runParkedAtomic issues an atomic its WG parked while it was away.
+func runParkedAtomic(t *event.Task) {
+	v, op, a, b := atomicArgs(t)
+	resp, _ := t.Env[2].(*event.Task)
+	t.Env[0].(*Machine).IssueAtomic(t.Env[1].(*WG), v, op, a, b, resp)
+}
+
+// runAtomicApply is the bank-service leg: value effect, then the
+// observer's notification.
 func runAtomicApply(t *event.Task) {
-	p := t.Env[0].(*atomicUnit)
+	m := t.Env[0].(*Machine)
 	w, _ := t.Env[1].(*WG)
-	m := p.m
-	v := Var{Addr: mem.Addr(t.I[0]), Scope: Scope(t.I[1]), Group: int(t.I[2])}
-	a, b := t.I[3], t.I[4]
-	op := AtomicOp(t.I[5])
+	p := m.atomics
+	v, op, a, b := atomicArgs(t)
 	old := m.mem.Read(v.Addr)
 	newVal, ret := op.Apply(old, a, b)
-	if rt, _ := t.Env[3].(*event.Task); rt != nil {
+	if rt, _ := t.Env[2].(*event.Task); rt != nil {
 		// The response task is still on the calendar (respAt >= applyAt,
 		// scheduled after us): deposit the return value for it.
 		rt.I[AtomicRet] = ret
@@ -169,34 +153,32 @@ func runAtomicApply(t *event.Task) {
 	if p.observer != nil {
 		p.observer(w, v, op, old, newVal)
 	}
-	if atBank, _ := t.Env[2].(func(old, new int64)); atBank != nil {
-		atBank(old, newVal)
-	}
 }
 
-// runAtomicRespFunc adapts a closure-style resp callback to the task path.
-func runAtomicRespFunc(t *event.Task) {
-	t.Env[0].(func(ret int64))(t.I[AtomicRet])
-}
-
-// arm sends a wait-instruction arm for w to the SyncMon at the L2: atBank
-// runs at bank-service time (where the monitor registers the condition —
-// any update applied between the triggering atomic and this instant is
-// missed, the paper's window of vulnerability), and resp at response time.
-func (p *atomicUnit) arm(w *WG, v Var, atBank func(), resp func()) {
-	m := p.m
-	if w != nil && !w.Resident() {
-		w.Park(func() { p.arm(w, v, atBank, resp) })
+// IssueArm sends a wait-instruction arm for w to the SyncMon at the L2:
+// the unscheduled task bank fires at bank-service time (where the monitor
+// registers the condition — any update applied between the triggering
+// atomic and this instant is missed, the paper's window of
+// vulnerability), and resp at response time. A WG that is not resident
+// parks the arm until it is.
+func (m *Machine) IssueArm(w *WG, v Var, bank, resp *event.Task) {
+	if !w.Resident() {
+		t := m.wgTask(runParkedArm, w)
+		t.Env[2], t.Env[3] = bank, resp
+		t.I[0], t.I[1], t.I[2] = int64(v.Addr), int64(v.Scope), int64(v.Group)
+		w.park(t)
 		return
 	}
 	m.Trace(w, trace.Arm)
 	applyAt, respAt := m.mem.ArmTiming(v.Addr)
-	if atBank != nil {
-		m.eng.At(applyAt, atBank)
-	}
-	if resp != nil {
-		m.eng.At(respAt, resp)
-	}
+	m.eng.AtTask(applyAt, bank)
+	m.eng.AtTask(respAt, resp)
+}
+
+// runParkedArm sends an arm its WG parked while it was away.
+func runParkedArm(t *event.Task) {
+	v, _, _, _ := atomicArgs(t)
+	t.Env[0].(*Machine).IssueArm(t.Env[1].(*WG), v, t.Env[2].(*event.Task), t.Env[3].(*event.Task))
 }
 
 // --- Table 2 characterization instrumentation ---
@@ -268,31 +250,3 @@ func (p *atomicUnit) stateBytes() int {
 // OnAtomicApply subscribes f to every atomic's bank-service instant,
 // replacing any earlier subscriber: a machine has one monitor.
 func (m *Machine) OnAtomicApply(f AtomicObserver) { m.atomics.observer = f }
-
-// IssueAtomicTask performs an atomic like IssueAtomic but delivers the
-// response through a pooled event task: resp fires at response time with
-// the op's returned value in resp.I[AtomicRet]. High-rate agent paths (the
-// CP's periodic condition checks) use this to avoid a fresh closure per
-// probe.
-func (m *Machine) IssueAtomicTask(w *WG, v Var, op AtomicOp, a, b int64, resp *event.Task) {
-	m.atomics.issueTask(w, v, op, a, b, resp)
-}
-
-// IssueAtomic performs an atomic for w (nil for agent-issued operations
-// such as CP condition checks). The op's value effect and all monitor
-// observations happen at bank-service time; resp, if non-nil, runs at
-// response time with the op's returned value. atBank, if non-nil, runs at
-// bank-service time after the observer — this is where waiting atomics
-// register their condition race-free.
-func (m *Machine) IssueAtomic(w *WG, v Var, op AtomicOp, a, b int64, atBank func(old, new int64), resp func(ret int64)) {
-	m.atomics.issue(w, v, op, a, b, atBank, resp)
-}
-
-// IssueArm sends a wait-instruction arm for w to the SyncMon at the L2:
-// atBank runs at bank-service time (where the monitor registers the
-// condition — any update applied between the triggering atomic and this
-// instant is missed, the paper's window of vulnerability), and resp at
-// response time.
-func (m *Machine) IssueArm(w *WG, v Var, atBank func(), resp func()) {
-	m.atomics.arm(w, v, atBank, resp)
-}

@@ -24,11 +24,8 @@ func (m *Machine) saveOut(w *WG, requeueReady bool) {
 	}
 	m.Count.SwitchesOut++
 	m.Trace(w, trace.SwitchOut)
-	cu := m.sched.cu(w.cu)
-	t := m.eng.NewTask(runSaveTraffic)
-	t.Env[0] = m
-	t.Env[1] = w
-	t.Env[2] = cu
+	t := m.wgTask(runSaveTraffic, w)
+	t.Env[2] = m.sched.cu(w.cu)
 	m.eng.AfterTask(event.Cycle(m.cfg.CPLatency), t)
 }
 
@@ -38,9 +35,7 @@ func runSaveTraffic(t *event.Task) {
 	m := t.Env[0].(*Machine)
 	w := t.Env[1].(*WG)
 	doneAt := m.mem.ContextTraffic(w.spec.ContextBytes(m.cfg.SIMDWidth))
-	t2 := m.eng.NewTask(runSaveDone)
-	t2.Env[0] = m
-	t2.Env[1] = w
+	t2 := m.wgTask(runSaveDone, w)
 	t2.Env[2] = t.Env[2]
 	m.eng.AtTask(doneAt, t2)
 }
@@ -72,26 +67,21 @@ func (m *Machine) SwitchOut(w *WG) {
 }
 
 // switchIn restores a ready WG onto cu: CP latency plus context-restore
-// traffic, then parked continuations run.
+// traffic, then parked tasks fire.
 func (m *Machine) switchIn(w *WG, cu *computeUnit) {
 	cu.host(w, m.cfg.SIMDWidth)
 	w.state = StateSwitchingIn
 	m.Count.SwitchesIn++
-	at := m.sched.dispatchSlot()
-	t := m.eng.NewTask(runRestoreCP)
-	t.Env[0] = m
-	t.Env[1] = w
+	t := m.wgTask(runRestoreCP, w)
 	t.Env[2] = cu
-	m.eng.AtTask(at, t)
+	m.eng.AtTask(m.sched.dispatchSlot(), t)
 }
 
 // runRestoreCP fires at the restore's dispatch slot and starts the CP
 // firmware latency leg.
 func runRestoreCP(t *event.Task) {
 	m := t.Env[0].(*Machine)
-	t2 := m.eng.NewTask(runRestoreTraffic)
-	t2.Env[0] = m
-	t2.Env[1] = t.Env[1]
+	t2 := m.wgTask(runRestoreTraffic, t.Env[1].(*WG))
 	t2.Env[2] = t.Env[2]
 	m.eng.AfterTask(event.Cycle(m.cfg.CPLatency), t2)
 }
@@ -102,15 +92,13 @@ func runRestoreTraffic(t *event.Task) {
 	m := t.Env[0].(*Machine)
 	w := t.Env[1].(*WG)
 	doneAt := m.mem.ContextTraffic(w.spec.ContextBytes(m.cfg.SIMDWidth))
-	t2 := m.eng.NewTask(runRestoreDone)
-	t2.Env[0] = m
-	t2.Env[1] = w
+	t2 := m.wgTask(runRestoreDone, w)
 	t2.Env[2] = t.Env[2]
 	m.eng.AtTask(doneAt, t2)
 }
 
 // runRestoreDone lands a context restore: the WG becomes resident and its
-// parked continuations run — unless its CU was preempted away mid-restore,
+// parked tasks fire — unless its CU was preempted away mid-restore,
 // in which case it requeues ready.
 func runRestoreDone(t *event.Task) {
 	m := t.Env[0].(*Machine)
@@ -145,15 +133,24 @@ func (m *Machine) markReady(w *WG) {
 // so the machine knows which restores are still to come; a loss needs no
 // count, since a disabled CU hosts nothing and frees no usable slot.
 func (m *Machine) ScheduleCU(at event.Cycle, id CUID, enable bool) {
-	if !enable {
-		m.eng.At(at, func() { m.preemptCU(id) })
-		return
+	fn := runCULoss
+	if enable {
+		m.restoresDue++
+		fn = runCURestore
 	}
-	m.restoresDue++
-	m.eng.At(at, func() {
-		m.restoresDue--
-		m.restoreCU(id)
-	})
+	t := m.eng.NewTask(fn)
+	t.Env[0] = m
+	t.I[0] = int64(id)
+	m.eng.AtTask(at, t)
+}
+
+// runCULoss and runCURestore apply the CU change ScheduleCU booked.
+func runCULoss(t *event.Task) { t.Env[0].(*Machine).preemptCU(CUID(t.I[0])) }
+
+func runCURestore(t *event.Task) {
+	m := t.Env[0].(*Machine)
+	m.restoresDue--
+	m.restoreCU(CUID(t.I[0]))
 }
 
 // preemptCU models the oversubscribed experiment's mid-kernel resource
@@ -189,14 +186,14 @@ func (m *Machine) restoreCU(id CUID) {
 	m.sched.kick()
 }
 
-// Deliver runs f once w is resident: immediately if it already is,
-// otherwise f is parked and the WG is marked ready so the dispatcher swaps
-// it back in.
-func (m *Machine) Deliver(w *WG, f func()) {
+// Deliver fires the unscheduled task t once w is resident: inside the
+// current event if it already is, otherwise t is parked and the WG is
+// marked ready so the dispatcher swaps it back in.
+func (m *Machine) Deliver(w *WG, t *event.Task) {
 	if w.Resident() {
-		f()
+		m.eng.Fire(t)
 		return
 	}
-	w.Park(f)
+	w.park(t)
 	m.markReady(w)
 }

@@ -95,7 +95,7 @@ type Machine struct {
 	// spareParked is the empty slice runParked gives the next WG it
 	// drains, so parked slices keep their capacity across switch-ins
 	// instead of regrowing for every park.
-	spareParked []func()
+	spareParked []*event.Task
 
 	jitterState uint64
 }
@@ -124,7 +124,7 @@ func NewMachine(cfg Config, memCfg mem.Config, spec *KernelSpec, pol Policy) (*M
 		pol:  pol,
 	}
 	m.sched = newScheduler(m)
-	m.atomics = newAtomicUnit(m, len(spec.IR.Pool))
+	m.atomics = newAtomicUnit(len(spec.IR.Pool))
 	// Build the WGs, in one slab, with their static home groups: WGs are
 	// assigned to scheduling groups in dispatch order, MaxWGsPerCU per
 	// group, wrapping over the CUs — the blocked placement the sequential
@@ -367,11 +367,16 @@ func (m *Machine) Halt(reason string) {
 func (m *Machine) start(w *WG, cu *computeUnit) {
 	cu.host(w, m.cfg.SIMDWidth)
 	w.state = StateResident
-	at := m.sched.dispatchSlot()
-	t := m.eng.NewTask(runStartBody)
+	m.eng.AtTask(m.sched.dispatchSlot(), m.wgTask(runStartBody, w))
+}
+
+// wgTask returns a task calling fn with the machine in Env[0] and w in
+// Env[1], the layout every WG leg's callee unpacks.
+func (m *Machine) wgTask(fn event.TaskFunc, w *WG) *event.Task {
+	t := m.eng.NewTask(fn)
 	t.Env[0] = m
 	t.Env[1] = w
-	m.eng.AtTask(at, t)
+	return t
 }
 
 // runStartBody fires at a WG's dispatch slot: the WG gets its interpreter
@@ -416,9 +421,7 @@ func (m *Machine) computeStep(w *WG, remaining, chunk event.Cycle) {
 	if c == 0 || c > remaining {
 		c = remaining
 	}
-	t := m.eng.NewTask(runComputeChunk)
-	t.Env[0] = m
-	t.Env[1] = w
+	t := m.wgTask(runComputeChunk, w)
 	t.I[0] = int64(remaining - c)
 	t.I[1] = int64(chunk)
 	m.eng.AfterTask(c*m.sched.issueFactor(w), t)
@@ -439,22 +442,24 @@ func runStepEmpty(t *event.Task) {
 	t.Env[0].(*Machine).step(t.Env[1].(*WG), 0)
 }
 
-// runAtomicStepResp resumes a WG with its atomic's returned value.
-func runAtomicStepResp(t *event.Task) {
+// runStepResp resumes a WG with the value in I[AtomicRet]: its atomic's
+// response, or a delivery parked while the WG was away.
+func runStepResp(t *event.Task) {
 	t.Env[0].(*Machine).step(t.Env[1].(*WG), t.I[AtomicRet])
 }
 
-// runParked fires the continuations queued while the WG was away. A
-// continuation may park again, so the WG takes the machine's spare slice
-// for new parks while the loop drains its old one, which becomes the spare.
+// runParked fires, in park order, the tasks queued while the WG was away,
+// inside the event that made it resident. A task may park again, so the
+// WG takes the machine's spare slice for new parks while the loop drains
+// its old one, which becomes the spare.
 func (m *Machine) runParked(w *WG) {
 	if len(w.parked) == 0 {
 		return
 	}
 	parked := w.parked
 	w.parked, m.spareParked = m.spareParked[:0], nil
-	for _, f := range parked {
-		f()
+	for _, t := range parked {
+		m.eng.Fire(t)
 	}
 	clear(parked)
 	m.spareParked = parked[:0]
@@ -465,7 +470,9 @@ func (m *Machine) runParked(w *WG) {
 // delivery parks until it returns.
 func (m *Machine) step(w *WG, val int64) {
 	if !w.Resident() {
-		w.Park(func() { m.step(w, val) })
+		t := m.wgTask(runStepResp, w)
+		t.I[AtomicRet] = val
+		w.park(t)
 		return
 	}
 	if f := w.frame; f.dst >= 0 {
@@ -477,9 +484,7 @@ func (m *Machine) step(w *WG, val int64) {
 // issueLoad sends a plain load through w's L1.
 func (m *Machine) issueLoad(w *WG, a mem.Addr) {
 	respAt := m.mem.LoadTiming(int(w.cu), a)
-	t := m.eng.NewTask(runLoadResp)
-	t.Env[0] = m
-	t.Env[1] = w
+	t := m.wgTask(runLoadResp, w)
 	t.I[0] = int64(a)
 	m.eng.AtTask(respAt, t)
 }
@@ -488,28 +493,19 @@ func (m *Machine) issueLoad(w *WG, a mem.Addr) {
 func (m *Machine) issueStore(w *WG, a mem.Addr, v int64) {
 	respAt := m.mem.StoreTiming(int(w.cu), a)
 	m.mem.Write(a, v)
-	t := m.eng.NewTask(runStepEmpty)
-	t.Env[0] = m
-	t.Env[1] = w
-	m.eng.AtTask(respAt, t)
+	m.eng.AtTask(respAt, m.wgTask(runStepEmpty, w))
 }
 
 // issueAtomic sends one atomic to v's synchronization point.
 func (m *Machine) issueAtomic(w *WG, v Var, op AtomicOp, a, b int64) {
-	t := m.eng.NewTask(runAtomicStepResp)
-	t.Env[0] = m
-	t.Env[1] = w
-	m.atomics.issueTask(w, v, op, a, b, t)
+	m.IssueAtomic(w, v, op, a, b, m.wgTask(runStepResp, w))
 }
 
 // syncThreads runs the intra-WG barrier, whose cost grows with the
 // wavefronts it gathers.
 func (m *Machine) syncThreads(w *WG) {
 	wf := event.Cycle(w.spec.Wavefronts(m.cfg.SIMDWidth))
-	t := m.eng.NewTask(runStepEmpty)
-	t.Env[0] = m
-	t.Env[1] = w
-	m.eng.AfterTask(event.Cycle(m.cfg.SyncThreadsLatency)*wf, t)
+	m.eng.AfterTask(event.Cycle(m.cfg.SyncThreadsLatency)*wf, m.wgTask(runStepEmpty, w))
 }
 
 // beginWait opens a wait episode on w with operation op and hands it to

@@ -19,13 +19,13 @@ func (p *spinPolicy) Wait(w *WG) {
 	op := w.Episode()
 	var attempt func()
 	attempt = func() {
-		p.m.IssueAtomic(w, op.Var, op.Op, op.A, op.B, nil, func(ret int64) {
+		p.m.IssueAtomic(w, op.Var, op.Op, op.A, op.B, respond(p.m, func(ret int64) {
 			if op.Cmp.Test(ret, op.Want) {
 				p.m.EndWait(w, ret)
 				return
 			}
-			p.m.Engine().After(16, attempt)
-		})
+			after(p.m, 16, attempt)
+		}))
 	}
 	attempt()
 }
@@ -41,7 +41,7 @@ func (p *yieldPolicy) Wait(w *WG) {
 	op := w.Episode()
 	var attempt func()
 	attempt = func() {
-		p.m.IssueAtomic(w, op.Var, op.Op, op.A, op.B, nil, func(ret int64) {
+		p.m.IssueAtomic(w, op.Var, op.Op, op.A, op.B, respond(p.m, func(ret int64) {
 			if op.Cmp.Test(ret, op.Want) {
 				p.m.EndWait(w, ret)
 				return
@@ -49,8 +49,8 @@ func (p *yieldPolicy) Wait(w *WG) {
 			if p.m.Oversubscribed() {
 				p.m.SwitchOut(w)
 			}
-			p.m.Engine().After(2000, func() { p.m.Deliver(w, attempt) })
-		})
+			after(p.m, 2000, func() { p.m.Deliver(w, task(p.m, attempt)) })
+		}))
 	}
 	attempt()
 }
@@ -467,15 +467,15 @@ func (p *stallingPolicy) Wait(w *WG) {
 	op := w.Episode()
 	var attempt func()
 	attempt = func() {
-		p.m.IssueAtomic(w, op.Var, op.Op, op.A, op.B, nil, func(ret int64) {
+		p.m.IssueAtomic(w, op.Var, op.Op, op.A, op.B, respond(p.m, func(ret int64) {
 			if op.Cmp.Test(ret, op.Want) {
 				p.m.SetStalled(w, false)
 				p.m.EndWait(w, ret)
 				return
 			}
 			p.m.SetStalled(w, true)
-			p.m.Engine().After(5_000, attempt)
-		})
+			after(p.m, 5_000, attempt)
+		}))
 	}
 	attempt()
 }
@@ -577,7 +577,7 @@ func TestAbortCleansUpGoroutines(t *testing.T) {
 func TestEventEngineExposed(t *testing.T) {
 	m := newTestMachine(t, testConfig(), emptyKernel(1), nil)
 	fired := false
-	m.Engine().At(event.Cycle(1), func() { fired = true })
+	at(m, event.Cycle(1), func() { fired = true })
 	m.Run()
 	if !fired {
 		t.Fatal("harness event did not fire")

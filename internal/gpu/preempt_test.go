@@ -17,16 +17,16 @@ func (p *evictMidAtomicPolicy) Wait(w *WG) {
 	op := w.Episode()
 	var attempt func()
 	attempt = func() {
-		p.m.IssueAtomic(w, op.Var, op.Op, op.A, op.B, nil, func(ret int64) {
+		p.m.IssueAtomic(w, op.Var, op.Op, op.A, op.B, respond(p.m, func(ret int64) {
 			if op.Cmp.Test(ret, op.Want) {
 				p.m.EndWait(w, ret)
 				return
 			}
-			p.m.Engine().After(16, attempt)
-		})
+			after(p.m, 16, attempt)
+		}))
 		if !p.evicted && w.ID() == 1 {
 			p.evicted = true
-			p.m.Engine().After(1, func() { p.m.sched.forceEvict(w) })
+			after(p.m, 1, func() { p.m.sched.forceEvict(w) })
 		}
 	}
 	attempt()
@@ -57,7 +57,7 @@ func TestPreemptThenImmediateRestore(t *testing.T) {
 	// completes at full width.
 	cfg := testConfig()
 	m := newTestMachine(t, cfg, handoffKernel("preempt-restore", 8, 0x8000, 60_000), &yieldPolicy{})
-	m.Engine().At(10_000, func() {
+	at(m, 10_000, func() {
 		m.preemptCU(1)
 		m.restoreCU(1)
 	})
@@ -82,7 +82,7 @@ func TestDispatchStarvationAllCUsDisabled(t *testing.T) {
 	cfg := testConfig()
 	cfg.ProgressWindow = 50_000
 	m := newTestMachine(t, cfg, computeKernel("starve", 8, 1000), &yieldPolicy{})
-	m.Engine().At(0, func() {
+	at(m, 0, func() {
 		m.preemptCU(0)
 		m.preemptCU(1)
 	})
@@ -103,7 +103,7 @@ func TestDispatchResumesAfterRestore(t *testing.T) {
 	// the pending launch must then drain normally.
 	cfg := testConfig()
 	m := newTestMachine(t, cfg, computeKernel("starve-restore", 8, 1000), &yieldPolicy{})
-	m.Engine().At(0, func() {
+	at(m, 0, func() {
 		m.preemptCU(0)
 		m.preemptCU(1)
 	})

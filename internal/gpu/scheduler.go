@@ -20,17 +20,12 @@ type scheduler struct {
 	queueSeq   uint64
 	dispFree   event.Cycle
 	kickQueued bool
-	kickFn     func() // reusable kick continuation (kick fires constantly)
 }
 
 func newScheduler(m *Machine) *scheduler {
 	s := &scheduler{m: m, cus: make([]*computeUnit, m.cfg.NumCUs)}
 	for i := range s.cus {
 		s.cus[i] = newComputeUnit(CUID(i), m.cfg)
-	}
-	s.kickFn = func() {
-		s.kickQueued = false
-		s.dispatchPass()
 	}
 	return s
 }
@@ -212,7 +207,16 @@ func (s *scheduler) kick() {
 	s.kickQueued = true
 	// Same-cycle continuation, stated explicitly: the dispatcher pass runs
 	// after the current event completes but before the clock advances.
-	s.m.eng.At(s.m.eng.Now(), s.kickFn)
+	t := s.m.eng.NewTask(runKick)
+	t.Env[0] = s
+	s.m.eng.AtTask(s.m.eng.Now(), t)
+}
+
+// runKick is the dispatcher pass a kick booked.
+func runKick(t *event.Task) {
+	s := t.Env[0].(*scheduler)
+	s.kickQueued = false
+	s.dispatchPass()
 }
 
 // pickCU chooses a CU for w, preferring its home group for local-scope

@@ -22,10 +22,11 @@ type WG struct {
 	// built when the WG first starts (nil while pending).
 	frame *irFrame
 
-	// parked holds continuations that must wait for the WG to be resident
-	// again (response deliveries frozen by preemption, policy resume
-	// actions queued behind a context switch-in).
-	parked []func()
+	// parked holds unscheduled tasks that must wait for the WG to be
+	// resident again (response deliveries frozen by preemption, atomics
+	// and arms issued while switched out, policy resume actions queued
+	// behind a context switch-in); runParked fires them in park order.
+	parked []*event.Task
 	// queueSeq orders the WG within the pending/ready queues (FIFO within
 	// a priority class).
 	queueSeq uint64
@@ -88,8 +89,9 @@ func (w *WG) Resident() bool { return w.state == StateResident }
 // Spec reports the kernel this WG belongs to.
 func (w *WG) Spec() *KernelSpec { return w.spec }
 
-// Park queues f to run when the WG next becomes resident.
-func (w *WG) Park(f func()) { w.parked = append(w.parked, f) }
+// park queues the unscheduled task t to fire when the WG next becomes
+// resident.
+func (w *WG) park(t *event.Task) { w.parked = append(w.parked, t) }
 
 // WaitOp is one wait episode's operation: the program retries Op(A, B) on
 // Var until the value it returns satisfies Cmp against Want. Backoff marks

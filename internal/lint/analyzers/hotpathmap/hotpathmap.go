@@ -52,7 +52,7 @@ var scopes = []scope{
 		// time, spill, and the sporadic-wake sweep.
 		pkgSuffix: "/syncmon", path: "bank-service/wake",
 		roots: map[string]bool{
-			"Register": true, "Unregister": true, "observe": true,
+			"Register": true, "Unregister": true, "Observe": true,
 			"spill": true, "wakeAllOnAddr": true,
 		},
 	},

@@ -8,16 +8,16 @@ type monitor struct {
 	stats   map[string]int
 }
 
-// observe is a hot root: direct map reads, writes, ranges, and deletes are
+// Observe is a hot root: direct map reads, writes, ranges, and deletes are
 // all flagged.
-func (m *monitor) observe(addr uint64) {
-	c := m.conds[addr]             // want `map indexed in observe, reachable from a bank-service/wake hot path`
-	m.conds[addr] = c + 1          // want `map indexed in observe, reachable from a bank-service/wake hot path`
-	for a, ws := range m.waiters { // want `map ranged over in observe, reachable from a bank-service/wake hot path`
+func (m *monitor) Observe(addr uint64) {
+	c := m.conds[addr]             // want `map indexed in Observe, reachable from a bank-service/wake hot path`
+	m.conds[addr] = c + 1          // want `map indexed in Observe, reachable from a bank-service/wake hot path`
+	for a, ws := range m.waiters { // want `map ranged over in Observe, reachable from a bank-service/wake hot path`
 		_ = a
 		_ = ws
 	}
-	delete(m.conds, addr) // want `map deleted from in observe, reachable from a bank-service/wake hot path`
+	delete(m.conds, addr) // want `map deleted from in Observe, reachable from a bank-service/wake hot path`
 	if len(m.conds) > 0 { // len carries no hashing; allowed
 		return
 	}

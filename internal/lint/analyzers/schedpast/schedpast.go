@@ -1,12 +1,12 @@
 // Package schedpast rejects two schedule-time hazard classes:
 //
-//  1. Constant zero delays passed to Engine.After/AfterTask. A relative
-//     delay of zero re-fires in the same cycle: at best it burns event
-//     budget (the engine's livelock backstop exists precisely because a
+//  1. Constant zero delays passed to Engine.AfterTask. A relative delay
+//     of zero re-fires in the same cycle: at best it burns event budget
+//     (the engine's livelock backstop exists precisely because a
 //     zero-delay loop never advances the clock), at worst it turns a
 //     firmware cadence into a spin. Where a same-cycle continuation is
-//     intended, At(e.Now(), ...) states it explicitly. The fix — delay 1 —
-//     is mechanical and offered as a suggested fix.
+//     intended, AtTask(e.Now(), ...) states it explicitly. The fix — delay
+//     1 — is mechanical and offered as a suggested fix.
 //
 //  2. Structural mutation of a collection while ranging over it in the
 //     same function body — the `cp.checkPass` hazard class: the check pass
@@ -38,8 +38,6 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-var delayMethods = map[string]bool{"After": true, "AfterTask": true}
-
 func run(pass *analysis.Pass) (any, error) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -55,11 +53,11 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// checkZeroDelay flags After/AfterTask calls on event.Engine whose delay
+// checkZeroDelay flags AfterTask calls on event.Engine whose delay
 // argument is a compile-time constant zero.
 func checkZeroDelay(pass *analysis.Pass, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !delayMethods[sel.Sel.Name] || len(call.Args) < 1 {
+	if !ok || sel.Sel.Name != "AfterTask" || len(call.Args) < 1 {
 		return
 	}
 	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)

@@ -15,7 +15,5 @@ type Task struct {
 type Engine struct{}
 
 func (e *Engine) Now() Cycle                 { return 0 }
-func (e *Engine) At(at Cycle, fn func())     {}
-func (e *Engine) After(d Cycle, fn func())   {}
 func (e *Engine) AtTask(at Cycle, t *Task)   {}
 func (e *Engine) AfterTask(d Cycle, t *Task) {}

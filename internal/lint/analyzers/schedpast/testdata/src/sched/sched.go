@@ -11,17 +11,14 @@ type proc struct {
 	table map[int64]int
 }
 
-func tick() {}
-
-func (p *proc) delays() {
-	p.eng.After(0, tick) // want `Engine\.After with constant delay 0`
+func (p *proc) delays(t *event.Task) {
+	p.eng.AfterTask(0, t) // want `Engine\.AfterTask with constant delay 0`
 	const cadence event.Cycle = 0
-	p.eng.After(cadence, tick)        // want `Engine\.After with constant delay 0`
-	p.eng.AfterTask(0, &event.Task{}) // want `Engine\.AfterTask with constant delay 0`
-	p.eng.After(1, tick)              // minimum positive delay: fine
-	p.eng.At(0, tick)                 // At takes an absolute cycle, not a delta
+	p.eng.AfterTask(cadence, t) // want `Engine\.AfterTask with constant delay 0`
+	p.eng.AfterTask(1, t)       // minimum positive delay: fine
+	p.eng.AtTask(0, t)          // AtTask takes an absolute cycle, not a delta
 	d := event.Cycle(0)
-	p.eng.After(d, tick) // non-constant expression: runtime concern, not this analyzer's
+	p.eng.AfterTask(d, t) // non-constant expression: runtime concern, not this analyzer's
 }
 
 // spliceMidWalk is the checkPass hazard verbatim: the ranged slice is

@@ -58,7 +58,7 @@ var homes = []home{
 		},
 		approved: map[string]bool{
 			"New": true, "Register": true, "Unregister": true,
-			"dropEntry": true, "observe": true, "wakeAllOnAddr": true,
+			"dropEntry": true, "Observe": true, "wakeAllOnAddr": true,
 			"Degrade": true,
 		},
 	},
@@ -67,7 +67,7 @@ var homes = []home{
 		pkgSuffix: "/syncmon", typeName: "condEntry",
 		fields: map[string]bool{"waiters": true},
 		approved: map[string]bool{
-			"Register": true, "Unregister": true, "observe": true,
+			"Register": true, "Unregister": true, "Observe": true,
 			"wakeAllOnAddr": true, "Degrade": true, "dropEntry": true,
 		},
 	},

@@ -37,14 +37,14 @@ func TestLoadModulePackage(t *testing.T) {
 	if !ok {
 		t.Fatalf("Engine is %T", eng.Type())
 	}
-	var sawAfter bool
+	var sawAfterTask bool
 	for i := 0; i < named.NumMethods(); i++ {
-		if named.Method(i).Name() == "After" {
-			sawAfter = true
+		if named.Method(i).Name() == "AfterTask" {
+			sawAfterTask = true
 		}
 	}
-	if !sawAfter {
-		t.Error("Engine.After method not resolved")
+	if !sawAfterTask {
+		t.Error("Engine.AfterTask method not resolved")
 	}
 }
 

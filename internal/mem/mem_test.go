@@ -16,6 +16,12 @@ func newSys(t *testing.T) (*System, *event.Engine) {
 	return s, eng
 }
 
+// advanceTo runs eng's clock forward to cycle c.
+func advanceTo(eng *event.Engine, c event.Cycle) {
+	eng.AtTask(c, eng.NewTask(func(*event.Task) {}))
+	eng.Run()
+}
+
 func TestSystemValidation(t *testing.T) {
 	eng := event.New()
 	bad := DefaultConfig()
@@ -62,8 +68,7 @@ func TestAtomicSecondAccessHitsL2(t *testing.T) {
 	cfg := s.Config()
 	s.AtomicTiming(0x1000)
 	// Move past the first atomic's bank reservation.
-	eng.At(10000, func() {})
-	eng.Run()
+	advanceTo(eng, 10000)
 	applyAt, _ := s.AtomicTiming(0x1000)
 	want := eng.Now() + cfg.L2Latency + cfg.AtomicService
 	if applyAt != want {
@@ -104,8 +109,7 @@ func TestAtomicsToDifferentBanksDontQueue(t *testing.T) {
 	// Warm both lines, then let the banks drain.
 	s.AtomicTiming(0)
 	s.AtomicTiming(64)
-	eng.At(100000, func() {})
-	eng.Run()
+	advanceTo(eng, 100000)
 	wait0 := s.Stats().BankWait
 	// Back-to-back atomics to different banks must proceed in parallel.
 	a1, _ := s.AtomicTiming(0)
@@ -262,8 +266,7 @@ func TestContextTrafficMatchesPerLine(t *testing.T) {
 			busy := false
 			for i := 0; i < 5*len(sizes); i++ {
 				if step := steps[i%len(steps)]; step > 0 {
-					eng.At(eng.Now()+step, func() {})
-					eng.Run()
+					advanceTo(eng, eng.Now()+step)
 				}
 				base := eng.Now() + cfg.L2Latency + cfg.DRAMLatency
 				for _, free := range got.chanFree {

@@ -52,8 +52,6 @@ type Monitor struct {
 
 	pred      *core.Predictor // opt.Selector when it is AWG's predictor
 	stallPred *core.StallPredictor
-
-	freeTimers *timer // fired timer records, reused by the next arm
 }
 
 // NewMonRSAll builds the sporadic monitor with wait instructions.
@@ -172,6 +170,7 @@ func (p *Monitor) Attach(m *gpu.Machine) error {
 	if p.sm, err = syncmon.New(smCfg, m, p.opt.Selector, p.onWake); err != nil {
 		return err
 	}
+	m.OnAtomicApply(p.observe)
 	cpCfg := cp.DefaultConfig()
 	if p.opt.CPConfig != nil {
 		cpCfg = *p.opt.CPConfig
@@ -179,7 +178,7 @@ func (p *Monitor) Attach(m *gpu.Machine) error {
 	if p.cpp, err = cp.New(cpCfg, m, p.sm.Log(), p.onWake); err != nil {
 		return err
 	}
-	p.cpp.Start(func() bool { return !m.Done() })
+	p.cpp.Start()
 	if p.opt.StallPredict {
 		// Predictions are clamped between one L2 round trip and the
 		// context-switch break-even: once the expected wait costs more
@@ -233,33 +232,25 @@ func (p *Monitor) CP() *cp.Processor { return p.cpp }
 // episode is a WG's wait state under the monitor family; the episode's
 // operation lives on the WG (w.Episode()). A WG has at most one open wait
 // episode, so each WG gets one episode, built on its first Wait and reset
-// by every later one; the continuations a contended episode threads
-// through thousands of retries are bound when it is built. gen numbers
-// the WG's episodes: a timer that outlives the episode it was armed in
-// carries that episode's gen (see timer), so it cannot act on a later
-// one.
+// by every later one. gen numbers the WG's episodes. The episode's
+// continuations are pooled tasks carrying the episode in Env[0] and its
+// gen in I[0] (see task); a timer that outlives the episode it was armed
+// in finds the episode's gen moved on and does nothing.
 type episode struct {
+	p            *Monitor
 	w            *gpu.WG
 	gen          uint64
 	waiting      bool
 	justWoken    bool
 	earlyWake    bool // notification arrived before enterWait ran
 	registeredAt event.Cycle
-	timer        *timer // the record this episode's timers share, if any
-
-	reg     syncmon.RegisterResult // registration outcome of the attempt in flight
-	lastRet int64                  // atomic return carried between the arm legs (ArmWaitInstr)
-	retry   func()                 // p.attempt(ep)
-	atBank  func(old, new int64)   // waiting-atomic registration leg
-	onResp  func(ret int64)        // atomic response leg
-	armBank func()                 // wait-instruction arm legs
-	armResp func()
+	reg          syncmon.RegisterResult // registration outcome of the attempt in flight
 }
 
 func (p *Monitor) Wait(w *gpu.WG) {
 	ep, _ := w.PolicyData.(*episode)
 	if ep == nil {
-		ep = p.newEpisode(w)
+		ep = &episode{p: p, w: w}
 		w.PolicyData = ep
 	}
 	ep.gen++
@@ -267,34 +258,24 @@ func (p *Monitor) Wait(w *gpu.WG) {
 	p.attempt(ep)
 }
 
-// newEpisode builds w's episode and binds its continuations.
-func (p *Monitor) newEpisode(w *gpu.WG) *episode {
-	ep := &episode{w: w}
-	ep.retry = func() { p.attempt(ep) }
-	if p.opt.Arm == ArmWaitingAtomic {
-		ep.atBank = func(old, _ int64) {
-			if !ep.met(old) {
-				// Race-free: same bank-service instant as the op itself.
-				p.register(ep)
-			}
-		}
-		ep.onResp = func(ret int64) { p.resolve(ep, ret, ep.reg) }
-	} else {
-		// Wait-instruction style: plain atomic, then a separate arm. Updates
-		// applied between the atomic's service and the arm's service are
-		// missed — the window of vulnerability.
-		ep.armBank = func() { p.register(ep) }
-		ep.armResp = func() { p.resolve(ep, ep.lastRet, ep.reg) }
-		ep.onResp = func(ret int64) {
-			if ep.met(ret) {
-				p.resolve(ep, ret, -1)
-				return
-			}
-			ep.lastRet = ret
-			p.m.IssueArm(w, w.Episode().Var, ep.armBank, ep.armResp)
-		}
-	}
-	return ep
+// task returns an unscheduled task calling fn with ep in Env[0] and the
+// open episode's gen in I[0].
+func (ep *episode) task(fn event.TaskFunc) *event.Task {
+	t := ep.p.m.Engine().NewTask(fn)
+	t.Env[0] = ep
+	t.I[0] = int64(ep.gen)
+	return t
+}
+
+// after schedules fn as an episode task d cycles from now.
+func (ep *episode) after(d event.Cycle, fn event.TaskFunc) {
+	ep.p.m.Engine().AfterTask(d, ep.task(fn))
+}
+
+// episodeOf unpacks an episode task: the episode, and the gen it was made
+// in.
+func episodeOf(t *event.Task) (*episode, uint64) {
+	return t.Env[0].(*episode), uint64(t.I[0])
 }
 
 // waitingIn reports whether episode gen is still open and registered.
@@ -312,16 +293,65 @@ func (p *Monitor) register(ep *episode) {
 	ep.reg = p.sm.Register(ep.w.ID(), op.Var, op.Want, op.Cmp, syncmon.ClassOf(op.Op))
 }
 
-// attempt issues the synchronization atomic once and routes the outcome.
+// observe is the machine's atomic-apply hook: the SyncMon's monitored-bit
+// check, then, under waiting atomics, the registration of a failing
+// attempt's condition at the attempt's own bank-service instant, which is
+// what makes it race-free. While an episode is open, a WG's only atomics
+// are its attempts, one in flight at a time, so any atomic of a WG with an
+// open episode is that episode's attempt.
+func (p *Monitor) observe(by *gpu.WG, v gpu.Var, op gpu.AtomicOp, old, new int64) {
+	p.sm.Observe(by, v, op, old, new)
+	if p.opt.Arm != ArmWaitingAtomic || by == nil || by.Episode() == nil {
+		return
+	}
+	if ep := by.PolicyData.(*episode); !ep.met(old) {
+		p.register(ep)
+	}
+}
+
+// attempt issues the synchronization atomic once; runAttemptResp takes
+// the response.
 func (p *Monitor) attempt(ep *episode) {
 	p.m.SetStalled(ep.w, false)
 	ep.reg = syncmon.RegisterResult(-1)
 	op := ep.w.Episode()
-	if p.opt.Arm == ArmWaitingAtomic {
-		p.m.IssueAtomic(ep.w, op.Var, op.Op, op.A, op.B, ep.atBank, ep.onResp)
+	p.m.IssueAtomic(ep.w, op.Var, op.Op, op.A, op.B, ep.task(runAttemptResp))
+}
+
+// runRetry attempts again.
+func runRetry(t *event.Task) {
+	ep, _ := episodeOf(t)
+	ep.p.attempt(ep)
+}
+
+// runAttemptResp routes an attempt's outcome. A waiting atomic registered
+// at bank-service time (observe), so its response resolves the attempt.
+// Under wait instructions, a failed attempt sends a separate arm: updates
+// applied between the atomic's service and the arm's are missed — the
+// window of vulnerability. The arm's response task carries the attempt's
+// return value in I[1].
+func runAttemptResp(t *event.Task) {
+	ep, _ := episodeOf(t)
+	p, ret := ep.p, t.I[gpu.AtomicRet]
+	if p.opt.Arm == ArmWaitInstr && !ep.met(ret) {
+		resp := ep.task(runArmResp)
+		resp.I[1] = ret
+		p.m.IssueArm(ep.w, ep.w.Episode().Var, ep.task(runArmBank), resp)
 		return
 	}
-	p.m.IssueAtomic(ep.w, op.Var, op.Op, op.A, op.B, nil, ep.onResp)
+	p.resolve(ep, ret, ep.reg)
+}
+
+// runArmBank registers the condition at the arm's bank-service instant.
+func runArmBank(t *event.Task) {
+	ep, _ := episodeOf(t)
+	ep.p.register(ep)
+}
+
+// runArmResp resolves the attempt once its arm's response is back.
+func runArmResp(t *event.Task) {
+	ep, _ := episodeOf(t)
+	ep.p.resolve(ep, t.I[1], ep.reg)
 }
 
 // resolve handles an attempt's response given its registration outcome.
@@ -348,12 +378,12 @@ func (p *Monitor) resolve(ep *episode, ret int64, reg syncmon.RegisterResult) {
 			// instead of waiting.
 			ep.earlyWake = false
 			ep.justWoken = true
-			p.m.Engine().After(p.m.PollOverhead(), ep.retry)
+			ep.after(p.m.PollOverhead(), runRetry)
 			return
 		}
 		p.enterWait(ep)
 	default: // Rejected (log full) — Mesa semantics: keep retrying.
-		p.m.Engine().After(p.m.PollOverhead()+64, ep.retry)
+		ep.after(p.m.PollOverhead()+64, runRetry)
 	}
 }
 
@@ -371,24 +401,15 @@ func (p *Monitor) enterWait(ep *episode) {
 		if p.stallPred != nil {
 			// AWG: stall for the predicted period first; switch out only
 			// if the condition is still unmet when it expires.
-			t := p.timerFor(ep)
-			if t.expireFn == nil {
-				t.expireFn = t.expire
-			}
-			d := p.stallPred.Predict(w.Episode().Var.Addr.WordAligned())
-			p.m.Engine().After(d, t.expireFn)
+			ep.after(p.stallPred.Predict(w.Episode().Var.Addr.WordAligned()), runStallExpiry)
 		} else {
 			p.m.SwitchOut(w)
 		}
 	}
 
 	if p.opt.Fallback > 0 {
-		t := p.timerFor(ep)
-		if t.fireFn == nil {
-			t.fireFn = t.fire
-		}
 		d := p.opt.Fallback + event.Cycle(p.m.Jitter(uint64(p.opt.Fallback/4+1)))
-		p.m.Engine().After(d, t.fireFn)
+		ep.after(d, runFallback)
 	}
 }
 
@@ -405,100 +426,54 @@ func (p *Monitor) timeOut(ep *episode) {
 	p.m.Count.Timeouts++
 	p.m.Trace(w, trace.TimeoutFire)
 	ep.waiting = false
-	p.m.Deliver(w, ep.retry)
+	p.m.Deliver(w, ep.task(runRetry))
 }
 
-// timer is the record behind a Monitor timer that may outlive the
-// episode that armed it: a fallback timeout, the CP condition reload a
-// fallback becomes for a switched-out waiter, or AWG's stall-period
-// expiry. It carries its episode's gen, and a callback that fires once
-// that episode has ended does nothing. An episode's timers share one
-// record, counted by pending; the record returns to the Monitor's free
-// list when the last of them has fired, so records live and die with the
-// machine. A record binds each callback on first use.
-type timer struct {
-	p       *Monitor
-	ep      *episode
-	gen     uint64
-	pending int // callbacks on the calendar, or a reload in flight
-	next    *timer
+// The Monitor's timers — the fallback timeout, the CP condition reload a
+// fallback becomes for a switched-out waiter, and AWG's stall-period
+// expiry — can outlive the episode that armed them. Each acts only while
+// its episode is still waiting.
 
-	fireFn, expireFn func()
-	loadFn           func(val int64)
-}
-
-// timerFor returns the record for ep's current episode, counting one more
-// pending callback on it.
-func (p *Monitor) timerFor(ep *episode) *timer {
-	t := ep.timer
-	if t == nil || t.gen != ep.gen {
-		if t = p.freeTimers; t == nil {
-			t = &timer{p: p}
-		} else {
-			p.freeTimers, t.next = t.next, nil
-		}
-		t.ep, t.gen = ep, ep.gen
-		ep.timer = t
+// runFallback is the fallback timeout.
+func runFallback(t *event.Task) {
+	ep, gen := episodeOf(t)
+	if !ep.waitingIn(gen) {
+		return
 	}
-	t.pending++
-	return t
-}
-
-// fired retires one of t's callbacks, freeing t after the last, and
-// reports whether t's episode is still waiting.
-func (t *timer) fired() bool {
-	ep := t.ep
-	live := ep.waitingIn(t.gen)
-	if t.pending--; t.pending == 0 {
-		if ep.timer == t {
-			ep.timer = nil
-		}
-		t.ep, t.next, t.p.freeTimers = nil, t.p.freeTimers, t
-	}
-	return live
-}
-
-// fire is the fallback timeout.
-func (t *timer) fire() {
-	p, ep := t.p, t.ep
-	if ep.waitingIn(t.gen) && !ep.w.Resident() {
+	p := ep.p
+	if !ep.w.Resident() {
 		// Context-switched waiter: switching it in just to poll would
 		// thrash the dispatcher, so the CP re-checks the condition on its
 		// behalf with an L2 read and restores the WG only if the condition
-		// actually holds. The callback stays pending through the reload.
-		if t.loadFn == nil {
-			t.loadFn = t.load
-		}
-		p.m.IssueAtomic(nil, gpu.GlobalVar(ep.w.Episode().Var.Addr), gpu.OpLoad, 0, 0, nil, t.loadFn)
+		// actually holds.
+		p.m.IssueAtomic(nil, gpu.GlobalVar(ep.w.Episode().Var.Addr), gpu.OpLoad, 0, 0, ep.task(runReload))
 		return
 	}
-	if t.fired() {
-		// Stalled on the CU: withdraw the registration and recheck
-		// ourselves ("eventually the stalled WGs will time out and be
-		// activated").
-		p.timeOut(ep)
-	}
+	// Stalled on the CU: withdraw the registration and recheck ourselves
+	// ("eventually the stalled WGs will time out and be activated").
+	p.timeOut(ep)
 }
 
-// load is the CP's condition reload for a switched-out waiter.
-func (t *timer) load(val int64) {
-	p, ep := t.p, t.ep
-	if ep.waitingIn(t.gen) && !ep.met(val) {
-		p.m.Engine().After(p.opt.Fallback, t.fireFn)
+// runReload takes the CP's condition reload for a switched-out waiter.
+func runReload(t *event.Task) {
+	ep, gen := episodeOf(t)
+	if !ep.waitingIn(gen) {
 		return
 	}
-	if t.fired() {
-		ep.justWoken = true
-		p.timeOut(ep)
+	if !ep.met(t.I[gpu.AtomicRet]) {
+		ep.after(ep.p.opt.Fallback, runFallback)
+		return
 	}
+	ep.justWoken = true
+	ep.p.timeOut(ep)
 }
 
-// expire ends AWG's predicted stall period: a waiter whose condition is
-// still unmet switches out if others want its resources.
-func (t *timer) expire() {
-	p, w := t.p, t.ep.w
-	if t.fired() && w.Resident() && p.m.Oversubscribed() {
-		p.m.SwitchOut(w)
+// runStallExpiry ends AWG's predicted stall period: a waiter whose
+// condition is still unmet switches out if others want its resources.
+func runStallExpiry(t *event.Task) {
+	ep, gen := episodeOf(t)
+	if p := ep.p; ep.waitingIn(gen) && ep.w.Resident() && p.m.Oversubscribed() {
+		p.m.SwitchOut(ep.w)
 	}
 }
 
@@ -523,5 +498,5 @@ func (p *Monitor) onWake(id gpu.WGID, addr mem.Addr, want int64, met bool) {
 	if p.stallPred != nil && met {
 		p.stallPred.Record(addr, p.m.Engine().Now()-ep.registeredAt)
 	}
-	p.m.Deliver(w, ep.retry)
+	p.m.Deliver(w, ep.task(runRetry))
 }

@@ -151,9 +151,6 @@ type retryWait struct {
 	w       *gpu.WG
 	pol     retryPolicy
 	backoff event.Cycle // Baseline's Backoff and Sleep's backoff interval
-	// park is attempt bound to the state, for a delivery that waits until
-	// the WG is resident again (Timeout); built on the first one.
-	park func()
 }
 
 // retryPolicy is a policy whose wait episodes are retryWait loops: an
@@ -177,17 +174,19 @@ func retryState(m *gpu.Machine, w *gpu.WG, pol retryPolicy) *retryWait {
 // response.
 func (s *retryWait) attempt() {
 	op := s.w.Episode()
-	t := s.m.Engine().NewTask(runRetryResp)
+	s.m.IssueAtomic(s.w, op.Var, op.Op, op.A, op.B, s.task(runRetryResp))
+}
+
+// task returns an unscheduled task calling fn with s in Env[0].
+func (s *retryWait) task(fn event.TaskFunc) *event.Task {
+	t := s.m.Engine().NewTask(fn)
 	t.Env[0] = s
-	s.m.IssueAtomicTask(s.w, op.Var, op.Op, op.A, op.B, t)
+	return t
 }
 
 // after schedules fn, with s as its task's environment, d cycles from now.
 func (s *retryWait) after(d event.Cycle, fn event.TaskFunc) {
-	eng := s.m.Engine()
-	t := eng.NewTask(fn)
-	t.Env[0] = s
-	eng.AfterTask(d, t)
+	s.m.Engine().AfterTask(d, s.task(fn))
 }
 
 // runRetryResp ends the episode when the attempt returned a value meeting
@@ -214,8 +213,5 @@ func runRetryResume(t *event.Task) {
 // runRetryDeliver attempts once the WG is resident again (Timeout).
 func runRetryDeliver(t *event.Task) {
 	s := t.Env[0].(*retryWait)
-	if s.park == nil {
-		s.park = s.attempt
-	}
-	s.m.Deliver(s.w, s.park)
+	s.m.Deliver(s.w, s.task(runRetryAttempt))
 }

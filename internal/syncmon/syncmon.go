@@ -5,13 +5,13 @@
 // structure virtualizes its finite capacity into global memory
 // (Section V.A).
 //
-// The SyncMon observes every atomic at bank-service time. In checking mode
-// (MonR/MonNR/AWG) it evaluates waiting conditions against the updated
-// value and resumes the number of waiters a ResumeSelector chooses; in
-// sporadic mode (MonRS) it wakes every waiter registered on an address the
-// moment the address is touched, without checking — the relaxed
-// monitor/mwait-style semantics the paper shows to be dominated by
-// unnecessary resumes.
+// The SyncMon observes every atomic at bank-service time, fed by its
+// owner through Observe. In checking mode (MonR/MonNR/AWG) it evaluates
+// waiting conditions against the updated value and resumes the number of
+// waiters a ResumeSelector chooses; in sporadic mode (MonRS) it wakes
+// every waiter registered on an address the moment the address is
+// touched, without checking — the relaxed monitor/mwait-style semantics
+// the paper shows to be dominated by unnecessary resumes.
 package syncmon
 
 import (
@@ -195,8 +195,9 @@ func (l *MonitorLog) Remove(wg gpu.WGID, addr mem.Addr, want int64) {
 	}
 }
 
-// SyncMon is the monitor block. It subscribes to the machine's atomic
-// stream and owns the condition cache, waiting list and Monitor Log.
+// SyncMon is the monitor block. Its owner feeds it the machine's atomic
+// stream through Observe; it owns the condition cache, waiting list and
+// Monitor Log.
 type SyncMon struct {
 	cfg      Config
 	m        *gpu.Machine
@@ -211,7 +212,7 @@ type SyncMon struct {
 	maxConds, maxWaiters, maxMonitored int
 	conds                              int
 
-	// observe() scratch, reused across calls: a hot barrier's release makes
+	// Observe scratch, reused across calls: a hot barrier's release makes
 	// the wake fan-out fire on every update, so it must not allocate. The
 	// sporadic wake-all reuses metScratch for the entries it empties and
 	// wakeScratch for the waiters it resumes.
@@ -220,7 +221,7 @@ type SyncMon struct {
 	clsScratch  []OpClass
 }
 
-// wakeup is one pending resume collected during an observe pass; wakes are
+// wakeup is one pending resume collected during an Observe pass; wakes are
 // delivered after all condition bookkeeping so callbacks see settled state.
 type wakeup struct {
 	wt   waiter
@@ -242,7 +243,6 @@ func New(cfg Config, m *gpu.Machine, selector ResumeSelector, wake WakeFunc) (*S
 		selector: selector,
 		wake:     wake,
 	}
-	m.OnAtomicApply(s.observe)
 	return s, nil
 }
 
@@ -413,9 +413,9 @@ func (s *SyncMon) dropEntry(e int32) {
 	}
 }
 
-// observe is the machine's atomic-apply hook: the monitored-bit check at
-// the L2 bank.
-func (s *SyncMon) observe(by *gpu.WG, v gpu.Var, op gpu.AtomicOp, old, new int64) {
+// Observe is the monitored-bit check at the L2 bank, run at every
+// atomic's bank-service instant (gpu.AtomicObserver).
+func (s *SyncMon) Observe(by *gpu.WG, v gpu.Var, op gpu.AtomicOp, old, new int64) {
 	addr := v.Addr.WordAligned()
 	head := s.store.firstOnAddr(addr)
 	if head == nilRef {

@@ -52,13 +52,14 @@ func newHarness(t *testing.T, cfg Config) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.OnAtomicApply(h.sm.Observe)
 	return h
 }
 
 // update applies an atomic write and flushes the event calendar so the
 // SyncMon observes it.
 func (h *harness) update(a mem.Addr, op gpu.AtomicOp, val int64) {
-	h.m.IssueAtomic(nil, gpu.GlobalVar(a), op, val, 0, nil, nil)
+	h.m.IssueAtomic(nil, gpu.GlobalVar(a), op, val, 0, nil)
 	h.m.Engine().Run()
 }
 
