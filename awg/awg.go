@@ -77,10 +77,6 @@ func Benchmarks() []string { return kernels.All() }
 // AppBenchmarks lists the application workloads (hash table, bank account).
 func AppBenchmarks() []string { return kernels.Apps() }
 
-// ExtensionBenchmarks lists the primitives added beyond the paper's suite
-// (counting semaphore, reader-writer lock).
-func ExtensionBenchmarks() []string { return kernels.Extensions() }
-
 // Policies lists the canonical policy names in the paper's design-space
 // order.
 func Policies() []string { return sim.Policies() }

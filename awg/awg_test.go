@@ -27,7 +27,6 @@ func quickCfg(bench, policy string) awg.Config {
 // synchronization.
 func TestMatrixAllBenchmarksAllPolicies(t *testing.T) {
 	benches := append(awg.Benchmarks(), awg.AppBenchmarks()...)
-	benches = append(benches, awg.ExtensionBenchmarks()...)
 	for _, b := range benches {
 		for _, p := range awg.Policies() {
 			b, p := b, p

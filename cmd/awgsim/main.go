@@ -35,7 +35,6 @@ func main() {
 	if *list {
 		fmt.Println("benchmarks:", strings.Join(awg.Benchmarks(), " "))
 		fmt.Println("apps:      ", strings.Join(awg.AppBenchmarks(), " "))
-		fmt.Println("extensions:", strings.Join(awg.ExtensionBenchmarks(), " "))
 		fmt.Println("policies:  ", strings.Join(awg.Policies(), " "))
 		return
 	}

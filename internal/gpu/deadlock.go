@@ -17,7 +17,7 @@ func (m *Machine) frozen(w *WG) bool {
 		return false
 	}
 	cur := m.mem.Read(op.Var.Addr)
-	newVal, ret := op.Op.Apply(cur, op.A, op.B)
+	newVal, ret := op.Op.Apply(cur, op.A, 0)
 	return newVal == cur && !op.Cmp.Test(ret, op.Want)
 }
 
@@ -37,11 +37,7 @@ func (m *Machine) frozen(w *WG) bool {
 // It stops at the first resident WG that is not frozen and allocates
 // nothing.
 func (m *Machine) provenDeadlock() bool {
-	quiet, sealed := true, m.restoresDue == 0 && m.launchesDue == 0
-	if sealed {
-		p, ok := m.pol.(interface{ NeverYields() bool })
-		sealed = ok && p.NeverYields()
-	}
+	quiet, sealed := true, m.neverYields && m.restoresDue == 0 && m.launchesDue == 0
 	for _, w := range m.allWGs {
 		if w.finished {
 			continue

@@ -1,6 +1,12 @@
 package gpu
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"awgsim/internal/metrics"
+	"awgsim/internal/prog"
+)
 
 // holdPolicy busy-waits like spinPolicy and tells the deadlock proof that
 // its waiters never yield a slot.
@@ -22,7 +28,6 @@ func TestFrozen(t *testing.T) {
 		{"await GE unmet", WaitOp{Var: lock, Op: OpLoad, Want: 5, Cmp: CmpGE}, 4, false, true},
 		{"exch on a held lock", WaitOp{Var: lock, Op: OpExch, A: 1, Want: 0, Cmp: CmpEQ}, 1, false, true},
 		{"exch overwriting another value", WaitOp{Var: lock, Op: OpExch, A: 1, Want: 0, Cmp: CmpEQ}, 2, false, false},
-		{"cas on a held lock", WaitOp{Var: lock, Op: OpCAS, A: 0, B: 1, Want: 0, Cmp: CmpEQ}, 1, false, true},
 		{"won exch's response in flight", WaitOp{Var: lock, Op: OpExch, A: 1, Want: 0, Cmp: CmpEQ}, 1, true, false},
 	} {
 		m := newTestMachine(t, testConfig(), stuckKernel(1, 0x7000), nil)
@@ -57,9 +62,9 @@ func TestProvenDeadlockRule(t *testing.T) {
 		{"a slot free", func(m *Machine, _ *WG) { m.sched.cu(0).wgSlots++ }, false},
 		{"restore due", func(m *Machine, _ *WG) { m.restoresDue++ }, false},
 		{"launch due", func(m *Machine, _ *WG) { m.launchesDue++ }, false},
-		{"yielding policy", func(m *Machine, _ *WG) { m.pol = &spinPolicy{m: m} }, false},
+		{"yielding policy", func(m *Machine, _ *WG) { m.neverYields = false }, false},
 		{"yielding policy, holder frozen too", func(m *Machine, h *WG) {
-			m.pol = &spinPolicy{m: m}
+			m.neverYields = false
 			h.waiting, h.wait = true, frozenOp
 		}, true},
 		{"resident waiter not frozen", func(m *Machine, _ *WG) { m.mem.Write(0x7000, 1) }, false},
@@ -78,5 +83,34 @@ func TestProvenDeadlockRule(t *testing.T) {
 		if got := m.provenDeadlock(); got != c.want {
 			t.Errorf("%s: provenDeadlock = %v, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// TestDiagnosisKeysConditionsOnCmp stalls two WGs on one unwritten word,
+// WG 0 waiting for `== 1` and WG 1 for `>= 1`. Address and wanted value
+// alike, the two waits are different conditions, so the diagnosis lists
+// each with its own waiter.
+func TestDiagnosisKeysConditionsOnCmp(t *testing.T) {
+	const word = 0x7000
+	spec := irKernel("eq-ge", 2, func(b *prog.Builder) {
+		v := b.GVar(word)
+		ge, end := b.Label(), b.Label()
+		b.Br(prog.NE, b.Geom(prog.GeomID), prog.Imm(0), ge)
+		b.AwaitEq(v, prog.Imm(1))
+		b.Jmp(end)
+		b.Bind(ge)
+		b.AwaitGE(v, prog.Imm(1))
+		b.Bind(end)
+	})
+	res := newTestMachine(t, testConfig(), spec, nil).Run()
+	if !res.Deadlocked || res.Diagnosis == nil {
+		t.Fatalf("run did not stall: deadlocked=%v diagnosis=%v", res.Deadlocked, res.Diagnosis)
+	}
+	want := []metrics.BlockedCond{
+		{Addr: word, Want: 1, Cmp: "==", Waiters: []int{0}},
+		{Addr: word, Want: 1, Cmp: ">=", Waiters: []int{1}},
+	}
+	if got := res.Diagnosis.Conditions; !reflect.DeepEqual(got, want) {
+		t.Fatalf("conditions = %+v, want %+v", got, want)
 	}
 }

@@ -178,9 +178,6 @@ func (m *Machine) advanceIR(w *WG) {
 	case prog.OpAcquireExch:
 		// Test-and-set: exchange B in until the old value equals C.
 		m.beginWait(w, WaitOp{Var: f.varOf(op), Op: OpExch, A: f.val(op.B), Want: f.val(op.C), Cmp: CmpEQ, Backoff: op.Hint})
-	case prog.OpAcquireCAS:
-		// CAS(B -> C) until it succeeds, i.e. returns the expected B.
-		m.beginWait(w, WaitOp{Var: f.varOf(op), Op: OpCAS, A: f.val(op.B), B: f.val(op.C), Want: f.val(op.B), Cmp: CmpEQ})
 	default:
 		panic(fmt.Sprintf("gpu: IR device op %s not dispatched", op.Kind))
 	}

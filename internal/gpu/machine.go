@@ -20,9 +20,9 @@ import (
 // int sizes the policy's monitor hardware for Machine.StateBytes,
 // Diagnose(*metrics.Diagnosis) adds its occupancy to a stalled run's
 // diagnosis, Tally(*metrics.Counters) adds the counts it keeps itself to
-// the run's result, and NeverYields() bool, true for a policy under which
-// a waiting WG keeps its slot for the whole episode, lets the deadlock
-// proof rule out a slot freeing.
+// the run's result, and NeverYields() bool, read once after Attach and
+// true for a policy under which a waiting WG keeps its slot for the whole
+// episode, lets the deadlock proof rule out a slot freeing.
 type Policy interface {
 	// Name identifies the policy in results ("Baseline", "AWG", ...).
 	Name() string
@@ -33,7 +33,7 @@ type Policy interface {
 	Attach(m *Machine) error
 	// Wait runs w's open wait episode, whose operation w.Episode()
 	// reports: the program needs the atomic (OpLoad for pure waits,
-	// OpExch/OpCAS for lock acquires) retried until the value it returns
+	// OpExch for lock acquires) retried until the value it returns
 	// satisfies the episode's condition. The policy decides what happens
 	// between attempts — busy polling, backoff, timed stalls, monitor
 	// arming, waiting atomics, context switches — and finally calls
@@ -85,6 +85,9 @@ type Machine struct {
 	// kernel launches (InjectKernel) still on the calendar: each can make
 	// a WG resident, so the deadlock proof waits them out.
 	restoresDue, launchesDue int
+
+	// neverYields is the policy's NeverYields(), read once after Attach.
+	neverYields bool
 
 	diag *metrics.Diagnosis
 
@@ -153,6 +156,9 @@ func NewMachine(cfg Config, memCfg mem.Config, spec *KernelSpec, pol Policy) (*M
 	m.sched.enqueuePending(m.wgs)
 	if err := pol.Attach(m); err != nil {
 		return nil, fmt.Errorf("gpu: attaching policy %s: %w", pol.Name(), err)
+	}
+	if p, ok := pol.(interface{ NeverYields() bool }); ok {
+		m.neverYields = p.NeverYields()
 	}
 	return m, nil
 }
@@ -510,8 +516,8 @@ func (m *Machine) syncThreads(w *WG) {
 
 // beginWait opens a wait episode on w with operation op and hands it to
 // the policy, which retries op until the value it returns satisfies the
-// condition (pure waits are OpLoad polls; lock acquires are exchanges or
-// CASes). The WG holds the operation for the episode's life.
+// condition (pure waits are OpLoad polls; lock acquires are exchanges).
+// The WG holds the operation for the episode's life.
 func (m *Machine) beginWait(w *WG, op WaitOp) {
 	now := m.eng.Now()
 	w.setPhase(now, true)
@@ -576,8 +582,8 @@ func (m *Machine) diagnose(reason string) *metrics.Diagnosis {
 	type cond struct {
 		addr uint64
 		want int64
-		// cmp completes the key: (addr, want) alone ties e.g. a reader's
-		// `>= 0` against a writer's `== 0` on the same lock word.
+		// cmp completes the key: (addr, want) alone ties e.g. one WG's
+		// `== 1` against another's `>= 1` on the same word.
 		cmp Cmp
 	}
 	type waiter struct {

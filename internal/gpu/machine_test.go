@@ -19,7 +19,7 @@ func (p *spinPolicy) Wait(w *WG) {
 	op := w.Episode()
 	var attempt func()
 	attempt = func() {
-		p.m.IssueAtomic(w, op.Var, op.Op, op.A, op.B, respond(p.m, func(ret int64) {
+		p.m.IssueAtomic(w, op.Var, op.Op, op.A, 0, respond(p.m, func(ret int64) {
 			if op.Cmp.Test(ret, op.Want) {
 				p.m.EndWait(w, ret)
 				return
@@ -41,7 +41,7 @@ func (p *yieldPolicy) Wait(w *WG) {
 	op := w.Episode()
 	var attempt func()
 	attempt = func() {
-		p.m.IssueAtomic(w, op.Var, op.Op, op.A, op.B, respond(p.m, func(ret int64) {
+		p.m.IssueAtomic(w, op.Var, op.Op, op.A, 0, respond(p.m, func(ret int64) {
 			if op.Cmp.Test(ret, op.Want) {
 				p.m.EndWait(w, ret)
 				return
@@ -467,7 +467,7 @@ func (p *stallingPolicy) Wait(w *WG) {
 	op := w.Episode()
 	var attempt func()
 	attempt = func() {
-		p.m.IssueAtomic(w, op.Var, op.Op, op.A, op.B, respond(p.m, func(ret int64) {
+		p.m.IssueAtomic(w, op.Var, op.Op, op.A, 0, respond(p.m, func(ret int64) {
 			if op.Cmp.Test(ret, op.Want) {
 				p.m.SetStalled(w, false)
 				p.m.EndWait(w, ret)

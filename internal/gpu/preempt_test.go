@@ -17,7 +17,7 @@ func (p *evictMidAtomicPolicy) Wait(w *WG) {
 	op := w.Episode()
 	var attempt func()
 	attempt = func() {
-		p.m.IssueAtomic(w, op.Var, op.Op, op.A, op.B, respond(p.m, func(ret int64) {
+		p.m.IssueAtomic(w, op.Var, op.Op, op.A, 0, respond(p.m, func(ret int64) {
 			if op.Cmp.Test(ret, op.Want) {
 				p.m.EndWait(w, ret)
 				return

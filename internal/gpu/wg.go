@@ -93,14 +93,14 @@ func (w *WG) Spec() *KernelSpec { return w.spec }
 // resident.
 func (w *WG) park(t *event.Task) { w.parked = append(w.parked, t) }
 
-// WaitOp is one wait episode's operation: the program retries Op(A, B) on
+// WaitOp is one wait episode's operation: the program retries Op(A) on
 // Var until the value it returns satisfies Cmp against Want. Backoff marks
 // a call site written with software exponential backoff (the SPMBO_*
 // benchmarks; prog.Op.Hint).
 type WaitOp struct {
 	Var     Var
 	Op      AtomicOp
-	A, B    int64
+	A       int64
 	Want    int64
 	Cmp     Cmp
 	Backoff bool

@@ -115,8 +115,6 @@ var registry = map[string]Builder{
 	"LFTBEX_LG":   func(p Params) (*Benchmark, error) { return lfTreeBarrierBench(p, "LFTBEX_LG", gpu.Local, 26, 5<<9) },
 	"HashTable":   hashTableBench,
 	"BankAccount": bankAccountBench,
-	"Semaphore":   semaphoreBench,
-	"RWLock":      rwLockBench,
 }
 
 // skewedWork returns the i-th round's work for a WG: a deterministic

@@ -367,103 +367,6 @@ func bankAccountIR(p Params, accounts int, tails, servings, balances []mem.Addr,
 	return b.MustBuild()
 }
 
-// irSemaphoreAcquire takes one permit from the counting semaphore at m
-// (the word holds the free permits), waiting while none are free. The wait
-// is policy-lowered (AwaitGE on permits >= 1); the decrement is a CAS race
-// among however many waiters were resumed, with losers re-waiting — Mesa
-// semantics in miniature. Release is a fetch-add of one.
-func irSemaphoreAcquire(b *prog.Builder, m prog.Mem) {
-	again := b.Here()
-	v := b.AtomicLoad(m)
-	free := b.Label()
-	b.Br(prog.GT, v, prog.Imm(0), free)
-	b.AwaitGE(m, prog.Imm(1))
-	b.Jmp(again)
-	b.Bind(free)
-	old := b.AtomicCAS(m, v, b.Sub(v, prog.Imm(1)))
-	b.Br(prog.NE, old, v, again)
-}
-
-// semaphoreIR is the Semaphore extension: Iters entries into a region the
-// semaphore admits a bounded number of holders to, tracking the occupancy
-// high-water mark inside the region.
-func semaphoreIR(p Params, semV, inside, entered, maxSeen, barCount mem.Addr) *prog.Program {
-	b := prog.NewBuilder()
-	sem := b.GVar(uint64(semV))
-	insideM := b.GVar(uint64(inside))
-	enteredM := b.GVar(uint64(entered))
-	maxSeenM := b.GVar(uint64(maxSeen))
-	wg := b.Geom(prog.GeomID)
-	irLoop(b, 0, int64(p.Iters), prog.GE, func(i prog.Src) {
-		b.Compute(irSkewedWork(b, p, wg, i))
-		irSemaphoreAcquire(b, sem)
-		n := b.Add(b.AtomicAdd(insideM, prog.Imm(1)), prog.Imm(1))
-		m := b.AtomicLoad(maxSeenM)
-		noBump := b.Label()
-		b.Br(prog.LE, n, m, noBump)
-		b.AtomicCAS(maxSeenM, m, n)
-		b.Bind(noBump)
-		b.AtomicAddX(enteredM, prog.Imm(1))
-		b.Compute(prog.Imm(int64(p.CSWork)))
-		b.AtomicAddX(insideM, prog.Imm(-1))
-		b.AtomicAddX(sem, prog.Imm(1))
-	})
-	irCentralBarrier(b, b.GVar(uint64(barCount)), 1)
-	return b.MustBuild()
-}
-
-// rwLockIR is the RWLock extension over a single-word reader-writer lock
-// (0 free, -1 writer held, n>0 n readers held): one round in five writes
-// the word pair together under the exclusive lock (CAS 0 -> -1, released by
-// exchanging 0), the rest read the pair under the shared lock (wait while a
-// writer holds, CAS-race the reader count up, release by adding -1) and
-// count torn reads.
-func rwLockIR(p Params, lockV, wordA, wordB, writes, torn, barCount mem.Addr) *prog.Program {
-	b := prog.NewBuilder()
-	lock := b.GVar(uint64(lockV))
-	aM := b.GVar(uint64(wordA))
-	bM := b.GVar(uint64(wordB))
-	writesM := b.GVar(uint64(writes))
-	tornM := b.GVar(uint64(torn))
-	wg := b.Geom(prog.GeomID)
-	irLoop(b, 0, int64(p.Iters), prog.GE, func(i prog.Src) {
-		b.Compute(irSkewedWork(b, p, wg, i))
-		reader, out := b.Label(), b.Label()
-		b.Br(prog.NE, b.Mod(b.Add(wg, i), prog.Imm(5)), prog.Imm(0), reader)
-		// Writer: exclusive CAS acquire, update the pair together.
-		b.AcquireCAS(lock, prog.Imm(0), prog.Imm(-1))
-		x := b.Load(aM)
-		b.Compute(prog.Imm(int64(p.CSWork)))
-		b.Store(aM, b.Add(x, prog.Imm(1)))
-		b.Store(bM, b.Add(x, prog.Imm(1)))
-		b.AtomicAddX(writesM, prog.Imm(1))
-		b.AtomicExchX(lock, prog.Imm(0))
-		b.Jmp(out)
-		b.Bind(reader)
-		// RWLock.RLock: wait out writers, CAS-race the reader count up.
-		again := b.Here()
-		v := b.AtomicLoad(lock)
-		noWriter := b.Label()
-		b.Br(prog.GE, v, prog.Imm(0), noWriter)
-		b.AwaitGE(lock, prog.Imm(0))
-		b.Jmp(again)
-		b.Bind(noWriter)
-		old := b.AtomicCAS(lock, v, b.Add(v, prog.Imm(1)))
-		b.Br(prog.NE, old, v, again)
-		rx := b.Load(aM)
-		b.Compute(prog.Imm(int64(p.CSWork / 2)))
-		ry := b.Load(bM)
-		consistent := b.Label()
-		b.Br(prog.EQ, rx, ry, consistent)
-		b.AtomicAddX(tornM, prog.Imm(1))
-		b.Bind(consistent)
-		b.AtomicAddX(lock, prog.Imm(-1))
-		b.Bind(out)
-	})
-	irCentralBarrier(b, b.GVar(uint64(barCount)), 1)
-	return b.MustBuild()
-}
-
 // HandoffIR is the producer/consumer episode of Figure 6: WG 0 computes
 // for work cycles and then sets the flag to 1; every other WG waits for it.
 func HandoffIR(flag mem.Addr, work int64) *prog.Program {

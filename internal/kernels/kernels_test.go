@@ -191,37 +191,3 @@ func TestIRSkewedWorkMatchesReference(t *testing.T) {
 		}
 	}
 }
-
-func TestExtensionsRegistered(t *testing.T) {
-	if len(Extensions()) != 2 {
-		t.Fatalf("Extensions() lists %d, want 2", len(Extensions()))
-	}
-	for _, name := range Extensions() {
-		b, err := Build(name, testParams())
-		if err != nil {
-			t.Errorf("Build(%s): %v", name, err)
-			continue
-		}
-		if b.Verify == nil {
-			t.Errorf("%s has no validation", name)
-		}
-	}
-}
-
-func TestSemaphoreInitPermits(t *testing.T) {
-	b, err := Build("Semaphore", testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := map[uint64]int64{}
-	b.Init(func(a mem.Addr, v int64) { vals[uint64(a)] = v })
-	found := false
-	for _, v := range vals {
-		if v == 4 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("semaphore not initialized with its permit count")
-	}
-}

@@ -11,8 +11,8 @@ package kernels
 //
 // A pattern is pure data and round-trips through a canonical string
 // encoding that doubles as its benchmark name ("litmus:1:..."): a litmus
-// sim.Config is therefore fully declarative, so the session layer's run
-// cache applies to litmus sweeps exactly as it does to the named suite.
+// sim.Config is therefore fully declarative, and litmus.Conformance keys
+// its distinct runs on the encoded name.
 //
 // The op discipline is deliberately restricted so abstract execution is
 // confluent (the property the oracles and Verify rely on): every variable

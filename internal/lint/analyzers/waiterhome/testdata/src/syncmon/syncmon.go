@@ -41,16 +41,17 @@ func (l *MonitorLog) Remove(i int) {
 
 // SyncMon mirrors the condition cache's protected state.
 type SyncMon struct {
-	sets    [][]entry
+	store   map[int64][]entry
+	conds   int
 	waiters map[int64]int
-	byAddr  map[int64][]int
 	log     *MonitorLog
 }
 
 // Register is approved for the cache fields.
 func (s *SyncMon) Register(id int64, e entry) {
 	s.waiters[id]++
-	s.sets[0] = append(s.sets[0], e)
+	s.store[e.addr] = append(s.store[e.addr], e)
+	s.conds++
 }
 
 // Unregister may touch the cache, but the ring write below is the PR 3 bug
@@ -64,11 +65,11 @@ func (s *SyncMon) Unregister(id int64) {
 
 // evictHalf is not an approved transfer function for the cache.
 func (s *SyncMon) evictHalf() {
-	s.sets[0] = nil       // want `SyncMon\.sets holds single-home waiter state`
-	delete(s.byAddr, 0)   // want `SyncMon\.byAddr holds single-home waiter state`
-	borrow(&s.waiters)    // want `SyncMon\.waiters holds single-home waiter state`
+	s.store[0] = nil      // want `SyncMon\.store holds single-home waiter state`
+	delete(s.waiters, 0)  // want `SyncMon\.waiters holds single-home waiter state`
+	borrow(&s.conds)      // want `SyncMon\.conds holds single-home waiter state`
 	s.log.Remove(0)       // routed through the approved accessor: fine
-	_ = len(s.sets)       // reads are unrestricted
+	_ = len(s.store)      // reads are unrestricted
 	_, ok := s.waiters[0] // reads are unrestricted
 	_ = ok
 }
@@ -79,4 +80,4 @@ func (l *MonitorLog) rewindHead(head int) {
 	l.head = head // want `MonitorLog\.head holds single-home waiter state`
 }
 
-func borrow(m *map[int64]int) {}
+func borrow(n *int) {}

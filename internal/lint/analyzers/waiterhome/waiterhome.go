@@ -50,25 +50,12 @@ var homes = []home{
 	{
 		// SyncMon condition cache: conditions, waiters, and the slab store
 		// holding them move together through registration/wake/evict paths.
-		// (sets/byAddr/monitored survive as testdata stand-in fields.)
 		pkgSuffix: "/syncmon", typeName: "SyncMon",
-		fields: map[string]bool{
-			"sets": true, "waiters": true, "byAddr": true,
-			"monitored": true, "conds": true, "store": true,
-		},
+		fields: map[string]bool{"store": true, "conds": true, "waiters": true},
 		approved: map[string]bool{
 			"New": true, "Register": true, "Unregister": true,
 			"dropEntry": true, "Observe": true, "wakeAllOnAddr": true,
 			"Degrade": true,
-		},
-	},
-	{
-		// A condition entry's waiter queue is part of the cache home.
-		pkgSuffix: "/syncmon", typeName: "condEntry",
-		fields: map[string]bool{"waiters": true},
-		approved: map[string]bool{
-			"Register": true, "Unregister": true, "Observe": true,
-			"wakeAllOnAddr": true, "Degrade": true, "dropEntry": true,
 		},
 	},
 	{

@@ -86,7 +86,7 @@ type Diagnosis struct {
 	CPTableSize       int
 
 	WGs        []WGDiag      // unfinished WGs, ascending id
-	Conditions []BlockedCond // blocking conditions, ascending (addr, want)
+	Conditions []BlockedCond // blocking conditions, ascending (addr, want, cmp)
 }
 
 // Summary is the one-line form: reason plus the headline numbers.

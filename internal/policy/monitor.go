@@ -315,7 +315,7 @@ func (p *Monitor) attempt(ep *episode) {
 	p.m.SetStalled(ep.w, false)
 	ep.reg = syncmon.RegisterResult(-1)
 	op := ep.w.Episode()
-	p.m.IssueAtomic(ep.w, op.Var, op.Op, op.A, op.B, ep.task(runAttemptResp))
+	p.m.IssueAtomic(ep.w, op.Var, op.Op, op.A, 0, ep.task(runAttemptResp))
 }
 
 // runRetry attempts again.

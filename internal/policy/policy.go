@@ -174,7 +174,7 @@ func retryState(m *gpu.Machine, w *gpu.WG, pol retryPolicy) *retryWait {
 // response.
 func (s *retryWait) attempt() {
 	op := s.w.Episode()
-	s.m.IssueAtomic(s.w, op.Var, op.Op, op.A, op.B, s.task(runRetryResp))
+	s.m.IssueAtomic(s.w, op.Var, op.Op, op.A, 0, s.task(runRetryResp))
 }
 
 // task returns an unscheduled task calling fn with s in Env[0].

@@ -260,11 +260,6 @@ func (b *Builder) AcquireExch(m Mem, locked, unlocked Src, hint bool) {
 	b.emit(Op{Kind: OpAcquireExch, Dst: -1, A: m.Idx, B: locked, C: unlocked, Scope: m.Scope, Hint: hint})
 }
 
-// AcquireCAS acquires m by repeating CAS(expect -> newv) until it succeeds.
-func (b *Builder) AcquireCAS(m Mem, expect, newv Src) {
-	b.emit(Op{Kind: OpAcquireCAS, Dst: -1, A: m.Idx, B: expect, C: newv, Scope: m.Scope})
-}
-
 // Build patches branches, validates, and returns the finished program. The
 // builder must not be reused afterwards.
 func (b *Builder) Build() (*Program, error) {

@@ -113,10 +113,10 @@ const (
 	// Atomics return the value observed when the op was serviced at the
 	// variable's synchronization point (the L2 bank or the CU-local unit).
 	// Waits block until the variable has been observed to satisfy the
-	// comparison, returning that value; acquires repeat their atomic until
-	// it returns the unlocked (exch) or expected (CAS) value. How a WG
-	// waits between attempts — busy polling, backoff, timeouts, monitor
-	// arming, waiting atomics — is the active scheduling policy's choice.
+	// comparison, returning that value; an acquire repeats its exchange
+	// until it returns the unlocked value. How a WG waits between attempts
+	// — busy polling, backoff, timeouts, monitor arming, waiting atomics —
+	// is the active scheduling policy's choice.
 	OpCompute     // Compute(A) cycles; A <= 0 is a no-op
 	OpLoad        // dst = Load(pool[A])
 	OpStore       // Store(pool[A], B)
@@ -129,7 +129,6 @@ const (
 	OpAwaitEq     // dst = AwaitEq(var(A), B); Hint selects the backoff form
 	OpAwaitGE     // dst = AwaitGE(var(A), B)
 	OpAcquireExch // AcquireExch(var(A), locked=B, unlocked=C); Hint selects backoff
-	OpAcquireCAS  // AcquireCAS(var(A), expect=B, new=C)
 	opCount
 )
 
@@ -138,7 +137,7 @@ func (k OpKind) String() string {
 		"mov", "add", "sub", "mul", "div", "mod", "geom", "jmp", "br",
 		"compute", "load", "store",
 		"atomic-add", "atomic-exch", "atomic-cas", "atomic-load", "atomic-store",
-		"sync-threads", "await-eq", "await-ge", "acquire-exch", "acquire-cas",
+		"sync-threads", "await-eq", "await-ge", "acquire-exch",
 	}
 	if int(k) < len(names) {
 		return names[k]

@@ -36,7 +36,7 @@ type Injection struct {
 // Config describes one simulation. Zero-valued fields take the paper's
 // baseline (Table 1 machine, full launch, default policy parameters).
 type Config struct {
-	// Benchmark names the kernel: one of kernels.All()/Apps()/Extensions().
+	// Benchmark names the kernel: one of kernels.All()/Apps().
 	// Leave empty when Kernel supplies an explicit spec instead.
 	Benchmark string
 	// Policy names the scheduling architecture, including parameterized
